@@ -310,7 +310,7 @@ func benchHotPaths() []hotPath {
 	sock := cpumodel.NewSocket(cpumodel.Quartz(), 1.0)
 	w := kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1}
 	ph := cpumodel.Phase{Work: w.TotalWorkPerHost(18, true), Vector: w.Vector}
-	table := cpumodel.NewCapTable(sock, ph)
+	table := cpumodel.CapTableFor(&sock.Spec, ph)
 	caps := make([]units.Power, 64)
 	for i := range caps {
 		caps[i] = 60 + units.Power(i)
@@ -318,7 +318,7 @@ func benchHotPaths() []hotPath {
 	add("cpumodel.CapTable.FrequencyForCap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			table.FrequencyForCap(caps[i%len(caps)])
+			table.FrequencyForCap(sock.Eta, caps[i%len(caps)])
 		}
 	})
 	add("cpumodel.Socket.FrequencyForCap", func(b *testing.B) {

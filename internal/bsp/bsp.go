@@ -272,7 +272,7 @@ func (j *Job) RunSpan(span time.Duration) (SpanResult, error) {
 			MeanPower:    h.MeanPower,
 			AchievedFreq: h.AchievedFreq,
 			Flops:        h.Flops,
-		}, ir.Elapsed, extra)
+		}, ir.Elapsed, 0, extra)
 	}
 	j.iterCount += extra
 	res.Iterations += extra
@@ -282,16 +282,18 @@ func (j *Job) RunSpan(span time.Duration) (SpanResult, error) {
 	return res, nil
 }
 
-// CreditSteadyState credits count repetitions of a previously sampled
-// iteration analytically: each host's energy, time, and flops accounting
-// advances as if the iteration repeated count times at the same operating
-// point, without re-running the compute model. The event-driven facility
-// uses this to jump a job from one event boundary to the next in O(hosts)
-// instead of O(hosts x iterations). Crediting goes to the job's CURRENT
-// nodes (spare swaps may have replaced the ones ir sampled), indexed by
-// host position. count <= 0 is a no-op.
-func (j *Job) CreditSteadyState(ir IterationResult, count int) {
-	if count <= 0 {
+// CreditSteadyState credits repetitions [from, to) of a previously sampled
+// iteration analytically, counted from the sample: each host's energy,
+// time, and flops accounting advances as if the iteration repeated to-from
+// times at the same operating point, without re-running the compute model.
+// The event-driven facility uses this to jump a job from one settlement to
+// the next in O(hosts) instead of O(hosts x iterations); because
+// node.CreditIterations telescopes, splitting [0, n) at any points programs
+// the same registers as one credit. Crediting goes to the job's CURRENT
+// nodes (spare swaps may have replaced the ones ir sampled), indexed by host
+// position. to <= from is a no-op.
+func (j *Job) CreditSteadyState(ir IterationResult, from, to int) {
+	if to <= from {
 		return
 	}
 	for i, h := range ir.PerHost {
@@ -305,9 +307,9 @@ func (j *Job) CreditSteadyState(ir IterationResult, count int) {
 			MeanPower:    h.MeanPower,
 			AchievedFreq: h.AchievedFreq,
 			Flops:        h.Flops,
-		}, ir.Elapsed, count)
+		}, ir.Elapsed, from, to)
 	}
-	j.iterCount += count
+	j.iterCount += to - from
 }
 
 // RunResult aggregates a multi-iteration run of one job.

@@ -133,17 +133,17 @@ func NewSocket(spec Spec, eta float64) Socket {
 // multiplier eta contain no references — so a plain copy suffices; the
 // method exists to pin that invariant where node cloning relies on it:
 // cloned nodes must keep their per-part eta without sharing mutable state.
-func (s Socket) Clone() Socket { return s }
+func (s *Socket) Clone() Socket { return *s }
 
 // fhat returns the normalized frequency f/f_base.
-func (s Socket) fhat(f units.Frequency) float64 {
+func (s *Socket) fhat(f units.Frequency) float64 {
 	return f.Hz() / s.Spec.BaseFreq.Hz()
 }
 
 // MemRoofPerCore returns the contended per-core memory bandwidth at
 // frequency f: the socket aggregate divided by the active cores, with the
 // weak frequency dependence of the uncore.
-func (s Socket) MemRoofPerCore(f units.Frequency) units.BytesPerSecond {
+func (s *Socket) MemRoofPerCore(f units.Frequency) units.BytesPerSecond {
 	if s.Spec.ActiveCores <= 0 {
 		return 0
 	}
@@ -153,14 +153,14 @@ func (s Socket) MemRoofPerCore(f units.Frequency) units.BytesPerSecond {
 
 // ComputeRoofPerCore returns the per-core peak FLOP rate for the vector
 // width at frequency f.
-func (s Socket) ComputeRoofPerCore(v kernel.Vector, f units.Frequency) units.FlopsPerSecond {
+func (s *Socket) ComputeRoofPerCore(v kernel.Vector, f units.Frequency) units.FlopsPerSecond {
 	return s.Spec.Platform.ComputeRoof(v, f)
 }
 
 // TimeFor returns how long one iteration of the phase takes at frequency f:
 // the roofline bound max(flops/computeRoof, bytes/memRoof) with the
 // contended per-core memory bandwidth. Zero work takes zero time.
-func (s Socket) TimeFor(ph Phase, f units.Frequency) time.Duration {
+func (s *Socket) TimeFor(ph Phase, f units.Frequency) time.Duration {
 	var tComp, tMem float64
 	if ph.Work.Flops > 0 {
 		roof := float64(s.ComputeRoofPerCore(ph.Vector, f))
@@ -181,7 +181,7 @@ func (s Socket) TimeFor(ph Phase, f units.Frequency) time.Duration {
 
 // Utilization returns the FP and memory pipe utilizations while executing
 // the phase at frequency f.
-func (s Socket) Utilization(ph Phase, f units.Frequency) roofline.Utilization {
+func (s *Socket) Utilization(ph Phase, f units.Frequency) roofline.Utilization {
 	total := s.TimeFor(ph, f).Seconds()
 	if total <= 0 {
 		return roofline.Utilization{}
@@ -198,7 +198,14 @@ func (s Socket) Utilization(ph Phase, f units.Frequency) roofline.Utilization {
 
 // PowerAt returns the sustained socket power while executing the phase at
 // frequency f.
-func (s Socket) PowerAt(ph Phase, f units.Frequency) units.Power {
+func (s *Socket) PowerAt(ph Phase, f units.Frequency) units.Power {
+	return s.dynamic(s.activity(ph, f), f)
+}
+
+// activity returns the phase's dynamic-power activity factor d at
+// frequency f — the utilization-weighted sum of the dynamic coefficients,
+// independent of eta.
+func (s *Socket) activity(ph Phase, f units.Frequency) float64 {
 	u := s.Utilization(ph, f)
 	vec := ph.Vector.PowerScale()
 	// Narrower vectors toggle less of the core pipeline every cycle, so
@@ -206,8 +213,7 @@ func (s Socket) PowerAt(ph Phase, f units.Frequency) units.Power {
 	// this is what makes the xmm/scalar rows of Table II the low-power
 	// workloads. The ymm reference width leaves CBase unscaled.
 	base := s.Spec.CBase * (0.75 + 0.25*vec)
-	d := base + s.Spec.CFPU*vec*u.FPU + s.Spec.CMem*u.Mem
-	return s.dynamic(d, f)
+	return base + s.Spec.CFPU*vec*u.FPU + s.Spec.CMem*u.Mem
 }
 
 // Operate resolves the phase's iteration time, sustained power, and pipe
@@ -217,7 +223,7 @@ func (s Socket) PowerAt(ph Phase, f units.Frequency) units.Power {
 // same operation order — pinned by TestOperateMatchesSeparate); node.resolve
 // uses it on the cap-resolution hot path, where the three-call version paid
 // for five roofline evaluations per resolve.
-func (s Socket) Operate(ph Phase, f units.Frequency) (time.Duration, units.Power, roofline.Utilization) {
+func (s *Socket) Operate(ph Phase, f units.Frequency) (time.Duration, units.Power, roofline.Utilization) {
 	var tComp, tMem float64
 	degenerate := false
 	if ph.Work.Flops > 0 {
@@ -259,13 +265,13 @@ func (s Socket) Operate(ph Phase, f units.Frequency) (time.Duration, units.Power
 // frequency f. A spin loop keeps the front end fully busy without touching
 // the FP or memory pipes, so it burns nearly as much power as real work —
 // the energy sink the paper's waiting-rank axis exposes (Figure 2).
-func (s Socket) SpinPowerAt(f units.Frequency) units.Power {
+func (s *Socket) SpinPowerAt(f units.Frequency) units.Power {
 	return s.dynamic(s.Spec.CBase+s.Spec.CSpin, f)
 }
 
 // DRAMPowerAt returns the DRAM-domain power at the given memory-pipe
 // utilization: background refresh plus traffic-proportional switching.
-func (s Socket) DRAMPowerAt(memUtil float64) units.Power {
+func (s *Socket) DRAMPowerAt(memUtil float64) units.Power {
 	if memUtil < 0 {
 		memUtil = 0
 	}
@@ -281,7 +287,7 @@ func (s Socket) DRAMPowerAt(memUtil float64) units.Power {
 // EnergyModel.Energy(w) equals PowerAt(w, f) * TimeFor(w, f), because the
 // per-FLOP and per-byte energies are the utilization-linear dynamic terms
 // divided by the matching roofline ceilings.
-func (s Socket) EnergyModel(v kernel.Vector, f units.Frequency) roofline.EnergyModel {
+func (s *Socket) EnergyModel(v kernel.Vector, f units.Frequency) roofline.EnergyModel {
 	fhat := math.Pow(s.fhat(f), s.Spec.FreqExponent)
 	peakF := units.FlopsPerSecond(float64(s.ComputeRoofPerCore(v, f)) * float64(s.Spec.ActiveCores))
 	peakB := units.BytesPerSecond(float64(s.MemRoofPerCore(f)) * float64(s.Spec.ActiveCores))
@@ -305,13 +311,22 @@ func (s Socket) EnergyModel(v kernel.Vector, f units.Frequency) roofline.EnergyM
 // spin-wait ablation — with idle waiting, the Figure 4 heatmap would no
 // longer be insensitive to imbalance and the waste the adaptive policies
 // harvest would largely vanish at the source.
-func (s Socket) IdleWaitPower() units.Power {
+func (s *Socket) IdleWaitPower() units.Power {
 	const idleResidualFraction = 0.12 // uncore + wakeup timers
 	return s.Spec.StaticPower + units.Power(s.Eta*idleResidualFraction*s.Spec.CBase)
 }
 
-func (s Socket) dynamic(d float64, f units.Frequency) units.Power {
-	return s.Spec.StaticPower + units.Power(s.Eta*math.Pow(s.fhat(f), s.Spec.FreqExponent)*d)
+func (s *Socket) dynamic(d float64, f units.Frequency) units.Power {
+	return s.Spec.power(s.Eta, math.Pow(s.fhat(f), s.Spec.FreqExponent), d)
+}
+
+// power is the socket power law with the frequency term pow =
+// fhat(f)^alpha already evaluated: the static floor plus eta-scaled dynamic
+// power. Every model power evaluation ends here, which is what lets a
+// CapTable precompute pow and d once per spec and still reproduce any
+// node's power bit for bit.
+func (sp *Spec) power(eta, pow, d float64) units.Power {
+	return sp.StaticPower + units.Power(eta*pow*d)
 }
 
 // QuantizeToPState clips f to [MinFreq, MaxTurbo] and rounds it down to a
@@ -319,7 +334,7 @@ func (s Socket) dynamic(d float64, f units.Frequency) units.Power {
 // steady state duty-cycles between adjacent P-states, so the *achieved*
 // frequency under a cap (what FrequencyForCap returns) is continuous even
 // though each requested P-state is quantized.
-func (s Socket) QuantizeToPState(f units.Frequency) units.Frequency {
+func (s *Socket) QuantizeToPState(f units.Frequency) units.Frequency {
 	if f > s.Spec.MaxTurbo {
 		f = s.Spec.MaxTurbo
 	}
@@ -344,7 +359,7 @@ func (s Socket) QuantizeToPState(f units.Frequency) units.Frequency {
 // If even the lowest P-state exceeds the cap, the lowest P-state is
 // returned (RAPL cannot scale below it); callers observe the overshoot via
 // PowerAt.
-func (s Socket) FrequencyForCap(ph Phase, cap units.Power) units.Frequency {
+func (s *Socket) FrequencyForCap(ph Phase, cap units.Power) units.Frequency {
 	lo, hi := s.Spec.MinFreq, s.Spec.MaxTurbo
 	if s.PowerAt(ph, hi) <= cap {
 		return hi
@@ -364,7 +379,7 @@ func (s Socket) FrequencyForCap(ph Phase, cap units.Power) units.Frequency {
 }
 
 // SpinFrequencyForCap is FrequencyForCap for the spin-wait phase.
-func (s Socket) SpinFrequencyForCap(cap units.Power) units.Frequency {
+func (s *Socket) SpinFrequencyForCap(cap units.Power) units.Frequency {
 	lo, hi := s.Spec.MinFreq, s.Spec.MaxTurbo
 	if s.SpinPowerAt(hi) <= cap {
 		return hi
@@ -392,7 +407,7 @@ type OperatingPoint struct {
 
 // OperateAt resolves the steady state of the socket executing the phase
 // under the given RAPL cap.
-func (s Socket) OperateAt(ph Phase, cap units.Power) OperatingPoint {
+func (s *Socket) OperateAt(ph Phase, cap units.Power) OperatingPoint {
 	f := s.FrequencyForCap(ph, cap)
 	return OperatingPoint{
 		Frequency: f,
@@ -403,6 +418,6 @@ func (s Socket) OperateAt(ph Phase, cap units.Power) OperatingPoint {
 
 // Uncapped resolves the steady state with PL1 at TDP — the "no power limit"
 // configuration of the Figure 4 characterization runs.
-func (s Socket) Uncapped(ph Phase) OperatingPoint {
+func (s *Socket) Uncapped(ph Phase) OperatingPoint {
 	return s.OperateAt(ph, s.Spec.TDP)
 }

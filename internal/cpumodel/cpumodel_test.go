@@ -226,8 +226,9 @@ func TestSeventyWattCapFrequencyBandMatchesFigure6(t *testing.T) {
 		}
 	}
 	// Efficiency ordering: lower eta clocks higher.
-	fLow := NewSocket(Quartz(), 1.10).FrequencyForCap(ph, 70*units.Watt)
-	fHigh := NewSocket(Quartz(), 0.91).FrequencyForCap(ph, 70*units.Watt)
+	low, high := NewSocket(Quartz(), 1.10), NewSocket(Quartz(), 0.91)
+	fLow := low.FrequencyForCap(ph, 70*units.Watt)
+	fHigh := high.FrequencyForCap(ph, 70*units.Watt)
 	if fHigh <= fLow {
 		t.Errorf("efficient part %v should out-clock inefficient %v", fHigh, fLow)
 	}

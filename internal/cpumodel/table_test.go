@@ -1,6 +1,8 @@
 package cpumodel
 
 import (
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"powerstack/internal/kernel"
@@ -75,12 +77,12 @@ func TestOperateDegenerate(t *testing.T) {
 func TestCapTableMatchesBisection(t *testing.T) {
 	for _, s := range tableSockets() {
 		for _, ph := range tablePhases() {
-			tbl := NewCapTable(s, ph)
+			tbl := CapTableFor(&s.Spec, ph)
 			pMin := s.PowerAt(ph, s.Spec.MinFreq)
 			pMax := s.PowerAt(ph, s.Spec.MaxTurbo)
 			for i := 0; i <= 200; i++ {
 				cap := pMin + (pMax-pMin)*units.Power(float64(i)/200)*1.1 - (pMax-pMin)*0.05
-				got := tbl.FrequencyForCap(cap)
+				got := tbl.FrequencyForCap(s.Eta, cap)
 				want := s.FrequencyForCap(ph, cap)
 				// Both bisections terminate well below any physically
 				// observable resolution; agreement within 1 kHz leaves
@@ -99,12 +101,12 @@ func TestCapTableMatchesBisection(t *testing.T) {
 // TestSpinCapTableMatchesBisection does the same for the spin-power curve.
 func TestSpinCapTableMatchesBisection(t *testing.T) {
 	for _, s := range tableSockets() {
-		tbl := NewSpinCapTable(s)
+		tbl := SpinCapTableFor(&s.Spec)
 		pMin := s.SpinPowerAt(s.Spec.MinFreq)
 		pMax := s.SpinPowerAt(s.Spec.MaxTurbo)
 		for i := 0; i <= 200; i++ {
 			cap := pMin + (pMax-pMin)*units.Power(float64(i)/200)*1.1 - (pMax-pMin)*0.05
-			got := tbl.FrequencyForCap(cap)
+			got := tbl.FrequencyForCap(s.Eta, cap)
 			want := s.SpinFrequencyForCap(cap)
 			if diff := got - want; diff > 1e3 || diff < -1e3 {
 				t.Fatalf("eta=%v cap=%v: table %v vs bisection %v", s.Eta, cap, got, want)
@@ -118,12 +120,126 @@ func TestSpinCapTableMatchesBisection(t *testing.T) {
 func TestCapTableBoundaries(t *testing.T) {
 	s := NewSocket(Quartz(), 1.0)
 	ph := tablePhases()[2]
-	tbl := NewCapTable(s, ph)
-	if got := tbl.FrequencyForCap(s.PowerAt(ph, s.Spec.MaxTurbo) + 1); got != s.Spec.MaxTurbo {
+	tbl := CapTableFor(&s.Spec, ph)
+	if got := tbl.FrequencyForCap(s.Eta, s.PowerAt(ph, s.Spec.MaxTurbo)+1); got != s.Spec.MaxTurbo {
 		t.Errorf("generous cap: got %v, want MaxTurbo", got)
 	}
-	if got := tbl.FrequencyForCap(s.PowerAt(ph, s.Spec.MinFreq) - 1); got != s.Spec.MinFreq {
+	if got := tbl.FrequencyForCap(s.Eta, s.PowerAt(ph, s.Spec.MinFreq)-1); got != s.Spec.MinFreq {
 		t.Errorf("impossible cap: got %v, want MinFreq", got)
+	}
+}
+
+// socketTableFrequency is the per-socket cap inversion the shared table
+// replaced: a grid of full model powers at this socket's eta, a binary
+// search over them, and the same in-bracket bisection.
+func socketTableFrequency(s Socket, ph Phase, spin bool, cap units.Power) units.Frequency {
+	powerAt := func(f units.Frequency) units.Power {
+		if spin {
+			return s.SpinPowerAt(f)
+		}
+		return s.PowerAt(ph, f)
+	}
+	lo, hi := s.Spec.MinFreq, s.Spec.MaxTurbo
+	step := s.Spec.FreqStep / capTableSubSteps
+	var freqs []units.Frequency
+	for f := lo; f < hi; f += step {
+		freqs = append(freqs, f)
+	}
+	freqs = append(freqs, hi)
+	powers := make([]units.Power, len(freqs))
+	for i, f := range freqs {
+		powers[i] = powerAt(f)
+	}
+	n := len(freqs)
+	if powers[n-1] <= cap {
+		return freqs[n-1]
+	}
+	if powers[0] > cap {
+		return freqs[0]
+	}
+	i := sort.Search(n, func(k int) bool { return powers[k] > cap }) - 1
+	lo, hi = freqs[i], freqs[i+1]
+	if powerAt(lo) > cap {
+		lo, hi = freqs[0], freqs[n-1]
+	}
+	for k := 0; k < capTableBisectIters; k++ {
+		mid := (lo + hi) / 2
+		if powerAt(mid) <= cap {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestSharedTableBitIdentical pins the one-table-per-spec inversion against
+// per-socket tables over random eta, phase, cap and spin: the frequencies
+// must be exactly equal, since any difference moves every simulated
+// operating point.
+func TestSharedTableBitIdentical(t *testing.T) {
+	spec := Quartz()
+	phases := tablePhases()
+	rng := rand.New(rand.NewPCG(13, 17))
+	var floor, ceiling, inside int
+	for trial := 0; trial < 20000; trial++ {
+		s := NewSocket(spec, 0.85+0.3*rng.Float64())
+		ph := phases[rng.IntN(len(phases))]
+		spin := rng.IntN(4) == 0
+		tbl := CapTableFor(&s.Spec, ph)
+		if spin {
+			tbl = SpinCapTableFor(&s.Spec)
+		}
+		// Caps span both clamps: below the MinFreq power and above MaxTurbo's.
+		cap := units.Power(40 + 120*rng.Float64())
+		got := tbl.FrequencyForCap(s.Eta, cap)
+		if want := socketTableFrequency(s, ph, spin, cap); got != want {
+			t.Fatalf("trial %d eta=%v spin=%v ph=%+v cap=%v: shared %v, per-socket %v", trial, s.Eta, spin, ph, cap, got, want)
+		}
+		switch got {
+		case spec.MinFreq:
+			floor++
+		case spec.MaxTurbo:
+			ceiling++
+		default:
+			inside++
+		}
+	}
+	if floor == 0 || ceiling == 0 || inside == 0 {
+		t.Errorf("cap sweep missed a branch: floor=%d ceiling=%d bisected=%d", floor, ceiling, inside)
+	}
+}
+
+// TestCapTableShared pins that every socket of one spec shares one table
+// per phase, and that a different spec gets its own.
+func TestCapTableShared(t *testing.T) {
+	a, b := NewSocket(Quartz(), 0.9), NewSocket(Quartz(), 1.1)
+	ph := tablePhases()[0]
+	if CapTableFor(&a.Spec, ph) != CapTableFor(&b.Spec, ph) {
+		t.Error("sockets of one spec built separate work tables")
+	}
+	if SpinCapTableFor(&a.Spec) != SpinCapTableFor(&b.Spec) {
+		t.Error("sockets of one spec built separate spin tables")
+	}
+	other := Quartz()
+	other.StaticPower++
+	if CapTableFor(&other, ph) == CapTableFor(&a.Spec, ph) {
+		t.Error("a different spec reused another spec's table")
+	}
+}
+
+// TestSharedTableCacheBounded pins the cache bound: work mixes past the
+// limit start the cache over instead of growing it.
+func TestSharedTableCacheBounded(t *testing.T) {
+	spec := Quartz()
+	for i := 0; i <= maxSharedTables; i++ {
+		CapTableFor(&spec, Phase{Work: kernel.Work{Flops: units.Flops(1e6 + i)}, Vector: kernel.YMM})
+	}
+	tablesMu.RLock()
+	n := len(tables)
+	tablesMu.RUnlock()
+	if n > maxSharedTables {
+		t.Fatalf("cache holds %d tables, bound %d", n, maxSharedTables)
 	}
 }
 
@@ -141,12 +257,12 @@ func BenchmarkFrequencyForCap(b *testing.B) {
 func BenchmarkCapTableFrequencyForCap(b *testing.B) {
 	s := NewSocket(Quartz(), 1.0)
 	ph := tablePhases()[2]
-	tbl := NewCapTable(s, ph)
+	tbl := CapTableFor(&s.Spec, ph)
 	cap := s.PowerAt(ph, s.Spec.BaseFreq)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tbl.FrequencyForCap(cap)
+		_ = tbl.FrequencyForCap(s.Eta, cap)
 	}
 }
 

@@ -20,9 +20,13 @@ package facility
 //
 // Between events a job's progress is analytic: one real iteration probes
 // the operating point after every (re)plan, and bsp.CreditSteadyState
-// credits the repetitions the probe implies. Determinism is inherited from
-// the engine's (time, sequence) dispatch order — two runs with the same
-// seed dispatch the same events in the same order.
+// credits the repetitions the probe implies. Crediting is lazy — a job
+// settles only when its operating point or host set is about to change,
+// when it leaves the active set, and at telemetry samples (the only
+// readers of the counters); see DESIGN.md, "Settlement invariant".
+// Determinism is inherited from the engine's (time, sequence) dispatch
+// order — two runs with the same seed dispatch the same events in the same
+// order.
 
 import (
 	"context"
@@ -45,9 +49,12 @@ type evJob struct {
 
 	// iter is the probed steady-state iteration at the current operating
 	// point; credited is the virtual time the job's accounting has reached
-	// (energy and iteration counters are settled up to it).
+	// (energy and iteration counters are settled up to it), and steady the
+	// repetitions of iter credited so far — the base the next telescoping
+	// credit starts from.
 	iter     bsp.IterationResult
 	credited time.Duration
+	steady   int
 	// comp is the pending completion event (0 when none).
 	comp engine.EventID
 }
@@ -72,7 +79,9 @@ type eventSim struct {
 }
 
 func newEventCore(st *simState) *eventSim {
-	return &eventSim{simState: st, eng: engine.New()}
+	s := &eventSim{simState: st, eng: engine.New()}
+	st.mgr.BeforeSwap = s.settleJob
+	return s
 }
 
 // prime installs the virtual clock and schedules every event stream the
@@ -171,13 +180,14 @@ func (s *eventSim) settle() {
 }
 
 func (s *eventSim) running() []RunningJob {
+	now := s.eng.Now()
 	out := make([]RunningJob, 0, len(s.active))
 	for _, r := range s.active {
 		out = append(out, RunningJob{
 			ID:        r.sj.Spec.ID,
 			Tenant:    r.sj.Spec.Tenant,
 			Nodes:     r.sj.Spec.Nodes,
-			Remaining: r.remaining,
+			Remaining: r.remaining - r.due(now),
 			StartedAt: r.started.Sub(s.simState.start),
 		})
 	}
@@ -239,33 +249,49 @@ func (s *eventSim) recount() {
 	s.busyNodes = busy
 }
 
+// due returns how many whole steady-state iterations of a job have elapsed
+// since its accounting last settled, capped at its remaining iterations.
+// Reporting paths subtract it from remaining to read progress at now
+// without crediting anything.
+func (r *evJob) due(now time.Duration) int {
+	if r.iter.Elapsed <= 0 || now <= r.credited || r.remaining <= 0 {
+		return 0
+	}
+	return min(int((now-r.credited)/r.iter.Elapsed), r.remaining)
+}
+
 // advance settles a job's analytic progress up to now: every whole
 // iteration that fits since the last settlement is credited at the probed
 // operating point. The fractional remainder stays uncredited — it
 // completes later, possibly at a different operating point.
 func (s *eventSim) advance(r *evJob, now time.Duration) {
-	if r.iter.Elapsed <= 0 || now <= r.credited || r.remaining <= 0 {
-		return
-	}
-	k := int((now - r.credited) / r.iter.Elapsed)
-	if k > r.remaining {
-		k = r.remaining
-	}
+	k := r.due(now)
 	if k <= 0 {
 		return
 	}
-	r.sj.Job.CreditSteadyState(r.iter, k)
+	r.sj.Job.CreditSteadyState(r.iter, r.steady, r.steady+k)
 	s.markJobDirty(r.sj)
+	r.steady += k
 	r.remaining -= k
 	r.credited += time.Duration(k) * r.iter.Elapsed
 }
 
-// advanceAll settles every active job up to now. Handlers that change caps
-// or speeds call it first so history is credited at the old operating
-// point.
+// advanceAll settles every active job up to now — the telemetry sample's
+// prelude, so the energy counters reflect every iteration completed by now.
 func (s *eventSim) advanceAll(now time.Duration) {
 	for _, r := range s.active {
 		s.advance(r, now)
+	}
+}
+
+// settleJob settles one scheduled job at the current virtual time — the
+// manager's hook before a spare replaces one of its hosts.
+func (s *eventSim) settleJob(sj *rm.ScheduledJob) {
+	for _, r := range s.active {
+		if r.sj == sj {
+			s.advance(r, s.eng.Now())
+			return
+		}
 	}
 }
 
@@ -287,8 +313,13 @@ func (s *eventSim) probe(r *evJob, now time.Duration) error {
 // the state change and completion re-schedule always happen here, on the
 // engine goroutine, in the deterministic merge order.
 func (s *eventSim) applyProbe(r *evJob, ir bsp.IterationResult, now time.Duration) {
+	// Settle at the outgoing operating point first. Facility jobs carry no
+	// phase schedule, so crediting after the probe iteration has run (on a
+	// pipeline worker, possibly) programs the same counters as before it.
+	s.advance(r, now)
 	s.markJobDirty(r.sj)
 	r.iter = ir
+	r.steady = 0
 	r.remaining--
 	r.credited = now + ir.Elapsed
 	s.scheduleCompletion(r)
@@ -324,13 +355,13 @@ func (s *eventSim) removeActive(victim *evJob) {
 	}
 }
 
-// reconcile is the shared tail of every state-changing event: settle
-// analytic progress, dispatch whatever now fits, replan when the running
-// set changed (mutated, or jobs just started), and re-probe operating
-// points where caps or speeds may have moved.
+// reconcile is the shared tail of every state-changing event: dispatch
+// whatever now fits, replan when the running set changed (mutated, or jobs
+// just started), and re-probe operating points where caps or speeds may
+// have moved. Jobs are not settled here: a re-probe settles its own job
+// first, and the rest keep crediting at their unchanged operating points.
 func (s *eventSim) reconcile(now time.Duration, mutated, reprobeAll bool) error {
 	s.accrue(now)
-	s.advanceAll(now)
 	startedNow, err := s.sched.Dispatch(s.cfg.Seed + uint64(s.jobSeq))
 	if err != nil {
 		return err
@@ -446,7 +477,6 @@ func (s *eventSim) onCrash(nodeID string, now time.Duration) error {
 		return nil
 	}
 	s.accrue(now)
-	s.advanceAll(now) // settle at the pre-crash operating point
 	fault.Crash(n)
 	s.markNodeDirty(nodeID)
 	s.obs.FaultInjected(string(fault.NodeCrash), nodeID, "", 0)
@@ -455,6 +485,7 @@ func (s *eventSim) onCrash(nodeID string, now time.Duration) error {
 		s.markJobDirty(holder)
 		for _, r := range s.active {
 			if r.sj == holder {
+				s.advance(r, now) // credits are privileged: the crash does not block them
 				s.recordCheckpoint(holder.Spec.ID, r.remaining)
 				s.removeActive(r)
 				break
@@ -492,7 +523,6 @@ func (s *eventSim) onSlow(nodeID string, factor float64, now time.Duration) erro
 		return nil
 	}
 	s.accrue(now)
-	s.advanceAll(now) // settle at the pre-degradation speed
 	n.SetDegradation(factor)
 	s.obs.FaultInjected(string(fault.SlowNode), nodeID, "", factor)
 	return s.reconcile(now, false, true)
@@ -535,7 +565,6 @@ func (s *eventSim) onBudget(now time.Duration) error {
 		return nil
 	}
 	s.accrue(now)
-	s.advanceAll(now) // settle at the pre-change operating point
 	sp := s.obs.StartSpan(s.spanCtx, "facility", "budget_change").SetValue(nb.Watts())
 	old, err := s.applyBudgetChange(now, nb)
 	if err != nil {
@@ -564,6 +593,7 @@ func (s *eventSim) shed(nb units.Power, now time.Duration) error {
 	for s.sched.CommittedPower() > nb && len(s.active) > 0 {
 		r := s.active[len(s.active)-1] // start-ordered: newest is last
 		id := r.sj.Spec.ID
+		s.advance(r, now)
 		s.removeActive(r)
 		if pol == EmergencyKill {
 			if err := s.sched.Abort(r.sj); err != nil {

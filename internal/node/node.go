@@ -55,43 +55,6 @@ type Node struct {
 	// sink receives limit-write and frequency-pin events when
 	// observability is enabled; nil costs one comparison per write.
 	sink *obs.Sink
-
-	// capTables caches immutable frequency→power inversion tables per
-	// phase (plus one for the spin loop), built lazily on first resolve.
-	// Tables derive purely from the socket model, so clones share them;
-	// the maps themselves are per-node (a node is single-goroutine-owned).
-	capTables map[capKey]*cpumodel.CapTable
-	spinTable *cpumodel.CapTable
-}
-
-// capKey identifies a cached cap table by the work mix that shaped it.
-type capKey struct {
-	traffic units.Bytes
-	flops   units.Flops
-	vector  int
-}
-
-// capTableFor returns (building if needed) the cap-inversion table of the
-// phase's work mix.
-func (n *Node) capTableFor(ph cpumodel.Phase) *cpumodel.CapTable {
-	k := capKey{traffic: ph.Work.Traffic, flops: ph.Work.Flops, vector: int(ph.Vector)}
-	if t, ok := n.capTables[k]; ok {
-		return t
-	}
-	if n.capTables == nil {
-		n.capTables = make(map[capKey]*cpumodel.CapTable, 8)
-	}
-	t := cpumodel.NewCapTable(n.sockets[0].Model, ph)
-	n.capTables[k] = t
-	return t
-}
-
-// spinCapTable returns (building if needed) the spin-loop cap table.
-func (n *Node) spinCapTable() *cpumodel.CapTable {
-	if n.spinTable == nil {
-		n.spinTable = cpumodel.NewSpinCapTable(n.sockets[0].Model)
-	}
-	return n.spinTable
 }
 
 // SetObs attaches an observability sink to the node and its RAPL domains.
@@ -132,9 +95,9 @@ func (n *Node) resolve(ph cpumodel.Phase, cap units.Power) opPoint {
 		n.op.pin == pin && n.op.idleWait == n.IdleWait {
 		return n.op
 	}
-	m := n.sockets[0].Model
-	fWork := n.capTableFor(ph).FrequencyForCap(cap)
-	fSpin := n.spinCapTable().FrequencyForCap(cap)
+	m := &n.sockets[0].Model
+	fWork := cpumodel.CapTableFor(&m.Spec, ph).FrequencyForCap(m.Eta, cap)
+	fSpin := cpumodel.SpinCapTableFor(&m.Spec).FrequencyForCap(m.Eta, cap)
 	if pin > 0 {
 		// A P-state request (IA32_PERF_CTL) is a ceiling: RAPL can still
 		// clamp below it, but the core never exceeds the requested ratio.
@@ -269,16 +232,6 @@ func (n *Node) Clone() *Node {
 			Rapl:  su.Rapl.Clone(dev),
 		})
 	}
-	// Cap tables are immutable and derived purely from the (copied) model,
-	// so the clone shares the table pointers in a map of its own — each
-	// node grows its map independently, never mutating a shared table.
-	if len(n.capTables) > 0 {
-		c.capTables = make(map[capKey]*cpumodel.CapTable, len(n.capTables))
-		for k, t := range n.capTables {
-			c.capTables[k] = t
-		}
-	}
-	c.spinTable = n.spinTable
 	return c
 }
 
@@ -286,9 +239,9 @@ func (n *Node) Clone() *Node {
 // same-ID original this node was cloned from (directly or transitively):
 // register files, RAPL accounting, fault arming, degradation, and the
 // memoized operating point all revert; the observability sink detaches. It
-// is the recycling counterpart of Clone — reusing the allocated sockets,
-// register maps, and cap tables keeps a campaign's clone+GC churn flat no
-// matter how many scenarios run.
+// is the recycling counterpart of Clone — reusing the allocated sockets and
+// register maps keeps a campaign's clone+GC churn flat no matter how many
+// scenarios run.
 func (n *Node) RestoreFrom(src *Node) error {
 	if err := n.RestoreAuxFrom(src); err != nil {
 		return err
@@ -357,13 +310,6 @@ func (n *Node) CloneInto(backing []uint64) (*Node, error) {
 			Rapl:  su.Rapl.Clone(dev),
 		})
 	}
-	if len(n.capTables) > 0 {
-		c.capTables = make(map[capKey]*cpumodel.CapTable, len(n.capTables))
-		for k, t := range n.capTables {
-			c.capTables[k] = t
-		}
-	}
-	c.spinTable = n.spinTable
 	return c, nil
 }
 
@@ -380,19 +326,22 @@ func (n *Node) SnapshotWords(dst []uint64) []uint64 {
 func (n *Node) Sockets() []*SocketUnit { return n.sockets }
 
 // Spec returns the socket spec (identical across sockets).
-func (n *Node) Spec() cpumodel.Spec { return n.sockets[0].Model.Spec }
+func (n *Node) Spec() cpumodel.Spec { return *n.spec() }
+
+// spec is Spec by pointer, for hot paths that read a field or two.
+func (n *Node) spec() *cpumodel.Spec { return &n.sockets[0].Model.Spec }
 
 // Eta returns the node's variation multiplier.
 func (n *Node) Eta() float64 { return n.sockets[0].Model.Eta }
 
 // TDP returns the node-level thermal design power (all sockets).
 func (n *Node) TDP() units.Power {
-	return n.Spec().TDP * SocketsPerNode
+	return n.spec().TDP * SocketsPerNode
 }
 
 // MinLimit returns the node-level minimum settable power limit.
 func (n *Node) MinLimit() units.Power {
-	return n.Spec().MinPowerLimit * SocketsPerNode
+	return n.spec().MinPowerLimit * SocketsPerNode
 }
 
 // SetPowerLimit programs the node-level limit, split evenly across sockets,
@@ -406,7 +355,7 @@ func (n *Node) SetPowerLimit(total units.Power) (units.Power, error) {
 // from enc (see rapl.LimitEncoder); nil enc encodes directly. The register
 // traffic is identical either way.
 func (n *Node) SetPowerLimitCached(total units.Power, enc *rapl.LimitEncoder) (units.Power, error) {
-	perSocket := units.Clamp(total/SocketsPerNode, n.Spec().MinPowerLimit, n.Spec().TDP)
+	perSocket := units.Clamp(total/SocketsPerNode, n.spec().MinPowerLimit, n.spec().TDP)
 	for _, s := range n.sockets {
 		err := s.Rapl.SetLimitCached(rapl.Limit{
 			Power:      perSocket,
@@ -532,7 +481,7 @@ func (n *Node) CompleteIteration(ph cpumodel.Phase, iterTime time.Duration, work
 	res.WorkTime = tWork
 	perSocket := units.EnergyOver(pWork, tWork) + units.EnergyOver(pSpin, tSpin)
 	res.Energy = perSocket * SocketsPerNode
-	m := n.sockets[0].Model
+	m := &n.sockets[0].Model
 	dramPerSocket := units.EnergyOver(m.DRAMPowerAt(op.uMem), tWork) +
 		units.EnergyOver(m.DRAMPowerAt(0), tSpin)
 	res.DRAMEnergy = dramPerSocket * SocketsPerNode
@@ -541,13 +490,13 @@ func (n *Node) CompleteIteration(ph cpumodel.Phase, iterTime time.Duration, work
 		f := (fWork.Hz()*tWork.Seconds() + fSpin.Hz()*tSpin.Seconds()) / iterTime.Seconds()
 		res.AchievedFreq = units.Frequency(f)
 	}
-	res.Flops = ph.Work.Flops * units.Flops(n.Spec().ActiveCores*SocketsPerNode)
+	res.Flops = ph.Work.Flops * units.Flops(n.spec().ActiveCores*SocketsPerNode)
 
 	// Advance the hardware counters so telemetry readers see this
 	// iteration: energy into the wrapping accumulator, APERF at the
 	// achieved frequency, MPERF and TSC at the base clock. One batched
 	// device call per socket keeps the credit to a single lock round-trip.
-	base := uint64(n.Spec().BaseFreq.Hz() * iterTime.Seconds())
+	base := uint64(n.spec().BaseFreq.Hz() * iterTime.Seconds())
 	aperf := uint64(res.AchievedFreq.Hz() * iterTime.Seconds())
 	for _, s := range n.sockets {
 		adds := [5]msr.CounterAdd{
@@ -562,24 +511,32 @@ func (n *Node) CompleteIteration(ph cpumodel.Phase, iterTime time.Duration, work
 	return res, nil
 }
 
-// CreditIterations advances the hardware counters as if the node repeated
-// the given iteration result count more times — the fast-forward path long
-// facility simulations use to skip over steady-state iterations without
-// recomputing them. The operating point is unchanged, so scaling energy
-// and clock counts linearly is exact.
-func (n *Node) CreditIterations(pr PhaseResult, iterTime time.Duration, count int) {
-	if count <= 0 || iterTime <= 0 {
+// CreditIterations advances the hardware counters over repetitions from
+// (inclusive) to to (exclusive) of the given iteration result, counted from
+// the iteration's probe — the fast-forward path long facility simulations
+// use to skip over steady-state iterations without recomputing them. The
+// operating point is unchanged, so energy and clock counts scale linearly.
+//
+// Each counter advances by encode(x·to) − encode(x·from), where x is the
+// per-iteration amount and encode the counter's integer encoding. The
+// credit telescopes: crediting [0, a) and then [a, b) programs exactly the
+// registers one credit of [0, b) does, so when a caller settles is
+// unobservable. from = 0 credits to repetitions in one step.
+func (n *Node) CreditIterations(pr PhaseResult, iterTime time.Duration, from, to int) {
+	if from < 0 || to <= from || iterTime <= 0 {
 		return
 	}
-	perSocket := pr.Energy / SocketsPerNode * units.Energy(count)
-	dramPerSocket := pr.DRAMEnergy / SocketsPerNode * units.Energy(count)
-	seconds := iterTime.Seconds() * float64(count)
-	base := uint64(n.Spec().BaseFreq.Hz() * seconds)
-	aperf := uint64(pr.AchievedFreq.Hz() * seconds)
+	perSocket := pr.Energy / SocketsPerNode
+	dramPerSocket := pr.DRAMEnergy / SocketsPerNode
+	baseHz, aHz, secs := n.spec().BaseFreq.Hz(), pr.AchievedFreq.Hz(), iterTime.Seconds()
+	cycles := func(hz float64, k int) uint64 { return uint64(hz * (secs * float64(k))) }
+	base := cycles(baseHz, to) - cycles(baseHz, from)
+	aperf := cycles(aHz, to) - cycles(aHz, from)
 	for _, s := range n.sockets {
+		r := s.Rapl
 		adds := [5]msr.CounterAdd{
-			{Reg: msr.MSRPkgEnergyStatus, Delta: s.Rapl.EncodeEnergyDelta(perSocket), Width: 32},
-			{Reg: msr.MSRDramEnergyStatus, Delta: s.Rapl.EncodeEnergyDelta(dramPerSocket), Width: 32},
+			{Reg: msr.MSRPkgEnergyStatus, Delta: r.EncodeEnergyDelta(perSocket*units.Energy(to)) - r.EncodeEnergyDelta(perSocket*units.Energy(from)), Width: 32},
+			{Reg: msr.MSRDramEnergyStatus, Delta: r.EncodeEnergyDelta(dramPerSocket*units.Energy(to)) - r.EncodeEnergyDelta(dramPerSocket*units.Energy(from)), Width: 32},
 			{Reg: msr.IA32APerf, Delta: aperf, Width: 64},
 			{Reg: msr.IA32MPerf, Delta: base, Width: 64},
 			{Reg: msr.IA32TimeStampCounter, Delta: base, Width: 64},
@@ -601,5 +558,5 @@ func (n *Node) AchievedFrequency(prevAperf, prevMperf uint64) (units.Frequency, 
 		return 0, aperf, mperf
 	}
 	ratio := float64(da) / float64(dm)
-	return units.Frequency(ratio * n.Spec().BaseFreq.Hz()), aperf, mperf
+	return units.Frequency(ratio * n.spec().BaseFreq.Hz()), aperf, mperf
 }

@@ -190,15 +190,19 @@ func (sp *Span) End() {
 		return
 	}
 	l := sp.log
-	sp.rec.WallDur = time.Since(l.epoch) - sp.rec.Wall
+	wallDur := time.Since(l.epoch) - sp.rec.Wall
+	vend := sp.rec.VEnd
 	if sp.vnow != nil {
-		sp.rec.VEnd = sp.vnow()
+		vend = sp.vnow()
 	}
+	// The stamps land under the log lock: OpenSnapshot may be copying this
+	// span's record from another goroutine (a flight capture).
 	l.mu.Lock()
 	if _, still := l.open[sp.rec.ID]; !still {
 		l.mu.Unlock()
 		return
 	}
+	sp.rec.WallDur, sp.rec.VEnd = wallDur, vend
 	delete(l.open, sp.rec.ID)
 	l.total++
 	if len(l.buf) < cap(l.buf) {

@@ -165,7 +165,7 @@ func (d *Domain) RestoreFrom(src *Domain) {
 // LimitEncoder memoizes the PL1 field encodings of repeated limits. A
 // facility replan writes the same handful of distinct cap values across
 // thousands of sockets, and every uncached write pays the power-field
-// rounding plus the brute-force time-window search (128 math.Pow calls);
+// rounding plus the brute-force time-window search (128 candidates);
 // the encoder computes each distinct (power, window) once and replays the
 // fields from a map. Encodings are exact memoizations of pure functions of
 // the unit register, so cached and uncached writes program identical bits.
@@ -342,7 +342,7 @@ func encodeTimeWindow(w time.Duration, unit time.Duration) uint64 {
 	bestErr := math.Inf(1)
 	for y := uint64(0); y < 32; y++ {
 		for z := uint64(0); z < 4; z++ {
-			val := math.Pow(2, float64(y)) * (1 + float64(z)/4)
+			val := windowValue(y, z)
 			if err := math.Abs(val - target); err < bestErr {
 				bestErr = err
 				best = z<<5 | y
@@ -356,8 +356,14 @@ func encodeTimeWindow(w time.Duration, unit time.Duration) uint64 {
 func decodeTimeWindow(field uint64, unit time.Duration) time.Duration {
 	y := field & 0x1F
 	z := (field >> 5) & 0x3
-	val := math.Pow(2, float64(y)) * (1 + float64(z)/4)
-	return time.Duration(val * float64(unit))
+	return time.Duration(windowValue(y, z) * float64(unit))
+}
+
+// windowValue is the window multiplier 2^y * (1 + z/4). Scaling the
+// mantissa by a power of two is exact, so Ldexp returns exactly what
+// math.Pow(2, y) * (1 + z/4) does, without a Pow call per candidate.
+func windowValue(y, z uint64) float64 {
+	return math.Ldexp(1+float64(z)/4, int(y))
 }
 
 func boolBit(b bool) uint64 {

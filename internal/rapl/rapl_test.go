@@ -2,6 +2,7 @@ package rapl
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -295,5 +296,47 @@ func TestCloneContinuesEnergyIndependently(t *testing.T) {
 	}
 	if math.Abs(l.Power.Watts()-120) > 0.125 {
 		t.Errorf("original limit = %v after clone SetLimit, want 120 W", l.Power)
+	}
+}
+
+// powWindowField is the time-window encoder written with math.Pow, the form
+// the Ldexp encoder must reproduce bit for bit.
+func powWindowField(w, unit time.Duration) uint64 {
+	if w <= 0 {
+		return 0
+	}
+	target := float64(w) / float64(unit)
+	best, bestErr := uint64(0), math.Inf(1)
+	for y := uint64(0); y < 32; y++ {
+		for z := uint64(0); z < 4; z++ {
+			val := math.Pow(2, float64(y)) * (1 + float64(z)/4)
+			if err := math.Abs(val - target); err < bestErr {
+				bestErr, best = err, z<<5|y
+			}
+		}
+	}
+	return best
+}
+
+// TestTimeWindowEncodingMatchesPow pins the encoder and decoder against the
+// math.Pow form over every field value and random (window, unit) pairs.
+func TestTimeWindowEncodingMatchesPow(t *testing.T) {
+	for y := uint64(0); y < 32; y++ {
+		for z := uint64(0); z < 4; z++ {
+			if got, want := windowValue(y, z), math.Pow(2, float64(y))*(1+float64(z)/4); got != want {
+				t.Fatalf("y=%d z=%d: Ldexp %v, Pow %v", y, z, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(5, 9))
+	for i := 0; i < 20000; i++ {
+		unit := time.Duration(1 + rng.Int64N(int64(time.Millisecond)))
+		w := time.Duration(rng.Int64N(int64(10 * time.Minute)))
+		if i%4 == 0 {
+			w = time.Duration(rng.Int64N(int64(64 * unit))) // near the low exponents
+		}
+		if got, want := encodeTimeWindow(w, unit), powWindowField(w, unit); got != want {
+			t.Fatalf("window %v unit %v: field %#x, Pow form %#x", w, unit, got, want)
+		}
 	}
 }

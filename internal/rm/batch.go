@@ -67,10 +67,10 @@ func (b *CapBatch) Reset() {
 	b.failures = b.failures[:0]
 }
 
-// NumChanged returns how many cap writes the batch has recorded against
-// jobs whose programmed value actually moved (Incremental mode). Callers
-// bracket an ApplyCaps call with it to learn whether that job's operating
-// point may have shifted.
+// NumChanged returns how many jobs the batch has recorded with at least
+// one host cap that actually moved (Incremental mode). Callers bracket an
+// ApplyCaps call with it to learn whether that job's operating point may
+// have shifted.
 func (b *CapBatch) NumChanged() int { return len(b.changed) }
 
 // NumFailures returns how many host cap writes in the batch have exhausted
@@ -123,6 +123,7 @@ func (b *CapBatch) ApplyCaps(sj *ScheduledJob, jobIdx int, caps []units.Power) e
 	if len(caps) != len(sj.Job.Hosts) {
 		return fmt.Errorf("rm: job %s: %d caps for %d hosts", sj.Spec.ID, len(caps), len(sj.Job.Hosts))
 	}
+	changed := false
 	for i := range sj.Job.Hosts {
 		n := sj.Job.Hosts[i].Node
 		if _, drained := m.quarantined[n.ID]; drained {
@@ -132,7 +133,10 @@ func (b *CapBatch) ApplyCaps(sj *ScheduledJob, jobIdx int, caps []units.Power) e
 			if last, ok := m.lastCap[n.ID]; ok && last == caps[i] {
 				continue
 			}
-			b.changed = append(b.changed, sj.Spec.ID)
+			if !changed {
+				changed = true
+				b.changed = append(b.changed, sj.Spec.ID)
+			}
 		}
 		sp := m.Obs.StartSpan(m.SpanParent, "rm", "cap_write").
 			SetScope(sj.Spec.ID).SetHost(n.ID).SetValue(caps[i].Watts())
@@ -189,8 +193,7 @@ func (m *Manager) CommitCapBatches(batches []*CapBatch) {
 	for _, f := range failures {
 		m.quarantine(f.node, "cap_write")
 		if spare := m.takeSpare(f.cap); spare != nil {
-			f.sj.Job.Hosts[f.host].Node = spare
-			f.sj.infoValid = false
+			m.swapHost(f.sj, f.host, spare)
 			f.span.SetHost(spare.ID)
 		}
 		f.span.End()

@@ -119,6 +119,11 @@ type Manager struct {
 	// OnRejoin, when set, is invoked every time a repaired node returns to
 	// the free pool (after its TDP limit is restored).
 	OnRejoin func(id string)
+	// BeforeSwap, when set, is invoked just before a spare replaces one of
+	// sj's hosts. The event-driven facility settles the job's lazily
+	// credited progress there, so iterations run on the failed host are
+	// credited to it and not to the spare.
+	BeforeSwap func(sj *ScheduledJob)
 
 	// CompatCapPath disables the shared PL1 field-encoding cache, forcing
 	// every cap write to re-derive its fields the way the pre-batching
@@ -485,13 +490,21 @@ func (m *Manager) ApplyCaps(sj *ScheduledJob, caps []units.Power) error {
 		}
 		m.quarantine(n, "cap_write")
 		if spare := m.takeSpare(caps[i]); spare != nil {
-			sj.Job.Hosts[i].Node = spare
-			sj.infoValid = false
+			m.swapHost(sj, i, spare)
 			sp.SetHost(spare.ID)
 		}
 		sp.End()
 	}
 	return nil
+}
+
+// swapHost puts spare in place of sj's host i.
+func (m *Manager) swapHost(sj *ScheduledJob, i int, spare *node.Node) {
+	if m.BeforeSwap != nil {
+		m.BeforeSwap(sj)
+	}
+	sj.Job.Hosts[i].Node = spare
+	sj.infoValid = false
 }
 
 // takeSpare claims a free node that accepts the given cap, quarantining

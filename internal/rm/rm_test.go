@@ -282,6 +282,15 @@ func TestApplySwapsQuarantinedHostForSpare(t *testing.T) {
 	// The second host's cap writes fail persistently (retries included).
 	bad := sj.Job.Hosts[1].Node
 	bad.Sockets()[0].Dev.SetFault(msr.MSRPkgPowerLimit, errors.New("write fault"))
+	// The settle hook runs before the swap, while the failed host is still
+	// in place.
+	swaps := 0
+	m.BeforeSwap = func(got *ScheduledJob) {
+		swaps++
+		if got != sj || got.Job.Hosts[1].Node != bad {
+			t.Error("BeforeSwap did not see the job with its failed host in place")
+		}
+	}
 
 	alloc, err := m.Plan(policy.MixedAdaptive{}, 6*200*units.Watt, db)
 	if err != nil {
@@ -293,6 +302,9 @@ func TestApplySwapsQuarantinedHostForSpare(t *testing.T) {
 	if sj.Job.Hosts[1].Node == bad {
 		t.Error("faulty host still in the job")
 	}
+	if swaps != 1 {
+		t.Errorf("BeforeSwap fired %d times, want 1", swaps)
+	}
 	if q := m.Quarantined(); len(q) != 1 || q[0] != bad {
 		t.Errorf("quarantined = %v, want the faulty node", q)
 	}
@@ -303,6 +315,41 @@ func TestApplySwapsQuarantinedHostForSpare(t *testing.T) {
 	// The job still runs end to end on the repaired host set.
 	if _, err := m.RunAll(5); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCapBatchRecordsChangedJobOnce pins that a batch records a job whose
+// caps moved once, however many of its hosts were rewritten, and that the
+// commit reports it as changed.
+func TestCapBatchRecordsChangedJobOnce(t *testing.T) {
+	m := NewManager(testPool(t, 8))
+	m.Incremental = true
+	sj, err := m.Submit(JobSpec{ID: "wide", Config: cfgBalanced(), Nodes: 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make([]units.Power, len(sj.Job.Hosts))
+	for i := range caps {
+		caps[i] = 180*units.Watt + units.Power(i)
+	}
+	b := m.NewCapBatch()
+	if err := b.ApplyCaps(sj, 0, caps); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.NumChanged(); got != 1 {
+		t.Errorf("NumChanged = %d after rewriting %d hosts, want 1", got, len(caps))
+	}
+	m.CommitCapBatches([]*CapBatch{b})
+	if ch := m.TakeChangedJobs(); len(ch) != 1 || !ch["wide"] {
+		t.Errorf("changed jobs = %v, want just wide", ch)
+	}
+	// Unchanged caps are skipped and record nothing.
+	b.Reset()
+	if err := b.ApplyCaps(sj, 0, caps); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.NumChanged(); got != 0 {
+		t.Errorf("NumChanged = %d for unchanged caps, want 0", got)
 	}
 }
 

@@ -226,6 +226,24 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The drop must land after both pairs have crossed their first
+	// checkpoint in virtual time. Earlier — at virtual t=0, before the
+	// pacer has beaten — the preempted job checkpoints nothing, restarts
+	// from scratch, and never counts a resume.
+	waitFor(t, "both jobs past their first checkpoint", func() bool {
+		var js []apiv1.JobStatus
+		if code := get(t, base+"/v1/jobs", &js); code != 200 {
+			return false
+		}
+		past := 0
+		for _, j := range js {
+			if j.State == "running" && j.Remaining <= j.Iterations-cfg.CheckpointEvery {
+				past++
+			}
+		}
+		return past >= 2
+	})
+
 	// Live budget drop strands one of the two running pairs: the
 	// emergency path preempts it to its checkpoint.
 	var swap apiv1.BudgetSwapResponse
