@@ -11,8 +11,7 @@
 // Usage:
 //
 //	powerstackd [-addr localhost:8080] [-nodes N] [-policy MixedAdaptive]
-//	            [-engine event|tick] [-hours H] [-speedup X] [-quantum D]
-//	            [-tick D] [-telemetry D] [-seed N]
+//	            [-hours H] [-speedup X] [-quantum D] [-tick D] [-seed N]
 //	            [-budget "12 kW"] [-budgetsteps "2h=8 kW"] [-emergency preempt]
 //	            [-checkpoint K] [-tenants "acme=600 W,beta=1 kW"]
 //	            [-interarrival D]
@@ -22,8 +21,9 @@
 //
 // -speedup sets the pacer's virtual-to-wall ratio (60 = one virtual minute
 // per wall second); -quantum the virtual span advanced per pacer beat
-// (default: one tick). -tenants installs power-quota admission partitions
-// at boot (they can also be managed live via POST /v1/tenants).
+// (default: one tick). -tick is the telemetry sampling cadence. -tenants
+// installs power-quota admission partitions at boot (they can also be
+// managed live via POST /v1/tenants).
 //
 // By default the Poisson arrival process is off and every job arrives via
 // POST /v1/submit; -interarrival > 0 turns synthetic background traffic
@@ -62,12 +62,10 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address (\":0\" picks a free port)")
 	nNodes := flag.Int("nodes", 16, "cluster size")
 	policyName := flag.String("policy", "MixedAdaptive", "initial power policy (swap live via POST /v1/policy)")
-	engineName := flag.String("engine", powerstack.FacilityEngineEvent, "simulation core: event or tick")
 	hours := flag.Float64("hours", 168, "virtual horizon in hours")
 	speedup := flag.Float64("speedup", 60, "pacer ratio: virtual seconds per wall second")
 	quantum := flag.Duration("quantum", 0, "virtual span per pacer beat (default: one tick)")
-	tick := flag.Duration("tick", time.Minute, "scheduling tick")
-	telemetry := flag.Duration("telemetry", 0, "telemetry sampling cadence (default: one sample per tick)")
+	tick := flag.Duration("tick", time.Minute, "telemetry sampling cadence (and the default pacer quantum)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	interarrival := flag.Duration("interarrival", 0, "mean arrival gap of synthetic background traffic (0 = external submissions only)")
 	tenants := flag.String("tenants", "", "boot-time tenant quotas: comma-separated name=power pairs (e.g. \"acme=600 W,beta=1 kW\")")
@@ -124,8 +122,6 @@ func main() {
 		DisableArrivals: *interarrival <= 0,
 		Duration:        duration,
 		Tick:            *tick,
-		TelemetryEvery:  *telemetry,
-		Engine:          *engineName,
 		Seed:            *seed,
 		Obs:             sink,
 	}

@@ -1,8 +1,7 @@
 // Command scalebench gates the 100k-node scale push: it times the facility
-// simulation's scale path (struct-of-arrays pools, hierarchical replan
-// rounds, incremental telemetry, cached cap encoding) against the compat
-// path (the pre-refactor flat replan and recursive sampling) across cluster
-// sizes, and writes the comparison to BENCH_scale.json.
+// simulation's scale path (hierarchical replan rounds, incremental cap
+// writes) against the compat path (the flat replan over every job at once)
+// across cluster sizes, and writes the comparison to BENCH_scale.json.
 //
 // The compat lane runs only up to -compatmax nodes (default 10000) — the
 // point of the scale path is that the compat path stops being usable above
@@ -112,7 +111,6 @@ func runLane(nNodes int, mode string, parallelism int, duration, telemetry, inte
 		return nil, "", err
 	}
 	cfg := facility.Config{
-		Engine:           facility.EngineEvent,
 		ScaleMode:        mode,
 		Parallelism:      parallelism,
 		Nodes:            nodes,
@@ -127,8 +125,7 @@ func runLane(nNodes int, mode string, parallelism int, duration, telemetry, inte
 		JobSizes:         []int{8, 16, 32},
 		Workloads:        workloads,
 		Duration:         duration,
-		Tick:             30 * time.Second,
-		TelemetryEvery:   telemetry,
+		Tick:             telemetry,
 		Seed:             seed,
 	}
 	// The previous lane's discarded pool is garbage; collect it now so its

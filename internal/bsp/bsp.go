@@ -228,60 +228,6 @@ func (j *Job) RunIteration() (IterationResult, error) {
 	return res, nil
 }
 
-// SpanResult summarizes a fast-forwarded stretch of iterations.
-type SpanResult struct {
-	// Iterations completed within the span (at least 1).
-	Iterations int
-	// Elapsed is the simulated time consumed (Iterations x iteration
-	// time; may exceed the requested span by up to one iteration).
-	Elapsed     time.Duration
-	TotalEnergy units.Energy
-	TotalFlops  units.Flops
-}
-
-// RunSpan advances the job by approximately the given simulated time span:
-// it executes one real iteration to resolve the current operating point,
-// then credits the remaining iterations of the span analytically (exact,
-// since the steady state repeats). Long facility simulations use this to
-// skip hours of identical iterations. OS noise applies only to the sampled
-// iteration; phased jobs must not cross a segment boundary inside a span
-// larger than the segment.
-func (j *Job) RunSpan(span time.Duration) (SpanResult, error) {
-	ir, err := j.RunIteration()
-	if err != nil {
-		return SpanResult{}, err
-	}
-	res := SpanResult{
-		Iterations:  1,
-		Elapsed:     ir.Elapsed,
-		TotalEnergy: ir.TotalEnergy,
-		TotalFlops:  ir.TotalFlops,
-	}
-	if ir.Elapsed <= 0 {
-		return res, nil
-	}
-	extra := int(span/ir.Elapsed) - 1
-	if extra <= 0 {
-		return res, nil
-	}
-	for i, h := range ir.PerHost {
-		j.Hosts[i].Node.CreditIterations(node.PhaseResult{
-			WorkTime:     h.WorkTime,
-			Energy:       h.Energy,
-			DRAMEnergy:   h.DRAMEnergy,
-			MeanPower:    h.MeanPower,
-			AchievedFreq: h.AchievedFreq,
-			Flops:        h.Flops,
-		}, ir.Elapsed, 0, extra)
-	}
-	j.iterCount += extra
-	res.Iterations += extra
-	res.Elapsed += time.Duration(extra) * ir.Elapsed
-	res.TotalEnergy += ir.TotalEnergy * units.Energy(extra)
-	res.TotalFlops += ir.TotalFlops * units.Flops(extra)
-	return res, nil
-}
-
 // CreditSteadyState credits repetitions [from, to) of a previously sampled
 // iteration analytically, counted from the sample: each host's energy,
 // time, and flops accounting advances as if the iteration repeated to-from

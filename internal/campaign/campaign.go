@@ -49,7 +49,7 @@ type Config struct {
 	// from. Its Nodes, DB, Obs, Seed, MeanInterarrival, SystemBudget,
 	// Policy, Faults, and Emergency fields are overridden per scenario;
 	// everything else (workloads, job geometry, budget timeline, duration,
-	// tick, engine) is shared.
+	// tick) is shared.
 	Base facility.Config
 
 	// Seeds are the replication axis: every (interarrival, budget, policy,
@@ -362,7 +362,6 @@ func (r *Runner) captureFlight(cfg *Config, sc Scenario, reason string, runErr e
 		Emergency    string        `json:"emergency,omitempty"`
 		Duration     time.Duration `json:"duration_ns"`
 		Tick         time.Duration `json:"tick_ns"`
-		Engine       string        `json:"engine,omitempty"`
 		Nodes        int           `json:"nodes"`
 	}{
 		Policy:       sc.Policy.Name(),
@@ -372,7 +371,6 @@ func (r *Runner) captureFlight(cfg *Config, sc Scenario, reason string, runErr e
 		Emergency:    string(sc.Emergency),
 		Duration:     cfg.Base.Duration,
 		Tick:         cfg.Base.Tick,
-		Engine:       cfg.Base.Engine,
 		Nodes:        len(r.Nodes),
 	}
 	if b, err := json.Marshal(summary); err == nil {

@@ -13,39 +13,37 @@ import (
 // TestConstantBudgetTimelineIsByteIdentical is the tentpole's no-op
 // contract: a timeline that never changes the effective budget — same-value
 // steps, an emergency policy, nothing else — must take the exact code paths
-// of a run with no timeline at all, on both cores, including the event
-// core's EventsDispatched (no-op budget events are filtered, not
+// of a run with no timeline at all, including the event core's
+// EventsDispatched (no-op budget events are filtered, not
 // dispatched). Faults are in play so the comparison covers the crash/
 // requeue machinery too.
 func TestConstantBudgetTimelineIsByteIdentical(t *testing.T) {
-	for _, eng := range []string{EngineTick, EngineEvent} {
-		t.Run(eng, func(t *testing.T) {
-			run := func(mutate func(*Config)) *Result {
-				cfg := goldenConfig(t)
-				cfg.Engine = eng
-				cfg.Faults = goldenFaults()
-				if mutate != nil {
-					mutate(&cfg)
-				}
-				res, err := Run(context.Background(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+	// The subtest keeps the name it had when a second core ran beside it.
+	t.Run("event", func(t *testing.T) {
+		run := func(mutate func(*Config)) *Result {
+			cfg := goldenConfig(t)
+			cfg.Faults = goldenFaults()
+			if mutate != nil {
+				mutate(&cfg)
 			}
-			plain := run(nil)
-			constant := run(func(c *Config) {
-				c.BudgetSteps = []BudgetStep{
-					{At: 0, Budget: c.SystemBudget},
-					{At: 10 * time.Minute, Budget: c.SystemBudget},
-				}
-				c.Emergency = EmergencyPreempt
-			})
-			if !reflect.DeepEqual(plain, constant) {
-				t.Errorf("constant timeline diverged from no timeline:\n  plain:    %+v\n  constant: %+v", plain, constant)
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return res
+		}
+		plain := run(nil)
+		constant := run(func(c *Config) {
+			c.BudgetSteps = []BudgetStep{
+				{At: 0, Budget: c.SystemBudget},
+				{At: 10 * time.Minute, Budget: c.SystemBudget},
+			}
+			c.Emergency = EmergencyPreempt
 		})
-	}
+		if !reflect.DeepEqual(plain, constant) {
+			t.Errorf("constant timeline diverged from no timeline:\n  plain:    %+v\n  constant: %+v", plain, constant)
+		}
+	})
 }
 
 // TestBudgetStepAtZeroOverridesSystemBudget: a step at t=0 is the budget
@@ -141,28 +139,26 @@ func TestBudgetStepsSameInstantLastWins(t *testing.T) {
 // demand mid-run: the run must degrade (rejected submissions, shed jobs,
 // journaled changes), never crash.
 func TestBudgetDropBelowInfeasibilityFloor(t *testing.T) {
-	for _, eng := range []string{EngineTick, EngineEvent} {
-		t.Run(eng, func(t *testing.T) {
-			nodes, db, workloads := facilityEnv(t, 6)
-			cfg := baseConfig(nodes, db, workloads)
-			cfg.Engine = eng
-			cfg.BudgetSteps = []BudgetStep{{At: 10 * time.Minute, Budget: 1 * units.Watt}}
-			cfg.CheckpointEvery = 50
-			res, err := Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("infeasible drop crashed the run: %v", err)
-			}
-			if res.BudgetChanges == 0 {
-				t.Error("drop never applied")
-			}
-			if res.Rejected == 0 {
-				t.Error("no submission was rejected against the 1 W budget")
-			}
-			if res.Preempted == 0 {
-				t.Error("no running job was preempted by the drop")
-			}
-		})
-	}
+	// The subtest keeps the name it had when a second core ran beside it.
+	t.Run("event", func(t *testing.T) {
+		nodes, db, workloads := facilityEnv(t, 6)
+		cfg := baseConfig(nodes, db, workloads)
+		cfg.BudgetSteps = []BudgetStep{{At: 10 * time.Minute, Budget: 1 * units.Watt}}
+		cfg.CheckpointEvery = 50
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("infeasible drop crashed the run: %v", err)
+		}
+		if res.BudgetChanges == 0 {
+			t.Error("drop never applied")
+		}
+		if res.Rejected == 0 {
+			t.Error("no submission was rejected against the 1 W budget")
+		}
+		if res.Preempted == 0 {
+			t.Error("no running job was preempted by the drop")
+		}
+	})
 }
 
 // TestEmergencyPreemptBeatsKill is the acceptance ranking: under the same
@@ -213,55 +209,39 @@ func TestEmergencyPreemptBeatsKill(t *testing.T) {
 }
 
 // TestNonDivisibleDurationEnergyAgreement is the horizon-overshoot
-// regression: with a Duration that is not a whole number of ticks, the tick
-// core historically ran a full final tick past the horizon and integrated
-// energy for it. Both cores must now stop exactly at Duration, take a final
-// sample there, and agree on TotalEnergy within the golden tolerance.
+// regression: with a Duration that is not a whole number of Ticks, the run
+// must stop exactly at Duration, take a final sample there, and agree on
+// energy with the frozen tick-core oracle, which clamped its final tick to
+// the horizon.
 func TestNonDivisibleDurationEnergyAgreement(t *testing.T) {
 	odd := 30*time.Minute + 77*time.Second // 938.5 ticks of 2s
-	tickCfg := goldenConfig(t)
-	tickCfg.Engine = EngineTick
-	tickCfg.Duration = odd
-	tick, err := Run(context.Background(), tickCfg)
+	cfg := goldenConfig(t)
+	cfg.Duration = odd
+	event, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eventCfg := goldenConfig(t)
-	eventCfg.Engine = EngineEvent
-	eventCfg.Duration = odd
-	event, err := Run(context.Background(), eventCfg)
-	if err != nil {
-		t.Fatal(err)
+	assertEquivalent(t, tickNonDivisible, event, cfg.Tick)
+	if len(event.Trace) == 0 {
+		t.Fatal("empty trace")
 	}
-	assertEquivalent(t, tick, event, tickCfg.Tick)
-	for name, res := range map[string]*Result{"tick": tick, "event": event} {
-		if len(res.Trace) == 0 {
-			t.Fatalf("%s: empty trace", name)
-		}
-		last := res.Trace[len(res.Trace)-1].Time
-		if want := time.Unix(0, 0).UTC().Add(odd); !last.Equal(want) {
-			t.Errorf("%s: final sample at %v, want exactly the horizon %v", name, last, want)
-		}
+	last := event.Trace[len(event.Trace)-1].Time
+	if want := time.Unix(0, 0).UTC().Add(odd); !last.Equal(want) {
+		t.Errorf("final sample at %v, want exactly the horizon %v", last, want)
 	}
 }
 
-// TestTickFinalPartialWindowSamples is the cadence regression for the tick
-// core's final window: Duration 90s at Tick 60s used to run a 60s overshoot
-// tick whose telemetry boundary check ((elapsed+Tick)%telEvery) skipped the
-// final sample entirely. The clamped loop must produce exactly two samples
-// — the 60s boundary and the 90s horizon — and count two ticks.
+// TestTickFinalPartialWindowSamples is the cadence regression for a final
+// partial Tick window: Duration 90s at Tick 60s must produce exactly two
+// samples — the 60s boundary and the 90s horizon.
 func TestTickFinalPartialWindowSamples(t *testing.T) {
 	nodes, db, workloads := facilityEnv(t, 6)
 	cfg := baseConfig(nodes, db, workloads)
-	cfg.Engine = EngineTick
 	cfg.Duration = 90 * time.Second
 	cfg.Tick = time.Minute
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.TicksSimulated != 2 {
-		t.Errorf("TicksSimulated = %d, want 2 (60s + clamped 30s)", res.TicksSimulated)
 	}
 	if len(res.Trace) != 2 {
 		t.Fatalf("trace has %d samples, want 2 (60s boundary + 90s horizon)", len(res.Trace))

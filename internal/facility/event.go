@@ -1,10 +1,8 @@
 package facility
 
-// The discrete-event facility core. Where the tick loop pays for every
-// tick — a real BSP iteration per running job, a fault-window scan, a
-// telemetry sample — whether or not anything happened, this core schedules
-// each concern as its own event stream on internal/engine and lets the
-// virtual clock jump between them:
+// The discrete-event facility core. Each concern is its own event stream
+// on internal/engine, and the virtual clock jumps between them, so a run
+// costs what its events cost rather than what its simulated span does:
 //
 //	arrival     Poisson arrivals at their exact sampled times (the next
 //	            arrival is scheduled when the current one fires — no
@@ -16,7 +14,7 @@ package facility
 //	budget      budget-timeline changes (scheduled steps, fault-plan drop
 //	            edges) at their exact effective instants.
 //	replan      the optional periodic policy replan (ReplanEvery).
-//	sample      telemetry on its own cadence (TelemetryEvery).
+//	sample      telemetry on its own cadence (Tick).
 //
 // Between events a job's progress is analytic: one real iteration probes
 // the operating point after every (re)plan, and bsp.CreditSteadyState
@@ -29,7 +27,7 @@ package facility
 // order.
 
 import (
-	"context"
+	"math"
 	"time"
 
 	"powerstack/internal/bsp"
@@ -73,8 +71,8 @@ type eventSim struct {
 	busyIntegral float64
 
 	// lastSample is the previous telemetry sample's virtual time: energy
-	// integrates over the actual gap, which is telEvery everywhere except
-	// the final sample of a non-cadence-multiple horizon.
+	// integrates over the actual gap, which is Tick everywhere except the
+	// final sample of a non-cadence-multiple horizon.
 	lastSample time.Duration
 }
 
@@ -85,7 +83,7 @@ func newEventCore(st *simState) *eventSim {
 }
 
 // prime installs the virtual clock and schedules every event stream the
-// configuration implies — the former runEvent prelude.
+// configuration implies.
 func (s *eventSim) prime() error {
 	st := s.simState
 	// The engine advances its clock before dispatching a handler, so its
@@ -95,8 +93,7 @@ func (s *eventSim) prime() error {
 	s.eng.Obs = st.obs
 
 	// Fault timeline: every crash/repair/slow transition at its exact
-	// onset. The tick loop scans windows (prev, now], so onsets at or
-	// before zero never fire there; mirror that (At == 0 slow nodes are
+	// onset. Onsets at or before zero do not fire (At == 0 slow nodes are
 	// already armed by Plan.Arm in setup).
 	for _, tt := range st.cfg.Faults.Timeline() {
 		if tt.At <= 0 || tt.At > st.horizon {
@@ -137,11 +134,11 @@ func (s *eventSim) prime() error {
 	}
 
 	// Telemetry sampling on its own cadence, plus a final sample exactly
-	// at the horizon when the horizon is not a cadence multiple — the tick
-	// core always samples its clamped final window, and the two cores'
-	// energy integrals must agree.
-	s.eng.Every(st.telEvery, st.telEvery, st.horizon, "sample", s.onSample)
-	if st.horizon%st.telEvery != 0 {
+	// at the horizon when the horizon is not a cadence multiple, so the
+	// tail of the run is observed and its energy integrated.
+	tick := st.cfg.Tick
+	s.eng.Every(tick, tick, st.horizon, "sample", s.onSample)
+	if st.horizon%tick != 0 {
 		s.eng.Schedule(st.horizon, "sample", s.onSample)
 	}
 
@@ -155,21 +152,9 @@ func (s *eventSim) prime() error {
 	return nil
 }
 
-// step advances the engine to until, dispatching every due event at its
-// exact virtual time.
-func (s *eventSim) step(ctx context.Context, until time.Duration) error {
-	if until > s.horizon {
-		until = s.horizon
-	}
-	return s.eng.RunUntil(ctx, until)
-}
-
-func (s *eventSim) now() time.Duration { return s.eng.Now() }
-
 // settle closes accounting at the current virtual time: jobs still
 // running keep their uncredited tail (their completions lie beyond the
-// end of the run), but the busy-node integral closes here. For a run
-// stepped to the horizon this is exactly the former runEvent epilogue.
+// end of the run), but the busy-node integral closes here.
 func (s *eventSim) settle() {
 	now := s.eng.Now()
 	s.accrue(now)
@@ -326,18 +311,38 @@ func (s *eventSim) applyProbe(r *evJob, ir bsp.IterationResult, now time.Duratio
 }
 
 // scheduleCompletion (re)schedules a job's completion event at the time
-// its remaining iterations will have elapsed at the probed rate.
+// its remaining iterations will have elapsed at the probed rate. A due
+// time past the horizon never fires, so the product saturates rather than
+// wrapping: an overflowed (negative) due time would clamp to now, credit
+// nothing, and re-aim at the same instant forever.
 func (s *eventSim) scheduleCompletion(r *evJob) {
 	if r.comp != 0 {
 		s.eng.Cancel(r.comp)
 	}
 	due := r.credited
 	if r.remaining > 0 && r.iter.Elapsed > 0 {
-		due += time.Duration(r.remaining) * r.iter.Elapsed
+		due = satAdd(due, satMul(r.remaining, r.iter.Elapsed))
 	}
 	r.comp = s.eng.Schedule(due, "completion", func(now time.Duration) error {
 		return s.onComplete(r, now)
 	})
+}
+
+// satMul returns n·d for n, d > 0, saturating at the largest Duration.
+func satMul(n int, d time.Duration) time.Duration {
+	if time.Duration(n) > math.MaxInt64/d {
+		return math.MaxInt64
+	}
+	return time.Duration(n) * d
+}
+
+// satAdd returns a+b for non-negative a and b, saturating at the largest
+// Duration.
+func satAdd(a, b time.Duration) time.Duration {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // removeActive drops a job from the active set, cancelling its pending
@@ -514,9 +519,9 @@ func (s *eventSim) onRepair(nodeID string, now time.Duration) error {
 	return s.reconcile(now, false, false)
 }
 
-// onSlow opens or closes a slow-node window. Caps do not move (the tick
-// loop never replanned on degradation either), but iteration times did, so
-// every operating point is re-probed and completions re-aimed.
+// onSlow opens or closes a slow-node window. Caps do not move (a
+// degradation is not a replan trigger), but iteration times did, so every
+// operating point is re-probed and completions re-aimed.
 func (s *eventSim) onSlow(nodeID string, factor float64, now time.Duration) error {
 	n, ok := s.nodeByID[nodeID]
 	if !ok {
@@ -533,16 +538,18 @@ func (s *eventSim) onReplan(now time.Duration) error {
 	return s.reconcile(now, true, false)
 }
 
-// onSample reads the telemetry hierarchy. Jobs settle first so the energy
-// counters reflect every iteration completed by now — the sampled power is
-// then the same ΔE/Δt the tick loop saw. The sample is judged against the
-// budget in force (curBudget), and energy integrates over the actual gap
-// since the previous sample.
+// onSample reads the telemetry hierarchy's dirty set. Jobs settle first so
+// the energy counters reflect every iteration completed by now. The sample
+// is judged against the budget in force (curBudget), and energy integrates
+// over the actual gap since the previous sample.
 func (s *eventSim) onSample(now time.Duration) error {
 	s.markDropoutStarts(now)
 	s.advanceAll(now)
+	if testMarkAllDirty {
+		s.root.MarkAllDirty()
+	}
 	at := s.start.Add(now)
-	p, err := s.root.Sample(at)
+	p, err := s.root.SampleDirty(at)
 	if err != nil {
 		return err
 	}

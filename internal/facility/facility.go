@@ -7,14 +7,13 @@
 // through steady state), and the telemetry hierarchy samples facility
 // power — producing, bottom-up, the kind of trace Figure 1 shows top-down.
 //
-// Two time-advancement cores are available. The default discrete-event
-// core (EngineEvent) schedules arrivals, job completions, faults, policy
-// replans, and telemetry samples at their exact virtual times on
-// internal/engine, jumping straight from one event to the next — a lightly
-// loaded month costs what its events cost, not what its ticks would. The
-// fixed-tick core (EngineTick) is the original loop, kept as a
-// compatibility mode and as the golden reference the equivalence tests
-// compare against.
+// Time advances on one discrete-event core (event.go): arrivals, job
+// completions, faults, budget changes, policy replans, and telemetry
+// samples fire at their exact virtual times on internal/engine, and the
+// clock jumps straight from one event to the next — a lightly loaded month
+// costs what its events cost. Telemetry samples read the hierarchy through
+// its dirty set: every energy-state change marks the touched leaves, so a
+// sample costs O(changed nodes), not O(nodes).
 package facility
 
 import (
@@ -36,17 +35,6 @@ import (
 	"powerstack/internal/rm"
 	"powerstack/internal/telemetry"
 	"powerstack/internal/units"
-)
-
-// Engine selectors for Config.Engine.
-const (
-	// EngineEvent is the discrete-event core: virtual clock, exact-time
-	// arrivals/completions/faults, decoupled telemetry cadence. The
-	// default ("" selects it).
-	EngineEvent = "event"
-	// EngineTick is the original fixed-tick loop, kept for compatibility
-	// and as the equivalence reference.
-	EngineTick = "tick"
 )
 
 // Config shapes a facility simulation.
@@ -91,14 +79,13 @@ type Config struct {
 	// JobSizes, and Workloads become optional.
 	DisableArrivals bool
 
-	// Duration is the simulated span; Tick the scheduling granularity of
-	// the tick engine (and the default telemetry cadence of both).
+	// Duration is the simulated span; Tick the telemetry sampling cadence
+	// (any positive value — a final sample lands exactly at Duration when
+	// it is not a whole number of Ticks). Tick also defaults the service
+	// layer's pacing quantum.
 	Duration time.Duration
 	Tick     time.Duration
 
-	// Engine selects the time-advancement core: EngineEvent (default) or
-	// EngineTick.
-	Engine string
 	// ScaleMode selects between the exact flat replan/sample paths and the
 	// hierarchical 100k-node ones: ScaleAuto (default — hierarchical above
 	// ScaleThreshold nodes), ScaleOn, or ScaleCompat. See scale.go.
@@ -109,18 +96,12 @@ type Config struct {
 	// inline, without goroutines). Results are byte-identical at every
 	// setting — the pipeline merges in deterministic order — so this is
 	// purely a wall-clock knob. Zero (the default) keeps the sequential
-	// replan path; the setting is ignored outside scale mode and under the
-	// tick engine. See parallel.go.
+	// replan path; the setting is ignored outside scale mode. See
+	// parallel.go.
 	Parallelism int
-	// TelemetryEvery is the telemetry sampling cadence; zero selects Tick.
-	// Under EngineTick it must be a positive multiple of Tick (samples can
-	// only land on tick boundaries); under EngineEvent any positive cadence
-	// works — decoupling sampling from scheduling is where the event core's
-	// speedup on long horizons comes from.
-	TelemetryEvery time.Duration
 	// ReplanEvery adds a periodic policy replan on top of the
-	// change-driven ones (job start/finish, crash); zero disables it.
-	// Under EngineTick it must be a multiple of Tick.
+	// change-driven ones (job start/finish, crash); zero disables it. Any
+	// positive cadence works.
 	ReplanEvery time.Duration
 
 	Seed uint64
@@ -141,21 +122,6 @@ type Config struct {
 	SpanParent obs.SpanContext
 }
 
-// telemetryEvery resolves the sampling cadence.
-func (c *Config) telemetryEvery() time.Duration {
-	if c.TelemetryEvery > 0 {
-		return c.TelemetryEvery
-	}
-	return c.Tick
-}
-
-// horizon is the simulated end time: exactly Duration. The tick core
-// clamps its final tick when Duration is not a whole number of ticks
-// (historically it overshot to the next boundary and integrated energy
-// past the horizon), so both engines stop — and take their final
-// telemetry sample — at the same instant.
-func (c *Config) horizon() time.Duration { return c.Duration }
-
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	switch {
@@ -175,8 +141,6 @@ func (c *Config) Validate() error {
 		return errors.New("facility: no workloads")
 	case c.Tick <= 0 || c.Duration < c.Tick:
 		return errors.New("facility: bad tick/duration")
-	case c.TelemetryEvery < 0:
-		return errors.New("facility: telemetry cadence must not be negative")
 	case c.ReplanEvery < 0:
 		return errors.New("facility: replan cadence must not be negative")
 	case c.CheckpointEvery < 0:
@@ -196,18 +160,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("facility: budget step %d budget must be positive (got %v)", i, s.Budget)
 		}
 	}
-	switch c.Engine {
-	case "", EngineEvent:
-	case EngineTick:
-		if c.TelemetryEvery > 0 && c.TelemetryEvery%c.Tick != 0 {
-			return fmt.Errorf("facility: tick engine needs TelemetryEvery (%v) to be a multiple of Tick (%v)", c.TelemetryEvery, c.Tick)
-		}
-		if c.ReplanEvery > 0 && c.ReplanEvery%c.Tick != 0 {
-			return fmt.Errorf("facility: tick engine needs ReplanEvery (%v) to be a multiple of Tick (%v)", c.ReplanEvery, c.Tick)
-		}
-	default:
-		return fmt.Errorf("facility: unknown engine %q (want %q or %q)", c.Engine, EngineEvent, EngineTick)
-	}
 	switch c.ScaleMode {
 	case ScaleAuto, ScaleOn, ScaleCompat:
 	default:
@@ -226,18 +178,11 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// running tracks one admitted job's progress.
-type running struct {
-	sj        *rm.ScheduledJob
-	remaining int
-	submitted time.Time
-	started   time.Time
-}
-
 // Result summarizes a facility simulation.
 type Result struct {
 	// Trace is the facility power series, one sample per telemetry
-	// interval (TelemetryEvery, defaulting to Tick).
+	// interval (Tick), plus a final sample at the horizon when Duration is
+	// not a whole number of Ticks.
 	Trace []telemetry.Sample
 	// Submitted, Started, and Completed count jobs.
 	Submitted, Started, Completed int
@@ -247,11 +192,7 @@ type Result struct {
 	// MeanQueueWait averages the submit-to-start delay over jobs that
 	// started; jobs still queued at the end (QueuedAtEnd) never started
 	// and are deliberately excluded — a facility drowning in arrivals can
-	// therefore report a short wait next to a large QueuedAtEnd. Under the
-	// tick engine a job arriving mid-tick starts at the enclosing tick's
-	// beginning, so individual waits (and a lightly loaded mean) can be
-	// slightly negative; the event engine starts jobs at their exact
-	// arrival times and never reports negative waits.
+	// therefore report a short wait next to a large QueuedAtEnd.
 	MeanQueueWait time.Duration
 	// MeanNodeUtilization is the time-averaged fraction of busy nodes.
 	MeanNodeUtilization float64
@@ -283,17 +224,14 @@ type Result struct {
 	// entries and exits over the run (every quarantine reason: crash
 	// drains, failed cap writes, failed releases).
 	Requeued, Quarantined, Rejoined int
-	// EventsDispatched counts discrete events the event engine dispatched
-	// (zero under the tick engine); TicksSimulated counts the tick
-	// engine's iterations (zero under the event engine). Together they
-	// are the work measure BENCH_facility.json tracks.
+	// EventsDispatched counts the discrete events the engine dispatched —
+	// the run's work measure.
 	EventsDispatched int
-	TicksSimulated   int
 }
 
-// simState is the setup shared by both engines: validated config, corrupt
-// database view, managers, telemetry hierarchy, RNG, and the bookkeeping
-// maps the arrival process feeds.
+// simState is the facility's world behind the event core: validated
+// config, corrupt database view, managers, telemetry hierarchy, RNG, and
+// the bookkeeping maps the arrival process feeds.
 type simState struct {
 	cfg      Config
 	pol      policy.Policy
@@ -306,9 +244,9 @@ type simState struct {
 	start    time.Time // wall-clock epoch of virtual time zero
 	nodeByID map[string]*node.Node
 
-	// scale selects the hierarchical replan and linear telemetry sweep;
-	// nodeIndex maps host IDs to their position in cfg.Nodes, which is
-	// what assigns a host its rack (see scale.go).
+	// scale selects the hierarchical replan; nodeIndex maps host IDs to
+	// their position in cfg.Nodes — the telemetry leaf ordinal the dirty
+	// set is marked by, and what assigns a host its rack (see scale.go).
 	scale     bool
 	nodeIndex map[string]int
 
@@ -329,15 +267,13 @@ type simState struct {
 	curBudget   units.Power
 	checkpoints map[string]int
 
-	horizon  time.Duration
-	telEvery time.Duration
+	horizon time.Duration
 
 	// obs is the virtual-clock view of cfg.Obs: it shares the registry,
 	// journal, spans, and stream but stamps everything recorded during the
-	// run with the simulated time read through vclock. vclock is installed
-	// by whichever engine runs (the event core's engine clock, the tick
-	// core's elapsed counter) and reads zero during setup — which is
-	// correct, setup happens at virtual time zero.
+	// run with the simulated time read through vclock. vclock is the event
+	// core's engine clock, installed when the run starts; it reads zero
+	// during setup — which is correct, setup happens at virtual time zero.
 	obs    *obs.Sink
 	vclock func() time.Duration
 
@@ -353,12 +289,10 @@ type simState struct {
 	hier coordinator.HierAlloc
 	plan planScratch
 
-	// incTel is set when the root samples incrementally (event engine,
-	// scale mode): every energy-state change marks its leaves dirty, so a
+	// Every energy-state change marks its leaves dirty in root, so a
 	// sample costs O(dirty) instead of O(nodes). dropStarts is the sorted
 	// list of telemetry-dropout window starts; dropCursor marks their
 	// leaves dirty from onSample, without scheduling engine events.
-	incTel     bool
 	dropStarts []dropStart
 	dropCursor int
 
@@ -368,11 +302,11 @@ type simState struct {
 	pipe pipeScratch
 }
 
-// testDisableIncremental forces the full linear sweep even where the event
-// core would sample incrementally. Facility tests flip it to pin the
-// incremental sampler against the sweep end to end; it is never set outside
-// tests.
-var testDisableIncremental bool
+// testMarkAllDirty marks every telemetry leaf dirty before each sample, so
+// the dirty-set pass reads the whole hierarchy. Facility tests flip it to
+// pin the event core's dirty marking against full passes end to end; it is
+// never set outside tests.
+var testMarkAllDirty bool
 
 // dropStart is one telemetry-dropout window start on the virtual timeline.
 type dropStart struct {
@@ -381,8 +315,8 @@ type dropStart struct {
 }
 
 // markDropoutStarts marks the leaves of every dropout window whose start
-// has passed; the incremental sampler then visits them and takes the hold
-// branch exactly when the full sweep would.
+// has passed; the dirty-set pass then visits them and takes the hold
+// branch exactly when a full pass would.
 func (st *simState) markDropoutStarts(now time.Duration) {
 	for st.dropCursor < len(st.dropStarts) && st.dropStarts[st.dropCursor].at <= now {
 		st.root.MarkLeafDirty(st.dropStarts[st.dropCursor].ord)
@@ -390,13 +324,10 @@ func (st *simState) markDropoutStarts(now time.Duration) {
 	}
 }
 
-// markJobDirty marks every host of a job dirty for the incremental
-// telemetry sweep — called after any probe or steady-state credit changes
-// host energy. No-op outside incremental mode.
+// markJobDirty marks every host of a job dirty for the next telemetry
+// sample — called after any probe or steady-state credit changes host
+// energy.
 func (st *simState) markJobDirty(sj *rm.ScheduledJob) {
-	if !st.incTel {
-		return
-	}
 	for i := range sj.Job.Hosts {
 		if ord, ok := st.nodeIndex[sj.Job.Hosts[i].Node.ID]; ok {
 			st.root.MarkLeafDirty(ord)
@@ -405,11 +336,8 @@ func (st *simState) markJobDirty(sj *rm.ScheduledJob) {
 }
 
 // markNodeDirty marks one node dirty — crashes and repairs toggle its
-// energy readability between samples. No-op outside incremental mode.
+// energy readability between samples.
 func (st *simState) markNodeDirty(id string) {
-	if !st.incTel {
-		return
-	}
 	if ord, ok := st.nodeIndex[id]; ok {
 		st.root.MarkLeafDirty(ord)
 	}
@@ -437,8 +365,7 @@ func setup(cfg Config) (*simState, error) {
 		jobs:        map[string]*JobInfo{},
 		steps:       cfg.sortedSteps(),
 		checkpoints: map[string]int{},
-		horizon:     cfg.horizon(),
-		telEvery:    cfg.telemetryEvery(),
+		horizon:     cfg.Duration,
 	}
 	st.curBudget = st.budgetAt(0)
 	if st.pol == nil {
@@ -459,11 +386,6 @@ func setup(cfg Config) (*simState, error) {
 	st.rng = rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9))
 	st.mgr = rm.NewManager(cfg.Nodes)
 	st.mgr.Obs = st.obs
-	// Explicit compat mode pins the whole pre-scale path, including the
-	// uncached RAPL limit encoding, so benchmarks of "scale" vs "compat"
-	// measure the refactor and not a partial mix. (The cache changes no
-	// observable bits either way — the golden tests pin that.)
-	st.mgr.CompatCapPath = cfg.ScaleMode == ScaleCompat
 	st.mgr.OnQuarantine = func(string, string) { st.res.Quarantined++ }
 	st.mgr.OnRejoin = func(string) { st.res.Rejoined++ }
 	sched, err := rm.NewScheduler(st.mgr, st.db, st.curBudget)
@@ -477,7 +399,7 @@ func setup(cfg Config) (*simState, error) {
 	// simulation started. The watchdog and Last() only ever look at the
 	// recent window, so a ring covering the whole run (plus slack) is
 	// observably identical.
-	history := int(st.horizon/st.telEvery) + 8
+	history := int(st.horizon/cfg.Tick) + 8
 	if history < 64 {
 		history = 64
 	}
@@ -495,54 +417,47 @@ func setup(cfg Config) (*simState, error) {
 		return nil, err
 	}
 	st.root = root
+	st.nodeIndex = make(map[string]int, len(cfg.Nodes))
+	for i, n := range cfg.Nodes {
+		st.nodeIndex[n.ID] = i
+	}
 	if st.scale {
-		root.SetLinearSweep(true)
 		// Scale mode also turns on the manager's incremental cap path:
 		// unchanged caps are not rewritten and the policy's per-job view is
 		// cached between replans.
 		st.mgr.Incremental = true
-		st.nodeIndex = make(map[string]int, len(cfg.Nodes))
-		for i, n := range cfg.Nodes {
-			st.nodeIndex[n.ID] = i
-		}
 		st.hier.Obs = st.obs
 	}
 	cfg.Faults.Arm(cfg.Nodes, st.obs)
 	root.SetFaultPlan(cfg.Faults, st.start, st.obs)
-	if st.scale && cfg.Engine != EngineTick && !testDisableIncremental {
-		// The event core marks leaves dirty on every energy-state change
-		// (probes, steady-state credits, crashes, repairs, dropout-window
-		// starts), so the root can sample incrementally — bit-identical to
-		// the full sweep, at O(dirty) cost. The tick core has no such
-		// marking and keeps the linear sweep.
-		root.SetIncremental(true)
-		st.incTel = true
-		if cfg.Faults != nil {
-			for _, in := range cfg.Faults.Injections {
-				ord, ok := st.nodeIndex[in.Node]
-				if !ok {
-					continue
-				}
-				switch in.Kind {
-				case fault.MSRReadFault:
-					// Energy reads consume the fault's countdown budget, so
-					// the number of reads is observable until it fires: pin
-					// the leaf dirty so it is read every sample, exactly as
-					// the sweep would.
-					root.PinLeafDirty(ord)
-				case fault.TelemetryDropout:
-					// Dropout windows open between samples without any
-					// engine event of their own; a sorted cursor advanced
-					// in onSample marks the leaf once its window can be
-					// active.
-					st.dropStarts = append(st.dropStarts, dropStart{at: in.At, ord: ord})
-				}
+	// The event core marks leaves dirty on every energy-state change
+	// (probes, steady-state credits, crashes, repairs), so the root
+	// samples at O(dirty) cost, bit-identical to a full pass. Two fault
+	// kinds change a leaf's reading without such an event:
+	if cfg.Faults != nil {
+		for _, in := range cfg.Faults.Injections {
+			ord, ok := st.nodeIndex[in.Node]
+			if !ok {
+				continue
 			}
-			sort.Slice(st.dropStarts, func(i, j int) bool {
-				a, b := st.dropStarts[i], st.dropStarts[j]
-				return a.at < b.at || (a.at == b.at && a.ord < b.ord)
-			})
+			switch in.Kind {
+			case fault.MSRReadFault:
+				// Energy reads consume the fault's countdown budget, so the
+				// number of reads is observable until it fires: pin the leaf
+				// dirty so it is read every sample, exactly as a full pass
+				// would.
+				root.PinLeafDirty(ord)
+			case fault.TelemetryDropout:
+				// Dropout windows open between samples without any engine
+				// event of their own; a sorted cursor advanced in onSample
+				// marks the leaf once its window can be active.
+				st.dropStarts = append(st.dropStarts, dropStart{at: in.At, ord: ord})
+			}
 		}
+		sort.Slice(st.dropStarts, func(i, j int) bool {
+			a, b := st.dropStarts[i], st.dropStarts[j]
+			return a.at < b.at || (a.at == b.at && a.ord < b.ord)
+		})
 	}
 	for _, n := range cfg.Nodes {
 		st.nodeByID[n.ID] = n
@@ -594,8 +509,8 @@ func (st *simState) replan() error {
 }
 
 // submitArrival draws one arrival from the config RNG and enqueues it. The
-// draw order (workload, size, length, next gap) is shared by both engines
-// so the same seed produces the same job sequence. A submission whose
+// draw order (workload, size, length, next gap) is fixed, so the same seed
+// produces the same job sequence. A submission whose
 // demand exceeds the budget in force (rm.ErrBudgetInfeasible — possible
 // under a dynamic timeline) is a degradation, not an error: the job is
 // journaled as rejected and dropped, and the length and gap draws still
@@ -631,7 +546,7 @@ func (st *simState) submitArrival(at time.Time) (time.Duration, error) {
 	return gap, nil
 }
 
-// finalize computes the aggregate statistics both engines share.
+// finalize computes the run's aggregate statistics from its trace.
 func (st *simState) finalize() {
 	res := st.res
 	res.QueuedAtEnd = len(st.sched.Queue())
@@ -650,9 +565,8 @@ func (st *simState) finalize() {
 	}
 }
 
-// Run executes the simulation on the configured engine (EngineEvent by
-// default). Cancelling ctx stops the run at the next event or tick
-// boundary with ctx's error. Run is a thin loop over the re-entrant
+// Run executes the simulation. Cancelling ctx stops the run at the next
+// event boundary with ctx's error. Run is a thin loop over the re-entrant
 // Instance — build, start, step straight to the horizon, close — and
 // produces byte-identical Results to the pre-Instance monolith (pinned by
 // the chunked-stepping equivalence tests in instance_test.go).
@@ -675,8 +589,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // expDuration samples an exponential inter-arrival gap. The result is
 // clamped to at least 1ns: a mean so small that the sampled gap truncates
-// to zero would otherwise stall the arrival loop (and the event engine's
-// arrival chain) at a single instant forever.
+// to zero would otherwise stall the event engine's arrival chain at a
+// single instant forever.
 func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
 	u := rng.Float64()
 	if u <= 0 {

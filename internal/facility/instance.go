@@ -8,13 +8,8 @@ package facility
 // observable mid-flight. Instance is that object: Run is now a thin loop
 // over it (NewInstance → Start → Step(horizon) → Close) and produces
 // byte-identical Results to the former monolith — the equivalence the
-// chunked-stepping tests pin.
-//
-// Both time-advancement cores sit behind the small core interface. The
-// event core advances to exact virtual instants, so Step(until) stops on
-// the nanosecond; the tick core advances in whole scheduling ticks, so
-// Step runs through the tick containing until. Everything else — inject,
-// live budget steps, policy swaps, snapshots — works identically on both.
+// chunked-stepping tests pin. The event core advances to exact virtual
+// instants, so Step(until) stops on the nanosecond.
 
 import (
 	"context"
@@ -41,6 +36,9 @@ var (
 	// ErrDuplicateJobID reports an injected submission reusing an ID the
 	// instance has already seen.
 	ErrDuplicateJobID = errors.New("facility: duplicate job id")
+	// ErrInvalidSubmission reports an injected submission with a
+	// non-positive node count or length.
+	ErrInvalidSubmission = errors.New("facility: invalid submission")
 )
 
 // InstanceState is an instance's lifecycle position.
@@ -142,40 +140,10 @@ type Snapshot struct {
 	Rejected, Preempted, Killed, Resumed int
 	Requeued, Quarantined, Rejoined      int
 	BudgetChanges, BudgetViolationTicks  int
-	EventsDispatched, TicksSimulated     int
+	EventsDispatched                     int
 	// LastPower and LastSampleAt are the most recent telemetry sample.
 	LastPower    units.Power
 	LastSampleAt time.Duration
-}
-
-// core is the time-advancement engine behind an Instance: the discrete-
-// event core or the fixed-tick core. All methods are single-goroutine,
-// like the simulation layers they drive.
-type core interface {
-	// prime readies the run (schedules event chains, arms the arrival
-	// process); step advances virtual time toward until (the tick core
-	// runs through the tick containing until); now is the virtual clock.
-	prime() error
-	step(ctx context.Context, until time.Duration) error
-	now() time.Duration
-	// settle closes the run's integrals (utilization, work counters)
-	// into the Result at the current virtual time.
-	settle()
-	// running snapshots the active set.
-	running() []RunningJob
-	// injectNow enqueues a submission at the current virtual time,
-	// surfacing admission errors synchronously; injectAt defers one to a
-	// future virtual time, where admission errors degrade to journaled
-	// rejections.
-	injectNow(sub Submission) (string, error)
-	injectAt(at time.Duration, sub Submission)
-	// budgetPoint tells the core a new budget-timeline point exists at
-	// at (the event core schedules a change event; the tick core
-	// re-evaluates the timeline every window anyway).
-	budgetPoint(at time.Duration)
-	// policySwapped reacts to a live policy change (replan under the new
-	// policy).
-	policySwapped() error
 }
 
 // Instance is a re-entrant facility simulation: the same event core behind
@@ -184,26 +152,19 @@ type core interface {
 // mutex per hosted instance).
 type Instance struct {
 	st       *simState
-	core     core
+	core     *eventSim
 	state    InstanceState
 	sp       *obs.Span
 	released bool
 }
 
-// NewInstance validates cfg and builds a ready-to-start instance on the
-// configured engine (EngineEvent by default).
+// NewInstance validates cfg and builds a ready-to-start instance.
 func NewInstance(cfg Config) (*Instance, error) {
 	st, err := setup(cfg)
 	if err != nil {
 		return nil, err
 	}
-	in := &Instance{st: st, state: InstanceNew}
-	if cfg.Engine == EngineTick {
-		in.core = newTickCore(st)
-	} else {
-		in.core = newEventCore(st)
-	}
-	return in, nil
+	return &Instance{st: st, core: newEventCore(st), state: InstanceNew}, nil
 }
 
 // Start opens the run's root span and primes the engine. It may be called
@@ -228,9 +189,9 @@ func (in *Instance) Start() error {
 }
 
 // Step advances virtual time toward until (clamped to the horizon),
-// dispatching every due event. Cancelling ctx stops at the next event or
-// tick boundary with ctx's error; the instance stays steppable. A paused
-// instance refuses with ErrInstancePaused.
+// dispatching every due event at its exact virtual time. Cancelling ctx
+// stops at the next event boundary with ctx's error; the instance stays
+// steppable. A paused instance refuses with ErrInstancePaused.
 func (in *Instance) Step(ctx context.Context, until time.Duration) error {
 	switch in.state {
 	case InstanceRunning:
@@ -244,7 +205,7 @@ func (in *Instance) Step(ctx context.Context, until time.Duration) error {
 	if until > in.st.horizon {
 		until = in.st.horizon
 	}
-	return in.core.step(ctx, until)
+	return in.core.eng.RunUntil(ctx, until)
 }
 
 // Pause freezes the instance: Step refuses until Resume. Injections and
@@ -280,7 +241,7 @@ func (in *Instance) Resume() error {
 }
 
 // Now returns the instance's virtual time.
-func (in *Instance) Now() time.Duration { return in.core.now() }
+func (in *Instance) Now() time.Duration { return in.core.eng.Now() }
 
 // Horizon returns the configured end of simulated time.
 func (in *Instance) Horizon() time.Duration { return in.st.horizon }
@@ -289,7 +250,7 @@ func (in *Instance) Horizon() time.Duration { return in.st.horizon }
 func (in *Instance) Nodes() int { return len(in.st.cfg.Nodes) }
 
 // Done reports whether the horizon has been reached.
-func (in *Instance) Done() bool { return in.core.now() >= in.st.horizon }
+func (in *Instance) Done() bool { return in.core.eng.Now() >= in.st.horizon }
 
 // State returns the lifecycle state.
 func (in *Instance) State() InstanceState { return in.state }
@@ -298,10 +259,10 @@ func (in *Instance) State() InstanceState { return in.state }
 // the current virtual time (pass 0 for "now") enqueues immediately and
 // surfaces admission errors synchronously: rm.ErrBudgetInfeasible,
 // rm.ErrTenantQuotaExceeded, rm.ErrInsufficientNodes,
-// charz.ErrNotCharacterized, or ErrDuplicateJobID. A future at schedules
-// the submission on the virtual timeline; admission errors there degrade
-// to journaled rejections, exactly like infeasible Poisson arrivals under
-// a dynamic budget. Returns the job ID.
+// charz.ErrNotCharacterized, ErrDuplicateJobID, or ErrInvalidSubmission.
+// A future at schedules the submission on the virtual timeline; admission
+// errors there degrade to journaled rejections, exactly like infeasible
+// Poisson arrivals under a dynamic budget. Returns the job ID.
 func (in *Instance) Inject(at time.Duration, sub Submission) (string, error) {
 	switch in.state {
 	case InstanceRunning, InstancePaused:
@@ -313,7 +274,7 @@ func (in *Instance) Inject(at time.Duration, sub Submission) (string, error) {
 	if err := in.st.validateSubmission(sub); err != nil {
 		return "", err
 	}
-	if at <= in.core.now() {
+	if at <= in.core.eng.Now() {
 		return in.core.injectNow(sub)
 	}
 	id := in.st.reserveJobID(sub.ID)
@@ -345,7 +306,7 @@ func (in *Instance) ScheduleBudget(at time.Duration, b units.Power) error {
 	if b <= 0 {
 		return errors.New("facility: budget must be positive")
 	}
-	if now := in.core.now(); at < now {
+	if now := in.core.eng.Now(); at < now {
 		at = now
 	}
 	in.st.steps = append(in.st.steps, BudgetStep{At: at, Budget: b})
@@ -424,7 +385,7 @@ func (in *Instance) Snapshot() Snapshot {
 	st, res := in.st, in.st.res
 	sn := Snapshot{
 		State:                in.state,
-		Now:                  in.core.now(),
+		Now:                  in.core.eng.Now(),
 		Horizon:              st.horizon,
 		Budget:               st.curBudget,
 		CommittedPower:       st.sched.CommittedPower(),
@@ -444,7 +405,6 @@ func (in *Instance) Snapshot() Snapshot {
 		BudgetChanges:        res.BudgetChanges,
 		BudgetViolationTicks: res.BudgetViolationTicks,
 		EventsDispatched:     res.EventsDispatched,
-		TicksSimulated:       res.TicksSimulated,
 	}
 	for _, t := range st.sched.Tenants() {
 		sn.Tenants = append(sn.Tenants, TenantSnapshot{
@@ -495,28 +455,19 @@ func (in *Instance) release() {
 
 // --- simState: injected submissions and job-lifecycle tracking ---
 
-// vnow reads the installed virtual clock (zero before an engine installs
-// one — setup happens at virtual time zero).
-func (st *simState) vnow() time.Duration {
-	if st.vclock == nil {
-		return 0
-	}
-	return st.vclock()
-}
-
 // validateSubmission front-checks an injected submission against the
 // instance's world: shape, node feasibility, characterization, and ID
 // uniqueness (when an explicit ID is given).
 func (st *simState) validateSubmission(sub Submission) error {
 	if sub.Nodes <= 0 {
-		return fmt.Errorf("facility: submission requests %d nodes", sub.Nodes)
+		return fmt.Errorf("%w: requests %d nodes", ErrInvalidSubmission, sub.Nodes)
 	}
 	if sub.Nodes > len(st.cfg.Nodes) {
 		return fmt.Errorf("%w: submission needs %d nodes, the facility has %d",
 			rm.ErrInsufficientNodes, sub.Nodes, len(st.cfg.Nodes))
 	}
 	if sub.Iterations <= 0 {
-		return fmt.Errorf("facility: submission length %d must be positive", sub.Iterations)
+		return fmt.Errorf("%w: length %d must be positive", ErrInvalidSubmission, sub.Iterations)
 	}
 	if _, err := st.db.MustGet(sub.Workload); err != nil {
 		return err

@@ -69,34 +69,32 @@ func TestRunOverInstanceChunkedByteIdentical(t *testing.T) {
 			}
 		},
 	}
-	for _, eng := range []string{EngineEvent, EngineTick} {
-		for name, mutate := range variants {
-			t.Run(eng+"/"+name, func(t *testing.T) {
-				oneShot := goldenConfig(t)
-				oneShot.Engine = eng
-				mutate(&oneShot)
-				want, err := Run(context.Background(), oneShot)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chunkedCfg := goldenConfig(t) // fresh nodes: runs mutate them
-				chunkedCfg.Engine = eng
-				mutate(&chunkedCfg)
-				got := runChunked(t, chunkedCfg, chunks)
+	// Subtests keep the "event/" prefix they had when a second core ran
+	// beside the event core.
+	for name, mutate := range variants {
+		t.Run("event/"+name, func(t *testing.T) {
+			oneShot := goldenConfig(t)
+			mutate(&oneShot)
+			want, err := Run(context.Background(), oneShot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunkedCfg := goldenConfig(t) // fresh nodes: runs mutate them
+			mutate(&chunkedCfg)
+			got := runChunked(t, chunkedCfg, chunks)
 
-				wantJSON, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotJSON, err := json.Marshal(got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wantJSON, gotJSON) {
-					t.Errorf("chunked Instance diverged from Run:\n run: %s\n chunked: %s", wantJSON, gotJSON)
-				}
-			})
-		}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantJSON, gotJSON) {
+				t.Errorf("chunked Instance diverged from Run:\n run: %s\n chunked: %s", wantJSON, gotJSON)
+			}
+		})
 	}
 }
 
@@ -238,56 +236,54 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 }
 
 // TestInstanceLifecycleStates pins the state machine edges: not-started,
-// pause/resume, and the paused-step refusal, on both engines.
+// pause/resume, and the paused-step refusal.
 func TestInstanceLifecycleStates(t *testing.T) {
-	for _, eng := range []string{EngineEvent, EngineTick} {
-		t.Run(eng, func(t *testing.T) {
-			cfg, workloads := serviceConfig(t)
-			cfg.Engine = eng
-			in, err := NewInstance(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstanceNotStarted) {
-				t.Fatalf("Step before Start err = %v", err)
-			}
-			if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 10}); !errors.Is(err, ErrInstanceNotStarted) {
-				t.Fatalf("Inject before Start err = %v", err)
-			}
-			if err := in.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Start(); err == nil {
-				t.Fatal("second Start accepted")
-			}
-			if err := in.Pause(); err != nil {
-				t.Fatal(err)
-			}
-			if in.State() != InstancePaused {
-				t.Fatalf("state = %s, want paused", in.State())
-			}
-			if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstancePaused) {
-				t.Fatalf("Step while paused err = %v", err)
-			}
-			// Injections while paused are legal and take effect now.
-			if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 100}); err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Resume(); err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Step(ctx, time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			if in.Now() < time.Minute {
-				t.Fatalf("now = %v after stepping to 1m", in.Now())
-			}
-			if _, err := in.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	// The subtest keeps the name it had when a second core ran beside it.
+	t.Run("event", func(t *testing.T) {
+		cfg, workloads := serviceConfig(t)
+		in, err := NewInstance(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstanceNotStarted) {
+			t.Fatalf("Step before Start err = %v", err)
+		}
+		if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 10}); !errors.Is(err, ErrInstanceNotStarted) {
+			t.Fatalf("Inject before Start err = %v", err)
+		}
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Start(); err == nil {
+			t.Fatal("second Start accepted")
+		}
+		if err := in.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		if in.State() != InstancePaused {
+			t.Fatalf("state = %s, want paused", in.State())
+		}
+		if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstancePaused) {
+			t.Fatalf("Step while paused err = %v", err)
+		}
+		// Injections while paused are legal and take effect now.
+		if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Step(ctx, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if in.Now() < time.Minute {
+			t.Fatalf("now = %v after stepping to 1m", in.Now())
+		}
+		if _, err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestInstanceInjectValidation covers the synchronous admission checks.
@@ -319,5 +315,41 @@ func TestInstanceInjectValidation(t *testing.T) {
 	}
 	if id != "ext00001" {
 		t.Errorf("generated ID = %q, want ext00001", id)
+	}
+}
+
+// TestOversizedSubmissionDoesNotLivelock is the regression for a job so
+// long that its completion time overflows: Iterations × iteration time
+// wrapped negative, the engine clamped the completion to now, and the job
+// re-aimed at the same instant forever, so Step never returned. The due
+// time must saturate instead — the job simply never finishes within the
+// horizon — and virtual time must advance.
+func TestOversizedSubmissionDoesNotLivelock(t *testing.T) {
+	cfg, workloads := serviceConfig(t)
+	in, err := NewInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	id, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 2, Iterations: 1 << 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := in.Step(ctx, 2*time.Minute); err != nil {
+		t.Fatalf("Step with an oversized job running: %v (virtual time %v)", err, in.Now())
+	}
+	if in.Now() != 2*time.Minute {
+		t.Fatalf("virtual time = %v, want 2m", in.Now())
+	}
+	ji, ok := in.Job(id)
+	if !ok || ji.State != JobRunning || ji.Remaining >= 1<<50 {
+		t.Fatalf("oversized job = %+v, want running with progress", ji)
+	}
+	if _, err := in.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

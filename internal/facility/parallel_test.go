@@ -36,7 +36,7 @@ func TestParallelReplanByteIdentical(t *testing.T) {
 		cfg := baseConfig(cluster.ClonePool(src), db, workloads)
 		cfg.JobSizes = []int{2, 4, 8}
 		cfg.Parallelism = parallelism
-		res := runScaleCase(t, cfg, EngineEvent, ScaleOn, pipelineFaults())
+		res := runScaleCase(t, cfg, ScaleOn, pipelineFaults())
 		if res.Completed == 0 {
 			t.Fatalf("parallelism %d: no jobs completed", parallelism)
 		}
@@ -50,20 +50,20 @@ func TestParallelReplanByteIdentical(t *testing.T) {
 	}
 }
 
-// TestIncrementalTelemetryMatchesSweepFacility pins the incremental sampler
-// end to end: a scale-mode event run with dirty-set sampling produces a
-// byte-identical Result to the same run forced onto the full linear sweep,
-// under faults that exercise every volatile branch — crash/repair toggles,
-// a read-fault countdown (pinned leaf), and a dropout window opening
-// between samples.
+// TestIncrementalTelemetryMatchesSweepFacility pins the event core's dirty
+// marking end to end: a scale-mode run sampling only marked leaves
+// produces a byte-identical Result to the same run with every leaf marked
+// before each sample (a full pass), under faults that exercise every
+// volatile branch — crash/repair toggles, a read-fault countdown (pinned
+// leaf), and a dropout window opening between samples.
 func TestIncrementalTelemetryMatchesSweepFacility(t *testing.T) {
 	src, db, workloads := facilityEnv(t, 24)
-	run := func(disable bool) string {
-		testDisableIncremental = disable
-		defer func() { testDisableIncremental = false }()
+	run := func(markAll bool) string {
+		testMarkAllDirty = markAll
+		defer func() { testMarkAllDirty = false }()
 		cfg := baseConfig(cluster.ClonePool(src), db, workloads)
 		cfg.JobSizes = []int{2, 4, 8}
-		res := runScaleCase(t, cfg, EngineEvent, ScaleOn, pipelineFaults())
+		res := runScaleCase(t, cfg, ScaleOn, pipelineFaults())
 		if res.Completed == 0 {
 			t.Fatal("no jobs completed")
 		}
@@ -72,7 +72,7 @@ func TestIncrementalTelemetryMatchesSweepFacility(t *testing.T) {
 	sweep := run(true)
 	inc := run(false)
 	if sweep != inc {
-		t.Errorf("incremental sample diverged from full sweep\nsweep: %s\ninc:   %s", sweep, inc)
+		t.Errorf("dirty-set sample diverged from full passes\nfull:  %s\ndirty: %s", sweep, inc)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestScaleCompatDivergenceBounded(t *testing.T) {
 		c.Duration = 45 * time.Minute
 		return c
 	}
-	compat := runScaleCase(t, cfg(), EngineEvent, ScaleCompat, nil)
-	scale := runScaleCase(t, cfg(), EngineEvent, ScaleOn, nil)
+	compat := runScaleCase(t, cfg(), ScaleCompat, nil)
+	scale := runScaleCase(t, cfg(), ScaleOn, nil)
 	if compat.Completed == 0 || scale.Completed == 0 {
 		t.Fatalf("degenerate run: compat %d completed, scale %d completed", compat.Completed, scale.Completed)
 	}

@@ -228,9 +228,9 @@ type Transition struct {
 const NodeRepair Kind = "node_repair"
 
 // ApplyAt computes the time-scheduled transitions firing in (prev, now]:
-// crashes, scheduled repairs, and slow-node windows opening or closing. The
-// facility tick loop calls it once per tick with its simulated clock.
-// Telemetry dropouts need no transition — DropoutActive answers them
+// crashes, scheduled repairs, and slow-node windows opening or closing —
+// the window query over the transitions Timeline lists. Telemetry
+// dropouts need no transition — DropoutActive answers them
 // statelessly.
 func (p *Plan) ApplyAt(prev, now time.Duration) []Transition {
 	if p.Empty() {

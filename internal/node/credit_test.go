@@ -73,7 +73,7 @@ func TestCreditIterationsTelescopes(t *testing.T) {
 
 // TestCreditIterationsFromZero pins that a credit starting at zero advances
 // each counter by the encoded total of count repetitions, in one rounding
-// per counter — the arithmetic RunSpan and the tick core rely on.
+// per counter — the arithmetic of a job's first credit after a probe.
 func TestCreditIterationsFromZero(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 13))
 	for trial := 0; trial < 100; trial++ {

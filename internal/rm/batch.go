@@ -91,16 +91,12 @@ func (b *CapBatch) setLimit(n *node.Node, watts units.Power) error {
 	if retries < 0 {
 		retries = 0
 	}
-	enc := &b.enc
-	if m.CompatCapPath {
-		enc = nil
-	}
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			m.Obs.CapRetry(n.ID, watts.Watts(), attempt)
 		}
-		if _, err = n.SetPowerLimitCached(watts, enc); err == nil {
+		if _, err = n.SetPowerLimitCached(watts, &b.enc); err == nil {
 			m.Obs.CapWriteRetries(n.ID, attempt)
 			if m.Incremental {
 				b.writes = append(b.writes, capWrite{n.ID, watts})

@@ -125,13 +125,6 @@ type Manager struct {
 	// credited to it and not to the spare.
 	BeforeSwap func(sj *ScheduledJob)
 
-	// CompatCapPath disables the shared PL1 field-encoding cache, forcing
-	// every cap write to re-derive its fields the way the pre-batching
-	// manager did. The cache is an exact memoization — programmed bits and
-	// register traffic are identical either way — so this exists purely as
-	// the baseline lane for cmd/scalebench, not as a correctness knob.
-	CompatCapPath bool
-
 	// enc memoizes PL1 field encodings across all cap writes this manager
 	// issues (a replan programs the same few distinct wattages across
 	// thousands of sockets). The manager is single-goroutine on the
@@ -262,16 +255,12 @@ func (m *Manager) setLimit(n *node.Node, watts units.Power) error {
 	if retries < 0 {
 		retries = 0
 	}
-	enc := &m.enc
-	if m.CompatCapPath {
-		enc = nil
-	}
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			m.Obs.CapRetry(n.ID, watts.Watts(), attempt)
 		}
-		if _, err = n.SetPowerLimitCached(watts, enc); err == nil {
+		if _, err = n.SetPowerLimitCached(watts, &m.enc); err == nil {
 			m.Obs.CapWriteRetries(n.ID, attempt)
 			if m.Incremental {
 				if m.lastCap == nil {

@@ -1,0 +1,142 @@
+package service
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	apiv1 "powerstack/api/v1"
+	"powerstack/internal/charz"
+	"powerstack/internal/cluster"
+	"powerstack/internal/cpumodel"
+	"powerstack/internal/facility"
+	"powerstack/internal/kernel"
+	"powerstack/internal/node"
+	"powerstack/internal/policy"
+	"powerstack/internal/units"
+)
+
+// fuzzRoutes are the mutating endpoints FuzzServiceRequests drives.
+var fuzzRoutes = []string{"/v1/submit", "/v1/budget", "/v1/tenants", "/v1/policy"}
+
+// fuzzCodeStatus is the error contract a fuzzed request may hit: every
+// stable apiv1 code a malformed or refused request can earn, with its HTTP
+// status. CodeInternal is deliberately absent — no client body may surface
+// as an internal error.
+var fuzzCodeStatus = map[string]int{
+	apiv1.CodeBadRequest:          http.StatusBadRequest,
+	apiv1.CodeNotFound:            http.StatusNotFound,
+	apiv1.CodeTenantQuotaExceeded: http.StatusUnprocessableEntity,
+	apiv1.CodeBudgetInfeasible:    http.StatusUnprocessableEntity,
+	apiv1.CodeNotCharacterized:    http.StatusUnprocessableEntity,
+	apiv1.CodeInsufficientNodes:   http.StatusUnprocessableEntity,
+	apiv1.CodeDuplicateJob:        http.StatusConflict,
+}
+
+// fuzzWorld characterizes one workload once and returns the facility
+// template plus the source pool each fuzz input clones its 8 nodes from.
+func fuzzWorld(f *testing.F) (facility.Config, []*node.Node) {
+	f.Helper()
+	c, err := cluster.New(12, cpumodel.Quartz(), cpumodel.QuartzVariation(), 41)
+	if err != nil {
+		f.Fatal(err)
+	}
+	workloads := []kernel.Config{{Intensity: 8, Vector: kernel.YMM, Imbalance: 1}}
+	db, err := charz.CharacterizeAll(context.Background(), workloads, c.Nodes()[8:], charz.Options{
+		MonitorIters: 5, BalancerIters: 30, Seed: 3, NoiseSigma: 0,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return facility.Config{
+		DB:              db,
+		Policy:          policy.MixedAdaptive{},
+		SystemBudget:    8 * 200 * units.Watt,
+		CheckpointEvery: 50,
+		DisableArrivals: true,
+		Duration:        1000 * time.Hour,
+		Tick:            30 * time.Second,
+		Seed:            5,
+	}, c.Nodes()[:8]
+}
+
+// FuzzServiceRequests drives random request sequences through the /v1
+// mutating endpoints of a hosted 8-node instance. Each newline-separated
+// line of bodies is one POST, routed by the matching byte of routes. After
+// every request: the handler did not panic, the status is 200 or a mapped
+// refusal, a refusal body carries its stable apiv1 code, and stepping the
+// instance one quantum under a 2 s deadline returns and advances virtual
+// time — no accepted input may wedge the instance.
+func FuzzServiceRequests(f *testing.F) {
+	base, src := fuzzWorld(f)
+	// Seeds: the oversized submission that once livelocked the instance,
+	// valid requests on every route, and malformed ones.
+	f.Add([]byte{0}, `{"workload":{"intensity":8,"vector":"ymm","imbalance":1},"nodes":2,"iterations":1125899906842624}`)
+	f.Add([]byte{0, 0}, `{"workload":{"intensity":8,"vector":"ymm"},"nodes":2,"iterations":5000}`+"\n"+
+		`{"workload":{"intensity":8,"vector":"ymm"},"nodes":4,"iterations":200,"at_ns":60000000000}`)
+	f.Add([]byte{0, 1, 0}, `{"workload":{"intensity":8,"vector":"ymm"},"nodes":8,"iterations":9000,"job_id":"j"}`+"\n"+
+		`{"budget_watts":1}`+"\n"+`{"workload":{"intensity":8,"vector":"ymm"},"nodes":2,"iterations":10,"job_id":"j"}`)
+	f.Add([]byte{2, 0}, `{"tenant":"acme","quota_watts":100}`+"\n"+
+		`{"tenant":"acme","workload":{"intensity":8,"vector":"ymm"},"nodes":2,"iterations":10}`)
+	f.Add([]byte{3}, `{"policy":"mixed-adaptive"}`)
+	f.Add([]byte{0, 0, 0}, `{"workload":{"intensity":8,"vector":"avx512"},"nodes":2,"iterations":1}`+"\n"+
+		`{"workload":{"intensity":8,"vector":"ymm"},"nodes":0,"iterations":-1}`+"\n"+`{"instance":"nope"}`)
+	f.Add([]byte{1, 2, 3}, `{"budget_watts":-5,"at_ns":-1}`+"\n"+`{"quota_watts":-1}`+"\n"+`not json`)
+
+	f.Fuzz(func(t *testing.T, routes []byte, bodies string) {
+		if len(routes) == 0 {
+			routes = []byte{0}
+		}
+		lines := strings.Split(bodies, "\n")
+		if len(lines) > 8 {
+			lines = lines[:8]
+		}
+		cfg := base
+		cfg.Nodes = cluster.ClonePool(src)
+		h := NewHost(nil)
+		// A pacer beat once per virtual quantum at 1e-6 speedup is one beat
+		// per year of wall time: the test steps the instance itself.
+		if err := h.Add(InstanceConfig{Name: "main", Facility: cfg, Speedup: 1e-6}); err != nil {
+			t.Fatal(err)
+		}
+		defer h.Shutdown(context.Background()) //nolint:errcheck
+		hi, err := h.hosted("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		handler := h.Handler()
+		for i, body := range lines {
+			route := fuzzRoutes[int(routes[i%len(routes)])%len(fuzzRoutes)]
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				var apiErr apiv1.Error
+				if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil {
+					t.Fatalf("POST %s %q: status %d with undecodable body %q", route, body, rec.Code, rec.Body.String())
+				}
+				if want, ok := fuzzCodeStatus[apiErr.Code]; !ok || want != rec.Code {
+					t.Fatalf("POST %s %q: status %d code %q (%s), outside the error contract",
+						route, body, rec.Code, apiErr.Code, apiErr.Message)
+				}
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			hi.mu.Lock()
+			before := hi.in.Now()
+			err := hi.in.Step(ctx, before+hi.quantum)
+			after := hi.in.Now()
+			hi.mu.Unlock()
+			cancel()
+			if err != nil {
+				t.Fatalf("after POST %s %q: stepping one quantum: %v", route, body, err)
+			}
+			if after <= before {
+				t.Fatalf("after POST %s %q: virtual time stuck at %v", route, body, after)
+			}
+		}
+	})
+}

@@ -46,7 +46,8 @@ type InstanceConfig struct {
 	// virtual minute per wall second). Zero selects DefaultSpeedup.
 	Speedup float64
 	// Quantum is the virtual span advanced per pacer beat. Zero selects
-	// the facility tick, falling back to one virtual second.
+	// the facility Tick (its telemetry cadence), falling back to one
+	// virtual second.
 	Quantum time.Duration
 }
 

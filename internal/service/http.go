@@ -93,7 +93,7 @@ func errorStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, errNotFound):
 		return http.StatusNotFound, apiv1.CodeNotFound
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, facility.ErrInvalidSubmission):
 		return http.StatusBadRequest, apiv1.CodeBadRequest
 	case errors.Is(err, rm.ErrTenantQuotaExceeded):
 		return http.StatusUnprocessableEntity, apiv1.CodeTenantQuotaExceeded

@@ -464,6 +464,7 @@ func TestErrorStatusMapping(t *testing.T) {
 	}{
 		{fmt.Errorf("wrap: %w", errNotFound), 404, apiv1.CodeNotFound},
 		{fmt.Errorf("wrap: %w", errBadRequest), 400, apiv1.CodeBadRequest},
+		{fmt.Errorf("wrap: %w", facility.ErrInvalidSubmission), 400, apiv1.CodeBadRequest},
 		{rm.ErrTenantQuotaExceeded, 422, apiv1.CodeTenantQuotaExceeded},
 		{rm.ErrBudgetInfeasible, 422, apiv1.CodeBudgetInfeasible},
 		{rm.ErrInsufficientNodes, 422, apiv1.CodeInsufficientNodes},

@@ -1,14 +1,15 @@
 package telemetry
 
-// Incremental dirty-set sampling: the scale-mode answer to "every sample
-// walks 100k leaves". Node power only moves when something happens to the
-// node — a cap write, a crash or repair, job iterations crediting energy, a
-// dropout window opening — and the facility knows exactly when each of
-// those happens. So the hierarchy keeps a dirty set of leaves, the facility
-// marks leaves as events touch them, and a sample visits only the dirty
-// leaves plus the interior chains above them, re-summing each touched
-// interior over all of its children in child order. Everything else keeps
-// its previous value.
+// Dirty-set sampling: the hierarchy's one sample loop. Node power only
+// moves when something happens to the node — a cap write, a crash or
+// repair, job iterations crediting energy, a dropout window opening — and
+// a caller that knows exactly when each of those happens (the facility)
+// can mark leaves as events touch them. A sample then visits only the
+// dirty leaves plus the interior chains above them, re-summing each
+// touched interior over all of its children in child order. Everything
+// else keeps its previous value. A caller that tracks nothing uses Sample,
+// which marks every leaf first: the full pass is the all-dirty case of the
+// same loop.
 //
 // The invariant that makes skipping exact rather than approximate: a leaf
 // leaves the dirty set only when its sample took the normal branch and read
@@ -16,21 +17,21 @@ package telemetry
 // state credits), changes what its sample would report (crash, repair,
 // dropout-window start), or consumes a metered read (pinned MSR-read-fault
 // leaves never leave the set) marks it dirty first. A clean leaf therefore
-// has provably constant energy, and the power the full sweep would have
+// has provably constant energy, and the power a full pass would have
 // computed for it is exactly zero — the value it already holds. When a
 // clean leaf is re-dirtied after skipped samples, its stored lastTime is
 // stale; the sample integrates from the previous sample instant instead,
-// which reproduces the full sweep's ΔE/Δt bit for bit because ΔE over the
+// which reproduces the full pass's ΔE/Δt bit for bit because ΔE over the
 // skipped window is zero. Interior re-sums iterate all children in child
-// order — the same float additions in the same order as the sweep — so
-// every value the incremental path produces is bit-identical to the full
-// sweep's (pinned by TestIncrementalMatchesFullSweep).
+// order — the same float additions in the same order as a recursive walk —
+// so every value a dirty-set pass produces is bit-identical to a full
+// pass's (pinned by TestIncrementalMatchesFullSweep against a recursive
+// oracle).
 //
 // What differs is append cadence, not values: a clean leaf (and an interior
 // with no dirty descendants) does not append a sample to its Series on
 // skipped samples, so its ring holds fewer (identical-valued) entries. The
-// root appends every sample, keeping Result.Trace and everything derived
-// from it unchanged.
+// root appends every sample, keeping the facility trace unchanged.
 
 import (
 	"slices"
@@ -39,12 +40,12 @@ import (
 	"powerstack/internal/units"
 )
 
-// incState is the root-level dirty-set machinery behind incremental
-// sampling. All slices are indexed by sweep position and reused across
-// samples: a steady-state sample allocates nothing.
+// incState is the dirty-set machinery behind SampleDirty. All slices are
+// indexed by sweep position and reused across samples: a steady-state
+// sample allocates nothing.
 type incState struct {
 	// lastPower holds every sweep entry's most recently computed power —
-	// for skipped entries, the value the full sweep would recompute.
+	// for skipped entries, the value a full pass would recompute.
 	lastPower []units.Power
 	// visit records the sample sequence number of each leaf's last visit;
 	// a gap (visit+1 < seq) means the leaf was skipped while clean and its
@@ -52,7 +53,7 @@ type incState struct {
 	visit []uint64
 	// children lists each interior entry's child sweep indexes in child
 	// order — the re-sum order that keeps float addition bit-identical to
-	// the full sweep.
+	// a recursive walk.
 	children [][]int
 	// leafIdx maps leaf ordinals (hierarchy order, the facility's node
 	// index) to sweep positions.
@@ -75,22 +76,11 @@ type incState struct {
 	haveTime bool
 }
 
-// SetIncremental switches a BuildHierarchy root between incremental
-// dirty-set sampling and the configured full walk. Enabling seeds the dirty
-// set with every leaf, so the first incremental sample is a full sweep that
-// primes the energy trackers and the lastPower table. Disabling is always
-// safe: clean leaves hold zero power and constant energy, so a subsequent
-// full sweep integrates their (longer) window to the same zero. No-op on
-// domains without a sweep index (enable requires one).
-func (d *Domain) SetIncremental(enable bool) {
-	if !enable {
-		d.inc = nil
-		return
-	}
-	if len(d.sweep) == 0 {
-		return
-	}
-	n := len(d.sweep)
+// newIncState builds the dirty set over a post-order sweep with every leaf
+// dirty, so the first sample reads everything: it primes the energy
+// trackers and the lastPower table.
+func newIncState(sweep []sweepEntry) *incState {
+	n := len(sweep)
 	ic := &incState{
 		lastPower: make([]units.Power, n),
 		visit:     make([]uint64, n),
@@ -99,7 +89,7 @@ func (d *Domain) SetIncremental(enable bool) {
 		pinned:    make([]bool, n),
 		inParents: make([]bool, n),
 	}
-	for i, e := range d.sweep {
+	for i, e := range sweep {
 		if e.parent >= 0 {
 			ic.children[e.parent] = append(ic.children[e.parent], i)
 		}
@@ -109,24 +99,39 @@ func (d *Domain) SetIncremental(enable bool) {
 	}
 	ic.dirtyLeaves = make([]int, 0, len(ic.leafIdx))
 	ic.parents = make([]int, 0, n-len(ic.leafIdx))
+	ic.markAll()
+	return ic
+}
+
+// markAll queues every leaf, in ascending sweep order.
+func (ic *incState) markAll() {
+	ic.dirtyLeaves = ic.dirtyLeaves[:0]
 	for _, li := range ic.leafIdx {
 		ic.inDirty[li] = true
 		ic.dirtyLeaves = append(ic.dirtyLeaves, li)
 	}
-	d.inc = ic
 }
 
-// Incremental reports whether incremental sampling is active.
-func (d *Domain) Incremental() bool { return d.inc != nil }
+// dirtySet returns the domain's dirty set, building the sweep on first use
+// (BuildHierarchy roots already have one).
+func (d *Domain) dirtySet() *incState {
+	if d.inc == nil {
+		d.buildSweep()
+	}
+	return d.inc
+}
+
+// MarkAllDirty queues every leaf for the next SampleDirty.
+func (d *Domain) MarkAllDirty() { d.dirtySet().markAll() }
 
 // MarkLeafDirty queues the leaf with the given hierarchy ordinal (its
 // position in the node list BuildHierarchy was built over) for the next
-// sample. Marking is idempotent and conservative: a spurious mark costs one
-// leaf visit and changes no sampled value. No-op outside incremental mode
-// or for out-of-range ordinals.
+// SampleDirty. Marking is idempotent and conservative: a spurious mark
+// costs one leaf visit and changes no sampled value. No-op for
+// out-of-range ordinals.
 func (d *Domain) MarkLeafDirty(ordinal int) {
-	ic := d.inc
-	if ic == nil || ordinal < 0 || ordinal >= len(ic.leafIdx) {
+	ic := d.dirtySet()
+	if ordinal < 0 || ordinal >= len(ic.leafIdx) {
 		return
 	}
 	li := ic.leafIdx[ordinal]
@@ -141,23 +146,25 @@ func (d *Domain) MarkLeafDirty(ordinal int) {
 // sample and never returns to the clean set. The facility pins leaves whose
 // nodes carry armed MSR read-fault countdowns — each energy read consumes
 // countdown budget, so the read count itself is observable and must match
-// the full sweep's one-read-per-sample exactly.
+// a full pass's one-read-per-sample exactly.
 func (d *Domain) PinLeafDirty(ordinal int) {
-	ic := d.inc
-	if ic == nil || ordinal < 0 || ordinal >= len(ic.leafIdx) {
+	ic := d.dirtySet()
+	if ordinal < 0 || ordinal >= len(ic.leafIdx) {
 		return
 	}
 	ic.pinned[ic.leafIdx[ordinal]] = true
 	d.MarkLeafDirty(ordinal)
 }
 
-// sampleIncremental is Sample over the dirty set: visit dirty leaves in
-// ascending sweep order (deterministic no matter what order marks arrived),
-// then re-sum every interior above a visited leaf bottom-up. Post-order
-// sweep positions ascend from children to parents, so ascending order
-// processes each dirty interior after all of its dirty descendants.
-func (d *Domain) sampleIncremental(ts time.Time) (units.Power, error) {
-	ic := d.inc
+// SampleDirty is Sample over the dirty set, for callers that mark every
+// leaf whose reading can have changed (MarkLeafDirty, PinLeafDirty): visit
+// dirty leaves in ascending sweep order (deterministic no matter what
+// order marks arrived), then re-sum every interior above a visited leaf
+// bottom-up. Post-order sweep positions ascend from children to parents,
+// so ascending order processes each dirty interior after all of its dirty
+// descendants.
+func (d *Domain) SampleDirty(ts time.Time) (units.Power, error) {
+	ic := d.dirtySet()
 	ic.seq++
 	root := len(d.sweep) - 1
 	slices.Sort(ic.dirtyLeaves)
@@ -165,17 +172,18 @@ func (d *Domain) sampleIncremental(ts time.Time) (units.Power, error) {
 	for _, li := range ic.dirtyLeaves {
 		e := d.sweep[li]
 		if ic.haveTime && ic.visit[li]+1 != ic.seq && e.d.primed {
-			// Skipped while clean: energy was constant over the gap, so the
-			// full sweep's last read — zero power at the previous sample
+			// Skipped while clean: energy was constant over the gap, so a
+			// full pass's last read — zero power at the previous sample
 			// instant, same energy — is reproduced by moving lastTime there.
 			// Persisting it (rather than passing a one-shot override) keeps
 			// the window right even when this visit takes a hold or dead
 			// branch, which records no read: the next normal read then
-			// integrates from the previous sample instant, exactly as the
-			// sweep — which had read every sample up to the window — would.
+			// integrates from the previous sample instant, exactly as a
+			// full pass — which had read every sample up to the window —
+			// would.
 			e.d.lastTime = ic.prevTime
 		}
-		p, volatile := e.d.leafSampleFrom(ts, e.d.lastTime)
+		p, volatile := e.d.leafSample(ts)
 		ic.visit[li] = ic.seq
 		ic.lastPower[li] = p
 		if volatile || p != 0 || ic.pinned[li] {
@@ -192,8 +200,9 @@ func (d *Domain) sampleIncremental(ts time.Time) (units.Power, error) {
 		}
 	}
 	ic.dirtyLeaves = keep
-	if !ic.inParents[root] {
-		// The root appends every sample — it is the facility trace.
+	if d.Node == nil && !ic.inParents[root] {
+		// An interior root appends every sample — it is the facility
+		// trace.
 		ic.inParents[root] = true
 		ic.parents = append(ic.parents, root)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // incrementalTwin builds two identical hierarchies over cloned pools: A
-// runs the full linear sweep, B runs incremental dirty-set sampling. The
+// samples through the recursive oracle, B through the dirty-set pass. The
 // deep pduSize-1 shape forces the room tier so interior re-sums cross
 // three levels.
 func incrementalTwin(t *testing.T, n int) (nodesA, nodesB []*node.Node, rootA, rootB *Domain) {
@@ -29,27 +29,22 @@ func incrementalTwin(t *testing.T, n int) (nodesA, nodesB []*node.Node, rootA, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootA.SetLinearSweep(true)
-	rootB.SetIncremental(true)
 	return nodesA, nodesB, rootA, rootB
 }
 
-// sampleBoth samples both hierarchies at ts and asserts the incremental
-// side agrees with the full sweep everywhere: root power, and every sweep
+// sampleBoth samples both hierarchies at ts and asserts the dirty-set side
+// agrees with the recursive oracle everywhere: root power, and every sweep
 // entry's current value (lastPower for skipped entries must equal what the
-// full sweep just recomputed).
+// oracle just recomputed).
 func sampleBoth(t *testing.T, rootA, rootB *Domain, ts time.Time, tag string) {
 	t.Helper()
-	pa, err := rootA.Sample(ts)
-	if err != nil {
-		t.Fatalf("%s: full sweep: %v", tag, err)
-	}
-	pb, err := rootB.Sample(ts)
+	pa := recursiveSample(rootA, ts)
+	pb, err := rootB.SampleDirty(ts)
 	if err != nil {
 		t.Fatalf("%s: incremental: %v", tag, err)
 	}
 	if pa != pb {
-		t.Fatalf("%s: root power diverged: sweep %v != incremental %v", tag, pa, pb)
+		t.Fatalf("%s: root power diverged: oracle %v != dirty-set %v", tag, pa, pb)
 	}
 	ic := rootB.inc
 	for i := range rootB.sweep {
@@ -58,7 +53,7 @@ func sampleBoth(t *testing.T, rootA, rootB *Domain, ts time.Time, tag string) {
 			t.Fatalf("%s: full-sweep domain %s has no samples", tag, rootA.sweep[i].d.Name)
 		}
 		if ic.lastPower[i] != last.Power {
-			t.Fatalf("%s: %s: incremental value %v != sweep %v",
+			t.Fatalf("%s: %s: dirty-set value %v != oracle %v",
 				tag, rootB.sweep[i].d.Name, ic.lastPower[i], last.Power)
 		}
 	}
@@ -79,7 +74,7 @@ func holdEvents(s *obs.Sink) []obs.Event {
 // fault repertoire — jobs crediting energy, a crash and repair, a telemetry
 // dropout window over a powered node, and an armed MSR read-fault countdown
 // on a pinned leaf — asserting after every sample that incremental
-// dirty-set sampling is bit-identical to the full sweep, including the
+// dirty-set sampling is bit-identical to the recursive oracle, including the
 // TelemetryHold journal cadence and the sample at which the read-fault
 // countdown fires.
 func TestIncrementalMatchesFullSweep(t *testing.T) {
@@ -173,7 +168,7 @@ func TestIncrementalMatchesFullSweep(t *testing.T) {
 		t.Fatal("scenario produced no TelemetryHold events")
 	}
 	if len(ha) != len(hb) {
-		t.Fatalf("hold journal cadence diverged: sweep %d events, incremental %d", len(ha), len(hb))
+		t.Fatalf("hold journal cadence diverged: oracle %d events, dirty-set %d", len(ha), len(hb))
 	}
 	for i := range ha {
 		if ha[i] != hb[i] {
@@ -182,11 +177,11 @@ func TestIncrementalMatchesFullSweep(t *testing.T) {
 	}
 }
 
-// TestIncrementalDisableExact pins the disable path: after running
-// incrementally (leaving stale lastTime on clean leaves), switching back to
-// the full sweep produces values identical to a hierarchy that swept all
-// along — a clean leaf's energy did not move, so the longer window still
-// integrates to zero.
+// TestIncrementalDisableExact pins switching from incremental to full
+// sampling: after dirty-set passes (leaving stale lastTime on clean
+// leaves), full passes produce values identical to a hierarchy walked in
+// full all along — a clean leaf's energy did not move, so the longer
+// window still integrates to zero.
 func TestIncrementalDisableExact(t *testing.T) {
 	nodesA, nodesB, rootA, rootB := incrementalTwin(t, 64)
 	at := func(k int) time.Time { return time.Unix(1000, 0).Add(time.Duration(k) * 30 * time.Second) }
@@ -200,38 +195,31 @@ func TestIncrementalDisableExact(t *testing.T) {
 	sampleBoth(t, rootA, rootB, at(1), "active")
 	sampleBoth(t, rootA, rootB, at(2), "idle")
 
-	rootB.SetIncremental(false)
-	rootB.SetLinearSweep(true)
 	for k := 3; k <= 6; k++ {
 		if k == 4 {
 			runIterations(t, nodesA[8:12], 2)
 			runIterations(t, nodesB[8:12], 2)
 		}
-		pa, err := rootA.Sample(at(k))
-		if err != nil {
-			t.Fatal(err)
-		}
+		pa := recursiveSample(rootA, at(k))
 		pb, err := rootB.Sample(at(k))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pa != pb {
-			t.Fatalf("sample %d after disable: %v != %v", k, pa, pb)
+			t.Fatalf("full pass %d after dirty passes: %v != %v", k, pa, pb)
 		}
 	}
 }
 
-// TestMarkLeafDirtyBounds pins the nil-safety and range clamping of the
-// marking API: marks outside incremental mode or out of range are no-ops.
+// TestMarkLeafDirtyBounds pins the range clamping of the marking API:
+// out-of-range marks are no-ops, and a domain built outside
+// BuildHierarchy gets its dirty set on first use.
 func TestMarkLeafDirtyBounds(t *testing.T) {
 	nodes := testNodes(t, 8)
 	root, err := BuildHierarchy(nodes, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.MarkLeafDirty(0) // not incremental: no-op
-	root.PinLeafDirty(0)
-	root.SetIncremental(true)
 	root.MarkLeafDirty(-1)
 	root.MarkLeafDirty(len(nodes))
 	root.PinLeafDirty(len(nodes))
@@ -242,22 +230,42 @@ func TestMarkLeafDirtyBounds(t *testing.T) {
 	if got := len(root.inc.dirtyLeaves); got != len(nodes) {
 		t.Fatalf("duplicate mark queued: %d", got)
 	}
-	if _, err := root.Sample(time.Unix(1000, 0)); err != nil {
+	if _, err := root.SampleDirty(time.Unix(1000, 0)); err != nil {
 		t.Fatal(err)
+	}
+	pdu, err := NewAggregateDomain("pdu", 8, root.Children[0].Children...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdu.PinLeafDirty(1)
+	if got := len(pdu.inc.dirtyLeaves); got != 4 {
+		t.Fatalf("lazily built dirty set = %d leaves, want 4", got)
+	}
+	// A bare leaf samples as its own root, appending once per sample.
+	solo, err := NewNodeDomain(nodes[0], 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		if _, err := solo.Sample(time.Unix(int64(1000+30*k), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := solo.Series().Len(); got != 3 {
+		t.Fatalf("bare leaf holds %d samples after 3 passes, want 3", got)
 	}
 }
 
-// BenchmarkIncrementalSample is the zero-alloc gate on the incremental
+// BenchmarkIncrementalSample is the zero-alloc gate on the dirty-set
 // sample hot path: a steady-state sample over a 20k-leaf hierarchy with a
 // churning 64-leaf dirty set must not allocate.
 func BenchmarkIncrementalSample(b *testing.B) {
 	root := benchRoot(b, 20_000)
-	root.SetIncremental(true)
 	n := len(root.inc.leafIdx)
 	ts := time.Unix(1000, 0)
 	for k := 0; k < 2; k++ { // prime: first sample visits every leaf
 		ts = ts.Add(30 * time.Second)
-		if _, err := root.Sample(ts); err != nil {
+		if _, err := root.SampleDirty(ts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +277,7 @@ func BenchmarkIncrementalSample(b *testing.B) {
 			root.MarkLeafDirty((i*37 + j*997) % n)
 		}
 		ts = ts.Add(30 * time.Second)
-		p, err := root.Sample(ts)
+		p, err := root.SampleDirty(ts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,9 +8,27 @@ import (
 	"powerstack/internal/cluster"
 	"powerstack/internal/cpumodel"
 	"powerstack/internal/node"
+	"powerstack/internal/units"
 )
 
-// TestLinearSweepBitIdentical pins the flat post-order sample sweep
+// recursiveSample is the recursive hierarchy walk, kept only as the oracle
+// the one production sample loop is pinned against: leaves read their
+// nodes, interiors sum their children in child order and append.
+func recursiveSample(d *Domain, ts time.Time) units.Power {
+	if d.Node != nil {
+		p, _ := d.leafSample(ts)
+		return p
+	}
+	var total units.Power
+	for _, c := range d.Children {
+		total += recursiveSample(c, ts)
+	}
+	d.series.Append(Sample{Time: ts, Power: total})
+	return total
+}
+
+// TestLinearSweepBitIdentical pins the full sample pass — the dirty-set
+// loop over the flat post-order sweep with every leaf marked —
 // bit-identical to the recursive walk, on a tree deep enough to include the
 // room tier (pduSize 1 over 200 nodes forces >RoomThreshold PDUs), with
 // live power flowing through the leaves.
@@ -29,20 +47,15 @@ func TestLinearSweepBitIdentical(t *testing.T) {
 	if rootA.Find("room00") == nil {
 		t.Fatal("expected a room tier at 200 single-node PDUs")
 	}
-	rootB.SetLinearSweep(true)
-
 	ts := time.Unix(1000, 0)
 	for round := 0; round < 4; round++ {
-		pa, err := rootA.Sample(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pa := recursiveSample(rootA, ts)
 		pb, err := rootB.Sample(ts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pa != pb {
-			t.Fatalf("round %d: recursive %v != sweep %v", round, pa, pb)
+			t.Fatalf("round %d: recursive %v != full pass %v", round, pa, pb)
 		}
 		elA := runIterations(t, nodesA, 2)
 		elB := runIterations(t, nodesB, 2)
@@ -156,11 +169,10 @@ func BenchmarkFind100kLeaves(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleSweep100kLeaves measures the flat sample sweep over the
-// same tree.
+// BenchmarkSampleSweep100kLeaves measures the full sample pass (every leaf
+// marked) over the same tree.
 func BenchmarkSampleSweep100kLeaves(b *testing.B) {
 	root := benchRoot(b, 100_000)
-	root.SetLinearSweep(true)
 	ts := time.Unix(1000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -124,16 +124,11 @@ type Domain struct {
 	byName map[string]*Domain
 	// sweep is the post-order traversal of the subtree (children before
 	// parents, in child order), with each entry recording its parent's
-	// sweep position; sums is the per-entry accumulation scratch. Together
-	// they let Sample run as one flat loop instead of a recursive walk.
-	// The summation and Series-append order of the sweep are exactly the
-	// recursion's, so both paths produce bit-identical floats.
-	sweep    []sweepEntry
-	sums     []units.Power
-	useSweep bool
-	// inc holds the incremental dirty-set sampling state (incremental.go);
-	// nil outside incremental mode.
-	inc *incState
+	// sweep position; inc is the dirty-set state indexed by it
+	// (incremental.go). BuildHierarchy builds both on the root; any other
+	// domain builds them on its first Sample.
+	sweep []sweepEntry
+	inc   *incState
 }
 
 // sweepEntry is one domain in a root's post-order sample sweep.
@@ -181,7 +176,7 @@ const PDUsPerRoom = 64
 // single facility root — the Dynamo-style capping tree of Section VII-C.
 // Above RoomThreshold PDUs a room tier is inserted so no domain's fan-out
 // grows linearly with the machine. The returned root carries a name index
-// (Find is O(1) on it) and a flat sample sweep.
+// (Find is O(1) on it) and a flat sample sweep with its dirty set.
 func BuildHierarchy(nodes []*node.Node, pduSize, historyLen int) (*Domain, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("telemetry: no nodes")
@@ -230,16 +225,29 @@ func BuildHierarchy(nodes []*node.Node, pduSize, historyLen int) (*Domain, error
 		return nil, err
 	}
 	root.buildIndex()
+	root.buildSweep()
 	return root, nil
 }
 
-// buildIndex populates the root's name index and post-order sample sweep.
+// buildIndex populates the root's name index.
 func (d *Domain) buildIndex() {
 	d.byName = make(map[string]*Domain)
+	var walk func(c *Domain)
+	walk = func(c *Domain) {
+		d.byName[c.Name] = c
+		for _, ch := range c.Children {
+			walk(ch)
+		}
+	}
+	walk(d)
+}
+
+// buildSweep flattens the subtree into its post-order sample sweep and
+// allocates the dirty set over it, every leaf dirty.
+func (d *Domain) buildSweep() {
 	d.sweep = d.sweep[:0]
 	var walk func(c *Domain) int
 	walk = func(c *Domain) int {
-		d.byName[c.Name] = c
 		kids := make([]int, len(c.Children))
 		for i, ch := range c.Children {
 			kids[i] = walk(ch)
@@ -252,15 +260,7 @@ func (d *Domain) buildIndex() {
 		return idx
 	}
 	walk(d)
-	d.sums = make([]units.Power, len(d.sweep))
-}
-
-// SetLinearSweep selects between the flat post-order sample sweep and the
-// original recursive walk on a root built by BuildHierarchy. The two are
-// bit-identical in output (pinned by tests); the sweep just avoids call
-// overhead on 100k-domain trees. No-op on domains without an index.
-func (d *Domain) SetLinearSweep(enable bool) {
-	d.useSweep = enable && len(d.sweep) > 0
+	d.inc = newIncState(d.sweep)
 }
 
 // SetFaultPlan arms injected telemetry dropouts on every leaf under d:
@@ -277,7 +277,10 @@ func (d *Domain) SetFaultPlan(p *fault.Plan, start time.Time, sink *obs.Sink) {
 
 // Sample reads power at time ts throughout the hierarchy: leaves derive
 // power from RAPL energy deltas, interior domains sum their children.
-// Returns the domain's power at this sample.
+// Returns the domain's power at this sample. Sample reads every leaf — it
+// marks the whole tree dirty and runs the dirty-set pass (SampleDirty) —
+// so it is the entry point for callers that do not track which nodes
+// changed.
 //
 // A leaf degrades instead of failing: during an injected dropout window it
 // holds its last sampled power, and when the node's energy counter cannot
@@ -286,43 +289,16 @@ func (d *Domain) SetFaultPlan(p *fault.Plan, start time.Time, sink *obs.Sink) {
 // Sample only errors on conditions no monitoring system should paper over
 // (none today — the error return is kept for future structural failures).
 func (d *Domain) Sample(ts time.Time) (units.Power, error) {
-	if d.inc != nil {
-		return d.sampleIncremental(ts)
-	}
-	if d.useSweep {
-		return d.sampleSweep(ts)
-	}
-	if d.Node != nil {
-		return d.leafSample(ts), nil
-	}
-	var total units.Power
-	for _, c := range d.Children {
-		p, err := c.Sample(ts)
-		if err != nil {
-			return 0, err
-		}
-		total += p
-	}
-	d.series.Append(Sample{Time: ts, Power: total})
-	return total, nil
+	d.MarkAllDirty()
+	return d.SampleDirty(ts)
 }
 
-// leafSample reads one leaf's power at ts and records it.
-func (d *Domain) leafSample(ts time.Time) units.Power {
-	p, _ := d.leafSampleFrom(ts, d.lastTime)
-	return p
-}
-
-// leafSampleFrom is leafSample with the start of the integration window
-// made explicit: effLast replaces d.lastTime as the previous reading's
-// timestamp. The full walk always passes d.lastTime; the incremental path
-// passes the previous sample instant for leaves it skipped while clean —
-// their stored lastTime is stale, but their energy provably did not move
-// while clean, so the shorter window computes the same ΔE/Δt bit for bit.
-// The bool result reports volatility: the sample took a dropout-hold or
-// dead-node branch, whose value can change next sample without any new
-// energy flowing, so the incremental path must revisit the leaf.
-func (d *Domain) leafSampleFrom(ts time.Time, effLast time.Time) (units.Power, bool) {
+// leafSample reads one leaf's power at ts and records it, integrating
+// energy since the leaf's lastTime. The bool result reports volatility:
+// the sample took a dropout-hold or dead-node branch, whose value can
+// change next sample without any new energy flowing, so the dirty-set pass
+// must revisit the leaf.
+func (d *Domain) leafSample(ts time.Time) (units.Power, bool) {
 	if d.faults.DropoutActive(d.Name, ts.Sub(d.start)) {
 		var p units.Power
 		if last, ok := d.series.Last(); ok {
@@ -345,41 +321,13 @@ func (d *Domain) leafSampleFrom(ts time.Time, effLast time.Time) (units.Power, b
 	}
 	var p units.Power
 	if d.primed {
-		dt := ts.Sub(effLast)
-		p = units.MeanPower(e-d.lastEnergy, dt)
+		p = units.MeanPower(e-d.lastEnergy, ts.Sub(d.lastTime))
 	}
 	d.lastEnergy = e
 	d.lastTime = ts
 	d.primed = true
 	d.series.Append(Sample{Time: ts, Power: p})
 	return p, false
-}
-
-// sampleSweep is Sample as one post-order loop over the flattened tree.
-// Each entry's power lands in its parent's accumulator in child order, and
-// Series appends happen in post-order — exactly the recursion's summation
-// and append sequence, so the two paths are bit-identical.
-func (d *Domain) sampleSweep(ts time.Time) (units.Power, error) {
-	sums := d.sums
-	for i := range sums {
-		sums[i] = 0
-	}
-	var rootPower units.Power
-	for i, e := range d.sweep {
-		var p units.Power
-		if e.d.Node != nil {
-			p = e.d.leafSample(ts)
-		} else {
-			p = sums[i]
-			e.d.series.Append(Sample{Time: ts, Power: p})
-		}
-		if e.parent >= 0 {
-			sums[e.parent] += p
-		} else {
-			rootPower = p
-		}
-	}
-	return rootPower, nil
 }
 
 // Series exposes the domain's history.

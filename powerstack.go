@@ -173,16 +173,6 @@ const (
 	EmergencyKill     = facility.EmergencyKill
 )
 
-// The facility simulation cores, for FacilityConfig.Engine: the
-// discrete-event engine (the default) jumps the virtual clock between
-// arrivals, completions, faults, and telemetry samples; the fixed-tick
-// loop is the compatibility mode the event engine is golden-tested
-// against.
-const (
-	FacilityEngineEvent = facility.EngineEvent
-	FacilityEngineTick  = facility.EngineTick
-)
-
 // GenerateFaults builds a deterministic fault plan over the given node IDs:
 // the same seed and options always yield the same plan.
 func GenerateFaults(nodeIDs []string, opts FaultGenOptions) *FaultPlan {
@@ -416,15 +406,6 @@ func (s *System) runner(opts RunnerOptions) *sim.Runner {
 	return r
 }
 
-// Runner returns an evaluation runner over the system's experiment pool.
-//
-// Deprecated: Runner leaks the internal *sim.Runner onto the facade. Use
-// RunMixWith or EvaluateWith with RunnerOptions instead; this accessor
-// will be removed once nothing reaches for runner internals.
-func (s *System) Runner() *sim.Runner {
-	return s.runner(RunnerOptions{})
-}
-
 // RunMix evaluates one mix across all budgets and policies. Cancelling ctx
 // abandons the run at the next cell boundary and returns an error matching
 // errors.Is(err, context.Canceled); every node is left capped at TDP.
@@ -452,7 +433,7 @@ func (s *System) EvaluateWith(ctx context.Context, mixes []Mix, opts RunnerOptio
 // system's experiment pool. Zero-value cfg fields are defaulted from the
 // system: Nodes from Pool, DB from the characterization database, Obs from
 // the system sink, Faults from the system plan, Seed from the system seed.
-// Cancelling ctx stops the run at the next tick boundary.
+// Cancelling ctx stops the run at the next event boundary.
 func (s *System) RunFacility(ctx context.Context, cfg FacilityConfig) (*FacilityResult, error) {
 	if cfg.Nodes == nil {
 		cfg.Nodes = s.Pool
