@@ -64,8 +64,8 @@ var golden = []struct {
 			HorizonNs: 3600000000000, SpeedupX: 60, BudgetWatts: 2000,
 			CommittedWatts: 1400, Nodes: 10, FreeNodes: 4, QueuedJobs: 1,
 			RunningJobs: 3, Submitted: 7, Started: 5, Completed: 2, Preempted: 1,
-			BudgetChanges: 2,
-			Tenants:       []TenantStatus{{Name: "acme", QuotaWatts: 500, CommittedWatts: 470}},
+			BudgetChanges:  2,
+			Tenants:        []TenantStatus{{Name: "acme", QuotaWatts: 500, CommittedWatts: 470}},
 			LastPowerWatts: 1350.25, LastSampleNs: 300000000000},
 		`{"name":"main","state":"running","now_ns":300000000000,"horizon_ns":3600000000000,"speedup_x":60,"budget_watts":2000,"committed_watts":1400,"nodes":10,"free_nodes":4,"queued_jobs":1,"running_jobs":3,"submitted":7,"started":5,"completed":2,"preempted":1,"budget_changes":2,"tenants":[{"name":"acme","quota_watts":500,"committed_watts":470}],"last_power_watts":1350.25,"last_sample_ns":300000000000}`,
 	},

@@ -6,14 +6,14 @@
 // pool and a full re-characterization of the workload set (the cmd/facility
 // flow in a shell loop). The engine runs the same 64-scenario matrix through
 // campaign.Runner: characterization happens once through the singleflight
-// cache, clone pools are recycled between scenarios, and the report is
-// checked byte-identical across -parallel settings before any speedup is
-// reported.
+// cache, each worker resets one clone pool in place between scenarios
+// (cluster.PoolState), and the report is checked byte-identical across
+// -parallel settings before any speedup is reported.
 //
 // The host section records GOMAXPROCS and CPU count so single-core hosts —
 // where raw parallel scaling is impossible and the speedup comes entirely
-// from the cache, pool recycling, and hot-path work — are distinguishable
-// from multi-core runs.
+// from the cache, in-place pool resets, and hot-path work — are
+// distinguishable from multi-core runs.
 package main
 
 import (
@@ -112,6 +112,9 @@ type benchOutput struct {
 		WarmSeconds float64 `json:"warm_seconds"`
 		Speedup     float64 `json:"speedup"`
 	} `json:"cache"`
+	// Pool times the two ways a scenario can get a pristine pool: a fresh
+	// cluster.ClonePool (clone) and an in-place PoolState.Restore
+	// (recycle, the campaign engine's path).
 	Pool struct {
 		CloneNsPerOp   float64 `json:"clone_ns_per_op"`
 		RecycleNsPerOp float64 `json:"recycle_ns_per_op"`
@@ -241,7 +244,7 @@ func main() {
 
 	out.Pool.CloneNsPerOp, out.Pool.RecycleNsPerOp = benchPool(src)
 	out.HotPaths = benchHotPaths()
-	log.Printf("pool: clone %.0f ns/op, recycled acquire %.0f ns/op", out.Pool.CloneNsPerOp, out.Pool.RecycleNsPerOp)
+	log.Printf("pool: clone %.0f ns/op, restore %.0f ns/op", out.Pool.CloneNsPerOp, out.Pool.RecycleNsPerOp)
 
 	b, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
@@ -269,22 +272,23 @@ func matchesNaive(rep *campaign.Report, naive []*facility.Result) bool {
 	return true
 }
 
-// benchPool times a fresh ClonePool against a recycled Acquire/Release
-// round trip over the same source pool.
-func benchPool(src []*node.Node) (cloneNs, recycleNs float64) {
+// benchPool times a fresh ClonePool against an in-place PoolState.Restore
+// over the same source pool.
+func benchPool(src []*node.Node) (cloneNs, restoreNs float64) {
 	clone := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cluster.ClonePool(src)
 		}
 	})
-	rec := cluster.NewPoolRecycler(src)
-	rec.Release(rec.Acquire())
-	recycle := testing.Benchmark(func(b *testing.B) {
+	ps := cluster.NewPoolState(src)
+	restore := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rec.Release(rec.Acquire())
+			if err := ps.Restore(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
-	return float64(clone.NsPerOp()), float64(recycle.NsPerOp())
+	return float64(clone.NsPerOp()), float64(restore.NsPerOp())
 }
 
 func benchHotPaths() []hotPath {

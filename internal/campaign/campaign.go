@@ -1,14 +1,14 @@
 // Package campaign is the multi-run evaluation engine: it fans a scenario
 // matrix (seeds × interarrival rates × budgets × policies × fault plans ×
 // emergency responses) of facility simulations across a bounded worker
-// pool and aggregates the
-// per-seed outcomes into the per-group statistics (mean, bootstrap CI,
-// policy-vs-policy Welch tests) the paper's policy ranking rests on.
+// pool and aggregates the per-seed outcomes into the per-group statistics
+// (mean, bootstrap CI, policy-vs-policy Welch tests) the paper's policy
+// ranking rests on.
 //
 // Determinism is the contract the whole package is built around, following
-// the sim grid's cell-isolation pattern: every scenario runs on its own
-// clone pool (recycled through a cluster.PoolRecycler rather than freshly
-// cloned each time), results land in index-addressed slots, errors are
+// the sim grid's cell-isolation pattern: every scenario runs on a pristine
+// clone pool (each worker owns one cluster.PoolState and restores it before
+// every scenario), results land in index-addressed slots, errors are
 // reported in matrix order, and the Report carries no wall-clock or
 // scheduling-order data — so a campaign's serialized output is
 // byte-identical at any parallelism, including fully sequential.
@@ -190,7 +190,7 @@ func (c *Config) validate() error {
 // characterization database.
 type Runner struct {
 	// Nodes is the pristine source pool. It is never run on directly:
-	// every scenario gets an isolated clone (recycled between scenarios).
+	// every scenario gets an isolated clone (reset in place between scenarios).
 	Nodes []*node.Node
 	// DB is the shared characterization database; it must cover
 	// Base.Workloads. Campaign workers only read it (fault lanes corrupt
@@ -254,7 +254,6 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	results := make([]*facility.Result, len(scenarios))
 	errs := make([]error, len(run))
-	recycler := cluster.NewPoolRecycler(r.Nodes)
 	tasks := make(chan int)
 
 	var wg sync.WaitGroup
@@ -262,12 +261,13 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			pool := cluster.NewPoolState(r.Nodes)
 			for idx := range tasks {
 				if err := ctx.Err(); err != nil {
 					errs[idx] = err
 					continue
 				}
-				errs[idx] = r.runScenario(ctx, &cfg, run[idx], worker, root.Ctx(), recycler, results)
+				errs[idx] = r.runScenario(ctx, &cfg, run[idx], worker, root.Ctx(), pool, results)
 			}
 		}(w)
 	}
@@ -293,8 +293,10 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 	return buildReport(len(r.Nodes), cfg, scenarios, results), nil
 }
 
-// runScenario executes one cell on a recycled clone pool.
-func (r *Runner) runScenario(ctx context.Context, cfg *Config, sc Scenario, worker int, parent obs.SpanContext, recycler *cluster.PoolRecycler, results []*facility.Result) error {
+// runScenario executes one cell on the worker's pool, restored to pristine
+// first so whatever an earlier scenario left behind (armed faults,
+// degradation, energy accounting, power limits) is wiped.
+func (r *Runner) runScenario(ctx context.Context, cfg *Config, sc Scenario, worker int, parent obs.SpanContext, pool *cluster.PoolState, results []*facility.Result) error {
 	r.Obs.CampaignShardStart(sc.Policy.Name(), sc.Index, worker)
 	start := time.Now()
 
@@ -302,9 +304,11 @@ func (r *Runner) runScenario(ctx context.Context, cfg *Config, sc Scenario, work
 		SetScope(sc.Policy.Name()).SetIter(sc.Index).SetValue(sc.Budget.Watts())
 	defer sp.End()
 
-	pool := recycler.Acquire()
+	if err := pool.Restore(); err != nil {
+		return err
+	}
 	fc := cfg.Base
-	fc.Nodes = pool
+	fc.Nodes = pool.Nodes()
 	fc.DB = r.DB
 	fc.Obs = r.Obs
 	fc.SpanParent = sp.Ctx()
@@ -317,13 +321,9 @@ func (r *Runner) runScenario(ctx context.Context, cfg *Config, sc Scenario, work
 
 	res, err := facility.Run(ctx, fc)
 	if err != nil {
-		// The pool may hold partial run state; drop it rather than
-		// recycling (RestoreFrom would clean it, but an errored run is
-		// rare enough that isolation beats reuse).
 		r.captureFlight(cfg, sc, "error", err, nil)
 		return err
 	}
-	recycler.Release(pool)
 	results[sc.Index] = res
 
 	r.Obs.CampaignShardDone(sc.Policy.Name(), sc.Index, worker, time.Since(start).Seconds())

@@ -7,19 +7,12 @@ import (
 	"powerstack/internal/units"
 )
 
-// BenchmarkPoolStateRestore times the recycler's hot path at campaign
-// scale: resetting a scrambled struct-of-arrays pool back to pristine. The
-// register arena resets in one bulk copy; the per-node remainder is the
-// scalar/model state.
+// BenchmarkPoolStateRestore times a campaign worker's per-scenario reset:
+// restoring a scrambled 256-node pool back to pristine. The register arena
+// resets in one bulk copy; the per-node remainder is the scalar/model
+// state.
 func BenchmarkPoolStateRestore(b *testing.B) {
-	c, err := New(256, cpumodel.Quartz(), cpumodel.QuartzVariation(), 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ps, err := NewPoolState(c.Nodes())
-	if err != nil {
-		b.Fatal(err)
-	}
+	ps, _ := testPoolState(b, 256, 17)
 	for _, n := range ps.Nodes() {
 		n.SetPowerLimit(150 * units.Watt)
 		n.SetDegradation(1.3)
@@ -33,7 +26,7 @@ func BenchmarkPoolStateRestore(b *testing.B) {
 	}
 }
 
-// BenchmarkClonePool is the pre-refactor baseline for the same reset: a
+// BenchmarkClonePool is the allocating alternative to the same reset: a
 // fresh deep clone of every node.
 func BenchmarkClonePool(b *testing.B) {
 	c, err := New(256, cpumodel.Quartz(), cpumodel.QuartzVariation(), 17)

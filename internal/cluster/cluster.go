@@ -193,17 +193,34 @@ func Allocate(pool []*node.Node, want int) (alloc, rest []*node.Node, err error)
 	return pool[:want], pool[want:], nil
 }
 
-// ClonePool deep-copies a node pool via node.Clone — the cell-isolation
-// primitive of the parallel evaluation grid. Every evaluation cell runs on
-// its own pool snapshot, so concurrent cells never share MSR register
-// files, RAPL accounting, or memoized operating points, and a cell that
-// fails to restore its limits cannot corrupt any other cell.
+// ClonePool deep-copies a node pool — the cell-isolation primitive of the
+// parallel evaluation grid. Every evaluation cell runs on its own pool
+// snapshot, so concurrent cells never share MSR register files, RAPL
+// accounting, or memoized operating points, and a cell that fails to
+// restore its limits cannot corrupt any other cell. The copies' register
+// words live in one flat arena (node.CloneInto); PoolState keeps that
+// arena's pristine image to reset the pool in place.
 func ClonePool(nodes []*node.Node) []*node.Node {
-	out := make([]*node.Node, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.Clone()
+	pool, _ := cloneArena(nodes)
+	return pool
+}
+
+// cloneArena clones src with every node's register words laid out
+// contiguously in one backing array, which it returns alongside the pool.
+func cloneArena(src []*node.Node) ([]*node.Node, []uint64) {
+	total := 0
+	for _, n := range src {
+		total += n.WordCount()
 	}
-	return out
+	pool := make([]*node.Node, len(src))
+	words := make([]uint64, total)
+	off := 0
+	for i, n := range src {
+		w := n.WordCount()
+		pool[i] = n.CloneInto(words[off : off+w : off+w])
+		off += w
+	}
+	return pool, words
 }
 
 // ResetLimits restores every node in the set to its TDP power limit, the

@@ -1,18 +1,17 @@
 package cluster
 
 import (
-	"fmt"
+	"slices"
 
 	"powerstack/internal/node"
 )
 
-// PoolState is a clone pool whose dense register words live in one flat
-// struct-of-arrays arena instead of per-device allocations. Each node is a
-// view over a contiguous window of the arena (node.CloneInto), and the
-// pristine register image of the source pool is captured once at build
-// time. Restoring the whole pool is then a single bulk copy of the arena
-// plus a cheap per-node auxiliary reset — no per-register work — which is
-// what keeps PoolRecycler near-free at 100k nodes.
+// PoolState is a clone pool that can be reset in place: a ClonePool of the
+// source plus the pristine image of its register arena, captured once at
+// build time. Restoring the whole pool is then a single bulk copy of the
+// arena plus a cheap per-node auxiliary reset — no per-register work and no
+// allocation — which is how a campaign worker reuses one pool across every
+// scenario it runs, even at 100k nodes.
 type PoolState struct {
 	src   []*node.Node
 	nodes []*node.Node
@@ -22,33 +21,12 @@ type PoolState struct {
 	prist []uint64
 }
 
-// NewPoolState clones src into a struct-of-arrays pool. The source nodes
-// must stay unmutated while the pool is in use (the PoolRecycler contract):
-// they are both the pristine register image and the auxiliary state every
-// Restore reverts to.
-func NewPoolState(src []*node.Node) (*PoolState, error) {
-	total := 0
-	for _, n := range src {
-		total += n.WordCount()
-	}
-	ps := &PoolState{
-		src:   src,
-		nodes: make([]*node.Node, len(src)),
-		words: make([]uint64, total),
-		prist: make([]uint64, 0, total),
-	}
-	off := 0
-	for i, n := range src {
-		w := n.WordCount()
-		clone, err := n.CloneInto(ps.words[off : off+w : off+w])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: pool state node %d: %w", i, err)
-		}
-		ps.nodes[i] = clone
-		ps.prist = n.SnapshotWords(ps.prist)
-		off += w
-	}
-	return ps, nil
+// NewPoolState clones src into a resettable pool. The source nodes must
+// stay unmutated while the pool is in use: they are the auxiliary state
+// every Restore reverts to.
+func NewPoolState(src []*node.Node) *PoolState {
+	nodes, words := cloneArena(src)
+	return &PoolState{src: src, nodes: nodes, words: words, prist: slices.Clone(words)}
 }
 
 // Nodes returns the pool's node views. The slice is owned by the PoolState;

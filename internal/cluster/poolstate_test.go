@@ -6,10 +6,22 @@ import (
 
 	"powerstack/internal/cpumodel"
 	"powerstack/internal/fault"
+	"powerstack/internal/kernel"
 	"powerstack/internal/msr"
 	"powerstack/internal/node"
 	"powerstack/internal/units"
 )
+
+// testPoolState builds a PoolState over a fresh n-node cluster and returns
+// it with its source nodes.
+func testPoolState(t testing.TB, n int, seed uint64) (*PoolState, []*node.Node) {
+	t.Helper()
+	c, err := New(n, cpumodel.Quartz(), cpumodel.QuartzVariation(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewPoolState(c.Nodes()), c.Nodes()
+}
 
 // registerImage reads every register (allowlisted and privileged spill) of
 // every socket of a node.
@@ -27,8 +39,9 @@ func registerImage(t *testing.T, n *node.Node) map[int]map[uint32]uint64 {
 }
 
 // scramble drives a pool through a fault-injecting scenario: armed MSR
-// faults, degradations, cap writes, privileged counter advances, and spilled
-// privileged registers — every kind of state Restore must wipe.
+// faults, degradations, cap writes, completed iterations, privileged
+// counter advances, and spilled privileged registers — every kind of state
+// Restore must wipe.
 func scramble(t *testing.T, pool []*node.Node, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed^0xD1B54A32D192ED03))
@@ -37,10 +50,15 @@ func scramble(t *testing.T, pool []*node.Node, seed uint64) {
 		fault.Injection{Kind: fault.MSRReadFault, Node: pool[3].ID, After: 1},
 	)
 	plan.Arm(pool, nil)
+	cfg := kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1}
+	ph := cpumodel.Phase{Work: cfg.TotalWorkPerHost(18, true), Vector: cfg.Vector}
 	for _, n := range pool {
 		n.SetDegradation(1 + rng.Float64())
 		// Cap writes consume the armed countdowns and reprogram PL1.
 		n.SetPowerLimit(units.Power(120+rng.Float64()*80) * units.Watt)
+		if iterTime, err := n.WorkTime(ph); err == nil {
+			n.CompleteIteration(ph, iterTime, 1+rng.Float64())
+		}
 		for _, su := range n.Sockets() {
 			su.Dev.PrivilegedAdd(msr.IA32APerf, rng.Uint64()>>16, 64)
 			su.Dev.PrivilegedAdd(msr.MSRPkgEnergyStatus, rng.Uint64()>>40, 32)
@@ -50,21 +68,13 @@ func scramble(t *testing.T, pool []*node.Node, seed uint64) {
 	}
 }
 
-// TestPoolStateRestoreRegisterIdentical is the SoA recycling property test:
-// after a fault-injecting scenario mutates a PoolState pool, Restore makes
-// every node register-identical to a fresh clone of the pristine source —
-// across several scramble/restore generations.
+// TestPoolStateRestoreRegisterIdentical is the in-place reset property
+// test: after a fault-injecting scenario mutates a PoolState pool, Restore
+// makes every node register-identical to a fresh clone of the pristine
+// source — across several scramble/restore generations.
 func TestPoolStateRestoreRegisterIdentical(t *testing.T) {
 	const nNodes = 96
-	c, err := New(nNodes, cpumodel.Quartz(), cpumodel.QuartzVariation(), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := c.Nodes()
-	ps, err := NewPoolState(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps, src := testPoolState(t, nNodes, 17)
 	if got, want := len(ps.Nodes()), nNodes; got != want {
 		t.Fatalf("pool has %d nodes, want %d", got, want)
 	}
@@ -76,9 +86,9 @@ func TestPoolStateRestoreRegisterIdentical(t *testing.T) {
 		if err := ps.Restore(); err != nil {
 			t.Fatal(err)
 		}
+		fresh := ClonePool(src)
 		for i, n := range ps.Nodes() {
-			fresh := src[i].Clone()
-			got, want := registerImage(t, n), registerImage(t, fresh)
+			got, want := registerImage(t, n), registerImage(t, fresh[i])
 			for si := range want {
 				for addr, w := range want[si] {
 					if g, ok := got[si][addr]; !ok || g != w {
@@ -89,11 +99,11 @@ func TestPoolStateRestoreRegisterIdentical(t *testing.T) {
 					t.Fatalf("gen %d node %s socket %d: %d registers, want %d (leftover privileged spill?)", gen, n.ID, si, len(got[si]), len(want[si]))
 				}
 			}
-			if n.Degradation() != fresh.Degradation() {
-				t.Fatalf("gen %d node %s: degradation %v, want %v", gen, n.ID, n.Degradation(), fresh.Degradation())
+			if n.Degradation() != fresh[i].Degradation() {
+				t.Fatalf("gen %d node %s: degradation %v, want %v", gen, n.ID, n.Degradation(), fresh[i].Degradation())
 			}
 			gl, err1 := n.PowerLimit()
-			wl, err2 := fresh.PowerLimit()
+			wl, err2 := fresh[i].PowerLimit()
 			if err1 != nil || err2 != nil || gl != wl {
 				t.Fatalf("gen %d node %s: limit %v/%v, want %v/%v", gen, n.ID, gl, err1, wl, err2)
 			}
@@ -101,34 +111,64 @@ func TestPoolStateRestoreRegisterIdentical(t *testing.T) {
 	}
 }
 
-// TestRecyclerUsesSoAPools verifies the recycler's Acquire hands out
-// PoolState-backed pools and that a recycled pool is register-identical to
-// a fresh clone after a scrambled scenario.
-func TestRecyclerUsesSoAPools(t *testing.T) {
-	c, err := New(16, cpumodel.Quartz(), cpumodel.QuartzVariation(), 23)
-	if err != nil {
+// TestRecycledPoolMatchesFreshClone checks the state a restore must wipe
+// beyond the register words: degradation reverts, and the write fault the
+// scenario armed is gone (the scramble armed node 1 to fail after two
+// writes, so three writes on every restored node must all succeed).
+func TestRecycledPoolMatchesFreshClone(t *testing.T) {
+	ps, src := testPoolState(t, 4, 7)
+	scramble(t, ps.Nodes(), 3)
+	if err := ps.Restore(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewPoolRecycler(c.Nodes())
-	pool := r.Acquire()
-	scramble(t, pool, 7)
-	r.Release(pool)
-	recycled := r.Acquire()
-	if reused, _ := r.Stats(); reused != 1 {
-		t.Fatalf("reused = %d, want 1", reused)
+	for i, nd := range ps.Nodes() {
+		if nd.Degradation() != src[i].Degradation() {
+			t.Fatalf("node %d: degradation %v leaked, want %v", i, nd.Degradation(), src[i].Degradation())
+		}
+		for k := 0; k < 3; k++ {
+			if _, err := nd.SetPowerLimit(nd.TDP()); err != nil {
+				t.Fatalf("node %d write %d: armed fault leaked: %v", i, k, err)
+			}
+		}
 	}
-	for i, n := range recycled {
-		fresh := c.Nodes()[i].Clone()
-		got, want := registerImage(t, n), registerImage(t, fresh)
-		for si := range want {
-			for addr, w := range want[si] {
-				if got[si][addr] != w {
-					t.Fatalf("node %s socket %d reg 0x%X: got %#x want %#x", n.ID, si, addr, got[si][addr], w)
+}
+
+// TestRecycledPoolBehavesLikeFresh runs identical work on a restored and a
+// fresh pool and compares the physical outcomes exactly.
+func TestRecycledPoolBehavesLikeFresh(t *testing.T) {
+	ps, src := testPoolState(t, 4, 7)
+	scramble(t, ps.Nodes(), 5)
+	if err := ps.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := ClonePool(src)
+
+	cfg := kernel.Config{Intensity: 4, Vector: kernel.YMM, Imbalance: 1}
+	ph := cpumodel.Phase{Work: cfg.TotalWorkPerHost(18, true), Vector: cfg.Vector}
+	run := func(pool []*node.Node) []node.PhaseResult {
+		var out []node.PhaseResult
+		for _, nd := range pool {
+			if _, err := nd.SetPowerLimit(180); err != nil {
+				t.Fatal(err)
+			}
+			iterTime, err := nd.WorkTime(ph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 5; k++ {
+				res, err := nd.CompleteIteration(ph, iterTime, 1)
+				if err != nil {
+					t.Fatal(err)
 				}
+				out = append(out, res)
 			}
-			if len(got[si]) != len(want[si]) {
-				t.Fatalf("node %s socket %d register count mismatch", n.ID, si)
-			}
+		}
+		return out
+	}
+	a, b := run(ps.Nodes()), run(fresh)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("result %d: restored %+v vs fresh %+v", i, a[i], b[i])
 		}
 	}
 }

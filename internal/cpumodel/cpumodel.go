@@ -113,7 +113,9 @@ type Phase struct {
 
 // Socket is one physical socket instance: the spec plus its manufacturing-
 // variation multiplier. Eta scales dynamic power; inefficient parts
-// (eta > 1) reach lower frequencies under the same cap.
+// (eta > 1) reach lower frequencies under the same cap. Socket is a pure
+// value — the spec (including the roofline platform) holds no references —
+// so a plain copy is an independent clone; node cloning relies on that.
 type Socket struct {
 	Spec Spec
 	Eta  float64
@@ -127,13 +129,6 @@ func NewSocket(spec Spec, eta float64) Socket {
 	}
 	return Socket{Spec: spec, Eta: eta}
 }
-
-// Clone returns an independent copy of the socket. Socket is a pure value
-// — the spec (including the roofline platform) and the variation
-// multiplier eta contain no references — so a plain copy suffices; the
-// method exists to pin that invariant where node cloning relies on it:
-// cloned nodes must keep their per-part eta without sharing mutable state.
-func (s *Socket) Clone() Socket { return *s }
 
 // fhat returns the normalized frequency f/f_base.
 func (s *Socket) fhat(f units.Frequency) float64 {

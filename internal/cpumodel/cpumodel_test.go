@@ -406,11 +406,11 @@ func TestTimeMonotoneInWork(t *testing.T) {
 
 func TestSocketClonePreservesEta(t *testing.T) {
 	s := NewSocket(Quartz(), 0.93)
-	c := s.Clone()
+	c := s
 	if c.Eta != 0.93 {
 		t.Errorf("clone Eta = %v, want 0.93", c.Eta)
 	}
-	// Sockets are pure values: a cloned socket must model power and
+	// Sockets are pure values: a copied socket must model power and
 	// timing identically to its original.
 	ph := phaseFor(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
 	if got, want := c.PowerAt(ph, s.Spec.BaseFreq), s.PowerAt(ph, s.Spec.BaseFreq); got != want {

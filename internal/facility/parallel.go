@@ -106,9 +106,9 @@ type pipeWorker struct {
 // index-addressed so workers never contend: probe results land at request
 // indexes, room errors at room indexes, grants in Stage's shared buffer.
 type pipeScratch struct {
-	jobs   []*rm.ScheduledJob   // mgr.Jobs() for this round (submission order)
-	infos  []policy.JobInfo     // policy views, same indexing
-	grants []coordinator.Grant  // Stage's result buffer, same indexing
+	jobs   []*rm.ScheduledJob  // mgr.Jobs() for this round (submission order)
+	infos  []policy.JobInfo    // policy views, same indexing
+	grants []coordinator.Grant // Stage's result buffer, same indexing
 
 	freshSet map[*rm.ScheduledJob]bool // jobs started this reconcile
 	qiOf     map[*rm.ScheduledJob]int  // job -> request index

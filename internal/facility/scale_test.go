@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"powerstack/internal/cluster"
 	"powerstack/internal/fault"
@@ -33,10 +34,11 @@ func runScaleCase(t *testing.T, cfg Config, mode string, faults *fault.Plan) *Re
 	return res
 }
 
-// TestSoAPoolByteIdenticalToClonePool pins the struct-of-arrays node state
-// against the seed path: a facility run on a PoolState's view nodes (dense
-// words carved from one flat arena) produces a byte-identical Result to the
-// same run on a ClonePool of the same source — faults on and off.
+// TestSoAPoolByteIdenticalToClonePool pins the in-place pool reset the
+// campaign engine runs every scenario on: a PoolState pool that already
+// ran a faulted scenario (armed MSR faults, crashes, degradation, drained
+// energy counters), then Restore()d, produces a Result byte-identical to
+// the same run on a fresh ClonePool of the source — faults on and off.
 func TestSoAPoolByteIdenticalToClonePool(t *testing.T) {
 	src, db, workloads := facilityEnv(t, 10)
 	for _, withFaults := range []bool{false, true} {
@@ -47,15 +49,20 @@ func TestSoAPoolByteIdenticalToClonePool(t *testing.T) {
 		cloneCfg := baseConfig(cluster.ClonePool(src), db, workloads)
 		cloneRes := runScaleCase(t, cloneCfg, ScaleAuto, faults)
 
-		ps, err := cluster.NewPoolState(src)
-		if err != nil {
+		ps := cluster.NewPoolState(src)
+		soaCfg := baseConfig(ps.Nodes(), db, workloads)
+		runScaleCase(t, soaCfg, ScaleAuto, fault.NewPlan(
+			fault.Injection{Kind: fault.NodeCrash, Node: "quartz0001", At: 5 * time.Minute, RepairAfter: 10 * time.Minute},
+			fault.Injection{Kind: fault.SlowNode, Node: "quartz0002", At: 7 * time.Minute, Duration: 8 * time.Minute, Factor: 1.4},
+			fault.Injection{Kind: fault.MSRWriteFault, Node: "quartz0003", After: 3},
+		))
+		if err := ps.Restore(); err != nil {
 			t.Fatal(err)
 		}
-		soaCfg := baseConfig(ps.Nodes(), db, workloads)
 		soaRes := runScaleCase(t, soaCfg, ScaleAuto, faults)
 
 		if a, b := resultJSON(t, cloneRes), resultJSON(t, soaRes); a != b {
-			t.Errorf("faults %v: SoA pool diverged from ClonePool\nclone: %s\nsoa:   %s", withFaults, a, b)
+			t.Errorf("faults %v: restored pool diverged from ClonePool\nclone:    %s\nrestored: %s", withFaults, a, b)
 		}
 	}
 }

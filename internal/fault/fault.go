@@ -175,9 +175,10 @@ func (p *Plan) Validate() error {
 // Arm applies the plan's immediate hardware faults to the given pool:
 // MSR read/write countdown faults, and slow-node degradations whose onset is
 // the start of the run (At == 0 — the only onset the clockless evaluation
-// grid can honor; the facility applies timed ones itself via ApplyAt). Nodes
-// named by the plan but absent from the pool are skipped: one plan can cover
-// a whole cluster while each evaluation cell arms only its own clones.
+// grid can honor; the facility schedules timed ones itself from Timeline).
+// Nodes named by the plan but absent from the pool are skipped: one plan
+// can cover a whole cluster while each evaluation cell arms only its own
+// clones.
 // Every armed injection is journaled through sink (nil-safe).
 func (p *Plan) Arm(pool []*node.Node, sink *obs.Sink) {
 	if p.Empty() {
@@ -213,8 +214,8 @@ func (p *Plan) Arm(pool []*node.Node, sink *obs.Sink) {
 	}
 }
 
-// Transition is one time-scheduled fault firing, reported by ApplyAt so
-// the caller can drain, rejoin, degrade, and journal.
+// Transition is one time-scheduled fault firing, listed by Timeline so the
+// caller can drain, rejoin, degrade, and journal.
 type Transition struct {
 	// Kind is NodeCrash, SlowNode, or the synthetic repair marker below.
 	Kind Kind
@@ -224,52 +225,8 @@ type Transition struct {
 	Factor float64
 }
 
-// NodeRepair marks a crashed node's scheduled repair in ApplyAt results.
+// NodeRepair marks a crashed node's scheduled repair in Timeline results.
 const NodeRepair Kind = "node_repair"
-
-// ApplyAt computes the time-scheduled transitions firing in (prev, now]:
-// crashes, scheduled repairs, and slow-node windows opening or closing —
-// the window query over the transitions Timeline lists. Telemetry
-// dropouts need no transition — DropoutActive answers them
-// statelessly.
-func (p *Plan) ApplyAt(prev, now time.Duration) []Transition {
-	if p.Empty() {
-		return nil
-	}
-	var out []Transition
-	for _, in := range p.Injections {
-		switch in.Kind {
-		case NodeCrash:
-			if in.At > prev && in.At <= now {
-				out = append(out, Transition{Kind: NodeCrash, Node: in.Node})
-			}
-			if in.RepairAfter > 0 {
-				if r := in.At + in.RepairAfter; r > prev && r <= now {
-					out = append(out, Transition{Kind: NodeRepair, Node: in.Node})
-				}
-			}
-		case SlowNode:
-			if in.At > prev && in.At <= now {
-				out = append(out, Transition{Kind: SlowNode, Node: in.Node, Factor: in.Factor})
-			}
-			if in.Duration > 0 {
-				if e := in.At + in.Duration; e > prev && e <= now {
-					out = append(out, Transition{Kind: SlowNode, Node: in.Node, Factor: 1})
-				}
-			}
-		case BudgetDrop:
-			if in.At > prev && in.At <= now {
-				out = append(out, Transition{Kind: BudgetDrop, Factor: in.Factor})
-			}
-			if in.Duration > 0 {
-				if e := in.At + in.Duration; e > prev && e <= now {
-					out = append(out, Transition{Kind: BudgetDrop, Factor: 1})
-				}
-			}
-		}
-	}
-	return out
-}
 
 // BudgetFactor returns the combined budget scale of every BudgetDrop window
 // active at elapsed time t: the product of their factors, 1 when none is
@@ -293,8 +250,7 @@ func (p *Plan) BudgetFactor(t time.Duration) float64 {
 }
 
 // TimedTransition is a Transition stamped with its exact firing time, for
-// consumers that schedule faults as discrete events instead of scanning
-// (prev, now] windows every tick.
+// consumers that schedule faults as discrete events.
 type TimedTransition struct {
 	// At is the transition's exact virtual firing time.
 	At time.Duration
@@ -306,8 +262,8 @@ type TimedTransition struct {
 // At+RepairAfter when repair is scheduled), each SlowNode yields its onset
 // at At (plus a Factor-1 window close at At+Duration when bounded). The
 // list is sorted by time, ties broken by declaration order, so an event
-// engine scheduling it in order dispatches exactly the transitions ApplyAt
-// would have reported tick by tick.
+// engine can schedule it in order. Telemetry dropouts need no transition —
+// DropoutActive answers them statelessly.
 func (p *Plan) Timeline() []TimedTransition {
 	if p.Empty() {
 		return nil

@@ -40,8 +40,8 @@ func TestEmptyPlanIsInert(t *testing.T) {
 	if p.DropoutActive("quartz0001", 0) || p.RequestDropped("j0", 3) {
 		t.Fatal("nil plan injected something")
 	}
-	if got := p.ApplyAt(0, time.Hour); got != nil {
-		t.Fatalf("nil plan fired transitions: %v", got)
+	if got := p.Timeline(); got != nil {
+		t.Fatalf("nil plan scheduled transitions: %v", got)
 	}
 	db := charz.NewDB()
 	if p.CorruptDB(db, nil) != db {
@@ -141,35 +141,26 @@ func TestCrashRepair(t *testing.T) {
 	}
 }
 
-func TestApplyAtTransitions(t *testing.T) {
+// TestTimelineTransitions pins the crash, repair, and slow-window
+// transitions Timeline schedules: each at its exact firing time, sorted by
+// time, ties kept in declaration order.
+func TestTimelineTransitions(t *testing.T) {
 	p := NewPlan(
 		Injection{Kind: NodeCrash, Node: "a", At: 10 * time.Second, RepairAfter: 20 * time.Second},
 		Injection{Kind: SlowNode, Node: "b", At: 5 * time.Second, Duration: 10 * time.Second, Factor: 2},
+		Injection{Kind: SlowNode, Node: "c", At: 10 * time.Second, Factor: 1.5},
+		Injection{Kind: NodeCrash, Node: "d", At: 20 * time.Second},
 	)
-	// Tick (0, 10s]: crash a, slow b fired.
-	got := p.ApplyAt(0, 10*time.Second)
-	want := []Transition{
-		{Kind: NodeCrash, Node: "a"},
-		{Kind: SlowNode, Node: "b", Factor: 2},
+	want := []TimedTransition{
+		{At: 5 * time.Second, Transition: Transition{Kind: SlowNode, Node: "b", Factor: 2}},
+		{At: 10 * time.Second, Transition: Transition{Kind: NodeCrash, Node: "a"}},
+		{At: 10 * time.Second, Transition: Transition{Kind: SlowNode, Node: "c", Factor: 1.5}},
+		{At: 15 * time.Second, Transition: Transition{Kind: SlowNode, Node: "b", Factor: 1}},
+		{At: 20 * time.Second, Transition: Transition{Kind: NodeCrash, Node: "d"}},
+		{At: 30 * time.Second, Transition: Transition{Kind: NodeRepair, Node: "a"}},
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("(0,10s] transitions = %+v, want %+v", got, want)
-	}
-	// Tick (10s, 20s]: slow-node window closes at 15s.
-	got = p.ApplyAt(10*time.Second, 20*time.Second)
-	want = []Transition{{Kind: SlowNode, Node: "b", Factor: 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("(10s,20s] transitions = %+v, want %+v", got, want)
-	}
-	// Tick (20s, 30s]: repair of a at 30s (inclusive upper bound).
-	got = p.ApplyAt(20*time.Second, 30*time.Second)
-	want = []Transition{{Kind: NodeRepair, Node: "a"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("(20s,30s] transitions = %+v, want %+v", got, want)
-	}
-	// Nothing fires twice.
-	if got := p.ApplyAt(30*time.Second, time.Hour); got != nil {
-		t.Fatalf("late tick refired: %+v", got)
+	if got := p.Timeline(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Timeline = %+v, want %+v", got, want)
 	}
 }
 
@@ -351,7 +342,7 @@ func TestBudgetFactorWindows(t *testing.T) {
 	}
 }
 
-func TestBudgetDropTimelineAndApplyAt(t *testing.T) {
+func TestBudgetDropTimeline(t *testing.T) {
 	p := NewPlan(Injection{Kind: BudgetDrop, At: 10 * time.Second, Duration: 5 * time.Second, Factor: 0.5})
 	want := []TimedTransition{
 		{At: 10 * time.Second, Transition: Transition{Kind: BudgetDrop, Factor: 0.5}},
@@ -359,14 +350,6 @@ func TestBudgetDropTimelineAndApplyAt(t *testing.T) {
 	}
 	if got := p.Timeline(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Timeline = %+v, want %+v", got, want)
-	}
-	got := p.ApplyAt(0, 10*time.Second)
-	if !reflect.DeepEqual(got, []Transition{{Kind: BudgetDrop, Factor: 0.5}}) {
-		t.Fatalf("(0,10s] transitions = %+v", got)
-	}
-	got = p.ApplyAt(10*time.Second, 20*time.Second)
-	if !reflect.DeepEqual(got, []Transition{{Kind: BudgetDrop, Factor: 1}}) {
-		t.Fatalf("(10s,20s] transitions = %+v", got)
 	}
 }
 

@@ -175,26 +175,30 @@ func NewDevice(allowlist map[uint32]Access) *Device {
 // per-device stride of a flat pool backing array.
 func (d *Device) WordCount() int { return len(d.lay.addrs) }
 
-// CloneOnto clones the device with its register words stored in the
-// caller-provided backing slice, which must be exactly WordCount long. The
-// current register contents are copied into the backing; fault state is
-// duplicated as in Clone. This is how cluster.PoolState lays a whole pool's
-// registers out in one flat array while every Device keeps its own view.
-func (d *Device) CloneOnto(backing []uint64) (*Device, error) {
+// CloneOnto returns an independent copy of the device whose register words
+// live in the caller-provided backing slice, which must be exactly
+// WordCount long (it panics otherwise). The current register contents are
+// copied into the backing; privileged side registers, sticky faults, and
+// armed countdown faults (with their remaining budgets) are duplicated, so
+// accesses to the copy never affect the original. The immutable layout
+// (allowlist index) is shared. This is how cluster.ClonePool lays a whole
+// pool's registers out in one flat array while every Device keeps its own
+// view.
+func (d *Device) CloneOnto(backing []uint64) *Device {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if len(backing) != len(d.regs) {
-		return nil, fmt.Errorf("msr: backing holds %d words, device has %d", len(backing), len(d.regs))
+		panic(fmt.Sprintf("msr: backing holds %d words, device has %d", len(backing), len(d.regs)))
 	}
 	copy(backing, d.regs)
 	c := &Device{lay: d.lay, regs: backing}
-	d.cloneAuxInto(c)
-	return c, nil
+	c.copyAux(d)
+	return c
 }
 
 // SnapshotWords appends the device's dense register words to dst and
-// returns the extended slice — the pristine-pool capture half of
-// cluster.PoolState's bulk restore.
+// returns the extended slice: an image of the allowlisted registers that
+// compares devices word for word.
 func (d *Device) SnapshotWords(dst []uint64) []uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -410,88 +414,23 @@ func (d *Device) ArmFault(op Op, reg uint32, after int, err error) {
 	d.armed[opReg{op, reg}] = &countdownFault{remaining: after, err: err}
 }
 
-// cloneAuxInto copies the side state (privileged extras, sticky faults,
-// armed countdown faults) into c. Callers hold d.mu.
-func (d *Device) cloneAuxInto(c *Device) {
-	if len(d.extra) > 0 {
-		c.extra = make(map[uint32]uint64, len(d.extra))
-		for addr, v := range d.extra {
-			c.extra[addr] = v
-		}
-	}
-	if len(d.faults) > 0 {
-		c.faults = make(map[uint32]error, len(d.faults))
-		for addr, err := range d.faults {
-			c.faults[addr] = err
-		}
-	}
-	if len(d.armed) > 0 {
-		c.armed = make(map[opReg]*countdownFault, len(d.armed))
-		for key, cf := range d.armed {
-			c.armed[key] = &countdownFault{remaining: cf.remaining, err: cf.err}
-		}
-	}
-}
-
-// Clone returns an independent copy of the device: register contents and
-// any injected fault state are duplicated, so accesses to the clone never
-// affect the original (and vice versa). The immutable layout (allowlist
-// index) is shared, which is what makes cloning a slice copy. Armed
-// countdown faults keep their remaining budget at the moment of cloning.
-// This is the register-file half of node cloning for cell-isolated pools.
-func (d *Device) Clone() *Device {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	c := &Device{lay: d.lay, regs: append([]uint64(nil), d.regs...)}
-	d.cloneAuxInto(c)
-	return c
-}
-
-// RestoreFrom resets the device to the state of src: register contents,
-// sticky faults, and armed countdown faults (with their remaining budgets at
-// the moment of the call) are all copied; the layout is left alone, since
-// devices restored into each other share a construction-time allowlist.
-// With the dense storage the word restore is a single slice copy, making
-// pool recycling near-free. src must not be the receiver's concurrent
-// writer, and must share the receiver's construction lineage (same
-// allowlist).
-func (d *Device) RestoreFrom(src *Device) {
-	src.mu.RLock()
-	defer src.mu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.lay == src.lay {
-		copy(d.regs, src.regs)
-	} else {
-		// Different allowlists (foreign pool): copy the intersection and
-		// zero the rest — best effort, callers guard against this upstream
-		// (node.RestoreFrom checks IDs, the recycler shape-checks pools).
-		for i, addr := range d.lay.addrs {
-			if j, ok := src.lay.slot[addr]; ok {
-				d.regs[i] = src.regs[j]
-			} else {
-				d.regs[i] = 0
-			}
-		}
-	}
-	d.restoreAuxLocked(src)
-}
-
 // RestoreAuxFrom copies the device state that lives outside the dense
 // register words — privileged side-map registers, sticky faults, and armed
-// countdown faults — from src. Together with a bulk copy of the register
-// words (cluster.PoolState restores a whole pool's words with one slice
-// copy) it is equivalent to RestoreFrom.
+// countdown faults (with their remaining budgets at the moment of the
+// call) — from src. The register words themselves are restored by the
+// owner of the backing array: cluster.PoolState copies a whole pool's
+// words back with one slice copy.
 func (d *Device) RestoreAuxFrom(src *Device) {
 	src.mu.RLock()
 	defer src.mu.RUnlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.restoreAuxLocked(src)
+	d.copyAux(src)
 }
 
-// restoreAuxLocked is RestoreAuxFrom with both locks held.
-func (d *Device) restoreAuxLocked(src *Device) {
+// copyAux replaces d's side state with a copy of src's. Callers hold
+// src.mu and either hold d.mu or own d exclusively.
+func (d *Device) copyAux(src *Device) {
 	clear(d.extra)
 	if len(src.extra) > 0 {
 		if d.extra == nil {

@@ -271,7 +271,7 @@ func TestCloneIndependence(t *testing.T) {
 	if err := d.Write(MSRPkgPowerLimit, 0x0042_83E8); err != nil {
 		t.Fatal(err)
 	}
-	c := d.Clone()
+	c := d.CloneOnto(make([]uint64, d.WordCount()))
 	got, err := c.Read(MSRPkgPowerLimit)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestCloneCopiesFaults(t *testing.T) {
 	d := NewDevice(nil)
 	boom := errors.New("boom")
 	d.SetFault(MSRPkgEnergyStatus, boom)
-	c := d.Clone()
+	c := d.CloneOnto(make([]uint64, d.WordCount()))
 	if _, err := c.Read(MSRPkgEnergyStatus); !errors.Is(err, boom) {
 		t.Errorf("clone read err = %v, want injected fault", err)
 	}
@@ -362,7 +362,7 @@ func TestCloneCopiesWriteFaultCountdown(t *testing.T) {
 	d := NewDevice(nil)
 	boom := errors.New("boom")
 	d.ArmFault(OpWrite, MSRPkgPowerLimit, 1, boom)
-	c := d.Clone()
+	c := d.CloneOnto(make([]uint64, d.WordCount()))
 	// Each device has its own countdown budget.
 	if err := c.Write(MSRPkgPowerLimit, 1); err != nil {
 		t.Fatalf("clone first write: %v", err)

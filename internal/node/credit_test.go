@@ -47,7 +47,7 @@ func TestCreditIterationsTelescopes(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr, iterTime := sampledIteration(t, n, rng)
-		once, split := n.Clone(), n.Clone()
+		once, split := clone(n), clone(n)
 		k := 1 + rng.IntN(2_000_000)
 		once.CreditIterations(pr, iterTime, 0, k)
 		if n.Sockets()[0].Rapl.EncodeEnergyDelta(pr.Energy/SocketsPerNode*units.Energy(k)) >= 1<<32 {

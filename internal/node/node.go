@@ -214,49 +214,12 @@ func New(id string, spec cpumodel.Spec, eta float64) (*Node, error) {
 	return n, nil
 }
 
-// Clone returns a deep copy of the node: each socket's analytic model
-// (with its variation multiplier), MSR register file (including injected
-// faults), and RAPL domain accounting are duplicated, so the clone and the
-// original evolve fully independently — the primitive behind cell-isolated
-// evaluation pools. The memoized operating point carries over (it is
-// derived purely from register contents, which are copied verbatim). The
-// observability sink does not carry over; attach one with SetObs.
-func (n *Node) Clone() *Node {
-	c := &Node{ID: n.ID, IdleWait: n.IdleWait, degrade: n.degrade, op: n.op, opValid: n.opValid}
-	c.sockets = make([]*SocketUnit, 0, len(n.sockets))
-	for _, su := range n.sockets {
-		dev := su.Dev.Clone()
-		c.sockets = append(c.sockets, &SocketUnit{
-			Model: su.Model.Clone(),
-			Dev:   dev,
-			Rapl:  su.Rapl.Clone(dev),
-		})
-	}
-	return c
-}
-
-// RestoreFrom resets the node in place to the state of src, which must be a
-// same-ID original this node was cloned from (directly or transitively):
-// register files, RAPL accounting, fault arming, degradation, and the
-// memoized operating point all revert; the observability sink detaches. It
-// is the recycling counterpart of Clone — reusing the allocated sockets and
-// register maps keeps a campaign's clone+GC churn flat no matter how many
-// scenarios run.
-func (n *Node) RestoreFrom(src *Node) error {
-	if err := n.RestoreAuxFrom(src); err != nil {
-		return err
-	}
-	for i, su := range n.sockets {
-		su.Dev.RestoreFrom(src.sockets[i].Dev)
-	}
-	return nil
-}
-
-// RestoreAuxFrom is RestoreFrom minus the dense register words: it reverts
-// the node scalars, socket models, RAPL accounting, and the register files'
-// auxiliary state (armed faults, privileged spill), but leaves the
-// allowlisted register contents untouched. cluster.PoolState pairs it with
-// one flat copy of the pristine word arena to restore a whole pool without
+// RestoreAuxFrom resets the node in place to the state of src, which must
+// be the same-ID node it was cloned from, except for the dense register
+// words: the node scalars, socket models, RAPL accounting, and the
+// register files' auxiliary state (armed faults, privileged spill) revert,
+// and the observability sink detaches. cluster.PoolState pairs it with one
+// flat copy of the pristine word arena to restore a whole pool without
 // walking registers device by device.
 func (n *Node) RestoreAuxFrom(src *Node) error {
 	if n.ID != src.ID || len(n.sockets) != len(src.sockets) {
@@ -269,7 +232,7 @@ func (n *Node) RestoreAuxFrom(src *Node) error {
 	n.sink = nil
 	for i, su := range n.sockets {
 		ss := src.sockets[i]
-		su.Model = ss.Model.Clone()
+		su.Model = ss.Model
 		su.Dev.RestoreAuxFrom(ss.Dev)
 		su.Rapl.RestoreFrom(ss.Rapl)
 	}
@@ -286,31 +249,32 @@ func (n *Node) WordCount() int {
 	return total
 }
 
-// CloneInto is Clone with the registers' dense storage carved out of
-// backing, which must be exactly WordCount() long. The clone behaves
-// identically to a Clone() result; the only difference is where its words
-// live, which lets cluster.PoolState lay a whole pool out contiguously.
-func (n *Node) CloneInto(backing []uint64) (*Node, error) {
+// CloneInto returns a deep copy of the node whose registers' dense storage
+// is carved out of backing, which must be exactly WordCount() long (it
+// panics otherwise). Each socket's analytic model (with its variation
+// multiplier), MSR register file (including injected faults), and RAPL
+// domain accounting are duplicated, so the clone and the original evolve
+// fully independently. The memoized operating point carries over (it is
+// derived purely from register contents, which are copied verbatim). The
+// observability sink does not carry over; attach one with SetObs.
+func (n *Node) CloneInto(backing []uint64) *Node {
 	if len(backing) != n.WordCount() {
-		return nil, fmt.Errorf("node %s: backing has %d words, need %d", n.ID, len(backing), n.WordCount())
+		panic(fmt.Sprintf("node %s: backing has %d words, need %d", n.ID, len(backing), n.WordCount()))
 	}
 	c := &Node{ID: n.ID, IdleWait: n.IdleWait, degrade: n.degrade, op: n.op, opValid: n.opValid}
 	c.sockets = make([]*SocketUnit, 0, len(n.sockets))
 	off := 0
 	for _, su := range n.sockets {
 		w := su.Dev.WordCount()
-		dev, err := su.Dev.CloneOnto(backing[off : off+w : off+w])
-		if err != nil {
-			return nil, fmt.Errorf("node %s: %w", n.ID, err)
-		}
+		dev := su.Dev.CloneOnto(backing[off : off+w : off+w])
 		off += w
 		c.sockets = append(c.sockets, &SocketUnit{
-			Model: su.Model.Clone(),
+			Model: su.Model,
 			Dev:   dev,
 			Rapl:  su.Rapl.Clone(dev),
 		})
 	}
-	return c, nil
+	return c
 }
 
 // SnapshotWords appends the node's dense register words (socket order) to

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -108,16 +108,13 @@ func streamEvents(w http.ResponseWriter, r *http.Request, s *Sink) {
 		http.Error(w, "streaming disabled: no sink", http.StatusServiceUnavailable)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+	sse := OpenSSE(w)
+	if sse == nil {
 		return
 	}
 	buf := DefaultStreamBuffer
-	if v := r.URL.Query().Get("buffer"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			buf = min(n, 1<<16)
-		}
+	if n, err := strconv.Atoi(r.URL.Query().Get("buffer")); err == nil && n > 0 {
+		buf = min(n, 1<<16)
 	}
 	sub := s.Stream.Subscribe(buf)
 	defer sub.Close()
@@ -125,34 +122,11 @@ func streamEvents(w http.ResponseWriter, r *http.Request, s *Sink) {
 	clients.Add(1)
 	defer clients.Add(-1)
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
 	// The hello frame commits the headers and gives smoke tests a first
 	// frame to assert on before any event traffic arrives.
-	fmt.Fprintf(w, "event: hello\ndata: {\"buffer\":%d}\n\n", buf)
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case e, ok := <-sub.C():
-			if !ok {
-				// The broadcaster dropped this client for falling behind.
-				s.Metrics.Counter(MetricStreamDropped).Inc()
-				fmt.Fprint(w, "event: dropped\ndata: {\"reason\":\"slow client\"}\n\n")
-				fl.Flush()
-				return
-			}
-			b, err := json.Marshal(e)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "data: %s\n\n", b)
-			fl.Flush()
-		}
+	sse.Send("hello", fmt.Appendf(nil, `{"buffer":%d}`, buf))
+	if sse.Relay(r, sub, func(e Event) ([]byte, error) { return json.Marshal(e) }) {
+		s.Metrics.Counter(MetricStreamDropped).Inc()
 	}
 }
 
@@ -164,50 +138,19 @@ func streamMetrics(w http.ResponseWriter, r *http.Request, s *Sink) {
 		http.Error(w, "streaming disabled: no sink", http.StatusServiceUnavailable)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+	sse := OpenSSE(w)
+	if sse == nil {
 		return
-	}
-	interval := 2 * time.Second
-	if v := r.URL.Query().Get("interval"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil {
-			interval = max(d, 50*time.Millisecond)
-		}
 	}
 	clients := s.Metrics.Gauge(MetricStreamClients)
 	clients.Add(1)
 	defer clients.Add(-1)
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	writeSnapshot := func() {
-		var b strings.Builder
-		if err := s.WritePrometheus(&b); err != nil {
-			return
-		}
-		// SSE multi-line payloads need a data: prefix per line.
-		for _, line := range strings.Split(strings.TrimRight(b.String(), "\n"), "\n") {
-			fmt.Fprintf(w, "data: %s\n", line)
-		}
-		fmt.Fprint(w, "\n")
-		fl.Flush()
-	}
-	writeSnapshot()
-
-	ctx := r.Context()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			writeSnapshot()
-		}
-	}
+	sse.Tick(r, 2*time.Second, func() ([]byte, error) {
+		var b bytes.Buffer
+		err := s.WritePrometheus(&b)
+		return b.Bytes(), err
+	})
 }
 
 // Server is a running debug HTTP server.

@@ -138,23 +138,19 @@ func NewDomain(dev *msr.Device) (*Domain, error) {
 func (d *Domain) Units() Units { return d.units }
 
 // Clone returns a copy of the domain bound to dev, which must be the
-// already-cloned MSR device of the same socket (a nil dev rebinds to the
-// original device, losing isolation). Decoded units and the wraparound
-// trackers' accumulated energy carry over, so ReadEnergy on the clone
-// continues seamlessly from the original's accounting. The observability
-// sink does not carry over; attach one with SetObs.
+// already-cloned MSR device of the same socket. Decoded units and the
+// wraparound trackers' accumulated energy carry over, so ReadEnergy on the
+// clone continues seamlessly from the original's accounting. The
+// observability sink does not carry over; attach one with SetObs.
 func (d *Domain) Clone(dev *msr.Device) *Domain {
-	if dev == nil {
-		dev = d.dev
-	}
 	return &Domain{dev: dev, units: d.units, pkg: d.pkg, dram: d.dram}
 }
 
 // RestoreFrom resets the domain's wraparound trackers to the state of src
 // and detaches any observability sink — the in-place counterpart of Clone
-// for pool recycling. The decoded units are construction-time constants of
-// the bound device and are left alone; the caller restores the device's
-// registers separately (msr.Device.RestoreFrom).
+// for pool resets. The decoded units are construction-time constants of
+// the bound device and are left alone; the caller restores the device
+// separately (cluster.PoolState).
 func (d *Domain) RestoreFrom(src *Domain) {
 	d.pkg = src.pkg
 	d.dram = src.dram

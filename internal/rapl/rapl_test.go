@@ -266,7 +266,7 @@ func TestCloneContinuesEnergyIndependently(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cdev := dev.Clone()
+	cdev := dev.CloneOnto(make([]uint64, dev.WordCount()))
 	c := d.Clone(cdev)
 	// The clone carries the accumulated 1 J and continues from its own
 	// device's counter without a re-priming discontinuity.

@@ -441,24 +441,13 @@ func (h *Host) handleStreamTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+	sse := obs.OpenSSE(w)
+	if sse == nil {
 		return
 	}
-	interval := time.Second
-	if v := r.URL.Query().Get("interval"); v != "" {
-		if d, perr := time.ParseDuration(v); perr == nil {
-			interval = max(d, 50*time.Millisecond)
-		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	frame := func() {
+	sse.Tick(r, time.Second, func() ([]byte, error) {
 		sn := hi.snapshot()
-		b, merr := json.Marshal(apiv1.TelemetryFrame{
+		return json.Marshal(apiv1.TelemetryFrame{
 			AtNs:        int64(sn.Now),
 			PowerWatts:  sn.LastPower.Watts(),
 			BudgetWatts: sn.Budget.Watts(),
@@ -468,25 +457,7 @@ func (h *Host) handleStreamTelemetry(w http.ResponseWriter, r *http.Request) {
 			Preempted:   sn.Preempted,
 			Killed:      sn.Killed,
 		})
-		if merr != nil {
-			return
-		}
-		fmt.Fprintf(w, "data: %s\n\n", b)
-		fl.Flush()
-	}
-	frame()
-
-	ctx := r.Context()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			frame()
-		}
-	}
+	})
 }
 
 // handleStreamEvents serves the live decision-event feed translated to
@@ -497,41 +468,19 @@ func (h *Host) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming disabled: no sink", http.StatusServiceUnavailable)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+	sse := obs.OpenSSE(w)
+	if sse == nil {
 		return
 	}
 	sub := h.sink.Stream.Subscribe(obs.DefaultStreamBuffer)
 	defer sub.Close()
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	fmt.Fprint(w, "event: hello\ndata: {}\n\n")
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case e, open := <-sub.C():
-			if !open {
-				fmt.Fprint(w, "event: dropped\ndata: {\"reason\":\"slow client\"}\n\n")
-				fl.Flush()
-				return
-			}
-			b, merr := json.Marshal(apiv1.EventFrame{
-				Seq: e.Seq, VtNs: int64(e.VTime), Type: string(e.Type),
-				Layer: e.Layer, Scope: e.Scope, Host: e.Host,
-				Value: e.Value, Aux: e.Aux,
-			})
-			if merr != nil {
-				continue
-			}
-			fmt.Fprintf(w, "data: %s\n\n", b)
-			fl.Flush()
-		}
-	}
+	sse.Send("hello", []byte("{}"))
+	sse.Relay(r, sub, func(e obs.Event) ([]byte, error) {
+		return json.Marshal(apiv1.EventFrame{
+			Seq: e.Seq, VtNs: int64(e.VTime), Type: string(e.Type),
+			Layer: e.Layer, Scope: e.Scope, Host: e.Host,
+			Value: e.Value, Aux: e.Aux,
+		})
+	})
 }
