@@ -1,6 +1,7 @@
 package cpumodel
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -210,6 +211,102 @@ func TestSharedTableBitIdentical(t *testing.T) {
 	}
 }
 
+// referenceBisect is the plain table inversion the guided search must
+// reproduce exactly: a binary search over grid powers, then a 24-step
+// bisection that evaluates the power model at every midpoint.
+func referenceBisect(t *CapTable, eta float64, cap units.Power) units.Frequency {
+	n := len(t.freqs)
+	if t.gridPower(eta, n-1) <= cap {
+		return t.freqs[n-1]
+	}
+	if t.gridPower(eta, 0) > cap {
+		return t.freqs[0]
+	}
+	// Largest grid point whose power fits the cap; its successor overshoots.
+	i := sort.Search(n, func(k int) bool { return t.gridPower(eta, k) > cap }) - 1
+	lo, hi := t.freqs[i], t.freqs[i+1]
+	if t.gridPower(eta, i) > cap {
+		// Monotonicity dust broke the bracket (never observed for the
+		// calibrated model); fall back to the full range.
+		lo, hi = t.freqs[0], t.freqs[n-1]
+	}
+	for k := 0; k < capTableBisectIters; k++ {
+		mid := (lo + hi) / 2
+		if t.powerAt(eta, mid) <= cap {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// fuzzPhase decodes a work mix over the Table II design axes — intensity,
+// vector width, waiting share, imbalance, critical or waiting host — plus
+// pure-compute and pure-memory variants of each.
+func fuzzPhase(sel uint16) Phase {
+	intensities := []float64{0, 0.25, 0.5, 1, 2, 4, 8, 16, 32}
+	v := uint(sel)
+	c := kernel.Config{
+		Intensity:  intensities[v%9],
+		Vector:     kernel.Vector(v / 9 % 3),
+		WaitingPct: int(v / 27 % 4 * 25),
+		Imbalance:  float64(v/108%3 + 1),
+	}
+	w := c.TotalWorkPerHost(18, v/324%2 == 0)
+	switch v / 648 % 3 {
+	case 1: // pure compute
+		w.Flops += units.Flops(w.Traffic)
+		w.Traffic = 0
+	case 2: // pure memory
+		w.Flops = 0
+	}
+	return Phase{Work: w, Vector: c.Vector}
+}
+
+// FuzzCapTableInversion pins the guided inversion against referenceBisect
+// over random eta, work mixes and spin tables. Caps land on exact grid
+// powers, one ulp either side of them (where the bracket search and the
+// probes' margins are tightest), or anywhere across and past the table's
+// power range.
+func FuzzCapTableInversion(f *testing.F) {
+	f.Add(uint16(32768), uint16(7), false, uint8(0), uint16(40), 0.0)
+	f.Add(uint16(0), uint16(700), false, uint8(1), uint16(0), 0.0)
+	f.Add(uint16(65535), uint16(1300), true, uint8(2), uint16(112), 0.0)
+	f.Add(uint16(1234), uint16(333), false, uint8(3), uint16(0), 0.37)
+	spec := Quartz()
+	f.Fuzz(func(t *testing.T, etaSel, phaseSel uint16, spin bool, capMode uint8, gridSel uint16, frac float64) {
+		eta := 0.85 + 0.3*float64(etaSel)/math.MaxUint16
+		ph := fuzzPhase(phaseSel)
+		tbl := CapTableFor(&spec, ph)
+		if spin {
+			tbl = SpinCapTableFor(&spec)
+		}
+		n := len(tbl.freqs)
+		grid := tbl.gridPower(eta, int(gridSel)%n)
+		var cap units.Power
+		switch capMode % 4 {
+		case 0:
+			cap = grid
+		case 1:
+			cap = units.Power(math.Nextafter(float64(grid), math.Inf(1)))
+		case 2:
+			cap = units.Power(math.Nextafter(float64(grid), math.Inf(-1)))
+		default:
+			if math.IsNaN(frac) || math.IsInf(frac, 0) {
+				frac = 0.5
+			}
+			frac -= math.Floor(frac)
+			pMin, pMax := tbl.gridPower(eta, 0), tbl.gridPower(eta, n-1)
+			cap = pMin + (pMax-pMin)*units.Power(1.1*frac-0.05)
+		}
+		got, want := tbl.FrequencyForCap(eta, cap), referenceBisect(tbl, eta, cap)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("eta=%v spin=%v ph=%+v cap=%v: guided %v, reference %v", eta, spin, ph, cap, got, want)
+		}
+	})
+}
+
 // TestCapTableShared pins that every socket of one spec shares one table
 // per phase, and that a different spec gets its own.
 func TestCapTableShared(t *testing.T) {
@@ -254,16 +351,45 @@ func BenchmarkFrequencyForCap(b *testing.B) {
 	}
 }
 
-func BenchmarkCapTableFrequencyForCap(b *testing.B) {
-	s := NewSocket(Quartz(), 1.0)
-	ph := tablePhases()[2]
-	tbl := CapTableFor(&s.Spec, ph)
-	cap := s.PowerAt(ph, s.Spec.BaseFreq)
+// capSweep returns caps spread evenly over the table's in-bracket power
+// range at eta — from the MinFreq power to the MaxTurbo power — so a sweep
+// visits every grid bracket instead of one.
+func capSweep(tbl *CapTable, eta float64, n int) []units.Power {
+	pMin, pMax := tbl.gridPower(eta, 0), tbl.gridPower(eta, len(tbl.freqs)-1)
+	caps := make([]units.Power, n)
+	for i := range caps {
+		caps[i] = pMin + (pMax-pMin)*units.Power((float64(i)+0.5)/float64(n))
+	}
+	return caps
+}
+
+// sinkFreq keeps benchmarked inversions from being optimized away.
+var sinkFreq units.Frequency
+
+// benchmarkInversion times invert over one work table and one spin table,
+// alternating, each swept over its whole power range.
+func benchmarkInversion(b *testing.B, invert func(*CapTable, float64, units.Power) units.Frequency) {
+	s := NewSocket(Quartz(), 1.03)
+	tbls := [2]*CapTable{CapTableFor(&s.Spec, tablePhases()[2]), SpinCapTableFor(&s.Spec)}
+	caps := [2][]units.Power{capSweep(tbls[0], s.Eta, 251), capSweep(tbls[1], s.Eta, 251)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tbl.FrequencyForCap(s.Eta, cap)
+		k := i & 1
+		c := caps[k]
+		sinkFreq = invert(tbls[k], s.Eta, c[(i>>1)%len(c)])
 	}
+}
+
+// BenchmarkCapTableFrequencyForCap times the guided inversion across the
+// cap sweep; BenchmarkCapTableReferenceBisect times the plain in-bracket
+// bisection it replaced on the same sweep, so one run reads the speed-up.
+func BenchmarkCapTableFrequencyForCap(b *testing.B) {
+	benchmarkInversion(b, (*CapTable).FrequencyForCap)
+}
+
+func BenchmarkCapTableReferenceBisect(b *testing.B) {
+	benchmarkInversion(b, referenceBisect)
 }
 
 func BenchmarkOperate(b *testing.B) {

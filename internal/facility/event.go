@@ -483,7 +483,7 @@ func (s *eventSim) onCrash(nodeID string, now time.Duration) error {
 	}
 	s.accrue(now)
 	fault.Crash(n)
-	s.markNodeDirty(nodeID)
+	s.markNodeDirty(n)
 	s.obs.FaultInjected(string(fault.NodeCrash), nodeID, "", 0)
 	holder, held := s.mgr.Drain(nodeID, "crash")
 	if held {
@@ -514,7 +514,7 @@ func (s *eventSim) onRepair(nodeID string, now time.Duration) error {
 	}
 	s.accrue(now)
 	fault.Repair(n)
-	s.markNodeDirty(nodeID)
+	s.markNodeDirty(n)
 	s.mgr.Rejoin(nodeID)
 	return s.reconcile(now, false, false)
 }

@@ -233,22 +233,23 @@ type Result struct {
 // config, corrupt database view, managers, telemetry hierarchy, RNG, and
 // the bookkeeping maps the arrival process feeds.
 type simState struct {
-	cfg      Config
-	pol      policy.Policy
-	db       *charz.DB
-	rng      *rand.Rand
-	mgr      *rm.Manager
-	sched    *rm.Scheduler
-	root     *telemetry.Domain
-	res      *Result
-	start    time.Time // wall-clock epoch of virtual time zero
+	cfg   Config
+	pol   policy.Policy
+	db    *charz.DB
+	rng   *rand.Rand
+	mgr   *rm.Manager
+	sched *rm.Scheduler
+	root  *telemetry.Domain
+	res   *Result
+	start time.Time // wall-clock epoch of virtual time zero
+	// nodeByID resolves fault-plan and wire node IDs. Below that boundary
+	// a node is addressed by its slot (node.Node.Slot), which mgr assigns
+	// as its position in cfg.Nodes: the telemetry leaf ordinal the dirty
+	// set is marked by, and what assigns a host its rack (see scale.go).
 	nodeByID map[string]*node.Node
 
-	// scale selects the hierarchical replan; nodeIndex maps host IDs to
-	// their position in cfg.Nodes — the telemetry leaf ordinal the dirty
-	// set is marked by, and what assigns a host its rack (see scale.go).
-	scale     bool
-	nodeIndex map[string]int
+	// scale selects the hierarchical replan.
+	scale bool
 
 	lengths     map[string]int // queued job ID -> iterations
 	submitTimes map[string]time.Time
@@ -329,18 +330,14 @@ func (st *simState) markDropoutStarts(now time.Duration) {
 // energy.
 func (st *simState) markJobDirty(sj *rm.ScheduledJob) {
 	for i := range sj.Job.Hosts {
-		if ord, ok := st.nodeIndex[sj.Job.Hosts[i].Node.ID]; ok {
-			st.root.MarkLeafDirty(ord)
-		}
+		st.root.MarkLeafDirty(sj.Job.Hosts[i].Node.Slot())
 	}
 }
 
 // markNodeDirty marks one node dirty — crashes and repairs toggle its
 // energy readability between samples.
-func (st *simState) markNodeDirty(id string) {
-	if ord, ok := st.nodeIndex[id]; ok {
-		st.root.MarkLeafDirty(ord)
-	}
+func (st *simState) markNodeDirty(n *node.Node) {
+	st.root.MarkLeafDirty(n.Slot())
 }
 
 // maxHistory caps the telemetry ring size at its previous fixed value.
@@ -417,9 +414,8 @@ func setup(cfg Config) (*simState, error) {
 		return nil, err
 	}
 	st.root = root
-	st.nodeIndex = make(map[string]int, len(cfg.Nodes))
-	for i, n := range cfg.Nodes {
-		st.nodeIndex[n.ID] = i
+	for _, n := range cfg.Nodes {
+		st.nodeByID[n.ID] = n
 	}
 	if st.scale {
 		// Scale mode also turns on the manager's incremental cap path:
@@ -436,10 +432,11 @@ func setup(cfg Config) (*simState, error) {
 	// kinds change a leaf's reading without such an event:
 	if cfg.Faults != nil {
 		for _, in := range cfg.Faults.Injections {
-			ord, ok := st.nodeIndex[in.Node]
+			n, ok := st.nodeByID[in.Node]
 			if !ok {
 				continue
 			}
+			ord := n.Slot()
 			switch in.Kind {
 			case fault.MSRReadFault:
 				// Energy reads consume the fault's countdown budget, so the
@@ -460,7 +457,6 @@ func setup(cfg Config) (*simState, error) {
 		})
 	}
 	for _, n := range cfg.Nodes {
-		st.nodeByID[n.ID] = n
 		// Node-level events (limit writes, MSR writes, pins) recorded
 		// during the run carry virtual timestamps too. Campaign pool
 		// clones arrive without a sink, so this is also what turns their

@@ -92,8 +92,7 @@ func (st *simState) planRequests(infos []policy.JobInfo) {
 			}
 		}
 		sc.reqs[i] = coordinator.Request{JobID: info.ID, Min: min, Needed: needed, MaxUseful: max}
-		idx := st.nodeIndex[jobs[i].Job.Hosts[0].Node.ID]
-		sc.rackOf[i] = idx / facilityPDUSize
+		sc.rackOf[i] = jobs[i].Job.Hosts[0].Node.Slot() / facilityPDUSize
 		sc.roomOf[i] = sc.rackOf[i] / telemetry.PDUsPerRoom
 	}
 }

@@ -47,10 +47,20 @@ type Node struct {
 
 	// op memoizes the steady-state operating point for the last
 	// (phase, cap) pair: across the 100 iterations of a run the cap and
-	// phase are constant, so resolving frequency by binary search once
-	// per run instead of once per iteration dominates simulation speed.
+	// phase are constant, so inverting the cap once per run instead of
+	// once per iteration dominates simulation speed.
 	op      opPoint
 	opValid bool
+	// work and spin hold the shared cap tables (cpumodel.CapTableFor) the
+	// last resolve inverted on. A miss under a new cap reuses them instead
+	// of looking the table up again; work is replaced when its own Phase
+	// no longer matches. The socket spec, the tables' other key, is fixed
+	// for a node's lifetime.
+	work, spin *cpumodel.CapTable
+
+	// slot is the node's position in the pool of the resource manager
+	// that owns it; see SetSlot.
+	slot int
 
 	// sink receives limit-write and frequency-pin events when
 	// observability is enabled; nil costs one comparison per write.
@@ -96,8 +106,14 @@ func (n *Node) resolve(ph cpumodel.Phase, cap units.Power) opPoint {
 		return n.op
 	}
 	m := &n.sockets[0].Model
-	fWork := cpumodel.CapTableFor(&m.Spec, ph).FrequencyForCap(m.Eta, cap)
-	fSpin := cpumodel.SpinCapTableFor(&m.Spec).FrequencyForCap(m.Eta, cap)
+	if n.work == nil || n.work.Phase() != ph {
+		n.work = cpumodel.CapTableFor(&m.Spec, ph)
+	}
+	if n.spin == nil {
+		n.spin = cpumodel.SpinCapTableFor(&m.Spec)
+	}
+	fWork := n.work.FrequencyForCap(m.Eta, cap)
+	fSpin := n.spin.FrequencyForCap(m.Eta, cap)
 	if pin > 0 {
 		// A P-state request (IA32_PERF_CTL) is a ceiling: RAPL can still
 		// clamp below it, but the core never exceeds the requested ratio.
@@ -151,6 +167,15 @@ func (n *Node) Degradation() float64 {
 	}
 	return 1
 }
+
+// Slot returns the node's position in its resource manager's pool.
+func (n *Node) Slot() int { return n.slot }
+
+// SetSlot records the node's position in a pool. rm.NewManager assigns it
+// once per node, so per-node manager state can live in slices indexed by
+// slot instead of maps keyed by ID; a node belongs to one manager at a
+// time.
+func (n *Node) SetSlot(i int) { n.slot = i }
 
 // SetFrequencyPin requests a P-state ceiling through IA32_PERF_CTL on both
 // sockets (the DVFS control path GEOPM's frequency agents use). The
@@ -261,7 +286,8 @@ func (n *Node) CloneInto(backing []uint64) *Node {
 	if len(backing) != n.WordCount() {
 		panic(fmt.Sprintf("node %s: backing has %d words, need %d", n.ID, len(backing), n.WordCount()))
 	}
-	c := &Node{ID: n.ID, IdleWait: n.IdleWait, degrade: n.degrade, op: n.op, opValid: n.opValid}
+	c := &Node{ID: n.ID, IdleWait: n.IdleWait, degrade: n.degrade, op: n.op, opValid: n.opValid,
+		work: n.work, spin: n.spin, slot: n.slot}
 	c.sockets = make([]*SocketUnit, 0, len(n.sockets))
 	off := 0
 	for _, su := range n.sockets {

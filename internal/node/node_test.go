@@ -10,6 +10,7 @@ import (
 	"powerstack/internal/cpumodel"
 	"powerstack/internal/kernel"
 	"powerstack/internal/msr"
+	"powerstack/internal/rapl"
 	"powerstack/internal/units"
 )
 
@@ -334,5 +335,65 @@ func TestCloneCarriesInjectedFaults(t *testing.T) {
 	c := clone(n)
 	if _, err := c.SetPowerLimit(180 * units.Watt); !errors.Is(err, errFlaky) {
 		t.Errorf("clone err = %v, want the injected fault", err)
+	}
+}
+
+// TestResolveTableHandles pins the held cap tables: a resolve miss reuses
+// them while the phase matches, swaps the work table when the phase
+// changes, and lands on the operating point a lookup from scratch gives.
+func TestResolveTableHandles(t *testing.T) {
+	n := testNode(t)
+	phA := phase(kernel.Config{Intensity: 32, Vector: kernel.YMM, Imbalance: 1})
+	phB := phase(kernel.Config{Intensity: 0.25, Vector: kernel.XMM, Imbalance: 2})
+	for i, c := range []struct {
+		ph  cpumodel.Phase
+		cap units.Power
+	}{{phA, 200}, {phA, 150}, {phB, 150}, {phB, 180}, {phA, 180}} {
+		if _, err := n.SetPowerLimit(c.cap); err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.WorkTime(c.ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.work.Phase() != c.ph {
+			t.Fatalf("step %d: held work table inverts %+v, want %+v", i, n.work.Phase(), c.ph)
+		}
+		spec := n.Spec()
+		if n.work != cpumodel.CapTableFor(&spec, c.ph) || n.spin != cpumodel.SpinCapTableFor(&spec) {
+			t.Fatalf("step %d: held tables are not the shared ones", i)
+		}
+		fresh := clone(n)
+		fresh.work, fresh.spin, fresh.opValid = nil, nil, false
+		want, err := fresh.WorkTime(c.ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("step %d: work time %v with held tables, %v from scratch", i, got, want)
+		}
+	}
+}
+
+// BenchmarkResolveMiss alternates two caps through WorkTime, so every call
+// misses the operating-point memo and inverts both cap tables. It must not
+// allocate.
+func BenchmarkResolveMiss(b *testing.B) {
+	n, err := New("quartz-0001", cpumodel.Quartz(), 1.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ph := phase(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
+	caps := [2]units.Power{170 * units.Watt, 190 * units.Watt}
+	var enc rapl.LimitEncoder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := n.SetPowerLimitCached(caps[i&1], &enc); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := n.WorkTime(ph); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -233,14 +233,17 @@ func weightedSurplus(slots []slot, pool units.Power) units.Power {
 
 // assemble converts slots back into an Allocation. The returned map and cap
 // slices are freshly allocated — they are the policy's API result and must
-// outlive the pooled scratch the slots came from.
+// outlive the pooled scratch the slots came from. Slots address their row
+// by job index, so each job's ID is hashed once, not once per host.
 func assemble(jobs []JobInfo, slots []slot) Allocation {
-	out := Allocation{}
-	for _, j := range jobs {
-		out[j.ID] = make([]units.Power, len(j.Hosts))
+	out := make(Allocation, len(jobs))
+	rows := make([][]units.Power, len(jobs))
+	for ji, j := range jobs {
+		rows[ji] = make([]units.Power, len(j.Hosts))
+		out[j.ID] = rows[ji]
 	}
 	for _, s := range slots {
-		out[jobs[s.job].ID][s.idx] = s.alloc
+		rows[s.job][s.idx] = s.alloc
 	}
 	return out
 }

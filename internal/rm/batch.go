@@ -13,11 +13,13 @@ import (
 // programs per-host caps exactly like Manager.ApplyCaps but defers every
 // mutation of shared manager state — quarantine decisions, spare-pool pops,
 // lastCap/changed bookkeeping — into local records that CommitCapBatches
-// replays sequentially in a deterministic order.
+// replays sequentially in a deterministic order. Records hold node
+// pointers; the commit writes each node's drained flag and last-cap slot
+// (node.Node.Slot) directly.
 //
 // The split is what makes the parallel replan exact: during the apply
 // phase, workers only read manager state that the phase never writes
-// (quarantined, lastCap) and touch devices no other worker touches (hosts
+// (drained flags, last caps) and touch devices no other worker touches (hosts
 // are disjoint across jobs, and a job belongs to exactly one batch), so
 // register traffic, retry counts, and fault-countdown consumption per
 // device are identical to the sequential pass. Each batch owns its own
@@ -32,14 +34,14 @@ type CapBatch struct {
 	enc rapl.LimitEncoder
 
 	writes   []capWrite
-	forgets  []string
+	forgets  []*node.Node
 	changed  []string
 	failures []capFailure
 }
 
 // capWrite is a successful programmed cap, pending lastCap commit.
 type capWrite struct {
-	id    string
+	node  *node.Node
 	watts units.Power
 }
 
@@ -99,13 +101,13 @@ func (b *CapBatch) setLimit(n *node.Node, watts units.Power) error {
 		if _, err = n.SetPowerLimitCached(watts, &b.enc); err == nil {
 			m.Obs.CapWriteRetries(n.ID, attempt)
 			if m.Incremental {
-				b.writes = append(b.writes, capWrite{n.ID, watts})
+				b.writes = append(b.writes, capWrite{n, watts})
 			}
 			return nil
 		}
 	}
 	m.Obs.CapWriteRetries(n.ID, retries)
-	b.forgets = append(b.forgets, n.ID)
+	b.forgets = append(b.forgets, n)
 	return err
 }
 
@@ -122,11 +124,11 @@ func (b *CapBatch) ApplyCaps(sj *ScheduledJob, jobIdx int, caps []units.Power) e
 	changed := false
 	for i := range sj.Job.Hosts {
 		n := sj.Job.Hosts[i].Node
-		if _, drained := m.quarantined[n.ID]; drained {
+		if m.drained[n.Slot()] {
 			continue
 		}
 		if m.Incremental {
-			if last, ok := m.lastCap[n.ID]; ok && last == caps[i] {
+			if m.capUnchanged(n, caps[i]) {
 				continue
 			}
 			if !changed {
@@ -151,9 +153,9 @@ func (b *CapBatch) ApplyCaps(sj *ScheduledJob, jobIdx int, caps []units.Power) e
 }
 
 // CommitCapBatches merges parallel apply rounds back into the manager.
-// Bookkeeping (lastCap, changed-job set) is committed batch by batch —
-// hosts are disjoint across jobs, so commit order cannot change the final
-// maps — and then every failure across all batches is handled in
+// Bookkeeping (last-cap slots, changed-job set) is committed batch by
+// batch — hosts are disjoint across jobs, so commit order cannot change
+// the final state — and then every failure across all batches is handled in
 // (job submission index, host index) order: quarantine, spare claim, host
 // swap, span close. That is precisely the order the sequential Apply pass
 // encounters failures in, so the spare pool is consumed identically.
@@ -164,11 +166,9 @@ func (m *Manager) CommitCapBatches(batches []*CapBatch) {
 			continue
 		}
 		if m.Incremental {
+			last := m.lastCaps()
 			for _, w := range b.writes {
-				if m.lastCap == nil {
-					m.lastCap = map[string]units.Power{}
-				}
-				m.lastCap[w.id] = w.watts
+				last[w.node.Slot()] = w.watts
 			}
 			for _, id := range b.changed {
 				if m.changed == nil {
@@ -177,8 +177,8 @@ func (m *Manager) CommitCapBatches(batches []*CapBatch) {
 				m.changed[id] = true
 			}
 		}
-		for _, id := range b.forgets {
-			delete(m.lastCap, id)
+		for _, n := range b.forgets {
+			m.forgetCap(n)
 		}
 		failures = append(failures, b.failures...)
 	}

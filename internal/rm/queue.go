@@ -77,7 +77,7 @@ func NewScheduler(mgr *Manager, db *charz.DB, budget units.Power) (*Scheduler, e
 		demands:         map[*ScheduledJob]units.Power{},
 		quotas:          map[string]units.Power{},
 		tenantCommitted: map[string]units.Power{},
-		totalNodes:      mgr.FreeNodes() + len(mgr.quarantined),
+		totalNodes:      mgr.FreeNodes() + mgr.nDrained,
 	}, nil
 }
 

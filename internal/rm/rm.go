@@ -11,6 +11,7 @@ package rm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -84,11 +85,16 @@ const DefaultCapRetries = 2
 type Manager struct {
 	free []*node.Node
 	jobs []*ScheduledJob
-	// quarantined holds drained nodes by ID. A quarantined node never
-	// returns to the free pool until Rejoin; one still referenced by a
-	// running job keeps computing at its last programmed limit, but the
-	// manager stops writing caps to it.
-	quarantined map[string]*node.Node
+	// pool is every node the manager was built over, at its slot
+	// (node.Node.Slot). Per-node state below is indexed the same way.
+	pool []*node.Node
+	// drained flags, by slot, the nodes in the quarantine drain set, and
+	// nDrained counts them. A quarantined node never returns to the free
+	// pool until Rejoin; one still referenced by a running job keeps
+	// computing at its last programmed limit, but the manager stops
+	// writing caps to it.
+	drained  []bool
+	nDrained int
 
 	// Obs is propagated to the GEOPM controllers RunAll spawns; nil
 	// disables instrumentation. The registry and journal are safe under
@@ -139,19 +145,28 @@ type Manager struct {
 	// journaling cadence — so the facility enables it only in scale mode,
 	// never on the small-N exactness path.
 	Incremental bool
-	// lastCap records, by node ID, the cap most recently programmed with
-	// success; only maintained when Incremental is set.
-	lastCap map[string]units.Power
+	// lastCap records, by slot, the cap most recently programmed with
+	// success, NaN where none is known; only maintained when Incremental
+	// is set. NaN compares unequal to every cap, so an unknown register is
+	// always rewritten.
+	lastCap []units.Power
 	// changed collects the IDs of jobs that had at least one host cap
 	// actually (re)programmed since the last TakeChangedJobs drain.
 	changed map[string]bool
 }
 
-// NewManager builds a manager over the given node pool.
+// NewManager builds a manager over the given node pool and assigns each
+// node its position in it as its slot (node.Node.SetSlot). A node serves
+// one manager at a time: building another manager over it reassigns its
+// slot.
 func NewManager(pool []*node.Node) *Manager {
+	for i, n := range pool {
+		n.SetSlot(i)
+	}
 	return &Manager{
-		free:        append([]*node.Node(nil), pool...),
-		quarantined: map[string]*node.Node{},
+		free:    append([]*node.Node(nil), pool...),
+		pool:    append([]*node.Node(nil), pool...),
+		drained: make([]bool, len(pool)),
 	}
 }
 
@@ -163,9 +178,11 @@ func (m *Manager) Jobs() []*ScheduledJob { return m.jobs }
 
 // Quarantined returns the drained nodes, sorted by ID.
 func (m *Manager) Quarantined() []*node.Node {
-	out := make([]*node.Node, 0, len(m.quarantined))
-	for _, n := range m.quarantined {
-		out = append(out, n)
+	out := make([]*node.Node, 0, m.nDrained)
+	for i, n := range m.pool {
+		if m.drained[i] {
+			out = append(out, n)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -174,7 +191,7 @@ func (m *Manager) Quarantined() []*node.Node {
 // quarantine moves a node into the drain set (idempotent) and journals the
 // decision. The node is not in the free pool afterwards.
 func (m *Manager) quarantine(n *node.Node, reason string) {
-	if _, done := m.quarantined[n.ID]; done {
+	if m.drained[n.Slot()] {
 		return
 	}
 	for i, f := range m.free {
@@ -183,7 +200,8 @@ func (m *Manager) quarantine(n *node.Node, reason string) {
 			break
 		}
 	}
-	m.quarantined[n.ID] = n
+	m.drained[n.Slot()] = true
+	m.nDrained++
 	m.Obs.Quarantine(n.ID, reason)
 	if m.OnQuarantine != nil {
 		m.OnQuarantine(n.ID, reason)
@@ -227,14 +245,21 @@ func (m *Manager) Drain(id, reason string) (*ScheduledJob, bool) {
 // restoring its TDP limit first. Nodes whose limit still cannot be
 // programmed stay quarantined.
 func (m *Manager) Rejoin(id string) bool {
-	n, ok := m.quarantined[id]
-	if !ok {
+	var n *node.Node
+	for i, p := range m.pool {
+		if m.drained[i] && p.ID == id {
+			n = p
+			break
+		}
+	}
+	if n == nil {
 		return false
 	}
 	if err := m.setLimit(n, n.TDP()); err != nil {
 		return false
 	}
-	delete(m.quarantined, id)
+	m.drained[n.Slot()] = false
+	m.nDrained--
 	m.free = append(m.free, n)
 	m.Obs.Rejoin(id)
 	if m.OnRejoin != nil {
@@ -263,19 +288,41 @@ func (m *Manager) setLimit(n *node.Node, watts units.Power) error {
 		if _, err = n.SetPowerLimitCached(watts, &m.enc); err == nil {
 			m.Obs.CapWriteRetries(n.ID, attempt)
 			if m.Incremental {
-				if m.lastCap == nil {
-					m.lastCap = map[string]units.Power{}
-				}
-				m.lastCap[n.ID] = watts
+				m.lastCaps()[n.Slot()] = watts
 			}
 			return nil
 		}
 	}
 	m.Obs.CapWriteRetries(n.ID, retries)
-	// The register may hold anything after a failed write; forget the node
-	// so no future identical-looking cap is skipped against stale state.
-	delete(m.lastCap, n.ID)
+	m.forgetCap(n)
 	return err
+}
+
+// lastCaps returns the last-cap slots, allocating them (all unknown) on
+// first use.
+func (m *Manager) lastCaps() []units.Power {
+	if m.lastCap == nil {
+		m.lastCap = make([]units.Power, len(m.pool))
+		for i := range m.lastCap {
+			m.lastCap[i] = units.Power(math.NaN())
+		}
+	}
+	return m.lastCap
+}
+
+// capUnchanged reports whether n's register is known to hold exactly
+// watts already, so a rewrite would program the same bits.
+func (m *Manager) capUnchanged(n *node.Node, watts units.Power) bool {
+	return m.lastCap != nil && m.lastCap[n.Slot()] == watts
+}
+
+// forgetCap marks n's register contents unknown: after a failed write it
+// may hold anything, so no future identical-looking cap may be skipped
+// against it.
+func (m *Manager) forgetCap(n *node.Node) {
+	if m.lastCap != nil {
+		m.lastCap[n.Slot()] = units.Power(math.NaN())
+	}
 }
 
 // TakeChangedJobs drains the set of job IDs whose caps were actually
@@ -298,9 +345,9 @@ func (m *Manager) Submit(spec JobSpec, seed uint64) (*ScheduledJob, error) {
 		return nil, fmt.Errorf("rm: job %s requests %d nodes", spec.ID, spec.Nodes)
 	}
 	if spec.Nodes > len(m.free) {
-		if spec.Nodes <= len(m.free)+len(m.quarantined) {
+		if spec.Nodes <= len(m.free)+m.nDrained {
 			return nil, fmt.Errorf("%w: job %s requests %d nodes, %d free, %d quarantined",
-				ErrNodeQuarantined, spec.ID, spec.Nodes, len(m.free), len(m.quarantined))
+				ErrNodeQuarantined, spec.ID, spec.Nodes, len(m.free), m.nDrained)
 		}
 		return nil, fmt.Errorf("%w: job %s requests %d nodes, %d free",
 			ErrInsufficientNodes, spec.ID, spec.Nodes, len(m.free))
@@ -336,7 +383,7 @@ func (m *Manager) ReleaseAll() error {
 // already drained.
 func (m *Manager) releaseNodes(sj *ScheduledJob) {
 	for _, n := range sj.Job.Nodes() {
-		if _, drained := m.quarantined[n.ID]; drained {
+		if m.drained[n.Slot()] {
 			continue
 		}
 		if err := m.setLimit(n, n.TDP()); err != nil {
@@ -454,15 +501,13 @@ func (m *Manager) ApplyCaps(sj *ScheduledJob, caps []units.Power) error {
 	}
 	for i := range sj.Job.Hosts {
 		n := sj.Job.Hosts[i].Node
-		if _, drained := m.quarantined[n.ID]; drained {
+		if m.drained[n.Slot()] {
 			// Already given up on: keep the job running at the
 			// node's last limit without another retry storm.
 			continue
 		}
 		if m.Incremental {
-			if last, ok := m.lastCap[n.ID]; ok && last == caps[i] {
-				// The register already holds exactly this cap; a rewrite
-				// would program the same bits.
+			if m.capUnchanged(n, caps[i]) {
 				continue
 			}
 			if m.changed == nil {

@@ -16,7 +16,7 @@ import (
 	"powerstack/internal/units"
 )
 
-func testPool(t *testing.T, n int) []*node.Node {
+func testPool(t testing.TB, n int) []*node.Node {
 	t.Helper()
 	c, err := cluster.New(n, cpumodel.Quartz(), cpumodel.QuartzVariation(), 33)
 	if err != nil {
