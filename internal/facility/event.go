@@ -251,10 +251,25 @@ func (r *evJob) due(now time.Duration) int {
 // completes later, possibly at a different operating point.
 func (s *eventSim) advance(r *evJob, now time.Duration) {
 	k := r.due(now)
+	r.credit(k)
+	s.book(r, k)
+}
+
+// credit programs k steady-state iterations into the job's host counters:
+// the half of a settlement that touches only the job's own hosts, so it may
+// run on a worker.
+func (r *evJob) credit(k int) {
+	if k > 0 {
+		r.sj.Job.CreditSteadyState(r.iter, r.steady, r.steady+k)
+	}
+}
+
+// book records k credited iterations in the job's accounting and marks its
+// hosts for the next sample: the serial half of a settlement.
+func (s *eventSim) book(r *evJob, k int) {
 	if k <= 0 {
 		return
 	}
-	r.sj.Job.CreditSteadyState(r.iter, r.steady, r.steady+k)
 	s.markJobDirty(r.sj)
 	r.steady += k
 	r.remaining -= k
@@ -263,9 +278,16 @@ func (s *eventSim) advance(r *evJob, now time.Duration) {
 
 // advanceAll settles every active job up to now — the telemetry sample's
 // prelude, so the energy counters reflect every iteration completed by now.
+// The credits fan out over the worker pool (jobs own disjoint hosts, and
+// counter adds commute modulo the register width); the bookkeeping then
+// runs serially in active-list order.
 func (s *eventSim) advanceAll(now time.Duration) {
+	s.pool.run(len(s.active), func(i, _ int) {
+		r := s.active[i]
+		r.credit(r.due(now))
+	})
 	for _, r := range s.active {
-		s.advance(r, now)
+		s.book(r, r.due(now))
 	}
 }
 
@@ -288,20 +310,22 @@ func (s *eventSim) probe(r *evJob, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	s.applyProbe(r, ir, now)
+	k := r.due(now)
+	r.credit(k)
+	s.applyProbe(r, ir, k, now)
 	return nil
 }
 
-// applyProbe installs a probed iteration: the measurement itself may have
-// run earlier on a pipeline worker (each job's probe draws from its own
-// RNG and touches only its own hosts, so where it ran is unobservable);
-// the state change and completion re-schedule always happen here, on the
-// engine goroutine, in the deterministic merge order.
-func (s *eventSim) applyProbe(r *evJob, ir bsp.IterationResult, now time.Duration) {
-	// Settle at the outgoing operating point first. Facility jobs carry no
-	// phase schedule, so crediting after the probe iteration has run (on a
-	// pipeline worker, possibly) programs the same counters as before it.
-	s.advance(r, now)
+// applyProbe installs a probed iteration whose job has just been credited
+// settled iterations at its outgoing operating point. The measurement and
+// the credit may have run earlier on a pipeline worker (each job's probe
+// draws from its own RNG and touches only its own hosts, so where it ran is
+// unobservable); the bookkeeping and completion re-schedule always happen
+// here, on the engine goroutine, in the deterministic merge order. Facility
+// jobs carry no phase schedule, so crediting after the probe iteration has
+// run programs the same counters as before it.
+func (s *eventSim) applyProbe(r *evJob, ir bsp.IterationResult, settled int, now time.Duration) {
+	s.book(r, settled)
 	s.markJobDirty(r.sj)
 	r.iter = ir
 	r.steady = 0

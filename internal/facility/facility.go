@@ -90,14 +90,15 @@ type Config struct {
 	// hierarchical 100k-node ones: ScaleAuto (default — hierarchical above
 	// ScaleThreshold nodes), ScaleOn, or ScaleCompat. See scale.go.
 	ScaleMode string
-	// Parallelism fans the scale-mode replan pipeline out across rooms:
-	// each room's rack allocation rounds, cap-apply batch, and job probes
-	// run as one task, on up to Parallelism workers (1 runs the pipeline
-	// inline, without goroutines). Results are byte-identical at every
-	// setting — the pipeline merges in deterministic order — so this is
-	// purely a wall-clock knob. Zero (the default) keeps the sequential
-	// replan path; the setting is ignored outside scale mode. See
-	// parallel.go.
+	// Parallelism is the facility's worker count. It fans the scale-mode
+	// replan pipeline out across rooms — each room's rack allocation
+	// rounds, cap-apply batch, and job probes run as one task — and every
+	// telemetry sample's job settlement and leaf reads, on up to
+	// Parallelism workers (0 and 1 run everything inline, without
+	// goroutines). Results are byte-identical at every setting — each
+	// phase merges in deterministic order — so this is purely a
+	// wall-clock knob. Zero (the default) also keeps the sequential replan
+	// path, as does any setting outside scale mode. See parallel.go.
 	Parallelism int
 	// ReplanEvery adds a periodic policy replan on top of the
 	// change-driven ones (job start/finish, crash); zero disables it. Any
@@ -297,9 +298,10 @@ type simState struct {
 	dropStarts []dropStart
 	dropCursor int
 
-	// pool is the lazily started replan worker pool (Parallelism > 1) and
-	// pipe the parallel pipeline's reusable scratch; see parallel.go.
-	pool *replanPool
+	// pool runs the replan pipeline's rooms, the sample's settlement and
+	// its telemetry leaf reads on Parallelism workers (inline at 0 or 1),
+	// and pipe is the pipeline's reusable scratch; see parallel.go.
+	pool *workerPool
 	pipe pipeScratch
 }
 
@@ -308,6 +310,11 @@ type simState struct {
 // pin the event core's dirty marking against full passes end to end; it is
 // never set outside tests.
 var testMarkAllDirty bool
+
+// testLeafChunk, when positive, replaces telemetry.LeafChunk as the number
+// of dirty leaves one sample task reads, so small test pools split the
+// dirty list across tasks. It is never set outside tests.
+var testLeafChunk int
 
 // dropStart is one telemetry-dropout window start on the virtual timeline.
 type dropStart struct {
@@ -414,6 +421,8 @@ func setup(cfg Config) (*simState, error) {
 		return nil, err
 	}
 	st.root = root
+	st.pool = &workerPool{workers: cfg.Parallelism}
+	root.SetFanOut(st.pool.run, testLeafChunk)
 	for _, n := range cfg.Nodes {
 		st.nodeByID[n.ID] = n
 	}

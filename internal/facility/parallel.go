@@ -1,11 +1,17 @@
-// The parallel replan pipeline: Config.Parallelism > 0 fans the scale-mode
-// replan out across rooms. A replan round has a sequential prefix — policy
-// views, per-job requests, the rack/room aggregation, and the room-level
-// water-fill (coordinator.HierAlloc.Stage) — after which every room is
-// independent: its rack and job allocation rounds, its per-rack policy
-// splits, its cap writes, and the steady-state re-probes of its fresh or
-// changed jobs touch only that room's requests and those jobs' (disjoint)
-// hosts. Each room runs as one task on a bounded worker set, with all
+// The facility's worker pool: Config.Parallelism workers fan three phases
+// out, each followed by a serial merge that replays everything
+// order-sensitive in the order a single goroutine would. Results are
+// byte-identical at every parallelism, including 0 and 1, which run every
+// phase inline without goroutines (pinned by TestParallelReplanByteIdentical
+// and TestIncrementalTelemetryMatchesSweepFacility).
+//
+// Replan pipeline (scale mode with Parallelism > 0). A replan round has a
+// sequential prefix — policy views, per-job requests, the rack/room
+// aggregation, and the room-level water-fill (coordinator.HierAlloc.Stage)
+// — after which every room is independent: its rack and job allocation
+// rounds, its per-rack policy splits, its cap writes, and the steady-state
+// re-probes of its fresh or changed jobs touch only that room's requests
+// and those jobs' (disjoint) hosts. Each room runs as one task, with all
 // mutation of shared state deferred into per-worker buffers:
 //
 //   - grants land at per-request indexes in Stage's shared buffer (each
@@ -15,22 +21,34 @@
 //     belongs to exactly one room task) but defers quarantine decisions,
 //     spare claims, and lastCap bookkeeping to CommitCapBatches;
 //   - probe results (bsp iteration measurements, drawn from each job's
-//     private RNG) land at per-request indexes.
+//     private RNG) land at per-request indexes, and each probed job is
+//     credited its steady-state iterations at the outgoing operating point
+//     right there, the count parked beside the measurement.
 //
-// The merge phase then replays everything order-sensitive sequentially, in
-// the exact order the sequential path would have produced it: batch commits
-// handle cap-write failures in (job submission index, host index) order,
-// and probe results are applied — completions re-scheduled on the engine —
-// by walking the active list in the same order the sequential probe loop
-// walks it, so engine event sequence numbers are identical. Results are
-// therefore byte-identical at every parallelism, including Parallelism 1,
-// which runs the whole pipeline inline without goroutines (pinned by
-// TestParallelReplanByteIdentical).
+// The merge then commits the batches in (job submission index, host index)
+// order and walks the active list in the order the sequential probe loop
+// walks it, doing only each probed job's bookkeeping and completion
+// re-schedule, so engine event sequence numbers are identical. A job that
+// suffered a cap-write failure is neither probed nor settled on a worker:
+// the commit may swap its failed host for a spare, so its probe runs in the
+// merge walk against the post-commit host set, exactly as the sequential
+// path's would.
 //
-// A job that suffered a cap-write failure is not probed on a worker: the
-// commit may swap its failed host for a spare, so its probe is deferred to
-// the merge walk, where it runs against the post-commit host set exactly
-// as the sequential path's probe would.
+// Sample settlement (eventSim.advanceAll). Workers credit each active job's
+// due iterations to its own hosts — counter adds commute modulo the
+// register width — and one serial pass in active-list order then marks the
+// hosts dirty and advances the jobs' accounting.
+//
+// Telemetry leaf reads (telemetry.Domain.SampleDirty). Workers read
+// fixed-size chunks of the sorted dirty-leaf list; each leaf writes only its
+// own domain, index entries and devices. One serial merge in ascending leaf
+// order compacts the dirty set, marks parents, re-sums interiors and makes
+// the TelemetryHold journal calls.
+//
+// The journal contract: telemetry_hold events keep leaf order at every
+// parallelism. EnergyWrap and LimitWrite events emitted on workers (energy
+// reads, cap writes) are counted exactly, but their interleaving with each
+// other and with merge-side events is not pinned.
 package facility
 
 import (
@@ -47,12 +65,12 @@ import (
 	"powerstack/internal/units"
 )
 
-// replanPool fans room tasks out across a bounded worker set. Tasks are
-// claimed from an atomic counter (assignment to workers is load-balanced
-// and non-deterministic; determinism lives entirely in the index-addressed
-// result buffers and the sequential merge). A pool with one worker runs
-// every task inline on the caller's goroutine.
-type replanPool struct {
+// workerPool fans tasks out across a bounded worker set. Tasks are claimed
+// from an atomic counter (assignment to workers is load-balanced and
+// non-deterministic; determinism lives entirely in the index-addressed
+// result buffers and the sequential merges). A pool with at most one worker
+// runs every task inline on the caller's goroutine.
+type workerPool struct {
 	workers int
 }
 
@@ -60,7 +78,7 @@ type replanPool struct {
 // p.workers goroutines (the caller's included). worker indexes are dense in
 // [0, workers) so tasks can address per-worker scratch. run returns after
 // every task has finished.
-func (p *replanPool) run(n int, fn func(task, worker int)) {
+func (p *workerPool) run(n int, fn func(task, worker int)) {
 	w := p.workers
 	if w > n {
 		w = n
@@ -112,10 +130,13 @@ type pipeScratch struct {
 
 	freshSet map[*rm.ScheduledJob]bool // jobs started this reconcile
 	qiOf     map[*rm.ScheduledJob]int  // job -> request index
+	evs      []*evJob                  // request index -> active job
+	now      time.Duration             // the round's virtual time
 
 	probed  []bool // request index was probed on a worker
 	iters   []bsp.IterationResult
 	perrs   []error
+	settled []int // iterations credited on the worker at the outgoing point
 	roomErr []error
 
 	workers []pipeWorker
@@ -123,10 +144,10 @@ type pipeScratch struct {
 }
 
 // begin resets the scratch for a round of len(jobs) requests over rooms
-// rooms, with up to workers workers.
-func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, jobs []*rm.ScheduledJob, infos []policy.JobInfo, grants []coordinator.Grant, fresh []*evJob) {
+// rooms at virtual time now, with up to workers workers.
+func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, now time.Duration, jobs []*rm.ScheduledJob, infos []policy.JobInfo, grants []coordinator.Grant, active, fresh []*evJob) {
 	n := len(jobs)
-	p.jobs, p.infos, p.grants = jobs, infos, grants
+	p.jobs, p.infos, p.grants, p.now = jobs, infos, grants, now
 	if p.freshSet == nil {
 		p.freshSet = map[*rm.ScheduledJob]bool{}
 		p.qiOf = map[*rm.ScheduledJob]int{}
@@ -139,13 +160,22 @@ func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, jobs []*rm.Schedu
 	for qi, sj := range jobs {
 		p.qiOf[sj] = qi
 	}
+	p.evs = growPlan(p.evs, n)
+	clear(p.evs)
+	for _, r := range active {
+		if qi, ok := p.qiOf[r.sj]; ok {
+			p.evs[qi] = r
+		}
+	}
 	p.probed = growPlan(p.probed, n)
 	for i := range p.probed {
 		p.probed[i] = false
 	}
-	// iters/perrs entries are gated by probed; stale values are never read.
+	// iters/perrs/settled entries are gated by probed; stale values are
+	// never read.
 	p.iters = growPlan(p.iters, n)
 	p.perrs = growPlan(p.perrs, n)
+	p.settled = growPlan(p.settled, n)
 	p.roomErr = growPlan(p.roomErr, rooms)
 	for i := range p.roomErr {
 		p.roomErr[i] = nil
@@ -208,11 +238,8 @@ func (s *eventSim) runPipeline(now time.Duration, jobs []*rm.ScheduledJob, fresh
 		st.round-- // the sequential retry opens its own replan span
 		return false, nil
 	}
-	if st.pool == nil {
-		st.pool = &replanPool{workers: st.cfg.Parallelism}
-	}
 	pipe := &st.pipe
-	pipe.begin(st.mgr, st.pool.workers, rooms, jobs, infos, grants, fresh)
+	pipe.begin(st.mgr, st.pool.workers, rooms, now, jobs, infos, grants, s.active, fresh)
 	st.pool.run(rooms, func(mi, w int) {
 		st.hier.AllocateRoom(mi, sc.reqs, &pipe.workers[w].room, grants)
 		if err := s.roomApplyProbe(mi, w); err != nil {
@@ -236,7 +263,7 @@ func (s *eventSim) runPipeline(now time.Duration, jobs []*rm.ScheduledJob, fresh
 			if perr := pipe.perrs[qi]; perr != nil {
 				return true, perr
 			}
-			s.applyProbe(r, pipe.iters[qi], now)
+			s.applyProbe(r, pipe.iters[qi], pipe.settled[qi], now)
 			continue
 		}
 		// Deferred (cap-write failure): probe against the post-commit host
@@ -252,7 +279,8 @@ func (s *eventSim) runPipeline(now time.Duration, jobs []*rm.ScheduledJob, fresh
 // of the room's racks, water-fill budgets are already in grants; the
 // policy splits the rack's total over its jobs, the caps go through the
 // worker's batch, and every fresh-or-changed job without a cap failure is
-// probed, its measurement parked at its request index for the merge walk.
+// probed and settled at its outgoing operating point, the measurement and
+// the credited count parked at its request index for the merge walk.
 func (s *eventSim) roomApplyProbe(mi, w int) error {
 	st := s.simState
 	pipe := &st.pipe
@@ -284,7 +312,12 @@ func (s *eventSim) roomApplyProbe(mi, w int) error {
 			}
 			if pw.batch.NumChanged() > ch0 || pipe.freshSet[sj] {
 				ir, perr := sj.Job.RunIteration()
-				pipe.iters[qi], pipe.perrs[qi] = ir, perr
+				k := 0
+				if r := pipe.evs[qi]; r != nil && perr == nil {
+					k = r.due(pipe.now)
+					r.credit(k)
+				}
+				pipe.iters[qi], pipe.perrs[qi], pipe.settled[qi] = ir, perr, k
 				pipe.probed[qi] = true
 			}
 		}

@@ -24,12 +24,24 @@ func pipelineFaults() *fault.Plan {
 	)
 }
 
-// TestParallelReplanByteIdentical pins the tentpole determinism contract:
-// a scale-mode event run with the parallel replan pipeline produces a
+// withLeafChunk runs fn with the telemetry fan-out cut into tasks of chunk
+// dirty leaves (0 keeps telemetry.LeafChunk), so a 24-node pool's dirty
+// list crosses task boundaries.
+func withLeafChunk(chunk int, fn func() string) string {
+	testLeafChunk = chunk
+	defer func() { testLeafChunk = 0 }()
+	return fn()
+}
+
+// TestParallelReplanByteIdentical pins the worker pool's determinism
+// contract: a scale-mode event run with the parallel replan pipeline,
+// fanned-out sample settlement and chunked leaf reads produces a
 // byte-identical Result at every parallelism — including Parallelism 1,
-// which runs the same pipeline inline — and identical to the sequential
-// replan path (Parallelism 0), with a fault plan exercising crash, repair,
-// slow windows, and the cap-write-failure deferral.
+// which runs every phase inline — and identical to the sequential replan
+// path (Parallelism 0), with a fault plan exercising crash, repair, slow
+// windows, and the cap-write-failure deferral. Each parallelism runs at the
+// real leaf chunk size and at 4 leaves, where the dirty list splits into
+// several sample tasks.
 func TestParallelReplanByteIdentical(t *testing.T) {
 	src, db, workloads := facilityEnv(t, 24)
 	run := func(parallelism int) string {
@@ -44,8 +56,10 @@ func TestParallelReplanByteIdentical(t *testing.T) {
 	}
 	want := run(0) // sequential replan path
 	for _, p := range []int{1, 2, 8} {
-		if got := run(p); got != want {
-			t.Errorf("parallelism %d diverged from sequential\nseq: %s\npar: %s", p, want, got)
+		for _, chunk := range []int{0, 4} {
+			if got := withLeafChunk(chunk, func() string { return run(p) }); got != want {
+				t.Errorf("parallelism %d, leaf chunk %d diverged from sequential\nseq: %s\npar: %s", p, chunk, want, got)
+			}
 		}
 	}
 }
@@ -55,24 +69,33 @@ func TestParallelReplanByteIdentical(t *testing.T) {
 // produces a byte-identical Result to the same run with every leaf marked
 // before each sample (a full pass), under faults that exercise every
 // volatile branch — crash/repair toggles, a read-fault countdown (pinned
-// leaf), and a dropout window opening between samples.
+// leaf), and a dropout window opening between samples. The dirty-set run
+// is repeated on 2 workers with 4-leaf sample tasks, so both the full and
+// the dirty lists cross chunk boundaries on concurrent workers.
 func TestIncrementalTelemetryMatchesSweepFacility(t *testing.T) {
 	src, db, workloads := facilityEnv(t, 24)
-	run := func(markAll bool) string {
+	run := func(markAll bool, parallelism int) string {
 		testMarkAllDirty = markAll
 		defer func() { testMarkAllDirty = false }()
 		cfg := baseConfig(cluster.ClonePool(src), db, workloads)
 		cfg.JobSizes = []int{2, 4, 8}
+		cfg.Parallelism = parallelism
 		res := runScaleCase(t, cfg, ScaleOn, pipelineFaults())
 		if res.Completed == 0 {
 			t.Fatal("no jobs completed")
 		}
 		return resultJSON(t, res)
 	}
-	sweep := run(true)
-	inc := run(false)
+	sweep := run(true, 0)
+	inc := run(false, 0)
 	if sweep != inc {
 		t.Errorf("dirty-set sample diverged from full passes\nfull:  %s\ndirty: %s", sweep, inc)
+	}
+	for _, markAll := range []bool{true, false} {
+		got := withLeafChunk(4, func() string { return run(markAll, 2) })
+		if got != sweep {
+			t.Errorf("markAll %v on 2 workers with 4-leaf chunks diverged from full passes\nfull:  %s\ngot:   %s", markAll, sweep, got)
+		}
 	}
 }
 

@@ -105,15 +105,25 @@ type opReg struct {
 }
 
 // layout is the immutable dense index of a register file: the allowlist's
-// addresses in sorted order, the address→slot map, and the per-slot access
+// addresses in sorted order, the address→slot index, and the per-slot access
 // rights. Devices cloned or restored from each other share one layout
 // pointer, so a clone is a slice copy and a whole pool's register words can
 // live side by side in one flat backing array (cluster.PoolState).
 type layout struct {
 	addrs []uint32
-	slot  map[uint32]int
 	acc   []Access
+	// low holds slot+1 for every allowlisted address below lowAddrs, indexed
+	// by address (0 marks an address off the list); it covers every
+	// register this stack defines, so the hot accesses never hash. high
+	// holds the slots of allowlist entries at or above lowAddrs.
+	low  []uint16
+	high map[uint32]int
 }
+
+// lowAddrs bounds the addresses layout.low indexes directly. Sorted
+// addresses below it take the first slots, so every low slot+1 fits the
+// table's uint16 entries.
+const lowAddrs = 0x1000
 
 // newLayout builds the dense index of an allowlist.
 func newLayout(allowlist map[uint32]Access) *layout {
@@ -122,12 +132,35 @@ func newLayout(allowlist map[uint32]Access) *layout {
 		addrs = append(addrs, addr)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	l := &layout{addrs: addrs, slot: make(map[uint32]int, len(addrs)), acc: make([]Access, len(addrs))}
+	l := &layout{addrs: addrs, acc: make([]Access, len(addrs))}
 	for i, addr := range addrs {
-		l.slot[addr] = i
 		l.acc[i] = allowlist[addr]
+		if addr < lowAddrs {
+			if int(addr) >= len(l.low) {
+				l.low = append(l.low, make([]uint16, int(addr)+1-len(l.low))...)
+			}
+			l.low[addr] = uint16(i + 1)
+			continue
+		}
+		if l.high == nil {
+			l.high = map[uint32]int{}
+		}
+		l.high[addr] = i
 	}
 	return l
+}
+
+// find returns reg's dense slot and whether reg is on the allowlist.
+func (l *layout) find(reg uint32) (int, bool) {
+	if reg < lowAddrs {
+		if reg >= uint32(len(l.low)) {
+			return 0, false
+		}
+		s := int(l.low[reg]) - 1
+		return s, s >= 0
+	}
+	s, ok := l.high[reg]
+	return s, ok
 }
 
 // defaultLayout is the shared dense index of DefaultAllowlist: every device
@@ -216,7 +249,7 @@ func (d *Device) Read(reg uint32) (uint64, error) {
 	if err := d.countdown(OpRead, reg); err != nil {
 		return 0, err
 	}
-	i, ok := d.lay.slot[reg]
+	i, ok := d.lay.find(reg)
 	if !ok {
 		return 0, &Error{Op: "read", Register: reg, Reason: "not in allowlist"}
 	}
@@ -249,7 +282,7 @@ func (d *Device) Write(reg uint32, value uint64) error {
 	if err := d.countdown(OpWrite, reg); err != nil {
 		return err
 	}
-	i, ok := d.lay.slot[reg]
+	i, ok := d.lay.find(reg)
 	if !ok {
 		return &Error{Op: "write", Register: reg, Reason: "not in allowlist"}
 	}
@@ -278,7 +311,7 @@ func (d *Device) ReadField(reg uint32, hi, lo uint) (uint64, error) {
 func (d *Device) PrivilegedWrite(reg uint32, value uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if i, ok := d.lay.slot[reg]; ok {
+	if i, ok := d.lay.find(reg); ok {
 		d.regs[i] = value
 		return
 	}
@@ -292,7 +325,7 @@ func (d *Device) PrivilegedWrite(reg uint32, value uint64) {
 func (d *Device) PrivilegedRead(reg uint32) uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if i, ok := d.lay.slot[reg]; ok {
+	if i, ok := d.lay.find(reg); ok {
 		return d.regs[i]
 	}
 	return d.extra[reg]
@@ -305,7 +338,7 @@ func (d *Device) PrivilegedAdd(reg uint32, delta uint64, widthBits uint) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var v uint64
-	i, ok := d.lay.slot[reg]
+	i, ok := d.lay.find(reg)
 	if ok {
 		v = d.regs[i] + delta
 	} else {
@@ -340,7 +373,7 @@ func (d *Device) PrivilegedAddBatch(adds []CounterAdd) {
 	defer d.mu.Unlock()
 	for _, a := range adds {
 		var v uint64
-		i, ok := d.lay.slot[a.Reg]
+		i, ok := d.lay.find(a.Reg)
 		if ok {
 			v = d.regs[i] + a.Delta
 		} else {

@@ -152,6 +152,76 @@ func TestCustomAllowlist(t *testing.T) {
 	}
 }
 
+// TestAllowlistAddressRanges pins the register lookup on both sides of the
+// direct-indexed range: allowlisted addresses below and above 0x1000 read
+// and write through their own words, and unlisted neighbours of either kind
+// fail the unprivileged interface and fall into the privileged side map.
+func TestAllowlistAddressRanges(t *testing.T) {
+	listed := []uint32{0x0, 0x10, 0xFFF, 0x1000, 0x1234, 0xC000_0100}
+	allow := map[uint32]Access{}
+	for _, reg := range listed {
+		allow[reg] = Access{WriteMask: ^uint64(0)}
+	}
+	d := NewDevice(allow)
+	for i, reg := range listed {
+		if err := d.Write(reg, uint64(i+1)); err != nil {
+			t.Fatalf("write %#x: %v", reg, err)
+		}
+	}
+	for i, reg := range listed {
+		if v, err := d.Read(reg); err != nil || v != uint64(i+1) {
+			t.Errorf("read %#x = %d, %v; want %d", reg, v, err, i+1)
+		}
+	}
+	for _, reg := range []uint32{0x1, 0x11, 0x611, 0xFFE, 0x1001, 0x1235, 0xFFFF_FFFF} {
+		if _, err := d.Read(reg); err == nil {
+			t.Errorf("read %#x: unlisted register readable", reg)
+		}
+		d.PrivilegedAdd(reg, 5, 64)
+		if got := d.PrivilegedRead(reg); got != 5 {
+			t.Errorf("privileged %#x = %d, want 5", reg, got)
+		}
+	}
+	if got := len(d.Registers()); got != len(listed)+7 {
+		t.Errorf("registers = %d, want %d listed + 7 side", got, len(listed))
+	}
+}
+
+// BenchmarkDeviceRead is the zero-alloc gate on an allowlisted register
+// read, the telemetry sample's per-socket energy access.
+func BenchmarkDeviceRead(b *testing.B) {
+	d := NewDevice(nil)
+	d.PrivilegedWrite(MSRPkgEnergyStatus, 42)
+	b.ReportAllocs()
+	var sum uint64
+	for b.Loop() {
+		v, err := d.Read(MSRPkgEnergyStatus)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum += v
+	}
+	_ = sum
+}
+
+// BenchmarkPrivilegedAddBatch is the zero-alloc gate on one socket's
+// steady-state credit: the five counter advances node.CreditIterations
+// applies per socket.
+func BenchmarkPrivilegedAddBatch(b *testing.B) {
+	d := NewDevice(nil)
+	adds := [5]CounterAdd{
+		{Reg: MSRPkgEnergyStatus, Delta: 1 << 20, Width: 32},
+		{Reg: MSRDramEnergyStatus, Delta: 1 << 16, Width: 32},
+		{Reg: IA32APerf, Delta: 1 << 30, Width: 64},
+		{Reg: IA32MPerf, Delta: 1 << 30, Width: 64},
+		{Reg: IA32TimeStampCounter, Delta: 1 << 30, Width: 64},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		d.PrivilegedAddBatch(adds[:])
+	}
+}
+
 func TestExtractBits(t *testing.T) {
 	cases := []struct {
 		v      uint64

@@ -32,6 +32,17 @@ package telemetry
 // with no dirty descendants) does not append a sample to its Series on
 // skipped samples, so its ring holds fewer (identical-valued) entries. The
 // root appends every sample, keeping the facility trace unchanged.
+//
+// Leaf reads fan out: the sorted dirty list is cut into fixed-size chunks
+// that a Runner (SetFanOut) may read on several workers. A leaf read writes
+// only its own Domain, its own visit/lastPower/held index and its own node's
+// devices (read-fault countdowns are per device), so where a chunk runs is
+// unobservable. Everything order-sensitive — the dirty-set compaction, the
+// parent marks, the interior re-sums and the TelemetryHold journal calls —
+// stays in one serial merge in ascending leaf order, so the hold journal
+// keeps leaf order at every worker count. Energy-wrap events journaled by
+// the reads themselves are counted exactly, but their interleaving across
+// workers is not pinned.
 
 import (
 	"slices"
@@ -71,9 +82,37 @@ type incState struct {
 	parents   []int
 	inParents []bool
 
+	// held records, per leaf, that its last read took a hold or dead
+	// branch; the merge journals it and keeps the leaf dirty.
+	held []bool
+
+	// run fans chunks of chunk dirty leaves out (inline until SetFanOut);
+	// readChunk is the chunk task, built once with the sweep so a sample
+	// allocates nothing, and ts the instant the current sample reads at.
+	run       Runner
+	chunk     int
+	readChunk func(task, worker int)
+	ts        time.Time
+
 	seq      uint64
 	prevTime time.Time
 	haveTime bool
+}
+
+// Runner runs fn(task, worker) for every task in [0, n) and returns once
+// all have finished. worker is dense in the runner's worker count, and a
+// runner with one worker runs every task inline on the caller's goroutine.
+type Runner func(n int, fn func(task, worker int))
+
+// LeafChunk is how many dirty leaves one fan-out task reads.
+const LeafChunk = 512
+
+// inline is the Runner of a hierarchy without a fan-out: every task on the
+// caller's goroutine, in order.
+func inline(n int, fn func(task, worker int)) {
+	for i := 0; i < n; i++ {
+		fn(i, 0)
+	}
 }
 
 // newIncState builds the dirty set over a post-order sweep with every leaf
@@ -88,6 +127,9 @@ func newIncState(sweep []sweepEntry) *incState {
 		inDirty:   make([]bool, n),
 		pinned:    make([]bool, n),
 		inParents: make([]bool, n),
+		held:      make([]bool, n),
+		run:       inline,
+		chunk:     LeafChunk,
 	}
 	for i, e := range sweep {
 		if e.parent >= 0 {
@@ -119,6 +161,17 @@ func (d *Domain) dirtySet() *incState {
 		d.buildSweep()
 	}
 	return d.inc
+}
+
+// SetFanOut makes SampleDirty read its dirty leaves in tasks of chunk
+// leaves (LeafChunk when chunk <= 0) through run. The values SampleDirty
+// produces do not depend on either.
+func (d *Domain) SetFanOut(run Runner, chunk int) {
+	ic := d.dirtySet()
+	if chunk <= 0 {
+		chunk = LeafChunk
+	}
+	ic.run, ic.chunk = run, chunk
 }
 
 // MarkAllDirty queues every leaf for the next SampleDirty.
@@ -157,36 +210,26 @@ func (d *Domain) PinLeafDirty(ordinal int) {
 }
 
 // SampleDirty is Sample over the dirty set, for callers that mark every
-// leaf whose reading can have changed (MarkLeafDirty, PinLeafDirty): visit
-// dirty leaves in ascending sweep order (deterministic no matter what
-// order marks arrived), then re-sum every interior above a visited leaf
-// bottom-up. Post-order sweep positions ascend from children to parents,
-// so ascending order processes each dirty interior after all of its dirty
-// descendants.
+// leaf whose reading can have changed (MarkLeafDirty, PinLeafDirty): read
+// the dirty leaves (in chunks, possibly on several workers), then merge in
+// ascending sweep order — deterministic no matter what order marks arrived
+// — and re-sum every interior above a visited leaf bottom-up. Post-order
+// sweep positions ascend from children to parents, so ascending order
+// processes each dirty interior after all of its dirty descendants.
 func (d *Domain) SampleDirty(ts time.Time) (units.Power, error) {
 	ic := d.dirtySet()
 	ic.seq++
+	ic.ts = ts
 	root := len(d.sweep) - 1
 	slices.Sort(ic.dirtyLeaves)
+	ic.run((len(ic.dirtyLeaves)+ic.chunk-1)/ic.chunk, ic.readChunk)
 	keep := ic.dirtyLeaves[:0]
 	for _, li := range ic.dirtyLeaves {
 		e := d.sweep[li]
-		if ic.haveTime && ic.visit[li]+1 != ic.seq && e.d.primed {
-			// Skipped while clean: energy was constant over the gap, so a
-			// full pass's last read — zero power at the previous sample
-			// instant, same energy — is reproduced by moving lastTime there.
-			// Persisting it (rather than passing a one-shot override) keeps
-			// the window right even when this visit takes a hold or dead
-			// branch, which records no read: the next normal read then
-			// integrates from the previous sample instant, exactly as a
-			// full pass — which had read every sample up to the window —
-			// would.
-			e.d.lastTime = ic.prevTime
+		if ic.held[li] {
+			e.d.sink.TelemetryHold(e.d.Name, ic.lastPower[li].Watts())
 		}
-		p, volatile := e.d.leafSample(ts)
-		ic.visit[li] = ic.seq
-		ic.lastPower[li] = p
-		if volatile || p != 0 || ic.pinned[li] {
+		if ic.held[li] || ic.lastPower[li] != 0 || ic.pinned[li] {
 			// Held, dead, pinned, or drawing power: any of these can
 			// change value (or must consume a read) next sample without a
 			// fresh mark.
@@ -220,4 +263,29 @@ func (d *Domain) SampleDirty(ts time.Time) (units.Power, error) {
 	ic.prevTime = ts
 	ic.haveTime = true
 	return ic.lastPower[root], nil
+}
+
+// readLeaves reads chunk c of the sorted dirty list at the current
+// sample's instant. It writes only the chunk's own leaves and their
+// entries in visit, lastPower and held, so chunks may run concurrently.
+func (d *Domain) readLeaves(c int) {
+	ic := d.inc
+	lo := c * ic.chunk
+	for _, li := range ic.dirtyLeaves[lo:min(lo+ic.chunk, len(ic.dirtyLeaves))] {
+		e := d.sweep[li]
+		if ic.haveTime && ic.visit[li]+1 != ic.seq && e.d.primed {
+			// Skipped while clean: energy was constant over the gap, so a
+			// full pass's last read — zero power at the previous sample
+			// instant, same energy — is reproduced by moving lastTime there.
+			// Persisting it (rather than passing a one-shot override) keeps
+			// the window right even when this visit takes a hold or dead
+			// branch, which records no read: the next normal read then
+			// integrates from the previous sample instant, exactly as a
+			// full pass — which had read every sample up to the window —
+			// would.
+			e.d.lastTime = ic.prevTime
+		}
+		ic.lastPower[li], ic.held[li] = e.d.leafSample(ic.ts)
+		ic.visit[li] = ic.seq
+	}
 }

@@ -13,10 +13,14 @@ import (
 
 // recursiveSample is the recursive hierarchy walk, kept only as the oracle
 // the one production sample loop is pinned against: leaves read their
-// nodes, interiors sum their children in child order and append.
+// nodes (journaling every hold as it is taken), interiors sum their
+// children in child order and append.
 func recursiveSample(d *Domain, ts time.Time) units.Power {
 	if d.Node != nil {
-		p, _ := d.leafSample(ts)
+		p, held := d.leafSample(ts)
+		if held {
+			d.sink.TelemetryHold(d.Name, p.Watts())
+		}
 		return p
 	}
 	var total units.Power

@@ -261,6 +261,7 @@ func (d *Domain) buildSweep() {
 	}
 	walk(d)
 	d.inc = newIncState(d.sweep)
+	d.inc.readChunk = func(c, _ int) { d.readLeaves(c) }
 }
 
 // SetFaultPlan arms injected telemetry dropouts on every leaf under d:
@@ -294,10 +295,12 @@ func (d *Domain) Sample(ts time.Time) (units.Power, error) {
 }
 
 // leafSample reads one leaf's power at ts and records it, integrating
-// energy since the leaf's lastTime. The bool result reports volatility:
-// the sample took a dropout-hold or dead-node branch, whose value can
-// change next sample without any new energy flowing, so the dirty-set pass
-// must revisit the leaf.
+// energy since the leaf's lastTime. The bool result reports a hold: the
+// sample took a dropout-hold or dead-node branch, whose value can change
+// next sample without any new energy flowing, so the dirty-set pass must
+// revisit the leaf — and journals it as a TelemetryHold in its serial
+// merge. leafSample touches only d and its node, so distinct leaves may be
+// read concurrently.
 func (d *Domain) leafSample(ts time.Time) (units.Power, bool) {
 	if d.faults.DropoutActive(d.Name, ts.Sub(d.start)) {
 		var p units.Power
@@ -305,7 +308,6 @@ func (d *Domain) leafSample(ts time.Time) (units.Power, bool) {
 			p = last.Power
 		}
 		d.series.Append(Sample{Time: ts, Power: p})
-		d.sink.TelemetryHold(d.Name, p.Watts())
 		return p, true
 	}
 	e, err := d.Node.Energy()
@@ -316,7 +318,6 @@ func (d *Domain) leafSample(ts time.Time) (units.Power, bool) {
 		// outage.
 		d.primed = false
 		d.series.Append(Sample{Time: ts, Power: 0})
-		d.sink.TelemetryHold(d.Name, 0)
 		return 0, true
 	}
 	var p units.Power
