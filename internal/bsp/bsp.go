@@ -171,15 +171,38 @@ func (r IterationResult) MeanHostPower() units.Power {
 
 // RunIteration executes one barrier-to-barrier iteration at the hosts'
 // current power limits. For phased jobs the schedule may switch the active
-// configuration (and roles) before the iteration starts.
+// configuration (and roles) before the iteration starts. The result owns
+// its PerHost slice.
 func (j *Job) RunIteration() (IterationResult, error) {
+	return j.RunIterationInto(new(IterationScratch))
+}
+
+// IterationScratch is the per-host storage of one iteration, reusable by a
+// caller that runs a job's iterations back to back (the GEOPM control
+// loop) so they stop allocating. The zero value is ready to use.
+type IterationScratch struct {
+	plans []hostPlan
+	per   []HostIteration
+}
+
+// hostPlan is one host's critical-path pass result.
+type hostPlan struct {
+	ph     cpumodel.Phase
+	jitter float64
+	work   time.Duration
+}
+
+// RunIterationInto is RunIteration with its per-host storage taken from
+// scratch. The result's PerHost aliases scratch: it is valid until the next
+// call with the same scratch.
+func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, error) {
 	j.advancePhase()
-	type hostPlan struct {
-		ph     cpumodel.Phase
-		jitter float64
-		work   time.Duration
+	n := len(j.Hosts)
+	if cap(scratch.plans) < n {
+		scratch.plans = make([]hostPlan, n)
+		scratch.per = make([]HostIteration, n)
 	}
-	plans := make([]hostPlan, len(j.Hosts))
+	plans := scratch.plans[:n]
 
 	// Phase 1: find the critical path under current caps.
 	var barrier time.Duration
@@ -205,7 +228,7 @@ func (j *Job) RunIteration() (IterationResult, error) {
 
 	// Phase 2: every host completes the iteration, spinning to the
 	// barrier.
-	res := IterationResult{Elapsed: barrier, PerHost: make([]HostIteration, len(j.Hosts))}
+	res := IterationResult{Elapsed: barrier, PerHost: scratch.per[:n]}
 	for i, h := range j.Hosts {
 		pr, err := h.Node.CompleteIteration(plans[i].ph, barrier, plans[i].jitter)
 		if err != nil {
@@ -280,8 +303,9 @@ func (j *Job) Run(iters int) (RunResult, error) {
 	}
 	res := RunResult{Iterations: iters}
 	hostEnergy := make([]units.Energy, len(j.Hosts))
+	var scratch IterationScratch
 	for k := 0; k < iters; k++ {
-		ir, err := j.RunIteration()
+		ir, err := j.RunIterationInto(&scratch)
 		if err != nil {
 			return RunResult{}, err
 		}

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -342,5 +343,66 @@ func TestHardwareVariationShowsUpInRun(t *testing.T) {
 	}
 	if math.Abs(ir.PerHost[0].AchievedFreq.GHz()-ir.PerHost[1].AchievedFreq.GHz()) < 0.01 {
 		t.Error("achieved frequencies should differ under a deep cap")
+	}
+}
+
+// TestRunIterationIntoMatchesRunIteration pins the reused-scratch path bit
+// for bit against fresh storage: twin jobs on twin pools, OS noise on, a
+// cap change mid-run, and the scratch carried from a smaller job so it must
+// grow. Each result's PerHost equals the fresh one's, and the registers the
+// iterations advanced match word for word.
+func TestRunIterationIntoMatchesRunIteration(t *testing.T) {
+	pool := testNodes(t, 6)
+	twin := cluster.ClonePool(pool)
+	fresh, err := NewJob("j", imbalancedCfg(), pool, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := NewJob("j", imbalancedCfg(), twin, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := NewJob("s", balancedCfg(), cluster.ClonePool(pool[:2]), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch IterationScratch
+	if _, err := small.RunIterationInto(&scratch); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 6; k++ {
+		if k == 3 {
+			for _, nodes := range [][]*node.Node{pool, twin} {
+				if _, err := nodes[0].SetPowerLimit(160 * units.Watt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, err := fresh.RunIteration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reused.RunIterationInto(&scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Elapsed != got.Elapsed || want.TotalEnergy != got.TotalEnergy || len(want.PerHost) != len(got.PerHost) {
+			t.Fatalf("iteration %d: reused scratch %+v, fresh storage %+v", k, got, want)
+		}
+		for i := range want.PerHost {
+			w, g := want.PerHost[i], got.PerHost[i]
+			if g.Node != twin[i] {
+				t.Fatalf("iteration %d host %d: result names another node", k, i)
+			}
+			w.Node, g.Node = nil, nil
+			if w != g {
+				t.Fatalf("iteration %d host %d: reused scratch %+v, fresh storage %+v", k, i, g, w)
+			}
+		}
+	}
+	for i := range pool {
+		if w, g := pool[i].SnapshotWords(nil), twin[i].SnapshotWords(nil); !reflect.DeepEqual(w, g) {
+			t.Errorf("node %d registers differ: fresh %v, reused %v", i, w, g)
+		}
 	}
 }

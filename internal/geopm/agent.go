@@ -39,7 +39,9 @@ type HostSample struct {
 	MaxLimit units.Power
 }
 
-// Sample is one iteration's telemetry for the whole job.
+// Sample is one iteration's telemetry for the whole job. The controller
+// refills one Hosts slice every iteration, so an agent copies what it keeps
+// past its call.
 type Sample struct {
 	Iteration int
 	Elapsed   time.Duration

@@ -7,6 +7,7 @@ import (
 
 	"powerstack/internal/bsp"
 	"powerstack/internal/obs"
+	"powerstack/internal/rapl"
 	"powerstack/internal/stats"
 	"powerstack/internal/units"
 )
@@ -25,6 +26,9 @@ type Controller struct {
 	Obs *obs.Sink
 
 	lastEnergy []units.Energy
+	// enc memoizes the PL1 encodings applyLimits programs: the balancer
+	// rewrites every host each iteration with the same 1 s window.
+	enc rapl.LimitEncoder
 }
 
 // NewController wires an agent to a job under a job-level power budget.
@@ -66,7 +70,7 @@ func (c *Controller) applyLimits(limits []units.Power) error {
 		return fmt.Errorf("geopm: agent returned %d limits for %d hosts", len(limits), len(c.Job.Hosts))
 	}
 	for i, h := range c.Job.Hosts {
-		if _, err := h.Node.SetPowerLimit(limits[i]); err != nil {
+		if _, err := h.Node.SetPowerLimitCached(limits[i], &c.enc); err != nil {
 			return err
 		}
 	}
@@ -182,9 +186,13 @@ func (c *Controller) Run(iters int) (Report, error) {
 	}
 	sumWork := make([]time.Duration, len(c.Job.Hosts))
 	sumFreqTime := make([]float64, len(c.Job.Hosts))
+	// Every iteration reuses one set of per-host buffers: the iteration's
+	// results and the agent's sample.
+	var scratch bsp.IterationScratch
+	samples := make([]HostSample, len(c.Job.Hosts))
 
 	for k := 0; k < iters; k++ {
-		ir, err := c.Job.RunIteration()
+		ir, err := c.Job.RunIterationInto(&scratch)
 		if err != nil {
 			return Report{}, err
 		}
@@ -192,7 +200,7 @@ func (c *Controller) Run(iters int) (Report, error) {
 		rep.TotalFlops += ir.TotalFlops
 		rep.IterationTimes = append(rep.IterationTimes, ir.Elapsed)
 
-		sample := Sample{Iteration: k, Elapsed: ir.Elapsed, Hosts: make([]HostSample, len(c.Job.Hosts))}
+		sample := Sample{Iteration: k, Elapsed: ir.Elapsed, Hosts: samples}
 		for i, h := range c.Job.Hosts {
 			e, err := h.Node.Energy()
 			if err != nil {

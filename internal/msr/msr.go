@@ -10,12 +10,20 @@
 // permitted for registers on the list, and writes are masked to the
 // writable-bit mask, mirroring how msr-safe protects unprivileged access.
 // The simulator itself updates counters through the privileged interface.
+//
+// A Device is single-owner, like the node and RAPL domain that wrap it: one
+// goroutine at a time accesses it, and ownership passes on only through a
+// happens-before edge. Every caller in the stack already provides one — the
+// facility's fork-join worker pool (tasks touch disjoint hosts), the
+// service's per-instance mutex, the private ClonePool copy of each sim cell,
+// and the private PoolState of each campaign worker. Several goroutines may
+// read a quiescent device at once (CloneOnto, SnapshotWords), which is how
+// cluster.ClonePool copies one template pool into many.
 package msr
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Register addresses for the MSRs used by the stack. Values match the Intel
@@ -169,8 +177,11 @@ func (l *layout) find(reg uint32) (int, bool) {
 var defaultLayout = newLayout(DefaultAllowlist())
 
 // Device is one simulated per-socket MSR file (e.g. /dev/cpu/N/msr_safe).
-// It is safe for concurrent use: the GEOPM controller and the resource
-// manager may touch the same socket from different goroutines.
+// It is not locked: one goroutine owns a device at a time and hands it on
+// through a happens-before edge (a channel, a mutex, or a fork-join
+// barrier), exactly as the node.Node and rapl.Domain that hold it require.
+// Concurrent reads of a device nobody is mutating — CloneOnto and
+// SnapshotWords on a template pool — are safe.
 //
 // Register words live in a dense slice indexed through the shared layout
 // (struct-of-arrays friendly: cloning is one slice copy, and a pool of
@@ -179,7 +190,6 @@ var defaultLayout = newLayout(DefaultAllowlist())
 // the historical "any address" privileged semantics survive the dense
 // storage.
 type Device struct {
-	mu     sync.RWMutex
 	lay    *layout
 	regs   []uint64
 	extra  map[uint32]uint64
@@ -218,14 +228,12 @@ func (d *Device) WordCount() int { return len(d.lay.addrs) }
 // pool's registers out in one flat array while every Device keeps its own
 // view.
 func (d *Device) CloneOnto(backing []uint64) *Device {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if len(backing) != len(d.regs) {
 		panic(fmt.Sprintf("msr: backing holds %d words, device has %d", len(backing), len(d.regs)))
 	}
 	copy(backing, d.regs)
 	c := &Device{lay: d.lay, regs: backing}
-	c.copyAux(d)
+	c.RestoreAuxFrom(d)
 	return c
 }
 
@@ -233,20 +241,13 @@ func (d *Device) CloneOnto(backing []uint64) *Device {
 // returns the extended slice: an image of the allowlisted registers that
 // compares devices word for word.
 func (d *Device) SnapshotWords(dst []uint64) []uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	return append(dst, d.regs...)
 }
 
 // Read returns the value of the register, failing for registers that are not
 // on the allowlist.
 func (d *Device) Read(reg uint32) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.faults[reg]; err != nil {
-		return 0, err
-	}
-	if err := d.countdown(OpRead, reg); err != nil {
+	if err := d.injected(OpRead, reg); err != nil {
 		return 0, err
 	}
 	i, ok := d.lay.find(reg)
@@ -256,9 +257,18 @@ func (d *Device) Read(reg uint32) (uint64, error) {
 	return d.regs[i], nil
 }
 
-// countdown advances the armed countdown fault for (op, reg), returning its
-// error once the budget of healthy accesses is spent. Callers hold d.mu.
-func (d *Device) countdown(op Op, reg uint32) error {
+// injected returns the injected fault an unprivileged (op, reg) access
+// hits: a sticky SetFault error first, else the armed countdown's, which
+// this access advances until its budget of healthy accesses is spent. A
+// device with no fault of either kind — every device outside a chaos run —
+// skips both map lookups.
+func (d *Device) injected(op Op, reg uint32) error {
+	if len(d.faults) == 0 && len(d.armed) == 0 {
+		return nil
+	}
+	if err := d.faults[reg]; err != nil {
+		return err
+	}
 	cf, ok := d.armed[opReg{op, reg}]
 	if !ok {
 		return nil
@@ -274,12 +284,7 @@ func (d *Device) countdown(op Op, reg uint32) error {
 // the register's write mask are preserved, matching msr-safe's write-mask
 // semantics. Writing a register with a zero write mask fails.
 func (d *Device) Write(reg uint32, value uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.faults[reg]; err != nil {
-		return err
-	}
-	if err := d.countdown(OpWrite, reg); err != nil {
+	if err := d.injected(OpWrite, reg); err != nil {
 		return err
 	}
 	i, ok := d.lay.find(reg)
@@ -309,8 +314,6 @@ func (d *Device) ReadField(reg uint32, hi, lo uint) (uint64, error) {
 // file, playing the role of the silicon itself. Addresses outside the
 // allowlist land in the privileged side map.
 func (d *Device) PrivilegedWrite(reg uint32, value uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if i, ok := d.lay.find(reg); ok {
 		d.regs[i] = value
 		return
@@ -323,8 +326,6 @@ func (d *Device) PrivilegedWrite(reg uint32, value uint64) {
 
 // PrivilegedRead bypasses the allowlist.
 func (d *Device) PrivilegedRead(reg uint32) uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if i, ok := d.lay.find(reg); ok {
 		return d.regs[i]
 	}
@@ -335,26 +336,8 @@ func (d *Device) PrivilegedRead(reg uint32) uint64 {
 // width, which is how the energy accumulators advance (32-bit wrap) and the
 // APERF/MPERF counters advance (64-bit wrap).
 func (d *Device) PrivilegedAdd(reg uint32, delta uint64, widthBits uint) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var v uint64
-	i, ok := d.lay.find(reg)
-	if ok {
-		v = d.regs[i] + delta
-	} else {
-		v = d.extra[reg] + delta
-	}
-	if widthBits < 64 {
-		v &= (uint64(1) << widthBits) - 1
-	}
-	if ok {
-		d.regs[i] = v
-		return
-	}
-	if d.extra == nil {
-		d.extra = map[uint32]uint64{}
-	}
-	d.extra[reg] = v
+	add := [1]CounterAdd{{Reg: reg, Delta: delta, Width: widthBits}}
+	d.PrivilegedAddBatch(add[:])
 }
 
 // CounterAdd is one wrapping counter advance for PrivilegedAddBatch.
@@ -364,13 +347,11 @@ type CounterAdd struct {
 	Width uint
 }
 
-// PrivilegedAddBatch applies a series of counter advances under a single
-// lock acquisition — the hot path for iteration crediting, which bumps five
-// counters per socket per credit. Each add is identical to a
-// PrivilegedAdd(Reg, Delta, Width) call, in order.
+// PrivilegedAddBatch applies a series of counter advances in one call — the
+// hot path for iteration crediting, which bumps five counters per socket per
+// credit. Each add is identical to a PrivilegedAdd(Reg, Delta, Width) call,
+// in order.
 func (d *Device) PrivilegedAddBatch(adds []CounterAdd) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, a := range adds {
 		var v uint64
 		i, ok := d.lay.find(a.Reg)
@@ -397,8 +378,6 @@ func (d *Device) PrivilegedAddBatch(adds []CounterAdd) {
 // in ascending order, then any privileged side-map registers), for
 // diagnostics.
 func (d *Device) Registers() []uint32 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	out := make([]uint32, 0, len(d.regs)+len(d.extra))
 	out = append(out, d.lay.addrs...)
 	for addr := range d.extra {
@@ -414,8 +393,6 @@ func (d *Device) Registers() []uint32 {
 // failure-injection tests. Privileged accesses (the silicon itself) are
 // unaffected.
 func (d *Device) SetFault(reg uint32, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.faults == nil {
 		d.faults = map[uint32]error{}
 	}
@@ -435,8 +412,6 @@ func (d *Device) SetFault(reg uint32, err error) {
 // unaffected. It generalizes the former SetWriteFaultAfter hook, which only
 // covered writes; the fault package's plans are the usual way to arm it.
 func (d *Device) ArmFault(op Op, reg uint32, after int, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if err == nil {
 		delete(d.armed, opReg{op, reg})
 		return
@@ -454,16 +429,6 @@ func (d *Device) ArmFault(op Op, reg uint32, after int, err error) {
 // owner of the backing array: cluster.PoolState copies a whole pool's
 // words back with one slice copy.
 func (d *Device) RestoreAuxFrom(src *Device) {
-	src.mu.RLock()
-	defer src.mu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.copyAux(src)
-}
-
-// copyAux replaces d's side state with a copy of src's. Callers hold
-// src.mu and either hold d.mu or own d exclusively.
-func (d *Device) copyAux(src *Device) {
 	clear(d.extra)
 	if len(src.extra) > 0 {
 		if d.extra == nil {

@@ -309,31 +309,79 @@ func TestInsertBitsPreservesOutside(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccess(t *testing.T) {
-	d := NewDevice(nil)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				d.PrivilegedAdd(MSRPkgEnergyStatus, 1, 32)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				if _, err := d.Read(MSRPkgEnergyStatus); err != nil {
-					t.Error(err)
-					return
+// TestDeviceOwnershipHandoff pins the single-owner contract under -race:
+// eight goroutines pass one device around a channel ring, each taking 125
+// turns of eight PrivilegedAdd/Read pairs while it holds the device, and
+// every add lands. Separately, several goroutines clone and snapshot one
+// quiescent source at once — the cluster.ClonePool pattern — and each
+// copy sees the source's words.
+func TestDeviceOwnershipHandoff(t *testing.T) {
+	t.Run("ring", func(t *testing.T) {
+		const owners, turns, perTurn = 8, 125, 8
+		d := NewDevice(nil)
+		ring := make([]chan *Device, owners)
+		for i := range ring {
+			ring[i] = make(chan *Device, 1)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < owners; i++ {
+			wg.Add(1)
+			go func(in, out chan *Device) {
+				defer wg.Done()
+				for turn := 0; turn < turns; turn++ {
+					dev := <-in
+					for j := 0; j < perTurn; j++ {
+						dev.PrivilegedAdd(MSRPkgEnergyStatus, 1, 32)
+						if _, err := dev.Read(MSRPkgEnergyStatus); err != nil {
+							t.Error(err)
+						}
+					}
+					out <- dev
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := d.PrivilegedRead(MSRPkgEnergyStatus); got != 8000 {
-		t.Errorf("counter = %d, want 8000", got)
-	}
+			}(ring[i], ring[(i+1)%owners])
+		}
+		ring[0] <- d
+		wg.Wait()
+		d = <-ring[0]
+		if got := d.PrivilegedRead(MSRPkgEnergyStatus); got != owners*turns*perTurn {
+			t.Errorf("counter = %d, want %d", got, owners*turns*perTurn)
+		}
+	})
+	t.Run("quiescent source", func(t *testing.T) {
+		src := NewDevice(nil)
+		src.PrivilegedWrite(MSRPkgEnergyStatus, 77)
+		src.PrivilegedWrite(0xC0DE, 5)
+		src.ArmFault(OpWrite, MSRPkgPowerLimit, 1, errors.New("boom"))
+		want := src.SnapshotWords(nil)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := src.CloneOnto(make([]uint64, src.WordCount()))
+				got := src.SnapshotWords(nil)
+				c.PrivilegedAdd(MSRPkgEnergyStatus, 1, 32)
+				if err := c.Write(MSRPkgPowerLimit, 1); err != nil {
+					t.Errorf("clone write within countdown: %v", err)
+				}
+				if v := c.PrivilegedRead(MSRPkgEnergyStatus); v != 78 {
+					t.Errorf("clone energy = %d, want 78", v)
+				}
+				if v := c.PrivilegedRead(0xC0DE); v != 5 {
+					t.Errorf("clone side register = %d, want 5", v)
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Errorf("snapshot word %d = %d, want %d", k, got[k], want[k])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := src.Write(MSRPkgPowerLimit, 1); err != nil {
+			t.Errorf("source countdown consumed by its clones: %v", err)
+		}
+	})
 }
 
 func TestCloneIndependence(t *testing.T) {

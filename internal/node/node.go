@@ -484,8 +484,8 @@ func (n *Node) CompleteIteration(ph cpumodel.Phase, iterTime time.Duration, work
 
 	// Advance the hardware counters so telemetry readers see this
 	// iteration: energy into the wrapping accumulator, APERF at the
-	// achieved frequency, MPERF and TSC at the base clock. One batched
-	// device call per socket keeps the credit to a single lock round-trip.
+	// achieved frequency, MPERF and TSC at the base clock, in one batched
+	// device call per socket.
 	base := uint64(n.spec().BaseFreq.Hz() * iterTime.Seconds())
 	aperf := uint64(res.AchievedFreq.Hz() * iterTime.Seconds())
 	for _, s := range n.sockets {

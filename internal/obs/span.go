@@ -153,33 +153,36 @@ func (sp *Span) Ctx() SpanContext {
 
 // SetScope annotates the span with its owning entity (job, policy, cell).
 func (sp *Span) SetScope(scope string) *Span {
-	if sp != nil {
-		sp.rec.Scope = scope
-	}
-	return sp
+	return sp.annotate(func(r *SpanRecord) { r.Scope = scope })
 }
 
 // SetHost annotates the span with the node involved.
 func (sp *Span) SetHost(host string) *Span {
-	if sp != nil {
-		sp.rec.Host = host
-	}
-	return sp
+	return sp.annotate(func(r *SpanRecord) { r.Host = host })
 }
 
 // SetIter annotates the span with an iteration / round / index.
 func (sp *Span) SetIter(iter int) *Span {
-	if sp != nil {
-		sp.rec.Iter = iter
-	}
-	return sp
+	return sp.annotate(func(r *SpanRecord) { r.Iter = iter })
 }
 
 // SetValue annotates the span with its primary quantity (watts, seconds).
 func (sp *Span) SetValue(v float64) *Span {
-	if sp != nil {
-		sp.rec.Value = v
+	return sp.annotate(func(r *SpanRecord) { r.Value = v })
+}
+
+// annotate applies set to an open span's record under the log lock, as End
+// stamps it: OpenSnapshot may be copying the record from another goroutine
+// (a flight capture). Nil spans no-op.
+func (sp *Span) annotate(set func(*SpanRecord)) *Span {
+	if sp == nil {
+		return nil
 	}
+	if l := sp.log; l != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+	}
+	set(&sp.rec)
 	return sp
 }
 

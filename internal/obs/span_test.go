@@ -122,6 +122,25 @@ func TestOpenSpansSnapshot(t *testing.T) {
 	}
 }
 
+// TestSpanAnnotateDuringOpenSnapshot pins, under -race, that annotating an
+// open span while another goroutine snapshots the open set (a campaign
+// worker's flight capture against a sibling's running span) is
+// synchronized.
+func TestSpanAnnotateDuringOpenSnapshot(t *testing.T) {
+	s := New()
+	sp := s.StartSpan(SpanContext{}, "rm", "cap_write")
+	done := make(chan []SpanRecord)
+	go func() { done <- s.Spans.OpenSnapshot() }()
+	sp.SetScope("job1").SetHost("node0001").SetIter(2).SetValue(150)
+	if open := <-done; len(open) != 1 {
+		t.Fatalf("open snapshot = %+v", open)
+	}
+	sp.End()
+	if got := s.Spans.Snapshot(); len(got) != 1 || got[0].Scope != "job1" || got[0].Host != "node0001" || got[0].Iter != 2 || got[0].Value != 150 {
+		t.Fatalf("completed span = %+v", got)
+	}
+}
+
 // TestSpanJSONLRoundTrip writes the span log as JSONL and reads it back.
 func TestSpanJSONLRoundTrip(t *testing.T) {
 	s := New()

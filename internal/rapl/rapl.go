@@ -166,6 +166,10 @@ func (d *Domain) RestoreFrom(src *Domain) {
 // fields from a map. Encodings are exact memoizations of pure functions of
 // the unit register, so cached and uncached writes program identical bits.
 //
+// Its users are the resource manager's cap commits (rm.Manager and each
+// rm.CapBatch) and the GEOPM controller, whose balancer reprograms every
+// host of its job each iteration with the same 1 s window.
+//
 // An encoder caches for one unit scheme (the first domain it sees); domains
 // with different decoded units bypass it. It is not safe for concurrent
 // use — callers that fan out keep one encoder per goroutine.
@@ -374,9 +378,8 @@ func boolBit(b bool) uint64 {
 // The hardware model calls this when a node powers on.
 func ProgramDefaults(dev *msr.Device, tdp, minPower, maxPower units.Power) {
 	dev.PrivilegedWrite(msr.MSRRaplPowerUnit, DefaultUnitsRegister)
-	u := DecodeUnits(DefaultUnitsRegister)
 	enc := func(p units.Power) uint64 {
-		return uint64(math.Round(float64(p) / float64(u.PowerUnit)))
+		return uint64(math.Round(float64(p) / float64(defaultUnits.PowerUnit)))
 	}
 	info := enc(tdp) & 0x7FFF
 	info |= (enc(minPower) & 0x7FFF) << 16
@@ -387,6 +390,15 @@ func ProgramDefaults(dev *msr.Device, tdp, minPower, maxPower units.Power) {
 	reg := msr.InsertBits(0, pl1PowerHi, pl1PowerLo, enc(tdp))
 	reg = msr.InsertBits(reg, pl1EnableBit, pl1EnableBit, 1)
 	reg = msr.InsertBits(reg, pl1ClampBit, pl1ClampBit, 1)
-	reg = msr.InsertBits(reg, pl1WindowHi, pl1WindowLo, encodeTimeWindow(time.Second, u.TimeUnit))
+	reg = msr.InsertBits(reg, pl1WindowHi, pl1WindowLo, defaultWindowField)
 	dev.PrivilegedWrite(msr.MSRPkgPowerLimit, reg)
 }
+
+// defaultUnits and defaultWindowField are the power-on unit scheme and its
+// 1 s PL1 window encoding. Both are functions of constants, so every socket
+// a cluster powers on shares one time-window search instead of running its
+// own.
+var (
+	defaultUnits       = DecodeUnits(DefaultUnitsRegister)
+	defaultWindowField = encodeTimeWindow(time.Second, defaultUnits.TimeUnit)
+)

@@ -1,6 +1,7 @@
 package rapl
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -109,6 +110,12 @@ func TestPowerOnDefaultsReadable(t *testing.T) {
 	}
 	if math.Abs(l.Power.Watts()-120) > 0.25 {
 		t.Errorf("power-on PL1 = %v, want TDP 120 W", l.Power)
+	}
+	if want := encodeTimeWindow(time.Second, DecodeUnits(DefaultUnitsRegister).TimeUnit); defaultWindowField != want {
+		t.Errorf("defaultWindowField = %#x, uncached encoding %#x", defaultWindowField, want)
+	}
+	if want := decodeTimeWindow(defaultWindowField, d.Units().TimeUnit); l.TimeWindow != want {
+		t.Errorf("power-on window = %v, want %v", l.TimeWindow, want)
 	}
 	info, err := d.ReadPowerInfo()
 	if err != nil {
@@ -337,6 +344,67 @@ func TestTimeWindowEncodingMatchesPow(t *testing.T) {
 		}
 		if got, want := encodeTimeWindow(w, unit), powWindowField(w, unit); got != want {
 			t.Fatalf("window %v unit %v: field %#x, Pow form %#x", w, unit, got, want)
+		}
+	}
+}
+
+// TestSetLimitCachedMatchesUncached pins the encoder as an exact memo: for
+// random powers and windows, a cached write on one device and an uncached
+// write on its twin leave identical MSR_PKG_POWER_LIMIT words, and with a
+// countdown fault armed on either access direction both fail on the same
+// call.
+func TestSetLimitCachedMatchesUncached(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 3))
+	// A few distinct values, revisited, so the memo both fills and replays.
+	powers := make([]units.Power, 6)
+	windows := make([]time.Duration, 4)
+	for i := range powers {
+		powers[i] = units.Power(rng.Float64() * 300)
+	}
+	for i := range windows {
+		windows[i] = time.Duration(rng.Int64N(int64(3 * time.Second)))
+	}
+	limit := func() Limit {
+		return Limit{
+			Power:      powers[rng.IntN(len(powers))],
+			TimeWindow: windows[rng.IntN(len(windows))],
+			Enabled:    rng.IntN(2) == 0,
+			Clamped:    rng.IntN(2) == 0,
+		}
+	}
+	plain, plainDev := newTestDomain(t)
+	cached, cachedDev := newTestDomain(t)
+	var enc LimitEncoder
+	for i := 0; i < 500; i++ {
+		l := limit()
+		if err := plain.SetLimit(l); err != nil {
+			t.Fatal(err)
+		}
+		if err := cached.SetLimitCached(l, &enc); err != nil {
+			t.Fatal(err)
+		}
+		if p, c := plainDev.PrivilegedRead(msr.MSRPkgPowerLimit), cachedDev.PrivilegedRead(msr.MSRPkgPowerLimit); p != c {
+			t.Fatalf("write %d (%+v): uncached %#x, cached %#x", i, l, p, c)
+		}
+	}
+	for _, op := range []msr.Op{msr.OpRead, msr.OpWrite} {
+		for _, k := range []int{0, 1, 5} {
+			plain, plainDev := newTestDomain(t)
+			cached, cachedDev := newTestDomain(t)
+			boom := errors.New("boom")
+			plainDev.ArmFault(op, msr.MSRPkgPowerLimit, k, boom)
+			cachedDev.ArmFault(op, msr.MSRPkgPowerLimit, k, boom)
+			var enc LimitEncoder
+			for i := 0; i < k+3; i++ {
+				l := limit()
+				perr, cerr := plain.SetLimit(l), cached.SetLimitCached(l, &enc)
+				if wantFail := i >= k; errors.Is(perr, boom) != wantFail || errors.Is(cerr, boom) != wantFail {
+					t.Fatalf("%s fault after %d, call %d: uncached err %v, cached err %v", op, k, i, perr, cerr)
+				}
+				if p, c := plainDev.PrivilegedRead(msr.MSRPkgPowerLimit), cachedDev.PrivilegedRead(msr.MSRPkgPowerLimit); p != c {
+					t.Fatalf("%s fault after %d, call %d: uncached %#x, cached %#x", op, k, i, p, c)
+				}
+			}
 		}
 	}
 }

@@ -59,12 +59,23 @@ type Host struct {
 	mu          sync.RWMutex
 	insts       map[string]*hosted
 	defaultName string
+
+	// beats starts a pacer's clock: a channel delivering one value per
+	// beat, every wall interval, and the function that stops it. Tests
+	// swap in a clock they beat by hand.
+	beats func(wall time.Duration) (<-chan time.Time, func())
 }
 
 // NewHost returns an empty host recording through sink (nil disables
 // instrumentation and the event stream).
 func NewHost(sink *obs.Sink) *Host {
-	return &Host{sink: sink, insts: make(map[string]*hosted)}
+	return &Host{sink: sink, insts: make(map[string]*hosted), beats: wallBeats}
+}
+
+// wallBeats is the pacer's wall clock: a ticker at the beat interval.
+func wallBeats(wall time.Duration) (<-chan time.Time, func()) {
+	tick := time.NewTicker(wall)
+	return tick.C, tick.Stop
 }
 
 // hosted is one instance with its pacer. The mutex serializes every touch
@@ -127,7 +138,7 @@ func (h *Host) Add(cfg InstanceConfig) error {
 	if h.defaultName == "" {
 		h.defaultName = cfg.Name
 	}
-	go hi.pace()
+	go hi.pace(h.beats)
 	return nil
 }
 
@@ -135,19 +146,19 @@ func (h *Host) Add(cfg InstanceConfig) error {
 // of wall time until the horizon, shutdown, or a core error. Beats landing
 // on a paused instance are skipped, not accumulated — pausing stretches
 // wall time rather than causing a catch-up burst on resume.
-func (hi *hosted) pace() {
+func (hi *hosted) pace(clock func(wall time.Duration) (<-chan time.Time, func())) {
 	defer close(hi.done)
 	wall := time.Duration(float64(hi.quantum) / hi.speedup)
 	if wall < time.Millisecond {
 		wall = time.Millisecond
 	}
-	tick := time.NewTicker(wall)
-	defer tick.Stop()
+	beats, stop := clock(wall)
+	defer stop()
 	for {
 		select {
 		case <-hi.ctx.Done():
 			return
-		case <-tick.C:
+		case <-beats:
 		}
 		hi.mu.Lock()
 		if hi.in.State() == facility.InstanceClosed {

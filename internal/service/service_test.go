@@ -60,17 +60,52 @@ func serviceEnv(t *testing.T) (facility.Config, units.Power) {
 	return cfg, entry.MonitorHostPower * 2
 }
 
-// waitFor polls cond until it holds or the deadline lapses.
-func waitFor(t *testing.T, what string, cond func() bool) {
+// handClock is a pacer clock the test beats by hand, so no service test
+// waits on wall-clock scheduling.
+type handClock chan time.Time
+
+// maxBeats bounds handClock.waitFor: 100 h of virtual time at the 30 s
+// quantum serviceEnv configures.
+const maxBeats = 12000
+
+// handPaced installs a hand clock on h and adds the instance, which then
+// advances one quantum per beat and never on its own.
+func handPaced(t *testing.T, h *Host, cfg InstanceConfig) (handClock, *hosted) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
+	c := make(handClock)
+	h.beats = func(time.Duration) (<-chan time.Time, func()) { return c, func() {} }
+	if err := h.Add(cfg); err != nil {
+		t.Fatal(err)
+	}
+	hi, err := h.hosted(cfg.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, hi
+}
+
+// beat hands hi's pacer one beat. The clock is unbuffered and the pacer
+// takes a beat only after finishing the one before, so when beat returns
+// every earlier beat has been applied.
+func (c handClock) beat(t *testing.T, hi *hosted) {
+	t.Helper()
+	select {
+	case c <- time.Time{}:
+	case <-hi.done:
+		t.Fatalf("pacer exited (err %v)", hi.runErr)
+	}
+}
+
+// waitFor beats hi's pacer until cond holds, failing after maxBeats.
+func (c handClock) waitFor(t *testing.T, hi *hosted, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; i < maxBeats; i++ {
 		if cond() {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		c.beat(t, hi)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	t.Fatalf("%s: not reached after %d beats", what, maxBeats)
 }
 
 // get/post drive the API and decode into out; both return the status code.
@@ -117,9 +152,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	cfg, pairDemand := serviceEnv(t)
 	sink := obs.New()
 	h := NewHost(sink)
-	if err := h.Add(InstanceConfig{Name: "main", Facility: cfg, Speedup: 1e9}); err != nil {
-		t.Fatal(err)
-	}
+	clock, hi := handPaced(t, h, InstanceConfig{Name: "main", Facility: cfg})
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 	base := srv.URL
@@ -195,7 +228,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 		return st
 	}
-	waitFor(t, "both jobs running", func() bool { return status().RunningJobs >= 2 })
+	clock.waitFor(t, hi, "both jobs running", func() bool { return status().RunningJobs >= 2 })
 
 	// A deferred submission an hour of virtual time out: visible as
 	// scheduled immediately.
@@ -230,7 +263,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	// checkpoint in virtual time. Earlier — at virtual t=0, before the
 	// pacer has beaten — the preempted job checkpoints nothing, restarts
 	// from scratch, and never counts a resume.
-	waitFor(t, "both jobs past their first checkpoint", func() bool {
+	clock.waitFor(t, hi, "both jobs past their first checkpoint", func() bool {
 		var js []apiv1.JobStatus
 		if code := get(t, base+"/v1/jobs", &js); code != 200 {
 			return false
@@ -252,7 +285,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}, &swap); code != 200 {
 		t.Fatalf("POST /v1/budget = %d", code)
 	}
-	waitFor(t, "budget drop preempting a job", func() bool {
+	clock.waitFor(t, hi, "budget drop preempting a job", func() bool {
 		st := status()
 		return st.Preempted > 0 && st.BudgetChanges > 0
 	})
@@ -263,7 +296,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}, nil); code != 200 {
 		t.Fatalf("POST /v1/budget restore = %d", code)
 	}
-	waitFor(t, "preempted job resuming", func() bool { return status().Resumed > 0 })
+	clock.waitFor(t, hi, "preempted job resuming", func() bool { return status().Resumed > 0 })
 
 	// Policy surface: list, then swap by separator-insensitive name.
 	var plist apiv1.PolicyListResponse
@@ -281,7 +314,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// The deferred submission fires when virtual time reaches it.
-	waitFor(t, "deferred submission firing", func() bool {
+	clock.waitFor(t, hi, "deferred submission firing", func() bool {
 		var dj apiv1.JobStatus
 		if code := get(t, base+"/v1/jobs/"+deferred.JobID, &dj); code != 200 {
 			return false
@@ -366,13 +399,11 @@ func readSSE(t *testing.T, url string, n int, check func(string)) {
 }
 
 // TestPauseResumeOverHTTP pins that pause freezes virtual time and resume
-// releases it.
+// releases it: beats delivered while paused are skipped.
 func TestPauseResumeOverHTTP(t *testing.T) {
 	cfg, _ := serviceEnv(t)
 	h := NewHost(obs.New())
-	if err := h.Add(InstanceConfig{Name: "main", Facility: cfg, Speedup: 1e9}); err != nil {
-		t.Fatal(err)
-	}
+	clock, hi := handPaced(t, h, InstanceConfig{Name: "main", Facility: cfg})
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 
@@ -383,21 +414,23 @@ func TestPauseResumeOverHTTP(t *testing.T) {
 		}
 		return st.NowNs
 	}
-	waitFor(t, "virtual time to advance", func() bool { return now() > 0 })
+	clock.waitFor(t, hi, "virtual time to advance", func() bool { return now() > 0 })
 
 	var st apiv1.InstanceStatus
 	if code := post(t, srv.URL+"/v1/instances/main/pause", nil, &st); code != 200 || st.State != "paused" {
 		t.Fatalf("pause = %d %+v", code, st)
 	}
 	frozen := now()
-	time.Sleep(50 * time.Millisecond)
-	if got := now(); got != frozen {
-		t.Fatalf("virtual time advanced while paused: %d -> %d", frozen, got)
+	for i := 0; i < 5; i++ {
+		clock.beat(t, hi)
+		if got := now(); got != frozen {
+			t.Fatalf("virtual time advanced while paused: %d -> %d after %d beats", frozen, got, i+1)
+		}
 	}
 	if code := post(t, srv.URL+"/v1/instances/main/resume", nil, &st); code != 200 || st.State != "running" {
 		t.Fatalf("resume = %d %+v", code, st)
 	}
-	waitFor(t, "virtual time to advance after resume", func() bool { return now() > frozen })
+	clock.waitFor(t, hi, "virtual time to advance after resume", func() bool { return now() > frozen })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
