@@ -3,21 +3,25 @@ package coordinator
 import (
 	"fmt"
 
-	"powerstack/internal/obs"
 	"powerstack/internal/units"
 )
 
-// HierAlloc runs hierarchical allocations with reused scratch: the per-rack
-// and per-room aggregate requests, member index lists, sub-round buffers,
-// and the "rackN"/"roomN" label strings are all kept between calls, so a
-// facility replanning every few simulated minutes allocates nothing on this
-// path at steady state. The zero value is ready to use. A HierAlloc is not
-// safe for concurrent Allocate calls; give each goroutine its own.
+// HierAlloc runs hierarchical allocations along the physical topology:
+// requests are aggregated per rack and racks per room, the budget is split
+// over the room aggregates, each room's grant over its racks, and each
+// rack's grant over its own requests. Decisions at every level use the same
+// water-fill rules as Allocate, so grants conserve the budget, but a
+// request competes only with its rack siblings for the rack's grant rather
+// than with every job in the machine. With all requests in a single rack
+// the result is bit-identical to Allocate.
+//
+// The per-rack and per-room aggregate requests, member index lists,
+// result buffers, and the "rackN"/"roomN" label strings are all kept
+// between calls, so a facility replanning every few simulated minutes
+// allocates nothing on this path at steady state. The zero value is ready
+// to use. Stage is single-goroutine; AllocateRoom may run concurrently for
+// different rooms, each with its own RoomScratch.
 type HierAlloc struct {
-	// Obs, when set, journals degradations to the flat allocator (an event
-	// plus a counter) instead of letting them pass silently. Nil-safe.
-	Obs *obs.Sink
-
 	rackIdx     map[int]int // rack id -> aggregate index
 	rackReqs    []Request   // one aggregate request per rack
 	rackRoom    []int       // rack aggregate -> room id
@@ -28,16 +32,15 @@ type HierAlloc struct {
 
 	grants     []Grant // result buffer, reused
 	roomGrants []Grant // room-round output
-	ws         RoomScratch
 
 	rackNames []string // dense "rackN" label cache, indexed by rack id
 	roomNames []string
 }
 
 // RoomScratch is the per-room sub-round scratch AllocateRoom works in.
-// Allocate uses one internally; parallel replan pipelines that fan rooms
-// out across workers give each worker its own, so the rack and job rounds
-// of different rooms never share buffers. The zero value is ready to use.
+// Replan pipelines that fan rooms out across workers give each worker its
+// own, so the rack and job rounds of different rooms never share buffers.
+// The zero value is ready to use.
 type RoomScratch struct {
 	rackSub    []Request // rack sub-round input
 	rackGrants []Grant
@@ -62,45 +65,16 @@ func (h *HierAlloc) roomName(id int) string {
 	return h.roomNames[id]
 }
 
-// Allocate is AllocateHierarchical over the reused scratch: requests are
-// aggregated per rack and racks per room in first-appearance order, the
-// budget is water-filled over rooms, each room's grant over its racks, and
-// each rack's grant over its own requests — value-identical to the package
-// function. Malformed topology inputs (rackOf/roomOf length mismatches)
-// degrade to the flat Allocate, journaled through Obs rather than silently.
-//
-// The returned slice is owned by h and valid until the next call.
-func (h *HierAlloc) Allocate(budget units.Power, reqs []Request, rackOf, roomOf []int) []Grant {
-	grants, rooms := h.Stage(budget, reqs, rackOf, roomOf)
-	if rooms < 0 {
-		h.Obs.HierFallback("topology_len_mismatch", len(reqs))
-		h.grants = grow(h.grants, len(reqs))
-		return allocateInto(h.grants, budget, reqs)
-	}
-	for mi := 0; mi < rooms; mi++ {
-		h.AllocateRoom(mi, reqs, &h.ws, grants)
-	}
-	return grants
-}
-
 // Stage runs the shared, single-goroutine prefix of a hierarchical
 // allocation: aggregation per rack and per room in first-appearance order,
-// then the room-level water-fill of the budget. It returns the result
-// buffer (owned by h, valid until the next Stage or Allocate) and the room
-// count; per-request grants are not filled in until AllocateRoom has run
-// for every room. Rooms are independent after Stage — a replan pipeline
-// fans AllocateRoom out across workers, each with its own RoomScratch, and
-// gets bit-identical grants at any parallelism because every room's rounds
-// perform the same float operations in the same order as Allocate's
-// sequential loop.
-//
-// A malformed topology (rackOf/roomOf length mismatch) returns (nil, -1)
-// without journaling; callers fall back to Allocate, which journals the
-// degradation.
+// then the room-level water-fill of the budget. rackOf[i] and roomOf[i]
+// give request i's rack and room, and requests sharing a rack must share a
+// room. It returns the result buffer (owned by h, valid until the next
+// Stage) and the room count; per-request grants are not filled in until
+// AllocateRoom has run for every room. Rooms are independent after Stage,
+// so a replan pipeline fans AllocateRoom out across workers and gets
+// bit-identical grants at any parallelism.
 func (h *HierAlloc) Stage(budget units.Power, reqs []Request, rackOf, roomOf []int) ([]Grant, int) {
-	if len(rackOf) != len(reqs) || len(roomOf) != len(reqs) {
-		return nil, -1
-	}
 	if h.rackIdx == nil {
 		h.rackIdx = make(map[int]int)
 		h.roomIdx = make(map[int]int)
@@ -187,11 +161,11 @@ func (h *HierAlloc) AllocateRoom(mi int, reqs []Request, ws *RoomScratch, grants
 }
 
 // RoomRacks returns room mi's rack aggregate indexes (first-appearance
-// order), valid until the next Stage or Allocate. Read-only for callers.
+// order), valid until the next Stage. Read-only for callers.
 func (h *HierAlloc) RoomRacks(mi int) []int { return h.roomMembers[mi] }
 
 // RackRequests returns rack aggregate ri's request indexes
-// (first-appearance order), valid until the next Stage or Allocate.
+// (first-appearance order), valid until the next Stage.
 // Read-only for callers.
 func (h *HierAlloc) RackRequests(ri int) []int { return h.rackMembers[ri] }
 

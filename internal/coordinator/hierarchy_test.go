@@ -3,7 +3,6 @@ package coordinator
 import (
 	"testing"
 
-	"powerstack/internal/obs"
 	"powerstack/internal/units"
 )
 
@@ -14,6 +13,21 @@ func hierReqs() []Request {
 		{JobID: "c", Min: 150, Needed: 250, MaxUseful: 500},
 		{JobID: "d", Min: 120, Needed: 220, MaxUseful: 240},
 	}
+}
+
+// allocateHier runs a full hierarchical allocation on h: Stage, then every
+// room's rounds in order on one scratch. The returned slice is owned by h.
+func allocateHier(h *HierAlloc, ws *RoomScratch, budget units.Power, reqs []Request, rackOf, roomOf []int) []Grant {
+	grants, rooms := h.Stage(budget, reqs, rackOf, roomOf)
+	for mi := 0; mi < rooms; mi++ {
+		h.AllocateRoom(mi, reqs, ws, grants)
+	}
+	return grants
+}
+
+// hierGrants is allocateHier on fresh scratch.
+func hierGrants(budget units.Power, reqs []Request, rackOf, roomOf []int) []Grant {
+	return allocateHier(&HierAlloc{}, &RoomScratch{}, budget, reqs, rackOf, roomOf)
 }
 
 func sumGrants(grants []Grant) units.Power {
@@ -34,7 +48,7 @@ func TestHierarchicalSingleRackIdentical(t *testing.T) {
 	room := []int{0, 0, 0, 0}
 	for _, budget := range []units.Power{2000, 1500, 1170, 900, 800, 400} {
 		flat := Allocate(budget, reqs)
-		hier := AllocateHierarchical(budget, reqs, rack, room)
+		hier := hierGrants(budget, reqs, rack, room)
 		for i := range flat {
 			if flat[i] != hier[i] {
 				t.Errorf("budget %v req %s: flat %v != hier %v", budget, reqs[i].JobID, flat[i].Budget, hier[i].Budget)
@@ -55,7 +69,7 @@ func TestHierarchicalConservesBudget(t *testing.T) {
 		totalMin += r.Min
 	}
 	for _, budget := range []units.Power{2500, 1400, 1100, 900, 600, 300} {
-		grants := AllocateHierarchical(budget, reqs, rack, room)
+		grants := hierGrants(budget, reqs, rack, room)
 		if len(grants) != len(reqs) {
 			t.Fatalf("budget %v: %d grants for %d requests", budget, len(grants), len(reqs))
 		}
@@ -76,19 +90,6 @@ func TestHierarchicalConservesBudget(t *testing.T) {
 	}
 }
 
-// TestHierarchicalMismatchedTopologyFallsBack checks that malformed
-// rack/room vectors degrade to the flat allocation instead of panicking.
-func TestHierarchicalMismatchedTopologyFallsBack(t *testing.T) {
-	reqs := hierReqs()
-	flat := Allocate(1000, reqs)
-	hier := AllocateHierarchical(1000, reqs, []int{0}, nil)
-	for i := range flat {
-		if flat[i] != hier[i] {
-			t.Fatalf("fallback diverged at %d: %v vs %v", i, flat[i], hier[i])
-		}
-	}
-}
-
 // TestHierarchicalStarvedRackHoldsFloor places a rack whose demand dwarfs
 // its rack-mates in a tight machine: every job still clears its floor, and
 // surplus steering happens within rooms before racks see it.
@@ -98,7 +99,7 @@ func TestHierarchicalStarvedRackHoldsFloor(t *testing.T) {
 		{JobID: "small1", Min: 50, Needed: 80, MaxUseful: 100},
 		{JobID: "small2", Min: 50, Needed: 80, MaxUseful: 100},
 	}
-	grants := AllocateHierarchical(800, reqs, []int{0, 1, 1}, []int{0, 0, 0})
+	grants := hierGrants(800, reqs, []int{0, 1, 1}, []int{0, 0, 0})
 	for i, g := range grants {
 		if g.Budget < reqs[i].Min {
 			t.Errorf("%s granted %v below floor %v", g.JobID, g.Budget, reqs[i].Min)
@@ -111,10 +112,11 @@ func TestHierarchicalStarvedRackHoldsFloor(t *testing.T) {
 
 // TestHierAllocScratchIdentical runs one HierAlloc across many rounds with
 // shifting request sets and topologies, asserting every round's grants are
-// identical to a fresh package-level AllocateHierarchical call — scratch
-// reuse must never leak state between rounds.
+// identical to an allocation on fresh scratch — reuse must never leak
+// state between rounds.
 func TestHierAllocScratchIdentical(t *testing.T) {
 	var h HierAlloc
+	var ws RoomScratch
 	base := hierReqs()
 	for round := 0; round < 6; round++ {
 		n := 1 + (round*3)%len(base)
@@ -126,8 +128,8 @@ func TestHierAllocScratchIdentical(t *testing.T) {
 			room[i] = rack[i] / 2
 		}
 		budget := units.Power(300 + 400*round)
-		want := AllocateHierarchical(budget, reqs, rack, room)
-		got := h.Allocate(budget, reqs, rack, room)
+		want := hierGrants(budget, reqs, rack, room)
+		got := allocateHier(&h, &ws, budget, reqs, rack, room)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d grants, want %d", round, len(got), len(want))
 		}
@@ -140,57 +142,19 @@ func TestHierAllocScratchIdentical(t *testing.T) {
 }
 
 // TestHierAllocAllocatesNothingSteadyState pins the scratch pooling: after
-// the first call warms the buffers, repeated allocations over the same
-// shape allocate nothing.
+// the first call warms the buffers, repeated Stage + AllocateRoom rounds
+// over the same shape allocate nothing.
 func TestHierAllocAllocatesNothingSteadyState(t *testing.T) {
 	var h HierAlloc
+	var ws RoomScratch
 	reqs := hierReqs()
 	rack := []int{0, 0, 1, 2}
 	room := []int{0, 0, 0, 1}
-	h.Allocate(1200, reqs, rack, room)
+	allocateHier(&h, &ws, 1200, reqs, rack, room)
 	allocs := testing.AllocsPerRun(50, func() {
-		h.Allocate(1200, reqs, rack, room)
+		allocateHier(&h, &ws, 1200, reqs, rack, room)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state HierAlloc.Allocate allocates %v objects per run", allocs)
-	}
-}
-
-// TestHierAllocJournalsFallback pins satellite behavior: a malformed
-// topology no longer degrades silently — the sink records an EvHierFallback
-// event and bumps the fallback counter, and the grants still equal the flat
-// allocation.
-func TestHierAllocJournalsFallback(t *testing.T) {
-	sink := obs.New()
-	h := HierAlloc{Obs: sink}
-	reqs := hierReqs()
-	flat := Allocate(1000, reqs)
-	got := h.Allocate(1000, reqs, []int{0}, nil)
-	for i := range flat {
-		if got[i] != flat[i] {
-			t.Fatalf("fallback grant %d: %+v != flat %+v", i, got[i], flat[i])
-		}
-	}
-	var seen int
-	for _, e := range sink.Journal.Snapshot() {
-		if e.Type == obs.EvHierFallback {
-			seen++
-			if e.Scope != "topology_len_mismatch" || e.Value != float64(len(reqs)) {
-				t.Errorf("fallback event fields: %+v", e)
-			}
-		}
-	}
-	if seen != 1 {
-		t.Fatalf("EvHierFallback events = %d, want 1", seen)
-	}
-	// A well-formed call journals nothing.
-	h.Allocate(1000, reqs, []int{0, 0, 1, 1}, []int{0, 0, 0, 0})
-	for _, e := range sink.Journal.Snapshot() {
-		if e.Type == obs.EvHierFallback {
-			seen--
-		}
-	}
-	if seen != 0 {
-		t.Error("well-formed allocation journaled a fallback")
+		t.Errorf("steady-state Stage + AllocateRoom allocates %v objects per run", allocs)
 	}
 }

@@ -161,30 +161,6 @@ func allocateInto(grants []Grant, budget units.Power, reqs []Request) []Grant {
 	return grants
 }
 
-// AllocateHierarchical is Allocate along the physical topology: requests
-// are aggregated per rack and racks per room, the budget is split over the
-// room aggregates, each room's grant over its racks, and each rack's grant
-// over its own requests. Decisions at every level use the same water-fill
-// rules as Allocate, so grants conserve the budget, but a request competes
-// only with its rack siblings for the rack's grant rather than with every
-// job in the machine — the O(jobs) flat round becomes three short rounds,
-// which is what lets a 100k-node replan stay sublinear per level.
-//
-// rackOf[i] and roomOf[i] give request i's rack and room; requests sharing
-// a rack must share a room. Aggregation order follows first appearance in
-// reqs, so the float summation order is deterministic. With all requests in
-// a single rack the result is bit-identical to Allocate (each level
-// degenerates to a one-request or passthrough round); callers wanting exact
-// flat behavior at small N call Allocate directly.
-//
-// The package function delegates to a throwaway HierAlloc; replan loops
-// that run every few simulated minutes should hold a HierAlloc of their own
-// so the per-level aggregation scratch is reused instead of reallocated.
-func AllocateHierarchical(budget units.Power, reqs []Request, rackOf, roomOf []int) []Grant {
-	var h HierAlloc
-	return h.Allocate(budget, reqs, rackOf, roomOf)
-}
-
 // Result aggregates a coordinated run.
 type Result struct {
 	Iterations  int

@@ -410,50 +410,22 @@ func (s *eventSim) reconcile(now time.Duration, mutated, reprobeAll bool) error 
 		s.res.MeanQueueWait += at.Sub(r.submitted)
 		s.noteStarted(sj.Spec.ID, now)
 	}
-	replanned := false
 	if mutated || len(startedNow) > 0 {
-		if s.pipelined() && !reprobeAll {
-			// The parallel pipeline fuses this replan with the probe loop
-			// below and runs both room by room; its merge replays the exact
-			// sequential order, so falling into it here is unobservable.
-			handled, err := s.replanPipeline(now, fresh)
-			if err != nil {
+		if s.scale {
+			if err := s.replanRound(func() error { return s.replanPipeline(now, fresh) }); err != nil {
 				return err
 			}
-			if handled {
-				s.recount()
-				return nil
-			}
+			s.recount()
+			return nil
 		}
 		if err := s.replan(); err != nil {
 			return err
 		}
-		replanned = true
 		reprobeAll = true
 	}
 	probeSet := fresh
 	if reprobeAll {
 		probeSet = s.active
-		if s.scale && replanned {
-			// Hierarchical replan rounds: in scale mode the manager's
-			// incremental cap path reports which jobs had a cap actually
-			// reprogrammed, and only their operating points can have moved
-			// — re-probe those plus the jobs that just started, not the
-			// whole active set. Speed mutations without cap writes (slow
-			// windows) arrive with reprobeAll and no replan, and still
-			// re-probe everything.
-			changed := s.mgr.TakeChangedJobs()
-			isFresh := make(map[*evJob]bool, len(fresh))
-			for _, r := range fresh {
-				isFresh[r] = true
-			}
-			probeSet = probeSet[:0:0]
-			for _, r := range s.active {
-				if isFresh[r] || changed[r.sj.Spec.ID] {
-					probeSet = append(probeSet, r)
-				}
-			}
-		}
 	}
 	for _, r := range probeSet {
 		if err := s.probe(r, now); err != nil {

@@ -86,19 +86,15 @@ type Config struct {
 	Duration time.Duration
 	Tick     time.Duration
 
-	// ScaleMode selects between the exact flat replan/sample paths and the
-	// hierarchical 100k-node ones: ScaleAuto (default — hierarchical above
-	// ScaleThreshold nodes), ScaleOn, or ScaleCompat. See scale.go.
+	// ScaleMode selects between the exact flat replan and the hierarchical
+	// 100k-node one: ScaleAuto (default — hierarchical above
+	// ScaleThreshold nodes) or ScaleOn. See scale.go.
 	ScaleMode string
-	// Parallelism is the facility's worker count. It fans the scale-mode
-	// replan pipeline out across rooms — each room's rack allocation
-	// rounds, cap-apply batch, and job probes run as one task — and every
-	// telemetry sample's job settlement and leaf reads, on up to
-	// Parallelism workers (0 and 1 run everything inline, without
-	// goroutines). Results are byte-identical at every setting — each
-	// phase merges in deterministic order — so this is purely a
-	// wall-clock knob. Zero (the default) also keeps the sequential replan
-	// path, as does any setting outside scale mode. See parallel.go.
+	// Parallelism is the facility's worker count: the scale-mode replan's
+	// rooms and each telemetry sample's job settlement and leaf reads run
+	// on up to Parallelism workers (0 and 1 run them inline, without
+	// goroutines). Results are byte-identical at every setting. See
+	// parallel.go.
 	Parallelism int
 	// ReplanEvery adds a periodic policy replan on top of the
 	// change-driven ones (job start/finish, crash); zero disables it. Any
@@ -161,10 +157,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("facility: budget step %d budget must be positive (got %v)", i, s.Budget)
 		}
 	}
-	switch c.ScaleMode {
-	case ScaleAuto, ScaleOn, ScaleCompat:
-	default:
-		return fmt.Errorf("facility: unknown scale mode %q (want %q, %q, or %q)", c.ScaleMode, ScaleAuto, ScaleOn, ScaleCompat)
+	if c.ScaleMode != ScaleAuto && c.ScaleMode != ScaleOn {
+		return fmt.Errorf("facility: unknown scale mode %q (want %q or %q)", c.ScaleMode, ScaleAuto, ScaleOn)
 	}
 	for _, s := range c.JobSizes {
 		if s <= 0 || s > len(c.Nodes) {
@@ -286,8 +280,8 @@ type simState struct {
 
 	// hier is the scratch-pooled hierarchical allocator the scale-mode
 	// replan reuses round to round, and plan the request/topology scratch
-	// beside it (see scale.go). Both are single-goroutine: the parallel
-	// pipeline builds its plan sequentially before fanning out.
+	// beside it (see scale.go). The pipeline builds both sequentially
+	// before fanning the rooms out.
 	hier coordinator.HierAlloc
 	plan planScratch
 
@@ -431,7 +425,6 @@ func setup(cfg Config) (*simState, error) {
 		// unchanged caps are not rewritten and the policy's per-job view is
 		// cached between replans.
 		st.mgr.Incremental = true
-		st.hier.Obs = st.obs
 	}
 	cfg.Faults.Arm(cfg.Nodes, st.obs)
 	root.SetFaultPlan(cfg.Faults, st.start, st.obs)
@@ -480,10 +473,10 @@ func setup(cfg Config) (*simState, error) {
 	return st, nil
 }
 
-// replan redistributes the system budget across the running set. Each
-// round runs under its own span (parented to the run span, parenting the
-// per-node cap-write spans the manager opens) and records its wall latency.
-func (st *simState) replan() error {
+// replanRound runs one replan round under its own span (parented to the
+// run span, parenting the per-node cap-write spans the manager opens) and
+// records its wall latency. An empty running set has nothing to replan.
+func (st *simState) replanRound(round func() error) error {
 	jobs := len(st.mgr.Jobs())
 	if jobs == 0 {
 		return nil
@@ -495,22 +488,25 @@ func (st *simState) replan() error {
 		t0 = time.Now()
 	}
 	st.mgr.SpanParent = sp.Ctx()
-	var alloc policy.Allocation
-	var err error
-	if st.scale {
-		alloc, err = st.planHierarchical()
-	} else {
-		alloc, err = st.mgr.Plan(st.pol, st.curBudget, st.db)
-	}
-	if err == nil {
-		err = st.mgr.Apply(alloc)
-	}
+	err := round()
 	st.mgr.SpanParent = obs.SpanContext{}
 	sp.End()
 	if !t0.IsZero() {
 		st.obs.ReplanLatency(jobs, time.Since(t0).Seconds())
 	}
 	return err
+}
+
+// replan is the flat replan: the policy redistributes the system budget
+// across the whole running set in one round.
+func (st *simState) replan() error {
+	return st.replanRound(func() error {
+		alloc, err := st.mgr.Plan(st.pol, st.curBudget, st.db)
+		if err != nil {
+			return err
+		}
+		return st.mgr.Apply(alloc)
+	})
 }
 
 // submitArrival draws one arrival from the config RNG and enqueues it. The

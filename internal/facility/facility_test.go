@@ -14,7 +14,7 @@ import (
 	"powerstack/internal/units"
 )
 
-func facilityEnv(t *testing.T, nNodes int) ([]*node.Node, *charz.DB, []kernel.Config) {
+func facilityEnv(t testing.TB, nNodes int) ([]*node.Node, *charz.DB, []kernel.Config) {
 	t.Helper()
 	c, err := cluster.New(nNodes+4, cpumodel.Quartz(), cpumodel.QuartzVariation(), 41)
 	if err != nil {

@@ -5,14 +5,15 @@
 // phase inline without goroutines (pinned by TestParallelReplanByteIdentical
 // and TestIncrementalTelemetryMatchesSweepFacility).
 //
-// Replan pipeline (scale mode with Parallelism > 0). A replan round has a
-// sequential prefix — policy views, per-job requests, the rack/room
-// aggregation, and the room-level water-fill (coordinator.HierAlloc.Stage)
-// — after which every room is independent: its rack and job allocation
-// rounds, its per-rack policy splits, its cap writes, and the steady-state
-// re-probes of its fresh or changed jobs touch only that room's requests
-// and those jobs' (disjoint) hosts. Each room runs as one task, with all
-// mutation of shared state deferred into per-worker buffers:
+// Replan pipeline (the scale-mode replan, at every Parallelism). A replan
+// round has a sequential prefix — policy views, per-job requests, the
+// rack/room aggregation, and the room-level water-fill
+// (coordinator.HierAlloc.Stage) — after which every room is independent:
+// its rack and job allocation rounds, its per-rack policy splits, its cap
+// writes, and the steady-state re-probes of its fresh or changed jobs
+// touch only that room's requests and those jobs' (disjoint) hosts. Each
+// room runs as one task, with all mutation of shared state deferred into
+// per-worker buffers:
 //
 //   - grants land at per-request indexes in Stage's shared buffer (each
 //     index written by exactly one room);
@@ -26,13 +27,12 @@
 //     right there, the count parked beside the measurement.
 //
 // The merge then commits the batches in (job submission index, host index)
-// order and walks the active list in the order the sequential probe loop
-// walks it, doing only each probed job's bookkeeping and completion
-// re-schedule, so engine event sequence numbers are identical. A job that
-// suffered a cap-write failure is neither probed nor settled on a worker:
-// the commit may swap its failed host for a spare, so its probe runs in the
-// merge walk against the post-commit host set, exactly as the sequential
-// path's would.
+// order and walks the active list in order, doing only each probed job's
+// bookkeeping and completion re-schedule, so engine event sequence numbers
+// are identical at every parallelism. A job that suffered a cap-write
+// failure is neither probed nor settled on a worker: the commit may swap
+// its failed host for a spare, so its probe runs in the merge walk against
+// the post-commit host set.
 //
 // Sample settlement (eventSim.advanceAll). Workers credit each active job's
 // due iterations to its own hosts — counter adds commute modulo the
@@ -59,7 +59,6 @@ import (
 
 	"powerstack/internal/bsp"
 	"powerstack/internal/coordinator"
-	"powerstack/internal/obs"
 	"powerstack/internal/policy"
 	"powerstack/internal/rm"
 	"powerstack/internal/units"
@@ -180,6 +179,8 @@ func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, now time.Duration
 	for i := range p.roomErr {
 		p.roomErr[i] = nil
 	}
+	// The inline pool (0 or 1 workers) still runs its tasks as worker 0.
+	workers = max(1, workers)
 	for len(p.workers) < workers {
 		p.workers = append(p.workers, pipeWorker{batch: m.NewCapBatch()})
 	}
@@ -190,54 +191,19 @@ func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, now time.Duration
 	}
 }
 
-// pipelined reports whether replans run the parallel pipeline: scale mode
-// with an explicit Parallelism. Zero keeps the sequential replan path.
-func (s *eventSim) pipelined() bool {
-	return s.scale && s.cfg.Parallelism > 0
-}
-
-// replanPipeline is the fused replan + probe round: it carries the same
-// span and latency accounting as the sequential replan, plus the probes the
-// sequential path runs just after it. handled is false when the round could
-// not be staged (malformed topology scratch — not reachable from
-// planRequests, but the sequential path's journaled fallback is preserved);
-// the caller then falls through to the sequential replan.
-func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) (handled bool, err error) {
+// replanPipeline is the scale-mode replan, fused with the re-probes of the
+// fresh jobs and of those whose caps moved: it stages the round, fans the
+// rooms out, and merges.
+func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
 	st := s.simState
 	jobs := st.mgr.Jobs()
-	if len(jobs) == 0 {
-		return true, nil
-	}
-	st.round++
-	sp := st.obs.StartSpan(st.spanCtx, "facility", "replan").SetIter(st.round).SetValue(float64(len(jobs)))
-	var t0 time.Time
-	if st.obs.Enabled() {
-		t0 = time.Now()
-	}
-	st.mgr.SpanParent = sp.Ctx()
-	handled, err = s.runPipeline(now, jobs, fresh)
-	st.mgr.SpanParent = obs.SpanContext{}
-	sp.End()
-	if !t0.IsZero() {
-		st.obs.ReplanLatency(len(jobs), time.Since(t0).Seconds())
-	}
-	return handled, err
-}
-
-// runPipeline stages the round, fans the rooms out, and merges.
-func (s *eventSim) runPipeline(now time.Duration, jobs []*rm.ScheduledJob, fresh []*evJob) (bool, error) {
-	st := s.simState
 	infos, err := st.mgr.JobInfos(st.db)
 	if err != nil {
-		return true, err
+		return err
 	}
 	st.planRequests(infos)
 	sc := &st.plan
 	grants, rooms := st.hier.Stage(st.curBudget, sc.reqs, sc.rackOf, sc.roomOf)
-	if rooms < 0 {
-		st.round-- // the sequential retry opens its own replan span
-		return false, nil
-	}
 	pipe := &st.pipe
 	pipe.begin(st.mgr, st.pool.workers, rooms, now, jobs, infos, grants, s.active, fresh)
 	st.pool.run(rooms, func(mi, w int) {
@@ -248,31 +214,32 @@ func (s *eventSim) runPipeline(now time.Duration, jobs []*rm.ScheduledJob, fresh
 	})
 	for mi := 0; mi < rooms; mi++ {
 		if pipe.roomErr[mi] != nil {
-			return true, pipe.roomErr[mi]
+			return pipe.roomErr[mi]
 		}
 	}
 	st.mgr.CommitCapBatches(pipe.batches)
 	changed := st.mgr.TakeChangedJobs()
-	// The merge walk is the sequential probe loop: active-list order, so
-	// completion events re-schedule with identical engine sequence numbers.
+	// The merge walk is the probe loop: active-list order, so completion
+	// events re-schedule with identical engine sequence numbers at every
+	// parallelism.
 	for _, r := range s.active {
 		if !pipe.freshSet[r.sj] && !changed[r.sj.Spec.ID] {
 			continue
 		}
 		if qi, ok := pipe.qiOf[r.sj]; ok && pipe.probed[qi] {
 			if perr := pipe.perrs[qi]; perr != nil {
-				return true, perr
+				return perr
 			}
 			s.applyProbe(r, pipe.iters[qi], pipe.settled[qi], now)
 			continue
 		}
 		// Deferred (cap-write failure): probe against the post-commit host
-		// set, exactly as the sequential path would.
+		// set.
 		if err := s.probe(r, now); err != nil {
-			return true, err
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // roomApplyProbe is one room task's policy, cap, and probe work: for each

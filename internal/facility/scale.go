@@ -1,12 +1,13 @@
 // Scale mode: the 100k-node path. Above a node-count threshold (or on
 // request) the facility switches three hot paths from exact-but-flat to
 // hierarchical-and-flat-memory: the policy replan negotiates watts down the
-// rack/room tree instead of over every job at once, telemetry samples run
-// as a linear sweep over the flattened hierarchy, and telemetry history is
-// clamped to a bounded window (Result.Trace keeps the full facility series
-// regardless). Below the threshold none of this engages, so small runs stay
-// byte-identical to the original flat core — pinned by the golden tests in
-// scale_test.go.
+// rack/room tree instead of over every job at once (the room pipeline in
+// parallel.go, at every Parallelism), caps are rewritten only where they
+// changed and only the jobs whose caps moved are re-probed, and telemetry
+// history is clamped to a bounded window (Result.Trace keeps the full
+// facility series regardless). Below the threshold none of this engages,
+// so small runs stay byte-identical to the flat core — pinned by the
+// frozen Result digests.
 package facility
 
 import (
@@ -21,12 +22,8 @@ const (
 	// ScaleAuto (the zero value) engages the hierarchical machinery only
 	// above ScaleThreshold nodes.
 	ScaleAuto = ""
-	// ScaleOn forces the hierarchical replan and linear telemetry sweep at
-	// any size.
+	// ScaleOn forces the hierarchical machinery at any size.
 	ScaleOn = "scale"
-	// ScaleCompat forces the exact flat path at any size — the baseline
-	// lane of cmd/scalebench.
-	ScaleCompat = "compat"
 )
 
 // ScaleThreshold is the node count above which ScaleAuto switches to the
@@ -42,14 +39,7 @@ const facilityPDUSize = 16
 // scaleActive reports whether this configuration runs the hierarchical
 // paths.
 func (c *Config) scaleActive() bool {
-	switch c.ScaleMode {
-	case ScaleOn:
-		return true
-	case ScaleCompat:
-		return false
-	default:
-		return len(c.Nodes) > ScaleThreshold
-	}
+	return c.ScaleMode == ScaleOn || len(c.Nodes) > ScaleThreshold
 }
 
 // scaleHistory bounds the telemetry ring length in scale mode: 106k Series
@@ -59,16 +49,12 @@ func (c *Config) scaleActive() bool {
 const scaleHistory = 64
 
 // planScratch is the request/topology scratch the hierarchical replan
-// reuses between rounds: per-job aggregate requests, rack/room assignment,
-// the rack grouping, and the policy sub-round input.
+// reuses between rounds: per-job aggregate requests and each job's
+// rack/room assignment.
 type planScratch struct {
 	reqs   []coordinator.Request
 	rackOf []int
 	roomOf []int
-
-	groupIdx map[int]int // rack id -> group index
-	groups   [][]int     // rack group -> info indexes, first-appearance order
-	sub      []policy.JobInfo
 }
 
 // planRequests assembles the per-job power requests (floor, characterized
@@ -95,67 +81,6 @@ func (st *simState) planRequests(infos []policy.JobInfo) {
 		sc.rackOf[i] = jobs[i].Job.Hosts[0].Node.Slot() / facilityPDUSize
 		sc.roomOf[i] = sc.rackOf[i] / telemetry.PDUsPerRoom
 	}
-}
-
-// groupByRack rebuilds the rack grouping over the current plan scratch:
-// jobs grouped by rack in first-appearance order, inner slices reused.
-func (st *simState) groupByRack() {
-	sc := &st.plan
-	if sc.groupIdx == nil {
-		sc.groupIdx = make(map[int]int)
-	}
-	clear(sc.groupIdx)
-	ng := 0
-	for i := range sc.reqs {
-		gi, ok := sc.groupIdx[sc.rackOf[i]]
-		if !ok {
-			gi = ng
-			sc.groupIdx[sc.rackOf[i]] = gi
-			if gi < len(sc.groups) {
-				sc.groups[gi] = sc.groups[gi][:0]
-			} else {
-				sc.groups = append(sc.groups, nil)
-			}
-			ng++
-		}
-		sc.groups[gi] = append(sc.groups[gi], i)
-	}
-	sc.groups = sc.groups[:ng]
-}
-
-// planHierarchical is the scale-mode replan round. Per-job power requests
-// are aggregated along the rack/room tree and the system budget granted
-// back down it via the scratch-pooled coordinator.HierAlloc; the policy
-// then distributes each rack's aggregate grant over that rack's jobs only.
-// The flat replan asks the policy to weigh every job against every other;
-// this asks it to weigh rack-mates only, with cross-rack balance settled by
-// the water-fill at the rack and room tiers.
-func (st *simState) planHierarchical() (policy.Allocation, error) {
-	infos, err := st.mgr.JobInfos(st.db)
-	if err != nil {
-		return nil, err
-	}
-	st.planRequests(infos)
-	sc := &st.plan
-	grants := st.hier.Allocate(st.curBudget, sc.reqs, sc.rackOf, sc.roomOf)
-	st.groupByRack()
-	alloc := policy.Allocation{}
-	for _, members := range sc.groups {
-		var budget units.Power
-		sc.sub = sc.sub[:0]
-		for _, i := range members {
-			budget += grants[i].Budget
-			sc.sub = append(sc.sub, infos[i])
-		}
-		part, err := st.pol.Allocate(policy.System{Budget: budget}, sc.sub)
-		if err != nil {
-			return nil, err
-		}
-		for id, caps := range part {
-			alloc[id] = caps
-		}
-	}
-	return alloc, nil
 }
 
 // growPlan returns s resized to n, reusing capacity.

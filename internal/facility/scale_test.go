@@ -67,24 +67,6 @@ func TestSoAPoolByteIdenticalToClonePool(t *testing.T) {
 	}
 }
 
-// TestScaleAutoExactBelowThreshold pins the exactness fallback: at small N
-// the auto scale mode takes the flat replan path, so its Result is
-// byte-identical to an explicit compat run — faults on and off.
-func TestScaleAutoExactBelowThreshold(t *testing.T) {
-	src, db, workloads := facilityEnv(t, 10)
-	for _, withFaults := range []bool{false, true} {
-		var faults *fault.Plan
-		if withFaults {
-			faults = goldenFaults()
-		}
-		autoRes := runScaleCase(t, baseConfig(cluster.ClonePool(src), db, workloads), ScaleAuto, faults)
-		compatRes := runScaleCase(t, baseConfig(cluster.ClonePool(src), db, workloads), ScaleCompat, faults)
-		if a, b := resultJSON(t, autoRes), resultJSON(t, compatRes); a != b {
-			t.Errorf("faults %v: auto mode diverged from compat below threshold\nauto:   %s\ncompat: %s", withFaults, a, b)
-		}
-	}
-}
-
 // TestScaleOnSmallRun exercises the hierarchical replan end to end at test
 // scale: the run completes, jobs flow, power stays
 // within the budget envelope the policy is handed.

@@ -369,11 +369,11 @@ func (n *Node) SetPowerLimitCached(total units.Power, enc *rapl.LimitEncoder) (u
 func (n *Node) PowerLimit() (units.Power, error) {
 	var total units.Power
 	for _, s := range n.sockets {
-		l, err := s.Rapl.ReadLimit()
+		p, err := s.Rapl.ReadLimitPower()
 		if err != nil {
 			return 0, fmt.Errorf("node %s: %w", n.ID, err)
 		}
-		total += l.Power
+		total += p
 	}
 	return total, nil
 }
@@ -410,11 +410,11 @@ func (n *Node) DRAMEnergy() (units.Energy, error) {
 // its current power limit. Both sockets run identical rank work, so the
 // node time equals the socket time.
 func (n *Node) WorkTime(ph cpumodel.Phase) (time.Duration, error) {
-	limit, err := n.sockets[0].Rapl.ReadLimit()
+	limit, err := n.sockets[0].Rapl.ReadLimitPower()
 	if err != nil {
 		return 0, err
 	}
-	return time.Duration(float64(n.resolve(ph, limit.Power).tWork) * n.Degradation()), nil
+	return time.Duration(float64(n.resolve(ph, limit).tWork) * n.Degradation()), nil
 }
 
 // PhaseResult reports one node's share of one bulk-synchronous iteration.
@@ -445,11 +445,11 @@ type PhaseResult struct {
 // the nonzero confidence intervals of Figure 8. Non-positive workScale is
 // treated as 1.
 func (n *Node) CompleteIteration(ph cpumodel.Phase, iterTime time.Duration, workScale float64) (PhaseResult, error) {
-	limit, err := n.sockets[0].Rapl.ReadLimit()
+	limit, err := n.sockets[0].Rapl.ReadLimitPower()
 	if err != nil {
 		return PhaseResult{}, err
 	}
-	op := n.resolve(ph, limit.Power)
+	op := n.resolve(ph, limit)
 	if workScale <= 0 {
 		workScale = 1
 	}

@@ -42,10 +42,6 @@ const (
 	// EvPolicyFallback is the resource manager substituting a StaticCaps
 	// uniform split for a job whose characterization is missing or corrupt.
 	EvPolicyFallback EventType = "policy_fallback"
-	// EvHierFallback is the coordinator degrading a hierarchical
-	// allocation to a flat facility-wide split because the rack/room
-	// topology inputs did not match the request list.
-	EvHierFallback EventType = "hier_fallback"
 	// EvNodeQuarantined is a node moved to the drain set after repeated
 	// control failures or a crash.
 	EvNodeQuarantined EventType = "node_quarantined"

@@ -65,9 +65,9 @@ const (
 	MetricRejoins = "powerstack_nodes_rejoined_total"
 	// MetricFallbacks counts StaticCaps fallbacks for uncharacterized jobs.
 	MetricFallbacks = "powerstack_policy_fallbacks_total"
-	// MetricHierFallbacks counts hierarchical allocations degraded to a
-	// flat facility-wide split because the rack/room topology inputs were
-	// malformed.
+	// MetricHierFallbacks is emitted by nothing: hierarchical allocations
+	// have no flat fallback. perfbench's per-layer table still names it,
+	// so it reads zero.
 	MetricHierFallbacks = "powerstack_coordinator_hier_fallbacks_total"
 	// MetricCapRetries counts retried power-limit writes.
 	MetricCapRetries = "powerstack_cap_write_retries_total"
@@ -367,17 +367,6 @@ func (s *Sink) PolicyFallback(job, reason string) {
 	}
 	s.Metrics.Counter(MetricFallbacks, "reason", reason).Inc()
 	s.record(Event{Type: EvPolicyFallback, Layer: "rm", Scope: job + kindSep + reason})
-}
-
-// HierFallback records the coordinator degrading a hierarchical allocation
-// to a flat facility-wide split because the rack/room inputs were malformed
-// (length mismatch against the request list).
-func (s *Sink) HierFallback(reason string, jobs int) {
-	if s == nil {
-		return
-	}
-	s.Metrics.Counter(MetricHierFallbacks, "reason", reason).Inc()
-	s.record(Event{Type: EvHierFallback, Layer: "coordinator", Scope: reason, Value: float64(jobs)})
 }
 
 // Quarantine records a node moving to the drain set for the given reason

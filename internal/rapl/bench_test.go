@@ -38,10 +38,10 @@ func BenchmarkSetLimitCached(b *testing.B) {
 	}
 }
 
-// BenchmarkSetLimitUncached is the compat lane's cost for the same write:
-// every call re-derives the power field and brute-forces the time-window
-// encoding. The ratio against BenchmarkSetLimitCached is the per-write
-// saving the scale path banks on.
+// BenchmarkSetLimitUncached is the cost of the same write without an
+// encoder: every call re-derives the power field and brute-forces the
+// time-window encoding. The ratio against BenchmarkSetLimitCached is the
+// per-write saving the cached encoder banks.
 func BenchmarkSetLimitUncached(b *testing.B) {
 	dev := msr.NewDevice(nil)
 	ProgramDefaults(dev, 120*units.Watt, 68*units.Watt, 180*units.Watt)

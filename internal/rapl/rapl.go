@@ -251,17 +251,32 @@ func (d *Domain) SetLimitCached(l Limit, enc *LimitEncoder) error {
 	return nil
 }
 
+// ReadLimitPower decodes only the current PL1 power: ReadLimit's Power,
+// from the same single register read, without decoding the time window.
+// Control loops that need nothing else call it once per host per
+// iteration.
+func (d *Domain) ReadLimitPower() (units.Power, error) {
+	reg, err := d.dev.Read(msr.MSRPkgPowerLimit)
+	if err != nil {
+		return 0, err
+	}
+	return d.limitPower(reg), nil
+}
+
+// limitPower decodes the PL1 power field of an MSR_PKG_POWER_LIMIT word.
+func (d *Domain) limitPower(reg uint64) units.Power {
+	return units.Power(float64(msr.ExtractBits(reg, pl1PowerHi, pl1PowerLo))) * units.Power(float64(d.units.PowerUnit))
+}
+
 // ReadLimit decodes the current PL1 setting.
 func (d *Domain) ReadLimit() (Limit, error) {
 	reg, err := d.dev.Read(msr.MSRPkgPowerLimit)
 	if err != nil {
 		return Limit{}, err
 	}
-	power := units.Power(float64(msr.ExtractBits(reg, pl1PowerHi, pl1PowerLo))) * units.Power(float64(d.units.PowerUnit))
-	window := decodeTimeWindow(msr.ExtractBits(reg, pl1WindowHi, pl1WindowLo), d.units.TimeUnit)
 	return Limit{
-		Power:      power,
-		TimeWindow: window,
+		Power:      d.limitPower(reg),
+		TimeWindow: decodeTimeWindow(msr.ExtractBits(reg, pl1WindowHi, pl1WindowLo), d.units.TimeUnit),
 		Enabled:    msr.ExtractBits(reg, pl1EnableBit, pl1EnableBit) == 1,
 		Clamped:    msr.ExtractBits(reg, pl1ClampBit, pl1ClampBit) == 1,
 	}, nil

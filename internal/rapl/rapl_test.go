@@ -408,3 +408,40 @@ func TestSetLimitCachedMatchesUncached(t *testing.T) {
 		}
 	}
 }
+
+// TestReadLimitPowerMatchesReadLimit pins the power-only read to
+// ReadLimit's Power over random register words, and pins that it consumes
+// an armed read fault's countdown exactly as ReadLimit does: one register
+// read per call, failing on the same call.
+func TestReadLimitPowerMatchesReadLimit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 7))
+	d, dev := newTestDomain(t)
+	for i := 0; i < 1000; i++ {
+		dev.PrivilegedWrite(msr.MSRPkgPowerLimit, rng.Uint64())
+		full, err := d.ReadLimit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := d.ReadLimitPower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != full.Power {
+			t.Fatalf("word %#x: ReadLimitPower %v, ReadLimit().Power %v", dev.PrivilegedRead(msr.MSRPkgPowerLimit), p, full.Power)
+		}
+	}
+	for _, k := range []int{0, 1, 5} {
+		full, fullDev := newTestDomain(t)
+		pow, powDev := newTestDomain(t)
+		boom := errors.New("boom")
+		fullDev.ArmFault(msr.OpRead, msr.MSRPkgPowerLimit, k, boom)
+		powDev.ArmFault(msr.OpRead, msr.MSRPkgPowerLimit, k, boom)
+		for i := 0; i < k+3; i++ {
+			_, ferr := full.ReadLimit()
+			_, perr := pow.ReadLimitPower()
+			if wantFail := i >= k; errors.Is(ferr, boom) != wantFail || errors.Is(perr, boom) != wantFail {
+				t.Fatalf("read fault after %d, call %d: ReadLimit err %v, ReadLimitPower err %v", k, i, ferr, perr)
+			}
+		}
+	}
+}
