@@ -118,15 +118,13 @@ func main() {
 	// The watchdog samples the node hierarchy between iterations. Its
 	// budget is derived from the draw observed early in the run so clamp
 	// enforcement demonstrably fires regardless of scale.
-	root, err := telemetry.BuildHierarchy(pool, 8, 1<<12)
+	root, err := telemetry.BuildHierarchy(pool, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var wd *telemetry.Watchdog
 	now := time.Now()
-	if _, err := root.Sample(now); err != nil { // prime the energy trackers
-		log.Fatal(err)
-	}
+	root.Sample(now) // prime the energy trackers
 
 	log.Printf("running %d iterations of mix %s on %d nodes under %v", *iters, mix.Name, *nodes, budget)
 	start := time.Now()
@@ -139,10 +137,7 @@ func main() {
 		// the watchdog sees the true mean power.
 		now = now.Add(time.Duration(res.IterTimes[0] * float64(time.Second)))
 		if wd == nil && *watchdogFrac > 0 && k == 1 {
-			p, err := root.Sample(now)
-			if err != nil {
-				log.Fatal(err)
-			}
+			p := root.Sample(now)
 			wd, err = telemetry.NewWatchdog(root, units.Power(float64(p)**watchdogFrac))
 			if err != nil {
 				log.Fatal(err)

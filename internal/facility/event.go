@@ -545,10 +545,7 @@ func (s *eventSim) onSample(now time.Duration) error {
 		s.root.MarkAllDirty()
 	}
 	at := s.start.Add(now)
-	p, err := s.root.SampleDirty(at)
-	if err != nil {
-		return err
-	}
+	p := s.root.SampleDirty(at)
 	s.res.Trace = append(s.res.Trace, telemetry.Sample{Time: at, Power: p})
 	s.res.TotalEnergy += units.EnergyOver(p, now-s.lastSample)
 	s.lastSample = now

@@ -341,9 +341,6 @@ func (st *simState) markNodeDirty(n *node.Node) {
 	st.root.MarkLeafDirty(n.Slot())
 }
 
-// maxHistory caps the telemetry ring size at its previous fixed value.
-const maxHistory = 1 << 16
-
 // setup builds the shared simulation state.
 func setup(cfg Config) (*simState, error) {
 	if err := cfg.Validate(); err != nil {
@@ -391,26 +388,8 @@ func setup(cfg Config) (*simState, error) {
 		return nil, err
 	}
 	st.sched = sched
-	// Size the telemetry rings to the run instead of the historical 64k
-	// fixed cap: a 1000-node hierarchy at full depth is ~1k Series, and
-	// pre-zeroing 64k samples each cost ~20s and gigabytes before any
-	// simulation started. The watchdog and Last() only ever look at the
-	// recent window, so a ring covering the whole run (plus slack) is
-	// observably identical.
-	history := int(st.horizon/cfg.Tick) + 8
-	if history < 64 {
-		history = 64
-	}
-	if history > maxHistory {
-		history = maxHistory
-	}
 	st.scale = cfg.scaleActive()
-	if st.scale && history > scaleHistory {
-		// Result.Trace holds the full facility series; per-domain rings
-		// keep only the recent window a watchdog would consult.
-		history = scaleHistory
-	}
-	root, err := telemetry.BuildHierarchy(cfg.Nodes, facilityPDUSize, history)
+	root, err := telemetry.BuildHierarchy(cfg.Nodes, facilityPDUSize)
 	if err != nil {
 		return nil, err
 	}
@@ -467,9 +446,7 @@ func setup(cfg Config) (*simState, error) {
 			n.SetObs(st.obs)
 		}
 	}
-	if _, err := root.Sample(st.start); err != nil { // prime energy trackers
-		return nil, err
-	}
+	root.Sample(st.start) // prime energy trackers
 	return st, nil
 }
 

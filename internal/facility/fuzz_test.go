@@ -31,8 +31,14 @@ const (
 	opScheduleBudget
 	opSetPolicy
 	opStep
+	opSetTenantQuota
 	opCount
 )
+
+// fuzzQuotas are the tenant quotas opSetTenantQuota installs; 0 removes
+// the tenant's partition, and 600 W holds one characterized 2-node job
+// but not two.
+var fuzzQuotas = []units.Power{0, 600 * units.Watt, 1500 * units.Watt, 4000 * units.Watt}
 
 // apply runs the command on in and returns its error. workloads are the
 // characterized configs; an index past them submits an uncharacterized
@@ -70,17 +76,21 @@ func (c instanceCommand) apply(in *Instance, workloads []kernel.Config) error {
 	case opSetPolicy:
 		pols := policy.All()
 		return in.SetPolicy(pols[a%len(pols)])
+	case opSetTenantQuota:
+		// The empty tenant has no partition to set: that refusal is part
+		// of the sequence too.
+		return in.SetTenantQuota([]string{"", "acme"}[a%2], fuzzQuotas[a/2%len(fuzzQuotas)])
 	default:
 		return in.Step(context.Background(), now+time.Duration(1+a%24)*30*time.Second)
 	}
 }
 
 // FuzzInstanceCommands drives random Inject/Pause/Resume/ScheduleBudget/
-// SetPolicy/Step sequences against twin scale-mode instances of a 24-node
-// pool — one at Parallelism 1 (every phase inline), one at 2 — under the
-// pipeline fault plan (crash and repair, a slow window, MSR write and read
-// faults, a telemetry dropout), with checkpointing on and the preempt
-// emergency response. Each pair of input bytes is one command. After every
+// SetPolicy/Step/SetTenantQuota sequences against twin scale-mode
+// instances of a 24-node pool — one at Parallelism 1 (every phase inline),
+// one at 2 — under the pipeline fault plan (crash and repair, a slow
+// window, MSR write and read faults, a telemetry dropout), with
+// checkpointing on and the preempt emergency response. Each pair of input bytes is one command. After every
 // command both twins returned the same error, their Snapshots are
 // byte-identical as JSON, and jobs are conserved: every submission that
 // entered the queue is completed, running, queued or killed (rejections

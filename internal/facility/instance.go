@@ -338,12 +338,17 @@ func (in *Instance) SetPolicy(p policy.Policy) error {
 func (in *Instance) Policy() policy.Policy { return in.st.pol }
 
 // SetTenantQuota installs (or, with quota zero, removes) a tenant's power
-// quota partition for admission control.
+// quota partition for admission control. On a started instance the change
+// is an admission event: a job it unblocks starts at once (the running
+// set's caps are replanned only if one does).
 func (in *Instance) SetTenantQuota(tenant string, quota units.Power) error {
 	if in.state == InstanceClosed {
 		return ErrInstanceClosed
 	}
-	return in.st.sched.SetTenantQuota(tenant, quota)
+	if err := in.st.sched.SetTenantQuota(tenant, quota); err != nil || in.state == InstanceNew {
+		return err
+	}
+	return in.core.reconcile(in.Now(), false, false)
 }
 
 // Job returns a tracked job's lifecycle record.

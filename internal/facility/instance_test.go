@@ -116,6 +116,59 @@ func serviceConfig(t *testing.T) (Config, []kernel.Config) {
 	}, workloads
 }
 
+// TestRaisedTenantQuotaStartsQueuedJob pins that a quota change is an
+// admission event: a job queued only behind its tenant's quota starts at
+// the instant the quota is raised, not at the next unrelated event (with
+// arrivals off and long jobs, there is none for hours).
+func TestRaisedTenantQuotaStartsQueuedJob(t *testing.T) {
+	nodes, db, workloads := facilityEnv(t, 8)
+	in, err := NewInstance(Config{
+		Nodes:           nodes,
+		DB:              db,
+		Policy:          policy.MixedAdaptive{},
+		SystemBudget:    units.Power(len(nodes)) * 200 * units.Watt,
+		DisableArrivals: true,
+		Duration:        12 * time.Hour,
+		Tick:            30 * time.Second,
+		Seed:            5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.SetTenantQuota("acme", 600*units.Watt); err != nil {
+		t.Fatal(err)
+	}
+	sub := Submission{Tenant: "acme", Workload: workloads[0], Nodes: 2, Iterations: 1_000_000}
+	first, err := in.Inject(0, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := in.Inject(0, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Step(context.Background(), 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if ji, _ := in.Job(first); ji.State != JobRunning {
+		t.Fatalf("first acme job %s, want running", ji.State)
+	}
+	if ji, _ := in.Job(second); ji.State != JobQueued {
+		t.Fatalf("second acme job %s, want queued behind the 600 W quota", ji.State)
+	}
+	if err := in.SetTenantQuota("acme", 4000*units.Watt); err != nil {
+		t.Fatal(err)
+	}
+	ji, _ := in.Job(second)
+	if ji.State != JobRunning || ji.StartedAt != in.Now() {
+		t.Fatalf("after raising the quota at %v: second job %s, started at %v; want running from that instant",
+			in.Now(), ji.State, ji.StartedAt)
+	}
+}
+
 // TestInstanceServiceLifecycle exercises the daemon-shaped path on the
 // event core: tenant quotas, immediate and deferred injections, a live
 // budget drop triggering the emergency preemption, recovery resuming the

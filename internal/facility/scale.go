@@ -1,13 +1,11 @@
 // Scale mode: the 100k-node path. Above a node-count threshold (or on
-// request) the facility switches three hot paths from exact-but-flat to
+// request) the facility switches two hot paths from exact-but-flat to
 // hierarchical-and-flat-memory: the policy replan negotiates watts down the
 // rack/room tree instead of over every job at once (the room pipeline in
-// parallel.go, at every Parallelism), caps are rewritten only where they
-// changed and only the jobs whose caps moved are re-probed, and telemetry
-// history is clamped to a bounded window (Result.Trace keeps the full
-// facility series regardless). Below the threshold none of this engages,
-// so small runs stay byte-identical to the flat core — pinned by the
-// frozen Result digests.
+// parallel.go, at every Parallelism), and caps are rewritten only where
+// they changed and only the jobs whose caps moved are re-probed. Below the
+// threshold none of this engages, so small runs stay byte-identical to the
+// flat core — pinned by the frozen Result digests.
 package facility
 
 import (
@@ -41,12 +39,6 @@ const facilityPDUSize = 16
 func (c *Config) scaleActive() bool {
 	return c.ScaleMode == ScaleOn || len(c.Nodes) > ScaleThreshold
 }
-
-// scaleHistory bounds the telemetry ring length in scale mode: 106k Series
-// sized to a week-long run would hold gigabytes of samples nobody reads
-// (Result.Trace carries the facility series independently), while the
-// recent-window consumers (Last, the watchdog) never look deeper than this.
-const scaleHistory = 64
 
 // planScratch is the request/topology scratch the hierarchical replan
 // reuses between rounds: per-job aggregate requests and each job's

@@ -36,11 +36,12 @@ func goRunner(workers int) Runner {
 // fanOutWorld is one hierarchy driven through the fan-out scenario, with
 // what the scenario observed of it.
 type fanOutWorld struct {
-	nodes []*node.Node
-	root  *Domain
-	sink  *obs.Sink
-	roots []units.Power
-	holds [][]string // per sample: hosts journaled as held, in order
+	nodes  []*node.Node
+	root   *Domain
+	sink   *obs.Sink
+	roots  []units.Power
+	powers [][]units.Power // per sample: every sweep entry's power
+	holds  [][]string      // per sample: hosts journaled as held, in order
 }
 
 // TestSampleDirtyFanOutBitIdentical pins chunked leaf reads against the
@@ -48,8 +49,8 @@ type fanOutWorld struct {
 // dropout window over a powered node, a crashed and repaired node, a
 // pinned leaf whose MSR read-fault countdown fires mid-run and one whose
 // countdown is still running at the end — sampled with 3-leaf chunks on 2
-// and 8 workers produces identical root values, every domain's Series and
-// lastPower, the same countdown positions on the read-fault devices, and
+// and 8 workers produces identical root values, every domain's power after
+// every sample, the same countdown positions on the read-fault devices, and
 // the same telemetry_hold journal in ascending leaf order.
 func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 	const (
@@ -63,7 +64,7 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 	at := func(k int) time.Time { return start.Add(time.Duration(k) * 30 * time.Second) }
 	world := func(run Runner) *fanOutWorld {
 		w := &fanOutWorld{nodes: cluster.ClonePool(src), sink: obs.New()}
-		root, err := BuildHierarchy(w.nodes, 4, 64)
+		root, err := BuildHierarchy(w.nodes, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +88,13 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 		}
 		seen := 0
 		sample := func(k int) {
-			p, err := root.SampleDirty(at(k))
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := root.SampleDirty(at(k))
 			w.roots = append(w.roots, p)
+			powers := make([]units.Power, len(root.sweep))
+			for i, e := range root.sweep {
+				powers[i] = e.d.power
+			}
+			w.powers = append(w.powers, powers)
 			var held []string
 			events := w.sink.Journal.Snapshot()
 			for _, e := range events[seen:] {
@@ -177,18 +180,9 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 					t.Fatalf("%d workers, sample %d: holds %v != inline %v", workers, k, got.holds[k], want.holds[k])
 				}
 			}
-		}
-		for i, e := range want.root.sweep {
-			g := got.root.sweep[i].d
-			if got.root.inc.lastPower[i] != want.root.inc.lastPower[i] {
-				t.Fatalf("%d workers: %s lastPower %v != inline %v", workers, e.d.Name, got.root.inc.lastPower[i], want.root.inc.lastPower[i])
-			}
-			if g.series.Len() != e.d.series.Len() {
-				t.Fatalf("%d workers: %s holds %d samples, inline %d", workers, e.d.Name, g.series.Len(), e.d.series.Len())
-			}
-			for j := 0; j < e.d.series.Len(); j++ {
-				if g.series.At(j) != e.d.series.At(j) {
-					t.Fatalf("%d workers: %s sample %d %+v != inline %+v", workers, e.d.Name, j, g.series.At(j), e.d.series.At(j))
+			for i, e := range want.root.sweep {
+				if got.powers[k][i] != want.powers[k][i] {
+					t.Fatalf("%d workers, sample %d: %s power %v != inline %v", workers, k, e.d.Name, got.powers[k][i], want.powers[k][i])
 				}
 			}
 		}

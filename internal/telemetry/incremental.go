@@ -28,14 +28,9 @@ package telemetry
 // pass's (pinned by TestIncrementalMatchesFullSweep against a recursive
 // oracle).
 //
-// What differs is append cadence, not values: a clean leaf (and an interior
-// with no dirty descendants) does not append a sample to its Series on
-// skipped samples, so its ring holds fewer (identical-valued) entries. The
-// root appends every sample, keeping the facility trace unchanged.
-//
 // Leaf reads fan out: the sorted dirty list is cut into fixed-size chunks
 // that a Runner (SetFanOut) may read on several workers. A leaf read writes
-// only its own Domain, its own visit/lastPower/held index and its own node's
+// only its own Domain, its own visit/held index and its own node's
 // devices (read-fault countdowns are per device), so where a chunk runs is
 // unobservable. Everything order-sensitive — the dirty-set compaction, the
 // parent marks, the interior re-sums and the TelemetryHold journal calls —
@@ -55,17 +50,10 @@ import (
 // indexed by sweep position and reused across samples: a steady-state
 // sample allocates nothing.
 type incState struct {
-	// lastPower holds every sweep entry's most recently computed power —
-	// for skipped entries, the value a full pass would recompute.
-	lastPower []units.Power
 	// visit records the sample sequence number of each leaf's last visit;
 	// a gap (visit+1 < seq) means the leaf was skipped while clean and its
 	// integration window starts at the previous sample instant.
 	visit []uint64
-	// children lists each interior entry's child sweep indexes in child
-	// order — the re-sum order that keeps float addition bit-identical to
-	// a recursive walk.
-	children [][]int
 	// leafIdx maps leaf ordinals (hierarchy order, the facility's node
 	// index) to sweep positions.
 	leafIdx []int
@@ -117,13 +105,11 @@ func inline(n int, fn func(task, worker int)) {
 
 // newIncState builds the dirty set over a post-order sweep with every leaf
 // dirty, so the first sample reads everything: it primes the energy
-// trackers and the lastPower table.
+// trackers and every domain's power.
 func newIncState(sweep []sweepEntry) *incState {
 	n := len(sweep)
 	ic := &incState{
-		lastPower: make([]units.Power, n),
 		visit:     make([]uint64, n),
-		children:  make([][]int, n),
 		inDirty:   make([]bool, n),
 		pinned:    make([]bool, n),
 		inParents: make([]bool, n),
@@ -132,9 +118,6 @@ func newIncState(sweep []sweepEntry) *incState {
 		chunk:     LeafChunk,
 	}
 	for i, e := range sweep {
-		if e.parent >= 0 {
-			ic.children[e.parent] = append(ic.children[e.parent], i)
-		}
 		if e.d.Node != nil {
 			ic.leafIdx = append(ic.leafIdx, i)
 		}
@@ -216,20 +199,19 @@ func (d *Domain) PinLeafDirty(ordinal int) {
 // — and re-sum every interior above a visited leaf bottom-up. Post-order
 // sweep positions ascend from children to parents, so ascending order
 // processes each dirty interior after all of its dirty descendants.
-func (d *Domain) SampleDirty(ts time.Time) (units.Power, error) {
+func (d *Domain) SampleDirty(ts time.Time) units.Power {
 	ic := d.dirtySet()
 	ic.seq++
 	ic.ts = ts
-	root := len(d.sweep) - 1
 	slices.Sort(ic.dirtyLeaves)
 	ic.run((len(ic.dirtyLeaves)+ic.chunk-1)/ic.chunk, ic.readChunk)
 	keep := ic.dirtyLeaves[:0]
 	for _, li := range ic.dirtyLeaves {
 		e := d.sweep[li]
 		if ic.held[li] {
-			e.d.sink.TelemetryHold(e.d.Name, ic.lastPower[li].Watts())
+			e.d.sink.TelemetryHold(e.d.Name, e.d.power.Watts())
 		}
-		if ic.held[li] || ic.lastPower[li] != 0 || ic.pinned[li] {
+		if ic.held[li] || e.d.power != 0 || ic.pinned[li] {
 			// Held, dead, pinned, or drawing power: any of these can
 			// change value (or must consume a read) next sample without a
 			// fresh mark.
@@ -243,31 +225,25 @@ func (d *Domain) SampleDirty(ts time.Time) (units.Power, error) {
 		}
 	}
 	ic.dirtyLeaves = keep
-	if d.Node == nil && !ic.inParents[root] {
-		// An interior root appends every sample — it is the facility
-		// trace.
-		ic.inParents[root] = true
-		ic.parents = append(ic.parents, root)
-	}
 	slices.Sort(ic.parents)
 	for _, pi := range ic.parents {
+		p := d.sweep[pi].d
 		var sum units.Power
-		for _, ci := range ic.children[pi] {
-			sum += ic.lastPower[ci]
+		for _, c := range p.Children {
+			sum += c.power
 		}
-		ic.lastPower[pi] = sum
-		d.sweep[pi].d.series.Append(Sample{Time: ts, Power: sum})
+		p.power = sum
 		ic.inParents[pi] = false
 	}
 	ic.parents = ic.parents[:0]
 	ic.prevTime = ts
 	ic.haveTime = true
-	return ic.lastPower[root], nil
+	return d.power
 }
 
 // readLeaves reads chunk c of the sorted dirty list at the current
 // sample's instant. It writes only the chunk's own leaves and their
-// entries in visit, lastPower and held, so chunks may run concurrently.
+// entries in visit and held, so chunks may run concurrently.
 func (d *Domain) readLeaves(c int) {
 	ic := d.inc
 	lo := c * ic.chunk
@@ -285,7 +261,7 @@ func (d *Domain) readLeaves(c int) {
 			// would.
 			e.d.lastTime = ic.prevTime
 		}
-		ic.lastPower[li], ic.held[li] = e.d.leafSample(ic.ts)
+		ic.held[li] = e.d.leafSample(ic.ts)
 		ic.visit[li] = ic.seq
 	}
 }

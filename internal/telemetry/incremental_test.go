@@ -21,11 +21,11 @@ func incrementalTwin(t *testing.T, n int) (nodesA, nodesB []*node.Node, rootA, r
 	nodesA = cluster.ClonePool(src)
 	nodesB = cluster.ClonePool(src)
 	var err error
-	rootA, err = BuildHierarchy(nodesA, 1, 64)
+	rootA, err = BuildHierarchy(nodesA, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootB, err = BuildHierarchy(nodesB, 1, 64)
+	rootB, err = BuildHierarchy(nodesB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,29 +34,16 @@ func incrementalTwin(t *testing.T, n int) (nodesA, nodesB []*node.Node, rootA, r
 
 // sampleBoth samples both hierarchies at ts and asserts the dirty-set side
 // agrees with the recursive oracle everywhere: root power, and every sweep
-// entry's current value (lastPower for skipped entries must equal what the
-// oracle just recomputed).
+// entry's power (a skipped entry's kept value must equal what the oracle
+// just recomputed).
 func sampleBoth(t *testing.T, rootA, rootB *Domain, ts time.Time, tag string) {
 	t.Helper()
 	pa := recursiveSample(rootA, ts)
-	pb, err := rootB.SampleDirty(ts)
-	if err != nil {
-		t.Fatalf("%s: incremental: %v", tag, err)
-	}
+	pb := rootB.SampleDirty(ts)
 	if pa != pb {
 		t.Fatalf("%s: root power diverged: oracle %v != dirty-set %v", tag, pa, pb)
 	}
-	ic := rootB.inc
-	for i := range rootB.sweep {
-		last, ok := rootA.sweep[i].d.series.Last()
-		if !ok {
-			t.Fatalf("%s: full-sweep domain %s has no samples", tag, rootA.sweep[i].d.Name)
-		}
-		if ic.lastPower[i] != last.Power {
-			t.Fatalf("%s: %s: dirty-set value %v != oracle %v",
-				tag, rootB.sweep[i].d.Name, ic.lastPower[i], last.Power)
-		}
-	}
+	samePowers(t, rootA, rootB, tag)
 }
 
 // holdEvents extracts the TelemetryHold journal sequence (host, value).
@@ -201,10 +188,7 @@ func TestIncrementalDisableExact(t *testing.T) {
 			runIterations(t, nodesB[8:12], 2)
 		}
 		pa := recursiveSample(rootA, at(k))
-		pb, err := rootB.Sample(at(k))
-		if err != nil {
-			t.Fatal(err)
-		}
+		pb := rootB.Sample(at(k))
 		if pa != pb {
 			t.Fatalf("full pass %d after dirty passes: %v != %v", k, pa, pb)
 		}
@@ -216,7 +200,7 @@ func TestIncrementalDisableExact(t *testing.T) {
 // BuildHierarchy gets its dirty set on first use.
 func TestMarkLeafDirtyBounds(t *testing.T) {
 	nodes := testNodes(t, 8)
-	root, err := BuildHierarchy(nodes, 4, 8)
+	root, err := BuildHierarchy(nodes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +214,8 @@ func TestMarkLeafDirtyBounds(t *testing.T) {
 	if got := len(root.inc.dirtyLeaves); got != len(nodes) {
 		t.Fatalf("duplicate mark queued: %d", got)
 	}
-	if _, err := root.SampleDirty(time.Unix(1000, 0)); err != nil {
-		t.Fatal(err)
-	}
-	pdu, err := NewAggregateDomain("pdu", 8, root.Children[0].Children...)
+	root.SampleDirty(time.Unix(1000, 0))
+	pdu, err := NewAggregateDomain("pdu", root.Children[0].Children...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,18 +223,19 @@ func TestMarkLeafDirtyBounds(t *testing.T) {
 	if got := len(pdu.inc.dirtyLeaves); got != 4 {
 		t.Fatalf("lazily built dirty set = %d leaves, want 4", got)
 	}
-	// A bare leaf samples as its own root, appending once per sample.
-	solo, err := NewNodeDomain(nodes[0], 8)
+	// A bare leaf samples as its own root, through its own dirty set,
+	// reading itself once per sample.
+	solo, err := NewNodeDomain(nodes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 3; k++ {
-		if _, err := solo.Sample(time.Unix(int64(1000+30*k), 0)); err != nil {
-			t.Fatal(err)
+	for k := 1; k <= 3; k++ {
+		if p := solo.Sample(time.Unix(int64(1000+30*k), 0)); p != solo.Power() {
+			t.Fatalf("bare leaf sample %d returned %v, holds %v", k, p, solo.Power())
 		}
-	}
-	if got := solo.Series().Len(); got != 3 {
-		t.Fatalf("bare leaf holds %d samples after 3 passes, want 3", got)
+		if ic := solo.inc; ic.seq != uint64(k) || ic.visit[0] != uint64(k) {
+			t.Fatalf("bare leaf sample %d: dirty set at sample %d, leaf last read at %d", k, ic.seq, ic.visit[0])
+		}
 	}
 }
 
@@ -265,9 +248,7 @@ func BenchmarkIncrementalSample(b *testing.B) {
 	ts := time.Unix(1000, 0)
 	for k := 0; k < 2; k++ { // prime: first sample visits every leaf
 		ts = ts.Add(30 * time.Second)
-		if _, err := root.SampleDirty(ts); err != nil {
-			b.Fatal(err)
-		}
+		root.SampleDirty(ts)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -277,11 +258,7 @@ func BenchmarkIncrementalSample(b *testing.B) {
 			root.MarkLeafDirty((i*37 + j*997) % n)
 		}
 		ts = ts.Add(30 * time.Second)
-		p, err := root.SampleDirty(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink += p
+		sink += root.SampleDirty(ts)
 	}
 	_ = sink
 }

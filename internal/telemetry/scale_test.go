@@ -14,37 +14,48 @@ import (
 // recursiveSample is the recursive hierarchy walk, kept only as the oracle
 // the one production sample loop is pinned against: leaves read their
 // nodes (journaling every hold as it is taken), interiors sum their
-// children in child order and append.
+// children in child order.
 func recursiveSample(d *Domain, ts time.Time) units.Power {
 	if d.Node != nil {
-		p, held := d.leafSample(ts)
-		if held {
-			d.sink.TelemetryHold(d.Name, p.Watts())
+		if d.leafSample(ts) {
+			d.sink.TelemetryHold(d.Name, d.power.Watts())
 		}
-		return p
+		return d.power
 	}
 	var total units.Power
 	for _, c := range d.Children {
 		total += recursiveSample(c, ts)
 	}
-	d.series.Append(Sample{Time: ts, Power: total})
+	d.power = total
 	return total
+}
+
+// samePowers fails unless both hierarchies (built to the same shape) hold
+// bit-identical power in every domain.
+func samePowers(t *testing.T, a, b *Domain, tag string) {
+	t.Helper()
+	for i, ea := range a.sweep {
+		eb := b.sweep[i].d
+		if ea.d.Name != eb.Name || ea.d.power != eb.power {
+			t.Fatalf("%s: %s power %v != %s power %v", tag, ea.d.Name, ea.d.power, eb.Name, eb.power)
+		}
+	}
 }
 
 // TestLinearSweepBitIdentical pins the full sample pass — the dirty-set
 // loop over the flat post-order sweep with every leaf marked —
-// bit-identical to the recursive walk, on a tree deep enough to include the
-// room tier (pduSize 1 over 200 nodes forces >RoomThreshold PDUs), with
-// live power flowing through the leaves.
+// bit-identical to the recursive walk in every domain after every sample,
+// on a tree deep enough to include the room tier (pduSize 1 over 200 nodes
+// forces >RoomThreshold PDUs), with live power flowing through the leaves.
 func TestLinearSweepBitIdentical(t *testing.T) {
 	src := testNodes(t, 200)
 	nodesA := cluster.ClonePool(src)
 	nodesB := cluster.ClonePool(src)
-	rootA, err := BuildHierarchy(nodesA, 1, 8)
+	rootA, err := BuildHierarchy(nodesA, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootB, err := BuildHierarchy(nodesB, 1, 8)
+	rootB, err := BuildHierarchy(nodesB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +65,11 @@ func TestLinearSweepBitIdentical(t *testing.T) {
 	ts := time.Unix(1000, 0)
 	for round := 0; round < 4; round++ {
 		pa := recursiveSample(rootA, ts)
-		pb, err := rootB.Sample(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pb := rootB.Sample(ts)
 		if pa != pb {
 			t.Fatalf("round %d: recursive %v != full pass %v", round, pa, pb)
 		}
+		samePowers(t, rootA, rootB, fmt.Sprintf("round %d", round))
 		elA := runIterations(t, nodesA, 2)
 		elB := runIterations(t, nodesB, 2)
 		if elA != elB {
@@ -68,24 +77,6 @@ func TestLinearSweepBitIdentical(t *testing.T) {
 		}
 		ts = ts.Add(elA)
 	}
-
-	// Every domain's series must match sample for sample, bit for bit.
-	var compare func(a, b *Domain)
-	compare = func(a, b *Domain) {
-		if a.Name != b.Name || a.Series().Len() != b.Series().Len() {
-			t.Fatalf("domain mismatch: %s/%d vs %s/%d", a.Name, a.Series().Len(), b.Name, b.Series().Len())
-		}
-		for i := 0; i < a.Series().Len(); i++ {
-			sa, sb := a.Series().At(i), b.Series().At(i)
-			if sa != sb {
-				t.Fatalf("%s sample %d: %+v != %+v", a.Name, i, sa, sb)
-			}
-		}
-		for i := range a.Children {
-			compare(a.Children[i], b.Children[i])
-		}
-	}
-	compare(rootA, rootB)
 }
 
 // TestRoomTierOnlyAboveThreshold pins the small-N tree shape: at or below
@@ -93,7 +84,7 @@ func TestLinearSweepBitIdentical(t *testing.T) {
 // facility→pdu→node shape.
 func TestRoomTierOnlyAboveThreshold(t *testing.T) {
 	nodes := testNodes(t, RoomThreshold)
-	root, err := BuildHierarchy(nodes, 1, 4)
+	root, err := BuildHierarchy(nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +102,7 @@ func TestRoomTierOnlyAboveThreshold(t *testing.T) {
 // search, including misses and subtree lookups.
 func TestFindIndexed(t *testing.T) {
 	nodes := testNodes(t, 40)
-	root, err := BuildHierarchy(nodes, 4, 4)
+	root, err := BuildHierarchy(nodes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +132,7 @@ func TestFindIndexed(t *testing.T) {
 }
 
 // benchRoot builds a BuildHierarchy tree over nLeaves single-socket-spec
-// nodes with minimal history, for lookup/sample benchmarks.
+// nodes, for lookup/sample benchmarks.
 func benchRoot(b *testing.B, nLeaves int) *Domain {
 	b.Helper()
 	spec := cpumodel.Quartz()
@@ -153,7 +144,7 @@ func benchRoot(b *testing.B, nLeaves int) *Domain {
 		}
 		nodes[i] = n
 	}
-	root, err := BuildHierarchy(nodes, 16, 1)
+	root, err := BuildHierarchy(nodes, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,8 +172,6 @@ func BenchmarkSampleSweep100kLeaves(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts = ts.Add(time.Minute)
-		if _, err := root.Sample(ts); err != nil {
-			b.Fatal(err)
-		}
+		root.Sample(ts)
 	}
 }

@@ -1,8 +1,8 @@
 // Package telemetry implements the machine-room monitoring half of a
-// site's power management: periodic sampling of node power into bounded
-// time series, aggregation up a PDU/row/facility hierarchy, and a budget
-// watchdog that detects violations of the system power limit and clamps
-// offenders — the enforcement loop that backs a resource manager's
+// site's power management: periodic sampling of node power (each domain
+// keeps its latest reading), aggregation up a PDU/row/facility hierarchy,
+// and a budget watchdog that detects violations of the system power limit
+// and clamps offenders — the enforcement loop that backs a resource manager's
 // promises to the facility (the role SLURM's power monitoring thread plays
 // in the paper's Section VII-C discussion).
 package telemetry
@@ -19,85 +19,10 @@ import (
 	"powerstack/internal/units"
 )
 
-// Series is a bounded ring buffer of power samples.
-type Series struct {
-	cap   int
-	data  []Sample
-	start int
-	n     int
-}
-
 // Sample is one timestamped power reading.
 type Sample struct {
 	Time  time.Time
 	Power units.Power
-}
-
-// NewSeries creates a series holding at most capacity samples. Storage
-// grows lazily toward the capacity as samples arrive: a 100k-leaf hierarchy
-// allocates proportional to the samples actually taken, not to
-// leaves × capacity up front.
-func NewSeries(capacity int) (*Series, error) {
-	if capacity <= 0 {
-		return nil, errors.New("telemetry: series capacity must be positive")
-	}
-	boot := capacity
-	if boot > 8 {
-		boot = 8
-	}
-	return &Series{cap: capacity, data: make([]Sample, 0, boot)}, nil
-}
-
-// Append adds a sample, evicting the oldest when full.
-func (s *Series) Append(sm Sample) {
-	if s.n < s.cap {
-		// Still growing toward capacity: start is 0, so the logical index
-		// equals the physical one.
-		s.data = append(s.data, sm)
-		s.n++
-		return
-	}
-	s.data[s.start] = sm
-	s.start = (s.start + 1) % s.cap
-}
-
-// Len returns the number of stored samples.
-func (s *Series) Len() int { return s.n }
-
-// At returns the i-th stored sample (0 = oldest).
-func (s *Series) At(i int) Sample {
-	return s.data[(s.start+i)%s.cap]
-}
-
-// Last returns the most recent sample and whether one exists.
-func (s *Series) Last() (Sample, bool) {
-	if s.n == 0 {
-		return Sample{}, false
-	}
-	return s.At(s.n - 1), true
-}
-
-// Mean returns the average power across stored samples.
-func (s *Series) Mean() units.Power {
-	if s.n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < s.n; i++ {
-		sum += s.At(i).Power.Watts()
-	}
-	return units.Power(sum / float64(s.n))
-}
-
-// Max returns the peak stored power.
-func (s *Series) Max() units.Power {
-	var mx units.Power
-	for i := 0; i < s.n; i++ {
-		if p := s.At(i).Power; p > mx {
-			mx = p
-		}
-	}
-	return mx
 }
 
 // Domain is one level of the power-delivery hierarchy (facility, row, PDU,
@@ -107,7 +32,10 @@ type Domain struct {
 	Node     *node.Node // non-nil for leaves
 	Children []*Domain
 
-	series *Series
+	// power is the domain's most recently sampled power. A domain the
+	// dirty-set pass skips keeps its value, which is the one a full pass
+	// would recompute.
+	power units.Power
 	// lastEnergy supports power-from-energy sampling on leaves.
 	lastEnergy units.Energy
 	lastTime   time.Time
@@ -138,27 +66,19 @@ type sweepEntry struct {
 }
 
 // NewNodeDomain builds a leaf domain for a node.
-func NewNodeDomain(n *node.Node, historyLen int) (*Domain, error) {
+func NewNodeDomain(n *node.Node) (*Domain, error) {
 	if n == nil {
 		return nil, errors.New("telemetry: nil node")
 	}
-	s, err := NewSeries(historyLen)
-	if err != nil {
-		return nil, err
-	}
-	return &Domain{Name: n.ID, Node: n, series: s}, nil
+	return &Domain{Name: n.ID, Node: n}, nil
 }
 
 // NewAggregateDomain builds an interior domain over children.
-func NewAggregateDomain(name string, historyLen int, children ...*Domain) (*Domain, error) {
+func NewAggregateDomain(name string, children ...*Domain) (*Domain, error) {
 	if len(children) == 0 {
 		return nil, fmt.Errorf("telemetry: domain %s has no children", name)
 	}
-	s, err := NewSeries(historyLen)
-	if err != nil {
-		return nil, err
-	}
-	return &Domain{Name: name, Children: children, series: s}, nil
+	return &Domain{Name: name, Children: children}, nil
 }
 
 // RoomThreshold is the PDU count above which BuildHierarchy inserts a room
@@ -177,7 +97,7 @@ const PDUsPerRoom = 64
 // Above RoomThreshold PDUs a room tier is inserted so no domain's fan-out
 // grows linearly with the machine. The returned root carries a name index
 // (Find is O(1) on it) and a flat sample sweep with its dirty set.
-func BuildHierarchy(nodes []*node.Node, pduSize, historyLen int) (*Domain, error) {
+func BuildHierarchy(nodes []*node.Node, pduSize int) (*Domain, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("telemetry: no nodes")
 	}
@@ -192,13 +112,13 @@ func BuildHierarchy(nodes []*node.Node, pduSize, historyLen int) (*Domain, error
 		}
 		var leaves []*Domain
 		for _, n := range nodes[i:end] {
-			leaf, err := NewNodeDomain(n, historyLen)
+			leaf, err := NewNodeDomain(n)
 			if err != nil {
 				return nil, err
 			}
 			leaves = append(leaves, leaf)
 		}
-		pdu, err := NewAggregateDomain(fmt.Sprintf("pdu%03d", len(pdus)), historyLen, leaves...)
+		pdu, err := NewAggregateDomain(fmt.Sprintf("pdu%03d", len(pdus)), leaves...)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +132,7 @@ func BuildHierarchy(nodes []*node.Node, pduSize, historyLen int) (*Domain, error
 			if end > len(pdus) {
 				end = len(pdus)
 			}
-			room, err := NewAggregateDomain(fmt.Sprintf("room%02d", len(rooms)), historyLen, pdus[i:end]...)
+			room, err := NewAggregateDomain(fmt.Sprintf("room%02d", len(rooms)), pdus[i:end]...)
 			if err != nil {
 				return nil, err
 			}
@@ -220,7 +140,7 @@ func BuildHierarchy(nodes []*node.Node, pduSize, historyLen int) (*Domain, error
 		}
 		tier = rooms
 	}
-	root, err := NewAggregateDomain("facility", historyLen, tier...)
+	root, err := NewAggregateDomain("facility", tier...)
 	if err != nil {
 		return nil, err
 	}
@@ -286,29 +206,22 @@ func (d *Domain) SetFaultPlan(p *fault.Plan, start time.Time, sink *obs.Sink) {
 // A leaf degrades instead of failing: during an injected dropout window it
 // holds its last sampled power, and when the node's energy counter cannot
 // be read (the node is down) it reports zero draw and re-primes on
-// recovery. Both substitutions are journaled as TelemetryHold events, so
-// Sample only errors on conditions no monitoring system should paper over
-// (none today — the error return is kept for future structural failures).
-func (d *Domain) Sample(ts time.Time) (units.Power, error) {
+// recovery. Both substitutions are journaled as TelemetryHold events.
+func (d *Domain) Sample(ts time.Time) units.Power {
 	d.MarkAllDirty()
 	return d.SampleDirty(ts)
 }
 
-// leafSample reads one leaf's power at ts and records it, integrating
-// energy since the leaf's lastTime. The bool result reports a hold: the
-// sample took a dropout-hold or dead-node branch, whose value can change
-// next sample without any new energy flowing, so the dirty-set pass must
-// revisit the leaf — and journals it as a TelemetryHold in its serial
-// merge. leafSample touches only d and its node, so distinct leaves may be
-// read concurrently.
-func (d *Domain) leafSample(ts time.Time) (units.Power, bool) {
+// leafSample reads one leaf's power at ts into d.power, integrating
+// energy since the leaf's lastTime. It reports a hold: the sample took a
+// dropout-hold (d.power keeps its value) or dead-node branch, whose value
+// can change next sample without any new energy flowing, so the dirty-set
+// pass must revisit the leaf — and journals it as a TelemetryHold in its
+// serial merge. leafSample touches only d and its node, so distinct leaves
+// may be read concurrently.
+func (d *Domain) leafSample(ts time.Time) (held bool) {
 	if d.faults.DropoutActive(d.Name, ts.Sub(d.start)) {
-		var p units.Power
-		if last, ok := d.series.Last(); ok {
-			p = last.Power
-		}
-		d.series.Append(Sample{Time: ts, Power: p})
-		return p, true
+		return true
 	}
 	e, err := d.Node.Energy()
 	if err != nil {
@@ -317,22 +230,22 @@ func (d *Domain) leafSample(ts time.Time) (units.Power, bool) {
 		// sample re-primes rather than integrating across the
 		// outage.
 		d.primed = false
-		d.series.Append(Sample{Time: ts, Power: 0})
-		return 0, true
+		d.power = 0
+		return true
 	}
-	var p units.Power
+	d.power = 0
 	if d.primed {
-		p = units.MeanPower(e-d.lastEnergy, ts.Sub(d.lastTime))
+		d.power = units.MeanPower(e-d.lastEnergy, ts.Sub(d.lastTime))
 	}
 	d.lastEnergy = e
 	d.lastTime = ts
 	d.primed = true
-	d.series.Append(Sample{Time: ts, Power: p})
-	return p, false
+	return false
 }
 
-// Series exposes the domain's history.
-func (d *Domain) Series() *Series { return d.series }
+// Power returns the domain's most recently sampled power (zero before the
+// first sample).
+func (d *Domain) Power() units.Power { return d.power }
 
 // Find locates a descendant domain by name (including d itself). On a
 // BuildHierarchy root the lookup is a map hit; elsewhere it walks the
@@ -370,9 +283,7 @@ func (d *Domain) Leaves() []*Domain {
 func (d *Domain) TopConsumers(k int) []*Domain {
 	leaves := d.Leaves()
 	sort.SliceStable(leaves, func(a, b int) bool {
-		pa, _ := leaves[a].series.Last()
-		pb, _ := leaves[b].series.Last()
-		return pa.Power > pb.Power
+		return leaves[a].power > leaves[b].power
 	})
 	if k < 0 {
 		k = 0

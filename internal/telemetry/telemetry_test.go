@@ -8,8 +8,10 @@ import (
 	"powerstack/internal/bsp"
 	"powerstack/internal/cluster"
 	"powerstack/internal/cpumodel"
+	"powerstack/internal/fault"
 	"powerstack/internal/kernel"
 	"powerstack/internal/node"
+	"powerstack/internal/obs"
 	"powerstack/internal/units"
 )
 
@@ -22,43 +24,9 @@ func testNodes(t *testing.T, n int) []*node.Node {
 	return c.Nodes()
 }
 
-func TestSeriesBasics(t *testing.T) {
-	if _, err := NewSeries(0); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	s, err := NewSeries(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Last(); ok {
-		t.Error("empty series has a last sample")
-	}
-	base := time.Unix(0, 0)
-	for i := 1; i <= 5; i++ {
-		s.Append(Sample{Time: base.Add(time.Duration(i) * time.Second), Power: units.Power(i * 100)})
-	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (ring)", s.Len())
-	}
-	// Oldest two evicted: remaining 300, 400, 500.
-	if got := s.At(0).Power; got != 300 {
-		t.Errorf("oldest = %v, want 300", got)
-	}
-	last, ok := s.Last()
-	if !ok || last.Power != 500 {
-		t.Errorf("last = %v", last)
-	}
-	if got := s.Mean(); got != 400 {
-		t.Errorf("mean = %v, want 400", got)
-	}
-	if got := s.Max(); got != 500 {
-		t.Errorf("max = %v, want 500", got)
-	}
-}
-
 func TestBuildHierarchyShape(t *testing.T) {
 	nodes := testNodes(t, 10)
-	root, err := BuildHierarchy(nodes, 4, 16)
+	root, err := BuildHierarchy(nodes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +45,10 @@ func TestBuildHierarchyShape(t *testing.T) {
 	if root.Find("nonexistent") != nil {
 		t.Error("Find invented a domain")
 	}
-	if _, err := BuildHierarchy(nil, 4, 16); err == nil {
+	if _, err := BuildHierarchy(nil, 4); err == nil {
 		t.Error("empty node list accepted")
 	}
-	if _, err := BuildHierarchy(nodes, 0, 16); err == nil {
+	if _, err := BuildHierarchy(nodes, 0); err == nil {
 		t.Error("zero pdu size accepted")
 	}
 }
@@ -107,39 +75,123 @@ func runIterations(t *testing.T, nodes []*node.Node, iters int) time.Duration {
 
 func TestSamplingMeasuresNodePower(t *testing.T) {
 	nodes := testNodes(t, 4)
-	root, err := BuildHierarchy(nodes, 2, 8)
+	root, err := BuildHierarchy(nodes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := time.Unix(1000, 0)
-	if _, err := root.Sample(ts); err != nil { // prime
-		t.Fatal(err)
-	}
+	root.Sample(ts) // prime
 	elapsed := runIterations(t, nodes, 5)
-	total, err := root.Sample(ts.Add(elapsed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	total := root.Sample(ts.Add(elapsed))
 	// Four uncapped i=8 nodes draw ~230 W each.
 	if got := total.Watts(); got < 4*200 || got > 4*240 {
 		t.Errorf("facility power = %v W, want ~920", got)
 	}
 	// The PDU view sums its two nodes.
 	pdu := root.Children[0]
-	last, _ := pdu.Series().Last()
-	if got := last.Power.Watts(); got < 2*200 || got > 2*240 {
+	if got := pdu.Power().Watts(); got < 2*200 || got > 2*240 {
 		t.Errorf("pdu power = %v W", got)
 	}
-	// Leaves carry their own series.
-	leafLast, ok := root.Leaves()[0].Series().Last()
-	if !ok || leafLast.Power <= 0 {
-		t.Errorf("leaf sample = %+v", leafLast)
+	// Leaves carry their own reading.
+	if got := root.Leaves()[0].Power(); got <= 0 {
+		t.Errorf("leaf power = %v", got)
 	}
+}
+
+// TestLeafHoldValues pins the values a leaf substitutes when it cannot
+// read its node, which the recursive oracle shares with the dirty-set pass
+// and so cannot check. Inside a dropout window the leaf reports and
+// journals its pre-dropout power while the node keeps drawing, and the
+// first read after the window integrates from the last normal read. A dead
+// node reports and journals zero and re-primes on repair: energy that
+// flowed before the crash never reaches a post-repair sample.
+func TestLeafHoldValues(t *testing.T) {
+	nodes := testNodes(t, 2)
+	root, err := BuildHierarchy(nodes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Unix(1000, 0)
+	at := func(sec int) time.Time { return start.Add(time.Duration(sec) * time.Second) }
+	sink := obs.New()
+	root.SetFaultPlan(fault.NewPlan(fault.Injection{Kind: fault.TelemetryDropout,
+		Node: nodes[0].ID, At: 60 * time.Second, Duration: 60 * time.Second}), start, sink)
+	dropped, dead := root.Leaves()[0], root.Leaves()[1]
+	energy := func(n *node.Node) units.Energy {
+		t.Helper()
+		e, err := n.Energy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	wantHolds := func(tag string, want ...obs.Event) {
+		t.Helper()
+		got := holdEvents(sink)
+		if len(got) != len(want) {
+			t.Fatalf("%s: hold journal %+v, want %+v", tag, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: hold %d = %+v, want %+v", tag, i, got[i], want[i])
+			}
+		}
+	}
+
+	root.Sample(at(0))
+	runIterations(t, nodes[:1], 2)
+	lastRead := energy(nodes[0])
+	root.Sample(at(30))
+	pre := dropped.Power()
+	if pre <= 0 {
+		t.Fatalf("pre-dropout power = %v, want a live reading", pre)
+	}
+	var holds []obs.Event
+	for _, sec := range []int{60, 90} { // inside [60s, 120s)
+		runIterations(t, nodes[:1], 2)
+		root.Sample(at(sec))
+		if got := dropped.Power(); got != pre {
+			t.Fatalf("%ds: held leaf reports %v, want pre-dropout %v", sec, got, pre)
+		}
+		holds = append(holds, obs.Event{Type: obs.EvTelemetryHold, Host: nodes[0].ID, Value: pre.Watts()})
+	}
+	wantHolds("dropout", holds...)
+	runIterations(t, nodes[1:], 2)
+	root.Sample(at(120))
+	if got, want := dropped.Power(), units.MeanPower(energy(nodes[0])-lastRead, 90*time.Second); got != want {
+		t.Fatalf("first read after the window = %v, want %v (integrated from the last normal read)", got, want)
+	}
+	if dead.Power() <= 0 {
+		t.Fatalf("pre-crash power = %v, want a live reading", dead.Power())
+	}
+
+	runIterations(t, nodes[1:], 2)
+	fault.Crash(nodes[1])
+	if got := root.Sample(at(150)); got != dropped.Power() {
+		t.Fatalf("facility power with a dead node = %v, want the live leaf's %v", got, dropped.Power())
+	}
+	if got := dead.Power(); got != 0 {
+		t.Fatalf("dead node reports %v, want 0", got)
+	}
+	holds = append(holds, obs.Event{Type: obs.EvTelemetryHold, Host: nodes[1].ID, Value: 0})
+	wantHolds("dead", holds...)
+	fault.Repair(nodes[1])
+	root.Sample(at(180))
+	if got := dead.Power(); got != 0 {
+		t.Fatalf("first post-repair sample = %v, want 0 (re-prime, not pre-crash energy)", got)
+	}
+	primed := energy(nodes[1])
+	runIterations(t, nodes[1:], 2)
+	root.Sample(at(210))
+	if got, want := dead.Power(), units.MeanPower(energy(nodes[1])-primed, 30*time.Second); got != want {
+		t.Fatalf("post-repair power = %v, want %v", got, want)
+	}
+	wantHolds("repaired", holds...)
 }
 
 func TestTopConsumers(t *testing.T) {
 	nodes := testNodes(t, 4)
-	root, err := BuildHierarchy(nodes, 4, 8)
+	root, err := BuildHierarchy(nodes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +200,9 @@ func TestTopConsumers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := time.Unix(0, 0)
-	if _, err := root.Sample(ts); err != nil {
-		t.Fatal(err)
-	}
+	root.Sample(ts)
 	elapsed := runIterations(t, nodes, 4)
-	if _, err := root.Sample(ts.Add(elapsed)); err != nil {
-		t.Fatal(err)
-	}
+	root.Sample(ts.Add(elapsed))
 	top := root.TopConsumers(2)
 	if len(top) != 2 {
 		t.Fatalf("top = %d", len(top))
@@ -171,7 +219,7 @@ func TestTopConsumers(t *testing.T) {
 
 func TestWatchdogValidation(t *testing.T) {
 	nodes := testNodes(t, 2)
-	root, err := BuildHierarchy(nodes, 2, 8)
+	root, err := BuildHierarchy(nodes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +233,7 @@ func TestWatchdogValidation(t *testing.T) {
 
 func TestWatchdogClampsOverrun(t *testing.T) {
 	nodes := testNodes(t, 4)
-	root, err := BuildHierarchy(nodes, 4, 8)
+	root, err := BuildHierarchy(nodes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +279,7 @@ func TestWatchdogClampsOverrun(t *testing.T) {
 
 func TestWatchdogQuietWithinBudget(t *testing.T) {
 	nodes := testNodes(t, 2)
-	root, err := BuildHierarchy(nodes, 2, 8)
+	root, err := BuildHierarchy(nodes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +310,7 @@ func TestWatchdogQuietWithinBudget(t *testing.T) {
 
 func TestFindEdgeCases(t *testing.T) {
 	nodes := testNodes(t, 6)
-	root, err := BuildHierarchy(nodes, 2, 8)
+	root, err := BuildHierarchy(nodes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +325,7 @@ func TestFindEdgeCases(t *testing.T) {
 	}
 	// Duplicate names resolve to the first match in preorder: the root
 	// shadows a deeper domain carrying the same name.
-	dup, err := NewNodeDomain(nodes[0], 8)
+	dup, err := NewNodeDomain(nodes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +338,7 @@ func TestFindEdgeCases(t *testing.T) {
 
 func TestLeavesEdgeCases(t *testing.T) {
 	nodes := testNodes(t, 5)
-	root, err := BuildHierarchy(nodes, 2, 8)
+	root, err := BuildHierarchy(nodes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +353,7 @@ func TestLeavesEdgeCases(t *testing.T) {
 		}
 	}
 	// A bare leaf domain is its own only leaf.
-	solo, err := NewNodeDomain(nodes[0], 8)
+	solo, err := NewNodeDomain(nodes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +370,7 @@ func TestLeavesEdgeCases(t *testing.T) {
 
 func TestTopConsumersEdgeCases(t *testing.T) {
 	nodes := testNodes(t, 3)
-	root, err := BuildHierarchy(nodes, 4, 8)
+	root, err := BuildHierarchy(nodes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

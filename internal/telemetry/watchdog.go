@@ -51,10 +51,7 @@ func NewWatchdog(d *Domain, budget units.Power) (*Watchdog, error) {
 // Check samples the domain at ts and enforces the budget. It returns the
 // sampled power and whether a violation was handled.
 func (w *Watchdog) Check(ts time.Time) (units.Power, bool, error) {
-	p, err := w.Domain.Sample(ts)
-	if err != nil {
-		return 0, false, err
-	}
+	p := w.Domain.Sample(ts)
 	w.Obs.PowerSample(w.Domain.Name, p.Watts())
 	limit := units.Power(float64(w.Budget) * (1 + w.Tolerance))
 	if p <= limit {
