@@ -195,7 +195,7 @@ func TestResultDigestsFrozen(t *testing.T) {
 	}{
 		"flat clean": {
 			cfg:  func() Config { return goldenConfig(t) },
-			want: "0f5f26d4cfba0c5d672a9825c2181561983e9cf09a405c570c03c835963c04ae",
+			want: "1c73ae8e66e1551009b0d9fff52ab9c5fe8d5256bb51b13e1ddc107fe05fd5b3",
 		},
 		"flat faulted": {
 			cfg: func() Config {
@@ -203,7 +203,7 @@ func TestResultDigestsFrozen(t *testing.T) {
 				cfg.Faults = goldenFaults()
 				return cfg
 			},
-			want: "d4d698947e4d3431e165353201ba6cbd3efc74095c7fb5415b556699c37cf0f8",
+			want: "6823caacdf37255f466897cfcc3316a909e7691551f10c0855ac10138991ab3b",
 		},
 		"scale faulted": {
 			cfg: func() Config {
@@ -214,7 +214,7 @@ func TestResultDigestsFrozen(t *testing.T) {
 				cfg.Faults = pipelineFaults()
 				return cfg
 			},
-			want: "7daf237ed0ec4667d05df8b094427356be751d23833ecc6c6edf0fc1547866f8",
+			want: "851296eb5ae7ff9d0893b0b591c7b402f41137578a21eaf6edaa9804163cd0a9",
 		},
 		"preempt shock": {
 			cfg: func() Config {
@@ -229,7 +229,7 @@ func TestResultDigestsFrozen(t *testing.T) {
 				cfg.CheckpointEvery = 50
 				return cfg
 			},
-			want: "717dd93057d147662537d680175670df257ac641b16b6bc0061eae54c9bceac9",
+			want: "938a1e2eab9939f7889d06832a4a550c731745bffc9739eb4730421baa997d71",
 		},
 	}
 	for name, c := range cases {

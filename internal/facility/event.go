@@ -387,8 +387,11 @@ func (s *eventSim) removeActive(victim *evJob) {
 // reconcile is the shared tail of every state-changing event: dispatch
 // whatever now fits, replan when the running set changed (mutated, or jobs
 // just started), and re-probe operating points where caps or speeds may
-// have moved. Jobs are not settled here: a re-probe settles its own job
-// first, and the rest keep crediting at their unchanged operating points.
+// have moved — after a replan the fresh jobs and those whose caps were
+// rewritten, otherwise every job when reprobeAll is set (a slow window
+// moved iteration times without moving caps). Jobs are not settled here: a
+// re-probe settles its own job first, and the rest keep crediting at their
+// unchanged operating points.
 func (s *eventSim) reconcile(now time.Duration, mutated, reprobeAll bool) error {
 	s.accrue(now)
 	startedNow, err := s.sched.Dispatch(s.cfg.Seed + uint64(s.jobSeq))
@@ -411,25 +414,14 @@ func (s *eventSim) reconcile(now time.Duration, mutated, reprobeAll bool) error 
 		s.noteStarted(sj.Spec.ID, now)
 	}
 	if mutated || len(startedNow) > 0 {
-		if s.scale {
-			if err := s.replanRound(func() error { return s.replanPipeline(now, fresh) }); err != nil {
+		if err := s.replanRound(func() error { return s.replanPipeline(now, fresh) }); err != nil {
+			return err
+		}
+	} else if reprobeAll {
+		for _, r := range s.active {
+			if err := s.probe(r, now); err != nil {
 				return err
 			}
-			s.recount()
-			return nil
-		}
-		if err := s.replan(); err != nil {
-			return err
-		}
-		reprobeAll = true
-	}
-	probeSet := fresh
-	if reprobeAll {
-		probeSet = s.active
-	}
-	for _, r := range probeSet {
-		if err := s.probe(r, now); err != nil {
-			return err
 		}
 	}
 	s.recount()

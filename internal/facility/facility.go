@@ -86,11 +86,14 @@ type Config struct {
 	Duration time.Duration
 	Tick     time.Duration
 
-	// ScaleMode selects between the exact flat replan and the hierarchical
-	// 100k-node one: ScaleAuto (default — hierarchical above
-	// ScaleThreshold nodes) or ScaleOn. See scale.go.
+	// ScaleMode selects the replan's policy scope: ScaleAuto (the
+	// default) runs one flat policy round over every running job up to
+	// ScaleThreshold nodes and rack/room rounds above it; ScaleOn runs
+	// rack/room rounds at any size. Every replan, at either scope, writes
+	// only the caps that changed and re-probes only fresh or changed jobs.
+	// See scale.go.
 	ScaleMode string
-	// Parallelism is the facility's worker count: the scale-mode replan's
+	// Parallelism is the facility's worker count: the rack/room scope's
 	// rooms and each telemetry sample's job settlement and leaf reads run
 	// on up to Parallelism workers (0 and 1 run them inline, without
 	// goroutines). Results are byte-identical at every setting. See
@@ -243,7 +246,7 @@ type simState struct {
 	// set is marked by, and what assigns a host its rack (see scale.go).
 	nodeByID map[string]*node.Node
 
-	// scale selects the hierarchical replan.
+	// scale selects the rack/room policy scope (see scale.go).
 	scale bool
 
 	lengths     map[string]int // queued job ID -> iterations
@@ -278,8 +281,8 @@ type simState struct {
 	spanCtx obs.SpanContext
 	round   int
 
-	// hier is the scratch-pooled hierarchical allocator the scale-mode
-	// replan reuses round to round, and plan the request/topology scratch
+	// hier is the scratch-pooled hierarchical allocator the rack/room
+	// scope reuses round to round, and plan the request/topology scratch
 	// beside it (see scale.go). The pipeline builds both sequentially
 	// before fanning the rooms out.
 	hier coordinator.HierAlloc
@@ -399,12 +402,6 @@ func setup(cfg Config) (*simState, error) {
 	for _, n := range cfg.Nodes {
 		st.nodeByID[n.ID] = n
 	}
-	if st.scale {
-		// Scale mode also turns on the manager's incremental cap path:
-		// unchanged caps are not rewritten and the policy's per-job view is
-		// cached between replans.
-		st.mgr.Incremental = true
-	}
 	cfg.Faults.Arm(cfg.Nodes, st.obs)
 	root.SetFaultPlan(cfg.Faults, st.start, st.obs)
 	// The event core marks leaves dirty on every energy-state change
@@ -472,18 +469,6 @@ func (st *simState) replanRound(round func() error) error {
 		st.obs.ReplanLatency(jobs, time.Since(t0).Seconds())
 	}
 	return err
-}
-
-// replan is the flat replan: the policy redistributes the system budget
-// across the whole running set in one round.
-func (st *simState) replan() error {
-	return st.replanRound(func() error {
-		alloc, err := st.mgr.Plan(st.pol, st.curBudget, st.db)
-		if err != nil {
-			return err
-		}
-		return st.mgr.Apply(alloc)
-	})
 }
 
 // submitArrival draws one arrival from the config RNG and enqueues it. The

@@ -86,18 +86,20 @@ func (c instanceCommand) apply(in *Instance, workloads []kernel.Config) error {
 }
 
 // FuzzInstanceCommands drives random Inject/Pause/Resume/ScheduleBudget/
-// SetPolicy/Step/SetTenantQuota sequences against twin scale-mode
-// instances of a 24-node pool — one at Parallelism 1 (every phase inline),
-// one at 2 — under the pipeline fault plan (crash and repair, a slow
+// SetPolicy/Step/SetTenantQuota sequences against twin instances of a
+// 24-node pool — one at Parallelism 1 (every phase inline), one at 2 — at
+// both policy scopes: ScaleAuto (flat at 24 nodes) and ScaleOn (rack/room).
+// The twins run under the pipeline fault plan (crash and repair, a slow
 // window, MSR write and read faults, a telemetry dropout), with
-// checkpointing on and the preempt emergency response. Each pair of input bytes is one command. After every
-// command both twins returned the same error, their Snapshots are
-// byte-identical as JSON, and jobs are conserved: every submission that
-// entered the queue is completed, running, queued or killed (rejections
-// never enter it, and preempted or crash-requeued jobs are back in the
-// queue). Under the preempt response the committed power never exceeds
-// the budget in force. At the end, the twins' closed Results are
-// byte-identical.
+// checkpointing on and the preempt emergency response. Each pair of input
+// bytes is one command. After every command both twins returned the same
+// error, their Snapshots are byte-identical as JSON, and jobs are
+// conserved: every submission that entered the queue is completed,
+// running, queued or killed (rejections never enter it, and preempted or
+// crash-requeued jobs are back in the queue). Under the preempt response
+// the committed power never exceeds the budget in force. Dispatch is
+// stable: no queued job fits that the instance left unstarted. At the end,
+// the twins' closed Results are byte-identical.
 func FuzzInstanceCommands(f *testing.F) {
 	src, db, workloads := facilityEnv(f, 24)
 	f.Add([]byte{opStep, 20, opInject, 0, opStep, 23, opScheduleBudget, 2, opStep, 23})
@@ -105,57 +107,72 @@ func FuzzInstanceCommands(f *testing.F) {
 	f.Add([]byte{opInject, 33, opInject, 1, opScheduleBudget, 0, opStep, 3, opScheduleBudget, 15, opStep, 23})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		newTwin := func(parallelism int) *Instance {
-			cfg := baseConfig(cluster.ClonePool(src), db, workloads)
-			cfg.JobSizes = []int{2, 4, 8}
-			cfg.ScaleMode = ScaleOn
-			cfg.Faults = pipelineFaults()
-			cfg.CheckpointEvery = 50
-			cfg.Parallelism = parallelism
-			in, err := NewInstance(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Start(); err != nil {
-				t.Fatal(err)
-			}
-			return in
-		}
-		twins := [2]*Instance{newTwin(1), newTwin(2)}
-		for i := 0; i+1 < len(data) && i < 2*fuzzCommands; i += 2 {
-			cmd := instanceCommand{op: data[i], arg: data[i+1]}
-			var errs [2]string
-			for k, in := range twins {
-				errs[k] = fmt.Sprint(cmd.apply(in, workloads))
-			}
-			if errs[0] != errs[1] {
-				t.Fatalf("command %d %+v: errors diverged: %s vs %s", i/2, cmd, errs[0], errs[1])
-			}
-			sn := twins[0].Snapshot()
-			a, b := snapshotJSON(t, sn), snapshotJSON(t, twins[1].Snapshot())
-			if a != b {
-				t.Fatalf("command %d %+v: snapshots diverged\np1: %s\np2: %s", i/2, cmd, a, b)
-			}
-			if accounted := sn.Completed + len(sn.Running) + sn.QueuedJobs + sn.Killed; sn.Submitted != accounted {
-				t.Fatalf("command %d %+v: %d submitted, but completed %d + running %d + queued %d + killed %d = %d",
-					i/2, cmd, sn.Submitted, sn.Completed, len(sn.Running), sn.QueuedJobs, sn.Killed, accounted)
-			}
-			if sn.CommittedPower > sn.Budget {
-				t.Fatalf("command %d %+v: committed %v over budget %v", i/2, cmd, sn.CommittedPower, sn.Budget)
-			}
-		}
-		var res [2]string
-		for k, in := range twins {
-			r, err := in.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res[k] = resultJSON(t, r)
-		}
-		if res[0] != res[1] {
-			t.Fatalf("closed results diverged\np1: %s\np2: %s", res[0], res[1])
+		for _, mode := range []string{ScaleAuto, ScaleOn} {
+			fuzzTwins(t, mode, data, func() Config {
+				cfg := baseConfig(cluster.ClonePool(src), db, workloads)
+				cfg.JobSizes = []int{2, 4, 8}
+				return cfg
+			}, workloads)
 		}
 	})
+}
+
+// fuzzTwins runs one FuzzInstanceCommands input against twin instances at
+// one scale mode and checks the invariants after every command.
+func fuzzTwins(t *testing.T, mode string, data []byte, base func() Config, workloads []kernel.Config) {
+	t.Helper()
+	newTwin := func(parallelism int) *Instance {
+		cfg := base()
+		cfg.ScaleMode = mode
+		cfg.Faults = pipelineFaults()
+		cfg.CheckpointEvery = 50
+		cfg.Parallelism = parallelism
+		in, err := NewInstance(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	twins := [2]*Instance{newTwin(1), newTwin(2)}
+	for i := 0; i+1 < len(data) && i < 2*fuzzCommands; i += 2 {
+		cmd := instanceCommand{op: data[i], arg: data[i+1]}
+		var errs [2]string
+		for k, in := range twins {
+			errs[k] = fmt.Sprint(cmd.apply(in, workloads))
+		}
+		if errs[0] != errs[1] {
+			t.Fatalf("scale %q command %d %+v: errors diverged: %s vs %s", mode, i/2, cmd, errs[0], errs[1])
+		}
+		sn := twins[0].Snapshot()
+		a, b := snapshotJSON(t, sn), snapshotJSON(t, twins[1].Snapshot())
+		if a != b {
+			t.Fatalf("scale %q command %d %+v: snapshots diverged\np1: %s\np2: %s", mode, i/2, cmd, a, b)
+		}
+		if accounted := sn.Completed + len(sn.Running) + sn.QueuedJobs + sn.Killed; sn.Submitted != accounted {
+			t.Fatalf("scale %q command %d %+v: %d submitted, but completed %d + running %d + queued %d + killed %d = %d",
+				mode, i/2, cmd, sn.Submitted, sn.Completed, len(sn.Running), sn.QueuedJobs, sn.Killed, accounted)
+		}
+		if sn.CommittedPower > sn.Budget {
+			t.Fatalf("scale %q command %d %+v: committed %v over budget %v", mode, i/2, cmd, sn.CommittedPower, sn.Budget)
+		}
+		if twins[0].st.sched.CanDispatch() {
+			t.Fatalf("scale %q command %d %+v: a queued job fits but was not dispatched", mode, i/2, cmd)
+		}
+	}
+	var res [2]string
+	for k, in := range twins {
+		r, err := in.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[k] = resultJSON(t, r)
+	}
+	if res[0] != res[1] {
+		t.Fatalf("scale %q: closed results diverged\np1: %s\np2: %s", mode, res[0], res[1])
+	}
 }
 
 // snapshotJSON canonicalizes a Snapshot for byte comparison.

@@ -5,21 +5,23 @@
 // phase inline without goroutines (pinned by TestParallelReplanByteIdentical
 // and TestIncrementalTelemetryMatchesSweepFacility).
 //
-// Replan pipeline (the scale-mode replan, at every Parallelism). A replan
-// round has a sequential prefix — policy views, per-job requests, the
-// rack/room aggregation, and the room-level water-fill
-// (coordinator.HierAlloc.Stage) — after which every room is independent:
-// its rack and job allocation rounds, its per-rack policy splits, its cap
-// writes, and the steady-state re-probes of its fresh or changed jobs
-// touch only that room's requests and those jobs' (disjoint) hosts. Each
-// room runs as one task, with all mutation of shared state deferred into
-// per-worker buffers:
+// Replan pipeline (every replan, at every Parallelism). A replan round has
+// a sequential prefix — policy views and, at rack/room scope (scale.go),
+// per-job requests, the rack/room aggregation, and the room-level
+// water-fill (coordinator.HierAlloc.Stage) — after which every task is
+// independent. At flat scope the one task is one group, every running job
+// under the facility budget; at rack/room scope each room is a task whose
+// racks are its groups. A group's policy split, its cap writes, and the
+// steady-state re-probes of its fresh or changed jobs touch only its
+// requests and those jobs' (disjoint) hosts. All mutation of shared state
+// is deferred into per-worker buffers:
 //
 //   - grants land at per-request indexes in Stage's shared buffer (each
-//     index written by exactly one room);
+//     index written by exactly one room), and change flags at per-request
+//     indexes;
 //   - cap writes run through a per-worker rm.CapBatch, which programs
 //     devices immediately (hosts are disjoint across jobs, and a job
-//     belongs to exactly one room task) but defers quarantine decisions,
+//     belongs to exactly one task) but defers quarantine decisions,
 //     spare claims, and lastCap bookkeeping to CommitCapBatches;
 //   - probe results (bsp iteration measurements, drawn from each job's
 //     private RNG) land at per-request indexes, and each probed job is
@@ -112,7 +114,7 @@ func (p *workerPool) run(n int, fn func(task, worker int)) {
 
 // pipeWorker is one worker's private pipeline scratch: room allocation
 // buffers, the deferred-commit cap batch (with its own limit-encoder
-// memo), and the policy sub-round input.
+// memo), and the policy input of one group.
 type pipeWorker struct {
 	room  coordinator.RoomScratch
 	batch *rm.CapBatch
@@ -120,44 +122,44 @@ type pipeWorker struct {
 }
 
 // pipeScratch is the reusable state of one pipeline round. Everything is
-// index-addressed so workers never contend: probe results land at request
-// indexes, room errors at room indexes, grants in Stage's shared buffer.
+// index-addressed so workers never contend: probe results and change flags
+// land at request indexes, task errors at task indexes, grants in Stage's
+// shared buffer.
 type pipeScratch struct {
 	jobs   []*rm.ScheduledJob  // mgr.Jobs() for this round (submission order)
 	infos  []policy.JobInfo    // policy views, same indexing
-	grants []coordinator.Grant // Stage's result buffer, same indexing
+	grants []coordinator.Grant // Stage's result buffer, same indexing (rack/room scope)
+	all    []int               // every request index: the flat scope's one group
 
-	freshSet map[*rm.ScheduledJob]bool // jobs started this reconcile
-	qiOf     map[*rm.ScheduledJob]int  // job -> request index
-	evs      []*evJob                  // request index -> active job
-	now      time.Duration             // the round's virtual time
+	qiOf map[*rm.ScheduledJob]int // job -> request index
+	evs  []*evJob                 // request index -> active job
+	now  time.Duration            // the round's virtual time
 
+	fresh   []bool // request index started this reconcile
+	changed []bool // request index had a cap written
 	probed  []bool // request index was probed on a worker
 	iters   []bsp.IterationResult
 	perrs   []error
 	settled []int // iterations credited on the worker at the outgoing point
-	roomErr []error
+	taskErr []error
 
 	workers []pipeWorker
 	batches []*rm.CapBatch // the round's batches, for CommitCapBatches
 }
 
-// begin resets the scratch for a round of len(jobs) requests over rooms
-// rooms at virtual time now, with up to workers workers.
-func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, now time.Duration, jobs []*rm.ScheduledJob, infos []policy.JobInfo, grants []coordinator.Grant, active, fresh []*evJob) {
+// begin resets the scratch for a round of len(jobs) requests over tasks
+// tasks at virtual time now, with up to workers workers.
+func (p *pipeScratch) begin(m *rm.Manager, workers, tasks int, now time.Duration, jobs []*rm.ScheduledJob, infos []policy.JobInfo, grants []coordinator.Grant, active, fresh []*evJob) {
 	n := len(jobs)
 	p.jobs, p.infos, p.grants, p.now = jobs, infos, grants, now
-	if p.freshSet == nil {
-		p.freshSet = map[*rm.ScheduledJob]bool{}
+	if p.qiOf == nil {
 		p.qiOf = map[*rm.ScheduledJob]int{}
 	}
-	clear(p.freshSet)
 	clear(p.qiOf)
-	for _, r := range fresh {
-		p.freshSet[r.sj] = true
-	}
+	p.all = growPlan(p.all, n)
 	for qi, sj := range jobs {
 		p.qiOf[sj] = qi
+		p.all[qi] = qi
 	}
 	p.evs = growPlan(p.evs, n)
 	clear(p.evs)
@@ -166,19 +168,24 @@ func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, now time.Duration
 			p.evs[qi] = r
 		}
 	}
+	p.fresh = growPlan(p.fresh, n)
+	p.changed = growPlan(p.changed, n)
 	p.probed = growPlan(p.probed, n)
-	for i := range p.probed {
-		p.probed[i] = false
+	clear(p.fresh)
+	clear(p.changed)
+	clear(p.probed)
+	for _, r := range fresh {
+		if qi, ok := p.qiOf[r.sj]; ok {
+			p.fresh[qi] = true
+		}
 	}
 	// iters/perrs/settled entries are gated by probed; stale values are
 	// never read.
 	p.iters = growPlan(p.iters, n)
 	p.perrs = growPlan(p.perrs, n)
 	p.settled = growPlan(p.settled, n)
-	p.roomErr = growPlan(p.roomErr, rooms)
-	for i := range p.roomErr {
-		p.roomErr[i] = nil
-	}
+	p.taskErr = growPlan(p.taskErr, tasks)
+	clear(p.taskErr)
 	// The inline pool (0 or 1 workers) still runs its tasks as worker 0.
 	workers = max(1, workers)
 	for len(p.workers) < workers {
@@ -191,9 +198,10 @@ func (p *pipeScratch) begin(m *rm.Manager, workers, rooms int, now time.Duration
 	}
 }
 
-// replanPipeline is the scale-mode replan, fused with the re-probes of the
-// fresh jobs and of those whose caps moved: it stages the round, fans the
-// rooms out, and merges.
+// replanPipeline is the replan, fused with the re-probes of the fresh jobs
+// and of those whose caps moved. At flat scope the whole running set is one
+// group under the facility budget, run as one task; at rack/room scope the
+// round is staged, and each room is a task whose racks are its groups.
 func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
 	st := s.simState
 	jobs := st.mgr.Jobs()
@@ -201,32 +209,39 @@ func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
 	if err != nil {
 		return err
 	}
-	st.planRequests(infos)
-	sc := &st.plan
-	grants, rooms := st.hier.Stage(st.curBudget, sc.reqs, sc.rackOf, sc.roomOf)
+	var grants []coordinator.Grant
+	tasks := 1
+	if st.scale {
+		st.planRequests(infos)
+		sc := &st.plan
+		grants, tasks = st.hier.Stage(st.curBudget, sc.reqs, sc.rackOf, sc.roomOf)
+	}
 	pipe := &st.pipe
-	pipe.begin(st.mgr, st.pool.workers, rooms, now, jobs, infos, grants, s.active, fresh)
-	st.pool.run(rooms, func(mi, w int) {
-		st.hier.AllocateRoom(mi, sc.reqs, &pipe.workers[w].room, grants)
-		if err := s.roomApplyProbe(mi, w); err != nil {
-			pipe.roomErr[mi] = err
+	pipe.begin(st.mgr, st.pool.workers, tasks, now, jobs, infos, grants, s.active, fresh)
+	st.pool.run(tasks, func(ti, w int) {
+		if st.scale {
+			pipe.taskErr[ti] = s.roomApplyProbe(ti, w)
+		} else {
+			pipe.taskErr[ti] = s.groupApplyProbe(w, pipe.all, st.curBudget)
 		}
 	})
-	for mi := 0; mi < rooms; mi++ {
-		if pipe.roomErr[mi] != nil {
-			return pipe.roomErr[mi]
+	// Commit even when a task failed, so the last-cap slots match the
+	// registers.
+	st.mgr.CommitCapBatches(pipe.batches)
+	for _, err := range pipe.taskErr {
+		if err != nil {
+			return err
 		}
 	}
-	st.mgr.CommitCapBatches(pipe.batches)
-	changed := st.mgr.TakeChangedJobs()
 	// The merge walk is the probe loop: active-list order, so completion
 	// events re-schedule with identical engine sequence numbers at every
 	// parallelism.
 	for _, r := range s.active {
-		if !pipe.freshSet[r.sj] && !changed[r.sj.Spec.ID] {
+		qi, ok := pipe.qiOf[r.sj]
+		if !ok || !pipe.fresh[qi] && !pipe.changed[qi] {
 			continue
 		}
-		if qi, ok := pipe.qiOf[r.sj]; ok && pipe.probed[qi] {
+		if pipe.probed[qi] {
 			if perr := pipe.perrs[qi]; perr != nil {
 				return perr
 			}
@@ -242,52 +257,66 @@ func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
 	return nil
 }
 
-// roomApplyProbe is one room task's policy, cap, and probe work: for each
-// of the room's racks, water-fill budgets are already in grants; the
-// policy splits the rack's total over its jobs, the caps go through the
-// worker's batch, and every fresh-or-changed job without a cap failure is
-// probed and settled at its outgoing operating point, the measurement and
-// the credited count parked at its request index for the merge walk.
+// roomApplyProbe is one room task at rack/room scope: the room's rack and
+// job allocation rounds land the racks' water-filled budgets in grants,
+// then each rack runs as one group.
 func (s *eventSim) roomApplyProbe(mi, w int) error {
 	st := s.simState
 	pipe := &st.pipe
-	pw := &pipe.workers[w]
+	st.hier.AllocateRoom(mi, st.plan.reqs, &pipe.workers[w].room, pipe.grants)
 	for _, ri := range st.hier.RoomRacks(mi) {
 		members := st.hier.RackRequests(ri)
 		var budget units.Power
-		pw.sub = pw.sub[:0]
 		for _, qi := range members {
 			budget += pipe.grants[qi].Budget
-			pw.sub = append(pw.sub, pipe.infos[qi])
 		}
-		part, err := st.pol.Allocate(policy.System{Budget: budget}, pw.sub)
+		if err := s.groupApplyProbe(w, members, budget); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// groupApplyProbe is one group's policy, cap, and probe work: the policy
+// splits budget over the members' jobs, the caps go through the worker's
+// batch, and every fresh or changed job without a cap failure is probed and
+// settled at its outgoing operating point, the measurement and the credited
+// count parked at its request index for the merge walk.
+func (s *eventSim) groupApplyProbe(w int, members []int, budget units.Power) error {
+	st := s.simState
+	pipe := &st.pipe
+	pw := &pipe.workers[w]
+	pw.sub = pw.sub[:0]
+	for _, qi := range members {
+		pw.sub = append(pw.sub, pipe.infos[qi])
+	}
+	part, err := st.pol.Allocate(policy.System{Budget: budget}, pw.sub)
+	if err != nil {
+		return err
+	}
+	for _, qi := range members {
+		sj := pipe.jobs[qi]
+		caps, ok := part[sj.Spec.ID]
+		if !ok {
+			return fmt.Errorf("rm: allocation missing job %s", sj.Spec.ID)
+		}
+		f0 := pw.batch.NumFailures()
+		changed, err := pw.batch.ApplyCaps(sj, qi, caps)
 		if err != nil {
 			return err
 		}
-		for _, qi := range members {
-			sj := pipe.jobs[qi]
-			caps, ok := part[sj.Spec.ID]
-			if !ok {
-				return fmt.Errorf("rm: allocation missing job %s", sj.Spec.ID)
-			}
-			ch0, f0 := pw.batch.NumChanged(), pw.batch.NumFailures()
-			if err := pw.batch.ApplyCaps(sj, qi, caps); err != nil {
-				return err
-			}
-			if pw.batch.NumFailures() > f0 {
-				continue // probe deferred past CommitCapBatches
-			}
-			if pw.batch.NumChanged() > ch0 || pipe.freshSet[sj] {
-				ir, perr := sj.Job.RunIteration()
-				k := 0
-				if r := pipe.evs[qi]; r != nil && perr == nil {
-					k = r.due(pipe.now)
-					r.credit(k)
-				}
-				pipe.iters[qi], pipe.perrs[qi], pipe.settled[qi] = ir, perr, k
-				pipe.probed[qi] = true
-			}
+		pipe.changed[qi] = changed
+		if pw.batch.NumFailures() > f0 || !changed && !pipe.fresh[qi] {
+			continue // a cap failure defers the probe past CommitCapBatches
 		}
+		ir, perr := sj.Job.RunIteration()
+		k := 0
+		if r := pipe.evs[qi]; r != nil && perr == nil {
+			k = r.due(pipe.now)
+			r.credit(k)
+		}
+		pipe.iters[qi], pipe.perrs[qi], pipe.settled[qi] = ir, perr, k
+		pipe.probed[qi] = true
 	}
 	return nil
 }

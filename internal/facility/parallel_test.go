@@ -1,11 +1,14 @@
 package facility
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"powerstack/internal/cluster"
 	"powerstack/internal/fault"
+	"powerstack/internal/obs"
+	"powerstack/internal/policy"
 )
 
 // pipelineFaults is the fault plan the parallel-pipeline and incremental-
@@ -59,6 +62,73 @@ func TestParallelReplanByteIdentical(t *testing.T) {
 			if got := withLeafChunk(chunk, func() string { return run(p) }); got != want {
 				t.Errorf("parallelism %d, leaf chunk %d diverged from parallelism 0\np0:  %s\ngot: %s", p, chunk, want, got)
 			}
+		}
+	}
+}
+
+// TestPipelineRewritesOnlyChangesAndFaults pins the replan pipeline's two
+// write rules at flat scope. A replan that leaves a job's caps unchanged
+// rewrites none of its hosts and does not re-probe the job. A host with an
+// armed MSR write fault is rewritten on every replan, so its fault
+// countdown advances as if every cap were rewritten, and its job is
+// re-probed.
+func TestPipelineRewritesOnlyChangesAndFaults(t *testing.T) {
+	cfg, workloads := serviceConfig(t)
+	cfg.Obs = obs.New()
+	// The first job takes the first two nodes; its first host holds a
+	// write fault that does not fire within the test.
+	faulty := cfg.Nodes[0].ID
+	cfg.Faults = fault.NewPlan(fault.Injection{Kind: fault.MSRWriteFault, Node: faulty, After: 1000})
+	in, err := NewInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.release()
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if in.st.scale {
+		t.Fatal("six nodes under ScaleAuto run the rack/room scope, want flat")
+	}
+	for _, id := range []string{"a", "b"} {
+		if _, err := in.Inject(0, Submission{ID: id, Workload: workloads[0], Nodes: 2, Iterations: 5000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	active := func(id string) evJob {
+		for _, r := range in.core.active {
+			if r.sj.Spec.ID == id {
+				return *r
+			}
+		}
+		t.Fatalf("job %s not running", id)
+		return evJob{}
+	}
+	seq := uint64(0)
+	for _, e := range cfg.Obs.Journal.Snapshot() {
+		seq = max(seq, e.Seq)
+	}
+	for round := 0; round < 2; round++ {
+		a, b := active("a"), active("b")
+		// Same policy, same running set, same budget: every cap repeats.
+		if err := in.SetPolicy(policy.MixedAdaptive{}); err != nil {
+			t.Fatal(err)
+		}
+		var written []string
+		for _, e := range cfg.Obs.Journal.Snapshot() {
+			if e.Seq > seq && e.Type == obs.EvLimitWrite {
+				written = append(written, e.Host)
+			}
+			seq = max(seq, e.Seq)
+		}
+		if !slices.Equal(written, []string{faulty}) {
+			t.Fatalf("round %d: hosts rewritten %v, want only the faulty host %s", round, written, faulty)
+		}
+		if got := active("b"); got.remaining != b.remaining || got.credited != b.credited || got.iter.Elapsed != b.iter.Elapsed {
+			t.Errorf("round %d: job b with unchanged caps was re-probed", round)
+		}
+		if got := active("a"); got.remaining >= a.remaining {
+			t.Errorf("round %d: job a with a rewritten host was not re-probed", round)
 		}
 	}
 }

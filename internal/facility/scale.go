@@ -1,11 +1,13 @@
-// Scale mode: the 100k-node path. Above a node-count threshold (or on
-// request) the facility switches two hot paths from exact-but-flat to
-// hierarchical-and-flat-memory: the policy replan negotiates watts down the
-// rack/room tree instead of over every job at once (the room pipeline in
-// parallel.go, at every Parallelism), and caps are rewritten only where
-// they changed and only the jobs whose caps moved are re-probed. Below the
-// threshold none of this engages, so small runs stay byte-identical to the
-// flat core — pinned by the frozen Result digests.
+// Policy scope: which jobs one policy round weighs against each other.
+// Every replan runs the same pipeline (parallel.go) and the same
+// apply-and-probe step, which writes only the caps that changed and
+// re-probes only fresh or changed jobs; the scope decides only how the
+// running set is grouped under the budget. At flat scope (ScaleAuto up to
+// ScaleThreshold nodes) the whole running set is one group under the
+// facility budget, as in the paper. At rack/room scope (ScaleAuto above
+// the threshold, or ScaleOn) watts are negotiated down the rack/room tree
+// and the policy splits each rack's grant over that rack's jobs, so
+// rack-mates alone compete.
 package facility
 
 import (
@@ -15,18 +17,18 @@ import (
 	"powerstack/internal/units"
 )
 
-// Scale-mode selectors for Config.ScaleMode.
+// Policy-scope selectors for Config.ScaleMode.
 const (
-	// ScaleAuto (the zero value) engages the hierarchical machinery only
-	// above ScaleThreshold nodes.
+	// ScaleAuto (the zero value) selects the flat scope up to
+	// ScaleThreshold nodes and the rack/room scope above it.
 	ScaleAuto = ""
-	// ScaleOn forces the hierarchical machinery at any size.
+	// ScaleOn selects the rack/room scope at any size.
 	ScaleOn = "scale"
 )
 
-// ScaleThreshold is the node count above which ScaleAuto switches to the
-// hierarchical paths. 4096 sits well clear of the ≤1k-node configurations
-// whose behavior is pinned byte-identical to the flat core.
+// ScaleThreshold is the node count above which ScaleAuto selects the
+// rack/room scope. 4096 sits well clear of the ≤1k-node configurations
+// whose results are pinned at flat scope.
 const ScaleThreshold = 4096
 
 // facilityPDUSize is the telemetry PDU fan-out the facility builds its
@@ -34,14 +36,14 @@ const ScaleThreshold = 4096
 // follow the same physical tree telemetry aggregates over.
 const facilityPDUSize = 16
 
-// scaleActive reports whether this configuration runs the hierarchical
-// paths.
+// scaleActive reports whether this configuration runs the rack/room
+// scope.
 func (c *Config) scaleActive() bool {
 	return c.ScaleMode == ScaleOn || len(c.Nodes) > ScaleThreshold
 }
 
-// planScratch is the request/topology scratch the hierarchical replan
-// reuses between rounds: per-job aggregate requests and each job's
+// planScratch is the request/topology scratch the rack/room scope reuses
+// between rounds: per-job aggregate requests and each job's
 // rack/room assignment.
 type planScratch struct {
 	reqs   []coordinator.Request

@@ -263,7 +263,7 @@ func (d *Device) Read(reg uint32) (uint64, error) {
 // device with no fault of either kind — every device outside a chaos run —
 // skips both map lookups.
 func (d *Device) injected(op Op, reg uint32) error {
-	if len(d.faults) == 0 && len(d.armed) == 0 {
+	if !d.Faulty() {
 		return nil
 	}
 	if err := d.faults[reg]; err != nil {
@@ -421,6 +421,10 @@ func (d *Device) ArmFault(op Op, reg uint32, after int, err error) {
 	}
 	d.armed[opReg{op, reg}] = &countdownFault{remaining: after, err: err}
 }
+
+// Faulty reports whether the device holds any sticky or armed injected
+// fault, fired or not.
+func (d *Device) Faulty() bool { return len(d.faults) > 0 || len(d.armed) > 0 }
 
 // RestoreAuxFrom copies the device state that lives outside the dense
 // register words — privileged side-map registers, sticky faults, and armed

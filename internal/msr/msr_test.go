@@ -495,3 +495,29 @@ func TestCloneCopiesWriteFaultCountdown(t *testing.T) {
 		t.Fatalf("original second write err = %v, want injected fault", err)
 	}
 }
+
+// TestFaultyTracksStickyAndArmedFaults pins Faulty: a sticky or an armed
+// fault makes the device faulty, fired or not, and clearing or disarming it
+// makes it healthy again.
+func TestFaultyTracksStickyAndArmedFaults(t *testing.T) {
+	d := NewDevice(nil)
+	if d.Faulty() {
+		t.Fatal("fresh device reports a fault")
+	}
+	d.SetFault(MSRPkgPowerLimit, errors.New("sticky"))
+	if !d.Faulty() {
+		t.Error("sticky fault not reported")
+	}
+	d.SetFault(MSRPkgPowerLimit, nil)
+	if d.Faulty() {
+		t.Error("cleared sticky fault still reported")
+	}
+	d.ArmFault(OpWrite, MSRPkgPowerLimit, 0, errors.New("armed"))
+	if err := d.Write(MSRPkgPowerLimit, 1); err == nil || !d.Faulty() {
+		t.Errorf("fired armed fault: write err %v, Faulty %v", err, d.Faulty())
+	}
+	d.ArmFault(OpWrite, MSRPkgPowerLimit, 0, nil)
+	if d.Faulty() {
+		t.Error("disarmed fault still reported")
+	}
+}

@@ -168,6 +168,17 @@ func (n *Node) Degradation() float64 {
 	return 1
 }
 
+// Faulty reports whether any of the node's MSR devices holds a sticky or
+// armed injected fault (msr.Device.Faulty).
+func (n *Node) Faulty() bool {
+	for _, su := range n.sockets {
+		if su.Dev.Faulty() {
+			return true
+		}
+	}
+	return false
+}
+
 // Slot returns the node's position in its resource manager's pool.
 func (n *Node) Slot() int { return n.slot }
 

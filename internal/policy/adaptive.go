@@ -86,26 +86,6 @@ func (s *scratch) flattenJob(j JobInfo, per units.Power, kind signalKind) {
 	s.appendJob(0, j, per, kind)
 }
 
-// flatten builds slots for every host, with targets chosen by the given
-// signal function. The policies themselves run on the pooled scratch path
-// (flattenAll); this allocating form remains for tests that probe the
-// flattening in isolation.
-func flatten(jobs []JobInfo, signal func(JobInfo, HostInfo) units.Power) []slot {
-	var slots []slot
-	for ji, j := range jobs {
-		for hi, h := range j.Hosts {
-			slots = append(slots, slot{
-				job:    ji,
-				idx:    hi,
-				min:    h.Min,
-				max:    h.Max,
-				target: units.Clamp(signal(j, h), h.Min, h.Max),
-			})
-		}
-	}
-	return slots
-}
-
 // uniformInit implements step 1 of Section III-A: distribute the budget
 // uniformly, clamped to the settable range.
 func uniformInit(slots []slot, budget units.Power) {
@@ -166,12 +146,6 @@ func (s *scratch) topUp(pool units.Power) units.Power {
 	return pool
 }
 
-// topUp is the standalone form of (*scratch).topUp for tests.
-func topUp(slots []slot, pool units.Power) units.Power {
-	s := scratch{slots: slots}
-	return s.topUp(pool)
-}
-
 // weightedSurplus implements step 4: a single weighted pass that allocates
 // the remaining pool across the hosts, with weights equal to the distance
 // from each host's minimum settable limit to its current allocation, each
@@ -222,13 +196,6 @@ func (s *scratch) weightedSurplus(pool units.Power) units.Power {
 		spent += grant
 	}
 	return pool - spent
-}
-
-// weightedSurplus is the standalone form of (*scratch).weightedSurplus for
-// tests.
-func weightedSurplus(slots []slot, pool units.Power) units.Power {
-	s := scratch{slots: slots}
-	return s.weightedSurplus(pool)
 }
 
 // assemble converts slots back into an Allocation. The returned map and cap

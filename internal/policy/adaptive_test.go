@@ -92,7 +92,8 @@ func TestTopUpNeverOvershootsTargets(t *testing.T) {
 		reclaim(slots)
 		before := totalAlloc(slots)
 		pool := units.Power(float64(poolRaw) / 4)
-		left := topUp(slots, pool)
+		s := scratch{slots: slots}
+		left := s.topUp(pool)
 		after := totalAlloc(slots)
 		// Spent power equals pool minus remainder.
 		if math.Abs(float64(after-before-(pool-left))) > 1e-3 {
@@ -132,7 +133,8 @@ func TestWeightedSurplusSinglePass(t *testing.T) {
 		}
 		before := totalAlloc(slots)
 		pool := units.Power(float64(poolRaw) / 8)
-		left := weightedSurplus(slots, pool)
+		s := scratch{slots: slots}
+		left := s.weightedSurplus(pool)
 		after := totalAlloc(slots)
 		if math.Abs(float64(after-before-(pool-left))) > 1e-3 {
 			return false
@@ -156,7 +158,8 @@ func TestWeightedSurplusUniformFallback(t *testing.T) {
 		{min: 136, max: 240, target: 136, alloc: 136},
 		{min: 136, max: 240, target: 136, alloc: 136},
 	}
-	left := weightedSurplus(slots, 20)
+	s := scratch{slots: slots}
+	left := s.weightedSurplus(20)
 	if math.Abs(float64(left)) > 1e-9 {
 		t.Errorf("remainder = %v, want 0", left)
 	}
@@ -167,9 +170,9 @@ func TestWeightedSurplusUniformFallback(t *testing.T) {
 
 func TestFlattenClampsTargets(t *testing.T) {
 	jobs := []JobInfo{mkJob("j", 1, 1, 500, 10, 200, 200, 210)}
-	slots := flatten(jobs, func(j JobInfo, h HostInfo) units.Power {
-		return j.Char.NeededForRole(h.Role)
-	})
+	var s scratch
+	s.flattenAll(jobs, 0, sigNeeded)
+	slots := s.slots
 	if slots[0].target != 240 {
 		t.Errorf("critical target = %v, want clamped to 240", slots[0].target)
 	}

@@ -22,26 +22,55 @@ type denseWorld struct {
 	bad  *node.Node
 }
 
+// applySequential is the reference cap writer the batch is pinned against:
+// one job's caps written host by host, with a failed host quarantined and
+// replaced by a spare on the spot. It reports whether any host was written.
+func applySequential(m *Manager, sj *ScheduledJob, caps []units.Power) bool {
+	changed := false
+	for i := range sj.Job.Hosts {
+		n := sj.Job.Hosts[i].Node
+		if m.drained[n.Slot()] || m.capUnchanged(n, caps[i]) {
+			continue
+		}
+		changed = true
+		if m.setLimit(n, caps[i]) == nil {
+			continue
+		}
+		m.quarantine(n, "cap_write")
+		if spare := m.takeSpare(caps[i]); spare != nil {
+			m.swapHost(sj, i, spare)
+		}
+	}
+	return changed
+}
+
 // round applies the world's caps to every job, sequentially through
-// ApplyCaps or batched through CapBatch and CommitCapBatches. Batched jobs
+// applySequential or batched through CapBatch and CommitCapBatches, and
+// returns the IDs of the jobs that had a cap written. Batched jobs
 // alternate between two batches, so the commit merges across batches.
-func (w *denseWorld) round(t *testing.T, batched bool) {
+func (w *denseWorld) round(t *testing.T, batched bool) []string {
 	t.Helper()
+	var changed []string
 	if !batched {
 		for ji, sj := range w.m.Jobs() {
-			if err := w.m.ApplyCaps(sj, w.caps[ji]); err != nil {
-				t.Fatal(err)
+			if applySequential(w.m, sj, w.caps[ji]) {
+				changed = append(changed, sj.Spec.ID)
 			}
 		}
-		return
+		return changed
 	}
 	batches := []*CapBatch{w.m.NewCapBatch(), w.m.NewCapBatch()}
 	for ji, sj := range w.m.Jobs() {
-		if err := batches[ji%2].ApplyCaps(sj, ji, w.caps[ji]); err != nil {
+		ch, err := batches[ji%2].ApplyCaps(sj, ji, w.caps[ji])
+		if err != nil {
 			t.Fatal(err)
+		}
+		if ch {
+			changed = append(changed, sj.Spec.ID)
 		}
 	}
 	w.m.CommitCapBatches(batches)
+	return changed
 }
 
 // newDenseWorld builds the world over testPool(14)[off:]. A manager over the
@@ -52,7 +81,6 @@ func newDenseWorld(t *testing.T, off int) *denseWorld {
 	NewManager(full)
 	w := &denseWorld{pool: full[off:]}
 	w.m = NewManager(w.pool)
-	w.m.Incremental = true
 	var jobs []*ScheduledJob
 	for i, id := range []string{"a", "b"} {
 		sj, err := w.m.Submit(JobSpec{ID: id, Config: cfgBalanced(), Nodes: 4}, uint64(i+1))
@@ -98,7 +126,7 @@ func quarantinedIDs(m *Manager) []string {
 }
 
 // TestDenseCapStateMatchesSequential pins the slot-indexed drained flags and
-// last-cap slots: the sequential ApplyCaps path and the batched
+// last-cap slots: the sequential reference writer and the batched
 // CapBatch+CommitCapBatches path leave identical registers, drain sets and
 // changed-job sets over a clean round, a round where one host's write
 // fails and a spare replaces it, and an unchanged round — on a full pool
@@ -112,7 +140,7 @@ func TestDenseCapStateMatchesSequential(t *testing.T) {
 					t.Fatalf("node %s at pool position %d has slot %d", n.ID, i, n.Slot())
 				}
 			}
-			wantChanged := []string{"map[a:true b:true]", "map[a:true]", "map[]"}
+			wantChanged := []string{"[a b]", "[a]", "[]"}
 			for round, want := range wantChanged {
 				if round == 1 {
 					// Job a's caps move and its second host's writes fail.
@@ -123,8 +151,10 @@ func TestDenseCapStateMatchesSequential(t *testing.T) {
 						w.bad.Sockets()[1].Dev.ArmFault(msr.OpWrite, msr.MSRPkgPowerLimit, 0, errors.New("write fault"))
 					}
 				}
-				seq.round(t, false)
-				bat.round(t, true)
+				changed := [2]string{fmt.Sprint(seq.round(t, false)), fmt.Sprint(bat.round(t, true))}
+				if changed[0] != want || changed[1] != want {
+					t.Fatalf("round %d: changed jobs %s sequential, %s batched, want %s", round, changed[0], changed[1], want)
+				}
 
 				if !slices.Equal(seq.words(), bat.words()) {
 					t.Fatalf("round %d: registers differ between sequential and batched apply", round)
@@ -133,9 +163,6 @@ func TestDenseCapStateMatchesSequential(t *testing.T) {
 					t.Fatalf("round %d: quarantined %v sequential, %v batched", round, a, b)
 				}
 				for _, w := range []*denseWorld{seq, bat} {
-					if got := fmt.Sprint(w.m.TakeChangedJobs()); got != want {
-						t.Fatalf("round %d: changed jobs %s, want %s", round, got, want)
-					}
 					w.checkSlots(t, round)
 				}
 			}
@@ -182,7 +209,6 @@ func (w *denseWorld) checkSlots(t *testing.T, round int) {
 // with half the caps changed since the last commit. It must not allocate.
 func BenchmarkCapBatchApplyCaps(b *testing.B) {
 	m := NewManager(testPool(b, 512))
-	m.Incremental = true
 	sj, err := m.Submit(JobSpec{ID: "wide", Config: cfgBalanced(), Nodes: 512}, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -200,7 +226,7 @@ func BenchmarkCapBatchApplyCaps(b *testing.B) {
 	batches := []*CapBatch{m.NewCapBatch()}
 	for k := range caps { // warm the encoder memo and the changed set
 		batches[0].Reset()
-		if err := batches[0].ApplyCaps(sj, 0, caps[k]); err != nil {
+		if _, err := batches[0].ApplyCaps(sj, 0, caps[k]); err != nil {
 			b.Fatal(err)
 		}
 		m.CommitCapBatches(batches)
@@ -209,7 +235,7 @@ func BenchmarkCapBatchApplyCaps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batches[0].Reset()
-		if err := batches[0].ApplyCaps(sj, 0, caps[i&1]); err != nil {
+		if _, err := batches[0].ApplyCaps(sj, 0, caps[i&1]); err != nil {
 			b.Fatal(err)
 		}
 		m.CommitCapBatches(batches)

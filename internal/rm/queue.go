@@ -243,6 +243,21 @@ func (s *Scheduler) Dispatch(seed uint64) ([]*ScheduledJob, error) {
 	return startedNow, nil
 }
 
+// CanDispatch reports whether Dispatch would start at least one queued job
+// now. It walks the queue as Dispatch does — FCFS, past a blocked head only
+// under Backfill — and admits nothing.
+func (s *Scheduler) CanDispatch() bool {
+	for _, qj := range s.queue {
+		if s.fits(qj) {
+			return true
+		}
+		if !s.Backfill {
+			return false
+		}
+	}
+	return false
+}
+
 // remove drops a started job from the started set and releases its power
 // commitment (system-wide and per-tenant), returning the released demand.
 // It is the shared first half of Complete, Requeue, and Abort.

@@ -119,6 +119,44 @@ func TestBackfillLetsSmallJobsPass(t *testing.T) {
 	}
 }
 
+// TestCanDispatchBlockedHead pins CanDispatch against Dispatch with a
+// blocked head and a job behind it that fits, with and without Backfill:
+// CanDispatch agrees with what Dispatch then starts, admits nothing
+// itself, and reports false once the queue is dispatch-stable.
+func TestCanDispatchBlockedHead(t *testing.T) {
+	for _, backfill := range []bool{true, false} {
+		m, s := schedEnv(t, 4, 10*240*units.Watt)
+		s.Backfill = backfill
+		if s.CanDispatch() {
+			t.Fatalf("backfill %v: empty queue reports a dispatchable job", backfill)
+		}
+		for _, spec := range []JobSpec{
+			{ID: "big", Config: cfgBalanced(), Nodes: 6},
+			{ID: "small", Config: cfgBalanced(), Nodes: 2},
+		} {
+			if _, err := s.Enqueue(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.CanDispatch(); got != backfill {
+			t.Fatalf("backfill %v: CanDispatch = %v behind a blocked head", backfill, got)
+		}
+		if len(s.Queue()) != 2 || m.FreeNodes() != 4 || s.CommittedPower() != 0 {
+			t.Fatalf("backfill %v: CanDispatch admitted a job", backfill)
+		}
+		started, err := s.Dispatch(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{true: 1, false: 0}[backfill]; len(started) != want {
+			t.Fatalf("backfill %v: Dispatch started %v, want %d jobs", backfill, names(started), want)
+		}
+		if s.CanDispatch() {
+			t.Fatalf("backfill %v: CanDispatch true right after Dispatch", backfill)
+		}
+	}
+}
+
 func TestCompleteReleasesNodesAndPower(t *testing.T) {
 	m, s := schedEnv(t, 6, 6*235*units.Watt)
 	if _, err := s.Enqueue(JobSpec{ID: "a", Config: cfgBalanced(), Nodes: 3}); err != nil {

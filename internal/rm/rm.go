@@ -66,8 +66,8 @@ type ScheduledJob struct {
 	Spec JobSpec
 	Job  *bsp.Job
 
-	// info caches the job's policy view between replans (Incremental mode):
-	// the characterization entry and host limits are fixed for the job's
+	// info caches the job's policy view between replans: the
+	// characterization entry and host limits are fixed for the job's
 	// lifetime unless a failed host is swapped for a spare, which clears
 	// infoValid.
 	info      policy.JobInfo
@@ -101,9 +101,9 @@ type Manager struct {
 	// RunAll's concurrent jobs.
 	Obs *obs.Sink
 
-	// SpanParent, when valid, parents the per-node cap-write spans Apply
-	// opens. The facility points it at the current replan-round span before
-	// each Plan/Apply pair and clears it after.
+	// SpanParent, when valid, parents the per-node cap-write spans cap
+	// batches open. The facility points it at the current replan-round span
+	// before each replan and clears it after.
 	SpanParent obs.SpanContext
 
 	// Workers bounds how many jobs RunAll executes concurrently; zero or
@@ -131,28 +131,18 @@ type Manager struct {
 	// credited to it and not to the spare.
 	BeforeSwap func(sj *ScheduledJob)
 
-	// enc memoizes PL1 field encodings across all cap writes this manager
-	// issues (a replan programs the same few distinct wattages across
-	// thousands of sockets). The manager is single-goroutine on the
-	// control path, so the encoder needs no locking.
+	// enc memoizes PL1 field encodings for the writes the manager issues
+	// itself: TDP resets on release and rejoin, and spare claims. Replan
+	// caps go through each CapBatch's own encoder. The manager is
+	// single-goroutine on the control path, so the encoder needs no
+	// locking.
 	enc rapl.LimitEncoder
 
-	// Incremental enables the scale-path replan shortcuts: ApplyCaps skips
-	// hosts whose cap equals the last successfully programmed value, and
-	// JobInfos reuses each job's policy view between replans. The register
-	// state each replan converges to is the same; what changes is MSR
-	// traffic (skipped rewrites consume no fault countdowns) and fallback
-	// journaling cadence — so the facility enables it only in scale mode,
-	// never on the small-N exactness path.
-	Incremental bool
 	// lastCap records, by slot, the cap most recently programmed with
-	// success, NaN where none is known; only maintained when Incremental
-	// is set. NaN compares unequal to every cap, so an unknown register is
-	// always rewritten.
+	// success on a node without injected faults, NaN where none is known.
+	// CapBatch skips a host whose cap equals it. NaN compares unequal to
+	// every cap, so an unknown register is always rewritten.
 	lastCap []units.Power
-	// changed collects the IDs of jobs that had at least one host cap
-	// actually (re)programmed since the last TakeChangedJobs drain.
-	changed map[string]bool
 }
 
 // NewManager builds a manager over the given node pool and assigns each
@@ -160,13 +150,16 @@ type Manager struct {
 // one manager at a time: building another manager over it reassigns its
 // slot.
 func NewManager(pool []*node.Node) *Manager {
+	lastCap := make([]units.Power, len(pool))
 	for i, n := range pool {
 		n.SetSlot(i)
+		lastCap[i] = units.Power(math.NaN())
 	}
 	return &Manager{
 		free:    append([]*node.Node(nil), pool...),
 		pool:    append([]*node.Node(nil), pool...),
 		drained: make([]bool, len(pool)),
+		lastCap: lastCap,
 	}
 }
 
@@ -268,11 +261,23 @@ func (m *Manager) Rejoin(id string) bool {
 	return true
 }
 
-// setLimit programs one node's power limit with bounded retries, journaling
-// each retry and recording how many retries the write needed in the
-// cap-write retry-count distribution. It returns the last error once the
-// retry budget is spent.
+// setLimit programs one node's power limit through the manager's encoder
+// and records what its register is known to hold (see writeLimit).
 func (m *Manager) setLimit(n *node.Node, watts units.Power) error {
+	last, err := m.writeLimit(n, watts, &m.enc)
+	m.lastCap[n.Slot()] = last
+	return err
+}
+
+// writeLimit programs one node's power limit with bounded retries,
+// journaling each retry and recording how many retries the write needed in
+// the cap-write retry-count distribution. It returns the last error once
+// the retry budget is spent, and the cap the node's last-cap slot may
+// hold: watts after a success, NaN after a failure (the register may hold
+// anything) or when the node carries an injected MSR fault. A faulty
+// node's cap is thus never skipped, so its fault countdowns advance on
+// every replan exactly as if every cap were rewritten.
+func (m *Manager) writeLimit(n *node.Node, watts units.Power, enc *rapl.LimitEncoder) (units.Power, error) {
 	retries := m.CapRetries
 	if retries == 0 {
 		retries = DefaultCapRetries
@@ -285,54 +290,22 @@ func (m *Manager) setLimit(n *node.Node, watts units.Power) error {
 		if attempt > 0 {
 			m.Obs.CapRetry(n.ID, watts.Watts(), attempt)
 		}
-		if _, err = n.SetPowerLimitCached(watts, &m.enc); err == nil {
+		if _, err = n.SetPowerLimitCached(watts, enc); err == nil {
 			m.Obs.CapWriteRetries(n.ID, attempt)
-			if m.Incremental {
-				m.lastCaps()[n.Slot()] = watts
+			if n.Faulty() {
+				return units.Power(math.NaN()), nil
 			}
-			return nil
+			return watts, nil
 		}
 	}
 	m.Obs.CapWriteRetries(n.ID, retries)
-	m.forgetCap(n)
-	return err
-}
-
-// lastCaps returns the last-cap slots, allocating them (all unknown) on
-// first use.
-func (m *Manager) lastCaps() []units.Power {
-	if m.lastCap == nil {
-		m.lastCap = make([]units.Power, len(m.pool))
-		for i := range m.lastCap {
-			m.lastCap[i] = units.Power(math.NaN())
-		}
-	}
-	return m.lastCap
+	return units.Power(math.NaN()), err
 }
 
 // capUnchanged reports whether n's register is known to hold exactly
 // watts already, so a rewrite would program the same bits.
 func (m *Manager) capUnchanged(n *node.Node, watts units.Power) bool {
-	return m.lastCap != nil && m.lastCap[n.Slot()] == watts
-}
-
-// forgetCap marks n's register contents unknown: after a failed write it
-// may hold anything, so no future identical-looking cap may be skipped
-// against it.
-func (m *Manager) forgetCap(n *node.Node) {
-	if m.lastCap != nil {
-		m.lastCap[n.Slot()] = units.Power(math.NaN())
-	}
-}
-
-// TakeChangedJobs drains the set of job IDs whose caps were actually
-// reprogrammed since the previous drain (Incremental mode only; always
-// empty otherwise). The event core uses it to bound re-probing after a
-// replan to the jobs whose operating point could have moved.
-func (m *Manager) TakeChangedJobs() map[string]bool {
-	ch := m.changed
-	m.changed = nil
-	return ch
+	return m.lastCap[n.Slot()] == watts
 }
 
 // Submit allocates nodes for the spec and schedules the job. The seed
@@ -424,7 +397,7 @@ func (m *Manager) JobInfos(db *charz.DB) ([]policy.JobInfo, error) {
 	}
 	infos := make([]policy.JobInfo, 0, len(m.jobs))
 	for _, sj := range m.jobs {
-		if m.Incremental && sj.infoValid {
+		if sj.infoValid {
 			infos = append(infos, sj.info)
 			continue
 		}
@@ -446,10 +419,8 @@ func (m *Manager) JobInfos(db *charz.DB) ([]policy.JobInfo, error) {
 				Max:  h.Node.TDP(),
 			})
 		}
-		if m.Incremental {
-			sj.info = info
-			sj.infoValid = true
-		}
+		sj.info = info
+		sj.infoValid = true
 		infos = append(infos, info)
 	}
 	return infos, nil
@@ -465,71 +436,35 @@ func (m *Manager) Plan(p policy.Policy, budget units.Power, db *charz.DB) (polic
 }
 
 // Apply programs an allocation's per-host caps through the GEOPM static
-// agent path (clamping to each host's settable range happens in the agent).
+// agent path (clamping to each host's settable range happens in the agent)
+// as one CapBatch, committed before Apply returns.
 //
-// A host whose cap write persistently fails (after setLimit's bounded
-// retries) is quarantined and, when the free pool has a spare, replaced in
-// the job in place: the spare takes the failed host's cap and role, and
-// the job's barrier structure is untouched. With no spare available the
-// faulty node stays in the job at its last programmed limit — the job
-// keeps running, merely uncontrolled on that host — and the condition is
-// journaled. Apply therefore errors only on structural problems (an
-// allocation that does not match the schedule), never on injected or
-// transient hardware faults: graceful degradation is the contract.
+// A host whose cap write persistently fails (after bounded retries) is
+// quarantined and, when the free pool has a spare, replaced in the job in
+// place: the spare takes the failed host's cap and role, and the job's
+// barrier structure is untouched. With no spare available the faulty node
+// stays in the job at its last programmed limit — the job keeps running,
+// merely uncontrolled on that host — and the condition is journaled. Apply
+// therefore errors only on structural problems (an allocation that does
+// not match the schedule), never on injected or transient hardware faults:
+// graceful degradation is the contract.
 func (m *Manager) Apply(alloc policy.Allocation) error {
-	for _, sj := range m.jobs {
+	b := m.NewCapBatch()
+	var err error
+	for i, sj := range m.jobs {
 		caps, ok := alloc[sj.Spec.ID]
 		if !ok {
-			return fmt.Errorf("rm: allocation missing job %s", sj.Spec.ID)
+			err = fmt.Errorf("rm: allocation missing job %s", sj.Spec.ID)
+			break
 		}
-		if err := m.ApplyCaps(sj, caps); err != nil {
-			return err
+		if _, err = b.ApplyCaps(sj, i, caps); err != nil {
+			break
 		}
 	}
-	return nil
-}
-
-// ApplyCaps programs one job's per-host caps in a single batch over the
-// host vector — the unit of work hierarchical replans hand the manager per
-// rack. The per-host semantics are exactly Apply's: quarantined hosts are
-// skipped, each write gets a cap_write span and setLimit's bounded retries,
-// and a persistently failing host is quarantined and replaced by a spare
-// when one exists. Errors are structural only (cap/host count mismatch).
-func (m *Manager) ApplyCaps(sj *ScheduledJob, caps []units.Power) error {
-	if len(caps) != len(sj.Job.Hosts) {
-		return fmt.Errorf("rm: job %s: %d caps for %d hosts", sj.Spec.ID, len(caps), len(sj.Job.Hosts))
-	}
-	for i := range sj.Job.Hosts {
-		n := sj.Job.Hosts[i].Node
-		if m.drained[n.Slot()] {
-			// Already given up on: keep the job running at the
-			// node's last limit without another retry storm.
-			continue
-		}
-		if m.Incremental {
-			if m.capUnchanged(n, caps[i]) {
-				continue
-			}
-			if m.changed == nil {
-				m.changed = map[string]bool{}
-			}
-			m.changed[sj.Spec.ID] = true
-		}
-		sp := m.Obs.StartSpan(m.SpanParent, "rm", "cap_write").
-			SetScope(sj.Spec.ID).SetHost(n.ID).SetValue(caps[i].Watts())
-		err := m.setLimit(n, caps[i])
-		if err == nil {
-			sp.End()
-			continue
-		}
-		m.quarantine(n, "cap_write")
-		if spare := m.takeSpare(caps[i]); spare != nil {
-			m.swapHost(sj, i, spare)
-			sp.SetHost(spare.ID)
-		}
-		sp.End()
-	}
-	return nil
+	// Commit what was written even on error, so the last-cap slots match
+	// the registers.
+	m.CommitCapBatches([]*CapBatch{b})
+	return err
 }
 
 // swapHost puts spare in place of sj's host i.

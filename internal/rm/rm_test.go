@@ -318,12 +318,11 @@ func TestApplySwapsQuarantinedHostForSpare(t *testing.T) {
 	}
 }
 
-// TestCapBatchRecordsChangedJobOnce pins that a batch records a job whose
-// caps moved once, however many of its hosts were rewritten, and that the
-// commit reports it as changed.
+// TestCapBatchRecordsChangedJobOnce pins that ApplyCaps reports a job
+// whose caps moved as changed, and that unchanged caps are skipped: nothing
+// is written and the job is not reported.
 func TestCapBatchRecordsChangedJobOnce(t *testing.T) {
 	m := NewManager(testPool(t, 8))
-	m.Incremental = true
 	sj, err := m.Submit(JobSpec{ID: "wide", Config: cfgBalanced(), Nodes: 8}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -333,23 +332,17 @@ func TestCapBatchRecordsChangedJobOnce(t *testing.T) {
 		caps[i] = 180*units.Watt + units.Power(i)
 	}
 	b := m.NewCapBatch()
-	if err := b.ApplyCaps(sj, 0, caps); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.NumChanged(); got != 1 {
-		t.Errorf("NumChanged = %d after rewriting %d hosts, want 1", got, len(caps))
+	if changed, err := b.ApplyCaps(sj, 0, caps); err != nil || !changed {
+		t.Fatalf("ApplyCaps = %v, %v after rewriting %d hosts, want changed", changed, err, len(caps))
 	}
 	m.CommitCapBatches([]*CapBatch{b})
-	if ch := m.TakeChangedJobs(); len(ch) != 1 || !ch["wide"] {
-		t.Errorf("changed jobs = %v, want just wide", ch)
-	}
-	// Unchanged caps are skipped and record nothing.
+	// Unchanged caps are skipped and report nothing.
 	b.Reset()
-	if err := b.ApplyCaps(sj, 0, caps); err != nil {
-		t.Fatal(err)
+	if changed, err := b.ApplyCaps(sj, 0, caps); err != nil || changed {
+		t.Errorf("ApplyCaps = %v, %v for unchanged caps, want unchanged", changed, err)
 	}
-	if got := b.NumChanged(); got != 0 {
-		t.Errorf("NumChanged = %d for unchanged caps, want 0", got)
+	if len(b.writes) != 0 {
+		t.Errorf("%d writes recorded for unchanged caps, want 0", len(b.writes))
 	}
 }
 
