@@ -237,7 +237,7 @@ type simState struct {
 	rng   *rand.Rand
 	mgr   *rm.Manager
 	sched *rm.Scheduler
-	root  *telemetry.Domain
+	root  *telemetry.Hierarchy
 	res   *Result
 	start time.Time // wall-clock epoch of virtual time zero
 	// nodeByID resolves fault-plan and wire node IDs. Below that boundary

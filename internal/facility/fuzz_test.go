@@ -43,8 +43,10 @@ var fuzzQuotas = []units.Power{0, 600 * units.Watt, 1500 * units.Watt, 4000 * un
 // apply runs the command on in and returns its error. workloads are the
 // characterized configs; an index past them submits an uncharacterized
 // workload, and a node count of 0 or above the pool an invalid submission,
-// so admission refusals are part of the sequence too.
-func (c instanceCommand) apply(in *Instance, workloads []kernel.Config) error {
+// so admission refusals are part of the sequence too. A chunked Step
+// advances in two calls, to the midpoint and then to the target, and
+// returns the first error.
+func (c instanceCommand) apply(in *Instance, workloads []kernel.Config, chunked bool) error {
 	now := in.Now()
 	a := int(c.arg)
 	switch c.op % opCount {
@@ -81,25 +83,33 @@ func (c instanceCommand) apply(in *Instance, workloads []kernel.Config) error {
 		// of the sequence too.
 		return in.SetTenantQuota([]string{"", "acme"}[a%2], fuzzQuotas[a/2%len(fuzzQuotas)])
 	default:
-		return in.Step(context.Background(), now+time.Duration(1+a%24)*30*time.Second)
+		until := now + time.Duration(1+a%24)*30*time.Second
+		if chunked {
+			if err := in.Step(context.Background(), now+(until-now)/2); err != nil {
+				return err
+			}
+		}
+		return in.Step(context.Background(), until)
 	}
 }
 
 // FuzzInstanceCommands drives random Inject/Pause/Resume/ScheduleBudget/
 // SetPolicy/Step/SetTenantQuota sequences against twin instances of a
-// 24-node pool — one at Parallelism 1 (every phase inline), one at 2 — at
-// both policy scopes: ScaleAuto (flat at 24 nodes) and ScaleOn (rack/room).
-// The twins run under the pipeline fault plan (crash and repair, a slow
-// window, MSR write and read faults, a telemetry dropout), with
-// checkpointing on and the preempt emergency response. Each pair of input
-// bytes is one command. After every command both twins returned the same
-// error, their Snapshots are byte-identical as JSON, and jobs are
+// 24-node pool — one at Parallelism 1 (every phase inline) stepping in one
+// call, one at 2 splitting every Step at its midpoint — at both policy
+// scopes: ScaleAuto (flat at 24 nodes) and ScaleOn (rack/room), and under
+// each emergency response (preempt, kill, throttle). The twins run under
+// the pipeline fault plan (crash and repair, a slow window, MSR write and
+// read faults, a telemetry dropout), with checkpointing on. Each pair of
+// input bytes is one command. After every command both twins returned the
+// same error, their Snapshots are byte-identical as JSON, and jobs are
 // conserved: every submission that entered the queue is completed,
 // running, queued or killed (rejections never enter it, and preempted or
-// crash-requeued jobs are back in the queue). Under the preempt response
-// the committed power never exceeds the budget in force. Dispatch is
-// stable: no queued job fits that the instance left unstarted. At the end,
-// the twins' closed Results are byte-identical.
+// crash-requeued jobs are back in the queue). Under the preempt and kill
+// responses the committed power never exceeds the budget in force;
+// throttle keeps every job running and may overrun it. Dispatch is stable:
+// no queued job fits that the instance left unstarted. At the end, the
+// twins' closed Results are byte-identical.
 func FuzzInstanceCommands(f *testing.F) {
 	src, db, workloads := facilityEnv(f, 24)
 	f.Add([]byte{opStep, 20, opInject, 0, opStep, 23, opScheduleBudget, 2, opStep, 23})
@@ -108,22 +118,26 @@ func FuzzInstanceCommands(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mode := range []string{ScaleAuto, ScaleOn} {
-			fuzzTwins(t, mode, data, func() Config {
-				cfg := baseConfig(cluster.ClonePool(src), db, workloads)
-				cfg.JobSizes = []int{2, 4, 8}
-				return cfg
-			}, workloads)
+			for _, resp := range []EmergencyPolicy{EmergencyPreempt, EmergencyKill, EmergencyThrottle} {
+				fuzzTwins(t, mode, resp, data, func() Config {
+					cfg := baseConfig(cluster.ClonePool(src), db, workloads)
+					cfg.JobSizes = []int{2, 4, 8}
+					return cfg
+				}, workloads)
+			}
 		}
 	})
 }
 
 // fuzzTwins runs one FuzzInstanceCommands input against twin instances at
-// one scale mode and checks the invariants after every command.
-func fuzzTwins(t *testing.T, mode string, data []byte, base func() Config, workloads []kernel.Config) {
+// one scale mode and emergency response and checks the invariants after
+// every command.
+func fuzzTwins(t *testing.T, mode string, resp EmergencyPolicy, data []byte, base func() Config, workloads []kernel.Config) {
 	t.Helper()
 	newTwin := func(parallelism int) *Instance {
 		cfg := base()
 		cfg.ScaleMode = mode
+		cfg.Emergency = resp
 		cfg.Faults = pipelineFaults()
 		cfg.CheckpointEvery = 50
 		cfg.Parallelism = parallelism
@@ -141,25 +155,25 @@ func fuzzTwins(t *testing.T, mode string, data []byte, base func() Config, workl
 		cmd := instanceCommand{op: data[i], arg: data[i+1]}
 		var errs [2]string
 		for k, in := range twins {
-			errs[k] = fmt.Sprint(cmd.apply(in, workloads))
+			errs[k] = fmt.Sprint(cmd.apply(in, workloads, k == 1))
 		}
 		if errs[0] != errs[1] {
-			t.Fatalf("scale %q command %d %+v: errors diverged: %s vs %s", mode, i/2, cmd, errs[0], errs[1])
+			t.Fatalf("scale %q %s command %d %+v: errors diverged: %s vs %s", mode, resp, i/2, cmd, errs[0], errs[1])
 		}
 		sn := twins[0].Snapshot()
 		a, b := snapshotJSON(t, sn), snapshotJSON(t, twins[1].Snapshot())
 		if a != b {
-			t.Fatalf("scale %q command %d %+v: snapshots diverged\np1: %s\np2: %s", mode, i/2, cmd, a, b)
+			t.Fatalf("scale %q %s command %d %+v: snapshots diverged\np1: %s\np2: %s", mode, resp, i/2, cmd, a, b)
 		}
 		if accounted := sn.Completed + len(sn.Running) + sn.QueuedJobs + sn.Killed; sn.Submitted != accounted {
-			t.Fatalf("scale %q command %d %+v: %d submitted, but completed %d + running %d + queued %d + killed %d = %d",
-				mode, i/2, cmd, sn.Submitted, sn.Completed, len(sn.Running), sn.QueuedJobs, sn.Killed, accounted)
+			t.Fatalf("scale %q %s command %d %+v: %d submitted, but completed %d + running %d + queued %d + killed %d = %d",
+				mode, resp, i/2, cmd, sn.Submitted, sn.Completed, len(sn.Running), sn.QueuedJobs, sn.Killed, accounted)
 		}
-		if sn.CommittedPower > sn.Budget {
-			t.Fatalf("scale %q command %d %+v: committed %v over budget %v", mode, i/2, cmd, sn.CommittedPower, sn.Budget)
+		if resp != EmergencyThrottle && sn.CommittedPower > sn.Budget {
+			t.Fatalf("scale %q %s command %d %+v: committed %v over budget %v", mode, resp, i/2, cmd, sn.CommittedPower, sn.Budget)
 		}
 		if twins[0].st.sched.CanDispatch() {
-			t.Fatalf("scale %q command %d %+v: a queued job fits but was not dispatched", mode, i/2, cmd)
+			t.Fatalf("scale %q %s command %d %+v: a queued job fits but was not dispatched", mode, resp, i/2, cmd)
 		}
 	}
 	var res [2]string
@@ -171,7 +185,7 @@ func fuzzTwins(t *testing.T, mode string, data []byte, base func() Config, workl
 		res[k] = resultJSON(t, r)
 	}
 	if res[0] != res[1] {
-		t.Fatalf("scale %q: closed results diverged\np1: %s\np2: %s", mode, res[0], res[1])
+		t.Fatalf("scale %q %s: closed results diverged\np1: %s\np2: %s", mode, resp, res[0], res[1])
 	}
 }
 

@@ -41,11 +41,12 @@
 // register width — and one serial pass in active-list order then marks the
 // hosts dirty and advances the jobs' accounting.
 //
-// Telemetry leaf reads (telemetry.Domain.SampleDirty). Workers read
+// Telemetry leaf reads (telemetry.Hierarchy.SampleDirty). Workers read
 // fixed-size chunks of the sorted dirty-leaf list; each leaf writes only its
-// own domain, index entries and devices. One serial merge in ascending leaf
-// order compacts the dirty set, marks parents, re-sums interiors and makes
-// the TelemetryHold journal calls.
+// own ordinal's entries and its node's devices. One serial merge in
+// ascending leaf order compacts the dirty set, re-sums the PDU, room and
+// root tiers above the visited leaves and makes the TelemetryHold journal
+// calls.
 //
 // The journal contract: telemetry_hold events keep leaf order at every
 // parallelism. EnergyWrap and LimitWrite events emitted on workers (energy

@@ -3,11 +3,14 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 
 	apiv1 "powerstack/api/v1"
 	"powerstack/internal/charz"
@@ -22,6 +25,41 @@ import (
 
 // fuzzRoutes are the mutating endpoints FuzzServiceRequests drives.
 var fuzzRoutes = []string{"/v1/submit", "/v1/budget", "/v1/tenants", "/v1/policy"}
+
+// fuzzReads are the read-only routes FuzzServiceRequests checks after
+// every POST; jobPath adds /v1/jobs/{id} for a token of the fuzzed body.
+var fuzzReads = []string{"/v1/instances/main", "/v1/jobs", "/v1/tenants"}
+
+// jobPath returns the /v1/jobs/{id} path for the last token of body, split
+// at JSON punctuation and whitespace — a submission's trailing job_id value,
+// say. The token is URL-escaped, dots included, so path cleaning cannot
+// rewrite a "." or ".." segment.
+func jobPath(body string) string {
+	fields := strings.FieldsFunc(body, func(r rune) bool {
+		return unicode.IsSpace(r) || strings.ContainsRune(`{}[]":,`, r)
+	})
+	var id string
+	if n := len(fields); n > 0 {
+		id = fields[n-1]
+	}
+	return "/v1/jobs/" + strings.ReplaceAll(url.PathEscape(id), ".", "%2E")
+}
+
+// checkContract fails unless rec is a 200 or a refusal whose body carries a
+// stable apiv1 code with its mapped status.
+func checkContract(t *testing.T, req string, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	if rec.Code == http.StatusOK {
+		return
+	}
+	var apiErr apiv1.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil {
+		t.Fatalf("%s: status %d with undecodable body %q", req, rec.Code, rec.Body.String())
+	}
+	if want, ok := fuzzCodeStatus[apiErr.Code]; !ok || want != rec.Code {
+		t.Fatalf("%s: status %d code %q (%s), outside the error contract", req, rec.Code, apiErr.Code, apiErr.Message)
+	}
+}
 
 // fuzzCodeStatus is the error contract a fuzzed request may hit: every
 // stable apiv1 code a malformed or refused request can earn, with its HTTP
@@ -68,9 +106,11 @@ func fuzzWorld(f *testing.F) (facility.Config, []*node.Node) {
 // mutating endpoints of a hosted 8-node instance. Each newline-separated
 // line of bodies is one POST, routed by the matching byte of routes. After
 // every request: the handler did not panic, the status is 200 or a mapped
-// refusal, a refusal body carries its stable apiv1 code, and stepping the
-// instance one quantum under a 2 s deadline returns and advances virtual
-// time — no accepted input may wedge the instance.
+// refusal, a refusal body carries its stable apiv1 code, the GET routes
+// /v1/instances/main, /v1/jobs, /v1/tenants and /v1/jobs/{id} (id a token
+// of the body) answer under the same contract, and stepping the instance
+// one quantum under a 2 s deadline returns and advances virtual time — no
+// accepted input may wedge the instance.
 func FuzzServiceRequests(f *testing.F) {
 	base, src := fuzzWorld(f)
 	// Seeds: the oversized submission that once livelocked the instance,
@@ -113,15 +153,11 @@ func FuzzServiceRequests(f *testing.F) {
 			route := fuzzRoutes[int(routes[i%len(routes)])%len(fuzzRoutes)]
 			rec := httptest.NewRecorder()
 			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				var apiErr apiv1.Error
-				if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil {
-					t.Fatalf("POST %s %q: status %d with undecodable body %q", route, body, rec.Code, rec.Body.String())
-				}
-				if want, ok := fuzzCodeStatus[apiErr.Code]; !ok || want != rec.Code {
-					t.Fatalf("POST %s %q: status %d code %q (%s), outside the error contract",
-						route, body, rec.Code, apiErr.Code, apiErr.Message)
-				}
+			checkContract(t, fmt.Sprintf("POST %s %q", route, body), rec)
+			for _, path := range append(fuzzReads, jobPath(body)) {
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				checkContract(t, fmt.Sprintf("after POST %s %q: GET %s", route, body, path), rec)
 			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

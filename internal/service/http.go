@@ -35,7 +35,7 @@ var errBadRequest = errors.New("service: bad request")
 var requestBuckets = []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5}
 
 // Handler returns the daemon's HTTP surface: the /v1 API routed by method
-// and path pattern, with the obs debug mux as the fallback.
+// and path pattern, with the obs debug mux serving every path outside /v1.
 func (h *Host) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/instances", h.handleInstances)
@@ -52,6 +52,12 @@ func (h *Host) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/policies", h.handlePolicies)
 	mux.HandleFunc("GET /v1/stream/telemetry", h.handleStreamTelemetry)
 	mux.HandleFunc("GET /v1/stream/events", h.handleStreamEvents)
+	// Any other /v1 request answers the API's not_found error rather than
+	// the debug mux's plain-text 404, so the error contract covers every
+	// /v1 path.
+	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, fmt.Errorf("%w: %s %s", errNotFound, r.Method, r.URL.Path))
+	})
 	mux.Handle("/", obs.NewMux(h.sink))
 	return h.instrument(mux)
 }

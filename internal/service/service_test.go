@@ -460,6 +460,14 @@ func TestHostRouting(t *testing.T) {
 	if code := get(t, srv.URL+"/v1/jobs/nope", &werr); code != 404 {
 		t.Fatalf("unknown job = %d", code)
 	}
+	// Unrouted /v1 paths (an unknown route, an empty job ID, a lone
+	// escaped slash) answer the API's not_found error too.
+	for _, path := range []string{"/v1/nope", "/v1/jobs/", "/v1/jobs/%2F"} {
+		werr = apiv1.Error{}
+		if code := get(t, srv.URL+path, &werr); code != 404 || werr.Code != apiv1.CodeNotFound {
+			t.Fatalf("GET %s = %d %+v, want 404 %s", path, code, werr, apiv1.CodeNotFound)
+		}
+	}
 	var jobs []apiv1.JobStatus
 	if code := get(t, srv.URL+"/v1/jobs", &jobs); code != 200 || jobs == nil {
 		t.Fatalf("default-instance jobs = %d %v (want empty list, not null)", code, jobs)

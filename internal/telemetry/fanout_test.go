@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,21 +38,22 @@ func goRunner(workers int) Runner {
 // what the scenario observed of it.
 type fanOutWorld struct {
 	nodes  []*node.Node
-	root   *Domain
+	root   *Hierarchy
 	sink   *obs.Sink
 	roots  []units.Power
-	powers [][]units.Power // per sample: every sweep entry's power
-	holds  [][]string      // per sample: hosts journaled as held, in order
+	powers [][4][]units.Power // per sample: every tier's powers
+	holds  [][]string         // per sample: hosts journaled as held, in order
 }
 
 // TestSampleDirtyFanOutBitIdentical pins chunked leaf reads against the
-// inline loop: the same scenario — energy flowing on changing leaf sets, a
-// dropout window over a powered node, a crashed and repaired node, a
-// pinned leaf whose MSR read-fault countdown fires mid-run and one whose
-// countdown is still running at the end — sampled with 3-leaf chunks on 2
-// and 8 workers produces identical root values, every domain's power after
-// every sample, the same countdown positions on the read-fault devices, and
-// the same telemetry_hold journal in ascending leaf order.
+// reference full pass: the same scenario — energy flowing on changing leaf
+// sets, a dropout window over a powered node, a crashed and repaired node,
+// a pinned leaf whose MSR read-fault countdown fires mid-run and one whose
+// countdown is still running at the end — sampled by SampleDirty in 3-leaf
+// chunks inline and on 2 and 8 workers produces identical root values,
+// every tier's power after every sample, the same countdown positions on
+// the read-fault devices, and the same telemetry_hold journal in ascending
+// leaf order.
 func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 	const (
 		leaves               = 40
@@ -62,6 +64,8 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 	src := testNodes(t, leaves)
 	start := time.Unix(1000, 0)
 	at := func(k int) time.Time { return start.Add(time.Duration(k) * 30 * time.Second) }
+	// world runs the scenario through SampleDirty on run, or through the
+	// reference full pass when run is nil.
 	world := func(run Runner) *fanOutWorld {
 		w := &fanOutWorld{nodes: cluster.ClonePool(src), sink: obs.New()}
 		root, err := BuildHierarchy(w.nodes, 4)
@@ -78,9 +82,7 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 		root.SetFaultPlan(plan, start, w.sink)
 		root.PinLeafDirty(metered)
 		root.PinLeafDirty(counting)
-		if run != nil {
-			root.SetFanOut(run, 3)
-		}
+		root.SetFanOut(run, 3)
 		mark := func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				root.MarkLeafDirty(i)
@@ -88,11 +90,16 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 		}
 		seen := 0
 		sample := func(k int) {
-			p := root.SampleDirty(at(k))
+			var p units.Power
+			if run == nil {
+				p = fullSample(root, at(k))
+			} else {
+				p = root.SampleDirty(at(k))
+			}
 			w.roots = append(w.roots, p)
-			powers := make([]units.Power, len(root.sweep))
-			for i, e := range root.sweep {
-				powers[i] = e.d.power
+			var powers [4][]units.Power
+			for i, tier := range tiers(root) {
+				powers[i] = slices.Clone(tier)
 			}
 			w.powers = append(w.powers, powers)
 			var held []string
@@ -130,7 +137,7 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 		return w
 	}
 
-	want := world(nil) // inline
+	want := world(nil)
 	heldOnce := map[string]bool{}
 	for _, held := range want.holds {
 		for _, host := range held {
@@ -166,29 +173,26 @@ func TestSampleDirtyFanOutBitIdentical(t *testing.T) {
 	if left[0] == 0 || left[0] == countAfter {
 		t.Fatalf("countdown left at %d of %d reads: the scenario does not exercise it", left[0], countAfter)
 	}
-	for _, workers := range []int{2, 8} {
-		got := world(goRunner(workers))
+	for _, workers := range []int{1, 2, 8} {
+		run := goRunner(workers)
+		if workers == 1 {
+			run = inline
+		}
+		got := world(run)
 		for k := range want.roots {
 			if got.roots[k] != want.roots[k] {
-				t.Fatalf("%d workers, sample %d: root %v != inline %v", workers, k, got.roots[k], want.roots[k])
+				t.Fatalf("%d workers, sample %d: root %v != reference %v", workers, k, got.roots[k], want.roots[k])
 			}
-			if len(got.holds[k]) != len(want.holds[k]) {
-				t.Fatalf("%d workers, sample %d: holds %v != inline %v", workers, k, got.holds[k], want.holds[k])
+			if !slices.Equal(got.holds[k], want.holds[k]) {
+				t.Fatalf("%d workers, sample %d: holds %v != reference %v", workers, k, got.holds[k], want.holds[k])
 			}
-			for i := range want.holds[k] {
-				if got.holds[k][i] != want.holds[k][i] {
-					t.Fatalf("%d workers, sample %d: holds %v != inline %v", workers, k, got.holds[k], want.holds[k])
-				}
-			}
-			for i, e := range want.root.sweep {
-				if got.powers[k][i] != want.powers[k][i] {
-					t.Fatalf("%d workers, sample %d: %s power %v != inline %v", workers, k, e.d.Name, got.powers[k][i], want.powers[k][i])
-				}
+			if d := diffTiers(got.powers[k], want.powers[k]); d != "" {
+				t.Fatalf("%d workers, sample %d: %s (SampleDirty != reference)", workers, k, d)
 			}
 		}
 		for s, su := range got.nodes[counting].Sockets() {
 			if g := readsLeft(su.Dev); g != left[s] {
-				t.Fatalf("%d workers: socket %d has %d reads left before the fault, inline %d", workers, s, g, left[s])
+				t.Fatalf("%d workers: socket %d has %d reads left before the fault, reference %d", workers, s, g, left[s])
 			}
 		}
 	}

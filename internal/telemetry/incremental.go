@@ -5,9 +5,9 @@ package telemetry
 // repair, job iterations crediting energy, a dropout window opening — and
 // a caller that knows exactly when each of those happens (the facility)
 // can mark leaves as events touch them. A sample then visits only the
-// dirty leaves plus the interior chains above them, re-summing each
-// touched interior over all of its children in child order. Everything
-// else keeps its previous value. A caller that tracks nothing uses Sample,
+// dirty leaves plus the PDUs, rooms and root above them, re-summing each
+// touched entry over all of its children in child order. Everything else
+// keeps its previous value. A caller that tracks nothing uses Sample,
 // which marks every leaf first: the full pass is the all-dirty case of the
 // same loop.
 //
@@ -22,22 +22,21 @@ package telemetry
 // clean leaf is re-dirtied after skipped samples, its stored lastTime is
 // stale; the sample integrates from the previous sample instant instead,
 // which reproduces the full pass's ΔE/Δt bit for bit because ΔE over the
-// skipped window is zero. Interior re-sums iterate all children in child
-// order — the same float additions in the same order as a recursive walk —
-// so every value a dirty-set pass produces is bit-identical to a full
-// pass's (pinned by TestIncrementalMatchesFullSweep against a recursive
-// oracle).
+// skipped window is zero. Tier re-sums iterate all children in child
+// order — the same float additions in the same order as a full pass — so
+// every value a dirty-set pass produces is bit-identical to a full pass's
+// (pinned by TestIncrementalMatchesFullSweep against a reference full pass
+// written in the tests).
 //
 // Leaf reads fan out: the sorted dirty list is cut into fixed-size chunks
 // that a Runner (SetFanOut) may read on several workers. A leaf read writes
-// only its own Domain, its own visit/held index and its own node's
-// devices (read-fault countdowns are per device), so where a chunk runs is
-// unobservable. Everything order-sensitive — the dirty-set compaction, the
-// parent marks, the interior re-sums and the TelemetryHold journal calls —
-// stays in one serial merge in ascending leaf order, so the hold journal
-// keeps leaf order at every worker count. Energy-wrap events journaled by
-// the reads themselves are counted exactly, but their interleaving across
-// workers is not pinned.
+// only its own ordinal's entries and its own node's devices (read-fault
+// countdowns are per device), so where a chunk runs is unobservable.
+// Everything order-sensitive — the dirty-set compaction, the tier re-sums
+// and the TelemetryHold journal calls — stays in one serial merge in
+// ascending leaf order, so the hold journal keeps leaf order at every
+// worker count. Energy-wrap events journaled by the reads themselves are
+// counted exactly, but their interleaving across workers is not pinned.
 
 import (
 	"slices"
@@ -46,37 +45,34 @@ import (
 	"powerstack/internal/units"
 )
 
-// incState is the dirty-set machinery behind SampleDirty. All slices are
-// indexed by sweep position and reused across samples: a steady-state
-// sample allocates nothing.
-type incState struct {
+// dirtyState is the dirty-set machinery behind SampleDirty. Per-leaf
+// slices are indexed by ordinal and, like the tier scratch, reused across
+// samples: a steady-state sample allocates nothing.
+type dirtyState struct {
 	// visit records the sample sequence number of each leaf's last visit;
 	// a gap (visit+1 < seq) means the leaf was skipped while clean and its
 	// integration window starts at the previous sample instant.
 	visit []uint64
-	// leafIdx maps leaf ordinals (hierarchy order, the facility's node
-	// index) to sweep positions.
-	leafIdx []int
 
-	// dirtyLeaves is the queued leaf sweep positions; inDirty dedupes
-	// marks; pinned entries never leave the set (leaves whose energy reads
-	// consume armed fault countdowns — skipping a read would change when
-	// the countdown fires).
-	dirtyLeaves []int
-	inDirty     []bool
-	pinned      []bool
-
-	// parents is the per-sample scratch of interior entries to re-sum.
-	parents   []int
-	inParents []bool
+	// dirty is the queued leaf ordinals; inDirty dedupes marks; pinned
+	// entries never leave the set (leaves whose energy reads consume armed
+	// fault countdowns — skipping a read would change when the countdown
+	// fires).
+	dirty   []int
+	inDirty []bool
+	pinned  []bool
 
 	// held records, per leaf, that its last read took a hold or dead
 	// branch; the merge journals it and keeps the leaf dirty.
 	held []bool
 
+	// pdus and rooms are the per-sample scratch of tier entries to re-sum,
+	// ascending and without repeats.
+	pdus, rooms []int
+
 	// run fans chunks of chunk dirty leaves out (inline until SetFanOut);
-	// readChunk is the chunk task, built once with the sweep so a sample
-	// allocates nothing, and ts the instant the current sample reads at.
+	// readChunk is the chunk task, built once so a sample allocates
+	// nothing, and ts the instant the current sample reads at.
 	run       Runner
 	chunk     int
 	readChunk func(task, worker int)
@@ -84,7 +80,6 @@ type incState struct {
 
 	seq      uint64
 	prevTime time.Time
-	haveTime bool
 }
 
 // Runner runs fn(task, worker) for every task in [0, n) and returns once
@@ -103,79 +98,52 @@ func inline(n int, fn func(task, worker int)) {
 	}
 }
 
-// newIncState builds the dirty set over a post-order sweep with every leaf
-// dirty, so the first sample reads everything: it primes the energy
-// trackers and every domain's power.
-func newIncState(sweep []sweepEntry) *incState {
-	n := len(sweep)
-	ic := &incState{
-		visit:     make([]uint64, n),
-		inDirty:   make([]bool, n),
-		pinned:    make([]bool, n),
-		inParents: make([]bool, n),
-		held:      make([]bool, n),
-		run:       inline,
-		chunk:     LeafChunk,
+// initDirty allocates the dirty set over n leaves, every leaf dirty.
+func (h *Hierarchy) initDirty(n int) {
+	h.dirtyState = dirtyState{
+		visit:   make([]uint64, n),
+		dirty:   make([]int, 0, n),
+		inDirty: make([]bool, n),
+		pinned:  make([]bool, n),
+		held:    make([]bool, n),
+		pdus:    make([]int, 0, len(h.pdu)),
+		rooms:   make([]int, 0, len(h.room)),
+		run:     inline,
+		chunk:   LeafChunk,
 	}
-	for i, e := range sweep {
-		if e.d.Node != nil {
-			ic.leafIdx = append(ic.leafIdx, i)
-		}
-	}
-	ic.dirtyLeaves = make([]int, 0, len(ic.leafIdx))
-	ic.parents = make([]int, 0, n-len(ic.leafIdx))
-	ic.markAll()
-	return ic
-}
-
-// markAll queues every leaf, in ascending sweep order.
-func (ic *incState) markAll() {
-	ic.dirtyLeaves = ic.dirtyLeaves[:0]
-	for _, li := range ic.leafIdx {
-		ic.inDirty[li] = true
-		ic.dirtyLeaves = append(ic.dirtyLeaves, li)
-	}
-}
-
-// dirtySet returns the domain's dirty set, building the sweep on first use
-// (BuildHierarchy roots already have one).
-func (d *Domain) dirtySet() *incState {
-	if d.inc == nil {
-		d.buildSweep()
-	}
-	return d.inc
+	h.readChunk = func(c, _ int) { h.readLeaves(c) }
+	h.MarkAllDirty()
 }
 
 // SetFanOut makes SampleDirty read its dirty leaves in tasks of chunk
 // leaves (LeafChunk when chunk <= 0) through run. The values SampleDirty
 // produces do not depend on either.
-func (d *Domain) SetFanOut(run Runner, chunk int) {
-	ic := d.dirtySet()
+func (h *Hierarchy) SetFanOut(run Runner, chunk int) {
 	if chunk <= 0 {
 		chunk = LeafChunk
 	}
-	ic.run, ic.chunk = run, chunk
+	h.run, h.chunk = run, chunk
 }
 
 // MarkAllDirty queues every leaf for the next SampleDirty.
-func (d *Domain) MarkAllDirty() { d.dirtySet().markAll() }
+func (h *Hierarchy) MarkAllDirty() {
+	h.dirty = h.dirty[:0]
+	for i := range h.inDirty {
+		h.inDirty[i] = true
+		h.dirty = append(h.dirty, i)
+	}
+}
 
-// MarkLeafDirty queues the leaf with the given hierarchy ordinal (its
-// position in the node list BuildHierarchy was built over) for the next
-// SampleDirty. Marking is idempotent and conservative: a spurious mark
-// costs one leaf visit and changes no sampled value. No-op for
-// out-of-range ordinals.
-func (d *Domain) MarkLeafDirty(ordinal int) {
-	ic := d.dirtySet()
-	if ordinal < 0 || ordinal >= len(ic.leafIdx) {
+// MarkLeafDirty queues the leaf with the given ordinal (its position in the
+// node list BuildHierarchy was built over) for the next SampleDirty.
+// Marking is idempotent and conservative: a spurious mark costs one leaf
+// visit and changes no sampled value. No-op for out-of-range ordinals.
+func (h *Hierarchy) MarkLeafDirty(ordinal int) {
+	if ordinal < 0 || ordinal >= len(h.inDirty) || h.inDirty[ordinal] {
 		return
 	}
-	li := ic.leafIdx[ordinal]
-	if ic.inDirty[li] {
-		return
-	}
-	ic.inDirty[li] = true
-	ic.dirtyLeaves = append(ic.dirtyLeaves, li)
+	h.inDirty[ordinal] = true
+	h.dirty = append(h.dirty, ordinal)
 }
 
 // PinLeafDirty marks a leaf permanently dirty: it is visited on every
@@ -183,73 +151,87 @@ func (d *Domain) MarkLeafDirty(ordinal int) {
 // nodes carry armed MSR read-fault countdowns — each energy read consumes
 // countdown budget, so the read count itself is observable and must match
 // a full pass's one-read-per-sample exactly.
-func (d *Domain) PinLeafDirty(ordinal int) {
-	ic := d.dirtySet()
-	if ordinal < 0 || ordinal >= len(ic.leafIdx) {
+func (h *Hierarchy) PinLeafDirty(ordinal int) {
+	if ordinal < 0 || ordinal >= len(h.pinned) {
 		return
 	}
-	ic.pinned[ic.leafIdx[ordinal]] = true
-	d.MarkLeafDirty(ordinal)
+	h.pinned[ordinal] = true
+	h.MarkLeafDirty(ordinal)
 }
 
 // SampleDirty is Sample over the dirty set, for callers that mark every
 // leaf whose reading can have changed (MarkLeafDirty, PinLeafDirty): read
 // the dirty leaves (in chunks, possibly on several workers), then merge in
-// ascending sweep order — deterministic no matter what order marks arrived
-// — and re-sum every interior above a visited leaf bottom-up. Post-order
-// sweep positions ascend from children to parents, so ascending order
-// processes each dirty interior after all of its dirty descendants.
-func (d *Domain) SampleDirty(ts time.Time) units.Power {
-	ic := d.dirtySet()
-	ic.seq++
-	ic.ts = ts
-	slices.Sort(ic.dirtyLeaves)
-	ic.run((len(ic.dirtyLeaves)+ic.chunk-1)/ic.chunk, ic.readChunk)
-	keep := ic.dirtyLeaves[:0]
-	for _, li := range ic.dirtyLeaves {
-		e := d.sweep[li]
-		if ic.held[li] {
-			e.d.sink.TelemetryHold(e.d.Name, e.d.power.Watts())
+// ascending ordinal order — deterministic no matter what order marks
+// arrived — and re-sum the PDUs, rooms and root above the visited leaves,
+// each tier after the one below it.
+func (h *Hierarchy) SampleDirty(ts time.Time) units.Power {
+	h.seq++
+	h.ts = ts
+	slices.Sort(h.dirty)
+	h.run((len(h.dirty)+h.chunk-1)/h.chunk, h.readChunk)
+	keep := h.dirty[:0]
+	for _, i := range h.dirty {
+		if h.held[i] {
+			h.sink.TelemetryHold(h.nodes[i].ID, h.power[i].Watts())
 		}
-		if ic.held[li] || e.d.power != 0 || ic.pinned[li] {
+		if h.held[i] || h.power[i] != 0 || h.pinned[i] {
 			// Held, dead, pinned, or drawing power: any of these can
 			// change value (or must consume a read) next sample without a
 			// fresh mark.
-			keep = append(keep, li)
+			keep = append(keep, i)
 		} else {
-			ic.inDirty[li] = false
+			h.inDirty[i] = false
 		}
-		for pi := e.parent; pi >= 0 && !ic.inParents[pi]; pi = d.sweep[pi].parent {
-			ic.inParents[pi] = true
-			ic.parents = append(ic.parents, pi)
+		h.pdus = appendNew(h.pdus, i/h.pduSize)
+	}
+	h.dirty = keep
+	for _, p := range h.pdus {
+		h.pdu[p] = sum(h.power, p, h.pduSize)
+		if h.room != nil {
+			h.rooms = appendNew(h.rooms, p/PDUsPerRoom)
 		}
 	}
-	ic.dirtyLeaves = keep
-	slices.Sort(ic.parents)
-	for _, pi := range ic.parents {
-		p := d.sweep[pi].d
-		var sum units.Power
-		for _, c := range p.Children {
-			sum += c.power
-		}
-		p.power = sum
-		ic.inParents[pi] = false
+	for _, r := range h.rooms {
+		h.room[r] = sum(h.pdu, r, PDUsPerRoom)
 	}
-	ic.parents = ic.parents[:0]
-	ic.prevTime = ts
-	ic.haveTime = true
-	return d.power
+	if len(h.pdus) > 0 {
+		top := h.pdu
+		if h.room != nil {
+			top = h.room
+		}
+		h.total = sum(top, 0, len(top))
+	}
+	h.pdus, h.rooms = h.pdus[:0], h.rooms[:0]
+	h.prevTime = ts
+	return h.total
+}
+
+// appendNew appends v to the nondecreasing list s unless it is already its
+// last entry.
+func appendNew(s []int, v int) []int {
+	if len(s) > 0 && s[len(s)-1] == v {
+		return s
+	}
+	return append(s, v)
+}
+
+// sum adds child powers [g·size, (g+1)·size) of group g in child order.
+func sum(child []units.Power, g, size int) units.Power {
+	var s units.Power
+	for _, p := range child[g*size : min((g+1)*size, len(child))] {
+		s += p
+	}
+	return s
 }
 
 // readLeaves reads chunk c of the sorted dirty list at the current
-// sample's instant. It writes only the chunk's own leaves and their
-// entries in visit and held, so chunks may run concurrently.
-func (d *Domain) readLeaves(c int) {
-	ic := d.inc
-	lo := c * ic.chunk
-	for _, li := range ic.dirtyLeaves[lo:min(lo+ic.chunk, len(ic.dirtyLeaves))] {
-		e := d.sweep[li]
-		if ic.haveTime && ic.visit[li]+1 != ic.seq && e.d.primed {
+// sample's instant. It writes only the chunk's own leaves' entries, so
+// chunks may run concurrently.
+func (h *Hierarchy) readLeaves(c int) {
+	lo := c * h.chunk
+	for _, i := range h.dirty[lo:min(lo+h.chunk, len(h.dirty))] {
+		if h.visit[i]+1 != h.seq && h.primed[i] {
 			// Skipped while clean: energy was constant over the gap, so a
 			// full pass's last read — zero power at the previous sample
 			// instant, same energy — is reproduced by moving lastTime there.
@@ -259,9 +241,9 @@ func (d *Domain) readLeaves(c int) {
 			// integrates from the previous sample instant, exactly as a
 			// full pass — which had read every sample up to the window —
 			// would.
-			e.d.lastTime = ic.prevTime
+			h.lastTime[i] = h.prevTime
 		}
-		ic.held[li] = e.d.leafSample(ic.ts)
-		ic.visit[li] = ic.seq
+		h.held[i] = h.leafSample(i, h.ts)
+		h.visit[i] = h.seq
 	}
 }

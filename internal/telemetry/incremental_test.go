@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,10 +13,10 @@ import (
 )
 
 // incrementalTwin builds two identical hierarchies over cloned pools: A
-// samples through the recursive oracle, B through the dirty-set pass. The
-// deep pduSize-1 shape forces the room tier so interior re-sums cross
-// three levels.
-func incrementalTwin(t *testing.T, n int) (nodesA, nodesB []*node.Node, rootA, rootB *Domain) {
+// samples through the reference full pass, B through the dirty-set pass.
+// The deep pduSize-1 shape forces the room tier (from RoomThreshold nodes
+// up) so tier re-sums cross three levels.
+func incrementalTwin(t *testing.T, n int) (nodesA, nodesB []*node.Node, rootA, rootB *Hierarchy) {
 	t.Helper()
 	src := testNodes(t, n)
 	nodesA = cluster.ClonePool(src)
@@ -33,15 +34,15 @@ func incrementalTwin(t *testing.T, n int) (nodesA, nodesB []*node.Node, rootA, r
 }
 
 // sampleBoth samples both hierarchies at ts and asserts the dirty-set side
-// agrees with the recursive oracle everywhere: root power, and every sweep
-// entry's power (a skipped entry's kept value must equal what the oracle
-// just recomputed).
-func sampleBoth(t *testing.T, rootA, rootB *Domain, ts time.Time, tag string) {
+// agrees with the reference everywhere: root power, and every tier entry's
+// power (a skipped entry's kept value must equal what the reference just
+// recomputed).
+func sampleBoth(t *testing.T, rootA, rootB *Hierarchy, ts time.Time, tag string) {
 	t.Helper()
-	pa := recursiveSample(rootA, ts)
+	pa := fullSample(rootA, ts)
 	pb := rootB.SampleDirty(ts)
 	if pa != pb {
-		t.Fatalf("%s: root power diverged: oracle %v != dirty-set %v", tag, pa, pb)
+		t.Fatalf("%s: root power diverged: reference %v != dirty-set %v", tag, pa, pb)
 	}
 	samePowers(t, rootA, rootB, tag)
 }
@@ -61,9 +62,9 @@ func holdEvents(s *obs.Sink) []obs.Event {
 // fault repertoire — jobs crediting energy, a crash and repair, a telemetry
 // dropout window over a powered node, and an armed MSR read-fault countdown
 // on a pinned leaf — asserting after every sample that incremental
-// dirty-set sampling is bit-identical to the recursive oracle, including the
-// TelemetryHold journal cadence and the sample at which the read-fault
-// countdown fires.
+// dirty-set sampling is bit-identical to the reference full pass in every
+// tier, including the TelemetryHold journal cadence and the sample at which
+// the read-fault countdown fires.
 func TestIncrementalMatchesFullSweep(t *testing.T) {
 	nodesA, nodesB, rootA, rootB := incrementalTwin(t, 200)
 
@@ -102,7 +103,7 @@ func TestIncrementalMatchesFullSweep(t *testing.T) {
 	sampleBoth(t, rootA, rootB, at(1), "job1 active")
 	sampleBoth(t, rootA, rootB, at(2), "idle")
 	sampleBoth(t, rootA, rootB, at(3), "idle2")
-	if got := len(rootB.inc.dirtyLeaves); got >= 50 {
+	if got := len(rootB.dirty); got >= 50 {
 		t.Fatalf("dirty set did not shrink while idle: %d leaves", got)
 	}
 
@@ -130,14 +131,14 @@ func TestIncrementalMatchesFullSweep(t *testing.T) {
 	sampleBoth(t, rootA, rootB, at(9), "dropout-hold-with-energy")
 	sampleBoth(t, rootA, rootB, at(10), "dropout-over")
 	// The metered node's countdown (After=5) has been consumed read by
-	// read; the pin kept its read count equal to the sweep's, so the dead
+	// read; the pin kept its read count equal to the full pass's, so the dead
 	// branch fires at the same sample on both sides.
 	sampleBoth(t, rootA, rootB, at(11), "read-fault")
 	sampleBoth(t, rootA, rootB, at(12), "read-fault-hold")
 
 	// The cold-dropout regression: a leaf that was clean and skipped for
 	// many samples enters a dropout window [390s, 450s), gains energy while
-	// held, and is read again when the window ends. The sweep integrates
+	// held, and is read again when the window ends. The full pass integrates
 	// that read from the sample just before the window (its last normal
 	// read); the incremental side must not integrate from the leaf's stale
 	// pre-skip lastTime, or the window energy is spread over the wrong Δt.
@@ -155,7 +156,7 @@ func TestIncrementalMatchesFullSweep(t *testing.T) {
 		t.Fatal("scenario produced no TelemetryHold events")
 	}
 	if len(ha) != len(hb) {
-		t.Fatalf("hold journal cadence diverged: oracle %d events, dirty-set %d", len(ha), len(hb))
+		t.Fatalf("hold journal cadence diverged: reference %d events, dirty-set %d", len(ha), len(hb))
 	}
 	for i := range ha {
 		if ha[i] != hb[i] {
@@ -187,17 +188,18 @@ func TestIncrementalDisableExact(t *testing.T) {
 			runIterations(t, nodesA[8:12], 2)
 			runIterations(t, nodesB[8:12], 2)
 		}
-		pa := recursiveSample(rootA, at(k))
+		pa := fullSample(rootA, at(k))
 		pb := rootB.Sample(at(k))
 		if pa != pb {
 			t.Fatalf("full pass %d after dirty passes: %v != %v", k, pa, pb)
 		}
+		samePowers(t, rootA, rootB, fmt.Sprintf("full pass %d", k))
 	}
 }
 
 // TestMarkLeafDirtyBounds pins the range clamping of the marking API:
-// out-of-range marks are no-ops, and a domain built outside
-// BuildHierarchy gets its dirty set on first use.
+// out-of-range marks are no-ops, duplicate marks queue nothing, and a
+// one-leaf hierarchy reads its leaf once per sample.
 func TestMarkLeafDirtyBounds(t *testing.T) {
 	nodes := testNodes(t, 8)
 	root, err := BuildHierarchy(nodes, 4)
@@ -206,35 +208,31 @@ func TestMarkLeafDirtyBounds(t *testing.T) {
 	}
 	root.MarkLeafDirty(-1)
 	root.MarkLeafDirty(len(nodes))
+	root.PinLeafDirty(-1)
 	root.PinLeafDirty(len(nodes))
-	if got := len(root.inc.dirtyLeaves); got != len(nodes) {
+	if got := len(root.dirty); got != len(nodes) {
 		t.Fatalf("dirty set = %d, want %d (only the initial seeding)", got, len(nodes))
 	}
 	root.MarkLeafDirty(3) // already queued: idempotent
-	if got := len(root.inc.dirtyLeaves); got != len(nodes) {
+	if got := len(root.dirty); got != len(nodes) {
 		t.Fatalf("duplicate mark queued: %d", got)
 	}
 	root.SampleDirty(time.Unix(1000, 0))
-	pdu, err := NewAggregateDomain("pdu", root.Children[0].Children...)
-	if err != nil {
-		t.Fatal(err)
+	root.PinLeafDirty(1)
+	root.PinLeafDirty(1)
+	if got := len(root.dirty); got != 1 {
+		t.Fatalf("dirty set after one pin = %d leaves, want 1", got)
 	}
-	pdu.PinLeafDirty(1)
-	if got := len(pdu.inc.dirtyLeaves); got != 4 {
-		t.Fatalf("lazily built dirty set = %d leaves, want 4", got)
-	}
-	// A bare leaf samples as its own root, through its own dirty set,
-	// reading itself once per sample.
-	solo, err := NewNodeDomain(nodes[0])
+	solo, err := BuildHierarchy(nodes[:1], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 3; k++ {
-		if p := solo.Sample(time.Unix(int64(1000+30*k), 0)); p != solo.Power() {
-			t.Fatalf("bare leaf sample %d returned %v, holds %v", k, p, solo.Power())
+		if p := solo.Sample(time.Unix(int64(1000+30*k), 0)); p != solo.power[0] {
+			t.Fatalf("one-leaf sample %d returned %v, leaf holds %v", k, p, solo.power[0])
 		}
-		if ic := solo.inc; ic.seq != uint64(k) || ic.visit[0] != uint64(k) {
-			t.Fatalf("bare leaf sample %d: dirty set at sample %d, leaf last read at %d", k, ic.seq, ic.visit[0])
+		if solo.seq != uint64(k) || solo.visit[0] != uint64(k) {
+			t.Fatalf("one-leaf sample %d: dirty set at sample %d, leaf last read at %d", k, solo.seq, solo.visit[0])
 		}
 	}
 }
@@ -244,7 +242,7 @@ func TestMarkLeafDirtyBounds(t *testing.T) {
 // churning 64-leaf dirty set must not allocate.
 func BenchmarkIncrementalSample(b *testing.B) {
 	root := benchRoot(b, 20_000)
-	n := len(root.inc.leafIdx)
+	n := len(root.nodes)
 	ts := time.Unix(1000, 0)
 	for k := 0; k < 2; k++ { // prime: first sample visits every leaf
 		ts = ts.Add(30 * time.Second)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -11,40 +12,79 @@ import (
 	"powerstack/internal/units"
 )
 
-// recursiveSample is the recursive hierarchy walk, kept only as the oracle
-// the one production sample loop is pinned against: leaves read their
-// nodes (journaling every hold as it is taken), interiors sum their
-// children in child order.
-func recursiveSample(d *Domain, ts time.Time) units.Power {
-	if d.Node != nil {
-		if d.leafSample(ts) {
-			d.sink.TelemetryHold(d.Name, d.power.Watts())
+// fullSample is the reference full pass the one production sample loop is
+// pinned against, written apart from SampleDirty: it reads every leaf in
+// ordinal order (journaling every hold as it is taken), then sums every
+// PDU, every room when the tree has more than RoomThreshold PDUs, and the
+// root, each over its children in child order.
+func fullSample(h *Hierarchy, ts time.Time) units.Power {
+	for i, n := range h.nodes {
+		if h.leafSample(i, ts) {
+			h.sink.TelemetryHold(n.ID, h.power[i].Watts())
 		}
-		return d.power
+	}
+	for p := range h.pdu {
+		var total units.Power
+		for i := p * h.pduSize; i < (p+1)*h.pduSize && i < len(h.power); i++ {
+			total += h.power[i]
+		}
+		h.pdu[p] = total
+	}
+	top := h.pdu
+	if len(h.pdu) > RoomThreshold {
+		for r := range h.room {
+			var total units.Power
+			for p := r * PDUsPerRoom; p < (r+1)*PDUsPerRoom && p < len(h.pdu); p++ {
+				total += h.pdu[p]
+			}
+			h.room[r] = total
+		}
+		top = h.room
 	}
 	var total units.Power
-	for _, c := range d.Children {
-		total += recursiveSample(c, ts)
+	for _, p := range top {
+		total += p
 	}
-	d.power = total
+	h.total = total
 	return total
 }
 
-// samePowers fails unless both hierarchies (built to the same shape) hold
-// bit-identical power in every domain.
-func samePowers(t *testing.T, a, b *Domain, tag string) {
-	t.Helper()
-	for i, ea := range a.sweep {
-		eb := b.sweep[i].d
-		if ea.d.Name != eb.Name || ea.d.power != eb.power {
-			t.Fatalf("%s: %s power %v != %s power %v", tag, ea.d.Name, ea.d.power, eb.Name, eb.power)
+// tierNames labels tiers' entries in failure messages.
+var tierNames = [4]string{"leaf", "pdu", "room", "root"}
+
+// tiers returns every tier's powers, leaves first and the root last.
+func tiers(h *Hierarchy) [4][]units.Power {
+	return [4][]units.Power{h.power, h.pdu, h.room, {h.total}}
+}
+
+// diffTiers describes the first entry whose power differs bit for bit
+// between two tier sets, or returns "" when every entry agrees.
+func diffTiers(a, b [4][]units.Power) string {
+	for k := range a {
+		if len(a[k]) != len(b[k]) {
+			return fmt.Sprintf("%s tier has %d entries != %d", tierNames[k], len(a[k]), len(b[k]))
 		}
+		for i := range a[k] {
+			if math.Float64bits(float64(a[k][i])) != math.Float64bits(float64(b[k][i])) {
+				return fmt.Sprintf("%s %d power %v != %v", tierNames[k], i, a[k][i], b[k][i])
+			}
+		}
+	}
+	return ""
+}
+
+// samePowers fails unless both hierarchies (built to the same shape) hold
+// bit-identical power in every tier.
+func samePowers(t *testing.T, a, b *Hierarchy, tag string) {
+	t.Helper()
+	if d := diffTiers(tiers(a), tiers(b)); d != "" {
+		t.Fatalf("%s: %s", tag, d)
 	}
 }
 
 // TestLinearSweepBitIdentical pins the full sample pass — the dirty-set
-// loop over the flat post-order sweep with every leaf marked —
-// bit-identical to the recursive walk in every domain after every sample,
+// loop with every leaf marked — bit-identical to the reference full pass in
+// every tier after every sample,
 // on a tree deep enough to include the room tier (pduSize 1 over 200 nodes
 // forces >RoomThreshold PDUs), with live power flowing through the leaves.
 func TestLinearSweepBitIdentical(t *testing.T) {
@@ -59,15 +99,15 @@ func TestLinearSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rootA.Find("room00") == nil {
+	if rootA.room == nil {
 		t.Fatal("expected a room tier at 200 single-node PDUs")
 	}
 	ts := time.Unix(1000, 0)
 	for round := 0; round < 4; round++ {
-		pa := recursiveSample(rootA, ts)
+		pa := fullSample(rootA, ts)
 		pb := rootB.Sample(ts)
 		if pa != pb {
-			t.Fatalf("round %d: recursive %v != full pass %v", round, pa, pb)
+			t.Fatalf("round %d: reference %v != Sample %v", round, pa, pb)
 		}
 		samePowers(t, rootA, rootB, fmt.Sprintf("round %d", round))
 		elA := runIterations(t, nodesA, 2)
@@ -81,59 +121,31 @@ func TestLinearSweepBitIdentical(t *testing.T) {
 
 // TestRoomTierOnlyAboveThreshold pins the small-N tree shape: at or below
 // RoomThreshold PDUs the hierarchy stays the original two-level
-// facility→pdu→node shape.
+// facility→pdu→node shape, and one PDU more adds rooms of PDUsPerRoom PDUs.
 func TestRoomTierOnlyAboveThreshold(t *testing.T) {
-	nodes := testNodes(t, RoomThreshold)
-	root, err := BuildHierarchy(nodes, 1)
+	nodes := testNodes(t, RoomThreshold+1)
+	root, err := BuildHierarchy(nodes[:RoomThreshold], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range root.Children {
-		if c.Node == nil && len(c.Children) > 0 && c.Children[0].Node == nil {
-			t.Fatalf("unexpected third tier under %s at %d PDUs", c.Name, RoomThreshold)
-		}
+	if root.room != nil {
+		t.Fatalf("unexpected room tier at %d PDUs", RoomThreshold)
 	}
-	if got := len(root.Children); got != RoomThreshold {
+	if got := len(root.pdu); got != RoomThreshold {
 		t.Fatalf("root fan-out = %d, want %d PDUs", got, RoomThreshold)
 	}
-}
-
-// TestFindIndexed verifies the root's O(1) Find agrees with the recursive
-// search, including misses and subtree lookups.
-func TestFindIndexed(t *testing.T) {
-	nodes := testNodes(t, 40)
-	root, err := BuildHierarchy(nodes, 4)
+	root, err = BuildHierarchy(nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.byName == nil {
-		t.Fatal("BuildHierarchy root has no name index")
-	}
-	for _, name := range []string{"facility", "pdu000", "pdu009", nodes[0].ID, nodes[39].ID} {
-		got := root.Find(name)
-		if got == nil || got.Name != name {
-			t.Fatalf("Find(%q) = %v", name, got)
-		}
-	}
-	if root.Find("no-such-domain") != nil {
-		t.Error("Find of a missing name returned a domain")
-	}
-	// Subtree Find still works without an index.
-	pdu := root.Children[2]
-	if pdu.byName != nil {
-		t.Fatal("non-root domain unexpectedly indexed")
-	}
-	if got := pdu.Find(nodes[8].ID); got == nil || got.Name != nodes[8].ID {
-		t.Fatalf("subtree Find = %v", got)
-	}
-	if pdu.Find(nodes[0].ID) != nil {
-		t.Error("subtree Find escaped its subtree")
+	if got, want := len(root.room), (RoomThreshold+PDUsPerRoom)/PDUsPerRoom; got != want {
+		t.Fatalf("%d PDUs: %d rooms, want %d", RoomThreshold+1, got, want)
 	}
 }
 
 // benchRoot builds a BuildHierarchy tree over nLeaves single-socket-spec
-// nodes, for lookup/sample benchmarks.
-func benchRoot(b *testing.B, nLeaves int) *Domain {
+// nodes, for the sample benchmarks.
+func benchRoot(b *testing.B, nLeaves int) *Hierarchy {
 	b.Helper()
 	spec := cpumodel.Quartz()
 	nodes := make([]*node.Node, nLeaves)
@@ -149,19 +161,6 @@ func benchRoot(b *testing.B, nLeaves int) *Domain {
 		b.Fatal(err)
 	}
 	return root
-}
-
-// BenchmarkFind100kLeaves measures Find on a 100k-leaf hierarchy: the
-// indexed root lookup is a map hit regardless of machine size.
-func BenchmarkFind100kLeaves(b *testing.B) {
-	root := benchRoot(b, 100_000)
-	names := []string{"quartz000001", "quartz050000", "quartz100000", "room42", "facility"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if root.Find(names[i%len(names)]) == nil {
-			b.Fatal("lookup miss")
-		}
-	}
 }
 
 // BenchmarkSampleSweep100kLeaves measures the full sample pass (every leaf

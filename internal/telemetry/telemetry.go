@@ -1,15 +1,21 @@
 // Package telemetry implements the machine-room monitoring half of a
-// site's power management: periodic sampling of node power (each domain
-// keeps its latest reading), aggregation up a PDU/row/facility hierarchy,
-// and a budget watchdog that detects violations of the system power limit
-// and clamps offenders — the enforcement loop that backs a resource manager's
-// promises to the facility (the role SLURM's power monitoring thread plays
-// in the paper's Section VII-C discussion).
+// site's power management: periodic sampling of node power, aggregation up
+// a PDU/room/facility hierarchy, and a budget watchdog that detects
+// violations of the system power limit and clamps offenders — the
+// enforcement loop that backs a resource manager's promises to the facility
+// (the role SLURM's power monitoring thread plays in the paper's Section
+// VII-C discussion).
+//
+// The hierarchy is flat and indexed by node ordinal (the node's position in
+// the list it was built over): per-leaf state lives in slices, and each
+// interior tier keeps its latest power in one slice. PDU p sums leaves
+// [p·pduSize, (p+1)·pduSize), room r sums PDUs [r·PDUsPerRoom,
+// (r+1)·PDUsPerRoom), and the root sums the top tier, each in child order.
 package telemetry
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,61 +31,8 @@ type Sample struct {
 	Power units.Power
 }
 
-// Domain is one level of the power-delivery hierarchy (facility, row, PDU,
-// node). Leaves read nodes; interior domains aggregate children.
-type Domain struct {
-	Name     string
-	Node     *node.Node // non-nil for leaves
-	Children []*Domain
-
-	// power is the domain's most recently sampled power. A domain the
-	// dirty-set pass skips keeps its value, which is the one a full pass
-	// would recompute.
-	power units.Power
-	// lastEnergy supports power-from-energy sampling on leaves.
-	lastEnergy units.Energy
-	lastTime   time.Time
-	primed     bool
-
-	// faults and start drive injected sample dropouts (SetFaultPlan);
-	// sink journals hold decisions. Both are nil-safe and leaf-local.
-	faults *fault.Plan
-	start  time.Time
-	sink   *obs.Sink
-
-	// byName indexes every domain under this one (including itself) for
-	// O(1) Find lookups; BuildHierarchy populates it on the root.
-	byName map[string]*Domain
-	// sweep is the post-order traversal of the subtree (children before
-	// parents, in child order), with each entry recording its parent's
-	// sweep position; inc is the dirty-set state indexed by it
-	// (incremental.go). BuildHierarchy builds both on the root; any other
-	// domain builds them on its first Sample.
-	sweep []sweepEntry
-	inc   *incState
-}
-
-// sweepEntry is one domain in a root's post-order sample sweep.
-type sweepEntry struct {
-	d      *Domain
-	parent int // sweep index of the parent; -1 for the root
-}
-
-// NewNodeDomain builds a leaf domain for a node.
-func NewNodeDomain(n *node.Node) (*Domain, error) {
-	if n == nil {
-		return nil, errors.New("telemetry: nil node")
-	}
-	return &Domain{Name: n.ID, Node: n}, nil
-}
-
-// NewAggregateDomain builds an interior domain over children.
-func NewAggregateDomain(name string, children ...*Domain) (*Domain, error) {
-	if len(children) == 0 {
-		return nil, fmt.Errorf("telemetry: domain %s has no children", name)
-	}
-	return &Domain{Name: name, Children: children}, nil
-}
+// rootName names the hierarchy's root in watchdog observations.
+const rootName = "facility"
 
 // RoomThreshold is the PDU count above which BuildHierarchy inserts a room
 // tier between the PDUs and the facility root. At the default 16-node PDUs
@@ -92,204 +45,137 @@ const RoomThreshold = 128
 // present (64 PDUs × 16 nodes = 1024 nodes per room).
 const PDUsPerRoom = 64
 
+// Hierarchy is the power-delivery tree over a node list. Every tier holds
+// its most recently sampled power; a tier entry the dirty-set pass skips
+// keeps its value, which is the one a full pass would recompute.
+type Hierarchy struct {
+	nodes   []*node.Node
+	pduSize int
+
+	// Per leaf, by ordinal: latest power and the energy tracker behind it.
+	power      []units.Power
+	lastEnergy []units.Energy
+	lastTime   []time.Time
+	primed     []bool
+
+	// pdu and room (nil without the room tier) hold the interior tiers'
+	// power; total is the root's.
+	pdu, room []units.Power
+	total     units.Power
+
+	// faults and start drive injected sample dropouts (SetFaultPlan);
+	// sink journals hold decisions. All are nil-safe.
+	faults *fault.Plan
+	start  time.Time
+	sink   *obs.Sink
+
+	dirtyState
+}
+
 // BuildHierarchy arranges nodes under PDUs of pduSize nodes each, under a
 // single facility root — the Dynamo-style capping tree of Section VII-C.
-// Above RoomThreshold PDUs a room tier is inserted so no domain's fan-out
-// grows linearly with the machine. The returned root carries a name index
-// (Find is O(1) on it) and a flat sample sweep with its dirty set.
-func BuildHierarchy(nodes []*node.Node, pduSize int) (*Domain, error) {
+// Above RoomThreshold PDUs a room tier is inserted so no entry's fan-out
+// grows linearly with the machine. Every leaf starts dirty, so the first
+// sample reads everything.
+func BuildHierarchy(nodes []*node.Node, pduSize int) (*Hierarchy, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("telemetry: no nodes")
 	}
 	if pduSize <= 0 {
 		return nil, errors.New("telemetry: pdu size must be positive")
 	}
-	var pdus []*Domain
-	for i := 0; i < len(nodes); i += pduSize {
-		end := i + pduSize
-		if end > len(nodes) {
-			end = len(nodes)
+	for _, n := range nodes {
+		if n == nil {
+			return nil, errors.New("telemetry: nil node")
 		}
-		var leaves []*Domain
-		for _, n := range nodes[i:end] {
-			leaf, err := NewNodeDomain(n)
-			if err != nil {
-				return nil, err
-			}
-			leaves = append(leaves, leaf)
-		}
-		pdu, err := NewAggregateDomain(fmt.Sprintf("pdu%03d", len(pdus)), leaves...)
-		if err != nil {
-			return nil, err
-		}
-		pdus = append(pdus, pdu)
 	}
-	tier := pdus
-	if len(pdus) > RoomThreshold {
-		var rooms []*Domain
-		for i := 0; i < len(pdus); i += PDUsPerRoom {
-			end := i + PDUsPerRoom
-			if end > len(pdus) {
-				end = len(pdus)
-			}
-			room, err := NewAggregateDomain(fmt.Sprintf("room%02d", len(rooms)), pdus[i:end]...)
-			if err != nil {
-				return nil, err
-			}
-			rooms = append(rooms, room)
-		}
-		tier = rooms
+	n := len(nodes)
+	h := &Hierarchy{
+		nodes:      slices.Clone(nodes),
+		pduSize:    pduSize,
+		power:      make([]units.Power, n),
+		lastEnergy: make([]units.Energy, n),
+		lastTime:   make([]time.Time, n),
+		primed:     make([]bool, n),
+		pdu:        make([]units.Power, (n+pduSize-1)/pduSize),
 	}
-	root, err := NewAggregateDomain("facility", tier...)
-	if err != nil {
-		return nil, err
+	if len(h.pdu) > RoomThreshold {
+		h.room = make([]units.Power, (len(h.pdu)+PDUsPerRoom-1)/PDUsPerRoom)
 	}
-	root.buildIndex()
-	root.buildSweep()
-	return root, nil
+	h.initDirty(n)
+	return h, nil
 }
 
-// buildIndex populates the root's name index.
-func (d *Domain) buildIndex() {
-	d.byName = make(map[string]*Domain)
-	var walk func(c *Domain)
-	walk = func(c *Domain) {
-		d.byName[c.Name] = c
-		for _, ch := range c.Children {
-			walk(ch)
-		}
-	}
-	walk(d)
-}
-
-// buildSweep flattens the subtree into its post-order sample sweep and
-// allocates the dirty set over it, every leaf dirty.
-func (d *Domain) buildSweep() {
-	d.sweep = d.sweep[:0]
-	var walk func(c *Domain) int
-	walk = func(c *Domain) int {
-		kids := make([]int, len(c.Children))
-		for i, ch := range c.Children {
-			kids[i] = walk(ch)
-		}
-		idx := len(d.sweep)
-		d.sweep = append(d.sweep, sweepEntry{d: c, parent: -1})
-		for _, k := range kids {
-			d.sweep[k].parent = idx
-		}
-		return idx
-	}
-	walk(d)
-	d.inc = newIncState(d.sweep)
-	d.inc.readChunk = func(c, _ int) { d.readLeaves(c) }
-}
-
-// SetFaultPlan arms injected telemetry dropouts on every leaf under d:
-// a leaf whose sample falls inside one of the plan's dropout windows holds
-// its last value instead of reading the node. The start time anchors the
-// plan's relative onsets; sink (nil-safe) journals each held sample.
-func (d *Domain) SetFaultPlan(p *fault.Plan, start time.Time, sink *obs.Sink) {
-	for _, leaf := range d.Leaves() {
-		leaf.faults = p
-		leaf.start = start
-		leaf.sink = sink
-	}
+// SetFaultPlan arms injected telemetry dropouts on every leaf: a leaf whose
+// sample falls inside one of the plan's dropout windows holds its last
+// value instead of reading the node. The start time anchors the plan's
+// relative onsets; sink (nil-safe) journals each held sample.
+func (h *Hierarchy) SetFaultPlan(p *fault.Plan, start time.Time, sink *obs.Sink) {
+	h.faults, h.start, h.sink = p, start, sink
 }
 
 // Sample reads power at time ts throughout the hierarchy: leaves derive
-// power from RAPL energy deltas, interior domains sum their children.
-// Returns the domain's power at this sample. Sample reads every leaf — it
-// marks the whole tree dirty and runs the dirty-set pass (SampleDirty) —
-// so it is the entry point for callers that do not track which nodes
-// changed.
+// power from RAPL energy deltas, interior tiers sum their children.
+// Returns the root's power at this sample. Sample reads every leaf — it
+// marks every leaf dirty and runs the dirty-set pass (SampleDirty) — so it
+// is the entry point for callers that do not track which nodes changed.
 //
 // A leaf degrades instead of failing: during an injected dropout window it
 // holds its last sampled power, and when the node's energy counter cannot
 // be read (the node is down) it reports zero draw and re-primes on
 // recovery. Both substitutions are journaled as TelemetryHold events.
-func (d *Domain) Sample(ts time.Time) units.Power {
-	d.MarkAllDirty()
-	return d.SampleDirty(ts)
+func (h *Hierarchy) Sample(ts time.Time) units.Power {
+	h.MarkAllDirty()
+	return h.SampleDirty(ts)
 }
 
-// leafSample reads one leaf's power at ts into d.power, integrating
-// energy since the leaf's lastTime. It reports a hold: the sample took a
-// dropout-hold (d.power keeps its value) or dead-node branch, whose value
-// can change next sample without any new energy flowing, so the dirty-set
-// pass must revisit the leaf — and journals it as a TelemetryHold in its
-// serial merge. leafSample touches only d and its node, so distinct leaves
+// leafSample reads leaf i's power at ts, integrating energy since its
+// lastTime. It reports a hold: the sample took a dropout-hold (the power
+// keeps its value) or dead-node branch, whose value can change next sample
+// without any new energy flowing, so the dirty-set pass must revisit the
+// leaf — and journals it as a TelemetryHold in its serial merge.
+// leafSample touches only leaf i's entries and its node, so distinct leaves
 // may be read concurrently.
-func (d *Domain) leafSample(ts time.Time) (held bool) {
-	if d.faults.DropoutActive(d.Name, ts.Sub(d.start)) {
+func (h *Hierarchy) leafSample(i int, ts time.Time) (held bool) {
+	n := h.nodes[i]
+	if h.faults.DropoutActive(n.ID, ts.Sub(h.start)) {
 		return true
 	}
-	e, err := d.Node.Energy()
+	e, err := n.Energy()
 	if err != nil {
 		// Dead node: no energy flows that we can meter. Report zero
 		// and forget the priming state so the first post-repair
 		// sample re-primes rather than integrating across the
 		// outage.
-		d.primed = false
-		d.power = 0
+		h.primed[i] = false
+		h.power[i] = 0
 		return true
 	}
-	d.power = 0
-	if d.primed {
-		d.power = units.MeanPower(e-d.lastEnergy, ts.Sub(d.lastTime))
+	h.power[i] = 0
+	if h.primed[i] {
+		h.power[i] = units.MeanPower(e-h.lastEnergy[i], ts.Sub(h.lastTime[i]))
 	}
-	d.lastEnergy = e
-	d.lastTime = ts
-	d.primed = true
+	h.lastEnergy[i] = e
+	h.lastTime[i] = ts
+	h.primed[i] = true
 	return false
 }
 
-// Power returns the domain's most recently sampled power (zero before the
+// Power returns the root's most recently sampled power (zero before the
 // first sample).
-func (d *Domain) Power() units.Power { return d.power }
+func (h *Hierarchy) Power() units.Power { return h.total }
 
-// Find locates a descendant domain by name (including d itself). On a
-// BuildHierarchy root the lookup is a map hit; elsewhere it walks the
-// subtree.
-func (d *Domain) Find(name string) *Domain {
-	if d.byName != nil {
-		return d.byName[name]
+// TopConsumers returns the ordinals of the k leaves with the highest latest
+// power, sorted descending with ties in ordinal order — the watchdog's
+// clamping order. k is clamped to [0, leaves]: a negative k returns nothing
+// rather than panicking.
+func (h *Hierarchy) TopConsumers(k int) []int {
+	ord := make([]int, len(h.nodes))
+	for i := range ord {
+		ord[i] = i
 	}
-	if d.Name == name {
-		return d
-	}
-	for _, c := range d.Children {
-		if got := c.Find(name); got != nil {
-			return got
-		}
-	}
-	return nil
-}
-
-// Leaves returns the node domains under d, in hierarchy order.
-func (d *Domain) Leaves() []*Domain {
-	if d.Node != nil {
-		return []*Domain{d}
-	}
-	var out []*Domain
-	for _, c := range d.Children {
-		out = append(out, c.Leaves()...)
-	}
-	return out
-}
-
-// TopConsumers returns the k leaves with the highest latest power, sorted
-// descending — the watchdog's clamping order. k is clamped to [0, leaves]:
-// a negative k returns nothing rather than panicking.
-func (d *Domain) TopConsumers(k int) []*Domain {
-	leaves := d.Leaves()
-	sort.SliceStable(leaves, func(a, b int) bool {
-		return leaves[a].power > leaves[b].power
+	sort.SliceStable(ord, func(a, b int) bool {
+		return h.power[ord[a]] > h.power[ord[b]]
 	})
-	if k < 0 {
-		k = 0
-	}
-	if k > len(leaves) {
-		k = len(leaves)
-	}
-	return leaves[:k]
+	return ord[:max(0, min(k, len(ord)))]
 }

@@ -30,26 +30,23 @@ func TestBuildHierarchyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Name != "facility" {
-		t.Errorf("root name = %q", root.Name)
+	if len(root.pdu) != 3 { // 4 + 4 + 2
+		t.Fatalf("pdus = %d", len(root.pdu))
 	}
-	if len(root.Children) != 3 { // 4 + 4 + 2
-		t.Fatalf("pdus = %d", len(root.Children))
+	if root.room != nil {
+		t.Errorf("room tier over %d PDUs", len(root.pdu))
 	}
-	if got := len(root.Leaves()); got != 10 {
+	if got := len(root.power); got != 10 {
 		t.Errorf("leaves = %d", got)
-	}
-	if root.Find("pdu001") == nil || root.Find(nodes[7].ID) == nil {
-		t.Error("Find failed for pdu or node")
-	}
-	if root.Find("nonexistent") != nil {
-		t.Error("Find invented a domain")
 	}
 	if _, err := BuildHierarchy(nil, 4); err == nil {
 		t.Error("empty node list accepted")
 	}
 	if _, err := BuildHierarchy(nodes, 0); err == nil {
 		t.Error("zero pdu size accepted")
+	}
+	if _, err := BuildHierarchy([]*node.Node{nodes[0], nil}, 4); err == nil {
+		t.Error("nil node accepted")
 	}
 }
 
@@ -87,19 +84,18 @@ func TestSamplingMeasuresNodePower(t *testing.T) {
 	if got := total.Watts(); got < 4*200 || got > 4*240 {
 		t.Errorf("facility power = %v W, want ~920", got)
 	}
-	// The PDU view sums its two nodes.
-	pdu := root.Children[0]
-	if got := pdu.Power().Watts(); got < 2*200 || got > 2*240 {
+	// The PDU tier sums its two nodes.
+	if got := root.pdu[0].Watts(); got < 2*200 || got > 2*240 {
 		t.Errorf("pdu power = %v W", got)
 	}
 	// Leaves carry their own reading.
-	if got := root.Leaves()[0].Power(); got <= 0 {
+	if got := root.power[0]; got <= 0 {
 		t.Errorf("leaf power = %v", got)
 	}
 }
 
 // TestLeafHoldValues pins the values a leaf substitutes when it cannot
-// read its node, which the recursive oracle shares with the dirty-set pass
+// read its node, which the reference full pass shares with the dirty-set pass
 // and so cannot check. Inside a dropout window the leaf reports and
 // journals its pre-dropout power while the node keeps drawing, and the
 // first read after the window integrates from the last normal read. A dead
@@ -116,7 +112,8 @@ func TestLeafHoldValues(t *testing.T) {
 	sink := obs.New()
 	root.SetFaultPlan(fault.NewPlan(fault.Injection{Kind: fault.TelemetryDropout,
 		Node: nodes[0].ID, At: 60 * time.Second, Duration: 60 * time.Second}), start, sink)
-	dropped, dead := root.Leaves()[0], root.Leaves()[1]
+	dropped := func() units.Power { return root.power[0] }
+	dead := func() units.Power { return root.power[1] }
 	energy := func(n *node.Node) units.Energy {
 		t.Helper()
 		e, err := n.Energy()
@@ -142,7 +139,7 @@ func TestLeafHoldValues(t *testing.T) {
 	runIterations(t, nodes[:1], 2)
 	lastRead := energy(nodes[0])
 	root.Sample(at(30))
-	pre := dropped.Power()
+	pre := dropped()
 	if pre <= 0 {
 		t.Fatalf("pre-dropout power = %v, want a live reading", pre)
 	}
@@ -150,7 +147,7 @@ func TestLeafHoldValues(t *testing.T) {
 	for _, sec := range []int{60, 90} { // inside [60s, 120s)
 		runIterations(t, nodes[:1], 2)
 		root.Sample(at(sec))
-		if got := dropped.Power(); got != pre {
+		if got := dropped(); got != pre {
 			t.Fatalf("%ds: held leaf reports %v, want pre-dropout %v", sec, got, pre)
 		}
 		holds = append(holds, obs.Event{Type: obs.EvTelemetryHold, Host: nodes[0].ID, Value: pre.Watts()})
@@ -158,32 +155,32 @@ func TestLeafHoldValues(t *testing.T) {
 	wantHolds("dropout", holds...)
 	runIterations(t, nodes[1:], 2)
 	root.Sample(at(120))
-	if got, want := dropped.Power(), units.MeanPower(energy(nodes[0])-lastRead, 90*time.Second); got != want {
+	if got, want := dropped(), units.MeanPower(energy(nodes[0])-lastRead, 90*time.Second); got != want {
 		t.Fatalf("first read after the window = %v, want %v (integrated from the last normal read)", got, want)
 	}
-	if dead.Power() <= 0 {
-		t.Fatalf("pre-crash power = %v, want a live reading", dead.Power())
+	if dead() <= 0 {
+		t.Fatalf("pre-crash power = %v, want a live reading", dead())
 	}
 
 	runIterations(t, nodes[1:], 2)
 	fault.Crash(nodes[1])
-	if got := root.Sample(at(150)); got != dropped.Power() {
-		t.Fatalf("facility power with a dead node = %v, want the live leaf's %v", got, dropped.Power())
+	if got := root.Sample(at(150)); got != dropped() {
+		t.Fatalf("facility power with a dead node = %v, want the live leaf's %v", got, dropped())
 	}
-	if got := dead.Power(); got != 0 {
+	if got := dead(); got != 0 {
 		t.Fatalf("dead node reports %v, want 0", got)
 	}
 	holds = append(holds, obs.Event{Type: obs.EvTelemetryHold, Host: nodes[1].ID, Value: 0})
 	wantHolds("dead", holds...)
 	fault.Repair(nodes[1])
 	root.Sample(at(180))
-	if got := dead.Power(); got != 0 {
+	if got := dead(); got != 0 {
 		t.Fatalf("first post-repair sample = %v, want 0 (re-prime, not pre-crash energy)", got)
 	}
 	primed := energy(nodes[1])
 	runIterations(t, nodes[1:], 2)
 	root.Sample(at(210))
-	if got, want := dead.Power(), units.MeanPower(energy(nodes[1])-primed, 30*time.Second); got != want {
+	if got, want := dead(), units.MeanPower(energy(nodes[1])-primed, 30*time.Second); got != want {
 		t.Fatalf("post-repair power = %v, want %v", got, want)
 	}
 	wantHolds("repaired", holds...)
@@ -207,9 +204,9 @@ func TestTopConsumers(t *testing.T) {
 	if len(top) != 2 {
 		t.Fatalf("top = %d", len(top))
 	}
-	for _, d := range top {
-		if d.Node.ID == nodes[2].ID {
-			t.Errorf("capped node %s ranked among top consumers", d.Node.ID)
+	for _, i := range top {
+		if i == 2 {
+			t.Errorf("capped node %s ranked among top consumers", nodes[i].ID)
 		}
 	}
 	if got := root.TopConsumers(99); len(got) != 4 {
@@ -308,66 +305,6 @@ func TestWatchdogQuietWithinBudget(t *testing.T) {
 	}
 }
 
-func TestFindEdgeCases(t *testing.T) {
-	nodes := testNodes(t, 6)
-	root, err := BuildHierarchy(nodes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Find("facility") != root {
-		t.Error("Find(root name) did not return the root")
-	}
-	if d := root.Find(nodes[4].ID); d == nil || d.Node != nodes[4] {
-		t.Errorf("Find(%s) = %v", nodes[4].ID, d)
-	}
-	if d := root.Find("no-such-domain"); d != nil {
-		t.Errorf("Find(missing) = %v, want nil", d)
-	}
-	// Duplicate names resolve to the first match in preorder: the root
-	// shadows a deeper domain carrying the same name.
-	dup, err := NewNodeDomain(nodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup.Name = "facility"
-	root.Children[0].Children = append(root.Children[0].Children, dup)
-	if got := root.Find("facility"); got != root {
-		t.Error("duplicate name resolved to a descendant, want preorder-first (root)")
-	}
-}
-
-func TestLeavesEdgeCases(t *testing.T) {
-	nodes := testNodes(t, 5)
-	root, err := BuildHierarchy(nodes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaves := root.Leaves()
-	if len(leaves) != 5 {
-		t.Fatalf("leaves = %d, want 5", len(leaves))
-	}
-	// Leaves come back in hierarchy (node) order, not power order.
-	for i, l := range leaves {
-		if l.Node != nodes[i] {
-			t.Fatalf("leaf %d = %s, want %s", i, l.Node.ID, nodes[i].ID)
-		}
-	}
-	// A bare leaf domain is its own only leaf.
-	solo, err := NewNodeDomain(nodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := solo.Leaves(); len(got) != 1 || got[0] != solo {
-		t.Errorf("bare leaf Leaves() = %v", got)
-	}
-	// A hand-built interior domain with no children (bypassing the
-	// constructor's validation) must report no leaves, not panic.
-	empty := &Domain{Name: "hollow"}
-	if got := empty.Leaves(); len(got) != 0 {
-		t.Errorf("childless domain leaves = %d, want 0", len(got))
-	}
-}
-
 func TestTopConsumersEdgeCases(t *testing.T) {
 	nodes := testNodes(t, 3)
 	root, err := BuildHierarchy(nodes, 4)
@@ -386,8 +323,8 @@ func TestTopConsumersEdgeCases(t *testing.T) {
 	if got := root.TopConsumers(2); len(got) != 2 {
 		t.Errorf("unsampled TopConsumers(2) = %d leaves", len(got))
 	}
-	empty := &Domain{Name: "hollow"}
-	if got := empty.TopConsumers(3); len(got) != 0 {
-		t.Errorf("childless TopConsumers(3) = %d, want 0", len(got))
+	// Ties keep ordinal order.
+	if got := root.TopConsumers(3); got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("unsampled TopConsumers(3) = %v, want ordinal order", got)
 	}
 }

@@ -9,15 +9,15 @@ import (
 	"powerstack/internal/units"
 )
 
-// Watchdog enforces a power budget over a domain: when the sampled power
+// Watchdog enforces a power budget over a hierarchy: when the sampled power
 // exceeds the budget beyond a tolerance, it clamps the highest-drawing
 // leaves' RAPL limits down until the projected draw fits. This is the
 // resource manager's safety net against policies that overrun (e.g. the
 // Precharacterized policy of Figure 7) and against workload phase changes
 // between policy decisions.
 type Watchdog struct {
-	// Domain is the enforcement scope (usually the facility root).
-	Domain *Domain
+	// Hierarchy is the enforcement scope.
+	Hierarchy *Hierarchy
 	// Budget is the enforced power limit.
 	Budget units.Power
 	// Tolerance is the relative overshoot ignored (RAPL quantization,
@@ -38,27 +38,27 @@ type Watchdog struct {
 }
 
 // NewWatchdog builds a watchdog with default tuning.
-func NewWatchdog(d *Domain, budget units.Power) (*Watchdog, error) {
-	if d == nil {
-		return nil, errors.New("telemetry: watchdog needs a domain")
+func NewWatchdog(h *Hierarchy, budget units.Power) (*Watchdog, error) {
+	if h == nil {
+		return nil, errors.New("telemetry: watchdog needs a hierarchy")
 	}
 	if budget <= 0 {
 		return nil, errors.New("telemetry: watchdog budget must be positive")
 	}
-	return &Watchdog{Domain: d, Budget: budget, Tolerance: 0.01, ClampStep: 0.05}, nil
+	return &Watchdog{Hierarchy: h, Budget: budget, Tolerance: 0.01, ClampStep: 0.05}, nil
 }
 
-// Check samples the domain at ts and enforces the budget. It returns the
+// Check samples the hierarchy at ts and enforces the budget. It returns the
 // sampled power and whether a violation was handled.
 func (w *Watchdog) Check(ts time.Time) (units.Power, bool, error) {
-	p := w.Domain.Sample(ts)
-	w.Obs.PowerSample(w.Domain.Name, p.Watts())
+	p := w.Hierarchy.Sample(ts)
+	w.Obs.PowerSample(rootName, p.Watts())
 	limit := units.Power(float64(w.Budget) * (1 + w.Tolerance))
 	if p <= limit {
 		return p, false, nil
 	}
 	w.Violations++
-	w.Obs.Violation(w.Domain.Name, p.Watts(), w.Budget.Watts())
+	w.Obs.Violation(rootName, p.Watts(), w.Budget.Watts())
 	if err := w.clamp(p); err != nil {
 		return p, true, err
 	}
@@ -69,23 +69,24 @@ func (w *Watchdog) Check(ts time.Time) (units.Power, bool, error) {
 // total fits the budget.
 func (w *Watchdog) clamp(observed units.Power) error {
 	excess := observed - w.Budget
-	for _, leaf := range w.Domain.TopConsumers(len(w.Domain.Leaves())) {
+	h := w.Hierarchy
+	for _, i := range h.TopConsumers(len(h.nodes)) {
 		if excess <= 0 {
 			break
 		}
-		n := leaf.Node
+		n := h.nodes[i]
 		cur, err := n.PowerLimit()
 		if err != nil {
-			return fmt.Errorf("telemetry: clamping %s: %w", leaf.Name, err)
+			return fmt.Errorf("telemetry: clamping %s: %w", n.ID, err)
 		}
 		next := units.Power(float64(cur) * (1 - w.ClampStep))
 		programmed, err := n.SetPowerLimit(next)
 		if err != nil {
-			return fmt.Errorf("telemetry: clamping %s: %w", leaf.Name, err)
+			return fmt.Errorf("telemetry: clamping %s: %w", n.ID, err)
 		}
 		if programmed < cur {
 			w.Clamps++
-			w.Obs.Clamp(leaf.Name, cur.Watts(), programmed.Watts())
+			w.Obs.Clamp(n.ID, cur.Watts(), programmed.Watts())
 			excess -= cur - programmed
 		}
 	}
