@@ -74,6 +74,7 @@ const DefaultNoiseSigma = 0.004
 // NewJob builds a job over the given nodes. The waiting-rank fraction of
 // the config decides how many hosts wait: round(waitingFraction * len).
 // Waiting hosts are the tail of the node list. The seed drives OS noise.
+// A node may appear only once, since it holds one planned operating point.
 func NewJob(id string, cfg kernel.Config, nodes []*node.Node, seed uint64) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("bsp: job %s: %w", id, err)
@@ -88,7 +89,12 @@ func NewJob(id string, cfg kernel.Config, nodes []*node.Node, seed uint64) (*Job
 		NoiseSigma: DefaultNoiseSigma,
 		rng:        rand.New(rand.NewPCG(seed, seed^0xD1B54A32D192ED03)),
 	}
+	seen := make(map[*node.Node]bool, len(nodes))
 	for i, n := range nodes {
+		if seen[n] {
+			return nil, fmt.Errorf("bsp: job %s lists node %s twice", id, n.ID)
+		}
+		seen[n] = true
 		role := Critical
 		if i >= len(nodes)-nWaiting {
 			role = Waiting
@@ -138,16 +144,12 @@ func (j *Job) Nodes() []*node.Node {
 	return out
 }
 
-// HostIteration is one host's share of one iteration.
+// HostIteration is one host's share of one iteration: the node's own
+// result (node.FinishIteration writes it in place) and its role.
 type HostIteration struct {
-	Node         *node.Node
-	Role         Role
-	WorkTime     time.Duration
-	Energy       units.Energy
-	DRAMEnergy   units.Energy
-	MeanPower    units.Power
-	AchievedFreq units.Frequency
-	Flops        units.Flops
+	Node *node.Node
+	Role Role
+	node.PhaseResult
 }
 
 // IterationResult aggregates one bulk-synchronous iteration.
@@ -181,20 +183,22 @@ func (j *Job) RunIteration() (IterationResult, error) {
 // caller that runs a job's iterations back to back (the GEOPM control
 // loop) so they stop allocating. The zero value is ready to use.
 type IterationScratch struct {
-	plans []hostPlan
-	per   []HostIteration
+	// phases holds the iteration's per-role work phases, indexed by Role.
+	phases [2]cpumodel.Phase
+	plans  []hostPlan
+	per    []HostIteration
 }
 
 // hostPlan is one host's critical-path pass result.
 type hostPlan struct {
-	ph     cpumodel.Phase
+	ph     *cpumodel.Phase
 	jitter float64
-	work   time.Duration
 }
 
 // RunIterationInto is RunIteration with its per-host storage taken from
 // scratch. The result's PerHost aliases scratch: it is valid until the next
-// call with the same scratch.
+// call with the same scratch. Each host is planned once and finished once
+// on that plan, writing its result into its PerHost slot.
 func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, error) {
 	j.advancePhase()
 	n := len(j.Hosts)
@@ -203,12 +207,14 @@ func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, erro
 		scratch.per = make([]HostIteration, n)
 	}
 	plans := scratch.plans[:n]
+	scratch.phases[Critical] = j.Phase(Critical)
+	scratch.phases[Waiting] = j.Phase(Waiting)
 
 	// Phase 1: find the critical path under current caps.
 	var barrier time.Duration
 	for i, h := range j.Hosts {
-		ph := j.Phase(h.Role)
-		base, err := h.Node.WorkTime(ph)
+		ph := &scratch.phases[h.Role]
+		base, err := h.Node.PlanIteration(ph)
 		if err != nil {
 			return IterationResult{}, fmt.Errorf("bsp: job %s host %s: %w", j.ID, h.Node.ID, err)
 		}
@@ -220,7 +226,7 @@ func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, erro
 			}
 		}
 		work := time.Duration(float64(base) * jitter)
-		plans[i] = hostPlan{ph: ph, jitter: jitter, work: work}
+		plans[i] = hostPlan{ph: ph, jitter: jitter}
 		if work > barrier {
 			barrier = work
 		}
@@ -230,23 +236,14 @@ func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, erro
 	// barrier.
 	res := IterationResult{Elapsed: barrier, PerHost: scratch.per[:n]}
 	for i, h := range j.Hosts {
-		pr, err := h.Node.CompleteIteration(plans[i].ph, barrier, plans[i].jitter)
-		if err != nil {
+		hi := &res.PerHost[i]
+		hi.Node, hi.Role = h.Node, h.Role
+		if err := h.Node.FinishIteration(plans[i].ph, barrier, plans[i].jitter, &hi.PhaseResult); err != nil {
 			return IterationResult{}, fmt.Errorf("bsp: job %s host %s: %w", j.ID, h.Node.ID, err)
 		}
-		res.PerHost[i] = HostIteration{
-			Node:         h.Node,
-			Role:         h.Role,
-			WorkTime:     pr.WorkTime,
-			Energy:       pr.Energy,
-			DRAMEnergy:   pr.DRAMEnergy,
-			MeanPower:    pr.MeanPower,
-			AchievedFreq: pr.AchievedFreq,
-			Flops:        pr.Flops,
-		}
-		res.TotalEnergy += pr.Energy
-		res.TotalDRAMEnergy += pr.DRAMEnergy
-		res.TotalFlops += pr.Flops
+		res.TotalEnergy += hi.Energy
+		res.TotalDRAMEnergy += hi.DRAMEnergy
+		res.TotalFlops += hi.Flops
 	}
 	return res, nil
 }
@@ -265,18 +262,11 @@ func (j *Job) CreditSteadyState(ir IterationResult, from, to int) {
 	if to <= from {
 		return
 	}
-	for i, h := range ir.PerHost {
+	for i := range ir.PerHost {
 		if i >= len(j.Hosts) {
 			break
 		}
-		j.Hosts[i].Node.CreditIterations(node.PhaseResult{
-			WorkTime:     h.WorkTime,
-			Energy:       h.Energy,
-			DRAMEnergy:   h.DRAMEnergy,
-			MeanPower:    h.MeanPower,
-			AchievedFreq: h.AchievedFreq,
-			Flops:        h.Flops,
-		}, ir.Elapsed, from, to)
+		j.Hosts[i].Node.CreditIterations(&ir.PerHost[i].PhaseResult, ir.Elapsed, from, to)
 	}
 	j.iterCount += to - from
 }

@@ -40,6 +40,19 @@ func TestNewJobValidation(t *testing.T) {
 	}
 }
 
+// TestNewJobRejectsDuplicateNode pins that a node listed twice is refused:
+// the two hosts would share one planned operating point, and with
+// different roles one would finish the other's phase.
+func TestNewJobRejectsDuplicateNode(t *testing.T) {
+	nodes := testNodes(t, 4)
+	if _, err := NewJob("dup", imbalancedCfg(), []*node.Node{nodes[0], nodes[1], nodes[2], nodes[0]}, 1); err == nil {
+		t.Error("expected an error for a node listed twice")
+	}
+	if _, err := NewJob("ok", imbalancedCfg(), nodes, 1); err != nil {
+		t.Errorf("distinct nodes: %v", err)
+	}
+}
+
 func TestRoleAssignment(t *testing.T) {
 	nodes := testNodes(t, 8)
 	j, err := NewJob("j", imbalancedCfg(), nodes, 1)
@@ -403,6 +416,30 @@ func TestRunIterationIntoMatchesRunIteration(t *testing.T) {
 	for i := range pool {
 		if w, g := pool[i].SnapshotWords(nil), twin[i].SnapshotWords(nil); !reflect.DeepEqual(w, g) {
 			t.Errorf("node %d registers differ: fresh %v, reused %v", i, w, g)
+		}
+	}
+}
+
+// BenchmarkRunIterationInto is the zero-alloc gate on the BSP iteration the
+// GEOPM control loop runs: a 16-host imbalanced job with OS noise on, one
+// reused scratch, every host planned and finished once per iteration.
+func BenchmarkRunIterationInto(b *testing.B) {
+	c, err := cluster.New(16, cpumodel.Quartz(), cpumodel.QuartzVariation(), 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := NewJob("bench", imbalancedCfg(), c.Nodes(), 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var scratch IterationScratch
+	if _, err := j.RunIterationInto(&scratch); err != nil { // grows scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := j.RunIterationInto(&scratch); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -123,8 +123,12 @@ func (c *Cluster) FrequencySurvey(cfg kernel.Config, perSocketCap units.Power, i
 			return nil, err
 		}
 		_, a0, m0 := n.AchievedFrequency(0, 0)
+		var pr node.PhaseResult
 		for k := 0; k < iters; k++ {
-			if _, err := n.CompleteIteration(ph, 0, 1); err != nil {
+			if _, err := n.PlanIteration(&ph); err != nil {
+				return nil, err
+			}
+			if err := n.FinishIteration(&ph, 0, 1, &pr); err != nil {
 				return nil, err
 			}
 		}

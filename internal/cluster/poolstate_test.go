@@ -56,8 +56,9 @@ func scramble(t *testing.T, pool []*node.Node, seed uint64) {
 		n.SetDegradation(1 + rng.Float64())
 		// Cap writes consume the armed countdowns and reprogram PL1.
 		n.SetPowerLimit(units.Power(120+rng.Float64()*80) * units.Watt)
-		if iterTime, err := n.WorkTime(ph); err == nil {
-			n.CompleteIteration(ph, iterTime, 1+rng.Float64())
+		if iterTime, err := n.PlanIteration(&ph); err == nil {
+			var pr node.PhaseResult
+			n.FinishIteration(&ph, iterTime, 1+rng.Float64(), &pr)
 		}
 		for _, su := range n.Sockets() {
 			su.Dev.PrivilegedAdd(msr.IA32APerf, rng.Uint64()>>16, 64)
@@ -151,13 +152,13 @@ func TestRecycledPoolBehavesLikeFresh(t *testing.T) {
 			if _, err := nd.SetPowerLimit(180); err != nil {
 				t.Fatal(err)
 			}
-			iterTime, err := nd.WorkTime(ph)
+			iterTime, err := nd.PlanIteration(&ph)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < 5; k++ {
-				res, err := nd.CompleteIteration(ph, iterTime, 1)
-				if err != nil {
+				var res node.PhaseResult
+				if err := nd.FinishIteration(&ph, iterTime, 1, &res); err != nil {
 					t.Fatal(err)
 				}
 				out = append(out, res)

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"powerstack/internal/cpumodel"
 	"powerstack/internal/kernel"
+	"powerstack/internal/node"
 	"powerstack/internal/units"
 )
 
@@ -99,7 +101,7 @@ func TestFrequencyPinInteractsWithPowerCap(t *testing.T) {
 	if _, err := n.SetPowerLimit(150 * units.Watt); err != nil {
 		t.Fatal(err)
 	}
-	res1, err := n.CompleteIteration(j.Phase(0), 0, 1)
+	res1, err := iterate(n, j.Phase(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestFrequencyPinInteractsWithPowerCap(t *testing.T) {
 	if _, err := n.SetFrequencyPin(1.4 * units.Gigahertz); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := n.CompleteIteration(j.Phase(0), 0, 1)
+	res2, err := iterate(n, j.Phase(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestFrequencyPinInteractsWithPowerCap(t *testing.T) {
 	if _, err := n.SetFrequencyPin(0); err != nil {
 		t.Fatal(err)
 	}
-	res3, err := n.CompleteIteration(j.Phase(0), 0, 1)
+	res3, err := iterate(n, j.Phase(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,4 +153,14 @@ func TestSetFrequencyPinQuantizes(t *testing.T) {
 	if read != got {
 		t.Errorf("read-back %v != programmed %v", read, got)
 	}
+}
+
+// iterate plans and finishes one critical-path iteration of ph on n.
+func iterate(n *node.Node, ph cpumodel.Phase) (node.PhaseResult, error) {
+	var res node.PhaseResult
+	if _, err := n.PlanIteration(&ph); err != nil {
+		return res, err
+	}
+	err := n.FinishIteration(&ph, 0, 1, &res)
+	return res, err
 }

@@ -126,7 +126,14 @@ type layout struct {
 	// holds the slots of allowlist entries at or above lowAddrs.
 	low  []uint16
 	high map[uint32]int
+	// iter holds the slots of iterCounters when all five are allowlisted
+	// (iterDense), so AdvanceIteration indexes the words directly.
+	iter      [5]int
+	iterDense bool
 }
+
+// iterCounters are the registers AdvanceIteration advances, in its order.
+var iterCounters = [5]uint32{MSRPkgEnergyStatus, MSRDramEnergyStatus, IA32APerf, IA32MPerf, IA32TimeStampCounter}
 
 // lowAddrs bounds the addresses layout.low indexes directly. Sorted
 // addresses below it take the first slots, so every low slot+1 fits the
@@ -154,6 +161,12 @@ func newLayout(allowlist map[uint32]Access) *layout {
 			l.high = map[uint32]int{}
 		}
 		l.high[addr] = i
+	}
+	l.iterDense = true
+	for k, reg := range iterCounters {
+		var ok bool
+		l.iter[k], ok = l.find(reg)
+		l.iterDense = l.iterDense && ok
 	}
 	return l
 }
@@ -336,42 +349,32 @@ func (d *Device) PrivilegedRead(reg uint32) uint64 {
 // width, which is how the energy accumulators advance (32-bit wrap) and the
 // APERF/MPERF counters advance (64-bit wrap).
 func (d *Device) PrivilegedAdd(reg uint32, delta uint64, widthBits uint) {
-	add := [1]CounterAdd{{Reg: reg, Delta: delta, Width: widthBits}}
-	d.PrivilegedAddBatch(add[:])
-}
-
-// CounterAdd is one wrapping counter advance for PrivilegedAddBatch.
-type CounterAdd struct {
-	Reg   uint32
-	Delta uint64
-	Width uint
-}
-
-// PrivilegedAddBatch applies a series of counter advances in one call — the
-// hot path for iteration crediting, which bumps five counters per socket per
-// credit. Each add is identical to a PrivilegedAdd(Reg, Delta, Width) call,
-// in order.
-func (d *Device) PrivilegedAddBatch(adds []CounterAdd) {
-	for _, a := range adds {
-		var v uint64
-		i, ok := d.lay.find(a.Reg)
-		if ok {
-			v = d.regs[i] + a.Delta
-		} else {
-			v = d.extra[a.Reg] + a.Delta
-		}
-		if a.Width < 64 {
-			v &= (uint64(1) << a.Width) - 1
-		}
-		if ok {
-			d.regs[i] = v
-			continue
-		}
-		if d.extra == nil {
-			d.extra = map[uint32]uint64{}
-		}
-		d.extra[a.Reg] = v
+	v := d.PrivilegedRead(reg) + delta
+	if widthBits < 64 {
+		v &= (uint64(1) << widthBits) - 1
 	}
+	d.PrivilegedWrite(reg, v)
+}
+
+// AdvanceIteration advances the five counters one simulated iteration (or
+// steady-state credit) moves: the package and DRAM energy accumulators by
+// pkg and dram (32-bit wrap), APERF by aperf, MPERF and the TSC by base. It
+// is exactly those five PrivilegedAdd calls, in that order.
+func (d *Device) AdvanceIteration(pkg, dram, aperf, base uint64) {
+	if !d.lay.iterDense {
+		d.PrivilegedAdd(MSRPkgEnergyStatus, pkg, 32)
+		d.PrivilegedAdd(MSRDramEnergyStatus, dram, 32)
+		d.PrivilegedAdd(IA32APerf, aperf, 64)
+		d.PrivilegedAdd(IA32MPerf, base, 64)
+		d.PrivilegedAdd(IA32TimeStampCounter, base, 64)
+		return
+	}
+	r, s := d.regs, &d.lay.iter
+	r[s[0]] = (r[s[0]] + pkg) & (1<<32 - 1)
+	r[s[1]] = (r[s[1]] + dram) & (1<<32 - 1)
+	r[s[2]] += aperf
+	r[s[3]] += base
+	r[s[4]] += base
 }
 
 // Registers returns a snapshot of all register addresses (allowlisted words

@@ -2,6 +2,7 @@ package msr
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -78,30 +79,44 @@ func TestPrivilegedAddWraps32(t *testing.T) {
 	}
 }
 
-// TestPrivilegedAddBatchEquivalent pins the batched advance identical to
-// the same adds issued one call at a time, including 32-bit wraparound,
-// unlisted (side-map) registers, and application order.
-func TestPrivilegedAddBatchEquivalent(t *testing.T) {
-	const sideReg uint32 = 0xC0DE
-	adds := []CounterAdd{
-		{Reg: MSRPkgEnergyStatus, Delta: 7, Width: 32},
-		{Reg: MSRDramEnergyStatus, Delta: 0xFFFF_FFF0, Width: 32},
-		{Reg: IA32APerf, Delta: 123456, Width: 64},
-		{Reg: MSRPkgEnergyStatus, Delta: 0xFFFF_FFFE, Width: 32}, // wraps
-		{Reg: sideReg, Delta: 99, Width: 64},
+// TestAdvanceIterationEquivalent pins AdvanceIteration identical to its
+// five PrivilegedAdd calls, including 32-bit energy wraparound, 64-bit
+// counter wraparound, and a device whose allowlist lacks one of the
+// counters (its advances land in the privileged side map).
+func TestAdvanceIterationEquivalent(t *testing.T) {
+	noDRAM := DefaultAllowlist()
+	delete(noDRAM, MSRDramEnergyStatus)
+	counters := []uint32{MSRPkgEnergyStatus, MSRDramEnergyStatus, IA32APerf, IA32MPerf, IA32TimeStampCounter}
+	steps := [][4]uint64{
+		{7, 0xFFFF_FFF0, 123456, 1 << 30},
+		{0xFFFF_FFFE, 0x40, ^uint64(0), 5}, // both energy counters and APERF wrap
+		{1 << 33, 1 << 32, 0, ^uint64(0) - 1},
 	}
-	one, batch := NewDevice(nil), NewDevice(nil)
-	for _, d := range []*Device{one, batch} {
-		d.PrivilegedWrite(MSRPkgEnergyStatus, 0xFFFF_FFF0)
-		d.PrivilegedWrite(MSRDramEnergyStatus, 0x20)
-	}
-	for _, a := range adds {
-		one.PrivilegedAdd(a.Reg, a.Delta, a.Width)
-	}
-	batch.PrivilegedAddBatch(adds)
-	for _, reg := range []uint32{MSRPkgEnergyStatus, MSRDramEnergyStatus, IA32APerf, sideReg} {
-		if g, w := batch.PrivilegedRead(reg), one.PrivilegedRead(reg); g != w {
-			t.Errorf("reg %#x: batch = %d, individual = %d", reg, g, w)
+	for _, allow := range []map[uint32]Access{nil, noDRAM} {
+		one, adv := NewDevice(allow), NewDevice(allow)
+		for _, d := range []*Device{one, adv} {
+			d.PrivilegedWrite(MSRPkgEnergyStatus, 0xFFFF_FFF0)
+			d.PrivilegedWrite(MSRDramEnergyStatus, 0x20)
+			d.PrivilegedWrite(IA32MPerf, 3)
+		}
+		for _, st := range steps {
+			one.PrivilegedAdd(MSRPkgEnergyStatus, st[0], 32)
+			one.PrivilegedAdd(MSRDramEnergyStatus, st[1], 32)
+			one.PrivilegedAdd(IA32APerf, st[2], 64)
+			one.PrivilegedAdd(IA32MPerf, st[3], 64)
+			one.PrivilegedAdd(IA32TimeStampCounter, st[3], 64)
+			adv.AdvanceIteration(st[0], st[1], st[2], st[3])
+			for _, reg := range counters {
+				if g, w := adv.PrivilegedRead(reg), one.PrivilegedRead(reg); g != w {
+					t.Errorf("allowlist %v reg %#x: AdvanceIteration = %#x, PrivilegedAdd = %#x", allow != nil, reg, g, w)
+				}
+			}
+		}
+		if g, w := adv.PrivilegedRead(MSRDramEnergyStatus), uint64(0x20+0xFFFF_FFF0+0x40+1<<32)&(1<<32-1); g != w {
+			t.Errorf("allowlist %v: DRAM energy = %#x, want %#x", allow != nil, g, w)
+		}
+		if g, w := adv.Registers(), one.Registers(); !slices.Equal(g, w) {
+			t.Errorf("allowlist %v: registers %v, want %v", allow != nil, g, w)
 		}
 	}
 }
@@ -204,21 +219,14 @@ func BenchmarkDeviceRead(b *testing.B) {
 	_ = sum
 }
 
-// BenchmarkPrivilegedAddBatch is the zero-alloc gate on one socket's
-// steady-state credit: the five counter advances node.CreditIterations
-// applies per socket.
-func BenchmarkPrivilegedAddBatch(b *testing.B) {
+// BenchmarkAdvanceIteration is the zero-alloc gate on one socket's
+// per-iteration counter advance: the five counters node.FinishIteration
+// and node.CreditIterations move per socket.
+func BenchmarkAdvanceIteration(b *testing.B) {
 	d := NewDevice(nil)
-	adds := [5]CounterAdd{
-		{Reg: MSRPkgEnergyStatus, Delta: 1 << 20, Width: 32},
-		{Reg: MSRDramEnergyStatus, Delta: 1 << 16, Width: 32},
-		{Reg: IA32APerf, Delta: 1 << 30, Width: 64},
-		{Reg: IA32MPerf, Delta: 1 << 30, Width: 64},
-		{Reg: IA32TimeStampCounter, Delta: 1 << 30, Width: 64},
-	}
 	b.ReportAllocs()
 	for b.Loop() {
-		d.PrivilegedAddBatch(adds[:])
+		d.AdvanceIteration(1<<20, 1<<16, 1<<30, 1<<30)
 	}
 }
 

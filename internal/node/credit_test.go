@@ -22,12 +22,12 @@ func sampledIteration(t *testing.T, n *Node, rng *rand.Rand) (PhaseResult, time.
 	}
 	vecs := []kernel.Vector{kernel.Scalar, kernel.XMM, kernel.YMM}
 	ph := phase(kernel.Config{Intensity: 0.25 + 31*rng.Float64(), Vector: vecs[rng.IntN(len(vecs))], Imbalance: 1})
-	work, err := n.WorkTime(ph)
+	work, err := n.PlanIteration(&ph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	iterTime := time.Duration(float64(work) * (1 + rng.Float64()))
-	pr, err := n.CompleteIteration(ph, iterTime, 1)
+	pr, err := iterate(n, ph, iterTime, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCreditIterationsTelescopes(t *testing.T) {
 		pr, iterTime := sampledIteration(t, n, rng)
 		once, split := clone(n), clone(n)
 		k := 1 + rng.IntN(2_000_000)
-		once.CreditIterations(pr, iterTime, 0, k)
+		once.CreditIterations(&pr, iterTime, 0, k)
 		if n.Sockets()[0].Rapl.EncodeEnergyDelta(pr.Energy/SocketsPerNode*units.Energy(k)) >= 1<<32 {
 			wrapped++
 		}
@@ -60,7 +60,7 @@ func TestCreditIterationsTelescopes(t *testing.T) {
 		}
 		slices.Sort(cuts)
 		for i := 1; i < len(cuts); i++ {
-			split.CreditIterations(pr, iterTime, cuts[i-1], cuts[i])
+			split.CreditIterations(&pr, iterTime, cuts[i-1], cuts[i])
 		}
 		if a, b := once.SnapshotWords(nil), split.SnapshotWords(nil); !slices.Equal(a, b) {
 			t.Fatalf("trial %d: K=%d split at %v: registers differ\n once  %v\n split %v", trial, k, cuts, a, b)
@@ -96,7 +96,7 @@ func TestCreditIterationsFromZero(t *testing.T) {
 				before[reg] = append(before[reg], su.Dev.PrivilegedRead(reg))
 			}
 		}
-		n.CreditIterations(pr, iterTime, 0, count)
+		n.CreditIterations(&pr, iterTime, 0, count)
 		for reg, delta := range want {
 			for i, su := range n.Sockets() {
 				got := su.Dev.PrivilegedRead(reg) - before[reg][i]

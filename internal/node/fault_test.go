@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"powerstack/internal/cpumodel"
@@ -36,11 +37,31 @@ func TestPowerLimitSurfacesReadFault(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	ph := phase(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
-	if _, err := n.WorkTime(ph); !errors.Is(err, errFlaky) {
-		t.Errorf("WorkTime err = %v", err)
+	if _, err := n.PlanIteration(&ph); !errors.Is(err, errFlaky) {
+		t.Errorf("PlanIteration err = %v", err)
 	}
-	if _, err := n.CompleteIteration(ph, 0, 1); !errors.Is(err, errFlaky) {
-		t.Errorf("CompleteIteration err = %v", err)
+	if _, err := iterate(n, ph, 0, 1); !errors.Is(err, errFlaky) {
+		t.Errorf("iterate err = %v", err)
+	}
+}
+
+// TestFinishIterationRereadsFaultyLimit pins the faulty-device rule: a
+// fault that opens between PlanIteration and FinishIteration surfaces from
+// FinishIteration, before any counter advances.
+func TestFinishIterationRereadsFaultyLimit(t *testing.T) {
+	n := testNode(t)
+	ph := phase(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
+	if _, err := n.PlanIteration(&ph); err != nil {
+		t.Fatal(err)
+	}
+	before := n.SnapshotWords(nil)
+	n.Sockets()[0].Dev.SetFault(msr.MSRPkgPowerLimit, errFlaky)
+	var res PhaseResult
+	if err := n.FinishIteration(&ph, 0, 1, &res); !errors.Is(err, errFlaky) {
+		t.Errorf("FinishIteration err = %v, want the injected fault", err)
+	}
+	if !slices.Equal(before, n.SnapshotWords(nil)) {
+		t.Error("a failed FinishIteration advanced the counters")
 	}
 }
 

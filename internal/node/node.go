@@ -96,18 +96,19 @@ type opPoint struct {
 }
 
 // resolve returns the steady-state operating point of the phase under the
-// given per-socket cap and the current frequency pin, memoized.
-func (n *Node) resolve(ph cpumodel.Phase, cap units.Power) opPoint {
+// given per-socket cap and the current frequency pin, memoized in n.op.
+func (n *Node) resolve(ph *cpumodel.Phase, cap units.Power) *opPoint {
 	pin := n.frequencyPin()
+	op := &n.op
 	if n.opValid &&
-		n.op.traffic == ph.Work.Traffic && n.op.flops == ph.Work.Flops &&
-		n.op.vector == int(ph.Vector) && n.op.cap == cap &&
-		n.op.pin == pin && n.op.idleWait == n.IdleWait {
-		return n.op
+		op.traffic == ph.Work.Traffic && op.flops == ph.Work.Flops &&
+		op.vector == int(ph.Vector) && op.cap == cap &&
+		op.pin == pin && op.idleWait == n.IdleWait {
+		return op
 	}
 	m := &n.sockets[0].Model
-	if n.work == nil || n.work.Phase() != ph {
-		n.work = cpumodel.CapTableFor(&m.Spec, ph)
+	if n.work == nil || n.work.Phase() != *ph {
+		n.work = cpumodel.CapTableFor(&m.Spec, *ph)
 	}
 	if n.spin == nil {
 		n.spin = cpumodel.SpinCapTableFor(&m.Spec)
@@ -129,8 +130,8 @@ func (n *Node) resolve(ph cpumodel.Phase, cap units.Power) opPoint {
 		fSpin = m.Spec.MinFreq
 		pSpin = m.IdleWaitPower()
 	}
-	tWork, pWork, util := m.Operate(ph, fWork)
-	n.op = opPoint{
+	tWork, pWork, util := m.Operate(*ph, fWork)
+	*op = opPoint{
 		traffic:  ph.Work.Traffic,
 		flops:    ph.Work.Flops,
 		vector:   int(ph.Vector),
@@ -145,7 +146,7 @@ func (n *Node) resolve(ph cpumodel.Phase, cap units.Power) opPoint {
 		uMem:     util.Mem,
 	}
 	n.opValid = true
-	return n.op
+	return op
 }
 
 // SetDegradation sets a work-time multiplier modeling a slowed host; f <= 1
@@ -417,17 +418,6 @@ func (n *Node) DRAMEnergy() (units.Energy, error) {
 	return total, nil
 }
 
-// WorkTime returns how long the node needs for the phase's per-core work at
-// its current power limit. Both sockets run identical rank work, so the
-// node time equals the socket time.
-func (n *Node) WorkTime(ph cpumodel.Phase) (time.Duration, error) {
-	limit, err := n.sockets[0].Rapl.ReadLimitPower()
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(float64(n.resolve(ph, limit).tWork) * n.Degradation()), nil
-}
-
 // PhaseResult reports one node's share of one bulk-synchronous iteration.
 type PhaseResult struct {
 	// WorkTime is the time the node computed before reaching the barrier.
@@ -447,69 +437,72 @@ type PhaseResult struct {
 	Flops units.Flops
 }
 
-// CompleteIteration executes one iteration of the phase: the node computes
-// for its work time, then spins at the barrier until iterTime has elapsed.
-// Counters (energy, APERF, MPERF, TSC) advance accordingly. iterTime must
-// be at least the node's own work time; the critical host passes its own
-// work time. workScale multiplies the work time (1 = nominal); the BSP
-// engine uses it to inject per-iteration OS noise, which is what produces
-// the nonzero confidence intervals of Figure 8. Non-positive workScale is
-// treated as 1.
-func (n *Node) CompleteIteration(ph cpumodel.Phase, iterTime time.Duration, workScale float64) (PhaseResult, error) {
+// PlanIteration is the first half of one bulk-synchronous iteration: it
+// reads socket 0's PL1 limit, resolves the phase's operating point under it,
+// and returns the node's work time (degradation included). Both sockets run
+// identical rank work, so the node time equals the socket time.
+func (n *Node) PlanIteration(ph *cpumodel.Phase) (time.Duration, error) {
 	limit, err := n.sockets[0].Rapl.ReadLimitPower()
 	if err != nil {
-		return PhaseResult{}, err
+		return 0, err
 	}
-	op := n.resolve(ph, limit)
+	return time.Duration(float64(n.resolve(ph, limit).tWork) * n.Degradation()), nil
+}
+
+// FinishIteration executes the iteration PlanIteration planned, with no
+// limit or pin write in between: the node computes for its work time, spins
+// at the barrier until iterTime, advances its counters, and writes its
+// result into res. iterTime below the work time (0 for a critical host)
+// extends to it. workScale multiplies the work time (1 = nominal,
+// non-positive = 1); the BSP engine injects per-iteration OS noise with it,
+// the source of Figure 8's confidence intervals. On a device holding an
+// injected fault (Faulty) PL1 is read and resolved again, so an armed read
+// countdown advances once per half of the iteration.
+func (n *Node) FinishIteration(ph *cpumodel.Phase, iterTime time.Duration, workScale float64, res *PhaseResult) error {
+	op := &n.op
+	if n.Faulty() {
+		limit, err := n.sockets[0].Rapl.ReadLimitPower()
+		if err != nil {
+			return err
+		}
+		op = n.resolve(ph, limit)
+	}
 	if workScale <= 0 {
 		workScale = 1
 	}
 
-	fWork := op.fWork
 	tWork := time.Duration(float64(op.tWork) * workScale * n.Degradation())
 	if tWork > iterTime {
 		// The barrier cannot release before the slowest host; treat this
 		// host as critical.
 		iterTime = tWork
 	}
-	pWork := op.pWork
-
-	fSpin := op.fSpin
-	pSpin := op.pSpin
 	tSpin := iterTime - tWork
+	secs := iterTime.Seconds()
 
-	var res PhaseResult
 	res.WorkTime = tWork
-	perSocket := units.EnergyOver(pWork, tWork) + units.EnergyOver(pSpin, tSpin)
+	perSocket := units.EnergyOver(op.pWork, tWork) + units.EnergyOver(op.pSpin, tSpin)
 	res.Energy = perSocket * SocketsPerNode
 	m := &n.sockets[0].Model
 	dramPerSocket := units.EnergyOver(m.DRAMPowerAt(op.uMem), tWork) +
 		units.EnergyOver(m.DRAMPowerAt(0), tSpin)
 	res.DRAMEnergy = dramPerSocket * SocketsPerNode
 	res.MeanPower = units.MeanPower(res.Energy, iterTime)
+	res.AchievedFreq = 0
 	if iterTime > 0 {
-		f := (fWork.Hz()*tWork.Seconds() + fSpin.Hz()*tSpin.Seconds()) / iterTime.Seconds()
-		res.AchievedFreq = units.Frequency(f)
+		res.AchievedFreq = units.Frequency((op.fWork.Hz()*tWork.Seconds() + op.fSpin.Hz()*tSpin.Seconds()) / secs)
 	}
 	res.Flops = ph.Work.Flops * units.Flops(n.spec().ActiveCores*SocketsPerNode)
 
 	// Advance the hardware counters so telemetry readers see this
-	// iteration: energy into the wrapping accumulator, APERF at the
-	// achieved frequency, MPERF and TSC at the base clock, in one batched
-	// device call per socket.
-	base := uint64(n.spec().BaseFreq.Hz() * iterTime.Seconds())
-	aperf := uint64(res.AchievedFreq.Hz() * iterTime.Seconds())
+	// iteration: energy into the wrapping accumulators, APERF at the
+	// achieved frequency, MPERF and TSC at the base clock.
+	base := uint64(n.spec().BaseFreq.Hz() * secs)
+	aperf := uint64(res.AchievedFreq.Hz() * secs)
 	for _, s := range n.sockets {
-		adds := [5]msr.CounterAdd{
-			{Reg: msr.MSRPkgEnergyStatus, Delta: s.Rapl.EncodeEnergyDelta(perSocket), Width: 32},
-			{Reg: msr.MSRDramEnergyStatus, Delta: s.Rapl.EncodeEnergyDelta(dramPerSocket), Width: 32},
-			{Reg: msr.IA32APerf, Delta: aperf, Width: 64},
-			{Reg: msr.IA32MPerf, Delta: base, Width: 64},
-			{Reg: msr.IA32TimeStampCounter, Delta: base, Width: 64},
-		}
-		s.Dev.PrivilegedAddBatch(adds[:])
+		s.Dev.AdvanceIteration(s.Rapl.EncodeEnergyDelta(perSocket), s.Rapl.EncodeEnergyDelta(dramPerSocket), aperf, base)
 	}
-	return res, nil
+	return nil
 }
 
 // CreditIterations advances the hardware counters over repetitions from
@@ -523,7 +516,7 @@ func (n *Node) CompleteIteration(ph cpumodel.Phase, iterTime time.Duration, work
 // credit telescopes: crediting [0, a) and then [a, b) programs exactly the
 // registers one credit of [0, b) does, so when a caller settles is
 // unobservable. from = 0 credits to repetitions in one step.
-func (n *Node) CreditIterations(pr PhaseResult, iterTime time.Duration, from, to int) {
+func (n *Node) CreditIterations(pr *PhaseResult, iterTime time.Duration, from, to int) {
 	if from < 0 || to <= from || iterTime <= 0 {
 		return
 	}
@@ -535,14 +528,10 @@ func (n *Node) CreditIterations(pr PhaseResult, iterTime time.Duration, from, to
 	aperf := cycles(aHz, to) - cycles(aHz, from)
 	for _, s := range n.sockets {
 		r := s.Rapl
-		adds := [5]msr.CounterAdd{
-			{Reg: msr.MSRPkgEnergyStatus, Delta: r.EncodeEnergyDelta(perSocket*units.Energy(to)) - r.EncodeEnergyDelta(perSocket*units.Energy(from)), Width: 32},
-			{Reg: msr.MSRDramEnergyStatus, Delta: r.EncodeEnergyDelta(dramPerSocket*units.Energy(to)) - r.EncodeEnergyDelta(dramPerSocket*units.Energy(from)), Width: 32},
-			{Reg: msr.IA32APerf, Delta: aperf, Width: 64},
-			{Reg: msr.IA32MPerf, Delta: base, Width: 64},
-			{Reg: msr.IA32TimeStampCounter, Delta: base, Width: 64},
-		}
-		s.Dev.PrivilegedAddBatch(adds[:])
+		s.Dev.AdvanceIteration(
+			r.EncodeEnergyDelta(perSocket*units.Energy(to))-r.EncodeEnergyDelta(perSocket*units.Energy(from)),
+			r.EncodeEnergyDelta(dramPerSocket*units.Energy(to))-r.EncodeEnergyDelta(dramPerSocket*units.Energy(from)),
+			aperf, base)
 	}
 }
 

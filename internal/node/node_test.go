@@ -30,6 +30,16 @@ func phase(cfg kernel.Config) cpumodel.Phase {
 	return cpumodel.Phase{Work: cfg.CriticalWork(), Vector: cfg.Vector}
 }
 
+// iterate plans and finishes one iteration of ph on n.
+func iterate(n *Node, ph cpumodel.Phase, iterTime time.Duration, workScale float64) (PhaseResult, error) {
+	var res PhaseResult
+	if _, err := n.PlanIteration(&ph); err != nil {
+		return res, err
+	}
+	err := n.FinishIteration(&ph, iterTime, workScale, &res)
+	return res, err
+}
+
 func TestNewNodeDefaults(t *testing.T) {
 	n := testNode(t)
 	if len(n.Sockets()) != SocketsPerNode {
@@ -93,14 +103,14 @@ func TestSetPowerLimitClamps(t *testing.T) {
 func TestWorkTimeSlowsUnderCap(t *testing.T) {
 	n := testNode(t)
 	ph := phase(kernel.Config{Intensity: 32, Vector: kernel.YMM, Imbalance: 1})
-	fast, err := n.WorkTime(ph)
+	fast, err := n.PlanIteration(&ph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.SetPowerLimit(140 * units.Watt); err != nil {
 		t.Fatal(err)
 	}
-	slow, err := n.WorkTime(ph)
+	slow, err := n.PlanIteration(&ph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +122,12 @@ func TestWorkTimeSlowsUnderCap(t *testing.T) {
 func TestCompleteIterationAccounting(t *testing.T) {
 	n := testNode(t)
 	ph := phase(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
-	wt, err := n.WorkTime(ph)
+	wt, err := n.PlanIteration(&ph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	iter := 2 * wt // half the iteration is spin
-	res, err := n.CompleteIteration(ph, iter, 1)
+	res, err := iterate(n, ph, iter, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +146,7 @@ func TestCompleteIterationAccounting(t *testing.T) {
 	}
 	// Spin power < work power, so the mean power over a half-spin
 	// iteration is below the pure-work power.
-	resFull, err := n.CompleteIteration(ph, res.WorkTime, 1)
+	resFull, err := iterate(n, ph, res.WorkTime, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func TestCompleteIterationAccounting(t *testing.T) {
 func TestCompleteIterationClampsShortBarrier(t *testing.T) {
 	n := testNode(t)
 	ph := phase(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
-	res, err := n.CompleteIteration(ph, time.Nanosecond, 1)
+	res, err := iterate(n, ph, time.Nanosecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func TestEnergyCounterMatchesReportedEnergy(t *testing.T) {
 	ph := phase(kernel.Config{Intensity: 4, Vector: kernel.YMM, Imbalance: 1})
 	var want units.Energy
 	for i := 0; i < 10; i++ {
-		res, err := n.CompleteIteration(ph, 0, 1)
+		res, err := iterate(n, ph, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +202,7 @@ func TestAchievedFrequencyFromCounters(t *testing.T) {
 	if _, err := n.SetPowerLimit(140 * units.Watt); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.CompleteIteration(ph, 0, 1)
+	res, err := iterate(n, ph, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +239,7 @@ func TestDRAMEnergyTracksMemoryIntensity(t *testing.T) {
 		var total units.Energy
 		var elapsed time.Duration
 		for i := 0; i < 5; i++ {
-			res, err := n.CompleteIteration(ph, 0, 1)
+			res, err := iterate(n, ph, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,18 +275,18 @@ func TestDRAMEnergyTracksMemoryIntensity(t *testing.T) {
 func TestIterationEnergyMonotoneInBarrierTime(t *testing.T) {
 	n := testNode(t)
 	ph := phase(kernel.Config{Intensity: 2, Vector: kernel.YMM, Imbalance: 1})
-	wt, err := n.WorkTime(ph)
+	wt, err := n.PlanIteration(&ph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(extraMsRaw uint8) bool {
 		extraA := time.Duration(extraMsRaw%100) * time.Millisecond
 		extraB := extraA + 10*time.Millisecond
-		ra, err := n.CompleteIteration(ph, wt+extraA, 1)
+		ra, err := iterate(n, ph, wt+extraA, 1)
 		if err != nil {
 			return false
 		}
-		rb, err := n.CompleteIteration(ph, wt+extraB, 1)
+		rb, err := iterate(n, ph, wt+extraB, 1)
 		if err != nil {
 			return false
 		}
@@ -317,7 +327,7 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	// Running work on the clone advances only the clone's counters.
 	ph := phase(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
-	if _, err := c.CompleteIteration(ph, 0, 1); err != nil {
+	if _, err := iterate(c, ph, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < SocketsPerNode; s++ {
@@ -352,7 +362,7 @@ func TestResolveTableHandles(t *testing.T) {
 		if _, err := n.SetPowerLimit(c.cap); err != nil {
 			t.Fatal(err)
 		}
-		got, err := n.WorkTime(c.ph)
+		got, err := n.PlanIteration(&c.ph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +375,7 @@ func TestResolveTableHandles(t *testing.T) {
 		}
 		fresh := clone(n)
 		fresh.work, fresh.spin, fresh.opValid = nil, nil, false
-		want, err := fresh.WorkTime(c.ph)
+		want, err := fresh.PlanIteration(&c.ph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +385,7 @@ func TestResolveTableHandles(t *testing.T) {
 	}
 }
 
-// BenchmarkResolveMiss alternates two caps through WorkTime, so every call
+// BenchmarkResolveMiss alternates two caps through PlanIteration, so every call
 // misses the operating-point memo and inverts both cap tables. It must not
 // allocate.
 func BenchmarkResolveMiss(b *testing.B) {
@@ -392,7 +402,7 @@ func BenchmarkResolveMiss(b *testing.B) {
 		if _, err := n.SetPowerLimitCached(caps[i&1], &enc); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := n.WorkTime(ph); err != nil {
+		if _, err := n.PlanIteration(&ph); err != nil {
 			b.Fatal(err)
 		}
 	}

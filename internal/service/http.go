@@ -267,6 +267,12 @@ func (h *Host) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	// GET /v1/jobs/{id} must route back to every accepted job: a "/" splits
+	// the path segment, and path cleaning rewrites a "." or ".." one.
+	if strings.Contains(req.JobID, "/") || req.JobID == "." || req.JobID == ".." {
+		writeError(w, fmt.Errorf("%w: job_id %q is not addressable as /v1/jobs/{id}", errBadRequest, req.JobID))
+		return
+	}
 	hi, err := h.hosted(req.Instance)
 	if err != nil {
 		writeError(w, err)

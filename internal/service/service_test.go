@@ -480,6 +480,45 @@ func TestHostRouting(t *testing.T) {
 	}
 }
 
+// TestSubmitJobIDsRouteBack pins that every job ID /v1/submit accepts
+// reads back through GET /v1/jobs/{id}: IDs the route cannot address (a
+// "/" anywhere, a lone "." or "..") are refused as bad requests, and
+// dotted IDs that stay one clean segment are accepted and read back.
+func TestSubmitJobIDsRouteBack(t *testing.T) {
+	cfg, _ := serviceEnv(t)
+	h := NewHost(nil)
+	handPaced(t, h, InstanceConfig{Name: "main", Facility: cfg, Speedup: 1})
+	srv := httptest.NewServer(h.Handler())
+	defer srv.Close()
+	submit := func(id string, out any) int {
+		return post(t, srv.URL+"/v1/submit", apiv1.SubmitRequest{
+			JobID: id, Workload: apiv1.WorkloadSpec{Intensity: 8, Vector: "ymm", Imbalance: 1},
+			Nodes: 2, Iterations: 100,
+		}, out)
+	}
+	for _, id := range []string{"/", "a/b", "/lead", "trail/", ".", ".."} {
+		var werr apiv1.Error
+		if code := submit(id, &werr); code != 400 || werr.Code != apiv1.CodeBadRequest {
+			t.Errorf("submit %q = %d %+v, want 400 %s", id, code, werr, apiv1.CodeBadRequest)
+		}
+	}
+	for _, id := range []string{"a.b", "..."} {
+		var sub apiv1.SubmitResponse
+		if code := submit(id, &sub); code != 200 || sub.JobID != id {
+			t.Fatalf("submit %q = %d %+v", id, code, sub)
+		}
+		var js apiv1.JobStatus
+		if code := get(t, srv.URL+"/v1/jobs/"+id, &js); code != 200 || js.ID != id {
+			t.Errorf("GET /v1/jobs/%s = %d %+v", id, code, js)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := h.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPolicyByName pins the separator-insensitive resolver.
 func TestPolicyByName(t *testing.T) {
 	for _, name := range []string{"MixedAdaptive", "mixed-adaptive", "mixed_adaptive", "MIXEDADAPTIVE"} {
