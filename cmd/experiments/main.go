@@ -69,7 +69,7 @@ func main() {
 	flag.IntVar(&opt.iters, "iters", 50, "iterations per run (the paper uses 100)")
 	flag.IntVar(&opt.charNodes, "charnodes", 16, "nodes for characterization runs (the paper uses 100)")
 	flag.Uint64Var(&opt.seed, "seed", 1, "random seed")
-	flag.IntVar(&opt.parallel, "parallel", 0, "evaluation cells run concurrently (0 = all CPUs, 1 = sequential); any value produces identical results")
+	flag.IntVar(&opt.parallel, "parallel", 0, "workers executing evaluation cells, each cell on its own cloned pool (0 = all CPUs, 1 = sequential); any value produces identical results")
 	flag.StringVar(&opt.dbPath, "db", "", "characterization database to load (and save if absent)")
 	flag.StringVar(&opt.mixFilter, "mix", "", "restrict figures to one mix by name")
 	flag.StringVar(&opt.csvDir, "csv", "", "also write figure7.csv and figure8.csv into this directory")

@@ -228,7 +228,7 @@ type series struct {
 
 // Registry holds named metrics. Lookups take a read lock on the hot path
 // and only write-lock to create a series the first time it is seen, so
-// concurrent instrumented layers (rm.RunAll runs jobs in parallel) scale.
+// concurrent instrumented layers (the sim grid runs cells in parallel) scale.
 type Registry struct {
 	mu     sync.RWMutex
 	series map[string]*series
@@ -422,6 +422,7 @@ var metricHelp = map[string]string{
 	MetricClamps:            "Watchdog limit clamps applied.",
 	MetricCells:             "Sim evaluation cells completed.",
 	MetricCellSeconds:       "Distribution of sim cell wall times in seconds.",
+	MetricJobRuns:           "Sim grid job runs by outcome: executed, or shared with an identical run.",
 	MetricFaults:            "Fault-plan injections armed or fired.",
 	MetricQuarantines:       "Nodes moved to the drain set.",
 	MetricRejoins:           "Repaired nodes returned to service.",

@@ -56,6 +56,9 @@ const (
 	MetricCells = "powerstack_sim_cells_total"
 	// MetricCellSeconds is the wall-time histogram of sim cells.
 	MetricCellSeconds = "powerstack_sim_cell_seconds"
+	// MetricJobRuns counts the (cell, job) runs of sim grids, labeled
+	// outcome: JobRunExecuted or JobRunShared.
+	MetricJobRuns = "powerstack_sim_job_runs_total"
 	// MetricFaults counts fault-plan injections armed or fired, labeled
 	// kind.
 	MetricFaults = "powerstack_faults_injected_total"
@@ -575,6 +578,23 @@ func (s *Sink) CellStart(mix, policy, budget string) {
 		return
 	}
 	s.record(Event{Type: EvCell, Layer: "sim", Scope: mix + "/" + budget + "/" + policy})
+}
+
+// Outcomes of a sim grid's job runs (MetricJobRuns).
+const (
+	// JobRunExecuted is a job run a cell executed.
+	JobRunExecuted = "executed"
+	// JobRunShared is a cell's job whose run, bit-identical for its
+	// caps, another cell executed.
+	JobRunShared = "shared"
+)
+
+// JobRuns counts n sim job runs with the given outcome.
+func (s *Sink) JobRuns(outcome string, n int) {
+	if s == nil || n == 0 {
+		return
+	}
+	s.Metrics.Counter(MetricJobRuns, "outcome", outcome).Add(float64(n))
 }
 
 // CellDone marks a sim evaluation cell finishing after seconds of wall

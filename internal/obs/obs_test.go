@@ -54,6 +54,7 @@ func TestNilAllocationFree(t *testing.T) {
 		s.Epoch("geopm", "j", 1, 0.2)
 		s.LimitWrite("n", 180)
 		s.Clamp("n", 200, 190)
+		s.JobRuns(JobRunExecuted, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("nil sink allocated %v per run", allocs)
@@ -127,9 +128,9 @@ func TestSinkVocabulary(t *testing.T) {
 }
 
 // TestSinkConcurrency hammers one sink — registry and journal together —
-// from GOMAXPROCS goroutines and asserts exact totals, mirroring how
-// rm.RunAll drives concurrent GEOPM controllers into a shared sink. Run
-// with -race.
+// from GOMAXPROCS goroutines and asserts exact totals, mirroring how the
+// sim grid's workers drive concurrent GEOPM controllers into a shared
+// sink. Run with -race.
 func TestSinkConcurrency(t *testing.T) {
 	s := NewWithCapacity(1 << 10)
 	workers := runtime.GOMAXPROCS(0)

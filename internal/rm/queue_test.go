@@ -213,10 +213,7 @@ func TestFullQueueLifecycleRuns(t *testing.T) {
 	if _, err := s.Dispatch(1); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := m.RunAll(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := runJobs(t, m, 5)
 	if len(reports) != 2 {
 		t.Fatalf("reports = %d", len(reports))
 	}

@@ -1,7 +1,7 @@
 // Package rm is the resource-manager half of the stack (the SLURM role in
 // the paper): it owns the node pool, schedules jobs onto nodes, asks a
 // Section III policy for a system-wide power allocation, programs the
-// resulting per-host caps through the GEOPM runtime, and runs the job mix.
+// resulting per-host caps through the GEOPM runtime; callers run the jobs.
 //
 // The paper emulates the execution-time feedback loop between resource
 // manager and job runtime by pre-characterizing workloads; accordingly the
@@ -12,13 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"powerstack/internal/bsp"
 	"powerstack/internal/charz"
-	"powerstack/internal/geopm"
 	"powerstack/internal/kernel"
 	"powerstack/internal/node"
 	"powerstack/internal/obs"
@@ -96,21 +93,15 @@ type Manager struct {
 	drained  []bool
 	nDrained int
 
-	// Obs is propagated to the GEOPM controllers RunAll spawns; nil
-	// disables instrumentation. The registry and journal are safe under
-	// RunAll's concurrent jobs.
+	// Obs journals the manager's decisions (policy fallbacks, cap
+	// retries, quarantines, rejoins) and cap-write spans; nil disables
+	// instrumentation.
 	Obs *obs.Sink
 
 	// SpanParent, when valid, parents the per-node cap-write spans cap
 	// batches open. The facility points it at the current replan-round span
 	// before each replan and clears it after.
 	SpanParent obs.SpanContext
-
-	// Workers bounds how many jobs RunAll executes concurrently; zero or
-	// negative selects runtime.GOMAXPROCS(0). Callers that already fan
-	// out above the manager (the parallel evaluation grid) lower it to
-	// keep total goroutine pressure proportional to the machine.
-	Workers int
 
 	// CapRetries overrides DefaultCapRetries (negative disables retries;
 	// zero selects the default).
@@ -501,44 +492,4 @@ func Overrun(alloc policy.Allocation, budget units.Power) units.Power {
 		return t - budget
 	}
 	return 0
-}
-
-// RunAll runs every scheduled job for iters iterations concurrently (jobs
-// share no nodes) and returns their GEOPM reports in submission order.
-// Limits must already be applied; each job runs under a monitor agent so
-// the caps the policy programmed stay in force.
-func (m *Manager) RunAll(iters int) ([]geopm.Report, error) {
-	if len(m.jobs) == 0 {
-		return nil, errors.New("rm: no jobs scheduled")
-	}
-	reports := make([]geopm.Report, len(m.jobs))
-	errs := make([]error, len(m.jobs))
-	workers := m.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, sj := range m.jobs {
-		wg.Add(1)
-		go func(i int, sj *ScheduledJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ctl, err := geopm.NewController(sj.Job, geopm.Monitor{}, 0)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ctl.Obs = m.Obs
-			reports[i], errs[i] = ctl.Run(iters)
-		}(i, sj)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return reports, nil
 }

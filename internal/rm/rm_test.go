@@ -9,6 +9,7 @@ import (
 	"powerstack/internal/charz"
 	"powerstack/internal/cluster"
 	"powerstack/internal/cpumodel"
+	"powerstack/internal/geopm"
 	"powerstack/internal/kernel"
 	"powerstack/internal/msr"
 	"powerstack/internal/node"
@@ -31,6 +32,26 @@ func cfgBalanced() kernel.Config {
 
 func cfgImbalanced() kernel.Config {
 	return kernel.Config{Intensity: 8, Vector: kernel.YMM, WaitingPct: 50, Imbalance: 3}
+}
+
+// runJobs runs every scheduled job for iters iterations under the GEOPM
+// monitor agent, so the caps the manager programmed stay in force, and
+// returns the reports in submission order.
+func runJobs(t *testing.T, m *Manager, iters int) []geopm.Report {
+	t.Helper()
+	var reports []geopm.Report
+	for _, sj := range m.Jobs() {
+		ctl, err := geopm.NewController(sj.Job, geopm.Monitor{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ctl.Run(iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
+	}
+	return reports
 }
 
 // charDB characterizes both test configs on a scratch set of nodes.
@@ -158,10 +179,7 @@ func TestPlanApplyRun(t *testing.T) {
 			}
 		}
 	}
-	reports, err := m.RunAll(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := runJobs(t, m, 10)
 	if len(reports) != 2 {
 		t.Fatalf("reports = %d", len(reports))
 	}
@@ -187,13 +205,6 @@ func TestApplyValidation(t *testing.T) {
 	}
 	if err := m.Apply(policy.Allocation{"a": {200}}); err == nil {
 		t.Error("wrong cap count accepted")
-	}
-}
-
-func TestRunAllRequiresJobs(t *testing.T) {
-	m := NewManager(testPool(t, 2))
-	if _, err := m.RunAll(5); err == nil {
-		t.Error("RunAll with no jobs accepted")
 	}
 }
 
@@ -313,9 +324,7 @@ func TestApplySwapsQuarantinedHostForSpare(t *testing.T) {
 		t.Errorf("free = %d, want 1", m.FreeNodes())
 	}
 	// The job still runs end to end on the repaired host set.
-	if _, err := m.RunAll(5); err != nil {
-		t.Fatal(err)
-	}
+	runJobs(t, m, 5)
 }
 
 // TestCapBatchRecordsChangedJobOnce pins that ApplyCaps reports a job

@@ -3,14 +3,17 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"powerstack/internal/charz"
 	"powerstack/internal/cluster"
 	"powerstack/internal/cpumodel"
+	"powerstack/internal/fault"
 	"powerstack/internal/geopm"
 	"powerstack/internal/msr"
 	"powerstack/internal/node"
@@ -325,7 +328,7 @@ func TestAssembleZeroElapsedKeepsSeriesFinite(t *testing.T) {
 		{JobID: "b", Elapsed: 3 * time.Second, TotalEnergy: 60 * units.Joule,
 			IterationTimes: []time.Duration{time.Second, time.Second, time.Second}},
 	}
-	cell, err := r.assemble(mix, policy.StaticCaps{}, "min", 400*units.Watt, nil, reports)
+	cell, err := r.assemble(mix, policy.StaticCaps{}, "min", 400*units.Watt, 0, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,18 +537,153 @@ func TestGridEquivalence(t *testing.T) {
 	}
 }
 
-func benchGrid(b *testing.B, parallelism int) {
+// gridMixes is the small two-mix grid the equivalence tests share, with
+// a pool that fits the larger mix.
+func gridMixes(t testing.TB) ([]workload.Mix, []*node.Node, *charz.DB) {
+	t.Helper()
 	mixes := []workload.Mix{
 		workload.WastefulPower().Scaled(24),
 		workload.NeedUsedPower().Scaled(18),
 	}
 	poolSize := 0
 	for _, m := range mixes {
-		if n := m.TotalNodes(); n > poolSize {
-			poolSize = n
+		poolSize = max(poolSize, m.TotalNodes())
+	}
+	pool, db := testEnv(t, mixes, poolSize)
+	return mixes, pool, db
+}
+
+func jobRuns(s *obs.Sink, outcome string) int {
+	return int(s.Metrics.Counter(obs.MetricJobRuns, "outcome", outcome).Value())
+}
+
+// TestRunKeyUsesExactCapBits pins the run key to the caps' exact bits:
+// caps that print alike at units.Power's four significant digits but
+// differ in their bits program different limits and must not share a run.
+func TestRunKeyUsesExactCapBits(t *testing.T) {
+	mixes := []workload.Mix{{Name: "m", Jobs: []workload.JobSpec{
+		{ID: "a", Config: cluster.SurveyWorkload(), Nodes: 2},
+	}}}
+	lo, hi := 212*units.Watt, 212.01*units.Watt
+	if fmt.Sprintf("%v", []units.Power{lo}) != fmt.Sprintf("%v", []units.Power{hi}) {
+		t.Fatalf("caps %v and %v print differently; the test needs caps that print alike", lo, hi)
+	}
+	assign := func(second units.Power, perCell bool) ([]plannedCell, int) {
+		cells := []plannedCell{
+			{alloc: policy.Allocation{"a": {lo, lo}}},
+			{alloc: policy.Allocation{"a": {lo, second}}},
+		}
+		return cells, assignRuns(mixes, cells, perCell)
+	}
+	if cells, n := assign(lo, false); n != 1 || len(cells[1].owned) != 0 || cells[1].runs[0] != cells[0].runs[0] {
+		t.Errorf("identical caps: %d runs, second cell owns %v, want one shared run", n, cells[1].owned)
+	}
+	if cells, n := assign(hi, false); n != 2 || len(cells[1].owned) != 1 {
+		t.Errorf("caps %v vs %v: %d runs, second cell owns %v, want two runs", lo, hi, n, cells[1].owned)
+	}
+	if _, n := assign(lo, true); n != 2 {
+		t.Errorf("per-cell keys: %d runs, want 2", n)
+	}
+}
+
+// TestGridCellsMatchSingleCells checks that sharing runs across cells is
+// exact: with noise on, every cell of a grid equals the cell a fresh
+// single-cell RunCell returns, and the grid did share runs.
+func TestGridCellsMatchSingleCells(t *testing.T) {
+	mixes, pool, db := gridMixes(t)
+	r := NewRunner(pool, db)
+	r.Iters = 5
+	r.Parallelism = 2
+	r.Obs = obs.New()
+	g, err := r.Run(context.Background(), mixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for _, mr := range g.Mixes {
+		for _, level := range mr.Budgets.Levels() {
+			for _, p := range policy.All() {
+				single := NewRunner(pool, db)
+				single.Iters = r.Iters
+				cell, err := single.RunCell(context.Background(), mr.Mix, p, level.Name, level.Power)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(mr.Cells[level.Name][p.Name()], cell) {
+					t.Errorf("%s/%s/%s: grid cell differs from the single cell", mr.Mix.Name, level.Name, p.Name())
+				}
+				pairs += len(mr.Mix.Jobs)
+			}
 		}
 	}
-	pool, db := testEnv(b, mixes, poolSize)
+	executed, shared := jobRuns(r.Obs, obs.JobRunExecuted), jobRuns(r.Obs, obs.JobRunShared)
+	t.Logf("%d job runs executed, %d shared", executed, shared)
+	if shared == 0 || executed+shared != pairs {
+		t.Errorf("runs executed %d + shared %d, want some shared and %d in all", executed, shared, pairs)
+	}
+}
+
+// TestFaultGridSharesNothing checks that under a fault plan every cell runs
+// every job of its mix itself.
+func TestFaultGridSharesNothing(t *testing.T) {
+	mixes, pool, db := gridMixes(t)
+	r := NewRunner(pool, db)
+	r.Iters = 3
+	r.NoiseSigma = 0
+	r.Obs = obs.New()
+	r.Faults = fault.NewPlan(fault.Injection{Kind: fault.SlowNode, Node: pool[0].ID, Factor: 1.5})
+	if _, err := r.Run(context.Background(), mixes); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, m := range mixes {
+		want += 3 * len(policy.All()) * len(m.Jobs)
+	}
+	if got := jobRuns(r.Obs, obs.JobRunExecuted); got != want {
+		t.Errorf("executed %d runs, want cells x jobs = %d", got, want)
+	}
+	if got := jobRuns(r.Obs, obs.JobRunShared); got != 0 {
+		t.Errorf("shared %d runs under a fault plan, want 0", got)
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err call on.
+type countdownCtx struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n.Add(-1) <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelStopsAtRunBoundary checks that a cell checks for cancellation
+// before each job run: cancelled once its first run is under way, the cell
+// completes that run, skips the rest, and returns the cancellation.
+func TestCancelStopsAtRunBoundary(t *testing.T) {
+	mix := smallWasteful()
+	pool, db := testEnv(t, []workload.Mix{mix}, mix.TotalNodes())
+	r := NewRunner(pool, db)
+	r.Iters = 3
+	r.Obs = obs.New()
+	// Err calls: the grid's entry check, the cell's, the first run's, then
+	// the second run's, which sees the cancellation.
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.n.Store(4)
+	_, err := r.RunCell(ctx, mix, policy.StaticCaps{}, "x", 36*200*units.Watt)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := jobRuns(r.Obs, obs.JobRunExecuted); got != 1 {
+		t.Errorf("executed %d runs, want 1 of %d", got, len(mix.Jobs))
+	}
+}
+
+func benchGrid(b *testing.B, parallelism int) {
+	mixes, pool, db := gridMixes(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(pool, db)

@@ -381,9 +381,9 @@ type RunnerOptions struct {
 	// a pointer so an explicit zero (fully deterministic iterations) is
 	// distinguishable from "keep the characterized noise".
 	NoiseSigma *float64
-	// Parallelism bounds concurrent evaluation cells: zero selects all
-	// CPUs, one recovers the sequential grid. Results are byte-identical
-	// at every level.
+	// Parallelism is how many workers execute evaluation cells: zero
+	// selects all CPUs, one recovers the sequential grid. Results are
+	// byte-identical at every level.
 	Parallelism int
 }
 
@@ -407,7 +407,7 @@ func (s *System) runner(opts RunnerOptions) *sim.Runner {
 }
 
 // RunMix evaluates one mix across all budgets and policies. Cancelling ctx
-// abandons the run at the next cell boundary and returns an error matching
+// abandons the run at the next job run boundary and returns an error matching
 // errors.Is(err, context.Canceled); every node is left capped at TDP.
 func (s *System) RunMix(ctx context.Context, mix Mix, iters int) (MixResult, error) {
 	return s.RunMixWith(ctx, mix, RunnerOptions{Iters: iters})
