@@ -6,12 +6,18 @@
 // ranking rests on.
 //
 // Determinism is the contract the whole package is built around, following
-// the sim grid's cell-isolation pattern: every scenario runs on a pristine
-// clone pool (each worker owns one cluster.PoolState and restores it before
-// every scenario), results land in index-addressed slots, errors are
+// the sim grid's cell-isolation pattern: every facility run starts on a
+// pristine clone pool (each worker owns one cluster.PoolState and restores
+// it before every run), results land in index-addressed slots, errors are
 // reported in matrix order, and the Report carries no wall-clock or
 // scheduling-order data — so a campaign's serialized output is
 // byte-identical at any parallelism, including fully sequential.
+//
+// Scenarios that differ only in their emergency response share one
+// facility run when their budget is constant (facility.Config.ConstantBudget):
+// the response is read only when a budget change strands committed power,
+// and such a run has no budget change, so its Result is the same under
+// every response.
 package campaign
 
 import (
@@ -67,7 +73,8 @@ type Config struct {
 	// Emergencies optionally sweeps the budget-emergency response
 	// (preempt/throttle/kill) so identical shocks — same budget timeline,
 	// same fault lane, same seeds — rank the responses against each other.
-	// Empty runs one lane with Base.Emergency.
+	// Empty runs one lane with Base.Emergency. A lane whose budget never
+	// changes runs one facility run for all responses (see Runner.Run).
 	Emergencies []facility.EmergencyPolicy
 
 	// Parallelism bounds the worker pool; <= 0 selects GOMAXPROCS. 1 is
@@ -113,6 +120,17 @@ type Scenario struct {
 	Policy       policy.Policy
 	Fault        NamedFaultPlan
 	Emergency    facility.EmergencyPolicy
+
+	// run keys the facility run the scenario's result comes from.
+	run runKey
+}
+
+// runKey names one distinct facility run by the scenario's axis indices
+// (indices, not values: two policies may print alike). Emergency is -1 on a
+// lane whose budget never changes, so every response of that lane maps to
+// one run.
+type runKey struct {
+	policy, interarrival, budget, fault, emergency, seed int
 }
 
 // emergencyLanes resolves the emergency axis: the configured sweep, or one
@@ -134,13 +152,23 @@ func (c *Config) scenarios() []Scenario {
 		plans = []NamedFaultPlan{{Name: "clean"}}
 	}
 	emergencies := c.emergencyLanes()
+	constant := make([]bool, len(plans))
+	for fi, plan := range plans {
+		fc := c.Base
+		fc.Faults = plan.Plan
+		constant[fi] = fc.ConstantBudget()
+	}
 	out := make([]Scenario, 0, len(c.Policies)*len(c.Interarrivals)*len(c.Budgets)*len(plans)*len(emergencies)*len(c.Seeds))
-	for _, pol := range c.Policies {
-		for _, ia := range c.Interarrivals {
-			for _, budget := range c.Budgets {
-				for _, plan := range plans {
-					for _, em := range emergencies {
-						for _, seed := range c.Seeds {
+	for pi, pol := range c.Policies {
+		for ii, ia := range c.Interarrivals {
+			for bi, budget := range c.Budgets {
+				for fi, plan := range plans {
+					for ei, em := range emergencies {
+						runEm := ei
+						if constant[fi] {
+							runEm = -1
+						}
+						for si, seed := range c.Seeds {
 							out = append(out, Scenario{
 								Index:        len(out),
 								Seed:         seed,
@@ -149,6 +177,7 @@ func (c *Config) scenarios() []Scenario {
 								Policy:       pol,
 								Fault:        plan,
 								Emergency:    em,
+								run:          runKey{pi, ii, bi, fi, runEm, si},
 							})
 						}
 					}
@@ -157,6 +186,23 @@ func (c *Config) scenarios() []Scenario {
 		}
 	}
 	return out
+}
+
+// planRuns groups scenarios by run key: one group per distinct facility
+// run, in matrix order of its first scenario, which owns the run.
+func planRuns(run []Scenario) [][]int {
+	var groups [][]int
+	byKey := make(map[runKey]int, len(run))
+	for pos, sc := range run {
+		g, ok := byKey[sc.run]
+		if !ok {
+			g = len(groups)
+			byKey[sc.run] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], pos)
+	}
+	return groups
 }
 
 func (c *Config) validate() error {
@@ -175,6 +221,13 @@ func (c *Config) validate() error {
 	for _, p := range c.Policies {
 		if p == nil {
 			return errors.New("campaign: nil policy")
+		}
+	}
+	// Checked here, not by each facility run: a scenario sharing another
+	// response's run never validates its own.
+	for _, em := range c.Emergencies {
+		if !em.Valid() {
+			return fmt.Errorf("campaign: unknown emergency response %q", em)
 		}
 	}
 	if c.Shards > 1 && (c.Shard < 0 || c.Shard >= c.Shards) {
@@ -202,12 +255,14 @@ type Runner struct {
 	Obs *obs.Sink
 }
 
-// Run executes the campaign matrix and aggregates the report. The report
-// is independent of Parallelism and of worker scheduling: scenario results
-// are slotted by matrix index, aggregation follows matrix order, and on
-// error the first failure in matrix order is returned (as Run's error,
-// wrapped with its scenario), regardless of which worker hit an error
-// first on the wall clock.
+// Run executes the campaign matrix and aggregates the report. It plans
+// the shard's scenarios into distinct facility runs (planRuns), executes
+// each run once on the worker pool and hands its result to every scenario
+// of its group. The report is independent of Parallelism and of worker
+// scheduling: scenario results are slotted by matrix index, aggregation
+// follows matrix order, and on error the first failure in matrix order is
+// returned (as Run's error, wrapped with its scenario), regardless of
+// which worker hit an error first on the wall clock.
 func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -231,13 +286,14 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 			return &Report{Nodes: len(r.Nodes)}, nil
 		}
 	}
+	groups := planRuns(run)
 
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(run) {
-		workers = len(run)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 
 	if cfg.FlightDir != "" {
@@ -254,7 +310,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	results := make([]*facility.Result, len(scenarios))
 	errs := make([]error, len(run))
-	tasks := make(chan int)
+	tasks := make(chan []int)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -262,24 +318,26 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 		go func(worker int) {
 			defer wg.Done()
 			pool := cluster.NewPoolState(r.Nodes)
-			for idx := range tasks {
+			for group := range tasks {
 				if err := ctx.Err(); err != nil {
-					errs[idx] = err
+					for _, pos := range group {
+						errs[pos] = err
+					}
 					continue
 				}
-				errs[idx] = r.runScenario(ctx, &cfg, run[idx], worker, root.Ctx(), pool, results)
+				r.runGroup(ctx, &cfg, run, group, worker, root.Ctx(), pool, results, errs)
 			}
 		}(w)
 	}
-	for idx := range run {
-		tasks <- idx
+	for _, group := range groups {
+		tasks <- group
 	}
 	close(tasks)
 	wg.Wait()
 
-	for idx, err := range errs {
+	for pos, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("campaign: scenario %d (%s): %w", run[idx].Index, describe(run[idx]), err)
+			return nil, fmt.Errorf("campaign: scenario %d (%s): %w", run[pos].Index, describe(run[pos]), err)
 		}
 	}
 
@@ -293,50 +351,60 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 	return buildReport(len(r.Nodes), cfg, scenarios, results), nil
 }
 
-// runScenario executes one cell on the worker's pool, restored to pristine
-// first so whatever an earlier scenario left behind (armed faults,
-// degradation, energy accounting, power limits) is wiped.
-func (r *Runner) runScenario(ctx context.Context, cfg *Config, sc Scenario, worker int, parent obs.SpanContext, pool *cluster.PoolState, results []*facility.Result) error {
-	r.Obs.CampaignShardStart(sc.Policy.Name(), sc.Index, worker)
-	start := time.Now()
+// runGroup executes one distinct facility run for its group (positions in
+// run, owner first) and slots the outcome for every member. Each member
+// still gets its own scenario span, shard start/done and flight record;
+// the owner's span parents the facility run.
+func (r *Runner) runGroup(ctx context.Context, cfg *Config, run []Scenario, group []int, worker int, parent obs.SpanContext, pool *cluster.PoolState, results []*facility.Result, errs []error) {
+	anomalous := cfg.Anomalous
+	if anomalous == nil {
+		anomalous = DefaultAnomalous
+	}
+	var res *facility.Result
+	var err error
+	for i, pos := range group {
+		sc := run[pos]
+		r.Obs.CampaignShardStart(sc.Policy.Name(), sc.Index, worker)
+		start := time.Now()
+		sp := r.Obs.StartSpan(parent, "campaign", "scenario").
+			SetScope(sc.Policy.Name()).SetIter(sc.Index).SetValue(sc.Budget.Watts())
+		if i == 0 {
+			res, err = r.runFacility(ctx, cfg, sc, sp.Ctx(), pool)
+		}
+		errs[pos] = err
+		if err != nil {
+			r.captureFlight(cfg, sc, "error", err, nil)
+			sp.End()
+			continue
+		}
+		results[sc.Index] = res
+		r.Obs.CampaignShardDone(sc.Policy.Name(), sc.Index, worker, time.Since(start).Seconds())
+		if cfg.FlightDir != "" && anomalous(res) {
+			r.captureFlight(cfg, sc, "anomalous", nil, res)
+		}
+		sp.End()
+	}
+}
 
-	sp := r.Obs.StartSpan(parent, "campaign", "scenario").
-		SetScope(sc.Policy.Name()).SetIter(sc.Index).SetValue(sc.Budget.Watts())
-	defer sp.End()
-
+// runFacility runs the scenario's facility simulation on the worker's
+// pool, restored to pristine first so whatever an earlier run left behind
+// (armed faults, degradation, energy accounting, power limits) is wiped.
+func (r *Runner) runFacility(ctx context.Context, cfg *Config, sc Scenario, parent obs.SpanContext, pool *cluster.PoolState) (*facility.Result, error) {
 	if err := pool.Restore(); err != nil {
-		return err
+		return nil, err
 	}
 	fc := cfg.Base
 	fc.Nodes = pool.Nodes()
 	fc.DB = r.DB
 	fc.Obs = r.Obs
-	fc.SpanParent = sp.Ctx()
+	fc.SpanParent = parent
 	fc.Seed = sc.Seed
 	fc.MeanInterarrival = sc.Interarrival
 	fc.SystemBudget = sc.Budget
 	fc.Policy = sc.Policy
 	fc.Faults = sc.Fault.Plan
 	fc.Emergency = sc.Emergency
-
-	res, err := facility.Run(ctx, fc)
-	if err != nil {
-		r.captureFlight(cfg, sc, "error", err, nil)
-		return err
-	}
-	results[sc.Index] = res
-
-	r.Obs.CampaignShardDone(sc.Policy.Name(), sc.Index, worker, time.Since(start).Seconds())
-	if cfg.FlightDir != "" {
-		anomalous := cfg.Anomalous
-		if anomalous == nil {
-			anomalous = DefaultAnomalous
-		}
-		if anomalous(res) {
-			r.captureFlight(cfg, sc, "anomalous", nil, res)
-		}
-	}
-	return nil
+	return facility.Run(ctx, fc)
 }
 
 // captureFlight writes one flight-recorder artifact for the scenario. The

@@ -210,6 +210,11 @@ func TestValidation(t *testing.T) {
 		"no budgets":  func(c *Config) { c.Budgets = nil },
 		"no policies": func(c *Config) { c.Policies = nil },
 		"nil policy":  func(c *Config) { c.Policies = []policy.Policy{nil} },
+		// An unknown response would share a valid one's run and never
+		// reach the facility's own validation.
+		"unknown emergency": func(c *Config) {
+			c.Emergencies = []facility.EmergencyPolicy{facility.EmergencyPreempt, "evacuate"}
+		},
 	} {
 		cfg := base
 		mutate(&cfg)

@@ -15,10 +15,13 @@ import (
 // TestTracingByteIdentical is the observability half of the determinism
 // contract: a campaign with a live sink, spans, and the flight recorder
 // enabled must serialize a report byte-identical to the same campaign on a
-// nil sink — telemetry never feeds the Report.
+// nil sink — telemetry never feeds the Report. The emergency axis makes
+// two of every three scenarios share a run; each still gets its own span
+// and flight artifact.
 func TestTracingByteIdentical(t *testing.T) {
 	const nodes = 6
 	cfg := testConfig(nodes)
+	cfg.Emergencies = allResponses
 	cfg.Parallelism = 1
 	bare, err := testRunner(t, nodes).Run(context.Background(), cfg)
 	if err != nil {
@@ -39,10 +42,17 @@ func TestTracingByteIdentical(t *testing.T) {
 		t.Fatal("report changed when tracing and flight recording were enabled")
 	}
 
-	// Spans were recorded: one campaign root plus one span per scenario.
+	// Spans were recorded: one campaign root plus one span per scenario,
+	// and one facility run per distinct run.
 	scen := len(cfg.scenarios())
 	if total := traced.Obs.Spans.Total(); total < uint64(scen)+1 {
 		t.Errorf("spans recorded = %d, want >= %d", total, scen+1)
+	}
+	if got := spanCount(traced.Obs, "scenario"); got != scen {
+		t.Errorf("scenario spans = %d, want %d", got, scen)
+	}
+	if got, want := spanCount(traced.Obs, "facility_run"), scen/len(allResponses); got != want {
+		t.Errorf("facility runs = %d, want %d", got, want)
 	}
 
 	// Every scenario was flagged anomalous, so every scenario wrote a

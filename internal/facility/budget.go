@@ -66,8 +66,8 @@ const (
 	EmergencyKill EmergencyPolicy = "kill"
 )
 
-// valid reports whether p names a known policy ("" selects preempt).
-func (p EmergencyPolicy) valid() bool {
+// Valid reports whether p names a known response ("" selects preempt).
+func (p EmergencyPolicy) Valid() bool {
 	switch p {
 	case "", EmergencyPreempt, EmergencyThrottle, EmergencyKill:
 		return true
@@ -95,26 +95,37 @@ func (c *Config) sortedSteps() []BudgetStep {
 	return steps
 }
 
-// dynamicBudget reports whether the configuration carries a budget
-// timeline at all — scheduled steps or fault-plan drop windows. Rejected
-// submissions (rm.ErrBudgetInfeasible) are a degradation only under a
-// dynamic budget: a job can be infeasible against a temporary drop and
-// perfectly feasible an hour later. Under a constant budget the same error
-// is a configuration mistake and still fails the run fast, exactly as it
-// always has.
-func (st *simState) dynamicBudget() bool {
-	if len(st.steps) > 0 {
-		return true
-	}
-	if st.cfg.Faults.Empty() {
+// ConstantBudget reports whether the configured facility budget never
+// changes during a run: no scheduled BudgetSteps and no fault-plan
+// BudgetDrop injection. Such a run schedules no budget event, so it never
+// reaches the emergency response (eventSim.shed, the only reader of
+// Emergency): its Result is the same under every EmergencyPolicy. The
+// predicate is conservative — a same-value step or a factor-1 drop also
+// makes it false.
+func (c *Config) ConstantBudget() bool {
+	if len(c.BudgetSteps) > 0 {
 		return false
 	}
-	for _, in := range st.cfg.Faults.Injections {
+	if c.Faults.Empty() {
+		return true
+	}
+	for _, in := range c.Faults.Injections {
 		if in.Kind == fault.BudgetDrop {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// dynamicBudget reports whether the run carries a budget timeline at all:
+// a configured one (see ConstantBudget) or live steps an Instance appended.
+// Rejected submissions (rm.ErrBudgetInfeasible) are a degradation only
+// under a dynamic budget: a job can be infeasible against a temporary drop
+// and perfectly feasible an hour later. Under a constant budget the same
+// error is a configuration mistake and still fails the run fast, exactly
+// as it always has.
+func (st *simState) dynamicBudget() bool {
+	return len(st.steps) > 0 || !st.cfg.ConstantBudget()
 }
 
 // scheduledBudget evaluates the step timeline at elapsed time t: the last

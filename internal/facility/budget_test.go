@@ -2,6 +2,7 @@ package facility
 
 import (
 	"context"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -282,5 +283,74 @@ func TestValidateBudgetFields(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestConstantBudgetSharesAcrossEmergencies is the premise campaign sharing
+// rests on: over random fault plans without a BudgetDrop (MSR faults,
+// crashes with and without repair, dropouts, slow nodes) ConstantBudget
+// holds and Run gives the same Result under every emergency response. One
+// BudgetDrop or one BudgetStep — even a same-value one — makes
+// ConstantBudget false, and a real drop makes the responses differ.
+func TestConstantBudgetSharesAcrossEmergencies(t *testing.T) {
+	responses := []EmergencyPolicy{EmergencyPreempt, EmergencyThrottle, EmergencyKill}
+	var ids []string
+	for _, n := range goldenConfig(t).Nodes {
+		ids = append(ids, n.ID)
+	}
+	rng := rand.New(rand.NewPCG(26, 3))
+	for trial := 0; trial < 4; trial++ {
+		plan := fault.Generate(ids, fault.GenOptions{
+			Seed:           rng.Uint64(),
+			MSRWriteFaults: rng.IntN(3),
+			MSRReadFaults:  rng.IntN(2),
+			Crashes:        rng.IntN(3),
+			RepairFraction: 0.5,
+			SlowNodes:      rng.IntN(3),
+			Dropouts:       rng.IntN(3),
+			Horizon:        30 * time.Minute,
+		})
+		var want *Result
+		for _, em := range responses {
+			cfg := goldenConfig(t)
+			cfg.Faults = plan
+			cfg.Emergency = em
+			if !cfg.ConstantBudget() {
+				t.Fatalf("trial %d: plan without a budget drop is not constant: %+v", trial, plan.Injections)
+			}
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = res
+			} else if !reflect.DeepEqual(want, res) {
+				t.Fatalf("trial %d: %s result differs from %s:\n  %+v\n  %+v", trial, em, responses[0], res, want)
+			}
+		}
+	}
+
+	drop := fault.NewPlan(fault.Injection{Kind: fault.BudgetDrop, At: 10 * time.Minute, Duration: 10 * time.Minute, Factor: 0.3})
+	results := map[EmergencyPolicy]*Result{}
+	for _, em := range responses {
+		cfg := goldenConfig(t)
+		cfg.Faults = drop
+		cfg.Emergency = em
+		if cfg.ConstantBudget() {
+			t.Fatal("a BudgetDrop plan reads as constant")
+		}
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[em] = res
+	}
+	if reflect.DeepEqual(results[EmergencyPreempt], results[EmergencyKill]) {
+		t.Error("preempt and kill agree under a budget drop: the drop sheds nothing")
+	}
+	stepped := goldenConfig(t)
+	stepped.BudgetSteps = []BudgetStep{{At: 10 * time.Minute, Budget: stepped.SystemBudget}}
+	if stepped.ConstantBudget() {
+		t.Error("a same-value BudgetStep reads as constant")
 	}
 }

@@ -148,7 +148,7 @@ func (c *Config) Validate() error {
 	case c.Parallelism < 0:
 		return errors.New("facility: parallelism must not be negative")
 	}
-	if !c.Emergency.valid() {
+	if !c.Emergency.Valid() {
 		return fmt.Errorf("facility: unknown emergency policy %q (want %q, %q, or %q)",
 			c.Emergency, EmergencyPreempt, EmergencyThrottle, EmergencyKill)
 	}

@@ -263,7 +263,7 @@ type TimedTransition struct {
 // at At (plus a Factor-1 window close at At+Duration when bounded). The
 // list is sorted by time, ties broken by declaration order, so an event
 // engine can schedule it in order. Telemetry dropouts need no transition —
-// DropoutActive answers them statelessly.
+// their consumers test DropoutWindows statelessly.
 func (p *Plan) Timeline() []TimedTransition {
 	if p.Empty() {
 		return nil
@@ -328,21 +328,36 @@ func (p *Plan) ImpactedNodes() []string {
 	return out
 }
 
-// DropoutActive reports whether the node's telemetry sample at elapsed time
-// t is suppressed by a dropout window.
-func (p *Plan) DropoutActive(nodeID string, t time.Duration) bool {
+// Window is a span [At, At+Duration) of elapsed run time; a non-positive
+// Duration leaves it open to the end of the run.
+type Window struct {
+	At, Duration time.Duration
+}
+
+// Contains reports whether elapsed time t falls inside the window.
+func (w Window) Contains(t time.Duration) bool {
+	return t >= w.At && (w.Duration <= 0 || t < w.At+w.Duration)
+}
+
+// DropoutWindows compiles the plan's telemetry dropouts: each targeted
+// node's suppression windows, in declaration order. It is nil when the
+// plan holds no TelemetryDropout, so a consumer can skip its per-node
+// lookups entirely.
+func (p *Plan) DropoutWindows() map[string][]Window {
 	if p.Empty() {
-		return false
+		return nil
 	}
+	var out map[string][]Window
 	for _, in := range p.Injections {
-		if in.Kind != TelemetryDropout || in.Node != nodeID {
+		if in.Kind != TelemetryDropout {
 			continue
 		}
-		if t >= in.At && (in.Duration <= 0 || t < in.At+in.Duration) {
-			return true
+		if out == nil {
+			out = map[string][]Window{}
 		}
+		out[in.Node] = append(out[in.Node], Window{At: in.At, Duration: in.Duration})
 	}
-	return false
+	return out
 }
 
 // RequestDropped reports whether the job's coordinator Request at the given

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func TestEmptyPlanIsInert(t *testing.T) {
 		t.Fatal("nil plan should be empty")
 	}
 	p.Arm(testPool(t, 1), nil)
-	if p.DropoutActive("quartz0001", 0) || p.RequestDropped("j0", 3) {
+	if p.DropoutWindows() != nil || p.RequestDropped("j0", 3) {
 		t.Fatal("nil plan injected something")
 	}
 	if got := p.Timeline(); got != nil {
@@ -175,18 +176,84 @@ func TestDropoutWindows(t *testing.T) {
 		{14 * time.Second, true},
 		{15 * time.Second, false},
 	}
+	windows := p.DropoutWindows()
 	for _, c := range cases {
-		if got := p.DropoutActive("a", c.t); got != c.want {
-			t.Errorf("DropoutActive(a, %v) = %v, want %v", c.t, got, c.want)
+		if got := dropoutCompiled(windows, "a", c.t); got != c.want {
+			t.Errorf("dropout(a, %v) = %v, want %v", c.t, got, c.want)
 		}
 	}
-	if p.DropoutActive("b", 12*time.Second) {
+	if dropoutCompiled(windows, "b", 12*time.Second) {
 		t.Error("dropout leaked to untargeted node")
 	}
 	// Open-ended dropout (Duration 0).
 	open := NewPlan(Injection{Kind: TelemetryDropout, Node: "a", At: time.Second})
-	if !open.DropoutActive("a", time.Hour) {
+	if !dropoutCompiled(open.DropoutWindows(), "a", time.Hour) {
 		t.Error("open-ended dropout should cover the rest of the run")
+	}
+}
+
+// DropoutActive is the reference oracle for DropoutWindows: it scans the
+// whole plan for a dropout window covering the node's sample at elapsed
+// time t.
+func (p *Plan) DropoutActive(nodeID string, t time.Duration) bool {
+	if p.Empty() {
+		return false
+	}
+	for _, in := range p.Injections {
+		if in.Kind != TelemetryDropout || in.Node != nodeID {
+			continue
+		}
+		if t >= in.At && (in.Duration <= 0 || t < in.At+in.Duration) {
+			return true
+		}
+	}
+	return false
+}
+
+// dropoutCompiled answers DropoutActive's question from the compiled
+// windows, as the telemetry hierarchy does.
+func dropoutCompiled(windows map[string][]Window, nodeID string, t time.Duration) bool {
+	for _, w := range windows[nodeID] {
+		if w.Contains(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDropoutWindowsMatchOracle checks the compiled windows against the
+// plan scan over random plans: overlapping, open-ended and back-to-back
+// windows, several per node, mixed with injections of other kinds.
+func TestDropoutWindowsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 26))
+	nodes := []string{"a", "b", "c", "d"}
+	kinds := []Kind{TelemetryDropout, TelemetryDropout, MSRWriteFault, SlowNode, BudgetDrop}
+	for trial := 0; trial < 200; trial++ {
+		p := &Plan{}
+		for k := rng.IntN(8); k > 0; k-- {
+			p.Injections = append(p.Injections, Injection{
+				Kind:     kinds[rng.IntN(len(kinds))],
+				Node:     nodes[rng.IntN(len(nodes))],
+				At:       time.Duration(rng.IntN(20)) * time.Second,
+				Duration: time.Duration(rng.IntN(6)-1) * time.Second,
+				Factor:   0.5,
+			})
+		}
+		windows := p.DropoutWindows()
+		hasDropout := false
+		for _, in := range p.Injections {
+			hasDropout = hasDropout || in.Kind == TelemetryDropout
+		}
+		if (windows != nil) != hasDropout {
+			t.Fatalf("trial %d: windows %v for a plan with dropouts=%v", trial, windows, hasDropout)
+		}
+		for _, id := range append(nodes, "e") {
+			for at := -time.Second; at <= 30*time.Second; at += 500 * time.Millisecond {
+				if got, want := dropoutCompiled(windows, id, at), p.DropoutActive(id, at); got != want {
+					t.Fatalf("trial %d: node %s at %v: compiled %v, oracle %v (plan %+v)", trial, id, at, got, want, p.Injections)
+				}
+			}
+		}
 	}
 }
 

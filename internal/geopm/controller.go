@@ -26,6 +26,10 @@ type Controller struct {
 	Obs *obs.Sink
 
 	lastEnergy []units.Energy
+	// limits carries each host's PL1 as last read or programmed: the
+	// controller is the only writer during a run, and SetPowerLimitCached
+	// returns the read-back value, so the samples need no PL1 read.
+	limits []units.Power
 	// enc memoizes the PL1 encodings applyLimits programs: the balancer
 	// rewrites every host each iteration with the same 1 s window.
 	enc rapl.LimitEncoder
@@ -43,14 +47,16 @@ func NewController(job *bsp.Job, agent Agent, budget units.Power) (*Controller, 
 }
 
 // hostTemplates builds the per-host bound information agents initialize
-// from.
+// from, and seeds the carried limits with each host's current PL1.
 func (c *Controller) hostTemplates() ([]HostSample, error) {
 	hosts := make([]HostSample, len(c.Job.Hosts))
+	c.limits = make([]units.Power, len(c.Job.Hosts))
 	for i, h := range c.Job.Hosts {
 		limit, err := h.Node.PowerLimit()
 		if err != nil {
 			return nil, err
 		}
+		c.limits[i] = limit
 		hosts[i] = HostSample{
 			HostID:   h.Node.ID,
 			Limit:    limit,
@@ -70,9 +76,11 @@ func (c *Controller) applyLimits(limits []units.Power) error {
 		return fmt.Errorf("geopm: agent returned %d limits for %d hosts", len(limits), len(c.Job.Hosts))
 	}
 	for i, h := range c.Job.Hosts {
-		if _, err := h.Node.SetPowerLimitCached(limits[i], &c.enc); err != nil {
+		limit, err := h.Node.SetPowerLimitCached(limits[i], &c.enc)
+		if err != nil {
 			return err
 		}
+		c.limits[i] = limit
 	}
 	return nil
 }
@@ -211,15 +219,11 @@ func (c *Controller) Run(iters int) (Report, error) {
 			rep.TotalEnergy += de
 			rep.Hosts[i].Energy += de
 
-			limit, err := h.Node.PowerLimit()
-			if err != nil {
-				return Report{}, err
-			}
 			sample.Hosts[i] = HostSample{
 				HostID:   h.Node.ID,
 				WorkTime: ir.PerHost[i].WorkTime,
 				Power:    units.MeanPower(de, ir.Elapsed),
-				Limit:    limit,
+				Limit:    c.limits[i],
 				MinLimit: h.Node.MinLimit(),
 				MaxLimit: h.Node.TDP(),
 			}
@@ -252,16 +256,12 @@ func (c *Controller) Run(iters int) (Report, error) {
 	}
 
 	for i, h := range c.Job.Hosts {
-		limit, err := h.Node.PowerLimit()
-		if err != nil {
-			return Report{}, err
-		}
 		rep.Hosts[i] = HostReport{
 			HostID:           h.Node.ID,
 			Role:             h.Role,
 			Energy:           rep.Hosts[i].Energy,
 			MeanPower:        units.MeanPower(rep.Hosts[i].Energy, rep.Elapsed),
-			FinalLimit:       limit,
+			FinalLimit:       c.limits[i],
 			MeanWorkTime:     sumWork[i] / time.Duration(iters),
 			MeanAchievedFreq: units.Frequency(sumFreqTime[i] / rep.Elapsed.Seconds()),
 		}

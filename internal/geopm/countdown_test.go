@@ -53,8 +53,11 @@ var errFlakyRead = errors.New("flaky read")
 // TestIterationFaultCountdown pins how many unprivileged reads of the PL1
 // limit and package energy registers one host's socket 0 consumes per
 // controller iteration, and in which order: a countdown fault armed after
-// k healthy reads must surface at the same iteration, on the same host and
-// through the same call as it always has. The rows that outlast the
+// k healthy reads must surface at the iteration, on the host and through
+// the call the table records. The controller carries each host's PL1 from
+// its own writes, so per iteration PL1 is read only by the cap write's
+// read-modify-write and read-back and by the iteration's operating-point
+// resolve. The rows that outlast the
 // countdown pin the run's totals, so an armed but unfired fault (the
 // node's faulty-device path) computes exactly what a healthy run does.
 func TestIterationFaultCountdown(t *testing.T) {
@@ -80,23 +83,23 @@ const countdownTable = `0x610 host=1 after=0 iter=0 node quartz0002: flaky read
 0x610 host=1 after=2 iter=0 node quartz0002: flaky read
 0x610 host=1 after=3 iter=0 bsp: job job0 host quartz0002: flaky read
 0x610 host=1 after=4 iter=0 bsp: job job0 host quartz0002: flaky read
-0x610 host=1 after=5 iter=0 node quartz0002: flaky read
+0x610 host=1 after=5 iter=1 node quartz0002: flaky read
 0x610 host=1 after=6 iter=1 node quartz0002: flaky read
-0x610 host=1 after=7 iter=1 node quartz0002: flaky read
+0x610 host=1 after=7 iter=1 bsp: job job0 host quartz0002: flaky read
 0x610 host=1 after=8 iter=1 bsp: job job0 host quartz0002: flaky read
-0x610 host=1 after=9 iter=1 bsp: job job0 host quartz0002: flaky read
-0x610 host=1 after=10 iter=1 node quartz0002: flaky read
-0x610 host=1 after=11 iter=2 node quartz0002: flaky read
-0x610 host=1 after=12 iter=2 node quartz0002: flaky read
-0x610 host=1 after=13 iter=2 bsp: job job0 host quartz0002: flaky read
-0x610 host=1 after=14 iter=2 bsp: job job0 host quartz0002: flaky read
-0x610 host=1 after=15 iter=2 node quartz0002: flaky read
-0x610 host=1 after=16 iter=3 node quartz0002: flaky read
-0x610 host=1 after=17 iter=3 node quartz0002: flaky read
-0x610 host=1 after=18 iter=3 bsp: job job0 host quartz0002: flaky read
-0x610 host=1 after=19 iter=3 bsp: job job0 host quartz0002: flaky read
-0x610 host=1 after=20 iter=3 node quartz0002: flaky read
-0x610 host=1 after=21 iter=4 node quartz0002: flaky read
+0x610 host=1 after=9 iter=2 node quartz0002: flaky read
+0x610 host=1 after=10 iter=2 node quartz0002: flaky read
+0x610 host=1 after=11 iter=2 bsp: job job0 host quartz0002: flaky read
+0x610 host=1 after=12 iter=2 bsp: job job0 host quartz0002: flaky read
+0x610 host=1 after=13 iter=3 node quartz0002: flaky read
+0x610 host=1 after=14 iter=3 node quartz0002: flaky read
+0x610 host=1 after=15 iter=3 bsp: job job0 host quartz0002: flaky read
+0x610 host=1 after=16 iter=3 bsp: job job0 host quartz0002: flaky read
+0x610 host=1 after=17 ok elapsed=74455136 energy=57.577392578125
+0x610 host=1 after=18 ok elapsed=74455136 energy=57.577392578125
+0x610 host=1 after=19 ok elapsed=74455136 energy=57.577392578125
+0x610 host=1 after=20 ok elapsed=74455136 energy=57.577392578125
+0x610 host=1 after=21 ok elapsed=74455136 energy=57.577392578125
 0x610 host=1 after=22 ok elapsed=74455136 energy=57.577392578125
 0x610 host=1 after=23 ok elapsed=74455136 energy=57.577392578125
 0x610 host=1 after=24 ok elapsed=74455136 energy=57.577392578125
@@ -106,23 +109,23 @@ const countdownTable = `0x610 host=1 after=0 iter=0 node quartz0002: flaky read
 0x610 host=3 after=2 iter=0 node quartz0004: flaky read
 0x610 host=3 after=3 iter=0 bsp: job job0 host quartz0004: flaky read
 0x610 host=3 after=4 iter=0 bsp: job job0 host quartz0004: flaky read
-0x610 host=3 after=5 iter=0 node quartz0004: flaky read
+0x610 host=3 after=5 iter=1 node quartz0004: flaky read
 0x610 host=3 after=6 iter=1 node quartz0004: flaky read
-0x610 host=3 after=7 iter=1 node quartz0004: flaky read
+0x610 host=3 after=7 iter=1 bsp: job job0 host quartz0004: flaky read
 0x610 host=3 after=8 iter=1 bsp: job job0 host quartz0004: flaky read
-0x610 host=3 after=9 iter=1 bsp: job job0 host quartz0004: flaky read
-0x610 host=3 after=10 iter=1 node quartz0004: flaky read
-0x610 host=3 after=11 iter=2 node quartz0004: flaky read
-0x610 host=3 after=12 iter=2 node quartz0004: flaky read
-0x610 host=3 after=13 iter=2 bsp: job job0 host quartz0004: flaky read
-0x610 host=3 after=14 iter=2 bsp: job job0 host quartz0004: flaky read
-0x610 host=3 after=15 iter=2 node quartz0004: flaky read
-0x610 host=3 after=16 iter=3 node quartz0004: flaky read
-0x610 host=3 after=17 iter=3 node quartz0004: flaky read
-0x610 host=3 after=18 iter=3 bsp: job job0 host quartz0004: flaky read
-0x610 host=3 after=19 iter=3 bsp: job job0 host quartz0004: flaky read
-0x610 host=3 after=20 iter=3 node quartz0004: flaky read
-0x610 host=3 after=21 iter=4 node quartz0004: flaky read
+0x610 host=3 after=9 iter=2 node quartz0004: flaky read
+0x610 host=3 after=10 iter=2 node quartz0004: flaky read
+0x610 host=3 after=11 iter=2 bsp: job job0 host quartz0004: flaky read
+0x610 host=3 after=12 iter=2 bsp: job job0 host quartz0004: flaky read
+0x610 host=3 after=13 iter=3 node quartz0004: flaky read
+0x610 host=3 after=14 iter=3 node quartz0004: flaky read
+0x610 host=3 after=15 iter=3 bsp: job job0 host quartz0004: flaky read
+0x610 host=3 after=16 iter=3 bsp: job job0 host quartz0004: flaky read
+0x610 host=3 after=17 ok elapsed=74455136 energy=57.577392578125
+0x610 host=3 after=18 ok elapsed=74455136 energy=57.577392578125
+0x610 host=3 after=19 ok elapsed=74455136 energy=57.577392578125
+0x610 host=3 after=20 ok elapsed=74455136 energy=57.577392578125
+0x610 host=3 after=21 ok elapsed=74455136 energy=57.577392578125
 0x610 host=3 after=22 ok elapsed=74455136 energy=57.577392578125
 0x610 host=3 after=23 ok elapsed=74455136 energy=57.577392578125
 0x610 host=3 after=24 ok elapsed=74455136 energy=57.577392578125

@@ -63,11 +63,13 @@ type Hierarchy struct {
 	pdu, room []units.Power
 	total     units.Power
 
-	// faults and start drive injected sample dropouts (SetFaultPlan);
-	// sink journals hold decisions. All are nil-safe.
-	faults *fault.Plan
-	start  time.Time
-	sink   *obs.Sink
+	// dropouts holds each leaf's injected dropout windows by ordinal,
+	// relative to start (SetFaultPlan); nil when the plan has none, so an
+	// unfaulted hierarchy pays nothing. sink (nil-safe) journals hold
+	// decisions.
+	dropouts [][]fault.Window
+	start    time.Time
+	sink     *obs.Sink
 
 	dirtyState
 }
@@ -111,7 +113,30 @@ func BuildHierarchy(nodes []*node.Node, pduSize int) (*Hierarchy, error) {
 // value instead of reading the node. The start time anchors the plan's
 // relative onsets; sink (nil-safe) journals each held sample.
 func (h *Hierarchy) SetFaultPlan(p *fault.Plan, start time.Time, sink *obs.Sink) {
-	h.faults, h.start, h.sink = p, start, sink
+	h.start, h.sink = start, sink
+	h.dropouts = nil
+	byNode := p.DropoutWindows()
+	if len(byNode) == 0 {
+		return
+	}
+	h.dropouts = make([][]fault.Window, len(h.nodes))
+	for i, n := range h.nodes {
+		h.dropouts[i] = byNode[n.ID]
+	}
+}
+
+// droppedOut reports whether leaf i's sample at ts falls inside one of its
+// dropout windows.
+func (h *Hierarchy) droppedOut(i int, ts time.Time) bool {
+	if h.dropouts == nil {
+		return false
+	}
+	for _, w := range h.dropouts[i] {
+		if w.Contains(ts.Sub(h.start)) {
+			return true
+		}
+	}
+	return false
 }
 
 // Sample reads power at time ts throughout the hierarchy: leaves derive
@@ -137,11 +162,10 @@ func (h *Hierarchy) Sample(ts time.Time) units.Power {
 // leafSample touches only leaf i's entries and its node, so distinct leaves
 // may be read concurrently.
 func (h *Hierarchy) leafSample(i int, ts time.Time) (held bool) {
-	n := h.nodes[i]
-	if h.faults.DropoutActive(n.ID, ts.Sub(h.start)) {
+	if h.droppedOut(i, ts) {
 		return true
 	}
-	e, err := n.Energy()
+	e, err := h.nodes[i].Energy()
 	if err != nil {
 		// Dead node: no energy flows that we can meter. Report zero
 		// and forget the priming state so the first post-repair
