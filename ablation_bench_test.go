@@ -96,9 +96,10 @@ func BenchmarkAblationBalancerGain(b *testing.B) {
 // uniformNodes builds identical (eta=1) hosts.
 func uniformNodes(b *testing.B, n int) []*node.Node {
 	b.Helper()
+	spec := cpumodel.Quartz()
 	out := make([]*node.Node, n)
 	for i := range out {
-		nd, err := node.New("uniform", cpumodel.Quartz(), 1.0)
+		nd, err := node.New("uniform", &spec, 1.0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func BenchmarkAblationFreqExponent(b *testing.B) {
 		b.Run(alphaName(alpha), func(b *testing.B) {
 			spec := cpumodel.Quartz()
 			spec.FreqExponent = alpha
-			s := cpumodel.NewSocket(spec, 1)
+			s := cpumodel.NewSocket(&spec, 1)
 			cfg := cluster.SurveyWorkload()
 			ph := cpumodel.Phase{Work: cfg.CriticalWork(), Vector: cfg.Vector}
 			var ghz float64

@@ -328,11 +328,11 @@ func TestHardwareVariationShowsUpInRun(t *testing.T) {
 	// powers equalize (both capped) but the critical path lengthens on
 	// the inefficient node.
 	spec := cpumodel.Quartz()
-	nEff, err := node.New("eff", spec, 0.85)
+	nEff, err := node.New("eff", &spec, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nIneff, err := node.New("ineff", spec, 1.25)
+	nIneff, err := node.New("ineff", &spec, 1.25)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ import (
 	"powerstack/internal/units"
 )
 
-// QuartzSize is the node population the paper characterizes in Figure 6.
-const QuartzSize = 2000
-
 // Cluster is a set of simulated nodes.
 type Cluster struct {
 	nodes []*node.Node
@@ -32,6 +29,8 @@ type Cluster struct {
 
 // New builds a cluster of size nodes with variation multipliers drawn from
 // the model using the given seed. Node IDs follow the Quartz convention.
+// Every socket of every node shares one copy of spec: the nodes differ only
+// by their variation multiplier.
 //
 // All randomness is drawn up front from the seeded stream, so construction
 // of each node is independent: large populations are built on all available
@@ -46,7 +45,7 @@ func New(size int, spec cpumodel.Spec, vm cpumodel.VariationModel, seed uint64) 
 	c := &Cluster{nodes: make([]*node.Node, size)}
 	build := func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			n, err := node.New(fmt.Sprintf("quartz%04d", i+1), spec, etas[i])
+			n, err := node.New(fmt.Sprintf("quartz%04d", i+1), &spec, etas[i])
 			if err != nil {
 				return err
 			}
@@ -87,12 +86,6 @@ func New(size int, spec cpumodel.Spec, vm cpumodel.VariationModel, seed uint64) 
 		}
 	}
 	return c, nil
-}
-
-// NewQuartz builds the 2000-node Quartz population with the calibrated
-// variation mixture.
-func NewQuartz(seed uint64) (*Cluster, error) {
-	return New(QuartzSize, cpumodel.Quartz(), cpumodel.QuartzVariation(), seed)
 }
 
 // Size returns the node count.
@@ -227,32 +220,12 @@ func cloneArena(src []*node.Node) ([]*node.Node, []uint64) {
 	return pool, words
 }
 
-// ResetLimits restores every node in the set to its TDP power limit, the
-// state jobs are handed off in between experiments.
-func ResetLimits(nodes []*node.Node) error {
-	for _, n := range nodes {
-		if _, err := n.SetPowerLimit(n.TDP()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TotalTDP returns the summed TDP of the node set — the 216 kW reference of
 // Table III for 900 nodes.
 func TotalTDP(nodes []*node.Node) units.Power {
 	var total units.Power
 	for _, n := range nodes {
 		total += n.TDP()
-	}
-	return total
-}
-
-// TotalMinLimit returns the summed minimum settable power of the node set.
-func TotalMinLimit(nodes []*node.Node) units.Power {
-	var total units.Power
-	for _, n := range nodes {
-		total += n.MinLimit()
 	}
 	return total
 }

@@ -111,19 +111,24 @@ type Phase struct {
 	Vector kernel.Vector
 }
 
-// Socket is one physical socket instance: the spec plus its manufacturing-
-// variation multiplier. Eta scales dynamic power; inefficient parts
-// (eta > 1) reach lower frequencies under the same cap. Socket is a pure
-// value — the spec (including the roofline platform) holds no references —
-// so a plain copy is an independent clone; node cloning relies on that.
+// Socket is one physical socket instance: the platform spec plus its
+// manufacturing-variation multiplier. Eta scales dynamic power; inefficient
+// parts (eta > 1) reach lower frequencies under the same cap.
+//
+// Every socket of a pool points at one Spec: the parts are identical but
+// for eta, so the platform constants are stored once and only eta is per
+// socket. A Spec reachable from a socket is immutable — nothing may write
+// its fields — which is what makes a plain copy of a Socket an independent
+// clone; node cloning relies on that.
 type Socket struct {
-	Spec Spec
+	Spec *Spec
 	Eta  float64
 }
 
-// NewSocket builds a socket with the given variation multiplier; eta <= 0
-// is replaced with 1 (a nominal part).
-func NewSocket(spec Spec, eta float64) Socket {
+// NewSocket builds a socket of the shared spec with the given variation
+// multiplier; eta <= 0 is replaced with 1 (a nominal part). The socket
+// keeps the pointer, so spec must not be modified afterwards.
+func NewSocket(spec *Spec, eta float64) Socket {
 	if eta <= 0 {
 		eta = 1
 	}
@@ -371,48 +376,4 @@ func (s *Socket) FrequencyForCap(ph Phase, cap units.Power) units.Frequency {
 		}
 	}
 	return lo
-}
-
-// SpinFrequencyForCap is FrequencyForCap for the spin-wait phase.
-func (s *Socket) SpinFrequencyForCap(cap units.Power) units.Frequency {
-	lo, hi := s.Spec.MinFreq, s.Spec.MaxTurbo
-	if s.SpinPowerAt(hi) <= cap {
-		return hi
-	}
-	if s.SpinPowerAt(lo) > cap {
-		return lo
-	}
-	for i := 0; i < 48; i++ {
-		mid := (lo + hi) / 2
-		if s.SpinPowerAt(mid) <= cap {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// OperatingPoint is the resolved steady state of a socket under a cap.
-type OperatingPoint struct {
-	Frequency units.Frequency
-	Power     units.Power
-	Util      roofline.Utilization
-}
-
-// OperateAt resolves the steady state of the socket executing the phase
-// under the given RAPL cap.
-func (s *Socket) OperateAt(ph Phase, cap units.Power) OperatingPoint {
-	f := s.FrequencyForCap(ph, cap)
-	return OperatingPoint{
-		Frequency: f,
-		Power:     s.PowerAt(ph, f),
-		Util:      s.Utilization(ph, f),
-	}
-}
-
-// Uncapped resolves the steady state with PL1 at TDP — the "no power limit"
-// configuration of the Figure 4 characterization runs.
-func (s *Socket) Uncapped(ph Phase) OperatingPoint {
-	return s.OperateAt(ph, s.Spec.TDP)
 }

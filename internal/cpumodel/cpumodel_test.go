@@ -10,7 +10,7 @@ import (
 	"powerstack/internal/units"
 )
 
-func nominal() Socket { return NewSocket(Quartz(), 1.0) }
+func nominal() Socket { return NewSocket(quartz(), 1.0) }
 
 // phaseFor builds the per-core phase of a critical rank of the config.
 func phaseFor(cfg kernel.Config) Phase {
@@ -34,13 +34,13 @@ func TestQuartzSpecMatchesTableI(t *testing.T) {
 }
 
 func TestNewSocketDefaultsEta(t *testing.T) {
-	if got := NewSocket(Quartz(), 0).Eta; got != 1 {
+	if got := NewSocket(quartz(), 0).Eta; got != 1 {
 		t.Errorf("eta(0) = %v, want 1", got)
 	}
-	if got := NewSocket(Quartz(), -2).Eta; got != 1 {
+	if got := NewSocket(quartz(), -2).Eta; got != 1 {
 		t.Errorf("eta(-2) = %v, want 1", got)
 	}
-	if got := NewSocket(Quartz(), 1.05).Eta; got != 1.05 {
+	if got := NewSocket(quartz(), 1.05).Eta; got != 1.05 {
 		t.Errorf("eta = %v", got)
 	}
 }
@@ -60,8 +60,8 @@ func TestPowerMonotoneInFrequency(t *testing.T) {
 
 func TestPowerMonotoneInEta(t *testing.T) {
 	ph := phaseFor(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
-	eff := NewSocket(Quartz(), 0.91)
-	ineff := NewSocket(Quartz(), 1.10)
+	eff := NewSocket(quartz(), 0.91)
+	ineff := NewSocket(quartz(), 1.10)
 	f := 2.0 * units.Gigahertz
 	if eff.PowerAt(ph, f) >= ineff.PowerAt(ph, f) {
 		t.Error("efficient part should draw less power at equal frequency")
@@ -76,7 +76,7 @@ func TestUncappedNodePowerMatchesFigure4Shape(t *testing.T) {
 	power := map[float64]float64{}
 	for _, in := range kernel.HeatmapIntensities() {
 		cfg := kernel.Config{Intensity: in, Vector: kernel.YMM, Imbalance: 1}
-		op := s.Uncapped(phaseFor(cfg))
+		op := s.OperateAt(phaseFor(cfg), s.Spec.TDP)
 		node := 2 * op.Power.Watts()
 		if node < 195 || node > 240 {
 			t.Errorf("intensity %g: node power %v W outside [195, 240]", in, node)
@@ -100,7 +100,7 @@ func TestUncappedNodePowerMatchesFigure4Shape(t *testing.T) {
 func TestUncappedRunsAtTurboWhenUnderTDP(t *testing.T) {
 	s := nominal()
 	ph := phaseFor(kernel.Config{Intensity: 1, Vector: kernel.YMM, Imbalance: 1})
-	op := s.Uncapped(ph)
+	op := s.OperateAt(ph, s.Spec.TDP)
 	if op.Frequency != s.Spec.MaxTurbo {
 		t.Errorf("frequency = %v, want turbo %v", op.Frequency, s.Spec.MaxTurbo)
 	}
@@ -198,7 +198,7 @@ func TestMemoryBoundInsensitiveToCap(t *testing.T) {
 	compPh := phaseFor(kernel.Config{Intensity: 32, Vector: kernel.YMM, Imbalance: 1})
 
 	slowdown := func(ph Phase) float64 {
-		fast := s.TimeFor(ph, s.Uncapped(ph).Frequency)
+		fast := s.TimeFor(ph, s.OperateAt(ph, s.Spec.TDP).Frequency)
 		capped := s.TimeFor(ph, s.FrequencyForCap(ph, 70*units.Watt))
 		return capped.Seconds() / fast.Seconds()
 	}
@@ -219,14 +219,14 @@ func TestSeventyWattCapFrequencyBandMatchesFigure6(t *testing.T) {
 	// the most power-hungry configuration.
 	ph := phaseFor(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1})
 	for _, eta := range []float64{0.91, 1.0, 1.10} {
-		s := NewSocket(Quartz(), eta)
+		s := NewSocket(quartz(), eta)
 		f := s.FrequencyForCap(ph, 70*units.Watt).GHz()
 		if f < 1.55 || f > 2.1 {
 			t.Errorf("eta %v: achieved frequency %v GHz outside Figure 6 band", eta, f)
 		}
 	}
 	// Efficiency ordering: lower eta clocks higher.
-	low, high := NewSocket(Quartz(), 1.10), NewSocket(Quartz(), 0.91)
+	low, high := NewSocket(quartz(), 1.10), NewSocket(quartz(), 0.91)
 	fLow := low.FrequencyForCap(ph, 70*units.Watt)
 	fHigh := high.FrequencyForCap(ph, 70*units.Watt)
 	if fHigh <= fLow {
@@ -310,7 +310,7 @@ func TestOperateAtProperty(t *testing.T) {
 // model: Energy(socket work) == PowerAt * TimeFor, for any intensity,
 // vector width, and frequency.
 func TestEnergyModelConsistentWithPowerModel(t *testing.T) {
-	s := NewSocket(Quartz(), 1.03)
+	s := NewSocket(quartz(), 1.03)
 	for _, v := range kernel.Vectors() {
 		for _, intensity := range []float64{0, 0.25, 1, 8, 32} {
 			for _, f := range []units.Frequency{1.4 * units.Gigahertz, 2.1 * units.Gigahertz, 2.6 * units.Gigahertz} {
@@ -365,7 +365,7 @@ func TestIdleWaitPowerBelowSpin(t *testing.T) {
 		t.Errorf("idle wait %v at or below static floor", idle)
 	}
 	// Eta scales the residual activity.
-	ineff := NewSocket(Quartz(), 1.2)
+	ineff := NewSocket(quartz(), 1.2)
 	if ineff.IdleWaitPower() <= idle {
 		t.Error("inefficient part should idle hotter")
 	}
@@ -405,7 +405,7 @@ func TestTimeMonotoneInWork(t *testing.T) {
 }
 
 func TestSocketClonePreservesEta(t *testing.T) {
-	s := NewSocket(Quartz(), 0.93)
+	s := NewSocket(quartz(), 0.93)
 	c := s
 	if c.Eta != 0.93 {
 		t.Errorf("clone Eta = %v, want 0.93", c.Eta)

@@ -125,7 +125,7 @@ func newCapTable(spec Spec, ph Phase, spin bool) *CapTable {
 	if step <= 0 {
 		step = (hi - lo) / 128
 	}
-	t := &CapTable{s: Socket{Spec: spec, Eta: 1}, ph: ph, spin: spin}
+	t := &CapTable{s: Socket{Spec: &spec, Eta: 1}, ph: ph, spin: spin}
 	add := func(f units.Frequency) {
 		pow, d := t.terms(f)
 		t.freqs = append(t.freqs, f)

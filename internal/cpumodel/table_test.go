@@ -33,7 +33,7 @@ func tableSockets() []Socket {
 	etas := []float64{0.94, 1.0, 1.06}
 	out := make([]Socket, len(etas))
 	for i, eta := range etas {
-		out[i] = NewSocket(spec, eta)
+		out[i] = NewSocket(&spec, eta)
 	}
 	return out
 }
@@ -63,7 +63,7 @@ func TestOperateMatchesSeparate(t *testing.T) {
 // TestOperateDegenerate pins the zero-roofline early-out path.
 func TestOperateDegenerate(t *testing.T) {
 	spec := Quartz()
-	s := NewSocket(spec, 1.0)
+	s := NewSocket(&spec, 1.0)
 	ph := Phase{Work: kernel.Work{Flops: 1e9}} // zero traffic, pure compute
 	dur, pwr, util := s.Operate(ph, s.Spec.BaseFreq)
 	if dur != s.TimeFor(ph, s.Spec.BaseFreq) || pwr != s.PowerAt(ph, s.Spec.BaseFreq) || util != s.Utilization(ph, s.Spec.BaseFreq) {
@@ -78,7 +78,7 @@ func TestOperateDegenerate(t *testing.T) {
 func TestCapTableMatchesBisection(t *testing.T) {
 	for _, s := range tableSockets() {
 		for _, ph := range tablePhases() {
-			tbl := CapTableFor(&s.Spec, ph)
+			tbl := CapTableFor(s.Spec, ph)
 			pMin := s.PowerAt(ph, s.Spec.MinFreq)
 			pMax := s.PowerAt(ph, s.Spec.MaxTurbo)
 			for i := 0; i <= 200; i++ {
@@ -102,7 +102,7 @@ func TestCapTableMatchesBisection(t *testing.T) {
 // TestSpinCapTableMatchesBisection does the same for the spin-power curve.
 func TestSpinCapTableMatchesBisection(t *testing.T) {
 	for _, s := range tableSockets() {
-		tbl := SpinCapTableFor(&s.Spec)
+		tbl := SpinCapTableFor(s.Spec)
 		pMin := s.SpinPowerAt(s.Spec.MinFreq)
 		pMax := s.SpinPowerAt(s.Spec.MaxTurbo)
 		for i := 0; i <= 200; i++ {
@@ -119,9 +119,9 @@ func TestSpinCapTableMatchesBisection(t *testing.T) {
 // TestCapTableBoundaries pins the exact boundary semantics shared with
 // Socket.FrequencyForCap.
 func TestCapTableBoundaries(t *testing.T) {
-	s := NewSocket(Quartz(), 1.0)
+	s := NewSocket(quartz(), 1.0)
 	ph := tablePhases()[2]
-	tbl := CapTableFor(&s.Spec, ph)
+	tbl := CapTableFor(s.Spec, ph)
 	if got := tbl.FrequencyForCap(s.Eta, s.PowerAt(ph, s.Spec.MaxTurbo)+1); got != s.Spec.MaxTurbo {
 		t.Errorf("generous cap: got %v, want MaxTurbo", got)
 	}
@@ -184,12 +184,12 @@ func TestSharedTableBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 17))
 	var floor, ceiling, inside int
 	for trial := 0; trial < 20000; trial++ {
-		s := NewSocket(spec, 0.85+0.3*rng.Float64())
+		s := NewSocket(&spec, 0.85+0.3*rng.Float64())
 		ph := phases[rng.IntN(len(phases))]
 		spin := rng.IntN(4) == 0
-		tbl := CapTableFor(&s.Spec, ph)
+		tbl := CapTableFor(s.Spec, ph)
 		if spin {
-			tbl = SpinCapTableFor(&s.Spec)
+			tbl = SpinCapTableFor(s.Spec)
 		}
 		// Caps span both clamps: below the MinFreq power and above MaxTurbo's.
 		cap := units.Power(40 + 120*rng.Float64())
@@ -310,17 +310,17 @@ func FuzzCapTableInversion(f *testing.F) {
 // TestCapTableShared pins that every socket of one spec shares one table
 // per phase, and that a different spec gets its own.
 func TestCapTableShared(t *testing.T) {
-	a, b := NewSocket(Quartz(), 0.9), NewSocket(Quartz(), 1.1)
+	a, b := NewSocket(quartz(), 0.9), NewSocket(quartz(), 1.1)
 	ph := tablePhases()[0]
-	if CapTableFor(&a.Spec, ph) != CapTableFor(&b.Spec, ph) {
+	if CapTableFor(a.Spec, ph) != CapTableFor(b.Spec, ph) {
 		t.Error("sockets of one spec built separate work tables")
 	}
-	if SpinCapTableFor(&a.Spec) != SpinCapTableFor(&b.Spec) {
+	if SpinCapTableFor(a.Spec) != SpinCapTableFor(b.Spec) {
 		t.Error("sockets of one spec built separate spin tables")
 	}
 	other := Quartz()
 	other.StaticPower++
-	if CapTableFor(&other, ph) == CapTableFor(&a.Spec, ph) {
+	if CapTableFor(&other, ph) == CapTableFor(a.Spec, ph) {
 		t.Error("a different spec reused another spec's table")
 	}
 }
@@ -341,7 +341,7 @@ func TestSharedTableCacheBounded(t *testing.T) {
 }
 
 func BenchmarkFrequencyForCap(b *testing.B) {
-	s := NewSocket(Quartz(), 1.0)
+	s := NewSocket(quartz(), 1.0)
 	ph := tablePhases()[2]
 	cap := s.PowerAt(ph, s.Spec.BaseFreq)
 	b.ReportAllocs()
@@ -369,8 +369,8 @@ var sinkFreq units.Frequency
 // benchmarkInversion times invert over one work table and one spin table,
 // alternating, each swept over its whole power range.
 func benchmarkInversion(b *testing.B, invert func(*CapTable, float64, units.Power) units.Frequency) {
-	s := NewSocket(Quartz(), 1.03)
-	tbls := [2]*CapTable{CapTableFor(&s.Spec, tablePhases()[2]), SpinCapTableFor(&s.Spec)}
+	s := NewSocket(quartz(), 1.03)
+	tbls := [2]*CapTable{CapTableFor(s.Spec, tablePhases()[2]), SpinCapTableFor(s.Spec)}
 	caps := [2][]units.Power{capSweep(tbls[0], s.Eta, 251), capSweep(tbls[1], s.Eta, 251)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -393,7 +393,7 @@ func BenchmarkCapTableReferenceBisect(b *testing.B) {
 }
 
 func BenchmarkOperate(b *testing.B) {
-	s := NewSocket(Quartz(), 1.0)
+	s := NewSocket(quartz(), 1.0)
 	ph := tablePhases()[2]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -403,7 +403,7 @@ func BenchmarkOperate(b *testing.B) {
 }
 
 func BenchmarkSeparateTimePowerUtil(b *testing.B) {
-	s := NewSocket(Quartz(), 1.0)
+	s := NewSocket(quartz(), 1.0)
 	ph := tablePhases()[2]
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -23,7 +23,7 @@ func testPool(t *testing.T, n int) []*node.Node {
 	spec := cpumodel.Quartz()
 	pool := make([]*node.Node, n)
 	for i := range pool {
-		nd, err := node.New(fmt.Sprintf("quartz%04d", i+1), spec, 1.0)
+		nd, err := node.New(fmt.Sprintf("quartz%04d", i+1), &spec, 1.0)
 		if err != nil {
 			t.Fatalf("node.New: %v", err)
 		}

@@ -266,7 +266,7 @@ func TestBalancerBalancedJobIsNoOp(t *testing.T) {
 	spec := cpumodel.Quartz()
 	var nodes []*node.Node
 	for i := 0; i < 4; i++ {
-		n, err := node.New("n", spec, 1.0)
+		n, err := node.New("n", &spec, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}

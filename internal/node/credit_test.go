@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"powerstack/internal/cpumodel"
 	"powerstack/internal/kernel"
 	"powerstack/internal/msr"
 	"powerstack/internal/units"
@@ -42,7 +41,7 @@ func TestCreditIterationsTelescopes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 34))
 	wrapped := 0
 	for trial := 0; trial < 300; trial++ {
-		n, err := New("quartz-0001", cpumodel.Quartz(), 0.9+0.2*rng.Float64())
+		n, err := New("quartz-0001", quartz(), 0.9+0.2*rng.Float64())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,10 +108,10 @@ func (n *Node) resolve(ph *cpumodel.Phase, cap units.Power) *opPoint {
 	}
 	m := &n.sockets[0].Model
 	if n.work == nil || n.work.Phase() != *ph {
-		n.work = cpumodel.CapTableFor(&m.Spec, *ph)
+		n.work = cpumodel.CapTableFor(m.Spec, *ph)
 	}
 	if n.spin == nil {
-		n.spin = cpumodel.SpinCapTableFor(&m.Spec)
+		n.spin = cpumodel.SpinCapTableFor(m.Spec)
 	}
 	fWork := n.work.FrequencyForCap(m.Eta, cap)
 	fSpin := n.spin.FrequencyForCap(m.Eta, cap)
@@ -231,9 +231,11 @@ func (n *Node) FrequencyPin() (units.Frequency, error) {
 const SocketsPerNode = 2
 
 // New builds a node with two sockets sharing the same variation multiplier
-// eta (part binning is per-node at Quartz granularity). The MSR devices are
-// programmed with the power-on defaults: PL1 = TDP, enabled and clamped.
-func New(id string, spec cpumodel.Spec, eta float64) (*Node, error) {
+// eta (part binning is per-node at Quartz granularity). The sockets keep
+// the spec pointer, which every node of a pool shares; it must not be
+// modified afterwards. The MSR devices are programmed with the power-on
+// defaults: PL1 = TDP, enabled and clamped.
+func New(id string, spec *cpumodel.Spec, eta float64) (*Node, error) {
 	n := &Node{ID: id}
 	for i := 0; i < SocketsPerNode; i++ {
 		dev := msr.NewDevice(nil)
@@ -330,8 +332,9 @@ func (n *Node) Sockets() []*SocketUnit { return n.sockets }
 // Spec returns the socket spec (identical across sockets).
 func (n *Node) Spec() cpumodel.Spec { return *n.spec() }
 
-// spec is Spec by pointer, for hot paths that read a field or two.
-func (n *Node) spec() *cpumodel.Spec { return &n.sockets[0].Model.Spec }
+// spec is the spec the node's sockets share, for hot paths that read a
+// field or two.
+func (n *Node) spec() *cpumodel.Spec { return n.sockets[0].Model.Spec }
 
 // Eta returns the node's variation multiplier.
 func (n *Node) Eta() float64 { return n.sockets[0].Model.Eta }

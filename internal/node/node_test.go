@@ -16,7 +16,7 @@ import (
 
 func testNode(t *testing.T) *Node {
 	t.Helper()
-	n, err := New("quartz-0001", cpumodel.Quartz(), 1.0)
+	n, err := New("quartz-0001", quartz(), 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,6 +24,12 @@ func testNode(t *testing.T) *Node {
 }
 
 // clone copies n onto a fresh register backing.
+// quartz returns a fresh Quartz spec for a test node's sockets to share.
+func quartz() *cpumodel.Spec {
+	s := cpumodel.Quartz()
+	return &s
+}
+
 func clone(n *Node) *Node { return n.CloneInto(make([]uint64, n.WordCount())) }
 
 func phase(cfg kernel.Config) cpumodel.Phase {
@@ -389,7 +395,7 @@ func TestResolveTableHandles(t *testing.T) {
 // misses the operating-point memo and inverts both cap tables. It must not
 // allocate.
 func BenchmarkResolveMiss(b *testing.B) {
-	n, err := New("quartz-0001", cpumodel.Quartz(), 1.02)
+	n, err := New("quartz-0001", quartz(), 1.02)
 	if err != nil {
 		b.Fatal(err)
 	}

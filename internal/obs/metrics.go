@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -229,6 +228,8 @@ type series struct {
 // Registry holds named metrics. Lookups take a read lock on the hot path
 // and only write-lock to create a series the first time it is seen, so
 // concurrent instrumented layers (the sim grid runs cells in parallel) scale.
+// Finding an existing series allocates nothing: its key is rendered into a
+// stack buffer and looked up without converting it to a string.
 type Registry struct {
 	mu     sync.RWMutex
 	series map[string]*series
@@ -239,42 +240,85 @@ func NewRegistry() *Registry {
 	return &Registry{series: map[string]*series{}}
 }
 
-// seriesKey renders the canonical series key: name plus a deterministic
-// label rendering. Labels are alternating key, value pairs; a trailing key
+// appendSeriesKey appends the canonical series key to dst: name plus a
+// deterministic label rendering {k="v",...}, which is the key past
+// len(name). Labels are alternating key, value pairs; a trailing key
 // without a value is dropped.
-func seriesKey(name string, labels []string) (key, rendered string) {
+func appendSeriesKey(dst []byte, name string, labels []string) []byte {
+	dst = append(dst, name...)
 	if len(labels) < 2 {
-		return name, ""
+		return dst
 	}
 	n := len(labels) &^ 1
-	var b strings.Builder
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i := 0; i < n; i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
-		b.WriteByte('"')
+		dst = append(dst, labels[i]...)
+		dst = append(dst, `="`...)
+		dst = appendEscaped(dst, labels[i+1])
+		dst = append(dst, '"')
 	}
-	b.WriteByte('}')
-	rendered = b.String()
-	return name + rendered, rendered
+	return append(dst, '}')
 }
 
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+// appendEscaped appends the label value v with backslash, double quote and
+// newline escaped, as the exposition format requires.
+func appendEscaped(dst []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\', '"':
+			dst = append(dst, '\\', c)
+		case '\n':
+			dst = append(dst, `\n`...)
+		default:
+			dst = append(dst, c)
+		}
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	return dst
 }
 
-func (r *Registry) lookup(key string) *series {
+// get returns the series for name and labels, creating it with the given
+// kind (and, for a histogram, bucket upper bounds) on first use. An existing
+// series keeps its kind, so the caller checks it.
+func (r *Registry) get(kind metricKind, name string, buckets []float64, labels []string) *series {
+	var buf [128]byte
+	key := appendSeriesKey(buf[:0], name, labels)
 	r.mu.RLock()
-	s := r.series[key]
+	s := r.series[string(key)]
 	r.mu.RUnlock()
+	if s != nil {
+		return s
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.series[string(key)]; s != nil {
+		return s
+	}
+	if kind == kindHistogram && buckets == nil {
+		buckets = SecondsBuckets
+	}
+	k := string(key)
+	s = newSeries(name, k[len(name):], kind, buckets)
+	r.series[k] = s
+	return s
+}
+
+// newSeries builds an empty series of the given kind; a histogram gets a
+// sorted copy of bounds as its bucket upper bounds.
+func newSeries(name, labels string, kind metricKind, bounds []float64) *series {
+	s := &series{name: name, labels: labels, kind: kind}
+	switch kind {
+	case kindCounter:
+		s.c = &Counter{}
+	case kindGauge:
+		s.g = &Gauge{}
+	case kindHistogram:
+		b := append([]float64(nil), bounds...)
+		sort.Float64s(b)
+		s.h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+	}
 	return s
 }
 
@@ -283,75 +327,28 @@ func (r *Registry) lookup(key string) *series {
 // kind, a detached instrument is returned so the caller never dereferences
 // nil; the misuse shows up as a missing series in the exposition.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	key, rendered := seriesKey(name, labels)
-	if s := r.lookup(key); s != nil {
-		if s.c == nil {
-			return &Counter{}
-		}
+	if s := r.get(kindCounter, name, nil, labels); s.c != nil {
 		return s.c
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s := r.series[key]; s != nil {
-		if s.c == nil {
-			return &Counter{}
-		}
-		return s.c
-	}
-	s := &series{name: name, labels: rendered, kind: kindCounter, c: &Counter{}}
-	r.series[key] = s
-	return s.c
+	return &Counter{}
 }
 
 // Gauge returns the gauge for name and labels, creating it on first use.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	key, rendered := seriesKey(name, labels)
-	if s := r.lookup(key); s != nil {
-		if s.g == nil {
-			return &Gauge{}
-		}
+	if s := r.get(kindGauge, name, nil, labels); s.g != nil {
 		return s.g
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s := r.series[key]; s != nil {
-		if s.g == nil {
-			return &Gauge{}
-		}
-		return s.g
-	}
-	s := &series{name: name, labels: rendered, kind: kindGauge, g: &Gauge{}}
-	r.series[key] = s
-	return s.g
+	return &Gauge{}
 }
 
 // Histogram returns the histogram for name and labels, creating it with the
 // given bucket upper bounds on first use (nil buckets default to
 // SecondsBuckets). Buckets are fixed at creation; later calls may pass nil.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
-	key, rendered := seriesKey(name, labels)
-	if s := r.lookup(key); s != nil {
-		if s.h == nil {
-			return &Histogram{bounds: nil, counts: make([]atomic.Uint64, 1)}
-		}
+	if s := r.get(kindHistogram, name, buckets, labels); s.h != nil {
 		return s.h
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s := r.series[key]; s != nil {
-		if s.h == nil {
-			return &Histogram{bounds: nil, counts: make([]atomic.Uint64, 1)}
-		}
-		return s.h
-	}
-	if buckets == nil {
-		buckets = SecondsBuckets
-	}
-	bounds := append([]float64(nil), buckets...)
-	sort.Float64s(bounds)
-	h := &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-	r.series[key] = &series{name: name, labels: rendered, kind: kindHistogram, h: h}
-	return h
+	return &Histogram{bounds: nil, counts: make([]atomic.Uint64, 1)}
 }
 
 // Merge folds every series of o into r: counters add, gauges take o's
@@ -374,16 +371,11 @@ func (r *Registry) Merge(o *Registry) {
 		r.mu.Lock()
 		s := r.series[key]
 		if s == nil {
-			s = &series{name: os.name, labels: os.labels, kind: os.kind}
-			switch os.kind {
-			case kindCounter:
-				s.c = &Counter{}
-			case kindGauge:
-				s.g = &Gauge{}
-			case kindHistogram:
-				bounds := append([]float64(nil), os.h.bounds...)
-				s.h = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+			var bounds []float64
+			if os.h != nil {
+				bounds = os.h.bounds
 			}
+			s = newSeries(os.name, os.labels, os.kind, bounds)
 			r.series[key] = s
 		}
 		r.mu.Unlock()
@@ -529,7 +521,7 @@ func writeHistogram(w io.Writer, s *series) error {
 
 // withLabel merges one extra label into an already-rendered label set.
 func withLabel(rendered, key, value string) string {
-	extra := key + `="` + escapeLabel(value) + `"`
+	extra := key + `="` + string(appendEscaped(nil, value)) + `"`
 	if rendered == "" {
 		return "{" + extra + "}"
 	}

@@ -87,6 +87,24 @@ func TestRegistrySeriesIdentity(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupAllocationFree pins that finding an existing series,
+// labeled or not and of every kind, allocates nothing: traced runs look a
+// series up on every instrumented event.
+func TestRegistryLookupAllocationFree(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c", "kind", "completion", "job", `j"1`)
+	r.Gauge("g", "domain", "pdu")
+	r.Histogram("h", WattsBuckets, "layer", "geopm")
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("c", "kind", "completion", "job", `j"1`).Inc()
+		r.Gauge("g", "domain", "pdu").Set(3)
+		r.Histogram("h", nil, "layer", "geopm").Observe(150)
+	})
+	if allocs != 0 {
+		t.Errorf("existing-series lookups allocated %v per run", allocs)
+	}
+}
+
 func TestRegistryKindMismatchIsDetached(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mixed")

@@ -150,7 +150,7 @@ func benchRoot(b *testing.B, nLeaves int) *Hierarchy {
 	spec := cpumodel.Quartz()
 	nodes := make([]*node.Node, nLeaves)
 	for i := range nodes {
-		n, err := node.New(fmt.Sprintf("quartz%06d", i+1), spec, 1)
+		n, err := node.New(fmt.Sprintf("quartz%06d", i+1), &spec, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -64,12 +64,13 @@ func paperEnv(t *testing.T, mixes []workload.Mix, poolSize int) (*sim.Runner, wo
 // Figure 4 claim: uncapped power is insensitive to imbalance and peaks at
 // mid intensity within a ~10% band.
 func TestPaperFigure4Claims(t *testing.T) {
-	s := cpumodel.NewSocket(cpumodel.Quartz(), 1)
+	spec := cpumodel.Quartz()
+	s := cpumodel.NewSocket(&spec, 1)
 	var powers []float64
 	for _, in := range kernel.HeatmapIntensities() {
 		cfg := kernel.Config{Intensity: in, Vector: kernel.YMM, Imbalance: 1}
-		op := s.Uncapped(cpumodel.Phase{Work: cfg.CriticalWork(), Vector: cfg.Vector})
-		powers = append(powers, 2*op.Power.Watts())
+		ph := cpumodel.Phase{Work: cfg.CriticalWork(), Vector: cfg.Vector}
+		powers = append(powers, 2*s.PowerAt(ph, s.FrequencyForCap(ph, spec.TDP)).Watts())
 	}
 	mn, mx := powers[0], powers[0]
 	for _, p := range powers {
