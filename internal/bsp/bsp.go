@@ -124,17 +124,6 @@ func (j *Job) Phase(r Role) cpumodel.Phase {
 	return cpumodel.Phase{Work: j.Config.CriticalWork(), Vector: j.Config.Vector}
 }
 
-// CriticalHosts returns the number of critical hosts.
-func (j *Job) CriticalHosts() int {
-	n := 0
-	for _, h := range j.Hosts {
-		if h.Role == Critical {
-			n++
-		}
-	}
-	return n
-}
-
 // Nodes returns the job's nodes in host order.
 func (j *Job) Nodes() []*node.Node {
 	out := make([]*node.Node, len(j.Hosts))
@@ -161,14 +150,6 @@ type IterationResult struct {
 	TotalDRAMEnergy units.Energy
 	TotalFlops      units.Flops
 	PerHost         []HostIteration
-}
-
-// MeanHostPower returns the average per-host power over the iteration.
-func (r IterationResult) MeanHostPower() units.Power {
-	if len(r.PerHost) == 0 || r.Elapsed <= 0 {
-		return 0
-	}
-	return units.MeanPower(r.TotalEnergy, r.Elapsed) / units.Power(len(r.PerHost))
 }
 
 // RunIteration executes one barrier-to-barrier iteration at the hosts'
@@ -318,14 +299,4 @@ func (j *Job) Run(iters int) (RunResult, error) {
 // MeanPower returns the run's average total power across all hosts.
 func (r RunResult) MeanPower() units.Power {
 	return units.MeanPower(r.TotalEnergy, r.Elapsed)
-}
-
-// EDP returns the run's energy-delay product.
-func (r RunResult) EDP() float64 {
-	return units.EDP(r.TotalEnergy, r.Elapsed)
-}
-
-// FlopsPerWatt returns the run's science-per-watt metric.
-func (r RunResult) FlopsPerWatt() float64 {
-	return units.FlopsPerWatt(r.TotalFlops, r.TotalEnergy)
 }

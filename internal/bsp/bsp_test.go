@@ -250,7 +250,7 @@ func TestRunAggregates(t *testing.T) {
 			t.Errorf("host %d power = %v", i, p)
 		}
 	}
-	if rr.MeanPower() <= 0 || rr.EDP() <= 0 || rr.FlopsPerWatt() <= 0 {
+	if rr.MeanPower() <= 0 || units.EDP(rr.TotalEnergy, rr.Elapsed) <= 0 || units.FlopsPerWatt(rr.TotalFlops, rr.TotalEnergy) <= 0 {
 		t.Error("derived metrics non-positive")
 	}
 }

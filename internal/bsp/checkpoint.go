@@ -31,10 +31,6 @@ func CheckpointFloor(done, every int) int {
 	return done - done%every
 }
 
-// CompletedIterations returns how many iterations the job has executed or
-// been credited with — the "done" argument CheckpointFloor expects.
-func (j *Job) CompletedIterations() int { return j.iterCount }
-
 // Restore fast-forwards a freshly built job instance to a checkpoint: the
 // iteration counter — and with it the position in any phase schedule —
 // resumes where the checkpointed instance stopped, so a multi-phase job

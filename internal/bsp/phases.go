@@ -49,19 +49,6 @@ func (j *Job) SetSchedule(schedule []PhaseSegment) error {
 	return nil
 }
 
-// Schedule returns the attached phase schedule (nil for single-phase jobs).
-func (j *Job) Schedule() []PhaseSegment { return j.schedule }
-
-// CurrentPhaseIndex returns the schedule segment the next iteration will
-// execute (0 for single-phase jobs).
-func (j *Job) CurrentPhaseIndex() int {
-	if len(j.schedule) == 0 {
-		return 0
-	}
-	idx, _ := j.segmentAt(j.iterCount)
-	return idx
-}
-
 // segmentAt maps an iteration counter to a schedule segment, cycling.
 func (j *Job) segmentAt(iter int) (int, PhaseSegment) {
 	total := 0

@@ -51,7 +51,7 @@ func TestSetScheduleValidation(t *testing.T) {
 	if err := j.SetSchedule([]PhaseSegment{{Config: memPhaseCfg(), Iterations: 3}}); err == nil {
 		t.Error("schedule not starting at the current config accepted")
 	}
-	if got := j.Schedule(); got != nil {
+	if got := j.schedule; got != nil {
 		t.Error("failed SetSchedule should leave no schedule")
 	}
 }

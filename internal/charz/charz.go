@@ -111,11 +111,6 @@ type Options struct {
 	NoiseSigma float64
 }
 
-// DefaultOptions match the paper's methodology scale on 100-node runs.
-func DefaultOptions() Options {
-	return Options{MonitorIters: 25, BalancerIters: 60, Seed: 1, NoiseSigma: -1}
-}
-
 // Characterize runs the two-pass characterization of one configuration on
 // the given nodes, restoring the nodes' TDP limits afterwards.
 func Characterize(cfg kernel.Config, nodes []*node.Node, opt Options) (Entry, error) {

@@ -15,8 +15,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -141,72 +139,6 @@ func (f *Faults) Plan(nodeIDs []string, horizon time.Duration) *fault.Plan {
 func (f *Faults) String() string {
 	return fmt.Sprintf("%d crashes, %d MSR write faults, %d telemetry dropouts, %d slow nodes, %d budget drops (seed %d)",
 		f.Crashes, f.MSRFaults, f.Dropouts, f.SlowNodes, f.BudgetDrops, f.Seed)
-}
-
-// --- profile group: -cpuprofile, -memprofile ---
-
-// Profiles is the pprof flag group: a CPU profile covering everything
-// between Start and Stop, and a heap profile written at Stop.
-type Profiles struct {
-	CPU string
-	Mem string
-
-	cpuFile *os.File
-}
-
-// RegisterProfiles registers the profile flag group on fs.
-func RegisterProfiles(fs *flag.FlagSet) *Profiles {
-	p := &Profiles{}
-	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile of the run here")
-	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile at exit here")
-	return p
-}
-
-// Start begins CPU profiling when -cpuprofile was given. Callers must pair
-// it with Stop (usually deferred).
-func (p *Profiles) Start() error {
-	if p.CPU == "" {
-		return nil
-	}
-	f, err := os.Create(p.CPU)
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close() //nolint:errcheck // profile error takes precedence
-		return err
-	}
-	p.cpuFile = f
-	return nil
-}
-
-// Stop ends the CPU profile and writes the heap profile, when requested.
-func (p *Profiles) Stop() error {
-	if p.cpuFile != nil {
-		pprof.StopCPUProfile()
-		if err := p.cpuFile.Close(); err != nil {
-			return err
-		}
-		p.cpuFile = nil
-		log.Printf("wrote CPU profile to %s", p.CPU)
-	}
-	if p.Mem == "" {
-		return nil
-	}
-	f, err := os.Create(p.Mem)
-	if err != nil {
-		return err
-	}
-	runtime.GC() // settle the heap so the profile shows live objects
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close() //nolint:errcheck // profile error takes precedence
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	log.Printf("wrote heap profile to %s", p.Mem)
-	return nil
 }
 
 // --- obs artifact group: -metrics, -trace, -spans, -events ---

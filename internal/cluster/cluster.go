@@ -88,14 +88,8 @@ func New(size int, spec cpumodel.Spec, vm cpumodel.VariationModel, seed uint64) 
 	return c, nil
 }
 
-// Size returns the node count.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
 // Nodes returns the node list (callers must not mutate the slice).
 func (c *Cluster) Nodes() []*node.Node { return c.nodes }
-
-// Node returns the i-th node.
-func (c *Cluster) Node(i int) *node.Node { return c.nodes[i] }
 
 // FrequencySurvey runs the variation-control measurement of Figure 6: every
 // node executes iterations of the given workload under the given per-socket
@@ -178,16 +172,6 @@ const SurveyCap = 70 * units.Watt
 // for the Figure 6 survey.
 func SurveyWorkload() kernel.Config {
 	return kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1}
-}
-
-// Allocate removes and returns want nodes from the given pool, or an error
-// if the pool is too small. It is the resource manager's node-assignment
-// primitive.
-func Allocate(pool []*node.Node, want int) (alloc, rest []*node.Node, err error) {
-	if want < 0 || want > len(pool) {
-		return nil, nil, fmt.Errorf("cluster: want %d nodes, pool has %d", want, len(pool))
-	}
-	return pool[:want], pool[want:], nil
 }
 
 // ClonePool deep-copies a node pool — the cell-isolation primitive of the

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"powerstack/internal/cpumodel"
+	"powerstack/internal/node"
 	"powerstack/internal/units"
 )
 
@@ -31,7 +33,7 @@ func TestNewDeterministicBySeed(t *testing.T) {
 	a := smallCluster(t, 50)
 	b := smallCluster(t, 50)
 	for i := 0; i < 50; i++ {
-		if a.Node(i).Eta() != b.Node(i).Eta() {
+		if a.Nodes()[i].Eta() != b.Nodes()[i].Eta() {
 			t.Fatal("same seed produced different etas")
 		}
 	}
@@ -41,7 +43,7 @@ func TestNewDeterministicBySeed(t *testing.T) {
 	}
 	same := true
 	for i := 0; i < 50; i++ {
-		if a.Node(i).Eta() != c.Node(i).Eta() {
+		if a.Nodes()[i].Eta() != c.Nodes()[i].Eta() {
 			same = false
 			break
 		}
@@ -53,10 +55,10 @@ func TestNewDeterministicBySeed(t *testing.T) {
 
 func TestNodeIDsFollowConvention(t *testing.T) {
 	c := smallCluster(t, 3)
-	if got := c.Node(0).ID; got != "quartz0001" {
+	if got := c.Nodes()[0].ID; got != "quartz0001" {
 		t.Errorf("first ID = %q", got)
 	}
-	if got := c.Node(2).ID; got != "quartz0003" {
+	if got := c.Nodes()[2].ID; got != "quartz0003" {
 		t.Errorf("third ID = %q", got)
 	}
 }
@@ -65,7 +67,7 @@ func TestFrequencySurveyRestoresLimits(t *testing.T) {
 	c := smallCluster(t, 10)
 	before := make([]units.Power, 10)
 	for i := 0; i < 10; i++ {
-		p, err := c.Node(i).PowerLimit()
+		p, err := c.Nodes()[i].PowerLimit()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +77,7 @@ func TestFrequencySurveyRestoresLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		p, err := c.Node(i).PowerLimit()
+		p, err := c.Nodes()[i].PowerLimit()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +142,15 @@ func TestFigure6Reproduction(t *testing.T) {
 	if cl.Centroids[2]-cl.Centroids[0] < 0.05 {
 		t.Errorf("cluster separation too small: %v", cl.Centroids)
 	}
+}
+
+// Allocate removes and returns want nodes from the given pool, or an error
+// if the pool is too small.
+func Allocate(pool []*node.Node, want int) (alloc, rest []*node.Node, err error) {
+	if want < 0 || want > len(pool) {
+		return nil, nil, fmt.Errorf("cluster: want %d nodes, pool has %d", want, len(pool))
+	}
+	return pool[:want], pool[want:], nil
 }
 
 func TestAllocate(t *testing.T) {

@@ -33,9 +33,6 @@ func NewPoolState(src []*node.Node) *PoolState {
 // callers use the nodes freely but must not replace entries.
 func (ps *PoolState) Nodes() []*node.Node { return ps.nodes }
 
-// WordCount returns the size of the register arena, across all nodes.
-func (ps *PoolState) WordCount() int { return len(ps.words) }
-
 // Restore reverts every node to the pristine source state: one flat copy of
 // the register arena, then the per-node auxiliary reset (models, RAPL
 // accounting, armed faults, degradation, sinks). The result is

@@ -79,8 +79,8 @@ func TestPoolStateRestoreRegisterIdentical(t *testing.T) {
 	if got, want := len(ps.Nodes()), nNodes; got != want {
 		t.Fatalf("pool has %d nodes, want %d", got, want)
 	}
-	if ps.WordCount() != nNodes*src[0].WordCount() {
-		t.Fatalf("arena %d words, want %d", ps.WordCount(), nNodes*src[0].WordCount())
+	if len(ps.words) != nNodes*src[0].WordCount() {
+		t.Fatalf("arena %d words, want %d", len(ps.words), nNodes*src[0].WordCount())
 	}
 	for gen := uint64(0); gen < 3; gen++ {
 		scramble(t, ps.Nodes(), 100+gen)

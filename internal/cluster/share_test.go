@@ -18,7 +18,7 @@ func TestClusterNodesShareOneSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := c.Node(0).Sockets()[0].Model.Spec
+	shared := c.Nodes()[0].Sockets()[0].Model.Spec
 	check := func(name string, pool []*node.Node) {
 		t.Helper()
 		for _, n := range pool {

@@ -10,7 +10,6 @@ import (
 	"powerstack/internal/engine"
 	"powerstack/internal/fault"
 	"powerstack/internal/obs"
-	"powerstack/internal/stats"
 	"powerstack/internal/units"
 )
 
@@ -36,11 +35,6 @@ type Coordinator struct {
 	// Faults consults a fault plan for dropped Requests; nil injects
 	// nothing.
 	Faults *fault.Plan
-	// HoldRounds overrides DefaultHoldRounds (zero selects the default):
-	// a missing Request is treated as "hold the previous grant" for this
-	// many consecutive rounds, after which the job is floored at its
-	// minimum and its span redistributed to the responsive jobs.
-	HoldRounds int
 
 	Runtimes []*Runtime
 
@@ -175,21 +169,18 @@ type Result struct {
 	GrantHistory map[string][]units.Power
 }
 
-// TimeCI95 returns the 95% confidence half-width of the iteration times.
-func (r Result) TimeCI95() float64 { return stats.ConfidenceInterval95(r.IterTimes) }
-
 // heldRequest synthesizes the Request for a runtime whose real one went
 // missing this round. Within the hold horizon, the job's previous grant is
 // pinned (Needed = Min = MaxUseful = grant) so the allocation cannot move
 // it; past the horizon, the job is floored at its hosts' minimum settable
 // power and the reclaimed span flows to the responsive jobs.
-func (c *Coordinator) heldRequest(i int, rt *Runtime, round, holdRounds int) Request {
+func (c *Coordinator) heldRequest(i int, rt *Runtime, round int) Request {
 	c.misses[i]++
 	var minFloor units.Power
 	for _, h := range rt.Job.Hosts {
 		minFloor += h.Node.MinLimit()
 	}
-	if c.misses[i] <= holdRounds {
+	if c.misses[i] <= DefaultHoldRounds {
 		held := rt.grant
 		if held < minFloor {
 			held = minFloor
@@ -207,7 +198,7 @@ func (c *Coordinator) heldRequest(i int, rt *Runtime, round, holdRounds int) Req
 //
 // A protocol round with a missing Request (injected through Faults, or any
 // future lossy transport) degrades instead of failing: for up to
-// HoldRounds consecutive misses the job's previous grant is held by
+// DefaultHoldRounds consecutive misses the job's previous grant is held by
 // synthesizing a Request pinned at that grant, and past the horizon the
 // job is floored at its minimum settable power so its span flows to the
 // jobs still talking. Both decisions are journaled as RequestHold events.
@@ -235,10 +226,6 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 	interval := c.Interval
 	if interval <= 0 {
 		interval = 1
-	}
-	holdRounds := c.HoldRounds
-	if holdRounds <= 0 {
-		holdRounds = DefaultHoldRounds
 	}
 	if c.misses == nil {
 		c.misses = make([]int, len(c.Runtimes))
@@ -290,7 +277,7 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 				reqs := make([]Request, len(c.Runtimes))
 				for i, rt := range c.Runtimes {
 					if c.Faults.RequestDropped(rt.Job.ID, round) {
-						reqs[i] = c.heldRequest(i, rt, round, holdRounds)
+						reqs[i] = c.heldRequest(i, rt, round)
 						continue
 					}
 					c.misses[i] = 0

@@ -281,30 +281,6 @@ func (s *Socket) DRAMPowerAt(memUtil float64) units.Power {
 	return s.Spec.DRAMIdlePower + units.Power(memUtil*float64(s.Spec.DRAMMaxPower-s.Spec.DRAMIdlePower))
 }
 
-// EnergyModel derives the Choi-style energy roofline of this socket at a
-// fixed frequency (see internal/roofline/energy.go). The decomposition is
-// exact with respect to this power model: for any work,
-// EnergyModel.Energy(w) equals PowerAt(w, f) * TimeFor(w, f), because the
-// per-FLOP and per-byte energies are the utilization-linear dynamic terms
-// divided by the matching roofline ceilings.
-func (s *Socket) EnergyModel(v kernel.Vector, f units.Frequency) roofline.EnergyModel {
-	fhat := math.Pow(s.fhat(f), s.Spec.FreqExponent)
-	peakF := units.FlopsPerSecond(float64(s.ComputeRoofPerCore(v, f)) * float64(s.Spec.ActiveCores))
-	peakB := units.BytesPerSecond(float64(s.MemRoofPerCore(f)) * float64(s.Spec.ActiveCores))
-	m := roofline.EnergyModel{
-		ConstPower:    s.Spec.StaticPower + units.Power(s.Eta*fhat*s.Spec.CBase*(0.75+0.25*v.PowerScale())),
-		PeakFlops:     peakF,
-		PeakBandwidth: peakB,
-	}
-	if peakF > 0 {
-		m.EFlop = units.Energy(s.Eta * fhat * s.Spec.CFPU * v.PowerScale() / float64(peakF))
-	}
-	if peakB > 0 {
-		m.EByte = units.Energy(s.Eta * fhat * s.Spec.CMem / float64(peakB))
-	}
-	return m
-}
-
 // IdleWaitPower returns the socket power if waiting ranks blocked in a
 // C-state instead of spin-polling: cores clock-gate, leaving the static
 // floor plus residual uncore activity. This is the counterfactual for the
@@ -327,30 +303,6 @@ func (s *Socket) dynamic(d float64, f units.Frequency) units.Power {
 // node's power bit for bit.
 func (sp *Spec) power(eta, pow, d float64) units.Power {
 	return sp.StaticPower + units.Power(eta*pow*d)
-}
-
-// QuantizeToPState clips f to [MinFreq, MaxTurbo] and rounds it down to a
-// P-state step, matching the granularity of IA32_PERF_CTL requests. RAPL's
-// steady state duty-cycles between adjacent P-states, so the *achieved*
-// frequency under a cap (what FrequencyForCap returns) is continuous even
-// though each requested P-state is quantized.
-func (s *Socket) QuantizeToPState(f units.Frequency) units.Frequency {
-	if f > s.Spec.MaxTurbo {
-		f = s.Spec.MaxTurbo
-	}
-	if f < s.Spec.MinFreq {
-		f = s.Spec.MinFreq
-	}
-	step := s.Spec.FreqStep.Hz()
-	if step <= 0 {
-		return f
-	}
-	bins := math.Floor(f.Hz()/step + 1e-9)
-	q := units.Frequency(bins * step)
-	if q < s.Spec.MinFreq {
-		q = s.Spec.MinFreq
-	}
-	return q
 }
 
 // FrequencyForCap returns the achieved frequency at which the phase's

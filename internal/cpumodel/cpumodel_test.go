@@ -158,24 +158,6 @@ func TestFrequencyForCapMonotoneInCap(t *testing.T) {
 	}
 }
 
-func TestQuantizeToPState(t *testing.T) {
-	s := nominal()
-	cases := []struct {
-		in, want units.Frequency
-	}{
-		{2.17 * units.Gigahertz, 2.1 * units.Gigahertz},
-		{2.9 * units.Gigahertz, 2.6 * units.Gigahertz},  // clipped to turbo
-		{0.5 * units.Gigahertz, 1.2 * units.Gigahertz},  // clipped to floor
-		{1.25 * units.Gigahertz, 1.2 * units.Gigahertz}, // rounds down
-		{2.0 * units.Gigahertz, 2.0 * units.Gigahertz},  // exact step
-	}
-	for _, c := range cases {
-		if got := s.QuantizeToPState(c.in); math.Abs(got.Hz()-c.want.Hz()) > 1 {
-			t.Errorf("QuantizeToPState(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestFrequencyForCapContinuous(t *testing.T) {
 	// RAPL duty-cycles between P-states, so achieved frequencies under
 	// nearby caps must differ by less than a full P-state step —
@@ -378,7 +360,9 @@ func TestEnergyBalanceNearRidge(t *testing.T) {
 	f := s.Spec.BaseFreq
 	m := s.EnergyModel(kernel.YMM, f)
 	ridge := float64(s.ComputeRoofPerCore(kernel.YMM, f)) / float64(s.MemRoofPerCore(f))
-	if got := m.BalancePoint(); math.Abs(got-ridge)/ridge > 1e-9 {
+	// The energy balance intensity B = EByte/EFlop is where compute energy
+	// equals memory energy.
+	if got := float64(m.EByte) / float64(m.EFlop); math.Abs(got-ridge)/ridge > 1e-9 {
 		t.Errorf("balance point %v != ridge %v", got, ridge)
 	}
 }

@@ -31,16 +31,6 @@ type EventID uint64
 // RunUntil and is returned to the caller.
 type Handler func(now time.Duration) error
 
-// Clock is the scheduler's virtual time. It advances only when events
-// dispatch or a RunUntil horizon is reached — never with the wall clock —
-// so a year of simulated quiet costs nothing.
-type Clock struct {
-	now time.Duration
-}
-
-// Now returns the current virtual time as an offset from the run start.
-func (c *Clock) Now() time.Duration { return c.now }
-
 // event is one heap entry.
 type event struct {
 	at        time.Duration
@@ -75,7 +65,10 @@ func (h *eventHeap) Pop() any {
 // Scheduler is a deterministic discrete-event scheduler. The zero value is
 // not usable; call New.
 type Scheduler struct {
-	clock   Clock
+	// now is the virtual time, an offset from the run start. It advances
+	// only when events dispatch or a RunUntil horizon is reached — never
+	// with the wall clock — so a year of simulated quiet costs nothing.
+	now     time.Duration
 	heap    eventHeap
 	pending map[EventID]*event
 	nextSeq uint64
@@ -92,11 +85,8 @@ func New() *Scheduler {
 	return &Scheduler{pending: map[EventID]*event{}}
 }
 
-// Clock exposes the scheduler's virtual clock (read-only for callers).
-func (s *Scheduler) Clock() *Clock { return &s.clock }
-
 // Now returns the current virtual time.
-func (s *Scheduler) Now() time.Duration { return s.clock.now }
+func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Schedule enqueues fn to run at virtual time at. Scheduling in the past
 // clamps to the present: the event dispatches at the current clock, after
@@ -106,8 +96,8 @@ func (s *Scheduler) Schedule(at time.Duration, kind string, fn Handler) EventID 
 	if fn == nil {
 		panic("engine: nil handler")
 	}
-	if at < s.clock.now {
-		at = s.clock.now
+	if at < s.now {
+		at = s.now
 	}
 	s.nextSeq++
 	ev := &event{at: at, seq: s.nextSeq, kind: kind, fn: fn}
@@ -154,9 +144,6 @@ func (s *Scheduler) Cancel(id EventID) bool {
 	return true
 }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (s *Scheduler) Pending() int { return len(s.pending) }
-
 // Dispatched returns how many events have been dispatched over the
 // scheduler's lifetime (cancelled events are not counted).
 func (s *Scheduler) Dispatched() uint64 { return s.dispatched }
@@ -177,15 +164,15 @@ func (s *Scheduler) RunUntil(ctx context.Context, until time.Duration) error {
 			continue
 		}
 		delete(s.pending, EventID(ev.seq))
-		s.clock.now = ev.at
+		s.now = ev.at
 		s.dispatched++
 		s.Obs.EngineDispatch(ev.kind, ev.at)
 		if err := ev.fn(ev.at); err != nil {
 			return err
 		}
 	}
-	if until > s.clock.now {
-		s.clock.now = until
+	if until > s.now {
+		s.now = until
 	}
 	return nil
 }

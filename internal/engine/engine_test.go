@@ -80,8 +80,8 @@ func TestClockAdvancesToEachEvent(t *testing.T) {
 		t.Errorf("clock = %v, want horizon 4s", s.Now())
 	}
 	// The 5s event survives for a later run.
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
+	if len(s.pending) != 1 {
+		t.Fatalf("pending = %d, want 1", len(s.pending))
 	}
 	if err := s.RunUntil(context.Background(), 6*time.Second); err != nil {
 		t.Fatal(err)
@@ -104,8 +104,8 @@ func TestCancelSkipsPendingEvent(t *testing.T) {
 	if s.Cancel(id) {
 		t.Error("second Cancel = true, want false")
 	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d after cancel, want 0", s.Pending())
+	if len(s.pending) != 0 {
+		t.Errorf("pending = %d after cancel, want 0", len(s.pending))
 	}
 	if err := s.RunUntil(context.Background(), 2*time.Second); err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestEveryStartBeyondUntilIsNoop(t *testing.T) {
 	if id := s.Every(2*time.Second, time.Second, time.Second, "x", func(time.Duration) error { return nil }); id != 0 {
 		t.Errorf("Every beyond until returned id %d, want 0", id)
 	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d, want 0", s.Pending())
+	if len(s.pending) != 0 {
+		t.Errorf("pending = %d, want 0", len(s.pending))
 	}
 }
 
@@ -231,8 +231,8 @@ func TestDrainRunsUntilQueueEmpty(t *testing.T) {
 	if s.Now() != 3*time.Second {
 		t.Errorf("clock = %v after drain, want the last event's 3s", s.Now())
 	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d after drain, want 0", s.Pending())
+	if len(s.pending) != 0 {
+		t.Errorf("pending = %d after drain, want 0", len(s.pending))
 	}
 }
 

@@ -309,22 +309,20 @@ func TestExpDurationNeverZero(t *testing.T) {
 	}
 }
 
-// TestValidateEngineFields covers the event core's cadence knobs: any
-// positive Tick and ReplanEvery are accepted, negative or zero ones are not.
+// TestValidateEngineFields covers the event core's cadence knob: any
+// positive Tick is accepted, a zero one or one beyond the run is not.
 func TestValidateEngineFields(t *testing.T) {
 	nodes, db, workloads := facilityEnv(t, 4)
 	base := func() Config { return baseConfig(nodes, db, workloads) }
 
 	good := base()
 	good.Tick = 7 * time.Second
-	good.ReplanEvery = 11 * time.Second // need not be a multiple of Tick
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid cadence config rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*Config){
-		"zero tick":               func(c *Config) { c.Tick = 0 },
-		"tick beyond duration":    func(c *Config) { c.Tick = c.Duration + time.Second },
-		"negative replan cadence": func(c *Config) { c.ReplanEvery = -time.Second },
+		"zero tick":            func(c *Config) { c.Tick = 0 },
+		"tick beyond duration": func(c *Config) { c.Tick = c.Duration + time.Second },
 	} {
 		bad := base()
 		mutate(&bad)

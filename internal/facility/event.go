@@ -13,7 +13,6 @@ package facility
 //	            slow-node windows) at their exact onsets.
 //	budget      budget-timeline changes (scheduled steps, fault-plan drop
 //	            edges) at their exact effective instants.
-//	replan      the optional periodic policy replan (ReplanEvery).
 //	sample      telemetry on its own cadence (Tick).
 //
 // Between events a job's progress is analytic: one real iteration probes
@@ -121,16 +120,11 @@ func (s *eventSim) prime() error {
 	// scheduled — a constant timeline (empty, or same-value steps)
 	// schedules nothing, so such a run dispatches exactly the same event
 	// sequence as one with no timeline at all. Scheduling these before the
-	// periodic replan/sample chains means a change coincident with a
+	// periodic sample chain means a change coincident with a
 	// sample applies first (lower sequence number), so the sample is
 	// judged against the budget in force from that instant on.
 	for _, bt := range st.budgetChangePoints() {
 		s.eng.Schedule(bt, "budget", s.onBudget)
-	}
-
-	// Periodic replans, when configured.
-	if re := st.cfg.ReplanEvery; re > 0 {
-		s.eng.Every(re, re, st.horizon, "replan", s.onReplan)
 	}
 
 	// Telemetry sampling on its own cadence, plus a final sample exactly
@@ -519,11 +513,6 @@ func (s *eventSim) onSlow(nodeID string, factor float64, now time.Duration) erro
 	n.SetDegradation(factor)
 	s.obs.FaultInjected(string(fault.SlowNode), nodeID, "", factor)
 	return s.reconcile(now, false, true)
-}
-
-// onReplan is the periodic policy replan event.
-func (s *eventSim) onReplan(now time.Duration) error {
-	return s.reconcile(now, true, false)
 }
 
 // onSample reads the telemetry hierarchy's dirty set. Jobs settle first so

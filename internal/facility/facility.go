@@ -99,10 +99,6 @@ type Config struct {
 	// goroutines). Results are byte-identical at every setting. See
 	// parallel.go.
 	Parallelism int
-	// ReplanEvery adds a periodic policy replan on top of the
-	// change-driven ones (job start/finish, crash); zero disables it. Any
-	// positive cadence works.
-	ReplanEvery time.Duration
 
 	Seed uint64
 
@@ -141,8 +137,6 @@ func (c *Config) Validate() error {
 		return errors.New("facility: no workloads")
 	case c.Tick <= 0 || c.Duration < c.Tick:
 		return errors.New("facility: bad tick/duration")
-	case c.ReplanEvery < 0:
-		return errors.New("facility: replan cadence must not be negative")
 	case c.CheckpointEvery < 0:
 		return errors.New("facility: checkpoint cadence must not be negative")
 	case c.Parallelism < 0:

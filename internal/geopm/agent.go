@@ -12,12 +12,12 @@
 //     that gate it — the source of the Figure 5 characterization and the
 //     "needed power" signal the adaptive policies consume.
 //
-// A Static agent applies externally computed per-host limits, which is how
-// the resource-manager policies of Section III drive the runtime.
+// The resource-manager policies of Section III do not drive the runtime
+// through an agent: they write per-host caps through internal/rm and run
+// the job under a Monitor.
 package geopm
 
 import (
-	"fmt"
 	"time"
 
 	"powerstack/internal/units"
@@ -64,24 +64,6 @@ type Agent interface {
 	Converged() bool
 }
 
-// NewAgentByName instantiates an agent from its report name, the way
-// GEOPM's launcher resolves --geopm-agent. Stateful agents (the balancer,
-// the frequency map) get fresh instances.
-func NewAgentByName(name string) (Agent, error) {
-	switch name {
-	case "monitor":
-		return Monitor{}, nil
-	case "power_governor":
-		return PowerGovernor{}, nil
-	case "power_balancer":
-		return NewPowerBalancer(), nil
-	case "frequency_map":
-		return &FrequencyMap{}, nil
-	default:
-		return nil, fmt.Errorf("geopm: unknown agent %q", name)
-	}
-}
-
 // Monitor is the pass-through agent: it observes and never adjusts.
 type Monitor struct{}
 
@@ -123,31 +105,3 @@ func (PowerGovernor) Adjust(units.Power, Sample) []units.Power { return nil }
 
 // Converged implements Agent.
 func (PowerGovernor) Converged() bool { return true }
-
-// Static applies externally computed per-host limits (the output of a
-// resource-manager policy) and holds them.
-type Static struct {
-	// Limits are the per-host limits in host order.
-	Limits []units.Power
-}
-
-// Name implements Agent.
-func (Static) Name() string { return "static" }
-
-// Initialize implements Agent.
-func (a Static) Initialize(_ units.Power, hosts []HostSample) []units.Power {
-	if len(a.Limits) != len(hosts) {
-		return nil
-	}
-	out := make([]units.Power, len(hosts))
-	for i, h := range hosts {
-		out[i] = units.Clamp(a.Limits[i], h.MinLimit, h.MaxLimit)
-	}
-	return out
-}
-
-// Adjust implements Agent.
-func (Static) Adjust(units.Power, Sample) []units.Power { return nil }
-
-// Converged implements Agent.
-func (Static) Converged() bool { return true }

@@ -8,7 +8,6 @@ import (
 	"powerstack/internal/bsp"
 	"powerstack/internal/obs"
 	"powerstack/internal/rapl"
-	"powerstack/internal/stats"
 	"powerstack/internal/units"
 )
 
@@ -85,22 +84,6 @@ func (c *Controller) applyLimits(limits []units.Power) error {
 	return nil
 }
 
-// applyPins programs frequency ceilings; nil leaves pins alone.
-func (c *Controller) applyPins(pins []units.Frequency) error {
-	if pins == nil {
-		return nil
-	}
-	if len(pins) != len(c.Job.Hosts) {
-		return fmt.Errorf("geopm: agent returned %d pins for %d hosts", len(pins), len(c.Job.Hosts))
-	}
-	for i, h := range c.Job.Hosts {
-		if _, err := h.Node.SetFrequencyPin(pins[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // HostReport is one host's totals in a GEOPM report.
 type HostReport struct {
 	HostID string
@@ -149,16 +132,6 @@ func (r Report) MeanHostPower() units.Power {
 		return 0
 	}
 	return r.MeanPower() / units.Power(len(r.Hosts))
-}
-
-// TimeCI95 returns the 95% confidence half-width of the mean iteration
-// time.
-func (r Report) TimeCI95() time.Duration {
-	xs := make([]float64, len(r.IterationTimes))
-	for i, t := range r.IterationTimes {
-		xs[i] = t.Seconds()
-	}
-	return time.Duration(stats.ConfidenceInterval95(xs) * float64(time.Second))
 }
 
 // Run executes iters control-loop iterations and assembles the report.
@@ -244,11 +217,6 @@ func (c *Controller) Run(iters int) (Report, error) {
 		}
 		if err := c.applyLimits(limits); err != nil {
 			return Report{}, err
-		}
-		if fa, ok := c.Agent.(FrequencyAgent); ok {
-			if err := c.applyPins(fa.AdjustFrequency(sample)); err != nil {
-				return Report{}, err
-			}
 		}
 		if rep.ConvergedAt < 0 && c.Agent.Converged() {
 			rep.ConvergedAt = k

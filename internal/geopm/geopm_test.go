@@ -12,6 +12,7 @@ import (
 	"powerstack/internal/kernel"
 	"powerstack/internal/msr"
 	"powerstack/internal/node"
+	"powerstack/internal/stats"
 	"powerstack/internal/units"
 )
 
@@ -36,33 +37,8 @@ func TestAgentNames(t *testing.T) {
 	if (PowerGovernor{}).Name() != "power_governor" {
 		t.Error("governor name")
 	}
-	if (Static{}).Name() != "static" {
-		t.Error("static name")
-	}
 	if NewPowerBalancer().Name() != "power_balancer" {
 		t.Error("balancer name")
-	}
-}
-
-func TestNewAgentByName(t *testing.T) {
-	for _, name := range []string{"monitor", "power_governor", "power_balancer", "frequency_map"} {
-		a, err := NewAgentByName(name)
-		if err != nil {
-			t.Errorf("NewAgentByName(%q): %v", name, err)
-			continue
-		}
-		if a.Name() != name {
-			t.Errorf("agent %q reports name %q", name, a.Name())
-		}
-	}
-	// Stateful agents must be fresh instances.
-	a, _ := NewAgentByName("power_balancer")
-	b, _ := NewAgentByName("power_balancer")
-	if a.(*PowerBalancer) == b.(*PowerBalancer) {
-		t.Error("balancer instances shared")
-	}
-	if _, err := NewAgentByName("energy_wizard"); err == nil {
-		t.Error("unknown agent accepted")
 	}
 }
 
@@ -87,22 +63,6 @@ func TestGovernorInitializeUniform(t *testing.T) {
 	}
 	if got := (PowerGovernor{}).Initialize(100, nil); got != nil {
 		t.Error("empty hosts should return nil")
-	}
-}
-
-func TestStaticAgent(t *testing.T) {
-	hosts := []HostSample{{MinLimit: 136, MaxLimit: 240}, {MinLimit: 136, MaxLimit: 240}}
-	a := Static{Limits: []units.Power{150, 500}}
-	got := a.Initialize(0, hosts)
-	if got[0] != 150 || got[1] != 240 {
-		t.Errorf("static limits = %v", got)
-	}
-	// Mismatched lengths are rejected.
-	if got := (Static{Limits: []units.Power{1}}).Initialize(0, hosts); got != nil {
-		t.Error("length mismatch should return nil")
-	}
-	if got := a.Adjust(0, Sample{}); got != nil {
-		t.Error("static agent must not adjust")
 	}
 }
 
@@ -353,8 +313,12 @@ func TestReportDerivedMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TimeCI95() <= 0 {
-		t.Errorf("CI95 = %v, want > 0 with noise", rep.TimeCI95())
+	secs := make([]float64, len(rep.IterationTimes))
+	for i, d := range rep.IterationTimes {
+		secs[i] = d.Seconds()
+	}
+	if ci := stats.ConfidenceInterval95(secs); ci <= 0 {
+		t.Errorf("iteration-time CI95 = %v s, want > 0 with noise", ci)
 	}
 	if rep.MeanPower() <= 0 {
 		t.Error("mean power <= 0")

@@ -118,15 +118,3 @@ func run4(buf []float64, flopsPerElem float64) float64 {
 	}
 	return a0 + a1 + a2 + a3
 }
-
-// SpinWait models the slack/polling phase of Figure 2: it busy-polls the
-// done predicate exactly as an MPI_Barrier spin loop would, returning the
-// number of polls performed. Callers in the simulator account its energy;
-// callers in examples pass a real predicate.
-func SpinWait(done func() bool) uint64 {
-	var polls uint64
-	for !done() {
-		polls++
-	}
-	return polls
-}

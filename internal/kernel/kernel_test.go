@@ -243,6 +243,17 @@ func TestMakeBufferValuesBounded(t *testing.T) {
 	}
 }
 
+// SpinWait models the slack/polling phase of Figure 2: it busy-polls the
+// done predicate exactly as an MPI_Barrier spin loop would, returning the
+// number of polls performed.
+func SpinWait(done func() bool) uint64 {
+	var polls uint64
+	for !done() {
+		polls++
+	}
+	return polls
+}
+
 func TestSpinWait(t *testing.T) {
 	n := 0
 	polls := SpinWait(func() bool { n++; return n > 10 })

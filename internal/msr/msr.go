@@ -312,16 +312,6 @@ func (d *Device) Write(reg uint32, value uint64) error {
 	return nil
 }
 
-// ReadField extracts the bit field [lo, hi] (inclusive, hi >= lo) from the
-// register.
-func (d *Device) ReadField(reg uint32, hi, lo uint) (uint64, error) {
-	v, err := d.Read(reg)
-	if err != nil {
-		return 0, err
-	}
-	return ExtractBits(v, hi, lo), nil
-}
-
 // PrivilegedWrite bypasses the allowlist; it is how the simulator's hardware
 // model updates counters (energy, APERF/MPERF, TSC) behind the register
 // file, playing the role of the silicon itself. Addresses outside the

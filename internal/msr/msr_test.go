@@ -133,14 +133,14 @@ func TestPrivilegedAdd64(t *testing.T) {
 func TestReadField(t *testing.T) {
 	d := NewDevice(nil)
 	d.PrivilegedWrite(MSRPlatformInfo, 0x1500) // base ratio 0x15 = 21
-	ratio, err := d.ReadField(MSRPlatformInfo, 15, 8)
+	v, err := d.Read(MSRPlatformInfo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio != 21 {
+	if ratio := ExtractBits(v, 15, 8); ratio != 21 {
 		t.Errorf("base ratio = %d, want 21", ratio)
 	}
-	if _, err := d.ReadField(0xDEAD, 7, 0); err == nil {
+	if _, err := d.Read(0xDEAD); err == nil {
 		t.Error("expected allowlist error")
 	}
 }

@@ -62,8 +62,8 @@ type Node struct {
 	// that owns it; see SetSlot.
 	slot int
 
-	// sink receives limit-write and frequency-pin events when
-	// observability is enabled; nil costs one comparison per write.
+	// sink receives limit-write events when observability is enabled;
+	// nil costs one comparison per write.
 	sink *obs.Sink
 }
 
@@ -82,7 +82,6 @@ type opPoint struct {
 	flops    units.Flops
 	vector   int
 	cap      units.Power
-	pin      units.Frequency
 	idleWait bool
 
 	fWork units.Frequency
@@ -96,14 +95,13 @@ type opPoint struct {
 }
 
 // resolve returns the steady-state operating point of the phase under the
-// given per-socket cap and the current frequency pin, memoized in n.op.
+// given per-socket cap, memoized in n.op.
 func (n *Node) resolve(ph *cpumodel.Phase, cap units.Power) *opPoint {
-	pin := n.frequencyPin()
 	op := &n.op
 	if n.opValid &&
 		op.traffic == ph.Work.Traffic && op.flops == ph.Work.Flops &&
 		op.vector == int(ph.Vector) && op.cap == cap &&
-		op.pin == pin && op.idleWait == n.IdleWait {
+		op.idleWait == n.IdleWait {
 		return op
 	}
 	m := &n.sockets[0].Model
@@ -115,16 +113,6 @@ func (n *Node) resolve(ph *cpumodel.Phase, cap units.Power) *opPoint {
 	}
 	fWork := n.work.FrequencyForCap(m.Eta, cap)
 	fSpin := n.spin.FrequencyForCap(m.Eta, cap)
-	if pin > 0 {
-		// A P-state request (IA32_PERF_CTL) is a ceiling: RAPL can still
-		// clamp below it, but the core never exceeds the requested ratio.
-		if pin < fWork {
-			fWork = pin
-		}
-		if pin < fSpin {
-			fSpin = pin
-		}
-	}
 	pSpin := m.SpinPowerAt(fSpin)
 	if n.IdleWait {
 		fSpin = m.Spec.MinFreq
@@ -136,7 +124,6 @@ func (n *Node) resolve(ph *cpumodel.Phase, cap units.Power) *opPoint {
 		flops:    ph.Work.Flops,
 		vector:   int(ph.Vector),
 		cap:      cap,
-		pin:      pin,
 		idleWait: n.IdleWait,
 		fWork:    fWork,
 		tWork:    tWork,
@@ -188,44 +175,6 @@ func (n *Node) Slot() int { return n.slot }
 // slot instead of maps keyed by ID; a node belongs to one manager at a
 // time.
 func (n *Node) SetSlot(i int) { n.slot = i }
-
-// SetFrequencyPin requests a P-state ceiling through IA32_PERF_CTL on both
-// sockets (the DVFS control path GEOPM's frequency agents use). The
-// request is quantized to the socket's P-state step and clipped to its
-// range; passing 0 clears the pin. It returns the frequency actually
-// programmed.
-func (n *Node) SetFrequencyPin(f units.Frequency) (units.Frequency, error) {
-	var ratio uint64
-	programmed := units.Frequency(0)
-	if f > 0 {
-		q := n.sockets[0].Model.QuantizeToPState(f)
-		ratio = uint64(q.Hz() / 1e8) // 100 MHz bus-ratio units
-		programmed = q
-	}
-	for _, s := range n.sockets {
-		reg := msr.InsertBits(0, 15, 8, ratio)
-		if err := s.Dev.Write(msr.IA32PerfCtl, reg); err != nil {
-			return 0, fmt.Errorf("node %s: %w", n.ID, err)
-		}
-	}
-	n.sink.FreqPin(n.ID, programmed.Hz())
-	return programmed, nil
-}
-
-// frequencyPin reads the current P-state request (0 = no pin).
-func (n *Node) frequencyPin() units.Frequency {
-	ratio := msr.ExtractBits(n.sockets[0].Dev.PrivilegedRead(msr.IA32PerfCtl), 15, 8)
-	return units.Frequency(float64(ratio) * 1e8)
-}
-
-// FrequencyPin returns the programmed P-state ceiling (0 = none).
-func (n *Node) FrequencyPin() (units.Frequency, error) {
-	reg, err := n.sockets[0].Dev.Read(msr.IA32PerfCtl)
-	if err != nil {
-		return 0, fmt.Errorf("node %s: %w", n.ID, err)
-	}
-	return units.Frequency(float64(msr.ExtractBits(reg, 15, 8)) * 1e8), nil
-}
 
 // SocketsPerNode matches the dual-socket Quartz nodes.
 const SocketsPerNode = 2
@@ -407,20 +356,6 @@ func (n *Node) Energy() (units.Energy, error) {
 	return total, nil
 }
 
-// DRAMEnergy reads the node-level accumulated DRAM-domain energy through
-// the RAPL domains (wraparound-safe).
-func (n *Node) DRAMEnergy() (units.Energy, error) {
-	var total units.Energy
-	for _, s := range n.sockets {
-		e, err := s.Rapl.ReadDRAMEnergy()
-		if err != nil {
-			return 0, fmt.Errorf("node %s: %w", n.ID, err)
-		}
-		total += e
-	}
-	return total, nil
-}
-
 // PhaseResult reports one node's share of one bulk-synchronous iteration.
 type PhaseResult struct {
 	// WorkTime is the time the node computed before reaching the barrier.
@@ -453,7 +388,7 @@ func (n *Node) PlanIteration(ph *cpumodel.Phase) (time.Duration, error) {
 }
 
 // FinishIteration executes the iteration PlanIteration planned, with no
-// limit or pin write in between: the node computes for its work time, spins
+// limit write in between: the node computes for its work time, spins
 // at the barrier until iterTime, advances its counters, and writes its
 // result into res. iterTime below the work time (0 for a critical host)
 // extends to it. workScale multiplies the work time (1 = nominal,

@@ -27,7 +27,6 @@ func TestPrometheusConformance(t *testing.T) {
 	s.LimitWrite("node0001", 190)
 	s.MSRWrite()
 	s.EnergyWrap("pkg", "node0001")
-	s.FreqPin("node0001", 2.1e9)
 	s.PowerSample("facility", 880)
 	s.Violation("facility", 950, 900)
 	s.Clamp("node0001", 200, 190)

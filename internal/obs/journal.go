@@ -21,8 +21,6 @@ const (
 	// EvLimitWrite is a node-level RAPL power-limit write (PL1 programming
 	// on both sockets).
 	EvLimitWrite EventType = "rapl_limit_write"
-	// EvFreqPin is a P-state ceiling request through IA32_PERF_CTL.
-	EvFreqPin EventType = "freq_pin"
 	// EvClamp is a watchdog limit reduction on an over-budget leaf.
 	EvClamp EventType = "watchdog_clamp"
 	// EvViolation is a watchdog budget-violation detection.
@@ -153,10 +151,6 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{start: time.Now(), buf: make([]Event, 0, capacity)}
 }
 
-// Record appends an event, stamping its sequence number and time offset.
-// Nil journals drop the event, so callers need no guard.
-func (j *Journal) Record(e Event) { j.recordStamped(e) }
-
 // recordStamped appends an event and returns the stamped copy (sequence
 // number and wall offset filled in) so callers can republish the exact
 // record to live streams. Nil journals return the event untouched.
@@ -255,20 +249,13 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteTrace exports the retained events in Chrome trace_event JSON. Each
-// distinct scope/host becomes a named track, decision events render as
-// instants on their track, and power-valued events additionally emit
-// counter samples so grants and clamps plot as stepped series. Events that
-// carry a virtual timestamp are placed on the simulated timeline, so the
-// trace ordering matches causal order under the event engine rather than
-// recording latency.
-func (j *Journal) WriteTrace(w io.Writer) error {
-	meta, out := journalTraceEvents(j.Snapshot())
-	return writeTraceDoc(w, append(meta, out...))
-}
-
 // journalTraceEvents renders journal events as instant + counter records on
-// pid 1, one named track per scope/host.
+// pid 1. Each distinct scope/host becomes a named track, decision events
+// render as instants on their track, and power-valued events additionally
+// emit counter samples so grants and clamps plot as stepped series. Events
+// that carry a virtual timestamp are placed on the simulated timeline, so
+// the trace ordering matches causal order under the event engine rather
+// than recording latency.
 func journalTraceEvents(events []Event) (meta, out []traceEvent) {
 	tids := map[string]int{}
 	var order []string

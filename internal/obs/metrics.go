@@ -84,38 +84,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Bounds returns the bucket upper bounds (shared slice; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// Merge adds every bucket, the sum, and the count of o into h. Campaign
-// shards record into per-shard registries and merge into the campaign
-// registry when the scenario completes; merging is lock-free on both sides
-// (atomic loads of o, atomic adds into h), so a racing Observe is never
-// lost — it lands in whichever snapshot sees it. Histograms with different
-// bucket layouts cannot be combined; Merge reports false and leaves h
-// untouched.
-func (h *Histogram) Merge(o *Histogram) bool {
-	if o == nil {
-		return true
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return false
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			return false
-		}
-	}
-	for i := range o.counts {
-		if v := o.counts[i].Load(); v > 0 {
-			h.counts[i].Add(v)
-		}
-	}
-	h.sum.Add(o.Sum())
-	h.count.Add(o.Count())
-	return true
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // within the containing bucket, the same estimate PromQL's
 // histogram_quantile computes. Returns NaN for an empty histogram; samples
@@ -351,48 +319,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	return &Histogram{bounds: nil, counts: make([]atomic.Uint64, 1)}
 }
 
-// Merge folds every series of o into r: counters add, gauges take o's
-// value, histograms bucket-merge (creating the series with o's bucket
-// layout on first sight). Campaign shard aggregation merges per-scenario
-// registries into the campaign-wide one. Series whose kind conflicts with
-// an existing series in r are skipped, mirroring the detached-instrument
-// policy of the getters.
-func (r *Registry) Merge(o *Registry) {
-	if o == nil {
-		return
-	}
-	o.mu.RLock()
-	theirs := make(map[string]*series, len(o.series))
-	for k, s := range o.series {
-		theirs[k] = s
-	}
-	o.mu.RUnlock()
-	for key, os := range theirs {
-		r.mu.Lock()
-		s := r.series[key]
-		if s == nil {
-			var bounds []float64
-			if os.h != nil {
-				bounds = os.h.bounds
-			}
-			s = newSeries(os.name, os.labels, os.kind, bounds)
-			r.series[key] = s
-		}
-		r.mu.Unlock()
-		if s.kind != os.kind {
-			continue
-		}
-		switch os.kind {
-		case kindCounter:
-			s.c.Add(os.c.Value())
-		case kindGauge:
-			s.g.Set(os.g.Value())
-		case kindHistogram:
-			s.h.Merge(os.h)
-		}
-	}
-}
-
 // metricHelp maps each metric family exported by the typed helpers to its
 // HELP line. WritePrometheus falls back to a generic line for families
 // registered outside the helper vocabulary.
@@ -408,7 +334,6 @@ var metricHelp = map[string]string{
 	MetricLimitWatts:        "Distribution of programmed node power limits in watts.",
 	MetricMSRWrites:         "Raw MSR PL1 register writes.",
 	MetricEnergyWraps:       "32-bit RAPL energy-counter wraparounds.",
-	MetricFreqPins:          "P-state ceiling requests.",
 	MetricPowerWatts:        "Latest sampled power per telemetry domain in watts.",
 	MetricViolations:        "Watchdog budget violations detected.",
 	MetricClamps:            "Watchdog limit clamps applied.",

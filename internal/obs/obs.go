@@ -44,8 +44,6 @@ const (
 	// MetricEnergyWraps counts 32-bit energy-counter wraparounds, labeled
 	// domain (pkg or dram).
 	MetricEnergyWraps = "powerstack_rapl_energy_wraps_total"
-	// MetricFreqPins counts P-state ceiling requests.
-	MetricFreqPins = "powerstack_freq_pins_total"
 	// MetricPowerWatts is the latest sampled power, labeled domain.
 	MetricPowerWatts = "powerstack_power_watts"
 	// MetricViolations counts watchdog budget violations, labeled domain.
@@ -308,15 +306,6 @@ func (s *Sink) EnergyWrap(domain, host string) {
 	}
 	s.Metrics.Counter(MetricEnergyWraps, "domain", domain).Inc()
 	s.record(Event{Type: EvEnergyWrap, Layer: "rapl", Scope: domain, Host: host})
-}
-
-// FreqPin records a P-state ceiling request of hz on a host (0 clears).
-func (s *Sink) FreqPin(host string, hz float64) {
-	if s == nil {
-		return
-	}
-	s.Metrics.Counter(MetricFreqPins).Inc()
-	s.record(Event{Type: EvFreqPin, Layer: "node", Host: host, Value: hz})
 }
 
 // PowerSample records the latest sampled power of a telemetry domain.

@@ -23,7 +23,6 @@ func TestNilSinkSafe(t *testing.T) {
 	s.LimitWrite("n", 180)
 	s.MSRWrite()
 	s.EnergyWrap("pkg", "n")
-	s.FreqPin("n", 2.1e9)
 	s.PowerSample("facility", 900)
 	s.Violation("facility", 950, 900)
 	s.Clamp("n", 200, 190)
@@ -73,7 +72,6 @@ func TestSinkVocabulary(t *testing.T) {
 	s.MSRWrite()
 	s.MSRWrite()
 	s.EnergyWrap("pkg", "node0001")
-	s.FreqPin("node0001", 2.1e9)
 	s.PowerSample("facility", 880)
 	s.Violation("facility", 950, 900)
 	s.Clamp("node0001", 200, 190)
@@ -86,7 +84,7 @@ func TestSinkVocabulary(t *testing.T) {
 	}
 	want := map[EventType]int{
 		EvGrant: 1, EvRegrant: 1, EvEpoch: 1, EvRealloc: 1,
-		EvLimitWrite: 1, EvEnergyWrap: 1, EvFreqPin: 1,
+		EvLimitWrite: 1, EvEnergyWrap: 1,
 		EvViolation: 1, EvClamp: 1, EvCell: 2,
 	}
 	for typ, n := range want {
@@ -110,7 +108,6 @@ func TestSinkVocabulary(t *testing.T) {
 		`powerstack_rapl_limit_writes_total 1`,
 		`powerstack_rapl_msr_writes_total 2`,
 		`powerstack_rapl_energy_wraps_total{domain="pkg"} 1`,
-		`powerstack_freq_pins_total 1`,
 		`powerstack_power_watts{domain="facility"} 880`,
 		`powerstack_watchdog_violations_total{domain="facility"} 1`,
 		`powerstack_watchdog_clamps_total 1`,

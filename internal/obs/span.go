@@ -230,16 +230,6 @@ func (l *SpanLog) Total() uint64 {
 	return l.total
 }
 
-// Dropped returns how many completed spans the ring bound evicted.
-func (l *SpanLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total - uint64(len(l.buf))
-}
-
 // Snapshot returns the retained completed spans, oldest-first.
 func (l *SpanLog) Snapshot() []SpanRecord {
 	if l == nil {

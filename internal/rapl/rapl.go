@@ -134,9 +134,6 @@ func NewDomain(dev *msr.Device) (*Domain, error) {
 	return &Domain{dev: dev, units: DecodeUnits(reg)}, nil
 }
 
-// Units returns the decoded unit divisors.
-func (d *Domain) Units() Units { return d.units }
-
 // Clone returns a copy of the domain bound to dev, which must be the
 // already-cloned MSR device of the same socket. Decoded units and the
 // wraparound trackers' accumulated energy carry over, so ReadEnergy on the
@@ -216,17 +213,12 @@ func encodePowerField(p units.Power, unit units.Power) uint64 {
 	return field
 }
 
-// SetLimit programs PL1 in MSR_PKG_POWER_LIMIT. The power is quantized to
-// the power unit and the window to the time unit, as on hardware.
-func (d *Domain) SetLimit(l Limit) error {
-	return d.SetLimitCached(l, nil)
-}
-
-// SetLimitCached is SetLimit with the field encodings served from enc when
-// possible (nil enc, or an encoder primed for different units, computes
-// directly). The register access sequence — one read, one write — and the
-// programmed bits are identical to SetLimit's, so fault countdowns and
-// journals advance the same either way.
+// SetLimitCached programs PL1 in MSR_PKG_POWER_LIMIT. The power is
+// quantized to the power unit and the window to the time unit, as on
+// hardware. The field encodings are served from enc when possible (nil enc,
+// or an encoder primed for different units, computes directly); the
+// register access sequence — one read, one write — and the programmed bits
+// are the same either way, so fault countdowns and journals advance alike.
 func (d *Domain) SetLimitCached(l Limit, enc *LimitEncoder) error {
 	if l.Power < 0 {
 		return fmt.Errorf("rapl: negative power limit %v", l.Power)
@@ -251,10 +243,9 @@ func (d *Domain) SetLimitCached(l Limit, enc *LimitEncoder) error {
 	return nil
 }
 
-// ReadLimitPower decodes only the current PL1 power: ReadLimit's Power,
-// from the same single register read, without decoding the time window.
-// Control loops that need nothing else call it once per host per
-// iteration.
+// ReadLimitPower decodes the current PL1 power from one register read,
+// without decoding the time window. Control loops call it once per host
+// per iteration.
 func (d *Domain) ReadLimitPower() (units.Power, error) {
 	reg, err := d.dev.Read(msr.MSRPkgPowerLimit)
 	if err != nil {
@@ -266,42 +257,6 @@ func (d *Domain) ReadLimitPower() (units.Power, error) {
 // limitPower decodes the PL1 power field of an MSR_PKG_POWER_LIMIT word.
 func (d *Domain) limitPower(reg uint64) units.Power {
 	return units.Power(float64(msr.ExtractBits(reg, pl1PowerHi, pl1PowerLo))) * units.Power(float64(d.units.PowerUnit))
-}
-
-// ReadLimit decodes the current PL1 setting.
-func (d *Domain) ReadLimit() (Limit, error) {
-	reg, err := d.dev.Read(msr.MSRPkgPowerLimit)
-	if err != nil {
-		return Limit{}, err
-	}
-	return Limit{
-		Power:      d.limitPower(reg),
-		TimeWindow: decodeTimeWindow(msr.ExtractBits(reg, pl1WindowHi, pl1WindowLo), d.units.TimeUnit),
-		Enabled:    msr.ExtractBits(reg, pl1EnableBit, pl1EnableBit) == 1,
-		Clamped:    msr.ExtractBits(reg, pl1ClampBit, pl1ClampBit) == 1,
-	}, nil
-}
-
-// PowerInfo reports the fused package power parameters from
-// MSR_PKG_POWER_INFO.
-type PowerInfo struct {
-	TDP      units.Power
-	MinPower units.Power
-	MaxPower units.Power
-}
-
-// ReadPowerInfo decodes MSR_PKG_POWER_INFO.
-func (d *Domain) ReadPowerInfo() (PowerInfo, error) {
-	reg, err := d.dev.Read(msr.MSRPkgPowerInfo)
-	if err != nil {
-		return PowerInfo{}, err
-	}
-	u := float64(d.units.PowerUnit)
-	return PowerInfo{
-		TDP:      units.Power(float64(msr.ExtractBits(reg, 14, 0)) * u),
-		MinPower: units.Power(float64(msr.ExtractBits(reg, 30, 16)) * u),
-		MaxPower: units.Power(float64(msr.ExtractBits(reg, 46, 32)) * u),
-	}, nil
 }
 
 // ReadEnergy returns the total package energy consumed since the domain
@@ -365,13 +320,6 @@ func encodeTimeWindow(w time.Duration, unit time.Duration) uint64 {
 		}
 	}
 	return best
-}
-
-// decodeTimeWindow inverts encodeTimeWindow.
-func decodeTimeWindow(field uint64, unit time.Duration) time.Duration {
-	y := field & 0x1F
-	z := (field >> 5) & 0x3
-	return time.Duration(windowValue(y, z) * float64(unit))
 }
 
 // windowValue is the window multiplier 2^y * (1 + z/4). Scaling the

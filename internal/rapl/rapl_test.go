@@ -114,7 +114,7 @@ func TestPowerOnDefaultsReadable(t *testing.T) {
 	if want := encodeTimeWindow(time.Second, DecodeUnits(DefaultUnitsRegister).TimeUnit); defaultWindowField != want {
 		t.Errorf("defaultWindowField = %#x, uncached encoding %#x", defaultWindowField, want)
 	}
-	if want := decodeTimeWindow(defaultWindowField, d.Units().TimeUnit); l.TimeWindow != want {
+	if want := decodeTimeWindow(defaultWindowField, d.units.TimeUnit); l.TimeWindow != want {
 		t.Errorf("power-on window = %v, want %v", l.TimeWindow, want)
 	}
 	info, err := d.ReadPowerInfo()

@@ -75,32 +75,6 @@ func WriteFigure8CSV(w io.Writer, g *sim.Grid) error {
 	return cw.Error()
 }
 
-// WriteHeatmapCSV emits a Figure 4/5-style grid: the first column is the
-// row name, remaining columns follow ColNames.
-func WriteHeatmapCSV(w io.Writer, h Heatmap) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{h.RowLabel}, h.ColNames...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i, name := range h.RowNames {
-		rec := make([]string, 0, len(h.ColNames)+1)
-		rec = append(rec, name)
-		for j := range h.ColNames {
-			v := ""
-			if i < len(h.Values) && j < len(h.Values[i]) {
-				v = ftoa(h.Values[i][j])
-			}
-			rec = append(rec, v)
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func ftoa(f float64) string {
 	return strconv.FormatFloat(f, 'g', 8, 64)
 }

@@ -19,8 +19,8 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("table output missing %q:\n%s", frag, out)
 		}
 	}
-	if tb.Rows() != 3 {
-		t.Errorf("rows = %d", tb.Rows())
+	if len(tb.rows) != 3 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 	// Columns aligned: every line has the value column starting at the
 	// same offset.

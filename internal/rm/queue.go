@@ -164,9 +164,6 @@ func (s *Scheduler) Enqueue(spec JobSpec) (*QueuedJob, error) {
 // Queue returns the jobs still waiting, in order.
 func (s *Scheduler) Queue() []*QueuedJob { return s.queue }
 
-// Budget returns the current admission budget.
-func (s *Scheduler) Budget() units.Power { return s.budget }
-
 // SetBudget retargets the admission budget mid-run — the facility's
 // dynamic budget timeline calls this at every change. Admission (fits) and
 // the Enqueue infeasibility floor track the new value immediately; already
@@ -180,13 +177,6 @@ func (s *Scheduler) SetBudget(b units.Power) error {
 	s.budget = b
 	return nil
 }
-
-// Demand returns a started job's admission power estimate (zero for jobs
-// this scheduler never started).
-func (s *Scheduler) Demand(sj *ScheduledJob) units.Power { return s.demands[sj] }
-
-// Started returns the admitted jobs.
-func (s *Scheduler) Started() []*ScheduledJob { return s.started }
 
 // CommittedPower returns the admitted jobs' total power demand.
 func (s *Scheduler) CommittedPower() units.Power { return s.committed }

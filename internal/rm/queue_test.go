@@ -243,8 +243,8 @@ func TestSetBudgetRetargetsAdmission(t *testing.T) {
 	if err := s.SetBudget(3 * 235 * units.Watt); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Budget(); got != 3*235*units.Watt {
-		t.Fatalf("Budget() = %v after SetBudget", got)
+	if got := s.budget; got != 3*235*units.Watt {
+		t.Fatalf("budget = %v after SetBudget", got)
 	}
 	started, err := s.Dispatch(1)
 	if err != nil {
@@ -276,7 +276,7 @@ func TestSetBudgetRetargetsAdmission(t *testing.T) {
 	if err := s.SetBudget(0); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if got := s.Budget(); got != 1*units.Watt {
+	if got := s.budget; got != 1*units.Watt {
 		t.Errorf("failed SetBudget changed the budget to %v", got)
 	}
 	_ = m
@@ -294,7 +294,7 @@ func TestAbortReleasesWithoutRequeue(t *testing.T) {
 	if len(started) != 1 {
 		t.Fatalf("started = %d", len(started))
 	}
-	if s.Demand(started[0]) == 0 {
+	if s.demands[started[0]] == 0 {
 		t.Fatal("started job has no recorded demand")
 	}
 	if err := s.Abort(started[0]); err != nil {
@@ -309,8 +309,8 @@ func TestAbortReleasesWithoutRequeue(t *testing.T) {
 	if len(s.Queue()) != 0 {
 		t.Errorf("abort requeued the job: queue = %d", len(s.Queue()))
 	}
-	if s.Demand(started[0]) != 0 {
-		t.Errorf("aborted job still has demand %v", s.Demand(started[0]))
+	if s.demands[started[0]] != 0 {
+		t.Errorf("aborted job still has demand %v", s.demands[started[0]])
 	}
 	// Aborting an unknown job fails.
 	if err := s.Abort(started[0]); err == nil {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"powerstack/internal/bsp"
 	"powerstack/internal/charz"
@@ -103,10 +102,6 @@ type Manager struct {
 	// before each replan and clears it after.
 	SpanParent obs.SpanContext
 
-	// CapRetries overrides DefaultCapRetries (negative disables retries;
-	// zero selects the default).
-	CapRetries int
-
 	// OnQuarantine, when set, is invoked every time a node enters the
 	// drain set, with the node ID and the reason ("cap_write", "release",
 	// "crash"). It fires exactly once per quarantined node — repeat drains
@@ -159,18 +154,6 @@ func (m *Manager) FreeNodes() int { return len(m.free) }
 
 // Jobs returns the scheduled jobs in submission order.
 func (m *Manager) Jobs() []*ScheduledJob { return m.jobs }
-
-// Quarantined returns the drained nodes, sorted by ID.
-func (m *Manager) Quarantined() []*node.Node {
-	out := make([]*node.Node, 0, m.nDrained)
-	for i, n := range m.pool {
-		if m.drained[i] {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // quarantine moves a node into the drain set (idempotent) and journals the
 // decision. The node is not in the free pool afterwards.
@@ -269,15 +252,8 @@ func (m *Manager) setLimit(n *node.Node, watts units.Power) error {
 // node's cap is thus never skipped, so its fault countdowns advance on
 // every replan exactly as if every cap were rewritten.
 func (m *Manager) writeLimit(n *node.Node, watts units.Power, enc *rapl.LimitEncoder) (units.Power, error) {
-	retries := m.CapRetries
-	if retries == 0 {
-		retries = DefaultCapRetries
-	}
-	if retries < 0 {
-		retries = 0
-	}
 	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= DefaultCapRetries; attempt++ {
 		if attempt > 0 {
 			m.Obs.CapRetry(n.ID, watts.Watts(), attempt)
 		}
@@ -289,7 +265,7 @@ func (m *Manager) writeLimit(n *node.Node, watts units.Power, enc *rapl.LimitEnc
 			return watts, nil
 		}
 	}
-	m.Obs.CapWriteRetries(n.ID, retries)
+	m.Obs.CapWriteRetries(n.ID, DefaultCapRetries)
 	return units.Power(math.NaN()), err
 }
 

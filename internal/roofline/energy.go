@@ -17,6 +17,10 @@ import (
 // The energy balance point B = EByte/EFlop (in FLOPs/byte) is the energy
 // analogue of the performance ridge: kernels below it spend most of their
 // energy moving bytes, kernels above it spend it computing.
+//
+// No simulation path evaluates the model: the socket power law computes
+// power directly, and the cpumodel tests check that it decomposes exactly
+// into this model.
 
 // EnergyModel holds the decomposed energy coefficients of one socket at a
 // fixed operating frequency.
@@ -55,63 +59,4 @@ func (m EnergyModel) Energy(w kernel.Work) units.Energy {
 	e := units.Energy(float64(w.Flops)*float64(m.EFlop)) +
 		units.Energy(float64(w.Traffic)*float64(m.EByte))
 	return e + units.EnergyOver(m.ConstPower, m.Time(w))
-}
-
-// BalancePoint returns the energy balance intensity B = EByte/EFlop in
-// FLOPs per byte: the intensity at which compute energy equals memory
-// energy.
-func (m EnergyModel) BalancePoint() float64 {
-	if m.EFlop <= 0 {
-		return 0
-	}
-	return float64(m.EByte) / float64(m.EFlop)
-}
-
-// FlopsPerJoule returns the modeled energy efficiency of a kernel with the
-// given computational intensity (FLOPs/byte), per the energy roofline:
-// higher intensity amortizes both the per-byte energy and the constant
-// power over more useful work, saturating at 1/EFlop as I grows.
-func (m EnergyModel) FlopsPerJoule(intensity float64) float64 {
-	if intensity <= 0 {
-		return 0
-	}
-	// Per gigabyte of traffic (large enough that the execution-time term
-	// is not lost to sub-nanosecond truncation).
-	const q = 1e9
-	w := kernel.Work{Traffic: q, Flops: units.Flops(intensity * q)}
-	e := m.Energy(w)
-	if e <= 0 {
-		return 0
-	}
-	return intensity * q / e.Joules()
-}
-
-// AsymptoticFlopsPerJoule returns the efficiency ceiling 1/(EFlop +
-// P0/PeakFlops): what a purely compute-bound kernel converges to.
-func (m EnergyModel) AsymptoticFlopsPerJoule() float64 {
-	denom := float64(m.EFlop)
-	if m.PeakFlops > 0 {
-		denom += float64(m.ConstPower) / float64(m.PeakFlops)
-	}
-	if denom <= 0 {
-		return 0
-	}
-	return 1 / denom
-}
-
-// EnergySweep evaluates the efficiency curve over the Figure 3 intensity
-// range.
-func (m EnergyModel) EnergySweep() []EnergyPoint {
-	intensities := []float64{0.007, 0.04, 0.1, 0.25, 0.5, 1, 2, 4, 8, 16, 32, 40}
-	out := make([]EnergyPoint, 0, len(intensities))
-	for _, in := range intensities {
-		out = append(out, EnergyPoint{Intensity: in, FlopsPerJoule: m.FlopsPerJoule(in)})
-	}
-	return out
-}
-
-// EnergyPoint is one sample of the energy-efficiency curve.
-type EnergyPoint struct {
-	Intensity     float64
-	FlopsPerJoule float64
 }

@@ -15,7 +15,6 @@ package roofline
 
 import (
 	"fmt"
-	"time"
 
 	"powerstack/internal/kernel"
 	"powerstack/internal/units"
@@ -133,33 +132,6 @@ func (p Platform) Attainable(intensity float64, v kernel.Vector, f units.Frequen
 	return units.FlopsPerSecond(comp)
 }
 
-// TimeFor returns how long one core needs to complete the given work at the
-// given width and frequency: the classic roofline execution-time bound
-// max(flops/computeRoof, bytes/memoryRoof). Zero-FLOP work is purely
-// memory-bound; zero work takes zero time.
-func (p Platform) TimeFor(w kernel.Work, v kernel.Vector, f units.Frequency) time.Duration {
-	var tComp, tMem float64
-	if w.Flops > 0 {
-		roof := float64(p.ComputeRoof(v, f))
-		if roof <= 0 {
-			return 0
-		}
-		tComp = float64(w.Flops) / roof
-	}
-	if w.Traffic > 0 {
-		roof := float64(p.MemoryRoof(f))
-		if roof <= 0 {
-			return 0
-		}
-		tMem = float64(w.Traffic) / roof
-	}
-	t := tComp
-	if tMem > t {
-		t = tMem
-	}
-	return time.Duration(t * float64(time.Second))
-}
-
 // Utilization reports how busy the compute and memory pipes are while
 // executing the given work: the fraction of the iteration each pipe is the
 // active resource. The bottleneck pipe has utilization 1; the other is
@@ -168,23 +140,6 @@ func (p Platform) TimeFor(w kernel.Work, v kernel.Vector, f units.Frequency) tim
 type Utilization struct {
 	FPU float64
 	Mem float64
-}
-
-// UtilizationFor returns pipeline utilizations for the work at frequency f.
-// For zero work it returns zero utilization.
-func (p Platform) UtilizationFor(w kernel.Work, v kernel.Vector, f units.Frequency) Utilization {
-	total := p.TimeFor(w, v, f).Seconds()
-	if total <= 0 {
-		return Utilization{}
-	}
-	var u Utilization
-	if w.Flops > 0 {
-		u.FPU = float64(w.Flops) / float64(p.ComputeRoof(v, f)) / total
-	}
-	if w.Traffic > 0 {
-		u.Mem = float64(w.Traffic) / float64(p.MemoryRoof(f)) / total
-	}
-	return u
 }
 
 // Point is one kernel measurement overlaid on the roofline plot.

@@ -244,17 +244,6 @@ func (h *Host) Result(name string) (*facility.Result, error) {
 	return hi.res, nil
 }
 
-// Err reports the pacer's terminal error, if stepping the instance failed.
-func (h *Host) Err(name string) error {
-	hi, err := h.hosted(name)
-	if err != nil {
-		return err
-	}
-	hi.mu.Lock()
-	defer hi.mu.Unlock()
-	return hi.runErr
-}
-
 // Shutdown stops every pacer, waits for each (bounded by ctx), and closes
 // the instances, finalizing their results for Result. The first error is
 // returned; shutdown proceeds through the rest regardless.

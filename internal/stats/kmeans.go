@@ -47,7 +47,7 @@ func KMeans1D(xs []float64, k int) (*Clustering, error) {
 		return nil, ErrKMeans
 	}
 	// One ascending copy serves the distinct-count scan and every quantile
-	// query; the per-quantile Percentile calls used to copy+sort xs each.
+	// query.
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	if countDistinctSorted(sorted) < k {

@@ -185,10 +185,6 @@ func (h *Hierarchy) leafSample(i int, ts time.Time) (held bool) {
 	return false
 }
 
-// Power returns the root's most recently sampled power (zero before the
-// first sample).
-func (h *Hierarchy) Power() units.Power { return h.total }
-
 // TopConsumers returns the ordinals of the k leaves with the highest latest
 // power, sorted descending with ties in ordinal order — the watchdog's
 // clamping order. k is clamped to [0, leaves]: a negative k returns nothing

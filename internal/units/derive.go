@@ -33,26 +33,6 @@ func FlopsPerWatt(work Flops, e Energy) float64 {
 	return float64(work) / float64(e)
 }
 
-// Throughput returns the floating-point throughput achieved by completing
-// work in duration d. It returns 0 for non-positive durations.
-func Throughput(work Flops, d time.Duration) FlopsPerSecond {
-	s := d.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return FlopsPerSecond(float64(work) / s)
-}
-
-// DurationFor returns how long the given amount of work takes at a sustained
-// throughput. It returns 0 for non-positive throughput to avoid propagating
-// infinities through the simulator; callers treat 0 as "no progress".
-func DurationFor(work Flops, rate FlopsPerSecond) time.Duration {
-	if rate <= 0 {
-		return 0
-	}
-	return time.Duration(float64(work) / float64(rate) * float64(time.Second))
-}
-
 // Clamp returns v limited to the inclusive range [lo, hi]. It is used
 // pervasively when programming power limits, which must respect both the
 // minimum settable RAPL limit and the TDP ceiling.

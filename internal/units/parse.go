@@ -29,52 +29,6 @@ func ParsePower(s string) (Power, error) {
 	}
 }
 
-// ParseFrequency parses strings like "2.1GHz", "2100 MHz", "1800000 kHz"
-// into a Frequency. A bare number is hertz.
-func ParseFrequency(s string) (Frequency, error) {
-	value, unit, err := splitQuantity(s)
-	if err != nil {
-		return 0, fmt.Errorf("units: parsing frequency %q: %w", s, err)
-	}
-	switch strings.ToLower(unit) {
-	case "", "hz":
-		return Frequency(value), nil
-	case "khz":
-		return Frequency(value) * Kilohertz, nil
-	case "mhz":
-		return Frequency(value) * Megahertz, nil
-	case "ghz":
-		return Frequency(value) * Gigahertz, nil
-	default:
-		return 0, fmt.Errorf("units: parsing frequency %q: unknown unit %q", s, unit)
-	}
-}
-
-// ParseEnergy parses strings like "15.3uJ", "9.8 kJ", "1.2MJ", "3 Wh".
-// A bare number is joules.
-func ParseEnergy(s string) (Energy, error) {
-	value, unit, err := splitQuantity(s)
-	if err != nil {
-		return 0, fmt.Errorf("units: parsing energy %q: %w", s, err)
-	}
-	switch strings.ToLower(unit) {
-	case "", "j":
-		return Energy(value), nil
-	case "uj", "µj":
-		return Energy(value) * Microjoule, nil
-	case "kj":
-		return Energy(value) * Kilojoule, nil
-	case "mj":
-		return Energy(value) * Megajoule, nil
-	case "wh":
-		return Energy(value) * WattHour, nil
-	case "kwh":
-		return Energy(value) * KilowattHour, nil
-	default:
-		return 0, fmt.Errorf("units: parsing energy %q: unknown unit %q", s, unit)
-	}
-}
-
 // splitQuantity separates "12.5 kW" into (12.5, "kW"); the space is
 // optional and the unit may be empty.
 func splitQuantity(s string) (float64, string, error) {

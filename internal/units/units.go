@@ -68,9 +68,6 @@ func (e Energy) Joules() float64 { return float64(e) }
 // Kilojoules returns e in kilojoules.
 func (e Energy) Kilojoules() float64 { return float64(e) / 1e3 }
 
-// KilowattHours returns e in kilowatt-hours.
-func (e Energy) KilowattHours() float64 { return float64(e) / float64(KilowattHour) }
-
 // String formats the energy with an auto-selected scale.
 func (e Energy) String() string {
 	abs := math.Abs(float64(e))

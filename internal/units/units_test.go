@@ -8,6 +8,26 @@ import (
 	"time"
 )
 
+// Throughput returns the floating-point throughput achieved by completing
+// work in duration d. It returns 0 for non-positive durations.
+func Throughput(work Flops, d time.Duration) FlopsPerSecond {
+	s := d.Seconds()
+	if s <= 0 {
+		return 0
+	}
+	return FlopsPerSecond(float64(work) / s)
+}
+
+// DurationFor returns how long the given amount of work takes at a sustained
+// throughput. It returns 0 for non-positive throughput to avoid propagating
+// infinities through the simulator; callers treat 0 as "no progress".
+func DurationFor(work Flops, rate FlopsPerSecond) time.Duration {
+	if rate <= 0 {
+		return 0
+	}
+	return time.Duration(float64(work) / float64(rate) * float64(time.Second))
+}
+
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
@@ -47,9 +67,6 @@ func TestEnergyConversions(t *testing.T) {
 	e := 1 * KilowattHour
 	if got := e.Joules(); !almostEqual(got, 3.6e6, 1e-12) {
 		t.Errorf("Joules = %v, want 3.6e6", got)
-	}
-	if got := e.KilowattHours(); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("KilowattHours = %v, want 1", got)
 	}
 	if got := (2500 * Joule).Kilojoules(); !almostEqual(got, 2.5, 1e-12) {
 		t.Errorf("Kilojoules = %v, want 2.5", got)
