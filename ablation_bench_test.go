@@ -6,6 +6,7 @@ package powerstack
 
 import (
 	"testing"
+	"time"
 
 	"powerstack/internal/bsp"
 	"powerstack/internal/charz"
@@ -45,11 +46,17 @@ func BenchmarkAblationSpinVsIdleWait(b *testing.B) {
 					b.Fatal(err)
 				}
 				job.NoiseSigma = 0
-				rr, err := job.Run(10)
-				if err != nil {
-					b.Fatal(err)
+				var energy units.Energy
+				var elapsed time.Duration
+				for k := 0; k < 10; k++ {
+					ir, err := job.RunIteration()
+					if err != nil {
+						b.Fatal(err)
+					}
+					energy += ir.TotalEnergy
+					elapsed += ir.Elapsed
 				}
-				hostPower = rr.MeanPower().Watts() / 8
+				hostPower = units.MeanPower(energy, elapsed).Watts() / 8
 			}
 			b.ReportMetric(hostPower, "W/node")
 		})

@@ -150,6 +150,9 @@ type InstanceStatus struct {
 	// LastPowerWatts/LastSampleNs are the newest telemetry sample.
 	LastPowerWatts float64 `json:"last_power_watts,omitempty"`
 	LastSampleNs   int64   `json:"last_sample_ns,omitempty"`
+	// Error is the error that stopped the instance's pacer: stepping the
+	// simulation failed and virtual time no longer advances.
+	Error string `json:"error,omitempty"`
 }
 
 // BudgetSwapRequest is POST /v1/budget: a live facility-budget step. It

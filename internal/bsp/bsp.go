@@ -251,52 +251,3 @@ func (j *Job) CreditSteadyState(ir IterationResult, from, to int) {
 	}
 	j.iterCount += to - from
 }
-
-// RunResult aggregates a multi-iteration run of one job.
-type RunResult struct {
-	Iterations      int
-	Elapsed         time.Duration
-	TotalEnergy     units.Energy
-	TotalDRAMEnergy units.Energy
-	TotalFlops      units.Flops
-	// IterationTimes holds each iteration's elapsed time, the sample the
-	// paper's 95% confidence intervals are computed over.
-	IterationTimes []time.Duration
-	// HostMeanPower holds each host's run-average power, the quantity
-	// behind the Figure 4/5 heatmaps.
-	HostMeanPower []units.Power
-}
-
-// Run executes iters iterations and aggregates the results.
-func (j *Job) Run(iters int) (RunResult, error) {
-	if iters <= 0 {
-		return RunResult{}, errors.New("bsp: iterations must be positive")
-	}
-	res := RunResult{Iterations: iters}
-	hostEnergy := make([]units.Energy, len(j.Hosts))
-	var scratch IterationScratch
-	for k := 0; k < iters; k++ {
-		ir, err := j.RunIterationInto(&scratch)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.Elapsed += ir.Elapsed
-		res.TotalEnergy += ir.TotalEnergy
-		res.TotalDRAMEnergy += ir.TotalDRAMEnergy
-		res.TotalFlops += ir.TotalFlops
-		res.IterationTimes = append(res.IterationTimes, ir.Elapsed)
-		for i, h := range ir.PerHost {
-			hostEnergy[i] += h.Energy
-		}
-	}
-	res.HostMeanPower = make([]units.Power, len(j.Hosts))
-	for i, e := range hostEnergy {
-		res.HostMeanPower[i] = units.MeanPower(e, res.Elapsed)
-	}
-	return res, nil
-}
-
-// MeanPower returns the run's average total power across all hosts.
-func (r RunResult) MeanPower() units.Power {
-	return units.MeanPower(r.TotalEnergy, r.Elapsed)
-}

@@ -221,48 +221,55 @@ func TestSpinWasteGrowsWithImbalance(t *testing.T) {
 	}
 }
 
+// iterationTimes runs iters iterations of j and returns their elapsed
+// times, the sample the paper's confidence intervals are computed over.
+func iterationTimes(t *testing.T, j *Job, iters int) []time.Duration {
+	t.Helper()
+	times := make([]time.Duration, iters)
+	for k := range times {
+		ir, err := j.RunIteration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		times[k] = ir.Elapsed
+	}
+	return times
+}
+
 func TestRunAggregates(t *testing.T) {
 	nodes := testNodes(t, 4)
 	j, err := NewJob("j", imbalancedCfg(), nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const iters = 20
-	rr, err := j.Run(iters)
-	if err != nil {
-		t.Fatal(err)
+	var elapsed time.Duration
+	var total units.Energy
+	var flops units.Flops
+	hostEnergy := make([]units.Energy, len(nodes))
+	for k := 0; k < 20; k++ {
+		ir, err := j.RunIteration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum units.Energy
+		for i, h := range ir.PerHost {
+			hostEnergy[i] += h.Energy
+			sum += h.Energy
+		}
+		if sum != ir.TotalEnergy {
+			t.Errorf("iteration %d: TotalEnergy %v != sum of hosts %v", k, ir.TotalEnergy, sum)
+		}
+		elapsed += ir.Elapsed
+		total += ir.TotalEnergy
+		flops += ir.TotalFlops
 	}
-	if rr.Iterations != iters || len(rr.IterationTimes) != iters {
-		t.Fatalf("iterations recorded = %d/%d", rr.Iterations, len(rr.IterationTimes))
-	}
-	var sum time.Duration
-	for _, it := range rr.IterationTimes {
-		sum += it
-	}
-	if sum != rr.Elapsed {
-		t.Errorf("Elapsed %v != sum of iterations %v", rr.Elapsed, sum)
-	}
-	if len(rr.HostMeanPower) != 4 {
-		t.Fatalf("host powers = %d", len(rr.HostMeanPower))
-	}
-	for i, p := range rr.HostMeanPower {
-		if p <= 0 || p > 240*units.Watt {
+	for i, e := range hostEnergy {
+		if p := units.MeanPower(e, elapsed); p <= 0 || p > 240*units.Watt {
 			t.Errorf("host %d power = %v", i, p)
 		}
 	}
-	if rr.MeanPower() <= 0 || units.EDP(rr.TotalEnergy, rr.Elapsed) <= 0 || units.FlopsPerWatt(rr.TotalFlops, rr.TotalEnergy) <= 0 {
+	if units.MeanPower(total, elapsed) <= 0 || units.EDP(total, elapsed) <= 0 || units.FlopsPerWatt(flops, total) <= 0 {
 		t.Error("derived metrics non-positive")
-	}
-}
-
-func TestRunRejectsBadIterations(t *testing.T) {
-	nodes := testNodes(t, 2)
-	j, err := NewJob("j", balancedCfg(), nodes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Run(0); err == nil {
-		t.Error("expected error for zero iterations")
 	}
 }
 
@@ -272,13 +279,10 @@ func TestNoiseProducesIterationVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := j.Run(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := rr.IterationTimes[0]
+	times := iterationTimes(t, j, 30)
+	first := times[0]
 	same := true
-	for _, it := range rr.IterationTimes[1:] {
+	for _, it := range times[1:] {
 		if it != first {
 			same = false
 			break
@@ -288,8 +292,8 @@ func TestNoiseProducesIterationVariance(t *testing.T) {
 		t.Error("OS noise produced identical iteration times")
 	}
 	// Noise is small: max/min within a few percent.
-	var mn, mx time.Duration = rr.IterationTimes[0], rr.IterationTimes[0]
-	for _, it := range rr.IterationTimes {
+	mn, mx := times[0], times[0]
+	for _, it := range times {
 		if it < mn {
 			mn = it
 		}
@@ -303,21 +307,17 @@ func TestNoiseProducesIterationVariance(t *testing.T) {
 }
 
 func TestNoiseDeterministicBySeed(t *testing.T) {
-	mk := func() RunResult {
+	mk := func() []time.Duration {
 		nodes := testNodes(t, 3)
 		j, err := NewJob("j", balancedCfg(), nodes, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := j.Run(10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rr
+		return iterationTimes(t, j, 10)
 	}
 	a, b := mk(), mk()
-	for i := range a.IterationTimes {
-		if a.IterationTimes[i] != b.IterationTimes[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("same seed, different iteration times")
 		}
 	}

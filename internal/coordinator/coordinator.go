@@ -12,23 +12,19 @@
 //	job runtime  --Request--> resource manager     (needed / min / max-useful power)
 //	job runtime <--Grant----- resource manager     (renegotiated job budget)
 //
-// Each job runtime runs a GEOPM power balancer internally; between
-// iterations it derives its Request from the balancer's converging per-host
-// limits and observed power. The resource manager reallocates the system
-// budget across jobs MixedAdaptive-style: grant every job what it needs,
-// scale proportionally under deficit, and steer surplus to jobs that can
-// still convert power into speed. No prior knowledge of any workload is
-// required.
+// Each job runtime is a GEOPM controller (internal/geopm) driving a power
+// balancer; between iterations it derives its Request from the controller's
+// latest sample: the balancer's converging per-host limits and observed
+// power. The resource manager reallocates the system budget across jobs
+// MixedAdaptive-style: grant every job what it needs, scale proportionally
+// under deficit, and steer surplus to jobs that can still convert power
+// into speed. No prior knowledge of any workload is required.
 package coordinator
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
-	"powerstack/internal/bsp"
 	"powerstack/internal/geopm"
-	"powerstack/internal/obs"
 	"powerstack/internal/units"
 )
 
@@ -54,119 +50,10 @@ type Grant struct {
 	Budget units.Power
 }
 
-// Runtime is one job's runtime endpoint of the protocol.
+// Runtime is one job's runtime endpoint of the protocol: a GEOPM controller
+// driving the job's power balancer, whose Budget is the job's grant.
 type Runtime struct {
-	Job      *bsp.Job
-	Balancer *geopm.PowerBalancer
-
-	// Obs records per-iteration epochs and regrants when observability is
-	// enabled; nil is free.
-	Obs *obs.Sink
-
-	grant      units.Power
-	lastSample geopm.Sample
-	lastEnergy []units.Energy
-}
-
-// NewRuntime wraps a job with a fresh balancer.
-func NewRuntime(job *bsp.Job) (*Runtime, error) {
-	if job == nil {
-		return nil, errors.New("coordinator: nil job")
-	}
-	return &Runtime{Job: job, Balancer: geopm.NewPowerBalancer()}, nil
-}
-
-// initialize programs a uniform distribution of the initial grant.
-func (rt *Runtime) initialize(grant units.Power) error {
-	rt.grant = grant
-	hosts := make([]geopm.HostSample, len(rt.Job.Hosts))
-	for i, h := range rt.Job.Hosts {
-		hosts[i] = geopm.HostSample{
-			HostID:   h.Node.ID,
-			MinLimit: h.Node.MinLimit(),
-			MaxLimit: h.Node.TDP(),
-		}
-	}
-	limits := rt.Balancer.Initialize(grant, hosts)
-	if err := rt.applyLimits(limits); err != nil {
-		return err
-	}
-	rt.lastEnergy = make([]units.Energy, len(rt.Job.Hosts))
-	for i, h := range rt.Job.Hosts {
-		e, err := h.Node.Energy()
-		if err != nil {
-			return err
-		}
-		rt.lastEnergy[i] = e
-	}
-	return nil
-}
-
-func (rt *Runtime) applyLimits(limits []units.Power) error {
-	if limits == nil {
-		return nil
-	}
-	if len(limits) != len(rt.Job.Hosts) {
-		return fmt.Errorf("coordinator: %d limits for %d hosts", len(limits), len(rt.Job.Hosts))
-	}
-	for i, h := range rt.Job.Hosts {
-		if _, err := h.Node.SetPowerLimit(limits[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// step runs one bulk-synchronous iteration, feeds the balancer, and
-// returns the iteration result.
-func (rt *Runtime) step(k int) (bsp.IterationResult, error) {
-	ir, err := rt.Job.RunIteration()
-	if err != nil {
-		return bsp.IterationResult{}, err
-	}
-	sample := geopm.Sample{Iteration: k, Elapsed: ir.Elapsed, Hosts: make([]geopm.HostSample, len(rt.Job.Hosts))}
-	for i, h := range rt.Job.Hosts {
-		e, err := h.Node.Energy()
-		if err != nil {
-			return bsp.IterationResult{}, err
-		}
-		de := e - rt.lastEnergy[i]
-		rt.lastEnergy[i] = e
-		limit, err := h.Node.PowerLimit()
-		if err != nil {
-			return bsp.IterationResult{}, err
-		}
-		sample.Hosts[i] = geopm.HostSample{
-			HostID:   h.Node.ID,
-			WorkTime: ir.PerHost[i].WorkTime,
-			Power:    units.MeanPower(de, ir.Elapsed),
-			Limit:    limit,
-			MinLimit: h.Node.MinLimit(),
-			MaxLimit: h.Node.TDP(),
-		}
-	}
-	rt.lastSample = sample
-	rt.Obs.Epoch("coordinator", rt.Job.ID, k, ir.Elapsed.Seconds())
-	limits := rt.Balancer.Adjust(rt.grant, sample)
-	if limits != nil && rt.Obs.Enabled() {
-		rt.Obs.Realloc(rt.Job.ID, k, movedWatts(sample.Hosts, limits))
-	}
-	if err := rt.applyLimits(limits); err != nil {
-		return bsp.IterationResult{}, err
-	}
-	return ir, nil
-}
-
-// movedWatts sums the positive per-host limit increases of a reallocation —
-// the amount of power the agent shifted between hosts this round.
-func movedWatts(hosts []geopm.HostSample, limits []units.Power) float64 {
-	var moved units.Power
-	for i := range limits {
-		if i < len(hosts) && limits[i] > hosts[i].Limit {
-			moved += limits[i] - hosts[i].Limit
-		}
-	}
-	return moved.Watts()
+	*geopm.Controller
 }
 
 // request derives the upward report from the latest sample: a host the
@@ -174,7 +61,7 @@ func movedWatts(hosts []geopm.HostSample, limits []units.Power) float64 {
 // could use up to its ceiling if it sits on the critical path.
 func (rt *Runtime) request() Request {
 	req := Request{JobID: rt.Job.ID}
-	s := rt.lastSample
+	s := rt.LastSample()
 	var tMax time.Duration
 	for _, h := range s.Hosts {
 		if h.WorkTime > tMax {
@@ -208,6 +95,6 @@ func (rt *Runtime) request() Request {
 
 // regrant applies a renegotiated budget.
 func (rt *Runtime) regrant(g Grant, round int) {
-	rt.grant = g.Budget
+	rt.Budget = g.Budget
 	rt.Obs.Regrant(g.JobID, round, g.Budget.Watts())
 }

@@ -65,9 +65,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1000, nil, true); err == nil {
 		t.Error("no jobs accepted")
 	}
-	if _, err := NewRuntime(nil); err == nil {
-		t.Error("nil job accepted")
-	}
 }
 
 func TestAllocateSurplusSteering(t *testing.T) {
@@ -234,24 +231,6 @@ func TestGrantHistoryEvolves(t *testing.T) {
 	}
 }
 
-func TestProtocolIntervalRespected(t *testing.T) {
-	jobs := testJobs(t, wastefulSpecs())
-	c, err := New(24*190*units.Power(1), jobs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Interval = 5
-	res, err := c.Run(context.Background(), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, gs := range res.GrantHistory {
-		if len(gs) != 4 {
-			t.Errorf("job %s: %d protocol rounds, want 4", id, len(gs))
-		}
-	}
-}
-
 func TestBalancerRenormalizeOnBudgetChange(t *testing.T) {
 	b := geopm.NewPowerBalancer()
 	b.Initialize(2*200*units.Watt, []geopm.HostSample{
@@ -348,5 +327,31 @@ func TestRunOnNilEngineRejected(t *testing.T) {
 	}
 	if _, err := c.RunOn(context.Background(), nil, 10); err == nil {
 		t.Error("nil engine accepted")
+	}
+}
+
+// TestRunStartsFromHostLimits pins that each run samples the limits the
+// hosts hold, not the ones the runtimes last programmed: a caller may write
+// limits between runs (cmd/obsdump's watchdog clamps between one-iteration
+// runs), and a runtime sampling its own stale limits would undo the clamp.
+func TestRunStartsFromHostLimits(t *testing.T) {
+	jobs := testJobs(t, wastefulSpecs())
+	c, err := New(24*190*units.Power(1), jobs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	host := jobs[0].Hosts[0].Node
+	clamped, err := host.SetPowerLimit(host.MinLimit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Runtimes[0].LastSample().Hosts[0].Limit; got != clamped {
+		t.Errorf("second run sampled limit %v, want the clamped %v", got, clamped)
 	}
 }

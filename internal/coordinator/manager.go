@@ -9,6 +9,7 @@ import (
 	"powerstack/internal/bsp"
 	"powerstack/internal/engine"
 	"powerstack/internal/fault"
+	"powerstack/internal/geopm"
 	"powerstack/internal/obs"
 	"powerstack/internal/units"
 )
@@ -29,9 +30,6 @@ type Coordinator struct {
 	// the whole run (the online JobAdaptive), which isolates the value
 	// of the protocol's system-level half.
 	ShareAcrossJobs bool
-	// Interval is how many iterations pass between protocol rounds
-	// (1 = renegotiate every iteration).
-	Interval int
 	// Faults consults a fault plan for dropped Requests; nil injects
 	// nothing.
 	Faults *fault.Plan
@@ -71,29 +69,29 @@ func New(budget units.Power, jobs []*bsp.Job, shareAcrossJobs bool) (*Coordinato
 	if len(jobs) == 0 {
 		return nil, errors.New("coordinator: no jobs")
 	}
-	c := &Coordinator{Budget: budget, ShareAcrossJobs: shareAcrossJobs, Interval: 1}
+	c := &Coordinator{Budget: budget, ShareAcrossJobs: shareAcrossJobs}
 	totalHosts := 0
 	for _, j := range jobs {
 		totalHosts += len(j.Hosts)
 	}
-	for _, j := range jobs {
-		rt, err := NewRuntime(j)
-		if err != nil {
-			return nil, err
-		}
-		// With the protocol active, job runtimes harvest slack power and
-		// release it upward instead of hoarding it for their own
-		// critical hosts — the system-level half of MixedAdaptive.
-		rt.Balancer.ReleaseFreedPower = shareAcrossJobs
-		c.Runtimes = append(c.Runtimes, rt)
-	}
 	// Initial grants: uniform per host, exactly the offline policies'
 	// step 1.
 	per := budget / units.Power(totalHosts)
-	for _, rt := range c.Runtimes {
-		if err := rt.initialize(per * units.Power(len(rt.Job.Hosts))); err != nil {
+	for _, j := range jobs {
+		// With the protocol active, job runtimes harvest slack power and
+		// release it upward instead of hoarding it for their own
+		// critical hosts — the system-level half of MixedAdaptive.
+		b := geopm.NewPowerBalancer()
+		b.ReleaseFreedPower = shareAcrossJobs
+		ctl, err := geopm.NewController(j, b, per*units.Power(len(j.Hosts)))
+		if err != nil {
 			return nil, err
 		}
+		ctl.Layer = "coordinator"
+		if err := ctl.Start(); err != nil {
+			return nil, fmt.Errorf("coordinator: starting job %s: %w", j.ID, err)
+		}
+		c.Runtimes = append(c.Runtimes, &Runtime{ctl})
 	}
 	return c, nil
 }
@@ -181,7 +179,7 @@ func (c *Coordinator) heldRequest(i int, rt *Runtime, round int) Request {
 		minFloor += h.Node.MinLimit()
 	}
 	if c.misses[i] <= DefaultHoldRounds {
-		held := rt.grant
+		held := rt.Budget
 		if held < minFloor {
 			held = minFloor
 		}
@@ -192,9 +190,9 @@ func (c *Coordinator) heldRequest(i int, rt *Runtime, round int) Request {
 	return Request{JobID: rt.Job.ID, Needed: minFloor, Min: minFloor, MaxUseful: minFloor}
 }
 
-// Run executes iters iterations with protocol rounds every Interval
-// iterations. Cancelling ctx stops the run at the next iteration boundary
-// with ctx's error.
+// Run executes iters iterations with a protocol round after each one.
+// Cancelling ctx stops the run at the next iteration boundary with ctx's
+// error.
 //
 // A protocol round with a missing Request (injected through Faults, or any
 // future lossy transport) degrades instead of failing: for up to
@@ -223,12 +221,16 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 	if iters <= 0 {
 		return Result{}, errors.New("coordinator: iterations must be positive")
 	}
-	interval := c.Interval
-	if interval <= 0 {
-		interval = 1
-	}
 	if c.misses == nil {
 		c.misses = make([]int, len(c.Runtimes))
+	}
+	// The runtimes carry the limits they program, but between runs the
+	// caller owns the hosts (cmd/obsdump's watchdog clamps them between
+	// one-iteration runs), so every run starts from the limits they hold.
+	for _, rt := range c.Runtimes {
+		if err := rt.ReadLimits(); err != nil {
+			return Result{}, fmt.Errorf("coordinator: job %s: %w", rt.Job.ID, err)
+		}
 	}
 	// Record through a virtual-clock view of the sink for the duration of
 	// the run: the engine advances its clock before dispatching, so
@@ -261,7 +263,7 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 			defer sp.End()
 			var stepElapsed time.Duration
 			for ji, rt := range c.Runtimes {
-				ir, err := rt.step(k)
+				ir, err := rt.Step(k)
 				if err != nil {
 					return fmt.Errorf("coordinator: iteration %d job %s: %w", k, rt.Job.ID, err)
 				}
@@ -272,7 +274,7 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 				jobElapsed[ji] += ir.Elapsed
 				stepElapsed += time.Duration(w * float64(ir.Elapsed))
 			}
-			if c.ShareAcrossJobs && (k+1)%interval == 0 {
+			if c.ShareAcrossJobs {
 				round++
 				reqs := make([]Request, len(c.Runtimes))
 				for i, rt := range c.Runtimes {

@@ -14,16 +14,13 @@ import (
 // power to the hosts on the critical path.
 //
 // The controller converges when the barrier slack across hosts falls below
-// SlackEpsilon or the slack hosts hit their minimum settable limits; the
+// DefaultSlackEpsilon or the slack hosts hit their minimum settable limits; the
 // per-host limits at convergence are the "needed power" signal consumed by
 // the JobAdaptive and MixedAdaptive policies.
 type PowerBalancer struct {
 	// Gain is the proportional step: a host with 30% slack loses
 	// Gain*30% of its current limit in one iteration.
 	Gain float64
-	// SlackEpsilon is the relative barrier slack treated as "on the
-	// critical path".
-	SlackEpsilon float64
 	// MinPowerFraction is the headroom guard: the balancer never cuts a
 	// host below this fraction of the power it first observed the host
 	// drawing. A production balancer keeps this margin so a
@@ -50,7 +47,10 @@ type PowerBalancer struct {
 // sensitivity of convergence speed to Gain and of harvested power to
 // MinPowerFraction.
 const (
-	DefaultGain             = 0.5
+	DefaultGain = 0.5
+	// DefaultSlackEpsilon is the relative barrier slack treated as "on
+	// the critical path", by the balancer and by the coordination
+	// protocol's MaxUseful report alike.
 	DefaultSlackEpsilon     = 0.02
 	DefaultMinPowerFraction = 0.82
 	// convergedAfterQuiet is how many consecutive no-adjustment rounds
@@ -66,7 +66,6 @@ const (
 func NewPowerBalancer() *PowerBalancer {
 	return &PowerBalancer{
 		Gain:             DefaultGain,
-		SlackEpsilon:     DefaultSlackEpsilon,
 		MinPowerFraction: DefaultMinPowerFraction,
 	}
 }
@@ -153,7 +152,7 @@ func (b *PowerBalancer) Adjust(budget units.Power, s Sample) []units.Power {
 	var critical []int
 	for i, h := range s.Hosts {
 		slack := float64(tMax-h.WorkTime) / float64(tMax)
-		if slack <= b.SlackEpsilon {
+		if slack <= DefaultSlackEpsilon {
 			critical = append(critical, i)
 			continue
 		}

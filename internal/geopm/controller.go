@@ -14,7 +14,10 @@ import (
 // Controller is the per-job GEOPM control loop: it programs limits through
 // RAPL, runs bulk-synchronous iterations, samples telemetry from the RAPL
 // energy counters, and lets the agent react — the execution-time feedback
-// loop the paper emulates with pre-characterization runs.
+// loop the paper emulates with pre-characterization runs. Run drives a
+// whole job; a caller that interleaves the loop with other work (the
+// coordination protocol's job runtimes) calls Start once and then Step per
+// iteration.
 type Controller struct {
 	Job    *bsp.Job
 	Agent  Agent
@@ -23,8 +26,14 @@ type Controller struct {
 	// Obs records per-iteration epochs and agent reallocations when
 	// observability is enabled; nil is free.
 	Obs *obs.Sink
+	// Layer labels the epochs recorded in Obs; NewController sets "geopm".
+	Layer string
 
 	lastEnergy []units.Energy
+	// hostEnergy accumulates each host's RAPL energy since Start, and
+	// energy their sum in sampling order.
+	hostEnergy []units.Energy
+	energy     units.Energy
 	// limits carries each host's PL1 as last read or programmed: the
 	// controller is the only writer during a run, and SetPowerLimitCached
 	// returns the read-back value, so the samples need no PL1 read.
@@ -32,6 +41,10 @@ type Controller struct {
 	// enc memoizes the PL1 encodings applyLimits programs: the balancer
 	// rewrites every host each iteration with the same 1 s window.
 	enc rapl.LimitEncoder
+	// scratch and sample are the per-host buffers every Step reuses: the
+	// iteration's results and the agent's sample.
+	scratch bsp.IterationScratch
+	sample  Sample
 }
 
 // NewController wires an agent to a job under a job-level power budget.
@@ -42,28 +55,40 @@ func NewController(job *bsp.Job, agent Agent, budget units.Power) (*Controller, 
 	if budget < 0 {
 		return nil, fmt.Errorf("geopm: negative budget %v", budget)
 	}
-	return &Controller{Job: job, Agent: agent, Budget: budget}, nil
+	return &Controller{Job: job, Agent: agent, Budget: budget, Layer: "geopm"}, nil
 }
 
 // hostTemplates builds the per-host bound information agents initialize
 // from, and seeds the carried limits with each host's current PL1.
 func (c *Controller) hostTemplates() ([]HostSample, error) {
-	hosts := make([]HostSample, len(c.Job.Hosts))
 	c.limits = make([]units.Power, len(c.Job.Hosts))
+	if err := c.ReadLimits(); err != nil {
+		return nil, err
+	}
+	hosts := make([]HostSample, len(c.Job.Hosts))
 	for i, h := range c.Job.Hosts {
-		limit, err := h.Node.PowerLimit()
-		if err != nil {
-			return nil, err
-		}
-		c.limits[i] = limit
 		hosts[i] = HostSample{
 			HostID:   h.Node.ID,
-			Limit:    limit,
+			Limit:    c.limits[i],
 			MinLimit: h.Node.MinLimit(),
 			MaxLimit: h.Node.TDP(),
 		}
 	}
 	return hosts, nil
+}
+
+// ReadLimits re-reads every host's PL1 into the limits the samples carry.
+// Start calls it; a caller that lets another writer (a watchdog clamp)
+// program the hosts between Steps calls it before the next Step.
+func (c *Controller) ReadLimits() error {
+	for i, h := range c.Job.Hosts {
+		limit, err := h.Node.PowerLimit()
+		if err != nil {
+			return err
+		}
+		c.limits[i] = limit
+	}
+	return nil
 }
 
 // applyLimits programs the agent-requested limits; nil leaves limits alone.
@@ -83,6 +108,81 @@ func (c *Controller) applyLimits(limits []units.Power) error {
 	}
 	return nil
 }
+
+// Start programs the agent's initial limits and primes the RAPL energy
+// counters the samples are measured from.
+func (c *Controller) Start() error {
+	hosts, err := c.hostTemplates()
+	if err != nil {
+		return err
+	}
+	if err := c.applyLimits(c.Agent.Initialize(c.Budget, hosts)); err != nil {
+		return err
+	}
+	c.lastEnergy = make([]units.Energy, len(c.Job.Hosts))
+	for i, h := range c.Job.Hosts {
+		e, err := h.Node.Energy()
+		if err != nil {
+			return err
+		}
+		c.lastEnergy[i] = e
+	}
+	c.hostEnergy = make([]units.Energy, len(c.Job.Hosts))
+	c.energy = 0
+	// Agents copy what they keep of a sample, so the templates become the
+	// sample buffer.
+	c.sample = Sample{Hosts: hosts}
+	return nil
+}
+
+// Step runs iteration k after Start: one bulk-synchronous iteration, its
+// sample, and the agent's reaction, programmed before Step returns. The
+// result's PerHost is valid until the next Step.
+func (c *Controller) Step(k int) (bsp.IterationResult, error) {
+	ir, err := c.Job.RunIterationInto(&c.scratch)
+	if err != nil {
+		return bsp.IterationResult{}, err
+	}
+	c.sample.Iteration, c.sample.Elapsed = k, ir.Elapsed
+	for i, h := range c.Job.Hosts {
+		e, err := h.Node.Energy()
+		if err != nil {
+			return bsp.IterationResult{}, err
+		}
+		de := e - c.lastEnergy[i]
+		c.lastEnergy[i] = e
+		c.energy += de
+		c.hostEnergy[i] += de
+		c.sample.Hosts[i] = HostSample{
+			HostID:   h.Node.ID,
+			WorkTime: ir.PerHost[i].WorkTime,
+			Power:    units.MeanPower(de, ir.Elapsed),
+			Limit:    c.limits[i],
+			MinLimit: h.Node.MinLimit(),
+			MaxLimit: h.Node.TDP(),
+		}
+	}
+
+	c.Obs.Epoch(c.Layer, c.Job.ID, k, ir.Elapsed.Seconds())
+	limits := c.Agent.Adjust(c.Budget, c.sample)
+	if limits != nil && c.Obs.Enabled() {
+		var moved units.Power
+		for i := range limits {
+			if limits[i] > c.sample.Hosts[i].Limit {
+				moved += limits[i] - c.sample.Hosts[i].Limit
+			}
+		}
+		c.Obs.Realloc(c.Job.ID, k, moved.Watts())
+	}
+	if err := c.applyLimits(limits); err != nil {
+		return bsp.IterationResult{}, err
+	}
+	return ir, nil
+}
+
+// LastSample returns the sample the latest Step gave the agent; its Hosts
+// are rewritten by the next Step.
+func (c *Controller) LastSample() Sample { return c.sample }
 
 // HostReport is one host's totals in a GEOPM report.
 type HostReport struct {
@@ -139,96 +239,43 @@ func (c *Controller) Run(iters int) (Report, error) {
 	if iters <= 0 {
 		return Report{}, errors.New("geopm: iterations must be positive")
 	}
-	hosts, err := c.hostTemplates()
-	if err != nil {
+	if err := c.Start(); err != nil {
 		return Report{}, err
 	}
-	if err := c.applyLimits(c.Agent.Initialize(c.Budget, hosts)); err != nil {
-		return Report{}, err
-	}
-
-	// Prime the RAPL energy trackers.
-	c.lastEnergy = make([]units.Energy, len(c.Job.Hosts))
-	for i, h := range c.Job.Hosts {
-		e, err := h.Node.Energy()
-		if err != nil {
-			return Report{}, err
-		}
-		c.lastEnergy[i] = e
-	}
-
 	rep := Report{
 		JobID:       c.Job.ID,
 		Agent:       c.Agent.Name(),
 		Budget:      c.Budget,
 		Iterations:  iters,
 		ConvergedAt: -1,
-		Hosts:       make([]HostReport, len(c.Job.Hosts)),
 	}
 	sumWork := make([]time.Duration, len(c.Job.Hosts))
 	sumFreqTime := make([]float64, len(c.Job.Hosts))
-	// Every iteration reuses one set of per-host buffers: the iteration's
-	// results and the agent's sample.
-	var scratch bsp.IterationScratch
-	samples := make([]HostSample, len(c.Job.Hosts))
-
 	for k := 0; k < iters; k++ {
-		ir, err := c.Job.RunIterationInto(&scratch)
+		ir, err := c.Step(k)
 		if err != nil {
 			return Report{}, err
 		}
 		rep.Elapsed += ir.Elapsed
 		rep.TotalFlops += ir.TotalFlops
 		rep.IterationTimes = append(rep.IterationTimes, ir.Elapsed)
-
-		sample := Sample{Iteration: k, Elapsed: ir.Elapsed, Hosts: samples}
-		for i, h := range c.Job.Hosts {
-			e, err := h.Node.Energy()
-			if err != nil {
-				return Report{}, err
-			}
-			de := e - c.lastEnergy[i]
-			c.lastEnergy[i] = e
-			rep.TotalEnergy += de
-			rep.Hosts[i].Energy += de
-
-			sample.Hosts[i] = HostSample{
-				HostID:   h.Node.ID,
-				WorkTime: ir.PerHost[i].WorkTime,
-				Power:    units.MeanPower(de, ir.Elapsed),
-				Limit:    c.limits[i],
-				MinLimit: h.Node.MinLimit(),
-				MaxLimit: h.Node.TDP(),
-			}
+		for i := range ir.PerHost {
 			sumWork[i] += ir.PerHost[i].WorkTime
 			sumFreqTime[i] += ir.PerHost[i].AchievedFreq.Hz() * ir.Elapsed.Seconds()
-		}
-
-		c.Obs.Epoch("geopm", c.Job.ID, k, ir.Elapsed.Seconds())
-		limits := c.Agent.Adjust(c.Budget, sample)
-		if limits != nil && c.Obs.Enabled() {
-			var moved units.Power
-			for i := range limits {
-				if limits[i] > sample.Hosts[i].Limit {
-					moved += limits[i] - sample.Hosts[i].Limit
-				}
-			}
-			c.Obs.Realloc(c.Job.ID, k, moved.Watts())
-		}
-		if err := c.applyLimits(limits); err != nil {
-			return Report{}, err
 		}
 		if rep.ConvergedAt < 0 && c.Agent.Converged() {
 			rep.ConvergedAt = k
 		}
 	}
 
+	rep.TotalEnergy = c.energy
+	rep.Hosts = make([]HostReport, len(c.Job.Hosts))
 	for i, h := range c.Job.Hosts {
 		rep.Hosts[i] = HostReport{
 			HostID:           h.Node.ID,
 			Role:             h.Role,
-			Energy:           rep.Hosts[i].Energy,
-			MeanPower:        units.MeanPower(rep.Hosts[i].Energy, rep.Elapsed),
+			Energy:           c.hostEnergy[i],
+			MeanPower:        units.MeanPower(c.hostEnergy[i], rep.Elapsed),
 			FinalLimit:       c.limits[i],
 			MeanWorkTime:     sumWork[i] / time.Duration(iters),
 			MeanAchievedFreq: units.Frequency(sumFreqTime[i] / rep.Elapsed.Seconds()),

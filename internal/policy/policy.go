@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"powerstack/internal/bsp"
 	"powerstack/internal/charz"
@@ -113,6 +114,23 @@ func All() []Policy {
 		JobAdaptive{},
 		MixedAdaptive{},
 	}
+}
+
+// nameSeparators are the characters ByName ignores.
+var nameSeparators = strings.NewReplacer("-", "", "_", "")
+
+// ByName resolves a policy by its report name, ignoring case and the
+// separators "-" and "_": "MixedAdaptive", "mixed-adaptive", and
+// "mixed_adaptive" all match.
+func ByName(name string) (Policy, error) {
+	canon := func(s string) string { return nameSeparators.Replace(strings.ToLower(s)) }
+	want := canon(name)
+	for _, p := range All() {
+		if canon(p.Name()) == want {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("policy: unknown policy %q", name)
 }
 
 // Dynamic returns the three dynamic policies compared in Figure 8.

@@ -68,6 +68,38 @@ func TestAllPolicies(t *testing.T) {
 	}
 }
 
+// TestByName pins the resolver every CLI flag and the service's policy swap
+// share: case and the "-" and "_" separators are ignored, nothing else is.
+func TestByName(t *testing.T) {
+	cases := []struct {
+		name, want string // want "" = unknown
+	}{
+		{"MixedAdaptive", "MixedAdaptive"},
+		{"mixedadaptive", "MixedAdaptive"},
+		{"MIXEDADAPTIVE", "MixedAdaptive"},
+		{"mixed-adaptive", "MixedAdaptive"},
+		{"mixed_adaptive", "MixedAdaptive"},
+		{"static-caps", "StaticCaps"},
+		{"Job_Adaptive", "JobAdaptive"},
+		{"minimize-waste", "MinimizeWaste"},
+		{"precharacterized", "Precharacterized"},
+		{"mixed adaptive", ""},
+		{"round-robin", ""},
+		{"", ""},
+	}
+	for _, c := range cases {
+		p, err := ByName(c.name)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("ByName(%q) = %s, want an error", c.name, p.Name())
+		case c.want != "" && err != nil:
+			t.Errorf("ByName(%q): %v", c.name, err)
+		case c.want != "" && p.Name() != c.want:
+			t.Errorf("ByName(%q) = %s, want %s", c.name, p.Name(), c.want)
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
 	sys := System{Budget: 1000}
 	for _, p := range All() {

@@ -149,22 +149,6 @@ func workloadConfig(ws apiv1.WorkloadSpec) (kernel.Config, error) {
 	return kernel.Config{Intensity: ws.Intensity, Vector: v, WaitingPct: ws.WaitingPct, Imbalance: imb}, nil
 }
 
-// policyByName resolves a wire policy name against the registry,
-// tolerating case and separator differences ("mixed-adaptive",
-// "MixedAdaptive", and "mixed_adaptive" all match).
-func policyByName(name string) (policy.Policy, error) {
-	canon := func(s string) string {
-		return strings.NewReplacer("-", "", "_", "").Replace(strings.ToLower(s))
-	}
-	want := canon(name)
-	for _, p := range policy.All() {
-		if canon(p.Name()) == want {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: unknown policy %q", errBadRequest, name)
-}
-
 func jobStatus(ji facility.JobInfo) apiv1.JobStatus {
 	return apiv1.JobStatus{
 		ID: ji.ID, Tenant: ji.Tenant, State: string(ji.State),
@@ -214,8 +198,13 @@ func (hi *hosted) status() apiv1.InstanceStatus {
 	hi.mu.Lock()
 	sn := hi.in.Snapshot()
 	nodes := hi.in.Nodes()
+	runErr := hi.runErr
 	hi.mu.Unlock()
-	return instanceStatus(hi.name, hi.speedup, sn, nodes)
+	st := instanceStatus(hi.name, hi.speedup, sn, nodes)
+	if runErr != nil {
+		st.Error = runErr.Error()
+	}
+	return st
 }
 
 // --- handlers ---
@@ -411,9 +400,9 @@ func (h *Host) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	p, err := policyByName(req.Policy)
+	p, err := policy.ByName(req.Policy)
 	if err != nil {
-		writeError(w, err)
+		writeError(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
 	}
 	hi.mu.Lock()

@@ -17,7 +17,9 @@ import (
 	"powerstack/internal/cluster"
 	"powerstack/internal/cpumodel"
 	"powerstack/internal/facility"
+	"powerstack/internal/fault"
 	"powerstack/internal/kernel"
+	"powerstack/internal/msr"
 	"powerstack/internal/obs"
 	"powerstack/internal/policy"
 	"powerstack/internal/rm"
@@ -323,6 +325,9 @@ func TestServiceEndToEnd(t *testing.T) {
 	if plist.Active != "StaticCaps" {
 		t.Errorf("swapped policy = %q, want StaticCaps", plist.Active)
 	}
+	if code := post(t, base+"/v1/policy", apiv1.PolicySwapRequest{Policy: "round-robin"}, nil); code != http.StatusBadRequest {
+		t.Errorf("POST /v1/policy with an unknown name = %d, want 400", code)
+	}
 
 	// The deferred submission fires when virtual time reaches it.
 	clock.waitFor(t, hi, "deferred submission firing", func() bool {
@@ -450,6 +455,73 @@ func TestPauseResumeOverHTTP(t *testing.T) {
 	}
 }
 
+// TestPacerErrorReported pins that a pacer stopped by a failed Step says
+// why on /v1/instances and /v1/instances/{name}: with a PL1 read fault
+// armed on every node, starting a deferred submission fails the step.
+func TestPacerErrorReported(t *testing.T) {
+	cfg, _ := serviceEnv(t)
+	h := NewHost(obs.New())
+	clock, hi := handPaced(t, h, InstanceConfig{Name: "main", Facility: cfg})
+	srv := httptest.NewServer(h.Handler())
+	defer srv.Close()
+
+	var sub apiv1.SubmitResponse
+	if code := post(t, srv.URL+"/v1/submit", apiv1.SubmitRequest{
+		Workload: apiv1.WorkloadSpec{Intensity: 8, Vector: "ymm", Imbalance: 1},
+		Nodes:    2, Iterations: 100000,
+	}, &sub); code != 200 {
+		t.Fatalf("POST /v1/submit = %d", code)
+	}
+	clock.waitFor(t, hi, "the job to start", func() bool {
+		var js apiv1.JobStatus
+		return get(t, srv.URL+"/v1/jobs/"+sub.JobID, &js) == 200 && js.State == "running"
+	})
+	var st apiv1.InstanceStatus
+	if get(t, srv.URL+"/v1/instances/main", &st); st.Error != "" {
+		t.Fatalf("healthy instance reports error %q", st.Error)
+	}
+
+	// The pacer steps under hi.mu, so arming under it cannot race a beat.
+	var inj []fault.Injection
+	for _, n := range cfg.Nodes {
+		inj = append(inj, fault.Injection{Kind: fault.MSRReadFault, Node: n.ID, Reg: msr.MSRPkgPowerLimit})
+	}
+	hi.mu.Lock()
+	fault.NewPlan(inj...).Arm(cfg.Nodes, nil)
+	hi.mu.Unlock()
+	if code := post(t, srv.URL+"/v1/submit", apiv1.SubmitRequest{
+		Workload: apiv1.WorkloadSpec{Intensity: 8, Vector: "ymm", Imbalance: 1},
+		Nodes:    2, Iterations: 100000, AtNs: st.NowNs + 1,
+	}, nil); code != 200 {
+		t.Fatalf("POST /v1/submit (deferred) = %d", code)
+	}
+	stopped := false
+	for i := 0; i < maxBeats && !stopped; i++ {
+		select {
+		case clock <- time.Time{}:
+		case <-hi.done:
+			stopped = true
+		}
+	}
+	if !stopped {
+		t.Fatalf("pacer still running after %d beats", maxBeats)
+	}
+
+	if code := get(t, srv.URL+"/v1/instances/main", &st); code != 200 || !strings.Contains(st.Error, fault.ErrInjectedRead.Error()) {
+		t.Errorf("GET /v1/instances/main = %d, error %q, want the injected read fault", code, st.Error)
+	}
+	var list []apiv1.InstanceStatus
+	if code := get(t, srv.URL+"/v1/instances", &list); code != 200 || len(list) != 1 || list[0].Error != st.Error {
+		t.Errorf("GET /v1/instances = %d %+v, want the instance with error %q", code, list, st.Error)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := h.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHostRouting pins instance resolution: unknown instances 404, the
 // default instance serves requests that omit one.
 func TestHostRouting(t *testing.T) {
@@ -527,22 +599,6 @@ func TestSubmitJobIDsRouteBack(t *testing.T) {
 	defer cancel()
 	if err := h.Shutdown(ctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPolicyByName pins the separator-insensitive resolver.
-func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"MixedAdaptive", "mixed-adaptive", "mixed_adaptive", "MIXEDADAPTIVE"} {
-		p, err := policyByName(name)
-		if err != nil {
-			t.Fatalf("policyByName(%q): %v", name, err)
-		}
-		if p.Name() != "MixedAdaptive" {
-			t.Errorf("policyByName(%q) = %s", name, p.Name())
-		}
-	}
-	if _, err := policyByName("round-robin"); err == nil {
-		t.Error("unknown policy resolved")
 	}
 }
 

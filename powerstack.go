@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"powerstack/internal/bsp"
@@ -481,15 +480,8 @@ func Policies() []Policy { return policy.All() }
 func DynamicPolicies() []Policy { return policy.Dynamic() }
 
 // PolicyByName resolves a policy by its report name ("MixedAdaptive"),
-// case-insensitively.
-func PolicyByName(name string) (Policy, error) {
-	for _, p := range policy.All() {
-		if strings.EqualFold(p.Name(), name) {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("powerstack: unknown policy %q", name)
-}
+// ignoring case and the separators "-" and "_".
+func PolicyByName(name string) (Policy, error) { return policy.ByName(name) }
 
 // Coordinate runs the mix under the execution-time coordination protocol
 // (the paper's future work: no pre-characterization; job runtimes
