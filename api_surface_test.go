@@ -19,6 +19,7 @@ import (
 // reference oracles or harnesses that tests in more than one package call,
 // which a _test.go file cannot export.
 var apiSurfaceAllowed = map[string]string{
+	"internal/bsp.HostError.Unwrap":           "errors.Is and errors.As call it through the error-chain interface",
 	"internal/engine.eventHeap.Less":          "heap.Interface; container/heap calls it",
 	"internal/engine.eventHeap.Swap":          "heap.Interface; container/heap calls it",
 	"internal/fault.NewPlan":                  "builds hand-written fault plans for the campaign, cluster, facility, sim and telemetry tests",

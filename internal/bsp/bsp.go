@@ -141,6 +141,21 @@ type HostIteration struct {
 	node.PhaseResult
 }
 
+// HostError is an iteration that failed on one host: its node could not
+// plan or finish its share (an MSR read failure, typically), and the
+// iteration was abandoned there. Callers drain the node it names.
+type HostError struct {
+	Job  string
+	Node *node.Node
+	Err  error
+}
+
+func (e *HostError) Error() string {
+	return fmt.Sprintf("bsp: job %s host %s: %v", e.Job, e.Node.ID, e.Err)
+}
+
+func (e *HostError) Unwrap() error { return e.Err }
+
 // IterationResult aggregates one bulk-synchronous iteration.
 type IterationResult struct {
 	Elapsed time.Duration
@@ -197,7 +212,7 @@ func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, erro
 		ph := &scratch.phases[h.Role]
 		base, err := h.Node.PlanIteration(ph)
 		if err != nil {
-			return IterationResult{}, fmt.Errorf("bsp: job %s host %s: %w", j.ID, h.Node.ID, err)
+			return IterationResult{}, &HostError{Job: j.ID, Node: h.Node, Err: err}
 		}
 		jitter := 1.0
 		if j.NoiseSigma > 0 {
@@ -220,7 +235,7 @@ func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, erro
 		hi := &res.PerHost[i]
 		hi.Node, hi.Role = h.Node, h.Role
 		if err := h.Node.FinishIteration(plans[i].ph, barrier, plans[i].jitter, &hi.PhaseResult); err != nil {
-			return IterationResult{}, fmt.Errorf("bsp: job %s host %s: %w", j.ID, h.Node.ID, err)
+			return IterationResult{}, &HostError{Job: j.ID, Node: h.Node, Err: err}
 		}
 		res.TotalEnergy += hi.Energy
 		res.TotalDRAMEnergy += hi.DRAMEnergy

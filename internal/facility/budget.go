@@ -98,7 +98,7 @@ func (c *Config) sortedSteps() []BudgetStep {
 // ConstantBudget reports whether the configured facility budget never
 // changes during a run: no scheduled BudgetSteps and no fault-plan
 // BudgetDrop injection. Such a run schedules no budget event, so it never
-// reaches the emergency response (eventSim.shed, the only reader of
+// reaches the emergency response (simState.shed, the only reader of
 // Emergency): its Result is the same under every EmergencyPolicy. The
 // predicate is conservative — a same-value step or a factor-1 drop also
 // makes it false.
@@ -240,14 +240,14 @@ func (st *simState) applyBudgetChange(now time.Duration, nb units.Power) (units.
 }
 
 // recordCheckpoint computes and records a leaving job's checkpoint from
-// its cumulative progress (lengths minus remaining), returning the
+// its cumulative progress (length minus remaining), returning the
 // checkpointed iteration and the iterations lost since it. With
 // CheckpointEvery <= 0 nothing is recorded and everything is lost.
-func (st *simState) recordCheckpoint(id string, remaining int) (ckpt, lost int) {
-	done := st.lengths[id] - remaining
+func (st *simState) recordCheckpoint(rec *job, remaining int) (ckpt, lost int) {
+	done := rec.Iterations - remaining
 	ckpt = bsp.CheckpointFloor(done, st.cfg.CheckpointEvery)
 	if ckpt > 0 {
-		st.checkpoints[id] = ckpt
+		rec.checkpoint = ckpt
 	}
 	return ckpt, done - ckpt
 }
@@ -256,16 +256,14 @@ func (st *simState) recordCheckpoint(id string, remaining int) (ckpt, lost int) 
 // checkpoint state when one is recorded: the fresh bsp.Job instance is
 // fast-forwarded to the checkpoint (phase position included) and the
 // resume is journaled and counted.
-func (st *simState) startRemaining(sj *rm.ScheduledJob) int {
-	rem := st.lengths[sj.Spec.ID]
-	if ckpt := st.checkpoints[sj.Spec.ID]; ckpt > 0 {
+func (st *simState) startRemaining(rec *job, sj *rm.ScheduledJob) int {
+	rem := rec.Iterations
+	if ckpt := rec.checkpoint; ckpt > 0 {
 		rem -= ckpt
 		sj.Job.Restore(bsp.Checkpoint{Iterations: ckpt})
 		st.res.Resumed++
 		st.obs.JobResumed(sj.Spec.ID, ckpt)
-		if ji := st.jobs[sj.Spec.ID]; ji != nil {
-			ji.Resumes++
-		}
+		rec.Resumes++
 	}
 	return rem
 }

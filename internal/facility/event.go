@@ -15,7 +15,9 @@ package facility
 //	            edges) at their exact effective instants.
 //	sample      telemetry on its own cadence (Tick).
 //
-// Between events a job's progress is analytic: one real iteration probes
+// The running set is one list, active, kept index for index with the
+// manager's schedule (mgr.Jobs()), so a replan's request index addresses
+// both. Between events a job's progress is analytic: one real iteration probes
 // the operating point after every (re)plan, and bsp.CreditSteadyState
 // credits the repetitions the probe implies. Crediting is lazy — a job
 // settles only when its operating point or host set is about to change,
@@ -26,6 +28,7 @@ package facility
 // order.
 
 import (
+	"errors"
 	"math"
 	"time"
 
@@ -40,9 +43,9 @@ import (
 // evJob is one running job under the event core.
 type evJob struct {
 	sj        *rm.ScheduledJob
-	remaining int       // iterations still to run (including uncredited)
-	submitted time.Time // absolute submit time
-	started   time.Time // absolute start time
+	rec       *job          // the job's record, whose run points back here
+	remaining int           // iterations still to run (including uncredited)
+	started   time.Duration // virtual offset of this start
 
 	// iter is the probed steady-state iteration at the current operating
 	// point; credited is the virtual time the job's accounting has reached
@@ -56,41 +59,14 @@ type evJob struct {
 	comp engine.EventID
 }
 
-// eventSim runs one facility simulation on the discrete-event engine.
-type eventSim struct {
-	*simState
-	eng    *engine.Scheduler
-	active []*evJob
-
-	// Node-utilization accounting is a time integral here, not a per-tick
-	// census: busyIntegral accrues busyNodes over the span since busyAt
-	// every time the active set is about to change.
-	busyNodes    int
-	busyAt       time.Duration
-	busyIntegral float64
-
-	// lastSample is the previous telemetry sample's virtual time: energy
-	// integrates over the actual gap, which is Tick everywhere except the
-	// final sample of a non-cadence-multiple horizon.
-	lastSample time.Duration
+// hostFault is a running job whose probe failed on one of its hosts.
+type hostFault struct {
+	r    *evJob
+	node string
 }
 
-func newEventCore(st *simState) *eventSim {
-	s := &eventSim{simState: st, eng: engine.New()}
-	st.mgr.BeforeSwap = s.settleJob
-	return s
-}
-
-// prime installs the virtual clock and schedules every event stream the
-// configuration implies.
-func (s *eventSim) prime() error {
-	st := s.simState
-	// The engine advances its clock before dispatching a handler, so its
-	// Now is the correct virtual timestamp for everything recorded inside
-	// handlers (and for the engine's own dispatch events).
-	st.vclock = s.eng.Now
-	s.eng.Obs = st.obs
-
+// prime schedules every event stream the configuration implies.
+func (st *simState) prime() {
 	// Fault timeline: every crash/repair/slow transition at its exact
 	// onset. Onsets at or before zero do not fire (At == 0 slow nodes are
 	// already armed by Plan.Arm in setup).
@@ -101,16 +77,16 @@ func (s *eventSim) prime() error {
 		tr := tt.Transition
 		switch tr.Kind {
 		case fault.NodeCrash:
-			s.eng.Schedule(tt.At, "fault_crash", func(now time.Duration) error {
-				return s.onCrash(tr.Node, now)
+			st.eng.Schedule(tt.At, "fault_crash", func(now time.Duration) error {
+				return st.onCrash(tr.Node, now)
 			})
 		case fault.NodeRepair:
-			s.eng.Schedule(tt.At, "fault_repair", func(now time.Duration) error {
-				return s.onRepair(tr.Node, now)
+			st.eng.Schedule(tt.At, "fault_repair", func(now time.Duration) error {
+				return st.onRepair(tr.Node, now)
 			})
 		case fault.SlowNode:
-			s.eng.Schedule(tt.At, "fault_slow", func(now time.Duration) error {
-				return s.onSlow(tr.Node, tr.Factor, now)
+			st.eng.Schedule(tt.At, "fault_slow", func(now time.Duration) error {
+				return st.onSlow(tr.Node, tr.Factor, now)
 			})
 		}
 	}
@@ -124,108 +100,70 @@ func (s *eventSim) prime() error {
 	// sample applies first (lower sequence number), so the sample is
 	// judged against the budget in force from that instant on.
 	for _, bt := range st.budgetChangePoints() {
-		s.eng.Schedule(bt, "budget", s.onBudget)
+		st.eng.Schedule(bt, "budget", st.onBudget)
 	}
 
 	// Telemetry sampling on its own cadence, plus a final sample exactly
 	// at the horizon when the horizon is not a cadence multiple, so the
 	// tail of the run is observed and its energy integrated.
 	tick := st.cfg.Tick
-	s.eng.Every(tick, tick, st.horizon, "sample", s.onSample)
+	st.eng.Every(tick, tick, st.horizon, "sample", st.onSample)
 	if st.horizon%tick != 0 {
-		s.eng.Schedule(st.horizon, "sample", s.onSample)
+		st.eng.Schedule(st.horizon, "sample", st.onSample)
 	}
 
 	// The arrival chain: each arrival schedules the next. Service-mode
 	// instances (DisableArrivals) run on injections alone.
 	if !st.cfg.DisableArrivals {
 		if first := expDuration(st.rng, st.cfg.MeanInterarrival); first <= st.horizon {
-			s.eng.Schedule(first, "arrival", s.onArrival)
+			st.eng.Schedule(first, "arrival", st.onArrival)
 		}
 	}
-	return nil
 }
 
 // settle closes accounting at the current virtual time: jobs still
 // running keep their uncredited tail (their completions lie beyond the
 // end of the run), but the busy-node integral closes here.
-func (s *eventSim) settle() {
-	now := s.eng.Now()
-	s.accrue(now)
-	s.res.EventsDispatched = int(s.eng.Dispatched())
-	if now > 0 && len(s.cfg.Nodes) > 0 {
-		s.res.MeanNodeUtilization = s.busyIntegral / (float64(now) * float64(len(s.cfg.Nodes)))
+func (st *simState) settle() {
+	now := st.eng.Now()
+	st.accrue(now)
+	st.res.EventsDispatched = int(st.eng.Dispatched())
+	if now > 0 && len(st.cfg.Nodes) > 0 {
+		st.res.MeanNodeUtilization = st.busyIntegral / (float64(now) * float64(len(st.cfg.Nodes)))
 	}
 }
 
-func (s *eventSim) running() []RunningJob {
-	now := s.eng.Now()
-	out := make([]RunningJob, 0, len(s.active))
-	for _, r := range s.active {
+func (st *simState) running() []RunningJob {
+	now := st.eng.Now()
+	out := make([]RunningJob, 0, len(st.active))
+	for _, r := range st.active {
 		out = append(out, RunningJob{
 			ID:        r.sj.Spec.ID,
 			Tenant:    r.sj.Spec.Tenant,
 			Nodes:     r.sj.Spec.Nodes,
 			Remaining: r.remaining - r.due(now),
-			StartedAt: r.started.Sub(s.simState.start),
+			StartedAt: r.started,
 		})
 	}
 	return out
 }
 
-// injectNow enqueues a submission at the current virtual instant and
-// reconciles immediately — the job can start right now if it fits.
-func (s *eventSim) injectNow(sub Submission) (string, error) {
-	now := s.eng.Now()
-	id, err := s.submitInjected(sub, now)
-	if err != nil {
-		return id, err
-	}
-	return id, s.reconcile(now, false, false)
-}
-
-// injectAt schedules a deferred submission on the virtual timeline;
-// admission errors at fire time degrade to journaled rejections (the
-// submitter is long gone).
-func (s *eventSim) injectAt(at time.Duration, sub Submission) {
-	s.eng.Schedule(at, "inject", func(now time.Duration) error {
-		if _, err := s.submitInjected(sub, now); err != nil {
-			s.rejectInjected(sub.ID, sub, now)
-			return nil
-		}
-		return s.reconcile(now, false, false)
-	})
-}
-
-// budgetPoint schedules a budget-change event for a live timeline append
-// (Instance.ScheduleBudget) — the configured points were scheduled by
-// prime; this covers points added after it.
-func (s *eventSim) budgetPoint(at time.Duration) {
-	s.eng.Schedule(at, "budget", s.onBudget)
-}
-
-// policySwapped replans the running set under the new policy immediately
-// and re-aims completions at the moved operating points.
-func (s *eventSim) policySwapped() error {
-	return s.reconcile(s.eng.Now(), true, false)
-}
-
 // accrue closes the busy-node integral up to now. Call it before any
 // change to the active set.
-func (s *eventSim) accrue(now time.Duration) {
-	if now > s.busyAt {
-		s.busyIntegral += float64(s.busyNodes) * float64(now-s.busyAt)
-		s.busyAt = now
+func (st *simState) accrue(now time.Duration) {
+	if now > st.busyAt {
+		st.busyIntegral += float64(st.busyNodes) * float64(now-st.busyAt)
+		st.busyAt = now
 	}
 }
 
 // recount refreshes the busy-node census after the active set changed.
-func (s *eventSim) recount() {
+func (st *simState) recount() {
 	busy := 0
-	for _, r := range s.active {
+	for _, r := range st.active {
 		busy += r.sj.Spec.Nodes
 	}
-	s.busyNodes = busy
+	st.busyNodes = busy
 }
 
 // due returns how many whole steady-state iterations of a job have elapsed
@@ -243,10 +181,10 @@ func (r *evJob) due(now time.Duration) int {
 // iteration that fits since the last settlement is credited at the probed
 // operating point. The fractional remainder stays uncredited — it
 // completes later, possibly at a different operating point.
-func (s *eventSim) advance(r *evJob, now time.Duration) {
+func (st *simState) advance(r *evJob, now time.Duration) {
 	k := r.due(now)
 	r.credit(k)
-	s.book(r, k)
+	st.book(r, k)
 }
 
 // credit programs k steady-state iterations into the job's host counters:
@@ -260,11 +198,11 @@ func (r *evJob) credit(k int) {
 
 // book records k credited iterations in the job's accounting and marks its
 // hosts for the next sample: the serial half of a settlement.
-func (s *eventSim) book(r *evJob, k int) {
+func (st *simState) book(r *evJob, k int) {
 	if k <= 0 {
 		return
 	}
-	s.markJobDirty(r.sj)
+	st.markJobDirty(r.sj)
 	r.steady += k
 	r.remaining -= k
 	r.credited += time.Duration(k) * r.iter.Elapsed
@@ -275,57 +213,72 @@ func (s *eventSim) book(r *evJob, k int) {
 // The credits fan out over the worker pool (jobs own disjoint hosts, and
 // counter adds commute modulo the register width); the bookkeeping then
 // runs serially in active-list order.
-func (s *eventSim) advanceAll(now time.Duration) {
-	s.pool.run(len(s.active), func(i, _ int) {
-		r := s.active[i]
+func (st *simState) advanceAll(now time.Duration) {
+	st.pool.run(len(st.active), func(i, _ int) {
+		r := st.active[i]
 		r.credit(r.due(now))
 	})
-	for _, r := range s.active {
-		s.book(r, r.due(now))
+	for _, r := range st.active {
+		st.book(r, r.due(now))
 	}
 }
 
 // settleJob settles one scheduled job at the current virtual time — the
 // manager's hook before a spare replaces one of its hosts.
-func (s *eventSim) settleJob(sj *rm.ScheduledJob) {
-	for _, r := range s.active {
-		if r.sj == sj {
-			s.advance(r, s.eng.Now())
-			return
-		}
+func (st *simState) settleJob(sj *rm.ScheduledJob) {
+	if r := st.jobs[sj.Spec.ID].run; r != nil {
+		st.advance(r, st.eng.Now())
 	}
 }
 
-// probe resolves a job's current operating point with one real iteration
-// (OS noise and all), counts it, and re-schedules the job's completion
-// from the new steady-state iteration time.
-func (s *eventSim) probe(r *evJob, now time.Duration) error {
+// measure is the half of a probe that touches only the job's own hosts, so
+// it may run on a worker: one real iteration resolves the current
+// operating point (OS noise and all, drawn from the job's private RNG),
+// then the iterations due at the outgoing point are credited. Facility jobs
+// carry no phase schedule, so crediting after the probe iteration has run
+// programs the same counters as before it. It returns the measurement and
+// the credited count for applyProbe.
+func (r *evJob) measure(now time.Duration) (bsp.IterationResult, int, error) {
 	ir, err := r.sj.Job.RunIteration()
 	if err != nil {
-		return err
+		return ir, 0, err
 	}
 	k := r.due(now)
 	r.credit(k)
-	s.applyProbe(r, ir, k, now)
-	return nil
+	return ir, k, nil
 }
 
-// applyProbe installs a probed iteration whose job has just been credited
-// settled iterations at its outgoing operating point. The measurement and
-// the credit may have run earlier on a pipeline worker (each job's probe
-// draws from its own RNG and touches only its own hosts, so where it ran is
-// unobservable); the bookkeeping and completion re-schedule always happen
-// here, on the engine goroutine, in the deterministic merge order. Facility
-// jobs carry no phase schedule, so crediting after the probe iteration has
-// run programs the same counters as before it.
-func (s *eventSim) applyProbe(r *evJob, ir bsp.IterationResult, settled int, now time.Duration) {
-	s.book(r, settled)
-	s.markJobDirty(r.sj)
+// probe measures and applies one job's operating point on the engine
+// goroutine.
+func (st *simState) probe(r *evJob, now time.Duration) error {
+	ir, settled, err := r.measure(now)
+	return st.applyProbe(r, ir, settled, err, now)
+}
+
+// applyProbe is the serial half of a probe: it books the iterations
+// measure credited, installs the measured iteration, and re-schedules the
+// job's completion from it — always on the engine goroutine, in the
+// deterministic merge order, wherever measure ran. A measurement that
+// failed on a host (bsp.HostError: the node's power limit could not be
+// read) does not fail the event: the job joins readFaults, which reconcile
+// drains and requeues once every probe of the round has been applied.
+func (st *simState) applyProbe(r *evJob, ir bsp.IterationResult, settled int, err error, now time.Duration) error {
+	if err != nil {
+		var he *bsp.HostError
+		if !errors.As(err, &he) {
+			return err
+		}
+		st.readFaults = append(st.readFaults, hostFault{r: r, node: he.Node.ID})
+		return nil
+	}
+	st.book(r, settled)
+	st.markJobDirty(r.sj)
 	r.iter = ir
 	r.steady = 0
 	r.remaining--
 	r.credited = now + ir.Elapsed
-	s.scheduleCompletion(r)
+	st.scheduleCompletion(r)
+	return nil
 }
 
 // scheduleCompletion (re)schedules a job's completion event at the time
@@ -333,16 +286,16 @@ func (s *eventSim) applyProbe(r *evJob, ir bsp.IterationResult, settled int, now
 // time past the horizon never fires, so the product saturates rather than
 // wrapping: an overflowed (negative) due time would clamp to now, credit
 // nothing, and re-aim at the same instant forever.
-func (s *eventSim) scheduleCompletion(r *evJob) {
+func (st *simState) scheduleCompletion(r *evJob) {
 	if r.comp != 0 {
-		s.eng.Cancel(r.comp)
+		st.eng.Cancel(r.comp)
 	}
 	due := r.credited
 	if r.remaining > 0 && r.iter.Elapsed > 0 {
 		due = satAdd(due, satMul(r.remaining, r.iter.Elapsed))
 	}
-	r.comp = s.eng.Schedule(due, "completion", func(now time.Duration) error {
-		return s.onComplete(r, now)
+	r.comp = st.eng.Schedule(due, "completion", func(now time.Duration) error {
+		return st.onComplete(r, now)
 	})
 }
 
@@ -365,14 +318,15 @@ func satAdd(a, b time.Duration) time.Duration {
 
 // removeActive drops a job from the active set, cancelling its pending
 // completion.
-func (s *eventSim) removeActive(victim *evJob) {
+func (st *simState) removeActive(victim *evJob) {
 	if victim.comp != 0 {
-		s.eng.Cancel(victim.comp)
+		st.eng.Cancel(victim.comp)
 		victim.comp = 0
 	}
-	for i, r := range s.active {
+	victim.rec.run = nil
+	for i, r := range st.active {
 		if r == victim {
-			s.active = append(s.active[:i], s.active[i+1:]...)
+			st.active = append(st.active[:i], st.active[i+1:]...)
 			return
 		}
 	}
@@ -385,153 +339,170 @@ func (s *eventSim) removeActive(victim *evJob) {
 // rewritten, otherwise every job when reprobeAll is set (a slow window
 // moved iteration times without moving caps). Jobs are not settled here: a
 // re-probe settles its own job first, and the rest keep crediting at their
-// unchanged operating points.
-func (s *eventSim) reconcile(now time.Duration, mutated, reprobeAll bool) error {
-	s.accrue(now)
-	startedNow, err := s.sched.Dispatch(s.cfg.Seed + uint64(s.jobSeq))
+// unchanged operating points. A job whose probe failed on a host loses
+// that host: the node is drained as "read_fault", the job requeued, and
+// the running set reconciled once more.
+func (st *simState) reconcile(now time.Duration, mutated, reprobeAll bool) error {
+	st.accrue(now)
+	st.readFaults = st.readFaults[:0]
+	startedNow, err := st.sched.Dispatch(st.cfg.Seed + uint64(st.jobSeq))
 	if err != nil {
 		return err
 	}
-	var fresh []*evJob
 	for _, sj := range startedNow {
-		at := s.start.Add(now)
-		r := &evJob{
-			sj:        sj,
-			remaining: s.startRemaining(sj),
-			submitted: s.submitTimes[sj.Spec.ID],
-			started:   at,
+		rec := st.jobs[sj.Spec.ID]
+		r := &evJob{sj: sj, rec: rec, remaining: st.startRemaining(rec, sj), started: now}
+		rec.run = r
+		st.active = append(st.active, r)
+		st.res.Started++
+		st.res.MeanQueueWait += now - rec.SubmittedAt
+		// The first start sets StartedAt; later restarts keep it.
+		if rec.StartedAt == 0 && rec.Preemptions == 0 && rec.Requeues == 0 {
+			rec.StartedAt = now
 		}
-		s.active = append(s.active, r)
-		fresh = append(fresh, r)
-		s.res.Started++
-		s.res.MeanQueueWait += at.Sub(r.submitted)
-		s.noteStarted(sj.Spec.ID, now)
+		rec.State = JobRunning
 	}
 	if mutated || len(startedNow) > 0 {
-		if err := s.replanRound(func() error { return s.replanPipeline(now, fresh) }); err != nil {
+		if err := st.replanRound(func() error { return st.replanPipeline(now, len(startedNow)) }); err != nil {
 			return err
 		}
 	} else if reprobeAll {
-		for _, r := range s.active {
-			if err := s.probe(r, now); err != nil {
+		for _, r := range st.active {
+			if err := st.probe(r, now); err != nil {
 				return err
 			}
 		}
 	}
-	s.recount()
+	st.recount()
+	if len(st.readFaults) == 0 {
+		return nil
+	}
+	for _, f := range st.readFaults {
+		st.mgr.Drain(f.node, "read_fault")
+		if err := st.requeue(f.r, now); err != nil {
+			return err
+		}
+	}
+	return st.reconcile(now, true, false)
+}
+
+// requeue returns a running job to the head of the queue after one of its
+// hosts was drained. Its progress is settled first (credits are
+// privileged: the drained host does not block them) and checkpointed.
+func (st *simState) requeue(r *evJob, now time.Duration) error {
+	st.markJobDirty(r.sj)
+	st.advance(r, now)
+	st.recordCheckpoint(r.rec, r.remaining)
+	st.removeActive(r)
+	if err := st.sched.Requeue(r.sj); err != nil {
+		return err
+	}
+	st.res.Requeued++
+	r.rec.State = JobQueued
+	r.rec.Requeues++
 	return nil
 }
 
 // onArrival submits one Poisson arrival and schedules the next.
-func (s *eventSim) onArrival(now time.Duration) error {
-	gap, err := s.submitArrival(s.start.Add(now))
+func (st *simState) onArrival(now time.Duration) error {
+	gap, err := st.submitArrival(now)
 	if err != nil {
 		return err
 	}
-	if next := now + gap; next <= s.horizon {
-		s.eng.Schedule(next, "arrival", s.onArrival)
+	if next := now + gap; next <= st.horizon {
+		st.eng.Schedule(next, "arrival", st.onArrival)
 	}
-	return s.reconcile(now, false, false)
+	return st.reconcile(now, false, false)
 }
 
 // onComplete finishes a job whose analytically scheduled end has arrived.
-func (s *eventSim) onComplete(r *evJob, now time.Duration) error {
+func (st *simState) onComplete(r *evJob, now time.Duration) error {
 	r.comp = 0
-	s.accrue(now)
-	s.advance(r, now)
+	st.accrue(now)
+	st.advance(r, now)
 	if r.remaining > 0 {
 		// The operating point moved under the estimate; re-aim.
-		s.scheduleCompletion(r)
+		st.scheduleCompletion(r)
 		return nil
 	}
-	if err := s.sched.Complete(r.sj); err != nil {
+	if err := st.sched.Complete(r.sj); err != nil {
 		return err
 	}
-	s.res.Completed++
-	s.obs.JobFinished(r.sj.Spec.ID,
-		r.started.Sub(r.submitted).Seconds(),
-		s.start.Add(now).Sub(r.submitted).Seconds())
-	s.noteCompleted(r.sj.Spec.ID, now)
-	s.removeActive(r)
-	return s.reconcile(now, true, false)
+	st.res.Completed++
+	st.obs.JobFinished(r.sj.Spec.ID,
+		(r.started - r.rec.SubmittedAt).Seconds(),
+		(now - r.rec.SubmittedAt).Seconds())
+	r.rec.State = JobCompleted
+	r.rec.FinishedAt = now
+	r.rec.Remaining = 0
+	st.removeActive(r)
+	return st.reconcile(now, true, false)
 }
 
 // onCrash takes a node down: drain it, requeue the job that held it, and
 // replan around the loss.
-func (s *eventSim) onCrash(nodeID string, now time.Duration) error {
-	n, ok := s.nodeByID[nodeID]
+func (st *simState) onCrash(nodeID string, now time.Duration) error {
+	n, ok := st.nodeByID[nodeID]
 	if !ok {
 		return nil
 	}
-	s.accrue(now)
+	st.accrue(now)
 	fault.Crash(n)
-	s.markNodeDirty(n)
-	s.obs.FaultInjected(string(fault.NodeCrash), nodeID, "", 0)
-	holder, held := s.mgr.Drain(nodeID, "crash")
-	if held {
-		s.markJobDirty(holder)
-		for _, r := range s.active {
-			if r.sj == holder {
-				s.advance(r, now) // credits are privileged: the crash does not block them
-				s.recordCheckpoint(holder.Spec.ID, r.remaining)
-				s.removeActive(r)
-				break
-			}
-		}
-		if err := s.sched.Requeue(holder); err != nil {
+	st.markNodeDirty(n)
+	st.obs.FaultInjected(string(fault.NodeCrash), nodeID, "", 0)
+	if holder, held := st.mgr.Drain(nodeID, "crash"); held {
+		if err := st.requeue(st.jobs[holder.Spec.ID].run, now); err != nil {
 			return err
 		}
-		s.res.Requeued++
-		s.noteRequeued(holder.Spec.ID)
 	}
-	return s.reconcile(now, true, false)
+	return st.reconcile(now, true, false)
 }
 
 // onRepair brings a crashed node back; the freed capacity may start queued
 // jobs at the next dispatch.
-func (s *eventSim) onRepair(nodeID string, now time.Duration) error {
-	n, ok := s.nodeByID[nodeID]
+func (st *simState) onRepair(nodeID string, now time.Duration) error {
+	n, ok := st.nodeByID[nodeID]
 	if !ok {
 		return nil
 	}
-	s.accrue(now)
+	st.accrue(now)
 	fault.Repair(n)
-	s.markNodeDirty(n)
-	s.mgr.Rejoin(nodeID)
-	return s.reconcile(now, false, false)
+	st.markNodeDirty(n)
+	st.mgr.Rejoin(nodeID)
+	return st.reconcile(now, false, false)
 }
 
 // onSlow opens or closes a slow-node window. Caps do not move (a
 // degradation is not a replan trigger), but iteration times did, so every
 // operating point is re-probed and completions re-aimed.
-func (s *eventSim) onSlow(nodeID string, factor float64, now time.Duration) error {
-	n, ok := s.nodeByID[nodeID]
+func (st *simState) onSlow(nodeID string, factor float64, now time.Duration) error {
+	n, ok := st.nodeByID[nodeID]
 	if !ok {
 		return nil
 	}
-	s.accrue(now)
+	st.accrue(now)
 	n.SetDegradation(factor)
-	s.obs.FaultInjected(string(fault.SlowNode), nodeID, "", factor)
-	return s.reconcile(now, false, true)
+	st.obs.FaultInjected(string(fault.SlowNode), nodeID, "", factor)
+	return st.reconcile(now, false, true)
 }
 
 // onSample reads the telemetry hierarchy's dirty set. Jobs settle first so
 // the energy counters reflect every iteration completed by now. The sample
 // is judged against the budget in force (curBudget), and energy integrates
 // over the actual gap since the previous sample.
-func (s *eventSim) onSample(now time.Duration) error {
-	s.markDropoutStarts(now)
-	s.advanceAll(now)
+func (st *simState) onSample(now time.Duration) error {
+	st.markDropoutStarts(now)
+	st.advanceAll(now)
 	if testMarkAllDirty {
-		s.root.MarkAllDirty()
+		st.root.MarkAllDirty()
 	}
-	at := s.start.Add(now)
-	p := s.root.SampleDirty(at)
-	s.res.Trace = append(s.res.Trace, telemetry.Sample{Time: at, Power: p})
-	s.res.TotalEnergy += units.EnergyOver(p, now-s.lastSample)
-	s.lastSample = now
-	if p > s.curBudget {
-		s.res.BudgetViolationTicks++
+	at := st.start.Add(now)
+	p := st.root.SampleDirty(at)
+	st.res.Trace = append(st.res.Trace, telemetry.Sample{Time: at, Power: p})
+	st.res.TotalEnergy += units.EnergyOver(p, now-st.lastSample)
+	st.lastSample = now
+	if p > st.curBudget {
+		st.res.BudgetViolationTicks++
 	}
 	return nil
 }
@@ -540,59 +511,61 @@ func (s *eventSim) onSample(now time.Duration) error {
 // admission budget, shed newest-started jobs if the committed power no
 // longer fits (per the emergency policy), and re-split the new budget
 // across the survivors.
-func (s *eventSim) onBudget(now time.Duration) error {
-	nb := s.budgetAt(now)
-	if nb == s.curBudget {
+func (st *simState) onBudget(now time.Duration) error {
+	nb := st.budgetAt(now)
+	if nb == st.curBudget {
 		return nil
 	}
-	s.accrue(now)
-	sp := s.obs.StartSpan(s.spanCtx, "facility", "budget_change").SetValue(nb.Watts())
-	old, err := s.applyBudgetChange(now, nb)
+	st.accrue(now)
+	sp := st.obs.StartSpan(st.spanCtx, "facility", "budget_change").SetValue(nb.Watts())
+	old, err := st.applyBudgetChange(now, nb)
 	if err != nil {
 		sp.End()
 		return err
 	}
-	if nb < old && s.sched.CommittedPower() > nb {
-		if err := s.shed(nb, now); err != nil {
+	if nb < old && st.sched.CommittedPower() > nb {
+		if err := st.shed(nb, now); err != nil {
 			sp.End()
 			return err
 		}
 	}
 	sp.End()
-	return s.reconcile(now, true, false)
+	return st.reconcile(now, true, false)
 }
 
 // shed is the event core's emergency response: shed running jobs, newest
 // started first (the least sunk progress), until the committed power fits
 // nb. Preempt checkpoints and requeues; kill aborts outright; throttle
 // sheds nothing and lets the policy squeeze everyone under the new budget.
-func (s *eventSim) shed(nb units.Power, now time.Duration) error {
-	pol := s.cfg.emergency()
+func (st *simState) shed(nb units.Power, now time.Duration) error {
+	pol := st.cfg.emergency()
 	if pol == EmergencyThrottle {
 		return nil
 	}
-	for s.sched.CommittedPower() > nb && len(s.active) > 0 {
-		r := s.active[len(s.active)-1] // start-ordered: newest is last
-		id := r.sj.Spec.ID
-		s.advance(r, now)
-		s.removeActive(r)
+	for st.sched.CommittedPower() > nb && len(st.active) > 0 {
+		r := st.active[len(st.active)-1] // start-ordered: newest is last
+		rec := r.rec
+		st.advance(r, now)
+		st.removeActive(r)
 		if pol == EmergencyKill {
-			if err := s.sched.Abort(r.sj); err != nil {
+			if err := st.sched.Abort(r.sj); err != nil {
 				return err
 			}
-			delete(s.checkpoints, id)
-			s.res.Killed++
-			s.obs.JobKilled(id, s.lengths[id]-r.remaining)
-			s.noteKilled(id, now)
+			rec.checkpoint = 0
+			st.res.Killed++
+			st.obs.JobKilled(rec.ID, rec.Iterations-r.remaining)
+			rec.State = JobKilled
+			rec.FinishedAt = now
 			continue
 		}
-		ckpt, lost := s.recordCheckpoint(id, r.remaining)
-		if err := s.sched.Requeue(r.sj); err != nil {
+		ckpt, lost := st.recordCheckpoint(rec, r.remaining)
+		if err := st.sched.Requeue(r.sj); err != nil {
 			return err
 		}
-		s.res.Preempted++
-		s.obs.JobPreempted(id, ckpt, lost)
-		s.notePreempted(id)
+		st.res.Preempted++
+		st.obs.JobPreempted(rec.ID, ckpt, lost)
+		rec.State = JobQueued
+		rec.Preemptions++
 	}
 	return nil
 }

@@ -27,6 +27,7 @@ import (
 
 	"powerstack/internal/charz"
 	"powerstack/internal/coordinator"
+	"powerstack/internal/engine"
 	"powerstack/internal/fault"
 	"powerstack/internal/kernel"
 	"powerstack/internal/node"
@@ -211,19 +212,20 @@ type Result struct {
 	// Rejected counts submissions refused because their demand exceeded
 	// the budget in force at enqueue time (a degradation, not an error).
 	Preempted, Killed, Resumed, Rejected int
-	// Requeued counts jobs returned to the queue after a crash drained
-	// one of their hosts; Quarantined and Rejoined count node drain-set
-	// entries and exits over the run (every quarantine reason: crash
-	// drains, failed cap writes, failed releases).
+	// Requeued counts jobs returned to the queue after a crash or a failed
+	// power-limit read drained one of their hosts; Quarantined and
+	// Rejoined count node drain-set entries and exits over the run (every
+	// quarantine reason: crash drains, failed cap writes, failed limit
+	// reads, failed releases).
 	Requeued, Quarantined, Rejoined int
 	// EventsDispatched counts the discrete events the engine dispatched —
 	// the run's work measure.
 	EventsDispatched int
 }
 
-// simState is the facility's world behind the event core: validated
-// config, corrupt database view, managers, telemetry hierarchy, RNG, and
-// the bookkeeping maps the arrival process feeds.
+// simState is one facility simulation: validated config, corrupt database
+// view, managers, telemetry hierarchy, RNG, the per-job records, and the
+// discrete-event core that advances them (event.go).
 type simState struct {
 	cfg   Config
 	pol   policy.Policy
@@ -243,32 +245,47 @@ type simState struct {
 	// scale selects the rack/room policy scope (see scale.go).
 	scale bool
 
-	lengths     map[string]int // queued job ID -> iterations
-	submitTimes map[string]time.Time
-	jobSeq      int
-
-	// jobs is the per-job lifecycle ledger behind Instance.Job/Jobs and
-	// the service layer's status endpoints; extSeq numbers generated IDs
-	// for injected submissions ("extNNNNN", disjoint from arrival IDs).
-	jobs   map[string]*JobInfo
+	// jobs holds one record per job ID, behind Instance.Job/Jobs and the
+	// service layer's status endpoints. jobSeq numbers arrival IDs
+	// ("jobNNNNN") and extSeq generated IDs for injected submissions
+	// ("extNNNNN", disjoint from arrival IDs).
+	jobs   map[string]*job
+	jobSeq int
 	extSeq int
 
 	// steps is the stable-sorted budget timeline, curBudget the budget in
-	// force, checkpoints the last recorded checkpoint per job ID (see
-	// budget.go).
-	steps       []BudgetStep
-	curBudget   units.Power
-	checkpoints map[string]int
+	// force (see budget.go).
+	steps     []BudgetStep
+	curBudget units.Power
 
 	horizon time.Duration
 
-	// obs is the virtual-clock view of cfg.Obs: it shares the registry,
-	// journal, spans, and stream but stamps everything recorded during the
-	// run with the simulated time read through vclock. vclock is the event
-	// core's engine clock, installed when the run starts; it reads zero
-	// during setup — which is correct, setup happens at virtual time zero.
-	obs    *obs.Sink
-	vclock func() time.Duration
+	// eng is the discrete-event engine. obs is the virtual-clock view of
+	// cfg.Obs: it shares the registry, journal, spans, and stream but stamps
+	// everything recorded during the run with the engine's virtual time,
+	// which reads zero during setup — correct, setup happens at virtual
+	// time zero.
+	eng *engine.Scheduler
+	obs *obs.Sink
+
+	// active is the running set in start order, index for index the
+	// manager's schedule (mgr.Jobs()): a replan's request index is also
+	// the job's position here. readFaults collects the jobs whose probe
+	// failed on a host during one reconcile.
+	active     []*evJob
+	readFaults []hostFault
+
+	// Node-utilization accounting is a time integral, not a per-tick
+	// census: busyIntegral accrues busyNodes over the span since busyAt
+	// every time the active set is about to change.
+	busyNodes    int
+	busyAt       time.Duration
+	busyIntegral float64
+
+	// lastSample is the previous telemetry sample's virtual time: energy
+	// integrates over the actual gap, which is Tick everywhere except the
+	// final sample of a non-cadence-multiple horizon.
+	lastSample time.Duration
 
 	// spanCtx is the run's root span, parent of every replan span; round
 	// numbers the replan rounds for span annotation.
@@ -347,31 +364,26 @@ func setup(cfg Config) (*simState, error) {
 		return nil, err
 	}
 	st := &simState{
-		cfg:         cfg,
-		pol:         cfg.Policy,
-		res:         &Result{},
-		start:       time.Unix(0, 0).UTC(),
-		nodeByID:    map[string]*node.Node{},
-		lengths:     map[string]int{},
-		submitTimes: map[string]time.Time{},
-		jobs:        map[string]*JobInfo{},
-		steps:       cfg.sortedSteps(),
-		checkpoints: map[string]int{},
-		horizon:     cfg.Duration,
+		cfg:      cfg,
+		pol:      cfg.Policy,
+		res:      &Result{},
+		start:    time.Unix(0, 0).UTC(),
+		nodeByID: map[string]*node.Node{},
+		jobs:     map[string]*job{},
+		steps:    cfg.sortedSteps(),
+		horizon:  cfg.Duration,
+		eng:      engine.New(),
 	}
 	st.curBudget = st.budgetAt(0)
 	if st.pol == nil {
 		st.pol = policy.StaticCaps{}
 	}
 	// Everything the run records goes through a virtual-clock view of the
-	// caller's sink; the indirection through st.vclock lets the engine
-	// install its clock after setup.
-	st.obs = cfg.Obs.WithVClock(func() time.Duration {
-		if st.vclock == nil {
-			return 0
-		}
-		return st.vclock()
-	})
+	// caller's sink. The engine advances its clock before dispatching a
+	// handler, so its Now is the correct virtual timestamp for everything
+	// recorded inside handlers (and for the engine's own dispatch events).
+	st.obs = cfg.Obs.WithVClock(st.eng.Now)
+	st.eng.Obs = st.obs
 	// Corruption applies to a clone so the caller's database survives the
 	// run intact; policies see the damaged view and fall back.
 	st.db = cfg.Faults.CorruptDB(cfg.DB, st.obs)
@@ -380,6 +392,7 @@ func setup(cfg Config) (*simState, error) {
 	st.mgr.Obs = st.obs
 	st.mgr.OnQuarantine = func(string, string) { st.res.Quarantined++ }
 	st.mgr.OnRejoin = func(string) { st.res.Rejoined++ }
+	st.mgr.BeforeSwap = st.settleJob
 	sched, err := rm.NewScheduler(st.mgr, st.db, st.curBudget)
 	if err != nil {
 		return nil, err
@@ -465,42 +478,31 @@ func (st *simState) replanRound(round func() error) error {
 	return err
 }
 
-// submitArrival draws one arrival from the config RNG and enqueues it. The
-// draw order (workload, size, length, next gap) is fixed, so the same seed
-// produces the same job sequence. A submission whose
-// demand exceeds the budget in force (rm.ErrBudgetInfeasible — possible
-// under a dynamic timeline) is a degradation, not an error: the job is
-// journaled as rejected and dropped, and the length and gap draws still
-// happen so a rejection never perturbs the arrival sequence behind it. It
-// returns the gap to the next arrival.
-func (st *simState) submitArrival(at time.Time) (time.Duration, error) {
+// submitArrival draws one arrival from the config RNG and enqueues it at
+// virtual offset now. The draw order (workload, size, length, next gap) is
+// fixed, so the same seed produces the same job sequence. A submission
+// whose demand exceeds the budget in force (rm.ErrBudgetInfeasible —
+// possible under a dynamic timeline) is a degradation, not an error: the
+// job is journaled as rejected and dropped, and since every draw precedes
+// the enqueue a rejection never perturbs the arrival sequence behind it.
+// It returns the gap to the next arrival.
+func (st *simState) submitArrival(now time.Duration) (time.Duration, error) {
 	st.jobSeq++
 	spec := rm.JobSpec{
 		ID:     fmt.Sprintf("job%05d", st.jobSeq),
 		Config: st.cfg.Workloads[st.rng.IntN(len(st.cfg.Workloads))],
 		Nodes:  st.cfg.JobSizes[st.rng.IntN(len(st.cfg.JobSizes))],
 	}
-	_, err := st.sched.Enqueue(spec)
 	length := st.cfg.MinJobIterations + st.rng.IntN(st.cfg.MaxJobIterations-st.cfg.MinJobIterations+1)
 	gap := expDuration(st.rng, st.cfg.MeanInterarrival)
-	if err != nil {
-		if errors.Is(err, rm.ErrBudgetInfeasible) && st.dynamicBudget() {
-			st.res.Rejected++
-			var demand units.Power
-			if entry, derr := st.db.MustGet(spec.Config); derr == nil {
-				demand = entry.MonitorHostPower * units.Power(spec.Nodes)
-			}
-			st.obs.JobRejected(spec.ID, demand.Watts(), st.curBudget.Watts())
-			st.noteRejected(spec.ID, spec.Nodes, at.Sub(st.start))
-			return gap, nil
-		}
-		return 0, err
+	err := st.enqueue(spec, length, now)
+	if errors.Is(err, rm.ErrBudgetInfeasible) && st.dynamicBudget() {
+		// A rejected arrival's record keeps Iterations at zero: its drawn
+		// length never entered the queue.
+		st.reject(spec, 0, now)
+		return gap, nil
 	}
-	st.lengths[spec.ID] = length
-	st.submitTimes[spec.ID] = at
-	st.res.Submitted++
-	st.noteQueued(spec.ID, "", spec.Nodes, length, at.Sub(st.start))
-	return gap, nil
+	return gap, err
 }
 
 // finalize computes the run's aggregate statistics from its trace.

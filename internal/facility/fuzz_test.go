@@ -102,14 +102,9 @@ func (c instanceCommand) apply(in *Instance, workloads []kernel.Config, chunked 
 // the pipeline fault plan (crash and repair, a slow window, MSR write and
 // read faults, a telemetry dropout), with checkpointing on. Each pair of
 // input bytes is one command. After every command both twins returned the
-// same error, their Snapshots are byte-identical as JSON, and jobs are
-// conserved: every submission that entered the queue is completed,
-// running, queued or killed (rejections never enter it, and preempted or
-// crash-requeued jobs are back in the queue). Under the preempt and kill
-// responses the committed power never exceeds the budget in force;
-// throttle keeps every job running and may overrun it. Dispatch is stable:
-// no queued job fits that the instance left unstarted. At the end, the
-// twins' closed Results are byte-identical.
+// same error, their Snapshots are byte-identical as JSON, and both pass
+// checkInvariants. At the end, the twins' closed Results are
+// byte-identical.
 func FuzzInstanceCommands(f *testing.F) {
 	src, db, workloads := facilityEnv(f, 24)
 	f.Add([]byte{opStep, 20, opInject, 0, opStep, 23, opScheduleBudget, 2, opStep, 23})
@@ -129,28 +124,33 @@ func FuzzInstanceCommands(f *testing.F) {
 	})
 }
 
+// fuzzInstance builds and starts one instance of base's world at a scale
+// mode, emergency response and parallelism, under the pipeline fault plan
+// with checkpointing on.
+func fuzzInstance(t *testing.T, mode string, resp EmergencyPolicy, parallelism int, base func() Config) *Instance {
+	t.Helper()
+	cfg := base()
+	cfg.ScaleMode = mode
+	cfg.Emergency = resp
+	cfg.Faults = pipelineFaults()
+	cfg.CheckpointEvery = 50
+	cfg.Parallelism = parallelism
+	in, err := NewInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // fuzzTwins runs one FuzzInstanceCommands input against twin instances at
 // one scale mode and emergency response and checks the invariants after
 // every command.
 func fuzzTwins(t *testing.T, mode string, resp EmergencyPolicy, data []byte, base func() Config, workloads []kernel.Config) {
 	t.Helper()
-	newTwin := func(parallelism int) *Instance {
-		cfg := base()
-		cfg.ScaleMode = mode
-		cfg.Emergency = resp
-		cfg.Faults = pipelineFaults()
-		cfg.CheckpointEvery = 50
-		cfg.Parallelism = parallelism
-		in, err := NewInstance(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := in.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	twins := [2]*Instance{newTwin(1), newTwin(2)}
+	twins := [2]*Instance{fuzzInstance(t, mode, resp, 1, base), fuzzInstance(t, mode, resp, 2, base)}
 	for i := 0; i+1 < len(data) && i < 2*fuzzCommands; i += 2 {
 		cmd := instanceCommand{op: data[i], arg: data[i+1]}
 		var errs [2]string
@@ -160,20 +160,14 @@ func fuzzTwins(t *testing.T, mode string, resp EmergencyPolicy, data []byte, bas
 		if errs[0] != errs[1] {
 			t.Fatalf("scale %q %s command %d %+v: errors diverged: %s vs %s", mode, resp, i/2, cmd, errs[0], errs[1])
 		}
-		sn := twins[0].Snapshot()
-		a, b := snapshotJSON(t, sn), snapshotJSON(t, twins[1].Snapshot())
+		a, b := snapshotJSON(t, twins[0].Snapshot()), snapshotJSON(t, twins[1].Snapshot())
 		if a != b {
 			t.Fatalf("scale %q %s command %d %+v: snapshots diverged\np1: %s\np2: %s", mode, resp, i/2, cmd, a, b)
 		}
-		if accounted := sn.Completed + len(sn.Running) + sn.QueuedJobs + sn.Killed; sn.Submitted != accounted {
-			t.Fatalf("scale %q %s command %d %+v: %d submitted, but completed %d + running %d + queued %d + killed %d = %d",
-				mode, resp, i/2, cmd, sn.Submitted, sn.Completed, len(sn.Running), sn.QueuedJobs, sn.Killed, accounted)
-		}
-		if resp != EmergencyThrottle && sn.CommittedPower > sn.Budget {
-			t.Fatalf("scale %q %s command %d %+v: committed %v over budget %v", mode, resp, i/2, cmd, sn.CommittedPower, sn.Budget)
-		}
-		if twins[0].st.sched.CanDispatch() {
-			t.Fatalf("scale %q %s command %d %+v: a queued job fits but was not dispatched", mode, resp, i/2, cmd)
+		for _, in := range twins {
+			if err := checkInvariants(in); err != nil {
+				t.Fatalf("scale %q %s command %d %+v: %v", mode, resp, i/2, cmd, err)
+			}
 		}
 	}
 	var res [2]string

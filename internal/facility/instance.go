@@ -104,6 +104,28 @@ type JobInfo struct {
 	Preemptions, Requeues, Resumes int
 }
 
+// job is the facility's one record per job ID: the lifecycle view status
+// queries return, plus the last recorded checkpoint and, while the job
+// runs, its event-core state. A job's length is its Iterations.
+type job struct {
+	JobInfo
+	// checkpoint is the last checkpointed iteration, 0 when none (see
+	// budget.go).
+	checkpoint int
+	// run is the running job, nil while the job is not running.
+	run *evJob
+}
+
+// info returns the record's status view at virtual time now: a running
+// job's Remaining is read analytically, crediting nothing.
+func (rec *job) info(now time.Duration) JobInfo {
+	out := rec.JobInfo
+	if r := rec.run; r != nil {
+		out.Remaining = r.remaining - r.due(now)
+	}
+	return out
+}
+
 // RunningJob is one active job in a Snapshot.
 type RunningJob struct {
 	ID        string
@@ -152,7 +174,6 @@ type Snapshot struct {
 // mutex per hosted instance).
 type Instance struct {
 	st       *simState
-	core     *eventSim
 	state    InstanceState
 	sp       *obs.Span
 	released bool
@@ -164,7 +185,7 @@ func NewInstance(cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{st: st, core: newEventCore(st), state: InstanceNew}, nil
+	return &Instance{st: st, state: InstanceNew}, nil
 }
 
 // Start opens the run's root span and primes the engine. It may be called
@@ -181,9 +202,7 @@ func (in *Instance) Start() error {
 		SetIter(len(in.st.cfg.Nodes)).SetValue(in.st.cfg.SystemBudget.Watts())
 	in.sp = sp
 	in.st.spanCtx = sp.Ctx()
-	if err := in.core.prime(); err != nil {
-		return err
-	}
+	in.st.prime()
 	in.state = InstanceRunning
 	return nil
 }
@@ -205,7 +224,7 @@ func (in *Instance) Step(ctx context.Context, until time.Duration) error {
 	if until > in.st.horizon {
 		until = in.st.horizon
 	}
-	return in.core.eng.RunUntil(ctx, until)
+	return in.st.eng.RunUntil(ctx, until)
 }
 
 // Pause freezes the instance: Step refuses until Resume. Injections and
@@ -241,7 +260,7 @@ func (in *Instance) Resume() error {
 }
 
 // Now returns the instance's virtual time.
-func (in *Instance) Now() time.Duration { return in.core.eng.Now() }
+func (in *Instance) Now() time.Duration { return in.st.eng.Now() }
 
 // Horizon returns the configured end of simulated time.
 func (in *Instance) Horizon() time.Duration { return in.st.horizon }
@@ -250,7 +269,7 @@ func (in *Instance) Horizon() time.Duration { return in.st.horizon }
 func (in *Instance) Nodes() int { return len(in.st.cfg.Nodes) }
 
 // Done reports whether the horizon has been reached.
-func (in *Instance) Done() bool { return in.core.eng.Now() >= in.st.horizon }
+func (in *Instance) Done() bool { return in.st.eng.Now() >= in.st.horizon }
 
 // State returns the lifecycle state.
 func (in *Instance) State() InstanceState { return in.state }
@@ -274,20 +293,35 @@ func (in *Instance) Inject(at time.Duration, sub Submission) (string, error) {
 	if err := in.st.validateSubmission(sub); err != nil {
 		return "", err
 	}
-	if at <= in.core.eng.Now() {
-		return in.core.injectNow(sub)
+	st := in.st
+	if sub.ID == "" {
+		st.extSeq++
+		sub.ID = fmt.Sprintf("ext%05d", st.extSeq)
 	}
-	id := in.st.reserveJobID(sub.ID)
-	sub.ID = id
+	spec := rm.JobSpec{ID: sub.ID, Config: sub.Workload, Nodes: sub.Nodes, Tenant: sub.Tenant}
+	if now := st.eng.Now(); at <= now {
+		if err := st.submitInjected(spec, sub.Iterations, now); err != nil {
+			return spec.ID, err
+		}
+		return spec.ID, st.reconcile(now, false, false)
+	}
 	// Deferred injections are visible immediately as scheduled; the record
-	// is rewritten when the submission fires (queued or rejected).
-	in.st.jobs[id] = &JobInfo{
-		ID: id, Tenant: sub.Tenant, State: JobScheduled,
+	// is replaced when the submission fires (queued or rejected). Admission
+	// errors at fire time degrade to journaled rejections: the submitter is
+	// long gone.
+	st.jobs[spec.ID] = &job{JobInfo: JobInfo{
+		ID: spec.ID, Tenant: sub.Tenant, State: JobScheduled,
 		Nodes: sub.Nodes, Iterations: sub.Iterations, Remaining: sub.Iterations,
 		SubmittedAt: at,
-	}
-	in.core.injectAt(at, sub)
-	return id, nil
+	}}
+	st.eng.Schedule(at, "inject", func(now time.Duration) error {
+		if err := st.submitInjected(spec, sub.Iterations, now); err != nil {
+			st.reject(spec, sub.Iterations, now)
+			return nil
+		}
+		return st.reconcile(now, false, false)
+	})
+	return spec.ID, nil
 }
 
 // ScheduleBudget appends a live step to the budget timeline: from at
@@ -306,14 +340,14 @@ func (in *Instance) ScheduleBudget(at time.Duration, b units.Power) error {
 	if b <= 0 {
 		return errors.New("facility: budget must be positive")
 	}
-	if now := in.core.eng.Now(); at < now {
+	if now := in.st.eng.Now(); at < now {
 		at = now
 	}
 	in.st.steps = append(in.st.steps, BudgetStep{At: at, Budget: b})
 	// Stable sort keeps declaration order at equal instants, so the live
 	// step (appended last) wins ties — the timeline's usual rule.
 	sort.SliceStable(in.st.steps, func(i, j int) bool { return in.st.steps[i].At < in.st.steps[j].At })
-	in.core.budgetPoint(at)
+	in.st.eng.Schedule(at, "budget", in.st.onBudget)
 	return nil
 }
 
@@ -331,7 +365,9 @@ func (in *Instance) SetPolicy(p policy.Policy) error {
 		p = policy.StaticCaps{}
 	}
 	in.st.pol = p
-	return in.core.policySwapped()
+	// Replan the running set under the new policy now, re-aiming
+	// completions at the moved operating points.
+	return in.st.reconcile(in.Now(), true, false)
 }
 
 // Policy returns the power policy in force.
@@ -348,33 +384,24 @@ func (in *Instance) SetTenantQuota(tenant string, quota units.Power) error {
 	if err := in.st.sched.SetTenantQuota(tenant, quota); err != nil || in.state == InstanceNew {
 		return err
 	}
-	return in.core.reconcile(in.Now(), false, false)
+	return in.st.reconcile(in.Now(), false, false)
 }
 
 // Job returns a tracked job's lifecycle record.
 func (in *Instance) Job(id string) (JobInfo, bool) {
-	ji, ok := in.st.jobs[id]
+	rec, ok := in.st.jobs[id]
 	if !ok {
 		return JobInfo{}, false
 	}
-	out := *ji
-	if out.State == JobRunning {
-		for _, r := range in.core.running() {
-			if r.ID == id {
-				out.Remaining = r.Remaining
-				break
-			}
-		}
-	}
-	return out, true
+	return rec.info(in.Now()), true
 }
 
 // Jobs returns every tracked job, ordered by submission time then ID.
 func (in *Instance) Jobs() []JobInfo {
+	now := in.Now()
 	out := make([]JobInfo, 0, len(in.st.jobs))
-	for id := range in.st.jobs {
-		ji, _ := in.Job(id)
-		out = append(out, ji)
+	for _, rec := range in.st.jobs {
+		out = append(out, rec.info(now))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].SubmittedAt != out[j].SubmittedAt {
@@ -390,13 +417,13 @@ func (in *Instance) Snapshot() Snapshot {
 	st, res := in.st, in.st.res
 	sn := Snapshot{
 		State:                in.state,
-		Now:                  in.core.eng.Now(),
+		Now:                  in.st.eng.Now(),
 		Horizon:              st.horizon,
 		Budget:               st.curBudget,
 		CommittedPower:       st.sched.CommittedPower(),
 		FreeNodes:            st.mgr.FreeNodes(),
 		QueuedJobs:           len(st.sched.Queue()),
-		Running:              in.core.running(),
+		Running:              st.running(),
 		Submitted:            res.Submitted,
 		Started:              res.Started,
 		Completed:            res.Completed,
@@ -436,7 +463,7 @@ func (in *Instance) Close() (*Result, error) {
 	started := in.state != InstanceNew
 	in.state = InstanceClosed
 	if started {
-		in.core.settle()
+		in.st.settle()
 		in.st.finalize()
 	}
 	in.release()
@@ -485,114 +512,47 @@ func (st *simState) validateSubmission(sub Submission) error {
 	return nil
 }
 
-// reserveJobID resolves a submission's ID, generating "extNNNNN" when none
-// was given.
-func (st *simState) reserveJobID(id string) string {
-	if id != "" {
-		return id
+// submitInjected enqueues an injection at virtual offset now. A scheduled
+// record under its ID is this very injection firing; any other record is a
+// genuine collision.
+func (st *simState) submitInjected(spec rm.JobSpec, length int, now time.Duration) error {
+	if rec, dup := st.jobs[spec.ID]; dup && rec.State != JobScheduled {
+		return fmt.Errorf("%w: %s", ErrDuplicateJobID, spec.ID)
 	}
-	st.extSeq++
-	return fmt.Sprintf("ext%05d", st.extSeq)
+	return st.enqueue(spec, length, now)
 }
 
-// submitInjected enqueues an external submission at virtual offset now. It
-// never touches the arrival RNG, so injections do not perturb the Poisson
-// sequence behind them.
-func (st *simState) submitInjected(sub Submission, now time.Duration) (string, error) {
-	id := st.reserveJobID(sub.ID)
-	// A scheduled record for this ID is this very injection firing; any
-	// other state is a genuine collision.
-	if ji, dup := st.jobs[id]; dup && ji.State != JobScheduled {
-		return id, fmt.Errorf("%w: %s", ErrDuplicateJobID, id)
-	}
-	spec := rm.JobSpec{ID: id, Config: sub.Workload, Nodes: sub.Nodes, Tenant: sub.Tenant}
+// enqueue is the one path by which arrivals and injections enter the queue:
+// it submits spec with the given length at virtual offset now and records
+// the job queued. Injections never touch the arrival RNG, so they do not
+// perturb the Poisson sequence behind them.
+func (st *simState) enqueue(spec rm.JobSpec, length int, now time.Duration) error {
 	if _, err := st.sched.Enqueue(spec); err != nil {
-		return id, err
+		return err
 	}
-	st.lengths[id] = sub.Iterations
-	st.submitTimes[id] = st.start.Add(now)
 	st.res.Submitted++
-	st.noteQueued(id, sub.Tenant, sub.Nodes, sub.Iterations, now)
-	return id, nil
+	st.jobs[spec.ID] = &job{JobInfo: JobInfo{
+		ID: spec.ID, Tenant: spec.Tenant, State: JobQueued,
+		Nodes: spec.Nodes, Iterations: length, Remaining: length,
+		SubmittedAt: now,
+	}}
+	return nil
 }
 
-// rejectInjected degrades a deferred injection's admission failure to a
-// journaled rejection — the same semantics an infeasible Poisson arrival
-// gets under a dynamic budget.
-func (st *simState) rejectInjected(id string, sub Submission, now time.Duration) {
+// reject journals a submission refused at enqueue and records it rejected,
+// reporting iterations as its length: an arrival infeasible under a
+// dynamic budget, or a deferred injection whose admission failed when it
+// fired.
+func (st *simState) reject(spec rm.JobSpec, iterations int, now time.Duration) {
 	st.res.Rejected++
 	var demand units.Power
-	if entry, derr := st.db.MustGet(sub.Workload); derr == nil {
-		demand = entry.MonitorHostPower * units.Power(sub.Nodes)
+	if entry, err := st.db.MustGet(spec.Config); err == nil {
+		demand = entry.MonitorHostPower * units.Power(spec.Nodes)
 	}
-	st.obs.JobRejected(id, demand.Watts(), st.curBudget.Watts())
-	st.jobs[id] = &JobInfo{
-		ID: id, Tenant: sub.Tenant, State: JobRejected,
-		Nodes: sub.Nodes, Iterations: sub.Iterations,
+	st.obs.JobRejected(spec.ID, demand.Watts(), st.curBudget.Watts())
+	st.jobs[spec.ID] = &job{JobInfo: JobInfo{
+		ID: spec.ID, Tenant: spec.Tenant, State: JobRejected,
+		Nodes: spec.Nodes, Iterations: iterations,
 		SubmittedAt: now, FinishedAt: now,
-	}
-}
-
-// noteQueued records a new submission entering the queue.
-func (st *simState) noteQueued(id, tenant string, nodes, iters int, at time.Duration) {
-	st.jobs[id] = &JobInfo{
-		ID: id, Tenant: tenant, State: JobQueued,
-		Nodes: nodes, Iterations: iters, Remaining: iters,
-		SubmittedAt: at,
-	}
-}
-
-// noteRejected records an arrival refused at enqueue.
-func (st *simState) noteRejected(id string, nodes int, at time.Duration) {
-	st.jobs[id] = &JobInfo{
-		ID: id, State: JobRejected, Nodes: nodes,
-		SubmittedAt: at, FinishedAt: at,
-	}
-}
-
-// noteStarted moves a job to running at virtual offset at (the first
-// start sets StartedAt; later restarts keep it).
-func (st *simState) noteStarted(id string, at time.Duration) {
-	ji := st.jobs[id]
-	if ji == nil {
-		return
-	}
-	if ji.StartedAt == 0 && ji.Preemptions == 0 && ji.Requeues == 0 {
-		ji.StartedAt = at
-	}
-	ji.State = JobRunning
-}
-
-// noteCompleted closes a job's record.
-func (st *simState) noteCompleted(id string, at time.Duration) {
-	if ji := st.jobs[id]; ji != nil {
-		ji.State = JobCompleted
-		ji.FinishedAt = at
-		ji.Remaining = 0
-	}
-}
-
-// noteRequeued returns a job to the queue after a crash drained one of
-// its hosts.
-func (st *simState) noteRequeued(id string) {
-	if ji := st.jobs[id]; ji != nil {
-		ji.State = JobQueued
-		ji.Requeues++
-	}
-}
-
-// notePreempted returns a job to the queue after a budget emergency.
-func (st *simState) notePreempted(id string) {
-	if ji := st.jobs[id]; ji != nil {
-		ji.State = JobQueued
-		ji.Preemptions++
-	}
-}
-
-// noteKilled closes a job's record as killed.
-func (st *simState) noteKilled(id string, at time.Duration) {
-	if ji := st.jobs[id]; ji != nil {
-		ji.State = JobKilled
-		ji.FinishedAt = at
-	}
+	}}
 }

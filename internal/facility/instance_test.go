@@ -162,6 +162,9 @@ func TestRaisedTenantQuotaStartsQueuedJob(t *testing.T) {
 	if err := in.SetTenantQuota("acme", 4000*units.Watt); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkInvariants(in); err != nil {
+		t.Fatal(err)
+	}
 	ji, _ := in.Job(second)
 	if ji.State != JobRunning || ji.StartedAt != in.Now() {
 		t.Fatalf("after raising the quota at %v: second job %s, started at %v; want running from that instant",
@@ -218,6 +221,9 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 	if err := in.Step(ctx, 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkInvariants(in); err != nil {
+		t.Fatal(err)
+	}
 	sn := in.Snapshot()
 	if sn.Now != 5*time.Minute || sn.State != InstanceRunning {
 		t.Fatalf("snapshot now/state = %v/%s", sn.Now, sn.State)
@@ -246,6 +252,9 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 	if err := in.Step(ctx, 6*time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkInvariants(in); err != nil {
+		t.Fatal(err)
+	}
 	sn = in.Snapshot()
 	if sn.BudgetChanges == 0 || sn.Preempted == 0 {
 		t.Fatalf("live budget drop did not bite: changes %d, preempted %d", sn.BudgetChanges, sn.Preempted)
@@ -260,6 +269,9 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := in.Step(ctx, 15*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkInvariants(in); err != nil {
 		t.Fatal(err)
 	}
 	sn = in.Snapshot()

@@ -23,20 +23,22 @@
 //     devices immediately (hosts are disjoint across jobs, and a job
 //     belongs to exactly one task) but defers quarantine decisions,
 //     spare claims, and lastCap bookkeeping to CommitCapBatches;
-//   - probe results (bsp iteration measurements, drawn from each job's
-//     private RNG) land at per-request indexes, and each probed job is
-//     credited its steady-state iterations at the outgoing operating point
-//     right there, the count parked beside the measurement.
+//   - probe results (evJob.measure: a bsp iteration drawn from the job's
+//     private RNG, then the credit of its steady-state iterations at the
+//     outgoing operating point) land at per-request indexes.
 //
-// The merge then commits the batches in (job submission index, host index)
-// order and walks the active list in order, doing only each probed job's
-// bookkeeping and completion re-schedule, so engine event sequence numbers
+// A request index is the job's position in the active list, which is
+// index for index the manager's schedule; the fresh jobs are the list's
+// tail. The merge then commits
+// the batches in (job submission index, host index) order and walks the
+// active list in order, doing only each probed job's bookkeeping and
+// completion re-schedule (applyProbe), so engine event sequence numbers
 // are identical at every parallelism. A job that suffered a cap-write
 // failure is neither probed nor settled on a worker: the commit may swap
-// its failed host for a spare, so its probe runs in the merge walk against
+// its failed host for a spare, so it is measured in the merge walk against
 // the post-commit host set.
 //
-// Sample settlement (eventSim.advanceAll). Workers credit each active job's
+// Sample settlement (simState.advanceAll). Workers credit each active job's
 // due iterations to its own hosts — counter adds commute modulo the
 // register width — and one serial pass in active-list order then marks the
 // hosts dirty and advances the jobs' accounting.
@@ -124,21 +126,17 @@ type pipeWorker struct {
 
 // pipeScratch is the reusable state of one pipeline round. Everything is
 // index-addressed so workers never contend: probe results and change flags
-// land at request indexes, task errors at task indexes, grants in Stage's
-// shared buffer.
+// land at request indexes (positions in the active list), task errors at
+// task indexes, grants in Stage's shared buffer.
 type pipeScratch struct {
-	jobs   []*rm.ScheduledJob  // mgr.Jobs() for this round (submission order)
-	infos  []policy.JobInfo    // policy views, same indexing
+	infos  []policy.JobInfo    // policy views, one per request index
 	grants []coordinator.Grant // Stage's result buffer, same indexing (rack/room scope)
 	all    []int               // every request index: the flat scope's one group
+	now    time.Duration       // the round's virtual time
+	fresh  int                 // first request index started this reconcile
 
-	qiOf map[*rm.ScheduledJob]int // job -> request index
-	evs  []*evJob                 // request index -> active job
-	now  time.Duration            // the round's virtual time
-
-	fresh   []bool // request index started this reconcile
 	changed []bool // request index had a cap written
-	probed  []bool // request index was probed on a worker
+	probed  []bool // request index was measured on a worker
 	iters   []bsp.IterationResult
 	perrs   []error
 	settled []int // iterations credited on the worker at the outgoing point
@@ -148,38 +146,20 @@ type pipeScratch struct {
 	batches []*rm.CapBatch // the round's batches, for CommitCapBatches
 }
 
-// begin resets the scratch for a round of len(jobs) requests over tasks
-// tasks at virtual time now, with up to workers workers.
-func (p *pipeScratch) begin(m *rm.Manager, workers, tasks int, now time.Duration, jobs []*rm.ScheduledJob, infos []policy.JobInfo, grants []coordinator.Grant, active, fresh []*evJob) {
-	n := len(jobs)
-	p.jobs, p.infos, p.grants, p.now = jobs, infos, grants, now
-	if p.qiOf == nil {
-		p.qiOf = map[*rm.ScheduledJob]int{}
-	}
-	clear(p.qiOf)
+// begin resets the scratch for a round over len(infos) requests, the last
+// fresh of them just started, in tasks tasks at virtual time now, with up
+// to workers workers.
+func (p *pipeScratch) begin(m *rm.Manager, workers, tasks int, now time.Duration, infos []policy.JobInfo, grants []coordinator.Grant, fresh int) {
+	n := len(infos)
+	p.infos, p.grants, p.now, p.fresh = infos, grants, now, n-fresh
 	p.all = growPlan(p.all, n)
-	for qi, sj := range jobs {
-		p.qiOf[sj] = qi
+	for qi := range p.all {
 		p.all[qi] = qi
 	}
-	p.evs = growPlan(p.evs, n)
-	clear(p.evs)
-	for _, r := range active {
-		if qi, ok := p.qiOf[r.sj]; ok {
-			p.evs[qi] = r
-		}
-	}
-	p.fresh = growPlan(p.fresh, n)
 	p.changed = growPlan(p.changed, n)
 	p.probed = growPlan(p.probed, n)
-	clear(p.fresh)
 	clear(p.changed)
 	clear(p.probed)
-	for _, r := range fresh {
-		if qi, ok := p.qiOf[r.sj]; ok {
-			p.fresh[qi] = true
-		}
-	}
 	// iters/perrs/settled entries are gated by probed; stale values are
 	// never read.
 	p.iters = growPlan(p.iters, n)
@@ -199,13 +179,16 @@ func (p *pipeScratch) begin(m *rm.Manager, workers, tasks int, now time.Duration
 	}
 }
 
+// reprobe reports whether request qi is re-measured this round: it just
+// started, or its caps were written.
+func (p *pipeScratch) reprobe(qi int) bool { return qi >= p.fresh || p.changed[qi] }
+
 // replanPipeline is the replan, fused with the re-probes of the fresh jobs
-// and of those whose caps moved. At flat scope the whole running set is one
-// group under the facility budget, run as one task; at rack/room scope the
-// round is staged, and each room is a task whose racks are its groups.
-func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
-	st := s.simState
-	jobs := st.mgr.Jobs()
+// (the last fresh of the active list) and of those whose caps moved. At
+// flat scope the whole running set is one group under the facility
+// budget, run as one task; at rack/room scope the round is staged, and
+// each room is a task whose racks are its groups.
+func (st *simState) replanPipeline(now time.Duration, fresh int) error {
 	infos, err := st.mgr.JobInfos(st.db)
 	if err != nil {
 		return err
@@ -218,12 +201,12 @@ func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
 		grants, tasks = st.hier.Stage(st.curBudget, sc.reqs, sc.rackOf, sc.roomOf)
 	}
 	pipe := &st.pipe
-	pipe.begin(st.mgr, st.pool.workers, tasks, now, jobs, infos, grants, s.active, fresh)
+	pipe.begin(st.mgr, st.pool.workers, tasks, now, infos, grants, fresh)
 	st.pool.run(tasks, func(ti, w int) {
 		if st.scale {
-			pipe.taskErr[ti] = s.roomApplyProbe(ti, w)
+			pipe.taskErr[ti] = st.roomApplyProbe(ti, w)
 		} else {
-			pipe.taskErr[ti] = s.groupApplyProbe(w, pipe.all, st.curBudget)
+			pipe.taskErr[ti] = st.groupApplyProbe(w, pipe.all, st.curBudget)
 		}
 	})
 	// Commit even when a task failed, so the last-cap slots match the
@@ -237,21 +220,16 @@ func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
 	// The merge walk is the probe loop: active-list order, so completion
 	// events re-schedule with identical engine sequence numbers at every
 	// parallelism.
-	for _, r := range s.active {
-		qi, ok := pipe.qiOf[r.sj]
-		if !ok || !pipe.fresh[qi] && !pipe.changed[qi] {
+	for qi, r := range st.active {
+		if !pipe.reprobe(qi) {
 			continue
 		}
-		if pipe.probed[qi] {
-			if perr := pipe.perrs[qi]; perr != nil {
-				return perr
-			}
-			s.applyProbe(r, pipe.iters[qi], pipe.settled[qi], now)
-			continue
+		if !pipe.probed[qi] {
+			// Deferred (cap-write failure): measure against the post-commit
+			// host set.
+			pipe.iters[qi], pipe.settled[qi], pipe.perrs[qi] = r.measure(now)
 		}
-		// Deferred (cap-write failure): probe against the post-commit host
-		// set.
-		if err := s.probe(r, now); err != nil {
+		if err := st.applyProbe(r, pipe.iters[qi], pipe.settled[qi], pipe.perrs[qi], now); err != nil {
 			return err
 		}
 	}
@@ -261,8 +239,7 @@ func (s *eventSim) replanPipeline(now time.Duration, fresh []*evJob) error {
 // roomApplyProbe is one room task at rack/room scope: the room's rack and
 // job allocation rounds land the racks' water-filled budgets in grants,
 // then each rack runs as one group.
-func (s *eventSim) roomApplyProbe(mi, w int) error {
-	st := s.simState
+func (st *simState) roomApplyProbe(mi, w int) error {
 	pipe := &st.pipe
 	st.hier.AllocateRoom(mi, st.plan.reqs, &pipe.workers[w].room, pipe.grants)
 	for _, ri := range st.hier.RoomRacks(mi) {
@@ -271,7 +248,7 @@ func (s *eventSim) roomApplyProbe(mi, w int) error {
 		for _, qi := range members {
 			budget += pipe.grants[qi].Budget
 		}
-		if err := s.groupApplyProbe(w, members, budget); err != nil {
+		if err := st.groupApplyProbe(w, members, budget); err != nil {
 			return err
 		}
 	}
@@ -280,11 +257,9 @@ func (s *eventSim) roomApplyProbe(mi, w int) error {
 
 // groupApplyProbe is one group's policy, cap, and probe work: the policy
 // splits budget over the members' jobs, the caps go through the worker's
-// batch, and every fresh or changed job without a cap failure is probed and
-// settled at its outgoing operating point, the measurement and the credited
-// count parked at its request index for the merge walk.
-func (s *eventSim) groupApplyProbe(w int, members []int, budget units.Power) error {
-	st := s.simState
+// batch, and every fresh or changed job without a cap failure is measured,
+// the result parked at its request index for the merge walk.
+func (st *simState) groupApplyProbe(w int, members []int, budget units.Power) error {
 	pipe := &st.pipe
 	pw := &pipe.workers[w]
 	pw.sub = pw.sub[:0]
@@ -296,27 +271,21 @@ func (s *eventSim) groupApplyProbe(w int, members []int, budget units.Power) err
 		return err
 	}
 	for _, qi := range members {
-		sj := pipe.jobs[qi]
-		caps, ok := part[sj.Spec.ID]
+		r := st.active[qi]
+		caps, ok := part[r.sj.Spec.ID]
 		if !ok {
-			return fmt.Errorf("rm: allocation missing job %s", sj.Spec.ID)
+			return fmt.Errorf("rm: allocation missing job %s", r.sj.Spec.ID)
 		}
 		f0 := pw.batch.NumFailures()
-		changed, err := pw.batch.ApplyCaps(sj, qi, caps)
+		changed, err := pw.batch.ApplyCaps(r.sj, qi, caps)
 		if err != nil {
 			return err
 		}
 		pipe.changed[qi] = changed
-		if pw.batch.NumFailures() > f0 || !changed && !pipe.fresh[qi] {
+		if pw.batch.NumFailures() > f0 || !pipe.reprobe(qi) {
 			continue // a cap failure defers the probe past CommitCapBatches
 		}
-		ir, perr := sj.Job.RunIteration()
-		k := 0
-		if r := pipe.evs[qi]; r != nil && perr == nil {
-			k = r.due(pipe.now)
-			r.credit(k)
-		}
-		pipe.iters[qi], pipe.perrs[qi], pipe.settled[qi] = ir, perr, k
+		pipe.iters[qi], pipe.settled[qi], pipe.perrs[qi] = r.measure(pipe.now)
 		pipe.probed[qi] = true
 	}
 	return nil

@@ -96,7 +96,7 @@ func TestPipelineRewritesOnlyChangesAndFaults(t *testing.T) {
 		}
 	}
 	active := func(id string) evJob {
-		for _, r := range in.core.active {
+		for _, r := range in.st.active {
 			if r.sj.Spec.ID == id {
 				return *r
 			}

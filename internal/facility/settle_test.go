@@ -119,7 +119,7 @@ func TestLazySettlementMatchesEager(t *testing.T) {
 			if err := eager.Start(); err != nil {
 				t.Fatal(err)
 			}
-			settleAll := eager.core
+			settleAll := eager.st
 			checked, swapped := 0, false
 			for at := time.Second + 3; at < lazy.Horizon(); at += time.Second + 1234567 {
 				if err := lazy.Step(ctx, at); err != nil {
@@ -143,7 +143,7 @@ func TestLazySettlementMatchesEager(t *testing.T) {
 				if swapped || at < 12*time.Minute || lazy.Snapshot().FreeNodes == 0 {
 					continue
 				}
-				lazySim := lazy.core
+				lazySim := lazy.st
 				if len(lazySim.active) == 0 || lazySim.active[0].due(at) == 0 {
 					continue
 				}
@@ -196,7 +196,7 @@ func TestLazySettlementMatchesEager(t *testing.T) {
 			if a, b := resultJSON(t, lazyRes), resultJSON(t, eagerRes); a != b {
 				t.Errorf("extra settlements changed the result:\n lazy:  %s\n eager: %s", a, b)
 			}
-			lazy.core.advanceAll(lazy.Now())
+			lazy.st.advanceAll(lazy.Now())
 			settleAll.advanceAll(eager.Now())
 			if !slices.Equal(poolWords(lazyCfg.Nodes), poolWords(eagerCfg.Nodes)) {
 				t.Error("settled registers differ between the lazy and the eager twin")

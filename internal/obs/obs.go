@@ -362,7 +362,7 @@ func (s *Sink) PolicyFallback(job, reason string) {
 }
 
 // Quarantine records a node moving to the drain set for the given reason
-// ("cap_write", "release", "crash").
+// ("cap_write", "release", "crash", "read_fault").
 func (s *Sink) Quarantine(host, reason string) {
 	if s == nil {
 		return

@@ -35,14 +35,13 @@ type Scheduler struct {
 	db     *charz.DB
 	budget units.Power
 
-	queue   []*QueuedJob
-	started []*ScheduledJob
-	// committed is the admitted jobs' total power demand; demands
-	// remembers each started job's admission estimate so completion
-	// releases exactly what admission committed, even when the
+	// queue holds the waiting jobs; the running set is mgr.Jobs().
+	queue []*QueuedJob
+	// committed is the admitted jobs' total power demand. Each started
+	// job carries its own admission estimate (ScheduledJob.demand), so
+	// completion releases exactly what admission committed, even when the
 	// characterization entry was corrupt and a fallback estimate was used.
 	committed units.Power
-	demands   map[*ScheduledJob]units.Power
 	// quotas partitions the budget per tenant: a tenant with a quota may
 	// never hold more committed power than it, no matter how idle the
 	// rest of the system is. Tenants without a quota (and the empty
@@ -54,11 +53,6 @@ type Scheduler struct {
 	// totalNodes is the managed pool size at construction, the basis of
 	// the uniform fallback demand estimate for corrupt entries.
 	totalNodes int
-	// Backfill allows later queued jobs to start ahead of a blocked head
-	// job when they fit, EASY-style. The head job's start is never
-	// delayed by backfilled jobs in this model because power and nodes
-	// are released only at job completion.
-	Backfill bool
 }
 
 // NewScheduler builds a power-aware scheduler over the manager's node pool.
@@ -73,8 +67,7 @@ func NewScheduler(mgr *Manager, db *charz.DB, budget units.Power) (*Scheduler, e
 		return nil, errors.New("rm: scheduler budget must be positive")
 	}
 	return &Scheduler{
-		mgr: mgr, db: db, budget: budget, Backfill: true,
-		demands:         map[*ScheduledJob]units.Power{},
+		mgr: mgr, db: db, budget: budget,
 		quotas:          map[string]units.Power{},
 		tenantCommitted: map[string]units.Power{},
 		totalNodes:      mgr.FreeNodes() + mgr.nDrained,
@@ -194,77 +187,63 @@ func (s *Scheduler) fits(qj *QueuedJob) bool {
 	return true
 }
 
-// admit starts a queued job.
-func (s *Scheduler) admit(qj *QueuedJob, seed uint64) error {
+// admit starts a queued job and commits its demand.
+func (s *Scheduler) admit(qj *QueuedJob, seed uint64) (*ScheduledJob, error) {
 	sj, err := s.mgr.Submit(qj.Spec, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	sj.demand = qj.Demand
 	s.committed += qj.Demand
 	s.tenantCommitted[qj.Spec.Tenant] += qj.Demand
-	s.demands[sj] = qj.Demand
-	s.started = append(s.started, sj)
-	return nil
+	return sj, nil
 }
 
-// Dispatch admits as many queued jobs as fit, FCFS with optional EASY
-// backfill: if the head job cannot start, later jobs that fit may start
-// ahead of it. Returns the jobs started this pass.
+// Dispatch admits as many queued jobs as fit, FCFS with EASY backfill: if
+// the head job cannot start, later jobs that fit may start ahead of it.
+// The head job's start is never delayed by backfilled jobs in this model
+// because power and nodes are released only at job completion. Returns
+// the jobs started this pass.
 func (s *Scheduler) Dispatch(seed uint64) ([]*ScheduledJob, error) {
 	var startedNow []*ScheduledJob
 	var remaining []*QueuedJob
-	blockedHead := false
-	for i, qj := range s.queue {
-		if blockedHead && !s.Backfill {
-			remaining = append(remaining, s.queue[i:]...)
-			break
-		}
+	for _, qj := range s.queue {
 		if !s.fits(qj) {
-			blockedHead = true
 			remaining = append(remaining, qj)
 			continue
 		}
-		if err := s.admit(qj, seed+uint64(qj.SubmitOrder)); err != nil {
+		sj, err := s.admit(qj, seed+uint64(qj.SubmitOrder))
+		if err != nil {
 			return nil, err
 		}
-		startedNow = append(startedNow, s.started[len(s.started)-1])
+		startedNow = append(startedNow, sj)
 	}
 	s.queue = remaining
 	return startedNow, nil
 }
 
 // CanDispatch reports whether Dispatch would start at least one queued job
-// now. It walks the queue as Dispatch does — FCFS, past a blocked head only
-// under Backfill — and admits nothing.
+// now, admitting nothing.
 func (s *Scheduler) CanDispatch() bool {
 	for _, qj := range s.queue {
 		if s.fits(qj) {
 			return true
 		}
-		if !s.Backfill {
-			return false
-		}
 	}
 	return false
 }
 
-// remove drops a started job from the started set and releases its power
-// commitment (system-wide and per-tenant), returning the released demand.
-// It is the shared first half of Complete, Requeue, and Abort.
+// remove takes a started job off the manager's schedule (its nodes return
+// to the free pool) and releases its power commitment, system-wide and
+// per-tenant, returning the released demand. It is the shared first half
+// of Complete, Requeue, and Abort, and fails for a job not running.
 func (s *Scheduler) remove(sj *ScheduledJob) (units.Power, error) {
-	idx := -1
-	for i, cand := range s.started {
-		if cand == sj {
-			idx = i
-			break
-		}
+	if err := s.mgr.release(sj); err != nil {
+		return 0, err
 	}
-	if idx < 0 {
-		return 0, fmt.Errorf("rm: job %s is not running", sj.Spec.ID)
-	}
-	demand := s.demands[sj]
+	demand := sj.demand
+	sj.demand = 0
 	s.committed -= demand
-	delete(s.demands, sj)
 	if s.committed < 0 {
 		s.committed = 0
 	}
@@ -273,17 +252,14 @@ func (s *Scheduler) remove(sj *ScheduledJob) (units.Power, error) {
 	} else {
 		delete(s.tenantCommitted, sj.Spec.Tenant)
 	}
-	s.started = append(s.started[:idx], s.started[idx+1:]...)
 	return demand, nil
 }
 
 // Complete releases a started job's nodes and power commitment, returning
 // an error if the job is unknown.
 func (s *Scheduler) Complete(sj *ScheduledJob) error {
-	if _, err := s.remove(sj); err != nil {
-		return err
-	}
-	return s.mgr.release(sj)
+	_, err := s.remove(sj)
+	return err
 }
 
 // Requeue aborts a started job — typically because a crash drained one of
@@ -294,9 +270,6 @@ func (s *Scheduler) Complete(sj *ScheduledJob) error {
 func (s *Scheduler) Requeue(sj *ScheduledJob) error {
 	demand, err := s.remove(sj)
 	if err != nil {
-		return err
-	}
-	if err := s.mgr.release(sj); err != nil {
 		return err
 	}
 	qj := &QueuedJob{Spec: sj.Spec, Demand: demand, SubmitOrder: s.nextOrder}
@@ -311,8 +284,6 @@ func (s *Scheduler) Requeue(sj *ScheduledJob) error {
 // the job never returns: its progress is discarded and it will not count as
 // completed. The caller journals the decision (JobKilled).
 func (s *Scheduler) Abort(sj *ScheduledJob) error {
-	if _, err := s.remove(sj); err != nil {
-		return err
-	}
-	return s.mgr.release(sj)
+	_, err := s.remove(sj)
+	return err
 }

@@ -101,59 +101,40 @@ func TestBackfillLetsSmallJobsPass(t *testing.T) {
 	if len(started) != 1 || started[0].Spec.ID != "small" {
 		t.Fatalf("backfill failed: started %v", names(started))
 	}
-	// With backfill disabled, nothing behind a blocked head starts.
-	_, s2 := schedEnv(t, 4, 10*240*units.Watt)
-	s2.Backfill = false
-	if _, err := s2.Enqueue(JobSpec{ID: "big", Config: cfgBalanced(), Nodes: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Enqueue(JobSpec{ID: "small", Config: cfgBalanced(), Nodes: 2}); err != nil {
-		t.Fatal(err)
-	}
-	started, err = s2.Dispatch(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(started) != 0 {
-		t.Fatalf("FCFS-strict started %v behind a blocked head", names(started))
-	}
 }
 
 // TestCanDispatchBlockedHead pins CanDispatch against Dispatch with a
-// blocked head and a job behind it that fits, with and without Backfill:
-// CanDispatch agrees with what Dispatch then starts, admits nothing
-// itself, and reports false once the queue is dispatch-stable.
+// blocked head and a job behind it that fits: CanDispatch agrees with what
+// Dispatch then starts, admits nothing itself, and reports false once the
+// queue is dispatch-stable.
 func TestCanDispatchBlockedHead(t *testing.T) {
-	for _, backfill := range []bool{true, false} {
-		m, s := schedEnv(t, 4, 10*240*units.Watt)
-		s.Backfill = backfill
-		if s.CanDispatch() {
-			t.Fatalf("backfill %v: empty queue reports a dispatchable job", backfill)
-		}
-		for _, spec := range []JobSpec{
-			{ID: "big", Config: cfgBalanced(), Nodes: 6},
-			{ID: "small", Config: cfgBalanced(), Nodes: 2},
-		} {
-			if _, err := s.Enqueue(spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := s.CanDispatch(); got != backfill {
-			t.Fatalf("backfill %v: CanDispatch = %v behind a blocked head", backfill, got)
-		}
-		if len(s.Queue()) != 2 || m.FreeNodes() != 4 || s.CommittedPower() != 0 {
-			t.Fatalf("backfill %v: CanDispatch admitted a job", backfill)
-		}
-		started, err := s.Dispatch(1)
-		if err != nil {
+	m, s := schedEnv(t, 4, 10*240*units.Watt)
+	if s.CanDispatch() {
+		t.Fatal("empty queue reports a dispatchable job")
+	}
+	for _, spec := range []JobSpec{
+		{ID: "big", Config: cfgBalanced(), Nodes: 6},
+		{ID: "small", Config: cfgBalanced(), Nodes: 2},
+	} {
+		if _, err := s.Enqueue(spec); err != nil {
 			t.Fatal(err)
 		}
-		if want := map[bool]int{true: 1, false: 0}[backfill]; len(started) != want {
-			t.Fatalf("backfill %v: Dispatch started %v, want %d jobs", backfill, names(started), want)
-		}
-		if s.CanDispatch() {
-			t.Fatalf("backfill %v: CanDispatch true right after Dispatch", backfill)
-		}
+	}
+	if !s.CanDispatch() {
+		t.Fatal("CanDispatch = false behind a blocked head")
+	}
+	if len(s.Queue()) != 2 || m.FreeNodes() != 4 || s.CommittedPower() != 0 {
+		t.Fatal("CanDispatch admitted a job")
+	}
+	started, err := s.Dispatch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(started) != 1 {
+		t.Fatalf("Dispatch started %v, want 1 job", names(started))
+	}
+	if s.CanDispatch() {
+		t.Fatal("CanDispatch true right after Dispatch")
 	}
 }
 
@@ -294,7 +275,7 @@ func TestAbortReleasesWithoutRequeue(t *testing.T) {
 	if len(started) != 1 {
 		t.Fatalf("started = %d", len(started))
 	}
-	if s.demands[started[0]] == 0 {
+	if started[0].demand == 0 {
 		t.Fatal("started job has no recorded demand")
 	}
 	if err := s.Abort(started[0]); err != nil {
@@ -309,8 +290,8 @@ func TestAbortReleasesWithoutRequeue(t *testing.T) {
 	if len(s.Queue()) != 0 {
 		t.Errorf("abort requeued the job: queue = %d", len(s.Queue()))
 	}
-	if s.demands[started[0]] != 0 {
-		t.Errorf("aborted job still has demand %v", s.demands[started[0]])
+	if started[0].demand != 0 {
+		t.Errorf("aborted job still has demand %v", started[0].demand)
 	}
 	// Aborting an unknown job fails.
 	if err := s.Abort(started[0]); err == nil {

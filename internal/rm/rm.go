@@ -68,6 +68,9 @@ type ScheduledJob struct {
 	// infoValid.
 	info      policy.JobInfo
 	infoValid bool
+	// demand is the power admission committed for the job while the
+	// scheduler runs it (zero for a job submitted to the manager directly).
+	demand units.Power
 }
 
 // DefaultCapRetries is how many times a failed power-limit write is
@@ -104,7 +107,7 @@ type Manager struct {
 
 	// OnQuarantine, when set, is invoked every time a node enters the
 	// drain set, with the node ID and the reason ("cap_write", "release",
-	// "crash"). It fires exactly once per quarantined node — repeat drains
+	// "crash", "read_fault"). It fires exactly once per quarantined node — repeat drains
 	// are idempotent — so callers can count quarantines without watching
 	// the journal. Called synchronously from the manager's goroutine.
 	OnQuarantine func(id, reason string)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,9 +18,7 @@ import (
 	"powerstack/internal/cluster"
 	"powerstack/internal/cpumodel"
 	"powerstack/internal/facility"
-	"powerstack/internal/fault"
 	"powerstack/internal/kernel"
-	"powerstack/internal/msr"
 	"powerstack/internal/obs"
 	"powerstack/internal/policy"
 	"powerstack/internal/rm"
@@ -455,9 +454,21 @@ func TestPauseResumeOverHTTP(t *testing.T) {
 	}
 }
 
+// errPolicyDown is failingPolicy's Allocate error.
+var errPolicyDown = errors.New("policy down")
+
+// failingPolicy refuses every allocation.
+type failingPolicy struct{}
+
+func (failingPolicy) Name() string { return "Failing" }
+
+func (failingPolicy) Allocate(policy.System, []policy.JobInfo) (policy.Allocation, error) {
+	return nil, errPolicyDown
+}
+
 // TestPacerErrorReported pins that a pacer stopped by a failed Step says
-// why on /v1/instances and /v1/instances/{name}: with a PL1 read fault
-// armed on every node, starting a deferred submission fails the step.
+// why on /v1/instances and /v1/instances/{name}: with a policy installed
+// whose Allocate fails, starting a deferred submission fails the step.
 func TestPacerErrorReported(t *testing.T) {
 	cfg, _ := serviceEnv(t)
 	h := NewHost(obs.New())
@@ -481,14 +492,14 @@ func TestPacerErrorReported(t *testing.T) {
 		t.Fatalf("healthy instance reports error %q", st.Error)
 	}
 
-	// The pacer steps under hi.mu, so arming under it cannot race a beat.
-	var inj []fault.Injection
-	for _, n := range cfg.Nodes {
-		inj = append(inj, fault.Injection{Kind: fault.MSRReadFault, Node: n.ID, Reg: msr.MSRPkgPowerLimit})
-	}
+	// The pacer steps under hi.mu, so installing under it cannot race a
+	// beat. The swap replans the running job at once, which fails too.
 	hi.mu.Lock()
-	fault.NewPlan(inj...).Arm(cfg.Nodes, nil)
+	err := hi.in.SetPolicy(failingPolicy{})
 	hi.mu.Unlock()
+	if !errors.Is(err, errPolicyDown) {
+		t.Fatalf("SetPolicy(failing) = %v, want %v", err, errPolicyDown)
+	}
 	if code := post(t, srv.URL+"/v1/submit", apiv1.SubmitRequest{
 		Workload: apiv1.WorkloadSpec{Intensity: 8, Vector: "ymm", Imbalance: 1},
 		Nodes:    2, Iterations: 100000, AtNs: st.NowNs + 1,
@@ -507,8 +518,8 @@ func TestPacerErrorReported(t *testing.T) {
 		t.Fatalf("pacer still running after %d beats", maxBeats)
 	}
 
-	if code := get(t, srv.URL+"/v1/instances/main", &st); code != 200 || !strings.Contains(st.Error, fault.ErrInjectedRead.Error()) {
-		t.Errorf("GET /v1/instances/main = %d, error %q, want the injected read fault", code, st.Error)
+	if code := get(t, srv.URL+"/v1/instances/main", &st); code != 200 || !strings.Contains(st.Error, errPolicyDown.Error()) {
+		t.Errorf("GET /v1/instances/main = %d, error %q, want the policy's failure", code, st.Error)
 	}
 	var list []apiv1.InstanceStatus
 	if code := get(t, srv.URL+"/v1/instances", &list); code != 200 || len(list) != 1 || list[0].Error != st.Error {
