@@ -49,7 +49,7 @@ func BenchmarkAblationSpinVsIdleWait(b *testing.B) {
 				var energy units.Energy
 				var elapsed time.Duration
 				for k := 0; k < 10; k++ {
-					ir, err := job.RunIteration()
+					ir, err := job.RunIterationInto(new(bsp.IterationScratch))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -167,17 +167,10 @@ type IterationResult struct {
 	PerHost         []HostIteration
 }
 
-// RunIteration executes one barrier-to-barrier iteration at the hosts'
-// current power limits. For phased jobs the schedule may switch the active
-// configuration (and roles) before the iteration starts. The result owns
-// its PerHost slice.
-func (j *Job) RunIteration() (IterationResult, error) {
-	return j.RunIterationInto(new(IterationScratch))
-}
-
 // IterationScratch is the per-host storage of one iteration, reusable by a
 // caller that runs a job's iterations back to back (the GEOPM control
-// loop) so they stop allocating. The zero value is ready to use.
+// loop, a facility job's probes) so they stop allocating. The zero value
+// is ready to use.
 type IterationScratch struct {
 	// phases holds the iteration's per-role work phases, indexed by Role.
 	phases [2]cpumodel.Phase
@@ -191,10 +184,13 @@ type hostPlan struct {
 	jitter float64
 }
 
-// RunIterationInto is RunIteration with its per-host storage taken from
-// scratch. The result's PerHost aliases scratch: it is valid until the next
-// call with the same scratch. Each host is planned once and finished once
-// on that plan, writing its result into its PerHost slot.
+// RunIterationInto executes one barrier-to-barrier iteration at the hosts'
+// current power limits, with its per-host storage taken from scratch. For
+// phased jobs the schedule may switch the active configuration (and roles)
+// before the iteration starts. The result's PerHost aliases scratch: it is
+// valid until the next call with the same scratch. Each host is planned
+// once and finished once on that plan, writing its result into its PerHost
+// slot.
 func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, error) {
 	j.advancePhase()
 	n := len(j.Hosts)
@@ -222,7 +218,13 @@ func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, erro
 			}
 		}
 		work := time.Duration(float64(base) * jitter)
-		plans[i] = hostPlan{ph: ph, jitter: jitter}
+		// Pointers are stored only when they change: a reused scratch
+		// then skips the write barrier on every host of every iteration.
+		p := &plans[i]
+		if p.ph != ph {
+			p.ph = ph
+		}
+		p.jitter = jitter
 		if work > barrier {
 			barrier = work
 		}
@@ -233,7 +235,10 @@ func (j *Job) RunIterationInto(scratch *IterationScratch) (IterationResult, erro
 	res := IterationResult{Elapsed: barrier, PerHost: scratch.per[:n]}
 	for i, h := range j.Hosts {
 		hi := &res.PerHost[i]
-		hi.Node, hi.Role = h.Node, h.Role
+		if hi.Node != h.Node {
+			hi.Node = h.Node
+		}
+		hi.Role = h.Role
 		if err := h.Node.FinishIteration(plans[i].ph, barrier, plans[i].jitter, &hi.PhaseResult); err != nil {
 			return IterationResult{}, &HostError{Job: j.ID, Node: h.Node, Err: err}
 		}

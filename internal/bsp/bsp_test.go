@@ -117,7 +117,7 @@ func TestRunIterationBarrierIsCriticalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.NoiseSigma = 0
-	ir, err := j.RunIteration()
+	ir, err := j.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunIterationEnergyPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := j.RunIteration()
+	ir, err := j.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCapSlowsIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.NoiseSigma = 0
-	fast, err := j.RunIteration()
+	fast, err := j.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCapSlowsIteration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	slow, err := j.RunIteration()
+	slow, err := j.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestSpinWasteGrowsWithImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	jBal.NoiseSigma, jImb.NoiseSigma = 0, 0
-	rBal, err := jBal.RunIteration()
+	rBal, err := jBal.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rImb, err := jImb.RunIteration()
+	rImb, err := jImb.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func iterationTimes(t *testing.T, j *Job, iters int) []time.Duration {
 	t.Helper()
 	times := make([]time.Duration, iters)
 	for k := range times {
-		ir, err := j.RunIteration()
+		ir, err := j.RunIterationInto(new(IterationScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestRunAggregates(t *testing.T) {
 	var flops units.Flops
 	hostEnergy := make([]units.Energy, len(nodes))
 	for k := 0; k < 20; k++ {
-		ir, err := j.RunIteration()
+		ir, err := j.RunIterationInto(new(IterationScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestHardwareVariationShowsUpInRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.NoiseSigma = 0
-	ir, err := j.RunIteration()
+	ir, err := j.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +359,12 @@ func TestHardwareVariationShowsUpInRun(t *testing.T) {
 	}
 }
 
-// TestRunIterationIntoMatchesRunIteration pins the reused-scratch path bit
-// for bit against fresh storage: twin jobs on twin pools, OS noise on, a
-// cap change mid-run, and the scratch carried from a smaller job so it must
-// grow. Each result's PerHost equals the fresh one's, and the registers the
-// iterations advanced match word for word.
-func TestRunIterationIntoMatchesRunIteration(t *testing.T) {
+// TestRunIterationIntoReusedMatchesFresh pins a reused scratch bit for bit
+// against a fresh scratch per iteration: twin jobs on twin pools, OS noise
+// on, a cap change mid-run, and the reused scratch carried from a smaller
+// job so it must grow. Each result's PerHost equals the fresh one's, and
+// the registers the iterations advanced match word for word.
+func TestRunIterationIntoReusedMatchesFresh(t *testing.T) {
 	pool := testNodes(t, 6)
 	twin := cluster.ClonePool(pool)
 	fresh, err := NewJob("j", imbalancedCfg(), pool, 9)
@@ -391,7 +391,7 @@ func TestRunIterationIntoMatchesRunIteration(t *testing.T) {
 				}
 			}
 		}
-		want, err := fresh.RunIteration()
+		want, err := fresh.RunIterationInto(new(IterationScratch))
 		if err != nil {
 			t.Fatal(err)
 		}

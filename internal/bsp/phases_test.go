@@ -63,7 +63,7 @@ func TestPhaseSwitchingAndRoles(t *testing.T) {
 		if got := j.CurrentPhaseIndex(); got != 0 {
 			t.Fatalf("iteration %d: phase %d, want 0", k, got)
 		}
-		if _, err := j.RunIteration(); err != nil {
+		if _, err := j.RunIterationInto(new(IterationScratch)); err != nil {
 			t.Fatal(err)
 		}
 		if j.CriticalHosts() != 4 {
@@ -75,7 +75,7 @@ func TestPhaseSwitchingAndRoles(t *testing.T) {
 		if got := j.CurrentPhaseIndex(); got != 1 {
 			t.Fatalf("iteration %d: phase %d, want 1", k, got)
 		}
-		if _, err := j.RunIteration(); err != nil {
+		if _, err := j.RunIterationInto(new(IterationScratch)); err != nil {
 			t.Fatal(err)
 		}
 		if j.CriticalHosts() != 2 {
@@ -83,7 +83,7 @@ func TestPhaseSwitchingAndRoles(t *testing.T) {
 		}
 	}
 	// The schedule cycles back.
-	if _, err := j.RunIteration(); err != nil {
+	if _, err := j.RunIterationInto(new(IterationScratch)); err != nil {
 		t.Fatal(err)
 	}
 	if j.Config != computePhaseCfg() {
@@ -95,7 +95,7 @@ func TestPhasedIterationTimesDiffer(t *testing.T) {
 	j := phasedJob(t, 4)
 	var phase0, phase1 time.Duration
 	for k := 0; k < 10; k++ {
-		ir, err := j.RunIteration()
+		ir, err := j.RunIterationInto(new(IterationScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +122,11 @@ func TestSinglePhaseJobUnaffected(t *testing.T) {
 	if got := j.CurrentPhaseIndex(); got != 0 {
 		t.Errorf("phase index = %d", got)
 	}
-	a, err := j.RunIteration()
+	a, err := j.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := j.RunIteration()
+	b, err := j.RunIterationInto(new(IterationScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,12 @@ type evJob struct {
 	iter     bsp.IterationResult
 	credited time.Duration
 	steady   int
+	// bufs holds the per-host storage of two probes: iter's PerHost
+	// aliases bufs[cur], and measure writes the next probe into the other
+	// one, so the credit at the outgoing point still reads iter. Only a
+	// successful applyProbe flips cur.
+	bufs [2]bsp.IterationScratch
+	cur  int
 	// comp is the pending completion event (0 when none).
 	comp engine.EventID
 }
@@ -236,10 +242,15 @@ func (st *simState) settleJob(sj *rm.ScheduledJob) {
 // operating point (OS noise and all, drawn from the job's private RNG),
 // then the iterations due at the outgoing point are credited. Facility jobs
 // carry no phase schedule, so crediting after the probe iteration has run
-// programs the same counters as before it. It returns the measurement and
-// the credited count for applyProbe.
+// programs the same counters as before it. It returns the measurement,
+// which aliases the buffer iter does not, and the credited count for
+// applyProbe.
 func (r *evJob) measure(now time.Duration) (bsp.IterationResult, int, error) {
-	ir, err := r.sj.Job.RunIteration()
+	next := &r.bufs[1-r.cur]
+	if testFreshProbeBuffers {
+		*next = bsp.IterationScratch{}
+	}
+	ir, err := r.sj.Job.RunIterationInto(next)
 	if err != nil {
 		return ir, 0, err
 	}
@@ -273,7 +284,7 @@ func (st *simState) applyProbe(r *evJob, ir bsp.IterationResult, settled int, er
 	}
 	st.book(r, settled)
 	st.markJobDirty(r.sj)
-	r.iter = ir
+	r.iter, r.cur = ir, 1-r.cur
 	r.steady = 0
 	r.remaining--
 	r.credited = now + ir.Elapsed

@@ -248,7 +248,8 @@ type simState struct {
 	// jobs holds one record per job ID, behind Instance.Job/Jobs and the
 	// service layer's status endpoints. jobSeq numbers arrival IDs
 	// ("jobNNNNN") and extSeq generated IDs for injected submissions
-	// ("extNNNNN", disjoint from arrival IDs).
+	// ("extNNNNN"); both skip IDs an explicit injection already took
+	// (freshID).
 	jobs   map[string]*job
 	jobSeq int
 	extSeq int
@@ -323,6 +324,11 @@ var testMarkAllDirty bool
 // of dirty leaves one sample task reads, so small test pools split the
 // dirty list across tasks. It is never set outside tests.
 var testLeafChunk int
+
+// testFreshProbeBuffers makes every probe measure into freshly zeroed
+// storage instead of the job's reused buffer, the allocation pattern the
+// reused buffers must match bit for bit. It is never set outside tests.
+var testFreshProbeBuffers bool
 
 // dropStart is one telemetry-dropout window start on the virtual timeline.
 type dropStart struct {
@@ -487,9 +493,8 @@ func (st *simState) replanRound(round func() error) error {
 // the enqueue a rejection never perturbs the arrival sequence behind it.
 // It returns the gap to the next arrival.
 func (st *simState) submitArrival(now time.Duration) (time.Duration, error) {
-	st.jobSeq++
 	spec := rm.JobSpec{
-		ID:     fmt.Sprintf("job%05d", st.jobSeq),
+		ID:     st.freshID("job", &st.jobSeq),
 		Config: st.cfg.Workloads[st.rng.IntN(len(st.cfg.Workloads))],
 		Nodes:  st.cfg.JobSizes[st.rng.IntN(len(st.cfg.JobSizes))],
 	}
@@ -503,6 +508,21 @@ func (st *simState) submitArrival(now time.Duration) (time.Duration, error) {
 		return gap, nil
 	}
 	return gap, err
+}
+
+// freshID advances *seq to the next ID of the form prefixNNNNN that no job
+// record holds and returns it. An explicit injected ID may take either
+// generated form, and a generated ID must not reuse it: the scheduler, the
+// policy split and the job records are all keyed by ID. The search draws
+// nothing from the arrival RNG.
+func (st *simState) freshID(prefix string, seq *int) string {
+	for {
+		*seq++
+		id := fmt.Sprintf("%s%05d", prefix, *seq)
+		if _, taken := st.jobs[id]; !taken {
+			return id
+		}
+	}
 }
 
 // finalize computes the run's aggregate statistics from its trace.

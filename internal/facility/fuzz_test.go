@@ -59,7 +59,14 @@ func (c instanceCommand) apply(in *Instance, workloads []kernel.Config, chunked 
 		if w := a / 4 % 4; w < len(workloads) {
 			wl = workloads[w]
 		}
+		// Above 95 the ID is explicit and takes a generated form, arrival
+		// or injection, so the generators must step around it.
+		var id string
+		if form := a / 96; form > 0 {
+			id = fmt.Sprintf("%s%05d", []string{"job", "ext"}[form-1], 1+a%5)
+		}
 		_, err := in.Inject(at, Submission{
+			ID:         id,
 			Tenant:     []string{"", "acme"}[a%2],
 			Workload:   wl,
 			Nodes:      []int{2, 4, 8, 0, 30, 16}[a/16%6],
@@ -101,7 +108,8 @@ func (c instanceCommand) apply(in *Instance, workloads []kernel.Config, chunked 
 // each emergency response (preempt, kill, throttle). The twins run under
 // the pipeline fault plan (crash and repair, a slow window, MSR write and
 // read faults, a telemetry dropout), with checkpointing on. Each pair of
-// input bytes is one command. After every command both twins returned the
+// input bytes is one command; some injections name their job with an ID of
+// the arrival or the injection form. After every command both twins returned the
 // same error, their Snapshots are byte-identical as JSON, and both pass
 // checkInvariants. At the end, the twins' closed Results are
 // byte-identical.

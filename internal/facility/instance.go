@@ -295,8 +295,7 @@ func (in *Instance) Inject(at time.Duration, sub Submission) (string, error) {
 	}
 	st := in.st
 	if sub.ID == "" {
-		st.extSeq++
-		sub.ID = fmt.Sprintf("ext%05d", st.extSeq)
+		sub.ID = st.freshID("ext", &st.extSeq)
 	}
 	spec := rm.JobSpec{ID: sub.ID, Config: sub.Workload, Nodes: sub.Nodes, Tenant: sub.Tenant}
 	if now := st.eng.Now(); at <= now {

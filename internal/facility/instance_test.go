@@ -418,3 +418,72 @@ func TestOversizedSubmissionDoesNotLivelock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGeneratedJobIDsSkipInjectedIDs pins that neither ID generator hands
+// out an ID an explicit injection already holds: a Poisson arrival skips
+// an injected "jobNNNNN", and a generated injection ID skips an injected
+// "extNNNNN", whether that injection is queued or still deferred. Before,
+// the arrival took the injected job's ID and the next replan failed the
+// run with two cap sets for one job, and a generated injection collided.
+func TestGeneratedJobIDsSkipInjectedIDs(t *testing.T) {
+	t.Run("arrival", func(t *testing.T) {
+		nodes, db, workloads := facilityEnv(t, 8)
+		in, err := NewInstance(baseConfig(nodes, db, workloads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Inject(0, Submission{ID: "job00001", Workload: workloads[0], Nodes: 2, Iterations: 1_000_000}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Step(context.Background(), 10*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkInvariants(in); err != nil {
+			t.Fatal(err)
+		}
+		if ji, _ := in.Job("job00001"); ji.Iterations != 1_000_000 {
+			t.Fatalf("job00001 = %+v, want the injected job", ji)
+		}
+		if _, ok := in.Job("job00002"); !ok {
+			t.Fatal("the first arrival did not take the next free ID, job00002")
+		}
+	})
+	t.Run("injection", func(t *testing.T) {
+		cfg, workloads := serviceConfig(t)
+		in, err := NewInstance(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		sub := Submission{Workload: workloads[0], Nodes: 2, Iterations: 1_000_000}
+		queued, deferred := sub, sub
+		queued.ID, deferred.ID = "ext00001", "ext00002"
+		if _, err := in.Inject(0, queued); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Inject(5*time.Minute, deferred); err != nil {
+			t.Fatal(err)
+		}
+		id, err := in.Inject(0, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "ext00003" {
+			t.Fatalf("generated ID %s, want ext00003 past both injected IDs", id)
+		}
+		if err := in.Step(context.Background(), 10*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkInvariants(in); err != nil {
+			t.Fatal(err)
+		}
+		if sn := in.Snapshot(); sn.Submitted != 3 {
+			t.Fatalf("submitted %d, want all three injections", sn.Submitted)
+		}
+	})
+}

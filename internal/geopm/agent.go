@@ -57,7 +57,8 @@ type Agent interface {
 	// Initialize returns the limits to program before the first
 	// iteration, given the per-host bounds in the sample template.
 	Initialize(budget units.Power, hosts []HostSample) []units.Power
-	// Adjust reacts to one iteration's sample.
+	// Adjust reacts to one iteration's sample. The limits it returns may
+	// alias the agent's own buffer, valid until its next call.
 	Adjust(budget units.Power, s Sample) []units.Power
 	// Converged reports whether the agent has reached steady state; the
 	// characterization pipeline keys off this.

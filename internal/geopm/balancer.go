@@ -1,6 +1,7 @@
 package geopm
 
 import (
+	"slices"
 	"time"
 
 	"powerstack/internal/units"
@@ -41,6 +42,11 @@ type PowerBalancer struct {
 	lastBudget  units.Power
 	quietRounds int
 	converged   bool
+
+	// limits, critical and headroom are Adjust's per-host buffers; the
+	// limits it returns alias limits until the next Adjust.
+	limits             []units.Power
+	critical, headroom []int
 }
 
 // Balancer tuning defaults; see the ablation benchmarks for the
@@ -113,7 +119,8 @@ func (b *PowerBalancer) Adjust(budget units.Power, s Sample) []units.Power {
 		}
 	}
 
-	limits := make([]units.Power, n)
+	limits := slices.Grow(b.limits[:0], n)[:n]
+	b.limits = limits
 	for i, h := range s.Hosts {
 		limits[i] = h.Limit
 	}
@@ -149,7 +156,7 @@ func (b *PowerBalancer) Adjust(budget units.Power, s Sample) []units.Power {
 	}
 
 	var freed units.Power
-	var critical []int
+	critical := b.critical[:0]
 	for i, h := range s.Hosts {
 		slack := float64(tMax-h.WorkTime) / float64(tMax)
 		if slack <= DefaultSlackEpsilon {
@@ -179,6 +186,7 @@ func (b *PowerBalancer) Adjust(budget units.Power, s Sample) []units.Power {
 	if !b.ReleaseFreedPower {
 		pool += freed
 	}
+	b.critical = critical
 	if pool > minAdjust && len(critical) > 0 {
 		granted := b.grant(limits, s.Hosts, critical, pool)
 		if granted > minAdjust {
@@ -225,12 +233,13 @@ func (b *PowerBalancer) grant(limits []units.Power, hosts []HostSample, critical
 	var granted units.Power
 	remaining := freed
 	for pass := 0; pass < 8 && remaining > 0.01; pass++ {
-		var withHeadroom []int
+		withHeadroom := b.headroom[:0]
 		for _, i := range critical {
 			if limits[i] < hosts[i].MaxLimit {
 				withHeadroom = append(withHeadroom, i)
 			}
 		}
+		b.headroom = withHeadroom
 		if len(withHeadroom) == 0 {
 			break
 		}

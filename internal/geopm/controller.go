@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"powerstack/internal/bsp"
+	"powerstack/internal/node"
 	"powerstack/internal/obs"
 	"powerstack/internal/rapl"
 	"powerstack/internal/units"
@@ -42,9 +43,12 @@ type Controller struct {
 	// rewrites every host each iteration with the same 1 s window.
 	enc rapl.LimitEncoder
 	// scratch and sample are the per-host buffers every Step reuses: the
-	// iteration's results and the agent's sample.
+	// iteration's results and the agent's sample. A Step rewrites only
+	// the measured fields of sample.Hosts; the bounds and IDs stay from
+	// hostTemplates until the host's node in nodes is replaced.
 	scratch bsp.IterationScratch
 	sample  Sample
+	nodes   []*node.Node
 }
 
 // NewController wires an agent to a job under a job-level power budget.
@@ -129,6 +133,7 @@ func (c *Controller) Start() error {
 	}
 	c.hostEnergy = make([]units.Energy, len(c.Job.Hosts))
 	c.energy = 0
+	c.nodes = c.Job.Nodes()
 	// Agents copy what they keep of a sample, so the templates become the
 	// sample buffer.
 	c.sample = Sample{Hosts: hosts}
@@ -144,6 +149,7 @@ func (c *Controller) Step(k int) (bsp.IterationResult, error) {
 		return bsp.IterationResult{}, err
 	}
 	c.sample.Iteration, c.sample.Elapsed = k, ir.Elapsed
+	secs := ir.Elapsed.Seconds()
 	for i, h := range c.Job.Hosts {
 		e, err := h.Node.Energy()
 		if err != nil {
@@ -153,17 +159,22 @@ func (c *Controller) Step(k int) (bsp.IterationResult, error) {
 		c.lastEnergy[i] = e
 		c.energy += de
 		c.hostEnergy[i] += de
-		c.sample.Hosts[i] = HostSample{
-			HostID:   h.Node.ID,
-			WorkTime: ir.PerHost[i].WorkTime,
-			Power:    units.MeanPower(de, ir.Elapsed),
-			Limit:    c.limits[i],
-			MinLimit: h.Node.MinLimit(),
-			MaxLimit: h.Node.TDP(),
+		hs := &c.sample.Hosts[i]
+		if h.Node != c.nodes[i] {
+			// A spare replaced the host: its bounds come from the new node.
+			c.nodes[i] = h.Node
+			hs.HostID, hs.MinLimit, hs.MaxLimit = h.Node.ID, h.Node.MinLimit(), h.Node.TDP()
 		}
+		hs.WorkTime = ir.PerHost[i].WorkTime
+		// units.MeanPower(de, ir.Elapsed), on the seconds converted once.
+		hs.Power = 0
+		if secs > 0 {
+			hs.Power = units.Power(float64(de) / secs)
+		}
+		hs.Limit = c.limits[i]
 	}
 
-	c.Obs.Epoch(c.Layer, c.Job.ID, k, ir.Elapsed.Seconds())
+	c.Obs.Epoch(c.Layer, c.Job.ID, k, secs)
 	limits := c.Agent.Adjust(c.Budget, c.sample)
 	if limits != nil && c.Obs.Enabled() {
 		var moved units.Power
@@ -259,9 +270,10 @@ func (c *Controller) Run(iters int) (Report, error) {
 		rep.Elapsed += ir.Elapsed
 		rep.TotalFlops += ir.TotalFlops
 		rep.IterationTimes = append(rep.IterationTimes, ir.Elapsed)
+		secs := ir.Elapsed.Seconds()
 		for i := range ir.PerHost {
 			sumWork[i] += ir.PerHost[i].WorkTime
-			sumFreqTime[i] += ir.PerHost[i].AchievedFreq.Hz() * ir.Elapsed.Seconds()
+			sumFreqTime[i] += ir.PerHost[i].AchievedFreq.Hz() * secs
 		}
 		if rep.ConvergedAt < 0 && c.Agent.Converged() {
 			rep.ConvergedAt = k

@@ -16,7 +16,7 @@ import (
 	"powerstack/internal/units"
 )
 
-func testJob(t *testing.T, cfg kernel.Config, n int, seed uint64) *bsp.Job {
+func testJob(t testing.TB, cfg kernel.Config, n int, seed uint64) *bsp.Job {
 	t.Helper()
 	c, err := cluster.New(n, cpumodel.Quartz(), cpumodel.QuartzVariation(), seed)
 	if err != nil {
@@ -428,5 +428,72 @@ func TestBalancerConvergesQuietly(t *testing.T) {
 	}
 	if !b.Converged() {
 		t.Error("balancer did not converge after quiet rounds")
+	}
+}
+
+// TestStepRefreshesSwappedHost pins the sample's host bounds across a node
+// replacement: a Step rewrites only the measured fields of a host's
+// sample, so when a spare takes a host's place (rm's spare swap) the next
+// Step must report the new node's ID and limits.
+func TestStepRefreshesSwappedHost(t *testing.T) {
+	cfg := kernel.Config{Intensity: 8, Vector: kernel.YMM, WaitingPct: 50, Imbalance: 2}
+	j := testJob(t, cfg, 4, 11)
+	spare := testJob(t, cfg, 1, 12).Hosts[0].Node
+	spare.ID = "spare"
+	ctl, err := NewController(j, NewPowerBalancer(), 4*200*units.Watt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Step(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spare.SetPowerLimit(spare.TDP()); err != nil {
+		t.Fatal(err)
+	}
+	j.Hosts[2].Node = spare
+	if err := ctl.ReadLimits(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range ctl.LastSample().Hosts {
+		n := j.Hosts[i].Node
+		if h.HostID != n.ID || h.MinLimit != n.MinLimit() || h.MaxLimit != n.TDP() {
+			t.Errorf("host %d sample %+v, want node %s bounds [%v, %v]", i, h, n.ID, n.MinLimit(), n.TDP())
+		}
+	}
+}
+
+// BenchmarkControllerStep is the zero-alloc gate on the paper's control
+// loop in steady state: a 16-host imbalanced balancer job with OS noise
+// on, one Step per iteration (the BSP iteration, the RAPL energy samples,
+// the agent's reaction and its limit writes).
+func BenchmarkControllerStep(b *testing.B) {
+	cfg := kernel.Config{Intensity: 8, Vector: kernel.YMM, WaitingPct: 50, Imbalance: 2}
+	j := testJob(b, cfg, 16, 5)
+	j.NoiseSigma = bsp.DefaultNoiseSigma
+	ctl, err := NewController(j, NewPowerBalancer(), 16*200*units.Watt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ctl.Start(); err != nil {
+		b.Fatal(err)
+	}
+	k := 0
+	for ; k < 50; k++ { // grows the buffers and lets the balancer converge
+		if _, err := ctl.Step(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ctl.Step(k); err != nil {
+			b.Fatal(err)
+		}
+		k++
 	}
 }

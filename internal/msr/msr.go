@@ -208,6 +208,10 @@ type Device struct {
 	extra  map[uint32]uint64
 	faults map[uint32]error
 	armed  map[opReg]*countdownFault
+	// faulty caches Faulty: every change to faults or armed membership
+	// (SetFault, ArmFault, RestoreAuxFrom) recomputes it, so a healthy
+	// device's accesses load no map.
+	faulty bool
 }
 
 // countdownFault is a countdown fault: the next remaining unprivileged
@@ -276,7 +280,7 @@ func (d *Device) Read(reg uint32) (uint64, error) {
 // device with no fault of either kind — every device outside a chaos run —
 // skips both map lookups.
 func (d *Device) injected(op Op, reg uint32) error {
-	if !d.Faulty() {
+	if !d.faulty {
 		return nil
 	}
 	if err := d.faults[reg]; err != nil {
@@ -391,9 +395,10 @@ func (d *Device) SetFault(reg uint32, err error) {
 	}
 	if err == nil {
 		delete(d.faults, reg)
-		return
+	} else {
+		d.faults[reg] = err
 	}
-	d.faults[reg] = err
+	d.refault()
 }
 
 // ArmFault arms a countdown fault on (op, reg): the next after unprivileged
@@ -407,17 +412,21 @@ func (d *Device) SetFault(reg uint32, err error) {
 func (d *Device) ArmFault(op Op, reg uint32, after int, err error) {
 	if err == nil {
 		delete(d.armed, opReg{op, reg})
-		return
+	} else {
+		if d.armed == nil {
+			d.armed = map[opReg]*countdownFault{}
+		}
+		d.armed[opReg{op, reg}] = &countdownFault{remaining: after, err: err}
 	}
-	if d.armed == nil {
-		d.armed = map[opReg]*countdownFault{}
-	}
-	d.armed[opReg{op, reg}] = &countdownFault{remaining: after, err: err}
+	d.refault()
 }
 
 // Faulty reports whether the device holds any sticky or armed injected
 // fault, fired or not.
-func (d *Device) Faulty() bool { return len(d.faults) > 0 || len(d.armed) > 0 }
+func (d *Device) Faulty() bool { return d.faulty }
+
+// refault recomputes the faulty bit from the fault maps.
+func (d *Device) refault() { d.faulty = len(d.faults) > 0 || len(d.armed) > 0 }
 
 // RestoreAuxFrom copies the device state that lives outside the dense
 // register words — privileged side-map registers, sticky faults, and armed
@@ -453,6 +462,7 @@ func (d *Device) RestoreAuxFrom(src *Device) {
 			d.armed[key] = &countdownFault{remaining: cf.remaining, err: cf.err}
 		}
 	}
+	d.refault()
 }
 
 // ExtractBits returns bits [lo, hi] (inclusive) of v, shifted down.

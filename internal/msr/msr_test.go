@@ -2,6 +2,7 @@ package msr
 
 import (
 	"errors"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -527,5 +528,47 @@ func TestFaultyTracksStickyAndArmedFaults(t *testing.T) {
 	d.ArmFault(OpWrite, MSRPkgPowerLimit, 0, nil)
 	if d.Faulty() {
 		t.Error("disarmed fault still reported")
+	}
+}
+
+// TestFaultyMatchesFaultMaps is the property test of the cached faulty
+// bit: over random sequences of sticky faults set and cleared, countdowns
+// armed and disarmed, accesses that spend them, RestoreAuxFrom and
+// CloneOnto across a few devices, every device's Faulty equals the answer
+// its fault maps give.
+func TestFaultyMatchesFaultMaps(t *testing.T) {
+	regs := []uint32{MSRPkgPowerLimit, MSRPkgEnergyStatus, IA32PerfCtl}
+	ops := []Op{OpRead, OpWrite}
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		devs := []*Device{NewDevice(nil), NewDevice(nil), NewDevice(nil)}
+		for step := 0; step < 200; step++ {
+			d := devs[rng.IntN(len(devs))]
+			reg := regs[rng.IntN(len(regs))]
+			var err error
+			if rng.IntN(3) > 0 {
+				err = errors.New("injected")
+			}
+			switch rng.IntN(6) {
+			case 0:
+				d.SetFault(reg, err)
+			case 1:
+				d.ArmFault(ops[rng.IntN(2)], reg, rng.IntN(3), err)
+			case 2:
+				_, _ = d.Read(reg)
+			case 3:
+				_ = d.Write(reg, rng.Uint64())
+			case 4:
+				d.RestoreAuxFrom(devs[rng.IntN(len(devs))])
+			default:
+				i := rng.IntN(len(devs))
+				devs[i] = d.CloneOnto(make([]uint64, d.WordCount()))
+			}
+			for i, d := range devs {
+				if want := len(d.faults) > 0 || len(d.armed) > 0; d.Faulty() != want {
+					t.Fatalf("seed %d step %d device %d: Faulty %v, fault maps say %v", seed, step, i, d.Faulty(), want)
+				}
+			}
+		}
 	}
 }

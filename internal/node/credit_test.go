@@ -8,6 +8,7 @@ import (
 
 	"powerstack/internal/kernel"
 	"powerstack/internal/msr"
+	"powerstack/internal/rapl"
 	"powerstack/internal/units"
 )
 
@@ -108,5 +109,68 @@ func TestCreditIterationsFromZero(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEnergyEncodingPerSocketUnits pins the shared energy encoding against
+// per-socket encoding on a node whose sockets decode different energy
+// units from MSR_RAPL_POWER_UNIT: FinishIteration and CreditIterations
+// must advance each socket's package and DRAM counters by the amounts
+// encoded in that socket's own unit, not reuse socket 0's encodings.
+func TestEnergyEncodingPerSocketUnits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 55))
+	energyDeltas := func(n *Node, step func()) [][2]uint64 {
+		var before [][2]uint64
+		for _, su := range n.Sockets() {
+			before = append(before, [2]uint64{su.Dev.PrivilegedRead(msr.MSRPkgEnergyStatus), su.Dev.PrivilegedRead(msr.MSRDramEnergyStatus)})
+		}
+		step()
+		for i, su := range n.Sockets() {
+			before[i][0] = (su.Dev.PrivilegedRead(msr.MSRPkgEnergyStatus) - before[i][0]) & (1<<32 - 1)
+			before[i][1] = (su.Dev.PrivilegedRead(msr.MSRDramEnergyStatus) - before[i][1]) & (1<<32 - 1)
+		}
+		return before
+	}
+	differ := 0
+	for trial := 0; trial < 100; trial++ {
+		n := testNode(t)
+		// Socket 1 counts in 2^-14 J instead of the default 2^-16 J.
+		dev := n.Sockets()[1].Dev
+		dev.PrivilegedWrite(msr.MSRRaplPowerUnit, rapl.DefaultUnitsRegister&^(0x1F<<8)|14<<8)
+		dom, err := rapl.NewDomain(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.sockets[1].Rapl = dom
+		if n.sockets[0].Rapl.EnergyUnit() == dom.EnergyUnit() {
+			t.Fatal("socket energy units agree")
+		}
+
+		var pr PhaseResult
+		var iterTime time.Duration
+		got := energyDeltas(n, func() { pr, iterTime = sampledIteration(t, n, rng) })
+		from, to := rng.IntN(1000), 1000+rng.IntN(100_000)
+		gotCredit := energyDeltas(n, func() { n.CreditIterations(&pr, iterTime, from, to) })
+		pkg, dram := pr.Energy/SocketsPerNode, pr.DRAMEnergy/SocketsPerNode
+		for i, su := range n.Sockets() {
+			r := su.Rapl
+			want := [2]uint64{r.EncodeEnergyDelta(pkg), r.EncodeEnergyDelta(dram)}
+			if got[i] != want {
+				t.Fatalf("trial %d socket %d: FinishIteration advanced energy by %v, want %v", trial, i, got[i], want)
+			}
+			wantCredit := [2]uint64{
+				(r.EncodeEnergyDelta(pkg*units.Energy(to)) - r.EncodeEnergyDelta(pkg*units.Energy(from))) & (1<<32 - 1),
+				(r.EncodeEnergyDelta(dram*units.Energy(to)) - r.EncodeEnergyDelta(dram*units.Energy(from))) & (1<<32 - 1),
+			}
+			if gotCredit[i] != wantCredit {
+				t.Fatalf("trial %d socket %d: CreditIterations [%d, %d) advanced energy by %v, want %v", trial, i, from, to, gotCredit[i], wantCredit)
+			}
+		}
+		if got[0] != got[1] {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("no trial encoded the sockets' energy differently")
 	}
 }

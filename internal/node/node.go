@@ -416,29 +416,38 @@ func (n *Node) FinishIteration(ph *cpumodel.Phase, iterTime time.Duration, workS
 		iterTime = tWork
 	}
 	tSpin := iterTime - tWork
-	secs := iterTime.Seconds()
+	// Each duration converts to seconds once; the energies are
+	// units.EnergyOver and the mean power units.MeanPower on these values.
+	secs, workS, spinS := iterTime.Seconds(), tWork.Seconds(), tSpin.Seconds()
 
 	res.WorkTime = tWork
-	perSocket := units.EnergyOver(op.pWork, tWork) + units.EnergyOver(op.pSpin, tSpin)
+	perSocket := units.Energy(float64(op.pWork)*workS) + units.Energy(float64(op.pSpin)*spinS)
 	res.Energy = perSocket * SocketsPerNode
 	m := &n.sockets[0].Model
-	dramPerSocket := units.EnergyOver(m.DRAMPowerAt(op.uMem), tWork) +
-		units.EnergyOver(m.DRAMPowerAt(0), tSpin)
+	dramPerSocket := units.Energy(float64(m.DRAMPowerAt(op.uMem))*workS) +
+		units.Energy(float64(m.DRAMPowerAt(0))*spinS)
 	res.DRAMEnergy = dramPerSocket * SocketsPerNode
-	res.MeanPower = units.MeanPower(res.Energy, iterTime)
-	res.AchievedFreq = 0
-	if iterTime > 0 {
-		res.AchievedFreq = units.Frequency((op.fWork.Hz()*tWork.Seconds() + op.fSpin.Hz()*tSpin.Seconds()) / secs)
+	res.MeanPower, res.AchievedFreq = 0, 0
+	if secs > 0 {
+		res.MeanPower = units.Power(float64(res.Energy) / secs)
+		res.AchievedFreq = units.Frequency((op.fWork.Hz()*workS + op.fSpin.Hz()*spinS) / secs)
 	}
 	res.Flops = ph.Work.Flops * units.Flops(n.spec().ActiveCores*SocketsPerNode)
 
 	// Advance the hardware counters so telemetry readers see this
 	// iteration: energy into the wrapping accumulators, APERF at the
-	// achieved frequency, MPERF and TSC at the base clock.
+	// achieved frequency, MPERF and TSC at the base clock. A socket whose
+	// RAPL energy unit matches the previous socket's reuses its encodings.
 	base := uint64(n.spec().BaseFreq.Hz() * secs)
 	aperf := uint64(res.AchievedFreq.Hz() * secs)
+	unit := units.Energy(-1)
+	var pkg, dram uint64
 	for _, s := range n.sockets {
-		s.Dev.AdvanceIteration(s.Rapl.EncodeEnergyDelta(perSocket), s.Rapl.EncodeEnergyDelta(dramPerSocket), aperf, base)
+		if u := s.Rapl.EnergyUnit(); u != unit {
+			unit = u
+			pkg, dram = s.Rapl.EncodeEnergyDelta(perSocket), s.Rapl.EncodeEnergyDelta(dramPerSocket)
+		}
+		s.Dev.AdvanceIteration(pkg, dram, aperf, base)
 	}
 	return nil
 }
@@ -464,12 +473,17 @@ func (n *Node) CreditIterations(pr *PhaseResult, iterTime time.Duration, from, t
 	cycles := func(hz float64, k int) uint64 { return uint64(hz * (secs * float64(k))) }
 	base := cycles(baseHz, to) - cycles(baseHz, from)
 	aperf := cycles(aHz, to) - cycles(aHz, from)
+	// Encodings are shared across sockets as in FinishIteration.
+	unit := units.Energy(-1)
+	var pkg, dram uint64
 	for _, s := range n.sockets {
-		r := s.Rapl
-		s.Dev.AdvanceIteration(
-			r.EncodeEnergyDelta(perSocket*units.Energy(to))-r.EncodeEnergyDelta(perSocket*units.Energy(from)),
-			r.EncodeEnergyDelta(dramPerSocket*units.Energy(to))-r.EncodeEnergyDelta(dramPerSocket*units.Energy(from)),
-			aperf, base)
+		if u := s.Rapl.EnergyUnit(); u != unit {
+			unit = u
+			r := s.Rapl
+			pkg = r.EncodeEnergyDelta(perSocket*units.Energy(to)) - r.EncodeEnergyDelta(perSocket*units.Energy(from))
+			dram = r.EncodeEnergyDelta(dramPerSocket*units.Energy(to)) - r.EncodeEnergyDelta(dramPerSocket*units.Energy(from))
+		}
+		s.Dev.AdvanceIteration(pkg, dram, aperf, base)
 	}
 }
 

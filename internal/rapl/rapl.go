@@ -290,6 +290,11 @@ func (d *Domain) ReadDRAMEnergy() (units.Energy, error) {
 	return e, nil
 }
 
+// EnergyUnit returns the energy of one energy-counter LSB, decoded from
+// MSR_RAPL_POWER_UNIT. Domains with equal units encode every energy
+// alike, so the hardware model encodes an amount once for all of them.
+func (d *Domain) EnergyUnit() units.Energy { return d.units.EnergyUnit }
+
 // EncodeEnergyDelta converts an energy amount into energy-counter LSBs, used
 // by the hardware model to advance the accumulator.
 func (d *Domain) EncodeEnergyDelta(e units.Energy) uint64 {

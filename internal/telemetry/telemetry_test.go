@@ -61,7 +61,7 @@ func runIterations(t *testing.T, nodes []*node.Node, iters int) time.Duration {
 	j.NoiseSigma = 0
 	var elapsed time.Duration
 	for k := 0; k < iters; k++ {
-		ir, err := j.RunIteration()
+		ir, err := j.RunIterationInto(new(bsp.IterationScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
