@@ -157,56 +157,51 @@ func (s *Socket) ComputeRoofPerCore(v kernel.Vector, f units.Frequency) units.Fl
 	return s.Spec.Platform.ComputeRoof(v, f)
 }
 
-// TimeFor returns how long one iteration of the phase takes at frequency f:
-// the roofline bound max(flops/computeRoof, bytes/memRoof) with the
-// contended per-core memory bandwidth. Zero work takes zero time.
-func (s *Socket) TimeFor(ph Phase, f units.Frequency) time.Duration {
+// PowerAt returns the sustained socket power while executing the phase at
+// frequency f.
+func (s *Socket) PowerAt(ph Phase, f units.Frequency) units.Power {
+	_, u := s.roof(ph, f)
+	return s.dynamic(s.activity(ph, u), f)
+}
+
+// roof evaluates the roofline once: one iteration of the phase takes
+// max(flops/computeRoof, bytes/memRoof) at frequency f, with the contended
+// per-core memory bandwidth, and each pipe is busy for its share of that
+// time. Zero work, or a non-positive roof, takes zero time at zero
+// utilization.
+func (s *Socket) roof(ph Phase, f units.Frequency) (time.Duration, roofline.Utilization) {
 	var tComp, tMem float64
 	if ph.Work.Flops > 0 {
 		roof := float64(s.ComputeRoofPerCore(ph.Vector, f))
 		if roof <= 0 {
-			return 0
+			return 0, roofline.Utilization{}
 		}
 		tComp = float64(ph.Work.Flops) / roof
 	}
 	if ph.Work.Traffic > 0 {
 		roof := float64(s.MemRoofPerCore(f))
 		if roof <= 0 {
-			return 0
+			return 0, roofline.Utilization{}
 		}
 		tMem = float64(ph.Work.Traffic) / roof
 	}
-	return time.Duration(math.Max(tComp, tMem) * float64(time.Second))
-}
-
-// Utilization returns the FP and memory pipe utilizations while executing
-// the phase at frequency f.
-func (s *Socket) Utilization(ph Phase, f units.Frequency) roofline.Utilization {
-	total := s.TimeFor(ph, f).Seconds()
-	if total <= 0 {
-		return roofline.Utilization{}
-	}
+	dur := time.Duration(math.Max(tComp, tMem) * float64(time.Second))
 	var u roofline.Utilization
-	if ph.Work.Flops > 0 {
-		u.FPU = float64(ph.Work.Flops) / float64(s.ComputeRoofPerCore(ph.Vector, f)) / total
+	if total := dur.Seconds(); total > 0 {
+		if ph.Work.Flops > 0 {
+			u.FPU = tComp / total
+		}
+		if ph.Work.Traffic > 0 {
+			u.Mem = tMem / total
+		}
 	}
-	if ph.Work.Traffic > 0 {
-		u.Mem = float64(ph.Work.Traffic) / float64(s.MemRoofPerCore(f)) / total
-	}
-	return u
+	return dur, u
 }
 
-// PowerAt returns the sustained socket power while executing the phase at
-// frequency f.
-func (s *Socket) PowerAt(ph Phase, f units.Frequency) units.Power {
-	return s.dynamic(s.activity(ph, f), f)
-}
-
-// activity returns the phase's dynamic-power activity factor d at
-// frequency f — the utilization-weighted sum of the dynamic coefficients,
-// independent of eta.
-func (s *Socket) activity(ph Phase, f units.Frequency) float64 {
-	u := s.Utilization(ph, f)
+// activity returns the phase's dynamic-power activity factor d at pipe
+// utilizations u — the utilization-weighted sum of the dynamic
+// coefficients, independent of eta.
+func (s *Socket) activity(ph Phase, u roofline.Utilization) float64 {
 	vec := ph.Vector.PowerScale()
 	// Narrower vectors toggle less of the core pipeline every cycle, so
 	// part of the base switching power scales with vector width too —
@@ -217,48 +212,14 @@ func (s *Socket) activity(ph Phase, f units.Frequency) float64 {
 }
 
 // Operate resolves the phase's iteration time, sustained power, and pipe
-// utilizations at frequency f in one fused pass, sharing the roofline
-// evaluations that TimeFor, Utilization, and PowerAt would each redo. The
-// results are bit-identical to calling the three separately (same operands,
-// same operation order — pinned by TestOperateMatchesSeparate); node.resolve
-// uses it on the cap-resolution hot path, where the three-call version paid
-// for five roofline evaluations per resolve.
+// utilizations at frequency f from one roofline evaluation. The results
+// are bit-identical to the separate time, power and utilization oracles
+// the tests keep (same operands, same operation order — pinned by
+// TestOperateMatchesSeparate); node.resolve uses it for the operating
+// point it outputs.
 func (s *Socket) Operate(ph Phase, f units.Frequency) (time.Duration, units.Power, roofline.Utilization) {
-	var tComp, tMem float64
-	degenerate := false
-	if ph.Work.Flops > 0 {
-		roof := float64(s.ComputeRoofPerCore(ph.Vector, f))
-		if roof <= 0 {
-			degenerate = true
-		} else {
-			tComp = float64(ph.Work.Flops) / roof
-		}
-	}
-	if !degenerate && ph.Work.Traffic > 0 {
-		roof := float64(s.MemRoofPerCore(f))
-		if roof <= 0 {
-			degenerate = true
-		} else {
-			tMem = float64(ph.Work.Traffic) / roof
-		}
-	}
-	var dur time.Duration
-	if !degenerate {
-		dur = time.Duration(math.Max(tComp, tMem) * float64(time.Second))
-	}
-	var u roofline.Utilization
-	if total := dur.Seconds(); total > 0 {
-		if ph.Work.Flops > 0 {
-			u.FPU = tComp / total
-		}
-		if ph.Work.Traffic > 0 {
-			u.Mem = tMem / total
-		}
-	}
-	vec := ph.Vector.PowerScale()
-	base := s.Spec.CBase * (0.75 + 0.25*vec)
-	d := base + s.Spec.CFPU*vec*u.FPU + s.Spec.CMem*u.Mem
-	return dur, s.dynamic(d, f), u
+	dur, u := s.roof(ph, f)
+	return dur, s.dynamic(s.activity(ph, u), f), u
 }
 
 // SpinPowerAt returns the socket power while all cores poll at a barrier at

@@ -2,6 +2,7 @@ package cpumodel
 
 import (
 	"math"
+	"time"
 
 	"powerstack/internal/kernel"
 	"powerstack/internal/roofline"
@@ -18,6 +19,45 @@ func quartz() *Spec {
 // operating point that the shared cap tables and node.resolve reproduce bit
 // for bit, and the Choi energy roofline the power model decomposes into.
 // Only the tests call them.
+
+// TimeFor returns how long one iteration of the phase takes at frequency f:
+// the roofline bound max(flops/computeRoof, bytes/memRoof) with the
+// contended per-core memory bandwidth. Zero work takes zero time.
+func (s *Socket) TimeFor(ph Phase, f units.Frequency) time.Duration {
+	var tComp, tMem float64
+	if ph.Work.Flops > 0 {
+		roof := float64(s.ComputeRoofPerCore(ph.Vector, f))
+		if roof <= 0 {
+			return 0
+		}
+		tComp = float64(ph.Work.Flops) / roof
+	}
+	if ph.Work.Traffic > 0 {
+		roof := float64(s.MemRoofPerCore(f))
+		if roof <= 0 {
+			return 0
+		}
+		tMem = float64(ph.Work.Traffic) / roof
+	}
+	return time.Duration(math.Max(tComp, tMem) * float64(time.Second))
+}
+
+// Utilization returns the FP and memory pipe utilizations while executing
+// the phase at frequency f.
+func (s *Socket) Utilization(ph Phase, f units.Frequency) roofline.Utilization {
+	total := s.TimeFor(ph, f).Seconds()
+	if total <= 0 {
+		return roofline.Utilization{}
+	}
+	var u roofline.Utilization
+	if ph.Work.Flops > 0 {
+		u.FPU = float64(ph.Work.Flops) / float64(s.ComputeRoofPerCore(ph.Vector, f)) / total
+	}
+	if ph.Work.Traffic > 0 {
+		u.Mem = float64(ph.Work.Traffic) / float64(s.MemRoofPerCore(f)) / total
+	}
+	return u
+}
 
 // SpinFrequencyForCap is FrequencyForCap for the spin-wait phase.
 func (s *Socket) SpinFrequencyForCap(cap units.Power) units.Frequency {

@@ -36,6 +36,11 @@ type CapTable struct {
 	freqs []units.Frequency
 	pows  []float64
 	ds    []float64
+	// binom holds the binomial coefficients C(alpha, k), k = 1..seriesOrder,
+	// of the series seriesPower evaluates; series reports whether the grid
+	// is fine enough for that series to stay within seriesTolerance.
+	binom  [seriesOrder]float64
+	series bool
 }
 
 // capTableSubSteps is the grid refinement below the P-state step.
@@ -69,10 +74,32 @@ const probeOffset units.Frequency = 2
 // three orders of magnitude of room.
 const probeMargin = 1e-12
 
+// seriesOrder is the order of the binomial series that stands in for
+// math.Pow near a grid point (see seriesPower).
+const seriesOrder = 5
+
+// seriesTolerance bounds the truncation error of the series, relative to
+// the f^alpha term, for a table to decide comparisons from it: three orders
+// of magnitude inside probeMargin, the same room the margin leaves the
+// model's own rounding. On Quartz the error bound is about 2e-16.
+const seriesTolerance = 1e-15
+
 // tableKey identifies a shared table: the full spec (every field enters the
 // power law) plus the work mix, or the spin loop.
 type tableKey struct {
 	spec Spec
+	ph   Phase
+	spin bool
+}
+
+// specKey is tableKey with the spec by pointer. Every socket of a pool
+// shares one immutable spec, so a lookup by pointer finds the pool's table
+// without hashing the spec's fields — a node that switches phase pays for
+// the work mix alone. A pointer seen first falls through to the
+// value-keyed map, so equal specs behind different pointers (two pools
+// built from one Quartz()) still share one table.
+type specKey struct {
+	spec *Spec
 	ph   Phase
 	spin bool
 }
@@ -83,39 +110,51 @@ type tableKey struct {
 // their key, so a rebuilt table is identical to the one dropped.
 const maxSharedTables = 4096
 
+// tables holds every shared table by value; bySpec points each (spec
+// pointer, phase) pair already asked for at its table. Every table in
+// tables is reachable from bySpec, so bySpec fills first and both start
+// over together.
 var (
 	tablesMu sync.RWMutex
 	tables   = map[tableKey]*CapTable{}
+	bySpec   = map[specKey]*CapTable{}
 )
 
 // CapTableFor returns the process-wide cap table of the phase's work mix on
-// sockets of the given spec, building it on first use.
+// sockets of the given spec, building it on first use. The spec must not
+// be modified afterwards (see Socket).
 func CapTableFor(spec *Spec, ph Phase) *CapTable {
-	return sharedTable(tableKey{spec: *spec, ph: ph})
+	return sharedTable(specKey{spec: spec, ph: ph})
 }
 
 // SpinCapTableFor returns the process-wide cap table of the spin-wait loop
 // on sockets of the given spec.
 func SpinCapTableFor(spec *Spec) *CapTable {
-	return sharedTable(tableKey{spec: *spec, spin: true})
+	return sharedTable(specKey{spec: spec, spin: true})
 }
 
-func sharedTable(k tableKey) *CapTable {
+func sharedTable(pk specKey) *CapTable {
 	tablesMu.RLock()
-	t := tables[k]
+	t := bySpec[pk]
 	tablesMu.RUnlock()
 	if t != nil {
 		return t
 	}
 	tablesMu.Lock()
 	defer tablesMu.Unlock()
+	if t = bySpec[pk]; t != nil {
+		return t
+	}
+	if len(bySpec) >= maxSharedTables {
+		clear(bySpec)
+		clear(tables)
+	}
+	k := tableKey{spec: *pk.spec, ph: pk.ph, spin: pk.spin}
 	if t = tables[k]; t == nil {
-		if len(tables) >= maxSharedTables {
-			clear(tables)
-		}
 		t = newCapTable(k.spec, k.ph, k.spin)
 		tables[k] = t
 	}
+	bySpec[pk] = t
 	return t
 }
 
@@ -145,7 +184,30 @@ func newCapTable(spec Spec, ph Phase, spin bool) *CapTable {
 		add(f)
 	}
 	add(hi)
+	t.initSeries()
 	return t
+}
+
+// initSeries stores the series coefficients C(alpha, k) and enables the
+// series when its truncation error stays within seriesTolerance on every
+// bracket. seriesPower expands around the nearer bracket end, so |x| is at
+// most half a bracket over its lower frequency. Below |x| = 0.1 (and for
+// any alpha under 40) the series' omitted terms shrink by more than half
+// each, so the first of them, doubled, bounds their sum.
+func (t *CapTable) initSeries() {
+	alpha := t.s.Spec.FreqExponent
+	c := 1.0
+	for k := range t.binom {
+		c *= (alpha - float64(k)) / float64(k+1)
+		t.binom[k] = c
+	}
+	next := c * (alpha - seriesOrder) / (seriesOrder + 1)
+	var xmax float64
+	for i := 0; i+1 < len(t.freqs); i++ {
+		xmax = max(xmax, float64(t.freqs[i+1]-t.freqs[i])/2/float64(t.freqs[i]))
+	}
+	bound := 2 * math.Abs(next) * math.Pow(xmax, seriesOrder+1)
+	t.series = xmax > 0 && xmax < 0.1 && bound <= seriesTolerance
 }
 
 // Phase returns the work mix the table inverts; a spin table reports the
@@ -155,11 +217,17 @@ func (t *CapTable) Phase() Phase { return t.ph }
 
 // terms evaluates the eta-free power-law terms at f.
 func (t *CapTable) terms(f units.Frequency) (pow, d float64) {
-	pow = math.Pow(t.s.fhat(f), t.s.Spec.FreqExponent)
+	return math.Pow(t.s.fhat(f), t.s.Spec.FreqExponent), t.activity(f)
+}
+
+// activity is the activity factor d at f: the spin loop's constant, or the
+// work mix's from one roofline evaluation.
+func (t *CapTable) activity(f units.Frequency) float64 {
 	if t.spin {
-		return pow, t.s.Spec.CBase + t.s.Spec.CSpin
+		return t.s.Spec.CBase + t.s.Spec.CSpin
 	}
-	return pow, t.s.activity(t.ph, f)
+	_, u := t.s.roof(t.ph, f)
+	return t.s.activity(t.ph, u)
 }
 
 // gridPower is a socket's power at grid point i.
@@ -171,6 +239,51 @@ func (t *CapTable) gridPower(eta float64, i int) units.Power {
 func (t *CapTable) powerAt(eta float64, f units.Frequency) units.Power {
 	pow, d := t.terms(f)
 	return t.s.Spec.power(eta, pow, d)
+}
+
+// seriesPower is a socket's power at f near grid bracket [i, i+1] without
+// math.Pow: with j the nearer bracket end and x = f/freqs[j] − 1, the
+// f^alpha term is pows[j]·(1+x)^alpha, and (1+x)^alpha is its binomial
+// series to order seriesOrder. It differs from powerAt by the series'
+// truncation (within seriesTolerance) plus a few ulps of rounding, about
+// 1e-15 relative in all; TestSeriesPowerWithinMargin pins it within 1e-14.
+// Only tables with series set may call it.
+func (t *CapTable) seriesPower(eta float64, f units.Frequency, i int) units.Power {
+	j := i
+	if f-t.freqs[i] > t.freqs[i+1]-f {
+		j = i + 1
+	}
+	x := float64(f-t.freqs[j]) / float64(t.freqs[j])
+	b := &t.binom
+	pow := t.pows[j] * (1 + x*(b[0]+x*(b[1]+x*(b[2]+x*(b[3]+x*b[4])))))
+	return t.s.Spec.power(eta, pow, t.activity(f))
+}
+
+// estimate is seriesPower where the table allows it and powerAt otherwise:
+// a power that decides comparisons against the cap only where it clears
+// the cap by margin.
+func (t *CapTable) estimate(eta float64, f units.Frequency, i int) units.Power {
+	if t.series {
+		return t.seriesPower(eta, f, i)
+	}
+	return t.powerAt(eta, f)
+}
+
+// fits reports powerAt(eta, f) <= cap for f in grid bracket [i, i+1]
+// (i < 0: anywhere on the grid). The series decides when it clears the cap
+// by margin either way: its error is three orders of magnitude below
+// margin, so the exact comparison would agree. Inside the margin, off a
+// bracket, and on a table without the series, the exact power decides.
+func (t *CapTable) fits(eta float64, cap, margin units.Power, f units.Frequency, i int) bool {
+	if i >= 0 && t.series {
+		switch p := t.seriesPower(eta, f, i); {
+		case p <= cap-margin:
+			return true
+		case p > cap+margin:
+			return false
+		}
+	}
+	return t.powerAt(eta, f) <= cap
 }
 
 // FrequencyForCap returns the achieved frequency at which a socket with
@@ -185,9 +298,11 @@ func (t *CapTable) powerAt(eta float64, f units.Frequency) units.Power {
 // model at the estimate ± probeOffset. A probe whose power clears the cap
 // by probeMargin decides every midpoint on its far side — by monotonicity
 // that midpoint's power clears the cap the same way — so only midpoints
-// between the probes (or beyond a probe that did not clear) are evaluated.
-// The sequence of midpoints and branches, and therefore the result, is the
-// plain bisection's bit for bit.
+// between the probes (or beyond a probe that did not clear) are evaluated,
+// and fits decides each of those from the bracket's series unless it
+// lands within probeMargin of the cap. The sequence of midpoints and
+// branches, and therefore the result, is the plain bisection's bit for bit;
+// math.Pow runs only for a midpoint the series cannot decide.
 func (t *CapTable) FrequencyForCap(eta float64, cap units.Power) units.Frequency {
 	n := len(t.freqs)
 	if t.gridPower(eta, n-1) <= cap {
@@ -209,12 +324,14 @@ func (t *CapTable) FrequencyForCap(eta float64, cap units.Power) units.Frequency
 	i := k - 1
 	lo, hi := t.freqs[i], t.freqs[i+1]
 	below, above := units.Frequency(math.Inf(-1)), units.Frequency(math.Inf(1))
+	margin := probeMargin * units.Power(math.Abs(float64(cap)))
 	if t.gridPower(eta, i) > cap {
 		// Monotonicity dust broke the bracket (never observed for the
 		// calibrated model); fall back to the full range, unguided.
 		lo, hi = t.freqs[0], t.freqs[n-1]
+		i = -1
 	} else {
-		below, above = t.probe(eta, cap, i)
+		below, above = t.probe(eta, cap, margin, i)
 	}
 	for k := 0; k < capTableBisectIters; k++ {
 		mid := (lo + hi) / 2
@@ -223,7 +340,7 @@ func (t *CapTable) FrequencyForCap(eta float64, cap units.Power) units.Frequency
 			lo = mid
 		case mid >= above:
 			hi = mid
-		case t.powerAt(eta, mid) <= cap:
+		case t.fits(eta, cap, margin, mid, i):
 			lo = mid
 		default:
 			hi = mid
@@ -235,8 +352,9 @@ func (t *CapTable) FrequencyForCap(eta float64, cap units.Power) units.Frequency
 // probe estimates the cap crossing inside grid bracket [i, i+1] and
 // returns the verified bounds of the guided bisection: every frequency at
 // or below below draws less than the cap, every one at or above above
-// draws more, each with probeMargin to spare. A bound no evaluation could
-// verify stays infinite, which leaves its side to plain bisection.
+// draws more, each with margin (probeMargin of the cap) to spare. A bound
+// no evaluation could verify stays infinite, which leaves its side to
+// plain bisection.
 //
 // The estimate costs one model evaluation. Inverse cubic interpolation over
 // the four grid points around the bracket lands near the crossing, and one
@@ -245,12 +363,13 @@ func (t *CapTable) FrequencyForCap(eta float64, cap units.Power) units.Frequency
 // the bracket alone lands kilohertz low on this convex curve and needs two
 // more secant steps.) The evaluation at the interpolated point counts as a
 // probe too, and replaces the probe on its side when it is the tighter
-// bound.
-func (t *CapTable) probe(eta float64, cap units.Power, i int) (below, above units.Frequency) {
+// bound. Every evaluation here is the bracket's series (estimate): its
+// error is far inside margin, so a bound it verifies holds for the exact
+// power too.
+func (t *CapTable) probe(eta float64, cap, margin units.Power, i int) (below, above units.Frequency) {
 	below, above = units.Frequency(math.Inf(-1)), units.Frequency(math.Inf(1))
-	margin := probeMargin * units.Power(math.Abs(float64(cap)))
 	check := func(f units.Frequency) units.Power {
-		p := t.powerAt(eta, f)
+		p := t.estimate(eta, f, i)
 		if p <= cap-margin && f > below {
 			below = f
 		}

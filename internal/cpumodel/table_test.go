@@ -264,16 +264,40 @@ func fuzzPhase(sel uint16) Phase {
 	return Phase{Work: w, Vector: c.Vector}
 }
 
+// bisectionMidpoint returns the midpoint the in-bracket bisection of grid
+// bracket i visits at step depth on its way to the frequency frac of the way
+// across the bracket. With the cap set to the exact power there, the plain
+// bisection takes that very path: every earlier midpoint lies a bracket
+// width over 2^depth or more from it, far outside rounding, on the side it
+// was walked from.
+func bisectionMidpoint(tbl *CapTable, i int, frac float64, depth int) units.Frequency {
+	lo, hi := tbl.freqs[i], tbl.freqs[i+1]
+	target := lo + (hi-lo)*units.Frequency(frac)
+	for k := 0; k < depth; k++ {
+		if mid := (lo + hi) / 2; mid <= target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
 // FuzzCapTableInversion pins the guided inversion against referenceBisect
 // over random eta, work mixes and spin tables. Caps land on exact grid
 // powers, one ulp either side of them (where the bracket search and the
-// probes' margins are tightest), or anywhere across and past the table's
-// power range.
+// probes' margins are tightest), anywhere across and past the table's
+// power range, or on the exact power at a bisection midpoint, one ulp
+// either side of it: there the series lands within probeMargin of the cap,
+// so only the exact fallback can decide that midpoint.
 func FuzzCapTableInversion(f *testing.F) {
 	f.Add(uint16(32768), uint16(7), false, uint8(0), uint16(40), 0.0)
 	f.Add(uint16(0), uint16(700), false, uint8(1), uint16(0), 0.0)
 	f.Add(uint16(65535), uint16(1300), true, uint8(2), uint16(112), 0.0)
 	f.Add(uint16(1234), uint16(333), false, uint8(3), uint16(0), 0.37)
+	f.Add(uint16(20000), uint16(50), false, uint8(4+7*23), uint16(60), 0.3)
+	f.Add(uint16(41000), uint16(900), true, uint8(5+7*10), uint16(3), 0.81)
+	f.Add(uint16(9), uint16(1500), false, uint8(6+7*1), uint16(110), 0.5)
 	spec := Quartz()
 	f.Fuzz(func(t *testing.T, etaSel, phaseSel uint16, spin bool, capMode uint8, gridSel uint16, frac float64) {
 		eta := 0.85 + 0.3*float64(etaSel)/math.MaxUint16
@@ -284,27 +308,120 @@ func FuzzCapTableInversion(f *testing.F) {
 		}
 		n := len(tbl.freqs)
 		grid := tbl.gridPower(eta, int(gridSel)%n)
+		if math.IsNaN(frac) || math.IsInf(frac, 0) {
+			frac = 0.5
+		}
+		frac -= math.Floor(frac)
 		var cap units.Power
-		switch capMode % 4 {
+		switch mode := capMode % 7; mode {
 		case 0:
 			cap = grid
 		case 1:
 			cap = units.Power(math.Nextafter(float64(grid), math.Inf(1)))
 		case 2:
 			cap = units.Power(math.Nextafter(float64(grid), math.Inf(-1)))
-		default:
-			if math.IsNaN(frac) || math.IsInf(frac, 0) {
-				frac = 0.5
-			}
-			frac -= math.Floor(frac)
+		case 3:
 			pMin, pMax := tbl.gridPower(eta, 0), tbl.gridPower(eta, n-1)
 			cap = pMin + (pMax-pMin)*units.Power(1.1*frac-0.05)
+		default:
+			mid := bisectionMidpoint(tbl, int(gridSel)%(n-1), frac, int(capMode/7)%capTableBisectIters)
+			cap = tbl.powerAt(eta, mid)
+			if mode == 5 {
+				cap = units.Power(math.Nextafter(float64(cap), math.Inf(1)))
+			} else if mode == 6 {
+				cap = units.Power(math.Nextafter(float64(cap), math.Inf(-1)))
+			}
 		}
 		got, want := tbl.FrequencyForCap(eta, cap), referenceBisect(tbl, eta, cap)
 		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
 			t.Fatalf("eta=%v spin=%v ph=%+v cap=%v: guided %v, reference %v", eta, spin, ph, cap, got, want)
 		}
 	})
+}
+
+// TestSeriesPowerWithinMargin pins the series that decides the guided
+// bisection: over every test work table and the spin table, etas across
+// [0.8, 1.3] and dense frequencies in every grid bracket (plus the probe
+// offset past either end), the series power stays within 1e-14 relative of
+// the exact power — two orders of magnitude inside probeMargin, so every
+// comparison the series decides, the exact power decides alike.
+func TestSeriesPowerWithinMargin(t *testing.T) {
+	spec := Quartz()
+	tbls := []*CapTable{SpinCapTableFor(&spec)}
+	for _, ph := range tablePhases() {
+		tbls = append(tbls, CapTableFor(&spec, ph))
+	}
+	const steps = 64
+	worst := 0.0
+	for _, tbl := range tbls {
+		if !tbl.series {
+			t.Fatalf("ph=%+v spin=%v: the Quartz grid does not enable the series", tbl.ph, tbl.spin)
+		}
+		for _, eta := range []float64{0.8, 0.9, 1, 1.1, 1.2, 1.3} {
+			for i := 0; i+1 < len(tbl.freqs); i++ {
+				lo, hi := tbl.freqs[i], tbl.freqs[i+1]
+				for k := -1; k <= steps+1; k++ {
+					f := lo + (hi-lo)*units.Frequency(k)/steps
+					switch k {
+					case -1:
+						f = lo - probeOffset
+					case steps + 1:
+						f = hi + probeOffset
+					}
+					got, want := tbl.seriesPower(eta, f, i), tbl.powerAt(eta, f)
+					rel := math.Abs(float64(got-want)) / float64(want)
+					if rel > 1e-14 {
+						t.Fatalf("ph=%+v spin=%v eta=%v f=%v: series %v, exact %v (rel %.3g)", tbl.ph, tbl.spin, eta, f, got, want, rel)
+					}
+					worst = max(worst, rel)
+				}
+			}
+		}
+	}
+	t.Logf("worst relative series error %.3g", worst)
+}
+
+// TestExactFallbackMatchesReference forces the exact fallback of the guided
+// bisection. Each cap is the exact power at a midpoint the plain bisection
+// visits (bisectionMidpoint), or one ulp either side of it. The series
+// lands within probeMargin of such a cap, and the midpoint lies between the
+// probes' bounds, so fits can only decide it from powerAt — and must decide
+// it as the exact comparison does. The inversion must still match
+// referenceBisect bit for bit.
+func TestExactFallbackMatchesReference(t *testing.T) {
+	spec := Quartz()
+	phases := tablePhases()
+	rng := rand.New(rand.NewPCG(5, 11))
+	for trial := 0; trial < 3000; trial++ {
+		eta := 0.85 + 0.3*rng.Float64()
+		tbl := SpinCapTableFor(&spec)
+		if k := rng.IntN(len(phases) + 1); k < len(phases) {
+			tbl = CapTableFor(&spec, phases[k])
+		}
+		i := rng.IntN(len(tbl.freqs) - 1)
+		mid := bisectionMidpoint(tbl, i, rng.Float64(), rng.IntN(capTableBisectIters))
+		exact := tbl.powerAt(eta, mid)
+		for _, cap := range []units.Power{
+			exact,
+			units.Power(math.Nextafter(float64(exact), math.Inf(1))),
+			units.Power(math.Nextafter(float64(exact), math.Inf(-1))),
+		} {
+			margin := probeMargin * cap
+			if p := tbl.seriesPower(eta, mid, i); math.Abs(float64(p-cap)) > float64(margin) {
+				t.Fatalf("trial %d cap=%v: series %v clears the margin at the midpoint", trial, cap, p)
+			}
+			if below, above := tbl.probe(eta, cap, margin, i); mid <= below || mid >= above {
+				t.Fatalf("trial %d cap=%v: probes [%v, %v] decide the midpoint %v", trial, cap, below, above, mid)
+			}
+			if got, want := tbl.fits(eta, cap, margin, mid, i), exact <= cap; got != want {
+				t.Fatalf("trial %d cap=%v: fits %v at the midpoint, exact comparison %v", trial, cap, got, want)
+			}
+			got, want := tbl.FrequencyForCap(eta, cap), referenceBisect(tbl, eta, cap)
+			if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("trial %d eta=%v spin=%v ph=%+v cap=%v: guided %v, reference %v", trial, eta, tbl.spin, tbl.ph, cap, got, want)
+			}
+		}
+	}
 }
 
 // TestCapTableShared pins that every socket of one spec shares one table
@@ -333,10 +450,10 @@ func TestSharedTableCacheBounded(t *testing.T) {
 		CapTableFor(&spec, Phase{Work: kernel.Work{Flops: units.Flops(1e6 + i)}, Vector: kernel.YMM})
 	}
 	tablesMu.RLock()
-	n := len(tables)
+	n, ptrs := len(tables), len(bySpec)
 	tablesMu.RUnlock()
-	if n > maxSharedTables {
-		t.Fatalf("cache holds %d tables, bound %d", n, maxSharedTables)
+	if n > maxSharedTables || ptrs > maxSharedTables {
+		t.Fatalf("cache holds %d tables under %d spec pointers, bound %d", n, ptrs, maxSharedTables)
 	}
 }
 

@@ -111,8 +111,8 @@ func (c instanceCommand) apply(in *Instance, workloads []kernel.Config, chunked 
 // input bytes is one command; some injections name their job with an ID of
 // the arrival or the injection form. After every command both twins returned the
 // same error, their Snapshots are byte-identical as JSON, and both pass
-// checkInvariants. At the end, the twins' closed Results are
-// byte-identical.
+// checkInvariants, each against its own previous energy-counter reading.
+// At the end, the twins' closed Results are byte-identical.
 func FuzzInstanceCommands(f *testing.F) {
 	src, db, workloads := facilityEnv(f, 24)
 	f.Add([]byte{opStep, 20, opInject, 0, opStep, 23, opScheduleBudget, 2, opStep, 23})
@@ -159,6 +159,7 @@ func fuzzInstance(t *testing.T, mode string, resp EmergencyPolicy, parallelism i
 func fuzzTwins(t *testing.T, mode string, resp EmergencyPolicy, data []byte, base func() Config, workloads []kernel.Config) {
 	t.Helper()
 	twins := [2]*Instance{fuzzInstance(t, mode, resp, 1, base), fuzzInstance(t, mode, resp, 2, base)}
+	var counters [2]counterSample
 	for i := 0; i+1 < len(data) && i < 2*fuzzCommands; i += 2 {
 		cmd := instanceCommand{op: data[i], arg: data[i+1]}
 		var errs [2]string
@@ -172,8 +173,8 @@ func fuzzTwins(t *testing.T, mode string, resp EmergencyPolicy, data []byte, bas
 		if a != b {
 			t.Fatalf("scale %q %s command %d %+v: snapshots diverged\np1: %s\np2: %s", mode, resp, i/2, cmd, a, b)
 		}
-		for _, in := range twins {
-			if err := checkInvariants(in); err != nil {
+		for k, in := range twins {
+			if err := checkInvariants(in, &counters[k]); err != nil {
 				t.Fatalf("scale %q %s command %d %+v: %v", mode, resp, i/2, cmd, err)
 			}
 		}

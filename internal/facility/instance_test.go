@@ -162,7 +162,7 @@ func TestRaisedTenantQuotaStartsQueuedJob(t *testing.T) {
 	if err := in.SetTenantQuota("acme", 4000*units.Watt); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkInvariants(in); err != nil {
+	if err := checkInvariants(in, nil); err != nil {
 		t.Fatal(err)
 	}
 	ji, _ := in.Job(second)
@@ -221,7 +221,7 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 	if err := in.Step(ctx, 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkInvariants(in); err != nil {
+	if err := checkInvariants(in, nil); err != nil {
 		t.Fatal(err)
 	}
 	sn := in.Snapshot()
@@ -252,7 +252,7 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 	if err := in.Step(ctx, 6*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkInvariants(in); err != nil {
+	if err := checkInvariants(in, nil); err != nil {
 		t.Fatal(err)
 	}
 	sn = in.Snapshot()
@@ -271,7 +271,7 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 	if err := in.Step(ctx, 15*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkInvariants(in); err != nil {
+	if err := checkInvariants(in, nil); err != nil {
 		t.Fatal(err)
 	}
 	sn = in.Snapshot()
@@ -441,7 +441,7 @@ func TestGeneratedJobIDsSkipInjectedIDs(t *testing.T) {
 		if err := in.Step(context.Background(), 10*time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		if err := checkInvariants(in); err != nil {
+		if err := checkInvariants(in, nil); err != nil {
 			t.Fatal(err)
 		}
 		if ji, _ := in.Job("job00001"); ji.Iterations != 1_000_000 {
@@ -479,7 +479,7 @@ func TestGeneratedJobIDsSkipInjectedIDs(t *testing.T) {
 		if err := in.Step(context.Background(), 10*time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		if err := checkInvariants(in); err != nil {
+		if err := checkInvariants(in, nil); err != nil {
 			t.Fatal(err)
 		}
 		if sn := in.Snapshot(); sn.Submitted != 3 {

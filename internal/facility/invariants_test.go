@@ -10,6 +10,7 @@ import (
 	"powerstack/internal/cluster"
 	"powerstack/internal/fault"
 	"powerstack/internal/msr"
+	"powerstack/internal/units"
 )
 
 // checkInvariants returns the first violated invariant of a live instance,
@@ -27,8 +28,12 @@ import (
 //     for index, and each active job's record points back at it;
 //   - one record per job: each record's state agrees with the counters —
 //     as many running, queued, completed, killed and rejected records as
-//     the instance reports — and exactly the running records carry a run.
-func checkInvariants(in *Instance) error {
+//     the instance reports — and exactly the running records carry a run;
+//   - energy counters never fall: with prev, the previous check's counter
+//     reading, no socket's package or DRAM counter stepped backwards since
+//     (see counterSample.check). prev is updated for the next check; nil
+//     skips this invariant.
+func checkInvariants(in *Instance, prev *counterSample) error {
 	st := in.st
 	sn := in.Snapshot()
 	if accounted := sn.Completed + len(sn.Running) + sn.QueuedJobs + sn.Killed; sn.Submitted != accounted {
@@ -82,6 +87,63 @@ func checkInvariants(in *Instance) error {
 			return fmt.Errorf("%d %s records, want %d", count[c.state], c.state, c.want)
 		}
 	}
+	if prev != nil {
+		return prev.check(in)
+	}
+	return nil
+}
+
+// counterSample is one reading of every socket's package and DRAM energy
+// counter, in cfg.Nodes and socket order, and the instance time it was
+// taken at.
+type counterSample struct {
+	primed    bool
+	at        time.Duration
+	pkg, dram []uint32
+}
+
+// check reads every counter and fails on one that stepped backwards since
+// the previous reading, modulo 2^32: a 32-bit difference that is negative
+// as a signed value. That reading is sound while no counter can have
+// advanced by 2^31 units, so a step is judged only when the socket's
+// largest draw — its TDP (no cap exceeds it, and the lowest P-state draws
+// less) or DRAMMaxPower — over the elapsed time plus two telemetry ticks
+// stays below that. The ticks cover settlement: counters advance by whole
+// iterations, at samples and when a job's operating point changes, so a
+// reading trails the clock by up to a tick and a probe's iteration runs
+// ahead of it. Reading is privileged, so armed MSR faults do not see it.
+func (c *counterSample) check(in *Instance) error {
+	now := in.Now()
+	span := (now - c.at + 2*in.st.cfg.Tick).Seconds()
+	k := 0
+	for _, n := range in.st.cfg.Nodes {
+		for s, su := range n.Sockets() {
+			pkg := uint32(su.Dev.PrivilegedRead(msr.MSRPkgEnergyStatus))
+			dram := uint32(su.Dev.PrivilegedRead(msr.MSRDramEnergyStatus))
+			if !c.primed {
+				c.pkg, c.dram = append(c.pkg, pkg), append(c.dram, dram)
+				k++
+				continue
+			}
+			unit := float64(su.Rapl.EnergyUnit())
+			for _, ctr := range []struct {
+				name      string
+				max       units.Power
+				was, read uint32
+			}{
+				{"package", su.Model.Spec.TDP, c.pkg[k], pkg},
+				{"DRAM", su.Model.Spec.DRAMMaxPower, c.dram[k], dram},
+			} {
+				if float64(ctr.max)*span/unit < 1<<31 && int32(ctr.read-ctr.was) < 0 {
+					return fmt.Errorf("node %s socket %d: %s energy counter fell from %#x to %#x between %v and %v",
+						n.ID, s, ctr.name, ctr.was, ctr.read, c.at, now)
+				}
+			}
+			c.pkg[k], c.dram[k] = pkg, dram
+			k++
+		}
+	}
+	c.primed, c.at = true, now
 	return nil
 }
 
@@ -100,10 +162,11 @@ func TestInstanceInvariantsHold(t *testing.T) {
 				return cfg
 			})
 			rng := rand.New(rand.NewPCG(7, uint64(len(resp))))
+			var counters counterSample
 			for i := 0; i < 96; i++ {
 				cmd := instanceCommand{op: byte(rng.IntN(opCount)), arg: byte(rng.IntN(256))}
 				_ = cmd.apply(in, workloads, false) // refusals are part of the sequence
-				if err := checkInvariants(in); err != nil {
+				if err := checkInvariants(in, &counters); err != nil {
 					t.Fatalf("scale %q %s command %d %+v: %v", mode, resp, i, cmd, err)
 				}
 			}
@@ -145,7 +208,7 @@ func TestPL1ReadFaultQuarantinesNode(t *testing.T) {
 	if err := in.Step(ctx, 20*time.Minute); err != nil {
 		t.Fatalf("Step past the read fault: %v", err)
 	}
-	if err := checkInvariants(in); err != nil {
+	if err := checkInvariants(in, nil); err != nil {
 		t.Fatal(err)
 	}
 	sn := in.Snapshot()

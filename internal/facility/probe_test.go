@@ -74,7 +74,7 @@ func TestFailedProbeKeepsIter(t *testing.T) {
 	if err := in.Step(context.Background(), 20*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkInvariants(in); err != nil {
+	if err := checkInvariants(in, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sn := in.Snapshot(); sn.Quarantined != 1 || sn.Requeued != 1 {

@@ -39,8 +39,8 @@ type Controller struct {
 	// controller is the only writer during a run, and SetPowerLimitCached
 	// returns the read-back value, so the samples need no PL1 read.
 	limits []units.Power
-	// enc memoizes the PL1 encodings applyLimits programs: the balancer
-	// rewrites every host each iteration with the same 1 s window.
+	// enc memoizes the PL1 window encoding applyLimits programs: the
+	// balancer rewrites every host each iteration with the same 1 s window.
 	enc rapl.LimitEncoder
 	// scratch and sample are the per-host buffers every Step reuses: the
 	// iteration's results and the agent's sample. A Step rewrites only

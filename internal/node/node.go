@@ -54,8 +54,8 @@ type Node struct {
 	// work and spin hold the shared cap tables (cpumodel.CapTableFor) the
 	// last resolve inverted on. A miss under a new cap reuses them instead
 	// of looking the table up again; work is replaced when its own Phase
-	// no longer matches. The socket spec, the tables' other key, is fixed
-	// for a node's lifetime.
+	// no longer matches, by a lookup keyed on the spec pointer. The socket
+	// spec, the tables' other key, is fixed for a node's lifetime.
 	work, spin *cpumodel.CapTable
 
 	// slot is the node's position in the pool of the resource manager

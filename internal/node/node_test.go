@@ -427,3 +427,31 @@ func BenchmarkResolveMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkResolvePhaseSwitch alternates two phases under two caps through
+// PlanIteration, the pattern of a node moving between jobs: every call
+// misses the operating-point memo and the held work table, so it also pays
+// the shared cap-table lookup. It must not allocate.
+func BenchmarkResolvePhaseSwitch(b *testing.B) {
+	n, err := New("quartz-0001", quartz(), 1.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	phs := [2]cpumodel.Phase{
+		phase(kernel.Config{Intensity: 8, Vector: kernel.YMM, Imbalance: 1}),
+		phase(kernel.Config{Intensity: 0.5, Vector: kernel.XMM, WaitingPct: 50, Imbalance: 2}),
+	}
+	caps := [2]units.Power{170 * units.Watt, 190 * units.Watt}
+	var enc rapl.LimitEncoder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & 1
+		if _, err := n.SetPowerLimitCached(caps[k], &enc); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := n.PlanIteration(&phs[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -155,52 +155,36 @@ func (d *Domain) RestoreFrom(src *Domain) {
 	d.sinkHost = ""
 }
 
-// LimitEncoder memoizes the PL1 field encodings of repeated limits. A
-// facility replan writes the same handful of distinct cap values across
-// thousands of sockets, and every uncached write pays the power-field
-// rounding plus the brute-force time-window search (128 candidates);
-// the encoder computes each distinct (power, window) once and replays the
-// fields from a map. Encodings are exact memoizations of pure functions of
-// the unit register, so cached and uncached writes program identical bits.
+// LimitEncoder memoizes the PL1 time-window encoding, the brute-force
+// search over 128 candidates that an uncached write pays. Every caller
+// programs the same 1 s window — the resource manager's cap commits
+// (rm.Manager and each rm.CapBatch) and the GEOPM controller, whose
+// balancer reprograms every host of its job each iteration — so one slot
+// holding the last (time unit, window) and its field serves them all. The
+// power field is a division and a rounding, cheaper to compute than to
+// look up, and the balancer's limits rarely repeat, so it is encoded per
+// write. The encoding is a pure function of the window and the unit
+// register, so cached and uncached writes program identical bits.
 //
-// Its users are the resource manager's cap commits (rm.Manager and each
-// rm.CapBatch) and the GEOPM controller, whose balancer reprograms every
-// host of its job each iteration with the same 1 s window.
-//
-// An encoder caches for one unit scheme (the first domain it sees); domains
-// with different decoded units bypass it. It is not safe for concurrent
-// use — callers that fan out keep one encoder per goroutine.
+// It is not safe for concurrent use — callers that fan out keep one
+// encoder per goroutine.
 type LimitEncoder struct {
-	units   Units
-	primed  bool
-	powers  map[units.Power]uint64
-	windows map[time.Duration]uint64
+	primed bool
+	unit   time.Duration
+	window time.Duration
+	field  uint64
 }
 
-// fields returns the PL1 power and window fields for l under u, memoized.
-func (e *LimitEncoder) fields(l Limit, u Units) (power, window uint64, ok bool) {
+// windowField returns the PL1 window field of w under time unit unit,
+// from the slot when it holds them; nil e encodes directly.
+func (e *LimitEncoder) windowField(w, unit time.Duration) uint64 {
 	if e == nil {
-		return 0, 0, false
+		return encodeTimeWindow(w, unit)
 	}
-	if !e.primed {
-		e.units = u
-		e.primed = true
-		e.powers = make(map[units.Power]uint64, 8)
-		e.windows = make(map[time.Duration]uint64, 2)
-	} else if e.units != u {
-		return 0, 0, false
+	if !e.primed || e.window != w || e.unit != unit {
+		e.primed, e.unit, e.window, e.field = true, unit, w, encodeTimeWindow(w, unit)
 	}
-	power, hit := e.powers[l.Power]
-	if !hit {
-		power = encodePowerField(l.Power, u.PowerUnit)
-		e.powers[l.Power] = power
-	}
-	window, hit = e.windows[l.TimeWindow]
-	if !hit {
-		window = encodeTimeWindow(l.TimeWindow, u.TimeUnit)
-		e.windows[l.TimeWindow] = window
-	}
-	return power, window, true
+	return e.field
 }
 
 // encodePowerField quantizes a power limit to power-unit LSBs, clamped to
@@ -215,19 +199,16 @@ func encodePowerField(p units.Power, unit units.Power) uint64 {
 
 // SetLimitCached programs PL1 in MSR_PKG_POWER_LIMIT. The power is
 // quantized to the power unit and the window to the time unit, as on
-// hardware. The field encodings are served from enc when possible (nil enc,
-// or an encoder primed for different units, computes directly); the
-// register access sequence — one read, one write — and the programmed bits
-// are the same either way, so fault countdowns and journals advance alike.
+// hardware. The window encoding is served from enc when it holds it (nil
+// enc computes directly); the register access sequence — one read, one
+// write — and the programmed bits are the same either way, so fault
+// countdowns and journals advance alike.
 func (d *Domain) SetLimitCached(l Limit, enc *LimitEncoder) error {
 	if l.Power < 0 {
 		return fmt.Errorf("rapl: negative power limit %v", l.Power)
 	}
-	field, window, ok := enc.fields(l, d.units)
-	if !ok {
-		field = encodePowerField(l.Power, d.units.PowerUnit)
-		window = encodeTimeWindow(l.TimeWindow, d.units.TimeUnit)
-	}
+	field := encodePowerField(l.Power, d.units.PowerUnit)
+	window := enc.windowField(l.TimeWindow, d.units.TimeUnit)
 	reg, err := d.dev.Read(msr.MSRPkgPowerLimit)
 	if err != nil {
 		return err

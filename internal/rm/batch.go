@@ -29,9 +29,9 @@ import (
 // are disjoint across jobs, and a job belongs to exactly one batch), so
 // register traffic, retry counts, and fault-countdown consumption per
 // device do not depend on how jobs are spread over batches. Each batch owns
-// its own limit encoder: the shared encoder's memo map is not
+// its own limit encoder: the shared encoder's slot is not
 // concurrency-safe, and since encoding is an exact memoization, private
-// memos change nothing observable.
+// slots change nothing observable.
 //
 // A batch must not be shared across concurrent goroutines; give each unit
 // of parallel work its own and Reset between rounds.
@@ -65,7 +65,7 @@ type capFailure struct {
 // NewCapBatch returns an empty batch bound to the manager.
 func (m *Manager) NewCapBatch() *CapBatch { return &CapBatch{m: m} }
 
-// Reset clears the batch for reuse, keeping capacity and the encoder memo.
+// Reset clears the batch for reuse, keeping capacity and the encoder slot.
 func (b *CapBatch) Reset() {
 	b.writes = b.writes[:0]
 	b.failures = b.failures[:0]

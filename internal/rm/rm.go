@@ -120,9 +120,9 @@ type Manager struct {
 	// credited to it and not to the spare.
 	BeforeSwap func(sj *ScheduledJob)
 
-	// enc memoizes PL1 field encodings for the writes the manager issues
-	// itself: TDP resets on release and rejoin, and spare claims. Replan
-	// caps go through each CapBatch's own encoder. The manager is
+	// enc memoizes the PL1 window encoding for the writes the manager
+	// issues itself: TDP resets on release and rejoin, and spare claims.
+	// Replan caps go through each CapBatch's own encoder. The manager is
 	// single-goroutine on the control path, so the encoder needs no
 	// locking.
 	enc rapl.LimitEncoder
