@@ -20,8 +20,6 @@ import (
 // which a _test.go file cannot export.
 var apiSurfaceAllowed = map[string]string{
 	"internal/bsp.HostError.Unwrap":           "errors.Is and errors.As call it through the error-chain interface",
-	"internal/engine.eventHeap.Less":          "heap.Interface; container/heap calls it",
-	"internal/engine.eventHeap.Swap":          "heap.Interface; container/heap calls it",
 	"internal/fault.NewPlan":                  "builds hand-written fault plans for the campaign, cluster, facility, sim and telemetry tests",
 	"internal/kernel.Config.TotalWorkPerHost": "builds the 18-rank host phases of the cpumodel and cluster tests and fuzz corpus",
 	"internal/kernel.Vectors":                 "the vector widths the root benchmarks and the cpumodel tests sweep",

@@ -63,7 +63,10 @@ type Job struct {
 	schedule  []PhaseSegment
 	iterCount int
 
+	// rng draws the noise from pcg, kept so Clone can copy the stream's
+	// state.
 	rng *rand.Rand
+	pcg *rand.PCG
 }
 
 // DefaultNoiseSigma is the OS-noise level of the simulated system: a few
@@ -83,11 +86,13 @@ func NewJob(id string, cfg kernel.Config, nodes []*node.Node, seed uint64) (*Job
 		return nil, errors.New("bsp: job needs at least one node")
 	}
 	nWaiting := WaitingHosts(cfg, len(nodes))
+	pcg := rand.NewPCG(seed, seed^0xD1B54A32D192ED03)
 	j := &Job{
 		ID:         id,
 		Config:     cfg,
 		NoiseSigma: DefaultNoiseSigma,
-		rng:        rand.New(rand.NewPCG(seed, seed^0xD1B54A32D192ED03)),
+		rng:        rand.New(pcg),
+		pcg:        pcg,
 	}
 	seen := make(map[*node.Node]bool, len(nodes))
 	for i, n := range nodes {
@@ -102,6 +107,22 @@ func NewJob(id string, cfg kernel.Config, nodes []*node.Node, seed uint64) (*Job
 		j.Hosts = append(j.Hosts, Host{Node: n, Role: role})
 	}
 	return j, nil
+}
+
+// Clone returns an independent copy of the job, its hosts moved to the
+// nodes remap returns: the same configuration, phase position and noise
+// stream state, so the copy draws the noise the original would draw next.
+// The phase schedule is shared; it is never modified after SetSchedule.
+func (j *Job) Clone(remap func(*node.Node) *node.Node) *Job {
+	c := *j
+	c.Hosts = make([]Host, len(j.Hosts))
+	for i, h := range j.Hosts {
+		c.Hosts[i] = Host{Node: remap(h.Node), Role: h.Role}
+	}
+	pcg := *j.pcg
+	c.pcg = &pcg
+	c.rng = rand.New(c.pcg)
+	return &c
 }
 
 // WaitingHosts returns how many of n hosts a job with the given config

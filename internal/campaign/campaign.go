@@ -13,11 +13,15 @@
 // scheduling-order data — so a campaign's serialized output is
 // byte-identical at any parallelism, including fully sequential.
 //
-// Scenarios that differ only in their emergency response share one
-// facility run when their budget is constant (facility.Config.ConstantBudget):
-// the response is read only when a budget change strands committed power,
-// and such a run has no budget change, so its Result is the same under
-// every response.
+// Scenarios that differ only in their emergency response form one group
+// and share the prefix of their facility run. The response is read only
+// when a budget change strands committed power, and budget changes happen
+// only at the timeline's edges, so every response runs identically up to
+// the first edge (facility.Config.Divergence). The group runs once to one
+// nanosecond before it and forks there once per further response
+// (facility.Instance.Fork); the last response continues on the original
+// instance. A lane whose budget never changes has no such instant: one run
+// to the horizon serves every response.
 package campaign
 
 import (
@@ -73,8 +77,9 @@ type Config struct {
 	// Emergencies optionally sweeps the budget-emergency response
 	// (preempt/throttle/kill) so identical shocks — same budget timeline,
 	// same fault lane, same seeds — rank the responses against each other.
-	// Empty runs one lane with Base.Emergency. A lane whose budget never
-	// changes runs one facility run for all responses (see Runner.Run).
+	// Empty runs one lane with Base.Emergency. The responses of one cell
+	// share their run up to the first budget change, and a lane whose
+	// budget never changes shares all of it (see Runner.Run).
 	Emergencies []facility.EmergencyPolicy
 
 	// Parallelism bounds the worker pool; <= 0 selects GOMAXPROCS. 1 is
@@ -125,12 +130,12 @@ type Scenario struct {
 	run runKey
 }
 
-// runKey names one distinct facility run by the scenario's axis indices
-// (indices, not values: two policies may print alike). Emergency is -1 on a
-// lane whose budget never changes, so every response of that lane maps to
-// one run.
+// runKey names one group of scenarios sharing a run prefix by the
+// scenario's axis indices (indices, not values: two policies may print
+// alike). The emergency axis is not part of it: the responses of a cell
+// differ only from the cell's divergence instant on.
 type runKey struct {
-	policy, interarrival, budget, fault, emergency, seed int
+	policy, interarrival, budget, fault, seed int
 }
 
 // emergencyLanes resolves the emergency axis: the configured sweep, or one
@@ -152,22 +157,12 @@ func (c *Config) scenarios() []Scenario {
 		plans = []NamedFaultPlan{{Name: "clean"}}
 	}
 	emergencies := c.emergencyLanes()
-	constant := make([]bool, len(plans))
-	for fi, plan := range plans {
-		fc := c.Base
-		fc.Faults = plan.Plan
-		constant[fi] = fc.ConstantBudget()
-	}
 	out := make([]Scenario, 0, len(c.Policies)*len(c.Interarrivals)*len(c.Budgets)*len(plans)*len(emergencies)*len(c.Seeds))
 	for pi, pol := range c.Policies {
 		for ii, ia := range c.Interarrivals {
 			for bi, budget := range c.Budgets {
 				for fi, plan := range plans {
-					for ei, em := range emergencies {
-						runEm := ei
-						if constant[fi] {
-							runEm = -1
-						}
+					for _, em := range emergencies {
 						for si, seed := range c.Seeds {
 							out = append(out, Scenario{
 								Index:        len(out),
@@ -177,7 +172,7 @@ func (c *Config) scenarios() []Scenario {
 								Policy:       pol,
 								Fault:        plan,
 								Emergency:    em,
-								run:          runKey{pi, ii, bi, fi, runEm, si},
+								run:          runKey{pi, ii, bi, fi, si},
 							})
 						}
 					}
@@ -188,8 +183,8 @@ func (c *Config) scenarios() []Scenario {
 	return out
 }
 
-// planRuns groups scenarios by run key: one group per distinct facility
-// run, in matrix order of its first scenario, which owns the run.
+// planRuns groups scenarios by run key: one group per shared run prefix,
+// in matrix order of its first scenario.
 func planRuns(run []Scenario) [][]int {
 	var groups [][]int
 	byKey := make(map[runKey]int, len(run))
@@ -223,8 +218,8 @@ func (c *Config) validate() error {
 			return errors.New("campaign: nil policy")
 		}
 	}
-	// Checked here, not by each facility run: a scenario sharing another
-	// response's run never validates its own.
+	// Checked here, not by each facility run: a scenario whose response
+	// continues a shared run never validates its own configuration.
 	for _, em := range c.Emergencies {
 		if !em.Valid() {
 			return fmt.Errorf("campaign: unknown emergency response %q", em)
@@ -256,13 +251,14 @@ type Runner struct {
 }
 
 // Run executes the campaign matrix and aggregates the report. It plans
-// the shard's scenarios into distinct facility runs (planRuns), executes
-// each run once on the worker pool and hands its result to every scenario
-// of its group. The report is independent of Parallelism and of worker
-// scheduling: scenario results are slotted by matrix index, aggregation
-// follows matrix order, and on error the first failure in matrix order is
-// returned (as Run's error, wrapped with its scenario), regardless of
-// which worker hit an error first on the wall clock.
+// the shard's scenarios into groups that differ only in their emergency
+// response (planRuns) and runs each group on the worker pool: the shared
+// prefix once, then a fork per further response (runGroup). The report is
+// independent of Parallelism and of worker scheduling: scenario results
+// are slotted by matrix index, aggregation follows matrix order, and on
+// error the first failure in matrix order is returned (as Run's error,
+// wrapped with its scenario), regardless of which worker hit an error
+// first on the wall clock.
 func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -317,7 +313,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			pool := cluster.NewPoolState(r.Nodes)
+			pools := &workerPools{src: r.Nodes, run: cluster.NewPoolState(r.Nodes)}
 			for group := range tasks {
 				if err := ctx.Err(); err != nil {
 					for _, pos := range group {
@@ -325,7 +321,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 					}
 					continue
 				}
-				r.runGroup(ctx, &cfg, run, group, worker, root.Ctx(), pool, results, errs)
+				r.runGroup(ctx, &cfg, run, group, worker, root.Ctx(), pools, results, errs)
 			}
 		}(w)
 	}
@@ -351,48 +347,165 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Report, error) {
 	return buildReport(len(r.Nodes), cfg, scenarios, results), nil
 }
 
-// runGroup executes one distinct facility run for its group (positions in
-// run, owner first) and slots the outcome for every member. Each member
-// still gets its own scenario span, shard start/done and flight record;
-// the owner's span parents the facility run.
-func (r *Runner) runGroup(ctx context.Context, cfg *Config, run []Scenario, group []int, worker int, parent obs.SpanContext, pool *cluster.PoolState, results []*facility.Result, errs []error) {
+// workerPools are one worker's node pools: run, restored before every
+// group, and fork, the target each fork copies run onto, built on the
+// worker's first fork.
+type workerPools struct {
+	src       []*node.Node
+	run, fork *cluster.PoolState
+}
+
+// forkTarget returns the fork pool holding a copy of the run pool's
+// current state.
+func (p *workerPools) forkTarget() (*cluster.PoolState, error) {
+	if p.fork == nil {
+		p.fork = cluster.NewPoolState(p.src)
+	}
+	return p.fork, p.fork.CopyFrom(p.run)
+}
+
+// runGroup runs one group (positions in run, all of one cell, differing
+// only in their emergency response) and slots the outcome for every
+// member. The distinct responses form lanes in group order. The last lane
+// runs on the original instance; when the lane's budget timeline has a
+// divergence instant and there is more than one lane, the original first
+// stops one nanosecond before it, and each other lane forks from there
+// onto the worker's fork pool and runs to the horizon. Without a
+// divergence instant every lane shares the original's Result. Each member
+// gets its own scenario span, shard start/done and flight record; each
+// facility run's span hangs under the span of its lane's first member.
+func (r *Runner) runGroup(ctx context.Context, cfg *Config, run []Scenario, group []int, worker int, parent obs.SpanContext, pools *workerPools, results []*facility.Result, errs []error) {
 	anomalous := cfg.Anomalous
 	if anomalous == nil {
 		anomalous = DefaultAnomalous
 	}
-	var res *facility.Result
-	var err error
+	starts := make([]time.Time, len(group))
+	spans := make([]*obs.Span, len(group))
+	var lanes []int                 // group index of each distinct response's first member
+	lane := make([]int, len(group)) // group index -> lane
 	for i, pos := range group {
 		sc := run[pos]
 		r.Obs.CampaignShardStart(sc.Policy.Name(), sc.Index, worker)
-		start := time.Now()
-		sp := r.Obs.StartSpan(parent, "campaign", "scenario").
+		starts[i] = time.Now()
+		spans[i] = r.Obs.StartSpan(parent, "campaign", "scenario").
 			SetScope(sc.Policy.Name()).SetIter(sc.Index).SetValue(sc.Budget.Watts())
-		if i == 0 {
-			res, err = r.runFacility(ctx, cfg, sc, sp.Ctx(), pool)
+		lane[i] = len(lanes)
+		for l, first := range lanes {
+			if run[group[first]].Emergency == sc.Emergency {
+				lane[i] = l
+				break
+			}
 		}
-		errs[pos] = err
-		if err != nil {
-			r.captureFlight(cfg, sc, "error", err, nil)
+		if lane[i] == len(lanes) {
+			lanes = append(lanes, i)
+		}
+	}
+
+	last := len(lanes) - 1
+	forks := make([]laneFork, last)
+	for l := range forks {
+		forks[l] = laneFork{em: run[group[lanes[l]]].Emergency, parent: spans[lanes[l]].Ctx()}
+	}
+	owner := run[group[lanes[last]]]
+	res, laneErr := runLanes(ctx, r.facilityConfig(cfg, owner, spans[lanes[last]].Ctx(), pools.run), forks, pools)
+
+	for i, pos := range group {
+		sc := run[pos]
+		sp := spans[i]
+		errs[pos] = laneErr[lane[i]]
+		if errs[pos] != nil {
+			r.captureFlight(cfg, sc, "error", errs[pos], nil)
 			sp.End()
 			continue
 		}
-		results[sc.Index] = res
-		r.Obs.CampaignShardDone(sc.Policy.Name(), sc.Index, worker, time.Since(start).Seconds())
-		if cfg.FlightDir != "" && anomalous(res) {
-			r.captureFlight(cfg, sc, "anomalous", nil, res)
+		results[sc.Index] = res[lane[i]]
+		r.Obs.CampaignShardDone(sc.Policy.Name(), sc.Index, worker, time.Since(starts[i]).Seconds())
+		if cfg.FlightDir != "" && anomalous(results[sc.Index]) {
+			r.captureFlight(cfg, sc, "anomalous", nil, results[sc.Index])
 		}
 		sp.End()
 	}
 }
 
-// runFacility runs the scenario's facility simulation on the worker's
-// pool, restored to pristine first so whatever an earlier run left behind
-// (armed faults, degradation, energy accounting, power limits) is wiped.
-func (r *Runner) runFacility(ctx context.Context, cfg *Config, sc Scenario, parent obs.SpanContext, pool *cluster.PoolState) (*facility.Result, error) {
-	if err := pool.Restore(); err != nil {
+// laneFork is one lane a group forks: its response and the span its
+// facility run hangs under.
+type laneFork struct {
+	em     facility.EmergencyPolicy
+	parent obs.SpanContext
+}
+
+// runLanes runs fc on the worker's run pool, restored to pristine first so
+// whatever an earlier run left behind (armed faults, degradation, energy
+// accounting, power limits) is wiped, and one fork per entry of forks. It
+// returns each lane's Result and error, the forks' first and fc's last.
+// With a divergence instant the run stops one nanosecond before it and
+// each fork continues from there on the fork pool; without one the forks
+// share fc's Result.
+func runLanes(ctx context.Context, fc facility.Config, forks []laneFork, pools *workerPools) ([]*facility.Result, []error) {
+	n := len(forks) + 1
+	res, errs := make([]*facility.Result, n), make([]error, n)
+	fail := func(err error) ([]*facility.Result, []error) {
+		for l := range errs {
+			errs[l] = err
+		}
+		return res, errs
+	}
+	if err := pools.run.Restore(); err != nil {
+		return fail(err)
+	}
+	in, err := facility.NewInstance(fc)
+	if err != nil {
+		return fail(err)
+	}
+	if err := in.Start(); err != nil {
+		return fail(err)
+	}
+	at, diverges := fc.Divergence()
+	if diverges && len(forks) > 0 {
+		if err := in.Step(ctx, at-1); err != nil {
+			in.Close()
+			return fail(err)
+		}
+		for l, f := range forks {
+			res[l], errs[l] = forkLane(ctx, in, f, pools)
+		}
+	}
+	res[n-1], errs[n-1] = finish(ctx, in)
+	if !diverges {
+		for l := range forks {
+			res[l], errs[l] = res[n-1], errs[n-1]
+		}
+	}
+	return res, errs
+}
+
+// forkLane forks in under f's response onto the worker's fork pool and
+// runs the fork to its horizon.
+func forkLane(ctx context.Context, in *facility.Instance, f laneFork, pools *workerPools) (*facility.Result, error) {
+	target, err := pools.forkTarget()
+	if err != nil {
 		return nil, err
 	}
+	fork, err := in.Fork(target.Nodes(), f.em, f.parent)
+	if err != nil {
+		return nil, err
+	}
+	return finish(ctx, fork)
+}
+
+// finish steps in to its horizon and closes it. A failed step still closes
+// the instance, which hands its nodes back; its Result is dropped.
+func finish(ctx context.Context, in *facility.Instance) (*facility.Result, error) {
+	if err := in.Step(ctx, in.Horizon()); err != nil {
+		in.Close()
+		return nil, err
+	}
+	return in.Close()
+}
+
+// facilityConfig is the scenario's facility configuration on pool, its
+// run span under parent.
+func (r *Runner) facilityConfig(cfg *Config, sc Scenario, parent obs.SpanContext, pool *cluster.PoolState) facility.Config {
 	fc := cfg.Base
 	fc.Nodes = pool.Nodes()
 	fc.DB = r.DB
@@ -404,7 +517,7 @@ func (r *Runner) runFacility(ctx context.Context, cfg *Config, sc Scenario, pare
 	fc.Policy = sc.Policy
 	fc.Faults = sc.Fault.Plan
 	fc.Emergency = sc.Emergency
-	return facility.Run(ctx, fc)
+	return fc
 }
 
 // captureFlight writes one flight-recorder artifact for the scenario. The

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"powerstack/internal/cluster"
 	"powerstack/internal/facility"
 	"powerstack/internal/fault"
 	"powerstack/internal/obs"
@@ -113,32 +114,105 @@ func TestSharedMatrixMatchesSingleResponses(t *testing.T) {
 	}
 }
 
-// TestShockLaneSharesNothing pins that a lane whose budget changes never
-// shares a run: every scenario of the shock lane, and every scenario of a
-// matrix whose base carries a budget step (even a same-value one), gets its
-// own facility run.
-func TestShockLaneSharesNothing(t *testing.T) {
+// engineEvents sums the engine dispatches the sink counted over the
+// facility's event kinds.
+func engineEvents(s *obs.Sink) int {
+	total := 0
+	for _, kind := range []string{"arrival", "completion", "inject", "sample", "budget", "fault_crash", "fault_repair", "fault_slow"} {
+		total += int(s.Metrics.Counter(obs.MetricEngineEvents, "kind", kind).Value())
+	}
+	return total
+}
+
+// prefixEvents is how many engine events the scenario's facility run
+// dispatches up to and including virtual time at, read from a live
+// Snapshot.
+func prefixEvents(t *testing.T, r *Runner, cfg Config, sc Scenario, at time.Duration) int {
+	t.Helper()
+	in, err := facility.NewInstance(r.facilityConfig(&cfg, sc, obs.SpanContext{}, cluster.NewPoolState(r.Nodes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Step(context.Background(), at); err != nil {
+		t.Fatal(err)
+	}
+	n := in.Snapshot().EventsDispatched
+	if _, err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestShockLaneSharesPrefix pins the grouping rule on lanes whose budget
+// changes. A shock lane swept over the three responses dispatches, per
+// seed, one prefix — the events up to one nanosecond before the drop —
+// plus one suffix per response, and its report equals the three
+// single-response matrices scenario by scenario. A same-value BudgetStep
+// changes no budget, yet it still marks the divergence instant: the lane
+// forks there, and every response gets the same result.
+func TestShockLaneSharesPrefix(t *testing.T) {
 	const nodes = 6
 	r := testRunner(t, nodes)
+	step := laneConfig(nodes, NamedFaultPlan{Name: "clean"})
+	step.Base.BudgetSteps = []facility.BudgetStep{{At: 90 * time.Minute, Budget: step.Budgets[0]}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		at   time.Duration
+	}{
+		{"shock", laneConfig(nodes, shockLane()), time.Hour},
+		{"same-value step", step, 90 * time.Minute},
+	} {
+		cfg := tc.cfg
+		r.Obs = obs.New()
+		swept, err := r.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := len(cfg.Seeds)
+		if got, want := spanCount(r.Obs, "facility_run"), len(allResponses)*seeds; got != want {
+			t.Errorf("%s: %d facility runs, want one original and two forks per seed (%d)", tc.name, got, want)
+		}
+		got := engineEvents(r.Obs)
 
-	r.Obs = obs.New()
-	cfg := laneConfig(nodes, shockLane())
-	rep, err := r.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := spanCount(r.Obs, "facility_run"); got != len(rep.Scenarios) {
-		t.Errorf("shock lane: %d facility runs for %d scenarios", got, len(rep.Scenarios))
-	}
-
-	r.Obs = obs.New()
-	cfg = laneConfig(nodes, NamedFaultPlan{Name: "clean"})
-	cfg.Base.BudgetSteps = []facility.BudgetStep{{At: time.Hour, Budget: cfg.Budgets[0]}}
-	rep, err = r.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := spanCount(r.Obs, "facility_run"); got != len(rep.Scenarios) {
-		t.Errorf("stepped budget: %d facility runs for %d scenarios", got, len(rep.Scenarios))
+		// Each single-response matrix runs its own prefix.
+		want := 0
+		for ei, em := range allResponses {
+			single := cfg
+			single.Emergencies = []facility.EmergencyPolicy{em}
+			r.Obs = obs.New()
+			rep, err := r.Run(context.Background(), single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += engineEvents(r.Obs)
+			for si := 0; si < seeds; si++ {
+				w := rep.Scenarios[si]
+				g := swept.Scenarios[ei*seeds+si]
+				w.Index = g.Index
+				if g != w {
+					t.Errorf("%s %s seed %d: swept matrix differs from single-response matrix:\n  swept:  %+v\n  single: %+v",
+						tc.name, em, g.Seed, g, w)
+				}
+				if tc.name != "shock" && g.BudgetChanges+g.Preempted+g.Killed != 0 {
+					t.Errorf("%s %s seed %d: a same-value step changed the budget or shed jobs: %+v", tc.name, em, g.Seed, g)
+				}
+			}
+		}
+		r.Obs = nil
+		shared := 0
+		for _, sc := range cfg.scenarios()[:seeds] {
+			shared += prefixEvents(t, r, cfg, sc, tc.at-1)
+		}
+		if shared == 0 {
+			t.Fatalf("%s: the prefix dispatched nothing", tc.name)
+		}
+		if wantShared := want - (len(allResponses)-1)*shared; got != wantShared {
+			t.Errorf("%s: swept matrix dispatched %d engine events, want one prefix (%d per matrix) and three suffixes: %d",
+				tc.name, got, shared, wantShared)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 
 	"powerstack/internal/node"
@@ -41,6 +42,24 @@ func (ps *PoolState) Restore() error {
 	copy(ps.words, ps.prist)
 	for i, n := range ps.nodes {
 		if err := n.RestoreAuxFrom(ps.src[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CopyFrom makes ps a copy of src in its current state: one flat copy of
+// src's register arena, then each node's auxiliary state (models, RAPL
+// accounting, armed faults with their remaining budgets, degradation).
+// Both pools must be clones of the same source pool. A forked facility run
+// continues on the copy while src continues on its own.
+func (ps *PoolState) CopyFrom(src *PoolState) error {
+	if len(ps.words) != len(src.words) || len(ps.nodes) != len(src.nodes) {
+		return fmt.Errorf("cluster: cannot copy a %d-node pool onto a %d-node pool", len(src.nodes), len(ps.nodes))
+	}
+	copy(ps.words, src.words)
+	for i, n := range ps.nodes {
+		if err := n.RestoreAuxFrom(src.nodes[i]); err != nil {
 			return err
 		}
 	}

@@ -173,3 +173,71 @@ func TestRecycledPoolBehavesLikeFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolStateCopyFromForks checks the fork primitive: after CopyFrom a
+// pool holds the scrambled source pool's registers, degradation and armed
+// faults (with their remaining budgets), and from then on the two pools
+// evolve independently under identical work.
+func TestPoolStateCopyFromForks(t *testing.T) {
+	ps, src := testPoolState(t, 6, 11)
+	other := NewPoolState(src)
+	scramble(t, ps.Nodes(), 9)
+	scramble(t, other.Nodes(), 4) // stale state CopyFrom must overwrite
+	if err := other.CopyFrom(ps); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range other.Nodes() {
+		orig := ps.Nodes()[i]
+		if n == orig {
+			t.Fatalf("node %d: the copy shares the source's node", i)
+		}
+		got, want := registerImage(t, n), registerImage(t, orig)
+		for si := range want {
+			if len(got[si]) != len(want[si]) {
+				t.Fatalf("node %s socket %d: %d registers, want %d", n.ID, si, len(got[si]), len(want[si]))
+			}
+			for addr, w := range want[si] {
+				if got[si][addr] != w {
+					t.Fatalf("node %s socket %d reg 0x%X: got %#x want %#x", n.ID, si, addr, got[si][addr], w)
+				}
+			}
+		}
+		if n.Degradation() != orig.Degradation() {
+			t.Fatalf("node %s: degradation %v, want %v", n.ID, n.Degradation(), orig.Degradation())
+		}
+	}
+	// The armed write and read faults fire on the same access in both
+	// pools, and one pool's writes never reach the other.
+	for k := 0; k < 4; k++ {
+		for i, n := range other.Nodes() {
+			orig := ps.Nodes()[i]
+			_, errA := orig.SetPowerLimit(units.Power(150+10*k) * units.Watt)
+			_, errB := n.SetPowerLimit(units.Power(150+10*k) * units.Watt)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("write %d node %s: source err %v, copy err %v", k, n.ID, errA, errB)
+			}
+			la, errA := orig.PowerLimit()
+			lb, errB := n.PowerLimit()
+			if la != lb || (errA == nil) != (errB == nil) {
+				t.Fatalf("read %d node %s: source %v/%v, copy %v/%v", k, n.ID, la, errA, lb, errB)
+			}
+		}
+	}
+	before := registerImage(t, ps.Nodes()[0])
+	other.Nodes()[0].SetDegradation(3)
+	other.Nodes()[0].SetPowerLimit(other.Nodes()[0].MinLimit())
+	if ps.Nodes()[0].Degradation() == 3 {
+		t.Fatal("degrading the copy degraded the source")
+	}
+	after := registerImage(t, ps.Nodes()[0])
+	for si := range before {
+		for addr, w := range before[si] {
+			if after[si][addr] != w {
+				t.Fatalf("a write to the copy changed the source's reg 0x%X", addr)
+			}
+		}
+	}
+	if err := other.CopyFrom(NewPoolState(src[:3])); err == nil {
+		t.Error("copying a 3-node pool onto a 6-node pool succeeded")
+	}
+}

@@ -289,7 +289,7 @@ func TestRunOnSharedEngineMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := engine.New()
+		eng := engine.New[int]()
 		res, err := c.RunOn(context.Background(), eng, iters)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestRunOnSharedEngineMatchesRun(t *testing.T) {
 
 type coordResult struct {
 	res Result
-	eng *engine.Scheduler
+	eng *engine.Scheduler[int]
 }
 
 func TestRunOnNilEngineRejected(t *testing.T) {

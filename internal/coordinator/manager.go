@@ -202,19 +202,23 @@ func (c *Coordinator) heldRequest(i int, rt *Runtime, round int) Request {
 // jobs still talking. Both decisions are journaled as RequestHold events.
 //
 // Run is RunOn on a private discrete-event engine; callers that want the
-// protocol's round boundaries interleaved with other event streams (the
-// facility, fault timelines) hand RunOn a shared scheduler instead.
+// protocol's rounds on a scheduler they own (to read its clock and
+// dispatch count afterwards) hand RunOn one instead.
 func (c *Coordinator) Run(ctx context.Context, iters int) (Result, error) {
-	return c.RunOn(ctx, engine.New(), iters)
+	return c.RunOn(ctx, engine.New[int](), iters)
 }
+
+// iterKind names the protocol's one event kind: a bulk-synchronous
+// iteration, whose argument is the iteration index.
+const iterKind = "coord_iter"
 
 // RunOn executes the protocol on the given discrete-event scheduler: every
 // bulk-synchronous iteration is one event whose virtual time is the
-// node-weighted elapsed time so far, so protocol rounds land on the shared
+// node-weighted elapsed time so far, so protocol rounds land on the
 // virtual timeline at the moments they would occur in the machine room.
 // The scheduler's pending events are drained before returning; results are
 // identical to Run's.
-func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters int) (Result, error) {
+func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler[int], iters int) (Result, error) {
 	if eng == nil {
 		return Result{}, errors.New("coordinator: nil engine")
 	}
@@ -234,7 +238,7 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 	}
 	// Record through a virtual-clock view of the sink for the duration of
 	// the run: the engine advances its clock before dispatching, so
-	// everything recorded inside iteration handlers (epochs, grants,
+	// everything recorded inside iteration events (epochs, grants,
 	// reallocs, node limit writes) carries its virtual timestamp. The base
 	// sink is restored on return.
 	if base := c.obs; base != nil {
@@ -249,62 +253,27 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 	for _, rt := range c.Runtimes {
 		totalNodes += len(rt.Job.Hosts)
 	}
-	res := Result{
-		Iterations:   iters,
-		IterTimes:    make([]float64, iters),
-		GrantHistory: map[string][]units.Power{},
+	run := &protocolRun{
+		c:          c,
+		eng:        eng,
+		kind:       eng.Kind(iterKind),
+		iters:      iters,
+		totalNodes: totalNodes,
+		jobElapsed: make([]time.Duration, len(c.Runtimes)),
+		res: Result{
+			Iterations:   iters,
+			IterTimes:    make([]float64, iters),
+			GrantHistory: map[string][]units.Power{},
+		},
 	}
-	var jobElapsed = make([]time.Duration, len(c.Runtimes))
-	round := 0
-	var schedule func(k int, at time.Duration)
-	schedule = func(k int, at time.Duration) {
-		eng.Schedule(at, "coord_iter", func(now time.Duration) error {
-			sp := c.obs.StartSpan(c.SpanParent, "coordinator", "coord_iter").SetIter(k)
-			defer sp.End()
-			var stepElapsed time.Duration
-			for ji, rt := range c.Runtimes {
-				ir, err := rt.Step(k)
-				if err != nil {
-					return fmt.Errorf("coordinator: iteration %d job %s: %w", k, rt.Job.ID, err)
-				}
-				w := float64(len(rt.Job.Hosts)) / float64(totalNodes)
-				res.IterTimes[k] += w * ir.Elapsed.Seconds()
-				res.TotalEnergy += ir.TotalEnergy
-				res.TotalFlops += ir.TotalFlops
-				jobElapsed[ji] += ir.Elapsed
-				stepElapsed += time.Duration(w * float64(ir.Elapsed))
-			}
-			if c.ShareAcrossJobs {
-				round++
-				reqs := make([]Request, len(c.Runtimes))
-				for i, rt := range c.Runtimes {
-					if c.Faults.RequestDropped(rt.Job.ID, round) {
-						reqs[i] = c.heldRequest(i, rt, round)
-						continue
-					}
-					c.misses[i] = 0
-					reqs[i] = rt.request()
-				}
-				for i, g := range Allocate(c.Budget, reqs) {
-					c.obs.Grant(g.JobID, k, g.Budget.Watts())
-					c.Runtimes[i].regrant(g, k)
-					res.GrantHistory[g.JobID] = append(res.GrantHistory[g.JobID], g.Budget)
-				}
-			}
-			sp.SetValue(stepElapsed.Seconds())
-			if k+1 < iters {
-				schedule(k+1, now+stepElapsed)
-			}
-			return nil
-		})
-	}
-	schedule(0, eng.Now())
-	if err := eng.Drain(ctx); err != nil {
+	eng.Schedule(eng.Now(), run.kind, 0)
+	if err := eng.Drain(ctx, run); err != nil {
 		return Result{}, err
 	}
+	res := run.res
 	for ji, rt := range c.Runtimes {
 		w := float64(len(rt.Job.Hosts)) / float64(totalNodes)
-		res.Elapsed += time.Duration(w * float64(jobElapsed[ji]))
+		res.Elapsed += time.Duration(w * float64(run.jobElapsed[ji]))
 	}
 	var sum float64
 	for _, t := range res.IterTimes {
@@ -314,4 +283,61 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler, iters in
 		res.MeanPower = units.Power(res.TotalEnergy.Joules() / sum)
 	}
 	return res, nil
+}
+
+// protocolRun is one RunOn in progress: the dispatcher of its iteration
+// events and the result they accumulate.
+type protocolRun struct {
+	c          *Coordinator
+	eng        *engine.Scheduler[int]
+	kind       engine.Kind
+	iters      int
+	totalNodes int
+	round      int
+	jobElapsed []time.Duration
+	res        Result
+}
+
+// Dispatch runs bulk-synchronous iteration k: every runtime steps once,
+// the protocol round renegotiates grants when jobs share power, and
+// iteration k+1 is scheduled at the node-weighted elapsed time.
+func (p *protocolRun) Dispatch(now time.Duration, _ engine.Kind, k int) error {
+	c, res := p.c, &p.res
+	sp := c.obs.StartSpan(c.SpanParent, "coordinator", "coord_iter").SetIter(k)
+	defer sp.End()
+	var stepElapsed time.Duration
+	for ji, rt := range c.Runtimes {
+		ir, err := rt.Step(k)
+		if err != nil {
+			return fmt.Errorf("coordinator: iteration %d job %s: %w", k, rt.Job.ID, err)
+		}
+		w := float64(len(rt.Job.Hosts)) / float64(p.totalNodes)
+		res.IterTimes[k] += w * ir.Elapsed.Seconds()
+		res.TotalEnergy += ir.TotalEnergy
+		res.TotalFlops += ir.TotalFlops
+		p.jobElapsed[ji] += ir.Elapsed
+		stepElapsed += time.Duration(w * float64(ir.Elapsed))
+	}
+	if c.ShareAcrossJobs {
+		p.round++
+		reqs := make([]Request, len(c.Runtimes))
+		for i, rt := range c.Runtimes {
+			if c.Faults.RequestDropped(rt.Job.ID, p.round) {
+				reqs[i] = c.heldRequest(i, rt, p.round)
+				continue
+			}
+			c.misses[i] = 0
+			reqs[i] = rt.request()
+		}
+		for i, g := range Allocate(c.Budget, reqs) {
+			c.obs.Grant(g.JobID, k, g.Budget.Watts())
+			c.Runtimes[i].regrant(g, k)
+			res.GrantHistory[g.JobID] = append(res.GrantHistory[g.JobID], g.Budget)
+		}
+	}
+	sp.SetValue(stepElapsed.Seconds())
+	if k+1 < p.iters {
+		p.eng.Schedule(now+stepElapsed, p.kind, k+1)
+	}
+	return nil
 }

@@ -25,6 +25,7 @@ package facility
 // the seed behavior (TestConstantBudgetTimelineIsByteIdentical).
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -172,27 +173,22 @@ func (st *simState) budgetCause(t time.Duration) string {
 	return "step"
 }
 
-// budgetChangePoints enumerates the distinct times in (0, horizon] where
-// the instantaneous budget actually changes value, in order. Candidate
-// times come from the steps and the drop-window edges; candidates where
-// the evaluated budget equals the previous value are filtered out, so a
-// constant timeline (including same-value steps) yields no points — and
-// the event core schedules no budget events, keeping such runs
-// byte-identical to a run with no timeline at all.
-func (st *simState) budgetChangePoints() []time.Duration {
-	var candidates []time.Duration
-	seen := map[time.Duration]bool{}
+// budgetEdges returns, in order, the distinct instants in (0, Duration]
+// at which a configured step or a fault-plan drop window edge lies: the
+// only instants a configured timeline can change the budget, whether or
+// not the value there actually differs.
+func (c *Config) budgetEdges() []time.Duration {
+	var edges []time.Duration
 	add := func(t time.Duration) {
-		if t > 0 && t <= st.horizon && !seen[t] {
-			seen[t] = true
-			candidates = append(candidates, t)
+		if t > 0 && t <= c.Duration && !slices.Contains(edges, t) {
+			edges = append(edges, t)
 		}
 	}
-	for _, s := range st.steps {
+	for _, s := range c.BudgetSteps {
 		add(s.At)
 	}
-	if !st.cfg.Faults.Empty() {
-		for _, in := range st.cfg.Faults.Injections {
+	if !c.Faults.Empty() {
+		for _, in := range c.Faults.Injections {
 			if in.Kind != fault.BudgetDrop {
 				continue
 			}
@@ -202,13 +198,37 @@ func (st *simState) budgetChangePoints() []time.Duration {
 			}
 		}
 	}
-	if len(candidates) == 0 {
-		return nil
+	slices.Sort(edges)
+	return edges
+}
+
+// Divergence returns the first instant at which runs of this
+// configuration that differ only in Emergency can differ: the earliest
+// budget-timeline edge (a configured step or a fault-plan drop window
+// edge) in (0, Duration]. The response is read only when a budget change
+// strands committed power, and budget changes happen only at edges, so up
+// to one nanosecond before it every response dispatches the same events on
+// the same state. The instant is conservative — a same-value step counts.
+// ok is false when the configured timeline has no edge: then the Result is
+// the same under every response (see ConstantBudget).
+func (c *Config) Divergence() (at time.Duration, ok bool) {
+	edges := c.budgetEdges()
+	if len(edges) == 0 {
+		return 0, false
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	return edges[0], true
+}
+
+// budgetChangePoints enumerates the distinct times in (0, horizon] where
+// the instantaneous budget actually changes value, in order: the edges of
+// the configured timeline where the evaluated budget differs from the
+// previous value. A constant timeline (including same-value steps) yields
+// no points — and the event core schedules no budget events, keeping such
+// runs byte-identical to a run with no timeline at all.
+func (st *simState) budgetChangePoints() []time.Duration {
 	var out []time.Duration
 	cur := st.budgetAt(0)
-	for _, t := range candidates {
+	for _, t := range st.cfg.budgetEdges() {
 		if b := st.budgetAt(t); b != cur {
 			out = append(out, t)
 			cur = b

@@ -286,21 +286,18 @@ func TestValidateBudgetFields(t *testing.T) {
 	}
 }
 
-// TestConstantBudgetSharesAcrossEmergencies is the premise campaign sharing
-// rests on: over random fault plans without a BudgetDrop (MSR faults,
-// crashes with and without repair, dropouts, slow nodes) ConstantBudget
-// holds and Run gives the same Result under every emergency response. One
-// BudgetDrop or one BudgetStep — even a same-value one — makes
-// ConstantBudget false, and a real drop makes the responses differ.
-func TestConstantBudgetSharesAcrossEmergencies(t *testing.T) {
-	responses := []EmergencyPolicy{EmergencyPreempt, EmergencyThrottle, EmergencyKill}
+// constantPlans returns four random fault plans over goldenConfig's nodes
+// without a BudgetDrop: MSR write and read faults, crashes with and
+// without repair, dropouts and slow nodes.
+func constantPlans(t *testing.T) []*fault.Plan {
 	var ids []string
 	for _, n := range goldenConfig(t).Nodes {
 		ids = append(ids, n.ID)
 	}
 	rng := rand.New(rand.NewPCG(26, 3))
-	for trial := 0; trial < 4; trial++ {
-		plan := fault.Generate(ids, fault.GenOptions{
+	plans := make([]*fault.Plan, 4)
+	for trial := range plans {
+		plans[trial] = fault.Generate(ids, fault.GenOptions{
 			Seed:           rng.Uint64(),
 			MSRWriteFaults: rng.IntN(3),
 			MSRReadFaults:  rng.IntN(2),
@@ -310,6 +307,19 @@ func TestConstantBudgetSharesAcrossEmergencies(t *testing.T) {
 			Dropouts:       rng.IntN(3),
 			Horizon:        30 * time.Minute,
 		})
+	}
+	return plans
+}
+
+// TestConstantBudgetSharesAcrossEmergencies is the premise campaign sharing
+// rests on: over random fault plans without a BudgetDrop (MSR faults,
+// crashes with and without repair, dropouts, slow nodes) ConstantBudget
+// holds and Run gives the same Result under every emergency response. One
+// BudgetDrop or one BudgetStep — even a same-value one — makes
+// ConstantBudget false, and a real drop makes the responses differ.
+func TestConstantBudgetSharesAcrossEmergencies(t *testing.T) {
+	responses := []EmergencyPolicy{EmergencyPreempt, EmergencyThrottle, EmergencyKill}
+	for trial, plan := range constantPlans(t) {
 		var want *Result
 		for _, em := range responses {
 			cfg := goldenConfig(t)

@@ -15,6 +15,11 @@ package facility
 //	            edges) at their exact effective instants.
 //	sample      telemetry on its own cadence (Tick).
 //
+// Every event is data (engine.Scheduler[evArg]): its kind and one
+// argument, dispatched by simState.Dispatch through one switch. Nothing in
+// the queue captures the simulation state, so Instance.Fork copies the
+// queue with the rest of the core.
+//
 // The running set is one list, active, kept index for index with the
 // manager's schedule (mgr.Jobs()), so a replan's request index addresses
 // both. Between events a job's progress is analytic: one real iteration probes
@@ -29,6 +34,7 @@ package facility
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -65,6 +71,63 @@ type evJob struct {
 	comp engine.EventID
 }
 
+// The facility's event kinds, registered with its engine in this order.
+const (
+	evArrival engine.Kind = iota
+	evCompletion
+	evInject
+	evSample
+	evBudget
+	evCrash
+	evRepair
+	evSlow
+)
+
+// eventKinds names the kinds for observability (engine.events.<name>).
+var eventKinds = [...]string{
+	evArrival:    "arrival",
+	evCompletion: "completion",
+	evInject:     "inject",
+	evSample:     "sample",
+	evBudget:     "budget",
+	evCrash:      "fault_crash",
+	evRepair:     "fault_repair",
+	evSlow:       "fault_slow",
+}
+
+// evArg is a facility event's one argument: the job record of a
+// completion, or an index — into deferred for an inject event, into
+// timeline for a fault event. Arrivals, samples and budget changes carry
+// none.
+type evArg struct {
+	rec *job
+	i   int
+}
+
+// Dispatch runs one due event: the engine's only consumer callback.
+func (st *simState) Dispatch(now time.Duration, kind engine.Kind, a evArg) error {
+	switch kind {
+	case evArrival:
+		return st.onArrival(now)
+	case evCompletion:
+		return st.onComplete(a.rec.run, now)
+	case evInject:
+		return st.onInject(a.i, now)
+	case evSample:
+		return st.onSample(now)
+	case evBudget:
+		return st.onBudget(now)
+	case evCrash:
+		return st.onCrash(st.timeline[a.i].Node, now)
+	case evRepair:
+		return st.onRepair(st.timeline[a.i].Node, now)
+	case evSlow:
+		tr := st.timeline[a.i].Transition
+		return st.onSlow(tr.Node, tr.Factor, now)
+	}
+	return fmt.Errorf("facility: unknown event kind %d", kind)
+}
+
 // hostFault is a running job whose probe failed on one of its hosts.
 type hostFault struct {
 	r    *evJob
@@ -76,24 +139,18 @@ func (st *simState) prime() {
 	// Fault timeline: every crash/repair/slow transition at its exact
 	// onset. Onsets at or before zero do not fire (At == 0 slow nodes are
 	// already armed by Plan.Arm in setup).
-	for _, tt := range st.cfg.Faults.Timeline() {
+	st.timeline = st.cfg.Faults.Timeline()
+	for i, tt := range st.timeline {
 		if tt.At <= 0 || tt.At > st.horizon {
 			continue
 		}
-		tr := tt.Transition
-		switch tr.Kind {
+		switch tt.Kind {
 		case fault.NodeCrash:
-			st.eng.Schedule(tt.At, "fault_crash", func(now time.Duration) error {
-				return st.onCrash(tr.Node, now)
-			})
+			st.eng.Schedule(tt.At, evCrash, evArg{i: i})
 		case fault.NodeRepair:
-			st.eng.Schedule(tt.At, "fault_repair", func(now time.Duration) error {
-				return st.onRepair(tr.Node, now)
-			})
+			st.eng.Schedule(tt.At, evRepair, evArg{i: i})
 		case fault.SlowNode:
-			st.eng.Schedule(tt.At, "fault_slow", func(now time.Duration) error {
-				return st.onSlow(tr.Node, tr.Factor, now)
-			})
+			st.eng.Schedule(tt.At, evSlow, evArg{i: i})
 		}
 	}
 
@@ -106,23 +163,23 @@ func (st *simState) prime() {
 	// sample applies first (lower sequence number), so the sample is
 	// judged against the budget in force from that instant on.
 	for _, bt := range st.budgetChangePoints() {
-		st.eng.Schedule(bt, "budget", st.onBudget)
+		st.eng.Schedule(bt, evBudget, evArg{})
 	}
 
 	// Telemetry sampling on its own cadence, plus a final sample exactly
 	// at the horizon when the horizon is not a cadence multiple, so the
 	// tail of the run is observed and its energy integrated.
 	tick := st.cfg.Tick
-	st.eng.Every(tick, tick, st.horizon, "sample", st.onSample)
+	st.eng.Every(tick, tick, st.horizon, evSample, evArg{})
 	if st.horizon%tick != 0 {
-		st.eng.Schedule(st.horizon, "sample", st.onSample)
+		st.eng.Schedule(st.horizon, evSample, evArg{})
 	}
 
 	// The arrival chain: each arrival schedules the next. Service-mode
 	// instances (DisableArrivals) run on injections alone.
 	if !st.cfg.DisableArrivals {
 		if first := expDuration(st.rng, st.cfg.MeanInterarrival); first <= st.horizon {
-			st.eng.Schedule(first, "arrival", st.onArrival)
+			st.eng.Schedule(first, evArrival, evArg{})
 		}
 	}
 }
@@ -305,9 +362,7 @@ func (st *simState) scheduleCompletion(r *evJob) {
 	if r.remaining > 0 && r.iter.Elapsed > 0 {
 		due = satAdd(due, satMul(r.remaining, r.iter.Elapsed))
 	}
-	r.comp = st.eng.Schedule(due, "completion", func(now time.Duration) error {
-		return st.onComplete(r, now)
-	})
+	r.comp = st.eng.Schedule(due, evCompletion, evArg{rec: r.rec})
 }
 
 // satMul returns n·d for n, d > 0, saturating at the largest Duration.
@@ -421,7 +476,7 @@ func (st *simState) onArrival(now time.Duration) error {
 		return err
 	}
 	if next := now + gap; next <= st.horizon {
-		st.eng.Schedule(next, "arrival", st.onArrival)
+		st.eng.Schedule(next, evArrival, evArg{})
 	}
 	return st.reconcile(now, false, false)
 }

@@ -227,10 +227,12 @@ type Result struct {
 // view, managers, telemetry hierarchy, RNG, the per-job records, and the
 // discrete-event core that advances them (event.go).
 type simState struct {
-	cfg   Config
-	pol   policy.Policy
-	db    *charz.DB
+	cfg Config
+	pol policy.Policy
+	db  *charz.DB
+	// rng draws arrivals from pcg, kept so a fork can copy the stream.
 	rng   *rand.Rand
+	pcg   *rand.PCG
 	mgr   *rm.Manager
 	sched *rm.Scheduler
 	root  *telemetry.Hierarchy
@@ -254,6 +256,12 @@ type simState struct {
 	jobSeq int
 	extSeq int
 
+	// timeline is the fault plan's transitions and deferred the injections
+	// Inject scheduled for later: fault and inject events carry an index
+	// into them.
+	timeline []fault.TimedTransition
+	deferred []deferredInject
+
 	// steps is the stable-sorted budget timeline, curBudget the budget in
 	// force (see budget.go).
 	steps     []BudgetStep
@@ -266,7 +274,7 @@ type simState struct {
 	// everything recorded during the run with the engine's virtual time,
 	// which reads zero during setup — correct, setup happens at virtual
 	// time zero.
-	eng *engine.Scheduler
+	eng *engine.Scheduler[evArg]
 	obs *obs.Sink
 
 	// active is the running set in start order, index for index the
@@ -378,7 +386,7 @@ func setup(cfg Config) (*simState, error) {
 		jobs:     map[string]*job{},
 		steps:    cfg.sortedSteps(),
 		horizon:  cfg.Duration,
-		eng:      engine.New(),
+		eng:      engine.New[evArg](eventKinds[:]...),
 	}
 	st.curBudget = st.budgetAt(0)
 	if st.pol == nil {
@@ -393,7 +401,8 @@ func setup(cfg Config) (*simState, error) {
 	// Corruption applies to a clone so the caller's database survives the
 	// run intact; policies see the damaged view and fall back.
 	st.db = cfg.Faults.CorruptDB(cfg.DB, st.obs)
-	st.rng = rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9))
+	st.pcg = rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9)
+	st.rng = rand.New(st.pcg)
 	st.mgr = rm.NewManager(cfg.Nodes)
 	st.mgr.Obs = st.obs
 	st.mgr.OnQuarantine = func(string, string) { st.res.Quarantined++ }

@@ -224,7 +224,7 @@ func (in *Instance) Step(ctx context.Context, until time.Duration) error {
 	if until > in.st.horizon {
 		until = in.st.horizon
 	}
-	return in.st.eng.RunUntil(ctx, until)
+	return in.st.eng.RunUntil(ctx, until, in.st)
 }
 
 // Pause freezes the instance: Step refuses until Resume. Injections and
@@ -313,13 +313,8 @@ func (in *Instance) Inject(at time.Duration, sub Submission) (string, error) {
 		Nodes: sub.Nodes, Iterations: sub.Iterations, Remaining: sub.Iterations,
 		SubmittedAt: at,
 	}}
-	st.eng.Schedule(at, "inject", func(now time.Duration) error {
-		if err := st.submitInjected(spec, sub.Iterations, now); err != nil {
-			st.reject(spec, sub.Iterations, now)
-			return nil
-		}
-		return st.reconcile(now, false, false)
-	})
+	st.deferred = append(st.deferred, deferredInject{spec: spec, iterations: sub.Iterations})
+	st.eng.Schedule(at, evInject, evArg{i: len(st.deferred) - 1})
 	return spec.ID, nil
 }
 
@@ -346,7 +341,7 @@ func (in *Instance) ScheduleBudget(at time.Duration, b units.Power) error {
 	// Stable sort keeps declaration order at equal instants, so the live
 	// step (appended last) wins ties — the timeline's usual rule.
 	sort.SliceStable(in.st.steps, func(i, j int) bool { return in.st.steps[i].At < in.st.steps[j].At })
-	in.st.eng.Schedule(at, "budget", in.st.onBudget)
+	in.st.eng.Schedule(at, evBudget, evArg{})
 	return nil
 }
 
@@ -435,7 +430,7 @@ func (in *Instance) Snapshot() Snapshot {
 		Rejoined:             res.Rejoined,
 		BudgetChanges:        res.BudgetChanges,
 		BudgetViolationTicks: res.BudgetViolationTicks,
-		EventsDispatched:     res.EventsDispatched,
+		EventsDispatched:     int(st.eng.Dispatched()),
 	}
 	for _, t := range st.sched.Tenants() {
 		sn.Tenants = append(sn.Tenants, TenantSnapshot{
@@ -509,6 +504,24 @@ func (st *simState) validateSubmission(sub Submission) error {
 		}
 	}
 	return nil
+}
+
+// deferredInject is a submission Inject scheduled for a later virtual
+// time; an inject event names it by its index in simState.deferred.
+type deferredInject struct {
+	spec       rm.JobSpec
+	iterations int
+}
+
+// onInject fires deferred injection i. Admission errors at fire time
+// degrade to journaled rejections: the submitter is long gone.
+func (st *simState) onInject(i int, now time.Duration) error {
+	d := st.deferred[i]
+	if err := st.submitInjected(d.spec, d.iterations, now); err != nil {
+		st.reject(d.spec, d.iterations, now)
+		return nil
+	}
+	return st.reconcile(now, false, false)
 }
 
 // submitInjected enqueues an injection at virtual offset now. A scheduled

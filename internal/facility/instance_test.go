@@ -487,3 +487,41 @@ func TestGeneratedJobIDsSkipInjectedIDs(t *testing.T) {
 		}
 	})
 }
+
+// TestSnapshotCountsEventsLive pins that a Snapshot reports the events the
+// engine has dispatched so far, not only after Close: a mid-run Snapshot
+// counts the prefix, which a Close at that instant then reports as the
+// Result's count, and a later Snapshot counts more.
+func TestSnapshotCountsEventsLive(t *testing.T) {
+	in, err := NewInstance(goldenConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if n := in.Snapshot().EventsDispatched; n != 0 {
+		t.Fatalf("%d events before the first step", n)
+	}
+	if err := in.Step(context.Background(), 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	mid := in.Snapshot().EventsDispatched
+	if mid <= 300 { // 300 samples alone by 10 minutes at a 2 s tick
+		t.Fatalf("mid-run snapshot counts %d events", mid)
+	}
+	if err := in.Step(context.Background(), 20*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	later := in.Snapshot().EventsDispatched
+	if later <= mid {
+		t.Errorf("snapshot at 20m counts %d events, at 10m %d", later, mid)
+	}
+	res, err := in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EventsDispatched != later {
+		t.Errorf("Close reports %d events, the last snapshot %d", res.EventsDispatched, later)
+	}
+}

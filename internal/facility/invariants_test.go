@@ -164,8 +164,8 @@ func TestInstanceInvariantsHold(t *testing.T) {
 			rng := rand.New(rand.NewPCG(7, uint64(len(resp))))
 			var counters counterSample
 			for i := 0; i < 96; i++ {
-				cmd := instanceCommand{op: byte(rng.IntN(opCount)), arg: byte(rng.IntN(256))}
-				_ = cmd.apply(in, workloads, false) // refusals are part of the sequence
+				cmd := instanceCommand{op: byte(rng.IntN(opFork)), arg: byte(rng.IntN(256))}
+				_ = cmd.apply(in, workloads, nil) // refusals are part of the sequence
 				if err := checkInvariants(in, &counters); err != nil {
 					t.Fatalf("scale %q %s command %d %+v: %v", mode, resp, i, cmd, err)
 				}

@@ -3,6 +3,7 @@ package rm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -286,4 +287,20 @@ func (s *Scheduler) Requeue(sj *ScheduledJob) error {
 func (s *Scheduler) Abort(sj *ScheduledJob) error {
 	_, err := s.remove(sj)
 	return err
+}
+
+// Clone returns an independent copy of the scheduler — queue, budget,
+// commitments and tenant quotas — admitting onto mgr, a Clone of its
+// manager.
+func (s *Scheduler) Clone(mgr *Manager) *Scheduler {
+	c := *s
+	c.mgr = mgr
+	c.queue = make([]*QueuedJob, len(s.queue))
+	for i, qj := range s.queue {
+		cq := *qj
+		c.queue[i] = &cq
+	}
+	c.quotas = maps.Clone(s.quotas)
+	c.tenantCommitted = maps.Clone(s.tenantCommitted)
+	return &c
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"powerstack/internal/bsp"
 	"powerstack/internal/charz"
@@ -471,4 +472,43 @@ func Overrun(alloc policy.Allocation, budget units.Power) units.Power {
 		return t - budget
 	}
 	return 0
+}
+
+// Clone returns an independent copy of the manager over pool, a same-ID
+// copy of the manager's own pool in the same order (cluster.PoolState
+// CopyFrom): the free list, drain set, last-cap slots and every scheduled
+// job, with each node reference moved to its counterpart in pool, whose
+// slots are assigned as NewManager assigns them. The jobs keep their
+// order, so the copy's Jobs()[i] is the clone of Jobs()[i]. Obs, SpanParent
+// and the callbacks are not copied; the caller binds its own.
+func (m *Manager) Clone(pool []*node.Node) (*Manager, error) {
+	if len(pool) != len(m.pool) {
+		return nil, fmt.Errorf("rm: cannot clone a %d-node manager onto %d nodes", len(m.pool), len(pool))
+	}
+	for i, n := range pool {
+		if n.ID != m.pool[i].ID {
+			return nil, fmt.Errorf("rm: clone node %d is %s, want %s", i, n.ID, m.pool[i].ID)
+		}
+		n.SetSlot(i)
+	}
+	remap := func(n *node.Node) *node.Node { return pool[n.Slot()] }
+	c := &Manager{
+		free:     make([]*node.Node, len(m.free)),
+		jobs:     make([]*ScheduledJob, len(m.jobs)),
+		pool:     slices.Clone(pool),
+		drained:  slices.Clone(m.drained),
+		nDrained: m.nDrained,
+		enc:      m.enc,
+		lastCap:  slices.Clone(m.lastCap),
+	}
+	for i, n := range m.free {
+		c.free[i] = remap(n)
+	}
+	for i, sj := range m.jobs {
+		cj := *sj
+		cj.Job = sj.Job.Clone(remap)
+		cj.info.Hosts = slices.Clone(sj.info.Hosts)
+		c.jobs[i] = &cj
+	}
+	return c, nil
 }

@@ -19,6 +19,7 @@ import (
 	"powerstack/internal/facility"
 	"powerstack/internal/kernel"
 	"powerstack/internal/node"
+	"powerstack/internal/obs"
 	"powerstack/internal/policy"
 	"powerstack/internal/units"
 )
@@ -172,6 +173,93 @@ func FuzzServiceRequests(f *testing.F) {
 			}
 			if after <= before {
 				t.Fatalf("after POST %s %q: virtual time stuck at %v", route, body, after)
+			}
+		}
+	})
+}
+
+// cancelOnFlush records a response and cancels the request once the
+// handler flushes its first frame, so a streaming handler ends after one.
+type cancelOnFlush struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (c cancelOnFlush) Flush() {
+	c.ResponseRecorder.Flush()
+	c.cancel()
+}
+
+// FuzzStreamRoutes opens the two /v1 SSE routes, /v1/stream/telemetry and
+// /v1/stream/events, through Host.Handler with a fuzzed query string
+// (instance name, interval, anything else) against a hosted 8-node
+// instance, and cancels each request after its first frame. Neither route
+// may panic. A refusal (an unknown instance, say) answers the /v1 error
+// contract; an opened stream's first frame is well-formed: the events feed
+// greets with its hello frame, and the telemetry feed's first frame — its
+// greeting — is one TelemetryFrame whose JSON decodes with no unknown
+// field.
+func FuzzStreamRoutes(f *testing.F) {
+	base, src := fuzzWorld(f)
+	cfg := base
+	cfg.Nodes = cluster.ClonePool(src)
+	h := NewHost(obs.New())
+	if err := h.Add(InstanceConfig{Name: "main", Facility: cfg, Speedup: 1e-6}); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { h.Shutdown(context.Background()) }) //nolint:errcheck
+	handler := h.Handler()
+	f.Add("")
+	f.Add("instance=main&interval=1h")
+	f.Add("interval=-5s")
+	f.Add("instance=nope")
+	f.Add("interval=9999999h&instance=main&buffer=-1")
+	f.Add("instance=%zz;interval")
+
+	f.Fuzz(func(t *testing.T, query string) {
+		for _, path := range []string{"/v1/stream/telemetry", "/v1/stream/events"} {
+			ctx, cancel := context.WithCancel(context.Background())
+			req := (&http.Request{
+				Method: http.MethodGet,
+				URL:    &url.URL{Path: path, RawQuery: query},
+				Header: http.Header{},
+			}).WithContext(ctx)
+			rec := cancelOnFlush{httptest.NewRecorder(), cancel}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				handler.ServeHTTP(rec, req)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("GET %s?%s: still streaming after its first frame", path, query)
+			}
+			cancel()
+			label := fmt.Sprintf("GET %s?%q", path, query)
+			if rec.Header().Get("Content-Type") != "text/event-stream" {
+				checkContract(t, label, rec.ResponseRecorder)
+				continue
+			}
+			first, _, ok := strings.Cut(rec.Body.String(), "\n\n")
+			if !ok {
+				t.Fatalf("%s: no complete first frame in %q", label, rec.Body.String())
+			}
+			if path == "/v1/stream/events" {
+				if first != "event: hello\ndata: {}" {
+					t.Fatalf("%s: first frame %q, want the hello frame", label, first)
+				}
+				continue
+			}
+			data, ok := strings.CutPrefix(first, "data: ")
+			if !ok || strings.Contains(data, "\n") {
+				t.Fatalf("%s: first frame %q is not one data line", label, first)
+			}
+			dec := json.NewDecoder(strings.NewReader(data))
+			dec.DisallowUnknownFields()
+			var frame apiv1.TelemetryFrame
+			if err := dec.Decode(&frame); err != nil {
+				t.Fatalf("%s: first frame %q: %v", label, first, err)
 			}
 		}
 	})

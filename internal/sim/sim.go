@@ -296,7 +296,7 @@ func (r *Runner) RunOnlineCell(ctx context.Context, mix workload.Mix, budgetName
 	// Online cells run on the discrete-event core explicitly: one engine
 	// per cell keeps the virtual timeline (and its journaled dispatches)
 	// cell-local, which is what lets the parallel grid stay byte-identical.
-	res, err := coord.RunOn(ctx, engine.New(), r.Iters)
+	res, err := coord.RunOn(ctx, engine.New[int](), r.Iters)
 	if err != nil {
 		return Cell{}, err
 	}

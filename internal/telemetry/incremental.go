@@ -39,9 +39,12 @@ package telemetry
 // counted exactly, but their interleaving across workers is not pinned.
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
+	"powerstack/internal/node"
+	"powerstack/internal/obs"
 	"powerstack/internal/units"
 )
 
@@ -246,4 +249,45 @@ func (h *Hierarchy) readLeaves(c int) {
 		h.held[i] = h.leafSample(i, h.ts)
 		h.visit[i] = h.seq
 	}
+}
+
+// Clone returns an independent copy of the hierarchy over nodes, a same-ID
+// copy of its node list in the same order: every tier's power, the leaves'
+// energy trackers, the dirty set and the dropout windows carry over, and
+// sink journals the copy's holds. The copy reads its leaves inline until
+// SetFanOut.
+func (h *Hierarchy) Clone(nodes []*node.Node, sink *obs.Sink) (*Hierarchy, error) {
+	if len(nodes) != len(h.nodes) {
+		return nil, fmt.Errorf("telemetry: cannot clone a %d-leaf hierarchy onto %d nodes", len(h.nodes), len(nodes))
+	}
+	c := &Hierarchy{
+		nodes:      slices.Clone(nodes),
+		pduSize:    h.pduSize,
+		power:      slices.Clone(h.power),
+		lastEnergy: slices.Clone(h.lastEnergy),
+		lastTime:   slices.Clone(h.lastTime),
+		primed:     slices.Clone(h.primed),
+		pdu:        slices.Clone(h.pdu),
+		room:       slices.Clone(h.room),
+		total:      h.total,
+		dropouts:   h.dropouts,
+		start:      h.start,
+		sink:       sink,
+	}
+	d := &h.dirtyState
+	c.dirtyState = dirtyState{
+		visit:    slices.Clone(d.visit),
+		dirty:    slices.Clone(d.dirty),
+		inDirty:  slices.Clone(d.inDirty),
+		pinned:   slices.Clone(d.pinned),
+		held:     slices.Clone(d.held),
+		pdus:     make([]int, 0, cap(d.pdus)),
+		rooms:    make([]int, 0, cap(d.rooms)),
+		run:      inline,
+		chunk:    LeafChunk,
+		seq:      d.seq,
+		prevTime: d.prevTime,
+	}
+	c.readChunk = func(k, _ int) { c.readLeaves(k) }
+	return c, nil
 }
