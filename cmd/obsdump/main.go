@@ -6,13 +6,15 @@
 //
 // The run drives every instrumented layer at once: two asymmetric jobs
 // execute under the execution-time coordination protocol (grant and
-// regrant events, balancer reallocations, RAPL limit writes) while a
-// telemetry watchdog samples the node hierarchy and clamps offenders
-// against a deliberately tight budget (violation and clamp events).
+// regrant events, balancer reallocations, RAPL limit writes) while the
+// node hierarchy's sampled draw is held to a deliberately tight target by
+// lowering the coordinator's budget (budget_change events), which the
+// next protocol round regrants. The job runtimes stay the only writers of
+// their hosts' limits.
 //
 // Usage:
 //
-//	obsdump [-nodes 16] [-iters 30] [-budget 0.8] [-watchdog 0.9]
+//	obsdump [-nodes 16] [-iters 30] [-budget 0.8] [-target 0.9]
 //	        [-metrics -] [-trace powerstack-trace.json] [-events path]
 //	        [-spans path] [-serve localhost:6060] [-seed 1]
 //
@@ -44,6 +46,10 @@ import (
 	"powerstack/internal/workload"
 )
 
+// targetBand is the relative overshoot of the power target that lowers no
+// budget: sampling noise and RAPL quantization, not a trend.
+const targetBand = 0.005
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("obsdump: ")
@@ -63,7 +69,7 @@ func main() {
 	nodes := flag.Int("nodes", 16, "total nodes, split across the two demo jobs")
 	iters := flag.Int("iters", 30, "bulk-synchronous iterations to run")
 	budgetFrac := flag.Float64("budget", 0.8, "coordinator budget as a fraction of total TDP")
-	watchdogFrac := flag.Float64("watchdog", 0.9, "watchdog budget as a fraction of the draw observed early in the run (<=0 disables the watchdog)")
+	targetFrac := flag.Float64("target", 0.9, "power target as a fraction of the draw observed early in the run; the coordinator budget is lowered while the draw exceeds it (<=0 disables the target)")
 	metricsPath := flag.String("metrics", "-", "write the Prometheus metrics snapshot here (- = stdout)")
 	tracePath := flag.String("trace", "powerstack-trace.json", "write the Chrome trace JSON here (empty = skip)")
 	eventsPath := flag.String("events", "", "also write the raw event journal JSON here")
@@ -115,16 +121,20 @@ func main() {
 		SetIter(*iters).SetValue(budget.Watts())
 	coord.SpanParent = rootSpan.Ctx()
 
-	// The watchdog samples the node hierarchy between iterations. Its
-	// budget is derived from the draw observed early in the run so clamp
-	// enforcement demonstrably fires regardless of scale.
+	// The node hierarchy is sampled after every iteration. From
+	// iteration 1 on, the draw then observed times -target is the power
+	// target, so the budget cut demonstrably fires regardless of scale.
+	// The coordinator enforces it the way a resource manager does: a draw
+	// above the target lowers coord.Budget, and the next protocol round
+	// regrants every job under it.
 	root, err := telemetry.BuildHierarchy(pool, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var wd *telemetry.Watchdog
+	var target units.Power
 	now := time.Now()
 	root.Sample(now) // prime the energy trackers
+	lowered, settled := 0, 0
 
 	log.Printf("running %d iterations of mix %s on %d nodes under %v", *iters, mix.Name, *nodes, budget)
 	start := time.Now()
@@ -134,28 +144,32 @@ func main() {
 			log.Fatal(err)
 		}
 		// Advance simulated wall time by the iteration's elapsed time so
-		// the watchdog sees the true mean power.
+		// the sample is the iteration's true mean power.
 		now = now.Add(time.Duration(res.IterTimes[0] * float64(time.Second)))
-		if wd == nil && *watchdogFrac > 0 && k == 1 {
-			p := root.Sample(now)
-			wd, err = telemetry.NewWatchdog(root, units.Power(float64(p)**watchdogFrac))
-			if err != nil {
-				log.Fatal(err)
-			}
-			wd.Obs = sink
-			log.Printf("watchdog armed at %v (observed draw %v)", wd.Budget, p)
-			continue
-		}
-		if wd != nil {
-			if _, _, err := wd.Check(now); err != nil {
-				log.Fatal(err)
-			}
+		p := root.Sample(now)
+		sink.PowerSample("facility", p.Watts())
+		switch {
+		case k == 1 && *targetFrac > 0:
+			target = units.Power(float64(p) * *targetFrac)
+			log.Printf("power target %v (observed draw %v)", target, p)
+		case target > 0 && p > target+target*targetBand && k >= settled:
+			// Lower by the excess, to at most the target, and judge the
+			// new budget only once an iteration has run under it: the
+			// round after iteration k+1 regrants, the runtimes program
+			// the new grants after iteration k+2, and the draw answers
+			// from iteration k+3 on.
+			next := min(coord.Budget-(p-target), target)
+			sink.BudgetChange("target", coord.Budget.Watts(), next.Watts())
+			log.Printf("iteration %d: draw %v over target, budget %v -> %v", k, p, coord.Budget, next)
+			coord.Budget = next
+			lowered++
+			settled = k + 3
 		}
 	}
 	rootSpan.End()
 	log.Printf("run complete in %v", time.Since(start).Round(time.Millisecond))
-	if wd != nil {
-		log.Printf("watchdog: %d violations, %d clamps", wd.Violations, wd.Clamps)
+	if target > 0 {
+		log.Printf("target %v: budget lowered %d time(s) to %v", target, lowered, coord.Budget)
 	}
 	log.Printf("journal: %d events recorded (%d retained, %d dropped)",
 		sink.Journal.Total(), sink.Journal.Total()-sink.Journal.Dropped(), sink.Journal.Dropped())

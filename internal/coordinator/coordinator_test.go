@@ -330,28 +330,53 @@ func TestRunOnNilEngineRejected(t *testing.T) {
 	}
 }
 
-// TestRunStartsFromHostLimits pins that each run samples the limits the
-// hosts hold, not the ones the runtimes last programmed: a caller may write
-// limits between runs (cmd/obsdump's watchdog clamps between one-iteration
-// runs), and a runtime sampling its own stale limits would undo the clamp.
-func TestRunStartsFromHostLimits(t *testing.T) {
+// TestLoweredBudgetRegrantsUnderIt pins the one-writer rule across runs:
+// a caller enforces a tighter power target only by lowering Budget
+// (cmd/obsdump does between one-iteration runs), the next run's round
+// grants within it, and the runtimes, their hosts' only limit writers,
+// carry exactly the limits the hosts hold. Each run's sample is taken
+// before its agents adjust, so its Limit is the limit carried in from the
+// run before.
+func TestLoweredBudgetRegrantsUnderIt(t *testing.T) {
 	jobs := testJobs(t, wastefulSpecs())
-	c, err := New(24*190*units.Power(1), jobs, true)
+	c, err := New(24*190*units.Watt, jobs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
+	hostLimits := func() [][]units.Power {
+		limits := make([][]units.Power, len(jobs))
+		for i, j := range jobs {
+			for _, h := range j.Hosts {
+				l, err := h.Node.PowerLimit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				limits[i] = append(limits[i], l)
+			}
+		}
+		return limits
 	}
-	host := jobs[0].Hosts[0].Node
-	clamped, err := host.SetPowerLimit(host.MinLimit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Runtimes[0].LastSample().Hosts[0].Limit; got != clamped {
-		t.Errorf("second run sampled limit %v, want the clamped %v", got, clamped)
+	// The third run only samples what the second one left behind.
+	for run, budget := range []units.Power{24 * 190 * units.Watt, 24 * 160 * units.Watt, 24 * 160 * units.Watt} {
+		c.Budget = budget
+		before := hostLimits()
+		res, err := c.Run(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var granted units.Power
+		for _, h := range res.GrantHistory {
+			granted += h[len(h)-1]
+		}
+		if granted > budget*(1+1e-12) {
+			t.Errorf("run %d granted %v under budget %v", run, granted, budget)
+		}
+		for i, rt := range c.Runtimes {
+			for h, hs := range rt.LastSample().Hosts {
+				if hs.Limit != before[i][h] {
+					t.Errorf("run %d job %s host %d carried limit %v, host holds %v", run, rt.Job.ID, h, hs.Limit, before[i][h])
+				}
+			}
+		}
 	}
 }

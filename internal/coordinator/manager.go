@@ -218,6 +218,10 @@ const iterKind = "coord_iter"
 // virtual timeline at the moments they would occur in the machine room.
 // The scheduler's pending events are drained before returning; results are
 // identical to Run's.
+//
+// The runtimes carry the limits they program from one run to the next:
+// they are their hosts' only PL1 writers, so a caller holding a tighter
+// target between runs lowers Budget, and the next round regrants under it.
 func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler[int], iters int) (Result, error) {
 	if eng == nil {
 		return Result{}, errors.New("coordinator: nil engine")
@@ -227,14 +231,6 @@ func (c *Coordinator) RunOn(ctx context.Context, eng *engine.Scheduler[int], ite
 	}
 	if c.misses == nil {
 		c.misses = make([]int, len(c.Runtimes))
-	}
-	// The runtimes carry the limits they program, but between runs the
-	// caller owns the hosts (cmd/obsdump's watchdog clamps them between
-	// one-iteration runs), so every run starts from the limits they hold.
-	for _, rt := range c.Runtimes {
-		if err := rt.ReadLimits(); err != nil {
-			return Result{}, fmt.Errorf("coordinator: job %s: %w", rt.Job.ID, err)
-		}
 	}
 	// Record through a virtual-clock view of the sink for the duration of
 	// the run: the engine advances its clock before dispatching, so

@@ -35,8 +35,8 @@ type Controller struct {
 	// energy their sum in sampling order.
 	hostEnergy []units.Energy
 	energy     units.Energy
-	// limits carries each host's PL1 as last read or programmed: the
-	// controller is the only writer during a run, and SetPowerLimitCached
+	// limits carries each host's PL1 as read at Start or last programmed:
+	// the controller is its hosts' only writer, and SetPowerLimitCached
 	// returns the read-back value, so the samples need no PL1 read.
 	limits []units.Power
 	// enc memoizes the PL1 window encoding applyLimits programs: the
@@ -66,33 +66,21 @@ func NewController(job *bsp.Job, agent Agent, budget units.Power) (*Controller, 
 // from, and seeds the carried limits with each host's current PL1.
 func (c *Controller) hostTemplates() ([]HostSample, error) {
 	c.limits = make([]units.Power, len(c.Job.Hosts))
-	if err := c.ReadLimits(); err != nil {
-		return nil, err
-	}
 	hosts := make([]HostSample, len(c.Job.Hosts))
 	for i, h := range c.Job.Hosts {
+		limit, err := h.Node.PowerLimit()
+		if err != nil {
+			return nil, err
+		}
+		c.limits[i] = limit
 		hosts[i] = HostSample{
 			HostID:   h.Node.ID,
-			Limit:    c.limits[i],
+			Limit:    limit,
 			MinLimit: h.Node.MinLimit(),
 			MaxLimit: h.Node.TDP(),
 		}
 	}
 	return hosts, nil
-}
-
-// ReadLimits re-reads every host's PL1 into the limits the samples carry.
-// Start calls it; a caller that lets another writer (a watchdog clamp)
-// program the hosts between Steps calls it before the next Step.
-func (c *Controller) ReadLimits() error {
-	for i, h := range c.Job.Hosts {
-		limit, err := h.Node.PowerLimit()
-		if err != nil {
-			return err
-		}
-		c.limits[i] = limit
-	}
-	return nil
 }
 
 // applyLimits programs the agent-requested limits; nil leaves limits alone.

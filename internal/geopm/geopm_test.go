@@ -450,13 +450,7 @@ func TestStepRefreshesSwappedHost(t *testing.T) {
 	if _, err := ctl.Step(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spare.SetPowerLimit(spare.TDP()); err != nil {
-		t.Fatal(err)
-	}
 	j.Hosts[2].Node = spare
-	if err := ctl.ReadLimits(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ctl.Step(1); err != nil {
 		t.Fatal(err)
 	}

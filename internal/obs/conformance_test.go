@@ -28,8 +28,7 @@ func TestPrometheusConformance(t *testing.T) {
 	s.MSRWrite()
 	s.EnergyWrap("pkg", "node0001")
 	s.PowerSample("facility", 880)
-	s.Violation("facility", 950, 900)
-	s.Clamp("node0001", 200, 190)
+	s.BudgetChange("drop", 950, 900)
 	s.CellStart("mix", "pol", "ideal")
 	s.CellDone("mix", "pol", "ideal", 2)
 	s.FaultInjected("msr_fault", "node0001", "armed", 1)

@@ -13,7 +13,7 @@ import (
 func TestCaptureFlightRoundTrip(t *testing.T) {
 	s := New()
 	s.Grant("j1", 0, 220)
-	s.Violation("facility", 950, 900)
+	s.LimitWrite("node0001", 200)
 	root := s.StartSpan(SpanContext{}, "campaign", "scenario")
 	s.StartSpan(root.Ctx(), "rm", "cap_write").End()
 	// root stays open: the flight record must capture it as in-flight.

@@ -21,10 +21,6 @@ const (
 	// EvLimitWrite is a node-level RAPL power-limit write (PL1 programming
 	// on both sockets).
 	EvLimitWrite EventType = "rapl_limit_write"
-	// EvClamp is a watchdog limit reduction on an over-budget leaf.
-	EvClamp EventType = "watchdog_clamp"
-	// EvViolation is a watchdog budget-violation detection.
-	EvViolation EventType = "watchdog_violation"
 	// EvEpoch is one bulk-synchronous iteration reaching its barrier.
 	EvEpoch EventType = "epoch"
 	// EvRealloc is a balancer/agent redistribution of per-host limits
@@ -321,7 +317,7 @@ func journalTraceEvents(events []Event) (meta, out []traceEvent) {
 				Name: "grant_watts", Ph: "C", TS: ts, PID: 1, TID: tidFor(track),
 				Args: map[string]any{track: e.Value},
 			})
-		case EvClamp, EvLimitWrite:
+		case EvLimitWrite:
 			out = append(out, traceEvent{
 				Name: "limit_watts", Ph: "C", TS: ts, PID: 1, TID: tidFor(track),
 				Args: map[string]any{track: e.Value},

@@ -73,7 +73,7 @@ func TestJournalDefaultCapacity(t *testing.T) {
 func TestWriteJSONRoundTrips(t *testing.T) {
 	j := NewJournal(8)
 	j.Record(Event{Type: EvGrant, Layer: "coordinator", Scope: "j1", Iter: 3, Value: 180})
-	j.Record(Event{Type: EvClamp, Layer: "telemetry", Host: "node0001", Value: 150, Aux: 160})
+	j.Record(Event{Type: EvLimitWrite, Layer: "node", Host: "node0001", Value: 150, Aux: 160})
 	var b strings.Builder
 	if err := j.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if events[0].Type != EvGrant || events[0].Scope != "j1" || events[0].Value != 180 {
 		t.Errorf("event 0 = %+v", events[0])
 	}
-	if events[1].Type != EvClamp || events[1].Host != "node0001" || events[1].Aux != 160 {
+	if events[1].Type != EvLimitWrite || events[1].Host != "node0001" || events[1].Aux != 160 {
 		t.Errorf("event 1 = %+v", events[1])
 	}
 }
@@ -125,7 +125,7 @@ func TestWriteTraceValid(t *testing.T) {
 	j := NewJournal(16)
 	j.Record(Event{Type: EvGrant, Layer: "coordinator", Scope: "j1", Iter: 1, Value: 200})
 	j.Record(Event{Type: EvLimitWrite, Layer: "node", Host: "node0002", Value: 190})
-	j.Record(Event{Type: EvClamp, Layer: "telemetry", Host: "node0002", Value: 170, Aux: 190})
+	j.Record(Event{Type: EvLimitWrite, Layer: "node", Host: "node0002", Value: 170})
 	j.Record(Event{Type: EvEpoch, Layer: "geopm", Scope: "j1", Iter: 1, Value: 0.25})
 
 	var b strings.Builder
@@ -161,7 +161,7 @@ func TestWriteTraceValid(t *testing.T) {
 			t.Errorf("unexpected phase %q on %q", e.Ph, e.Name)
 		}
 	}
-	for _, want := range []string{"grant", "rapl_limit_write", "watchdog_clamp", "epoch", "process_name"} {
+	for _, want := range []string{"grant", "rapl_limit_write", "epoch", "process_name"} {
 		if byName[want] == 0 {
 			t.Errorf("trace missing %q events: %v", want, byName)
 		}

@@ -335,8 +335,6 @@ var metricHelp = map[string]string{
 	MetricMSRWrites:         "Raw MSR PL1 register writes.",
 	MetricEnergyWraps:       "32-bit RAPL energy-counter wraparounds.",
 	MetricPowerWatts:        "Latest sampled power per telemetry domain in watts.",
-	MetricViolations:        "Watchdog budget violations detected.",
-	MetricClamps:            "Watchdog limit clamps applied.",
 	MetricCells:             "Sim evaluation cells completed.",
 	MetricCellSeconds:       "Distribution of sim cell wall times in seconds.",
 	MetricJobRuns:           "Sim grid job runs by outcome: executed, or shared with an identical run.",

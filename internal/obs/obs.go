@@ -46,10 +46,6 @@ const (
 	MetricEnergyWraps = "powerstack_rapl_energy_wraps_total"
 	// MetricPowerWatts is the latest sampled power, labeled domain.
 	MetricPowerWatts = "powerstack_power_watts"
-	// MetricViolations counts watchdog budget violations, labeled domain.
-	MetricViolations = "powerstack_watchdog_violations_total"
-	// MetricClamps counts watchdog limit clamps.
-	MetricClamps = "powerstack_watchdog_clamps_total"
 	// MetricCells counts sim evaluation cells completed, labeled policy.
 	MetricCells = "powerstack_sim_cells_total"
 	// MetricCellSeconds is the wall-time histogram of sim cells.
@@ -314,26 +310,6 @@ func (s *Sink) PowerSample(domain string, watts float64) {
 		return
 	}
 	s.Metrics.Gauge(MetricPowerWatts, "domain", domain).Set(watts)
-}
-
-// Violation records a watchdog budget violation: observed watts against the
-// enforced budget.
-func (s *Sink) Violation(domain string, observedWatts, budgetWatts float64) {
-	if s == nil {
-		return
-	}
-	s.Metrics.Counter(MetricViolations, "domain", domain).Inc()
-	s.record(Event{Type: EvViolation, Layer: "telemetry", Scope: domain, Value: observedWatts, Aux: budgetWatts})
-}
-
-// Clamp records the watchdog cutting a leaf's limit from fromWatts to
-// toWatts.
-func (s *Sink) Clamp(host string, fromWatts, toWatts float64) {
-	if s == nil {
-		return
-	}
-	s.Metrics.Counter(MetricClamps).Inc()
-	s.record(Event{Type: EvClamp, Layer: "telemetry", Host: host, Value: toWatts, Aux: fromWatts})
 }
 
 // FaultInjected records one fault-plan injection arming or firing: kind is

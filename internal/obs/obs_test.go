@@ -24,8 +24,7 @@ func TestNilSinkSafe(t *testing.T) {
 	s.MSRWrite()
 	s.EnergyWrap("pkg", "n")
 	s.PowerSample("facility", 900)
-	s.Violation("facility", 950, 900)
-	s.Clamp("n", 200, 190)
+	s.BudgetChange("drop", 950, 900)
 	s.CellStart("m", "p", "ideal")
 	s.CellDone("m", "p", "ideal", 1.5)
 	s.Record(Event{Type: EvGrant})
@@ -52,7 +51,7 @@ func TestNilAllocationFree(t *testing.T) {
 		s.Grant("j", 1, 100)
 		s.Epoch("geopm", "j", 1, 0.2)
 		s.LimitWrite("n", 180)
-		s.Clamp("n", 200, 190)
+		s.BudgetChange("drop", 200, 190)
 		s.JobRuns(JobRunExecuted, 1)
 	})
 	if allocs != 0 {
@@ -73,8 +72,7 @@ func TestSinkVocabulary(t *testing.T) {
 	s.MSRWrite()
 	s.EnergyWrap("pkg", "node0001")
 	s.PowerSample("facility", 880)
-	s.Violation("facility", 950, 900)
-	s.Clamp("node0001", 200, 190)
+	s.BudgetChange("drop", 950, 900)
 	s.CellStart("WastefulPower", "MixedAdaptive", "ideal")
 	s.CellDone("WastefulPower", "MixedAdaptive", "ideal", 2)
 
@@ -85,7 +83,7 @@ func TestSinkVocabulary(t *testing.T) {
 	want := map[EventType]int{
 		EvGrant: 1, EvRegrant: 1, EvEpoch: 1, EvRealloc: 1,
 		EvLimitWrite: 1, EvEnergyWrap: 1,
-		EvViolation: 1, EvClamp: 1, EvCell: 2,
+		EvBudgetChange: 1, EvCell: 2,
 	}
 	for typ, n := range want {
 		if byType[typ] != n {
@@ -109,8 +107,7 @@ func TestSinkVocabulary(t *testing.T) {
 		`powerstack_rapl_msr_writes_total 2`,
 		`powerstack_rapl_energy_wraps_total{domain="pkg"} 1`,
 		`powerstack_power_watts{domain="facility"} 880`,
-		`powerstack_watchdog_violations_total{domain="facility"} 1`,
-		`powerstack_watchdog_clamps_total 1`,
+		`powerstack_budget_changes_total{cause="drop"} 1`,
 		`powerstack_sim_cells_total{policy="MixedAdaptive"} 1`,
 	} {
 		if !strings.Contains(out, line+"\n") {

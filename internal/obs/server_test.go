@@ -26,7 +26,7 @@ func get(t *testing.T, base, path string) (int, string, http.Header) {
 func TestMuxEndpoints(t *testing.T) {
 	s := New()
 	s.Grant("j1", 0, 220)
-	s.Clamp("node0001", 220, 200)
+	s.LimitWrite("node0001", 200)
 	ts := httptest.NewServer(NewMux(s))
 	defer ts.Close()
 
@@ -49,7 +49,7 @@ func TestMuxEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatalf("/events invalid JSON: %v", err)
 	}
-	if len(events) != 2 || events[0].Type != EvGrant || events[1].Type != EvClamp {
+	if len(events) != 2 || events[0].Type != EvGrant || events[1].Type != EvLimitWrite {
 		t.Errorf("/events = %+v", events)
 	}
 

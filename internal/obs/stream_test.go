@@ -19,9 +19,9 @@ func TestBroadcasterFanout(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	s.Grant("j1", 0, 100)
-	s.Clamp("n", 200, 190)
+	s.LimitWrite("n", 190)
 	for _, sub := range []*Subscriber{a, b} {
-		for _, want := range []EventType{EvGrant, EvClamp} {
+		for _, want := range []EventType{EvGrant, EvLimitWrite} {
 			select {
 			case e := <-sub.C():
 				if e.Type != want {

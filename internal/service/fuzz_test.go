@@ -195,10 +195,9 @@ func (c cancelOnFlush) Flush() {
 // (instance name, interval, anything else) against a hosted 8-node
 // instance, and cancels each request after its first frame. Neither route
 // may panic. A refusal (an unknown instance, say) answers the /v1 error
-// contract; an opened stream's first frame is well-formed: the events feed
-// greets with its hello frame, and the telemetry feed's first frame — its
-// greeting — is one TelemetryFrame whose JSON decodes with no unknown
-// field.
+// contract; an opened stream greets with the hello frame, and the
+// telemetry feed's next frame, which it sends at once, is one
+// TelemetryFrame whose JSON decodes with no unknown field.
 func FuzzStreamRoutes(f *testing.F) {
 	base, src := fuzzWorld(f)
 	cfg := base
@@ -241,25 +240,26 @@ func FuzzStreamRoutes(f *testing.F) {
 				checkContract(t, label, rec.ResponseRecorder)
 				continue
 			}
-			first, _, ok := strings.Cut(rec.Body.String(), "\n\n")
+			first, rest, ok := strings.Cut(rec.Body.String(), "\n\n")
 			if !ok {
 				t.Fatalf("%s: no complete first frame in %q", label, rec.Body.String())
 			}
+			if first != "event: hello\ndata: {}" {
+				t.Fatalf("%s: first frame %q, want the hello frame", label, first)
+			}
 			if path == "/v1/stream/events" {
-				if first != "event: hello\ndata: {}" {
-					t.Fatalf("%s: first frame %q, want the hello frame", label, first)
-				}
 				continue
 			}
-			data, ok := strings.CutPrefix(first, "data: ")
-			if !ok || strings.Contains(data, "\n") {
-				t.Fatalf("%s: first frame %q is not one data line", label, first)
+			second, _, ok := strings.Cut(rest, "\n\n")
+			data, isData := strings.CutPrefix(second, "data: ")
+			if !ok || !isData || strings.Contains(data, "\n") {
+				t.Fatalf("%s: frame after hello %q is not one data line", label, second)
 			}
 			dec := json.NewDecoder(strings.NewReader(data))
 			dec.DisallowUnknownFields()
 			var frame apiv1.TelemetryFrame
 			if err := dec.Decode(&frame); err != nil {
-				t.Fatalf("%s: first frame %q: %v", label, first, err)
+				t.Fatalf("%s: frame after hello %q: %v", label, second, err)
 			}
 		}
 	})

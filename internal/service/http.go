@@ -434,8 +434,9 @@ func (h *Host) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleStreamTelemetry serves periodic instance telemetry as SSE: one
-// TelemetryFrame per wall interval (?interval=, default 1s, floor 50ms).
+// handleStreamTelemetry serves periodic instance telemetry as SSE: a hello
+// frame, as /v1/stream/events opens with, then one TelemetryFrame per wall
+// interval (?interval=, default 1s, floor 50ms).
 func (h *Host) handleStreamTelemetry(w http.ResponseWriter, r *http.Request) {
 	hi, err := h.hosted(r.URL.Query().Get("instance"))
 	if err != nil {
@@ -446,6 +447,7 @@ func (h *Host) handleStreamTelemetry(w http.ResponseWriter, r *http.Request) {
 	if sse == nil {
 		return
 	}
+	sse.Send("hello", []byte("{}"))
 	sse.Tick(r, time.Second, func() ([]byte, error) {
 		sn := hi.snapshot()
 		return json.Marshal(apiv1.TelemetryFrame{

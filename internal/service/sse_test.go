@@ -161,7 +161,8 @@ func TestSSEFramesPinned(t *testing.T) {
 	t.Run("v1/stream/telemetry", func(t *testing.T) {
 		body, hdr := serveGated(t, h.handleStreamTelemetry, "/v1/stream/telemetry?interval=1h", nil)
 		checkHeaders(t, hdr)
-		const want = "data: {\"at_ns\":0,\"power_watts\":0,\"budget_watts\":1200,\"running\":0,\"queued\":0,\"completed\":0}\n\n"
+		const want = "event: hello\ndata: {}\n\n" +
+			"data: {\"at_ns\":0,\"power_watts\":0,\"budget_watts\":1200,\"running\":0,\"queued\":0,\"completed\":0}\n\n"
 		if body != want {
 			t.Errorf("first frame = %q, want %q", body, want)
 		}

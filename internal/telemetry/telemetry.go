@@ -1,10 +1,10 @@
 // Package telemetry implements the machine-room monitoring half of a
-// site's power management: periodic sampling of node power, aggregation up
-// a PDU/room/facility hierarchy, and a budget watchdog that detects
-// violations of the system power limit and clamps offenders — the
-// enforcement loop that backs a resource manager's promises to the facility
-// (the role SLURM's power monitoring thread plays in the paper's Section
-// VII-C discussion).
+// site's power management: periodic sampling of node power and aggregation
+// up a PDU/room/facility hierarchy — the measurements a resource manager
+// checks its promises to the facility against (the role SLURM's power
+// monitoring thread plays in the paper's Section VII-C discussion). It
+// writes no power limit: the resource manager enforces a budget by
+// regranting it.
 //
 // The hierarchy is flat and indexed by node ordinal (the node's position in
 // the list it was built over): per-leaf state lives in slices, and each
@@ -16,7 +16,6 @@ package telemetry
 import (
 	"errors"
 	"slices"
-	"sort"
 	"time"
 
 	"powerstack/internal/fault"
@@ -30,9 +29,6 @@ type Sample struct {
 	Time  time.Time
 	Power units.Power
 }
-
-// rootName names the hierarchy's root in watchdog observations.
-const rootName = "facility"
 
 // RoomThreshold is the PDU count above which BuildHierarchy inserts a room
 // tier between the PDUs and the facility root. At the default 16-node PDUs
@@ -183,19 +179,4 @@ func (h *Hierarchy) leafSample(i int, ts time.Time) (held bool) {
 	h.lastTime[i] = ts
 	h.primed[i] = true
 	return false
-}
-
-// TopConsumers returns the ordinals of the k leaves with the highest latest
-// power, sorted descending with ties in ordinal order — the watchdog's
-// clamping order. k is clamped to [0, leaves]: a negative k returns nothing
-// rather than panicking.
-func (h *Hierarchy) TopConsumers(k int) []int {
-	ord := make([]int, len(h.nodes))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return h.power[ord[a]] > h.power[ord[b]]
-	})
-	return ord[:max(0, min(k, len(ord)))]
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -184,147 +183,4 @@ func TestLeafHoldValues(t *testing.T) {
 		t.Fatalf("post-repair power = %v, want %v", got, want)
 	}
 	wantHolds("repaired", holds...)
-}
-
-func TestTopConsumers(t *testing.T) {
-	nodes := testNodes(t, 4)
-	root, err := BuildHierarchy(nodes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cap one node hard so it draws less than the others.
-	if _, err := nodes[2].SetPowerLimit(140 * units.Watt); err != nil {
-		t.Fatal(err)
-	}
-	ts := time.Unix(0, 0)
-	root.Sample(ts)
-	elapsed := runIterations(t, nodes, 4)
-	root.Sample(ts.Add(elapsed))
-	top := root.TopConsumers(2)
-	if len(top) != 2 {
-		t.Fatalf("top = %d", len(top))
-	}
-	for _, i := range top {
-		if i == 2 {
-			t.Errorf("capped node %s ranked among top consumers", nodes[i].ID)
-		}
-	}
-	if got := root.TopConsumers(99); len(got) != 4 {
-		t.Errorf("oversized k = %d leaves", len(got))
-	}
-}
-
-func TestWatchdogValidation(t *testing.T) {
-	nodes := testNodes(t, 2)
-	root, err := BuildHierarchy(nodes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewWatchdog(nil, 100); err == nil {
-		t.Error("nil domain accepted")
-	}
-	if _, err := NewWatchdog(root, 0); err == nil {
-		t.Error("zero budget accepted")
-	}
-}
-
-func TestWatchdogClampsOverrun(t *testing.T) {
-	nodes := testNodes(t, 4)
-	root, err := BuildHierarchy(nodes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget well below the uncapped draw (~920 W): the watchdog must
-	// observe the violation and ratchet limits down until the draw fits.
-	budget := 4 * 180 * units.Power(1)
-	w, err := NewWatchdog(root, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := time.Unix(0, 0)
-	if _, _, err := w.Check(ts); err != nil { // prime
-		t.Fatal(err)
-	}
-	var p units.Power
-	for round := 0; round < 12; round++ {
-		elapsed := runIterations(t, nodes, 2)
-		ts = ts.Add(elapsed)
-		var err error
-		p, _, err = w.Check(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Violations == 0 || w.Clamps == 0 {
-		t.Fatalf("watchdog idle: %d violations, %d clamps", w.Violations, w.Clamps)
-	}
-	tol := budget.Watts() * (1 + w.Tolerance)
-	if p.Watts() > tol*1.02 {
-		t.Errorf("power %v W still above budget %v after enforcement", p.Watts(), budget)
-	}
-	// Limits were actually programmed down.
-	for _, n := range nodes {
-		lim, err := n.PowerLimit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lim.Watts() >= 239 {
-			t.Errorf("node %s limit %v never clamped", n.ID, lim)
-		}
-	}
-}
-
-func TestWatchdogQuietWithinBudget(t *testing.T) {
-	nodes := testNodes(t, 2)
-	root, err := BuildHierarchy(nodes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWatchdog(root, 2*300*units.Power(1)) // generous
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := time.Unix(0, 0)
-	if _, _, err := w.Check(ts); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := runIterations(t, nodes, 3)
-	_, violated, err := w.Check(ts.Add(elapsed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violated || w.Violations != 0 || w.Clamps != 0 {
-		t.Errorf("false positive: violated=%v counts=%d/%d", violated, w.Violations, w.Clamps)
-	}
-	// Limits untouched.
-	for _, n := range nodes {
-		lim, _ := n.PowerLimit()
-		if math.Abs(lim.Watts()-240) > 0.5 {
-			t.Errorf("limit %v moved without violation", lim)
-		}
-	}
-}
-
-func TestTopConsumersEdgeCases(t *testing.T) {
-	nodes := testNodes(t, 3)
-	root, err := BuildHierarchy(nodes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Negative k clamps to nothing rather than panicking.
-	if got := root.TopConsumers(-1); len(got) != 0 {
-		t.Errorf("TopConsumers(-1) = %d leaves, want 0", len(got))
-	}
-	if got := root.TopConsumers(0); len(got) != 0 {
-		t.Errorf("TopConsumers(0) = %d leaves, want 0", len(got))
-	}
-	// Before any sample exists every leaf reads zero power; the call must
-	// still return exactly k leaves.
-	if got := root.TopConsumers(2); len(got) != 2 {
-		t.Errorf("unsampled TopConsumers(2) = %d leaves", len(got))
-	}
-	// Ties keep ordinal order.
-	if got := root.TopConsumers(3); got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("unsampled TopConsumers(3) = %v, want ordinal order", got)
-	}
 }
